@@ -56,15 +56,6 @@ def mayer_vector(y, t_y, x) -> UnitVector2:
     return UnitVector2(float(v[0]), float(v[1]))
 
 
-def mayer_vector_at(y, t_y, points: np.ndarray) -> np.ndarray:
-    """V(y, t_y, x) for a batch of x, shape (n, 2).  No diagonal guard."""
-    yv = _vec2(y)
-    t = _unit(t_y)
-    d = np.asarray(points, float) - yv
-    r2 = np.einsum("ij,ij->i", d, d)
-    return (2.0 * (d @ t) / r2)[:, None] * d - t
-
-
 @dataclass(frozen=True, eq=False)
 class BiformValue2:
     """2x2 coefficient matrix of the kernel at a point pair; acts as u^T m v."""

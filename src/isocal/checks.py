@@ -15,6 +15,7 @@ from .biform import d1d2_fd, mixed_derivative_closed_form
 from .mayer import (
     CallablePath,
     MayerProblem,
+    _takes_arrays,
     lagrangian_submanifold_check,
     minimality_gap,
     null_lagrangian,
@@ -126,6 +127,7 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0,
 # Mayer-side sweeps
 
 _AMPLITUDE = {"free": 0.8, "oscillator": 0.12, "cosh": 0.8}
+_SAMPLE_BLOCK = 4096
 
 
 def _bump_path(problem: MayerProblem, rng, amplitude: float,
@@ -136,13 +138,16 @@ def _bump_path(problem: MayerProblem, rng, amplitude: float,
     coeffs = rng.uniform(-amplitude, amplitude, size=n_modes)
     ks = np.arange(1, n_modes + 1) * math.pi / (b - a)
 
+    @_takes_arrays
     def f(t):
-        return base.value(t) + sum(
-            c * math.sin(k * (t - a)) for c, k in zip(coeffs, ks))
+        x = t - a
+        return base.value(t) + sum(c * np.sin(k * x) for c, k in zip(coeffs, ks))
 
+    @_takes_arrays
     def fdot(t):
+        x = t - a
         return base.derivative(t) + sum(
-            c * k * math.cos(k * (t - a)) for c, k in zip(coeffs, ks))
+            c * k * np.cos(k * x) for c, k in zip(coeffs, ks))
 
     return CallablePath(f=f, fdot=fdot)
 
@@ -153,14 +158,17 @@ def dominance_minimum(problem: MayerProblem, n: int = 10000,
     rng = np.random.default_rng(seed)
     a, b = problem.family.t_domain
     lo, hi = problem.family.s_interval
+    low = [a + 1e-3, lo + 0.05 * (hi - lo), -3.0]
+    high = [b - 1e-3, hi - 0.05 * (hi - lo), 3.0]
     worst = math.inf
-    for _ in range(n):
-        t = rng.uniform(a + 1e-3, b - 1e-3)
-        s = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-        q = problem.family.u(s, t)
-        qd = rng.uniform(-3.0, 3.0)
-        worst = min(worst, weierstrass_gap(problem.lagrangian, problem.family,
-                                           t, q, qd))
+    # blocks bound the memory; each (t, s, qdot) row takes the same draws as
+    # one scalar sample would, and results do not depend on the blocking
+    for start in range(0, n, _SAMPLE_BLOCK):
+        t, s, qd = rng.uniform(low, high,
+                               size=(min(_SAMPLE_BLOCK, n - start), 3)).T
+        gap = weierstrass_gap(problem.lagrangian, problem.family, t,
+                              problem.family.u(s, t), qd)
+        worst = float(np.min(gap, initial=worst))
     return worst
 
 
@@ -168,13 +176,10 @@ def field_equality_residual(problem: MayerProblem, n: int = 33) -> float:
     """max |L - lam| along the central leaf."""
     a, b = problem.lagrangian.domain
     leaf = problem.family.central_leaf
-    worst = 0.0
-    for t in np.linspace(a + 1e-3, b - 1e-3, n):
-        t = float(t)
-        worst = max(worst, abs(weierstrass_gap(
-            problem.lagrangian, problem.family, t, leaf.value(t),
-            leaf.derivative(t))))
-    return worst
+    t = np.linspace(a + 1e-3, b - 1e-3, n)
+    gap = weierstrass_gap(problem.lagrangian, problem.family, t,
+                          leaf.value(t), leaf.derivative(t))
+    return float(np.max(np.abs(gap), initial=0.0))
 
 
 def path_independence_residual(problem: MayerProblem, n_pairs: int = 20,

@@ -95,6 +95,26 @@ def _tolerances(config: dict, overrides: list[str] | None) -> dict:
     return tol
 
 
+def _samples_and_seed(args, config: dict, default_samples):
+    """Sample count and seed: the flag, else the config, else the default.
+
+    The sample count is a positive integer (or None where the command has
+    no default), the seed a non-negative integer.
+    """
+    samples = args.samples if args.samples is not None \
+        else config.get("samples", default_samples)
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if samples is not None and not _int_at_least(samples, 1):
+        raise UsageError(f"samples must be a positive integer, got {samples!r}")
+    if not _int_at_least(seed, 0):
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    return samples, seed
+
+
+def _int_at_least(val, least: int) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= least
+
+
 def _check(name: str, value: float, tolerance: float, kind: str) -> dict:
     if kind == "min":
         ok = value >= -tolerance
@@ -201,11 +221,7 @@ def _cmd_calibration(args) -> int:
     t0 = time.perf_counter()
     config = _load_config(args.config)
     tol = _tolerances(config, args.tolerance)
-    samples = args.samples if args.samples is not None \
-        else config.get("samples", 10000)
-    if samples <= 0:
-        raise UsageError("--samples must be positive")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    samples, seed = _samples_and_seed(args, config, 10000)
     n_circles = min(samples, 100)
     n_mixed = min(samples, 50)
 
@@ -258,11 +274,7 @@ def _cmd_mayer(args) -> int:
     t0 = time.perf_counter()
     config = _load_config(args.config)
     tol = _tolerances(config, args.tolerance)
-    samples = args.samples if args.samples is not None \
-        else config.get("samples", 2000)
-    if samples <= 0:
-        raise UsageError("--samples must be positive")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    samples, seed = _samples_and_seed(args, config, 2000)
     try:
         problem = mayer.get_problem(args.problem)
     except KeyError as e:
@@ -302,8 +314,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _cmd_plotdata(args) -> int:
     config = _load_config(args.config)
-    samples = args.samples if args.samples is not None \
-        else config.get("samples")
+    samples, _ = _samples_and_seed(args, config, None)
     out_dir = args.out or "plotdata"
     if args.kind == "vfield":
         n = samples if samples is not None else 21
@@ -325,8 +336,6 @@ def _cmd_plotdata(args) -> int:
         _write_csv(path, ["x1", "x2", "v1", "v2"], rows)
     elif args.kind == "circles":
         n = samples if samples is not None else 9
-        if n < 1:
-            raise UsageError("circles needs --samples >= 1")
         os.makedirs(out_dir, exist_ok=True)
         rows = []
         # circles through y=(0,0) tangent to t_y=(1,0): centers (0, d/2)
@@ -346,8 +355,6 @@ def _cmd_plotdata(args) -> int:
                           "orientation", "theta", "x1", "x2"], rows)
     else:  # leaves
         n = samples if samples is not None else 9
-        if n < 1:
-            raise UsageError("leaves needs --samples >= 1")
         try:
             problem = mayer.get_problem(args.problem or "oscillator")
         except KeyError as e:

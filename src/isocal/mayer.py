@@ -7,6 +7,11 @@ diffeomorphically.  Differentiating the leaf through (t, q) in time yields
 the slope field psi; combining psi with the impulsion and the energy gives a
 Lagrangian that is affine in the velocity, bounded above by the original one,
 and whose action depends on endpoint values only.
+
+Every callable here is evaluated on numpy arrays, one call per batch of
+points.  A user callable that only takes scalars (a math.sin lambda, a
+Python branch) is detected once, where it enters CallablePath,
+SolutionFamily or Lagrangian1D, and is run element by element from then on.
 """
 
 from __future__ import annotations
@@ -37,6 +42,53 @@ class EndpointError(ValueError):
     """Paths do not share endpoints."""
 
 
+_TAKES_ARRAYS = "_isocal_takes_arrays"
+
+
+def _takes_arrays(fn):
+    """Mark a callable built by this package as evaluating arrays elementwise."""
+    setattr(fn, _TAKES_ARRAYS, True)
+    return fn
+
+
+def _array_callable(fn, *probe):
+    """fn itself if it evaluates the probe arrays elementwise, else fn wrapped
+    once in np.vectorize.
+
+    A callable takes arrays when calling it on the probe arrays gives the
+    same values as calling it on each probe point.  Anything else, an error
+    included, means scalar-only.
+    """
+    if fn is None or getattr(fn, _TAKES_ARRAYS, False):
+        return fn
+    try:
+        with np.errstate(all="ignore"):
+            got = np.asarray(fn(*probe), float)
+            want = np.array([fn(*p) for p in zip(*(a.tolist() for a in probe))],
+                            float)
+        if got.shape in ((), want.shape) and np.allclose(
+                got, want, rtol=1e-9, atol=1e-12, equal_nan=True):
+            return fn
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    vec = np.vectorize(fn, otypes=[float])
+
+    def elementwise(*args):
+        if all(np.ndim(a) == 0 for a in args):
+            return fn(*args)
+        return vec(*args)
+
+    return _takes_arrays(elementwise)
+
+
+def _out(x, *like):
+    """x broadcast to the common shape of `like`: a float when that shape is
+    (), else a fresh array."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in like))
+    x = np.broadcast_to(np.asarray(x, float), shape)
+    return float(x) if x.ndim == 0 else x.copy()
+
+
 @dataclass(frozen=True)
 class Lagrangian1D:
     """Scalar Lagrangian L(t, q, qdot) with its first and second partials.
@@ -50,6 +102,14 @@ class Lagrangian1D:
     dL_dqdot: Scalar3
     d2L_dqdot2: Scalar3
     domain: tuple[float, float]
+
+    def __post_init__(self):
+        a, b = self.domain
+        probe = (a + (b - a) * np.array([0.3, 0.7]), np.array([0.2, -0.4]),
+                 np.array([0.5, -0.3]))
+        for name in ("l", "dL_dq", "dL_dqdot", "d2L_dqdot2"):
+            object.__setattr__(self, name,
+                               _array_callable(getattr(self, name), *probe))
 
     @classmethod
     def from_value_fn(cls, l: Scalar3, domain, fd_step: float = 1e-5):
@@ -73,18 +133,14 @@ class Lagrangian1D:
         rng = np.random.default_rng(seed)
         a, b = self.domain
         h = fd_step
-        worst = 0.0
-        for _ in range(n):
-            t = rng.uniform(a + 1e-3, b - 1e-3)
-            q = rng.uniform(-box, box)
-            qd = rng.uniform(-box, box)
-            fd_q = (self.l(t, q + h, qd) - self.l(t, q - h, qd)) / (2 * h)
-            fd_qd = (self.l(t, q, qd + h) - self.l(t, q, qd - h)) / (2 * h)
-            scale = 1.0 + abs(fd_q) + abs(fd_qd)
-            worst = max(worst,
-                        abs(fd_q - self.dL_dq(t, q, qd)) / scale,
-                        abs(fd_qd - self.dL_dqdot(t, q, qd)) / scale)
-        return worst
+        t, q, qd = rng.uniform([a + 1e-3, -box, -box], [b - 1e-3, box, box],
+                               size=(n, 3)).T
+        fd_q = (self.l(t, q + h, qd) - self.l(t, q - h, qd)) / (2 * h)
+        fd_qd = (self.l(t, q, qd + h) - self.l(t, q, qd - h)) / (2 * h)
+        scale = 1.0 + np.abs(fd_q) + np.abs(fd_qd)
+        dev = np.maximum(np.abs(fd_q - self.dL_dq(t, q, qd)),
+                         np.abs(fd_qd - self.dL_dqdot(t, q, qd))) / scale
+        return float(np.max(dev, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +155,44 @@ class CallablePath:
     fdot: Optional[Callable[[float], float]] = None
     fd_step: float = 1e-6
 
-    def value(self, t: float) -> float:
+    def __post_init__(self):
+        probe = np.array([0.3, 0.7])
+        for name in ("f", "fdot"):
+            object.__setattr__(self, name,
+                               _array_callable(getattr(self, name), probe))
+
+    def value(self, t):
         return self.f(t)
 
-    def derivative(self, t: float) -> float:
+    def derivative(self, t):
         if self.fdot is not None:
             return self.fdot(t)
         h = self.fd_step
         return (self.f(t + h) - self.f(t - h)) / (2 * h)
+
+
+def _grid_cell(grid: np.ndarray, t):
+    """Cell index, cell width and offset within the cell, per time t; times
+    outside the grid use the end cells."""
+    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
+    h = grid[i + 1] - grid[i]
+    return i, h, (t - grid[i]) / h
+
+
+def _hermite_value(s, h, v0, d0, v1, d1):
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
+
+
+def _hermite_slope(s, h, v0, d0, v1, d1):
+    d00 = 6 * s * (s - 1)
+    d10 = (1 - s) * (1 - 3 * s)
+    d01 = -d00
+    d11 = s * (3 * s - 2)
+    return (d00 * v0 + h * d10 * d0 + d01 * v1 + h * d11 * d1) / h
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,31 +221,16 @@ class Extremal:
     def domain(self) -> tuple[float, float]:
         return float(self.grid[0]), float(self.grid[-1])
 
-    def _cell(self, t: float) -> int:
-        i = int(np.searchsorted(self.grid, t, side="right") - 1)
-        return min(max(i, 0), len(self.grid) - 2)
+    def _eval(self, basis, t):
+        i, h, s = _grid_cell(self.grid, np.asarray(t, float))
+        return _out(basis(s, h, self.values[i], self.derivatives[i],
+                          self.values[i + 1], self.derivatives[i + 1]), t)
 
-    def value(self, t: float) -> float:
-        i = self._cell(t)
-        h = self.grid[i + 1] - self.grid[i]
-        s = (t - self.grid[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return float(h00 * self.values[i] + h * h10 * self.derivatives[i]
-                     + h01 * self.values[i + 1] + h * h11 * self.derivatives[i + 1])
+    def value(self, t):
+        return self._eval(_hermite_value, t)
 
-    def derivative(self, t: float) -> float:
-        i = self._cell(t)
-        h = self.grid[i + 1] - self.grid[i]
-        s = (t - self.grid[i]) / h
-        d00 = 6 * s * (s - 1)
-        d10 = (1 - s) * (1 - 3 * s)
-        d01 = -d00
-        d11 = s * (3 * s - 2)
-        return float((d00 * self.values[i] + h * d10 * self.derivatives[i]
-                      + d01 * self.values[i + 1] + h * d11 * self.derivatives[i + 1]) / h)
+    def derivative(self, t):
+        return self._eval(_hermite_slope, t)
 
     @classmethod
     def from_callable(cls, f, fdot, grid) -> "Extremal":
@@ -214,16 +285,24 @@ def solve_el(L: Lagrangian1D, t0: float, q0: float, qdot0: float,
     return Extremal(g, qs, ds)
 
 
-def el_residual(L: Lagrangian1D, f, t: float, h: float = 1e-5) -> float:
-    """d/dt [dL_dqdot along f] - dL_dq along f, by centred differences."""
-    a, b = getattr(f, "domain", L.domain)
-    if not a + h <= t <= b - h:
-        raise ValueError(f"t={t} not interior to the path domain ({a}, {b})")
+def el_residual(L: Lagrangian1D, f, t, h: float = 1e-5, domain=None):
+    """d/dt [dL_dqdot along f] - dL_dq along f, by centred differences.
 
-    def p(tt):
-        return L.dL_dqdot(tt, f.value(tt), f.derivative(tt))
+    Times must lie h inside `domain`, which defaults to the path's own domain
+    when it has one and to the Lagrangian's otherwise.
+    """
+    a, b = domain if domain is not None else getattr(f, "domain", L.domain)
+    tt = np.asarray(t, float)
+    inside = (a + h <= tt) & (tt <= b - h)
+    if not np.all(inside):
+        raise ValueError(f"t={tt[~inside].flat[0]} not interior to the path "
+                         f"domain ({a}, {b})")
 
-    return (p(t + h) - p(t - h)) / (2 * h) - L.dL_dq(t, f.value(t), f.derivative(t))
+    def p(x):
+        return L.dL_dqdot(x, f.value(x), f.derivative(x))
+
+    return _out((p(tt + h) - p(tt - h)) / (2 * h)
+                - L.dL_dq(tt, f.value(tt), f.derivative(tt)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +333,16 @@ class SolutionFamily:
             raise ValueError("empty parameter or time interval")
         if not lo <= self.s0 <= hi:
             raise FoliationError(f"s0={self.s0} outside the parameter interval")
+        probe = (lo + (hi - lo) * np.array([0.3, 0.7]),
+                 a + (b - a) * np.array([0.6, 0.2]))
+        for name in ("u", "du_dt"):
+            object.__setattr__(self, name,
+                               _array_callable(getattr(self, name), *probe))
         ss = np.linspace(lo, hi, 33)
+        ts = np.linspace(a, b, 17)[:, None]
+        steps = np.diff(np.broadcast_to(self.u(ss, ts), (17, 33)), axis=1)
         sign = 0
-        for t in np.linspace(a, b, 17):
-            vals = np.array([self.u(s, t) for s in ss])
-            d = np.diff(vals)
+        for t, d in zip(ts[:, 0], steps):
             if np.all(d > 0):
                 here = 1
             elif np.all(d < 0):
@@ -272,16 +356,18 @@ class SolutionFamily:
                 raise FoliationError("monotonicity direction flips with t")
         object.__setattr__(self, "_monotone_sign", sign)
 
-    def time_slope(self, s: float, t: float) -> float:
+    def time_slope(self, s, t):
         if self.du_dt is not None:
             return self.du_dt(s, t)
         h = self.fd_step
         return (self.u(s, t + h) - self.u(s, t - h)) / (2 * h)
 
     def leaf(self, s: float) -> CallablePath:
+        u, du_dt = self.u, self.du_dt
         return CallablePath(
-            f=lambda t: self.u(s, t),
-            fdot=(lambda t: self.du_dt(s, t)) if self.du_dt is not None else None,
+            f=_takes_arrays(lambda t: u(s, t)),
+            fdot=_takes_arrays(lambda t: du_dt(s, t)) if du_dt is not None
+            else None,
             fd_step=self.fd_step,
         )
 
@@ -290,60 +376,56 @@ class SolutionFamily:
         return self.leaf(self.s0)
 
 
-def _locate_leaf(family: SolutionFamily, t: float, q: float,
-                 s_tol: float = 1e-12) -> float:
-    """Parameter of the leaf through (t, q): bisection then Newton polish."""
-    lo, hi = family.s_interval
-    glo = family.u(lo, t) - q
-    ghi = family.u(hi, t) - q
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        raise FoliationError(
-            f"q={q} outside the foliated range at t={t} "
-            f"([{min(glo + q, ghi + q)}, {max(glo + q, ghi + q)}])")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = family.u(mid, t) - q
-        if gm == 0.0:
-            return mid
-        # sign comparison rather than a product: immune to underflow
-        if (gm > 0.0) != (ghi > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-        if hi - lo <= s_tol:
-            break
-        if hi - lo < 1e-6:
-            # Newton polish with a finite-difference slope
-            h = max(1e-9, 1e-7 * (abs(mid) + 1))
-            dg = (family.u(mid + h, t) - family.u(mid - h, t)) / (2 * h)
-            if dg != 0.0:
-                s_new = mid - gm / dg
-                if lo < s_new < hi and abs(s_new - mid) <= s_tol:
-                    return s_new
-    return 0.5 * (lo + hi)
+def _locate_leaf(family: SolutionFamily, t, q, s_tol: float = 1e-12):
+    """Parameter of the leaf through each (t, q), by bisection on arrays.
+
+    Every point takes ceil(log2(width / s_tol)) halvings, a count set by the
+    width of the parameter interval alone, so a point gets the same bits
+    whether it is solved alone or inside a batch.
+    """
+    t, q = np.broadcast_arrays(np.asarray(t, float), np.asarray(q, float))
+    lo0, hi0 = family.s_interval
+    qlo = np.broadcast_to(family.u(lo0, t), t.shape)
+    qhi = np.broadcast_to(family.u(hi0, t), t.shape)
+    # written so that a NaN q counts as outside
+    inside = ((qlo <= q) & (q <= qhi)) | ((qhi <= q) & (q <= qlo))
+    if not np.all(inside):
+        k = np.flatnonzero(~inside)[0]
+        a, b = sorted((float(qlo.flat[k]), float(qhi.flat[k])))
+        raise FoliationError(f"q={q.flat[k]} outside the foliated range at "
+                             f"t={t.flat[k]} ([{a}, {b}])")
+    lo = np.full(t.shape, float(lo0))
+    half = float(hi0 - lo0)
+    rising = family._monotone_sign > 0
+    for _ in range(max(0, math.ceil(math.log2((hi0 - lo0) / s_tol)))):
+        # the leaf lies in [lo, lo + 2 half]; keep the half that holds it
+        half *= 0.5
+        mid = lo + half
+        u = family.u(mid, t)
+        np.copyto(lo, mid, where=(u <= q) if rising else (u >= q))
+    return lo + 0.5 * half
 
 
-def mayer_slope(family: SolutionFamily, t: float, q: float) -> float:
-    """Slope field psi(t, q): time derivative of the leaf through (t, q)."""
+def mayer_slope(family: SolutionFamily, t, q):
+    """Slope field psi(t, q): time derivative of the leaf through (t, q).
+
+    Takes scalars or arrays; a float for scalar input.
+    """
     s = _locate_leaf(family, t, q)
-    return family.time_slope(s, t)
+    return _out(family.time_slope(s, t), s)
 
 
 # ---------------------------------------------------------------------------
 # Legendre transform and Hamiltonian
 
 
-def impulsion(L: Lagrangian1D, t: float, q: float, qdot: float) -> float:
-    """Conjugate momentum dL/dqdot."""
+def impulsion(L: Lagrangian1D, t, q, qdot):
+    """Conjugate momentum dL/dqdot, elementwise on arrays."""
     return L.dL_dqdot(t, q, qdot)
 
 
-def energy(L: Lagrangian1D, t: float, q: float, qdot: float) -> float:
-    """qdot * dL/dqdot - L."""
+def energy(L: Lagrangian1D, t, q, qdot):
+    """qdot * dL/dqdot - L, elementwise on arrays."""
     return qdot * L.dL_dqdot(t, q, qdot) - L.l(t, q, qdot)
 
 
@@ -430,24 +512,27 @@ class NullLagrangianField:
     family: SolutionFamily
     fd_q: float = 1e-5
 
-    def psi(self, t: float, q: float) -> float:
+    def psi(self, t, q):
         return mayer_slope(self.family, t, q)
 
-    def p_hat(self, t: float, q: float, qdot: float) -> float:
+    def p_hat(self, t, q, qdot):
         return self.lagrangian.dL_dqdot(t, q, qdot)
 
-    def energy_at(self, t: float, q: float, qdot: float) -> float:
+    def energy_at(self, t, q, qdot):
         return energy(self.lagrangian, t, q, qdot)
 
-    def lam(self, t: float, q: float, qdot: float) -> float:
+    @_takes_arrays
+    def lam(self, t, q, qdot):
         s = self.psi(t, q)
         return self.p_hat(t, q, s) * qdot - self.energy_at(t, q, s)
 
-    def dlambda_dqdot(self, t: float, q: float, qdot: float = 0.0) -> float:
+    @_takes_arrays
+    def dlambda_dqdot(self, t, q, qdot=0.0):
         # lam is affine in qdot, so this is exact
         return self.p_hat(t, q, self.psi(t, q))
 
-    def dlambda_dq(self, t: float, q: float, qdot: float) -> float:
+    @_takes_arrays
+    def dlambda_dq(self, t, q, qdot):
         h = self.fd_q
         return (self.lam(t, q + h, qdot) - self.lam(t, q - h, qdot)) / (2 * h)
 
@@ -456,7 +541,7 @@ class NullLagrangianField:
             l=self.lam,
             dL_dq=self.dlambda_dq,
             dL_dqdot=self.dlambda_dqdot,
-            d2L_dqdot2=lambda t, q, qd: 0.0,
+            d2L_dqdot2=_takes_arrays(lambda t, q, qd: 0.0),
             domain=self.lagrangian.domain,
         )
 
@@ -473,34 +558,23 @@ def null_lagrangian(L: Lagrangian1D, family: SolutionFamily,
         a, b = family.t_domain
         lo, hi = family.s_interval
         margin = 1e-3 * (b - a)
+        ts = np.linspace(a + margin, b - margin, 7)
         for s in np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5):
-            leaf = family.leaf(float(s))
-            for t in np.linspace(a + margin, b - margin, 7):
-                r = el_residual(L, _with_domain(leaf, (a, b)), float(t))
-                if abs(r) > validate_tol:
-                    raise FoliationError(
-                        f"leaf s={s} violates the Euler-Lagrange equation "
-                        f"(residual {r:.3e} at t={t})")
+            r = el_residual(L, family.leaf(float(s)), ts, domain=(a, b))
+            bad = np.flatnonzero(np.abs(r) > validate_tol)
+            if bad.size:
+                k = bad[0]
+                raise FoliationError(
+                    f"leaf s={s} violates the Euler-Lagrange equation "
+                    f"(residual {r[k]:.3e} at t={ts[k]})")
     return NullLagrangianField(lagrangian=L, family=family)
 
 
-def _with_domain(path: CallablePath, domain):
-    class _P:
-        def __init__(self):
-            self.domain = domain
-            self.value = path.value
-            self.derivative = path.derivative
-    return _P()
-
-
-def weierstrass_gap(L: Lagrangian1D, family: SolutionFamily,
-                    t: float, q: float, qdot: float) -> float:
+def weierstrass_gap(L: Lagrangian1D, family: SolutionFamily, t, q, qdot):
     """Pointwise excess L - lam at (t, q, qdot); nonnegative under convexity,
     zero exactly when qdot equals the slope field."""
-    s = mayer_slope(family, t, q)
-    p = L.dL_dqdot(t, q, s)
-    lam = p * qdot - (s * p - L.l(t, q, s))
-    return L.l(t, q, qdot) - lam
+    lam = NullLagrangianField(lagrangian=L, family=family).lam(t, q, qdot)
+    return _out(L.l(t, q, qdot) - lam, t, q, qdot)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +583,11 @@ def weierstrass_gap(L: Lagrangian1D, family: SolutionFamily,
 
 def action(L: Lagrangian1D, path, a: float | None = None,
            b: float | None = None, n: int = 2000) -> float:
-    """Composite-Simpson action integral of L along the path over (a, b)."""
+    """Composite-Simpson action integral of L along the path over (a, b).
+
+    The integrand is evaluated once on the whole grid; both weighted sums
+    are exact (math.fsum).
+    """
     if a is None:
         a = L.domain[0]
     if b is None:
@@ -518,7 +596,7 @@ def action(L: Lagrangian1D, path, a: float | None = None,
         n += 1
     ts = np.linspace(a, b, n + 1)
     h = (b - a) / n
-    vals = [L.l(t, path.value(t), path.derivative(t)) for t in ts]
+    vals = _out(L.l(ts, path.value(ts), path.derivative(ts)), ts).tolist()
     odd = math.fsum(vals[1:-1:2])
     even = math.fsum(vals[2:-1:2])
     return h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even)
@@ -605,11 +683,13 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
        abs(f.value(b) - f_o.value(b)) > endpoint_tol:
         raise EndpointError("competitor does not share endpoints with the leaf")
     lo, hi = family.s_interval
-    for t in np.linspace(a, b, 33):
-        q = f.value(float(t))
-        qlo, qhi = family.u(lo, float(t)), family.u(hi, float(t))
-        if not min(qlo, qhi) <= q <= max(qlo, qhi):
-            raise FoliationError(f"path leaves the foliated region at t={t}")
+    ts = np.linspace(a, b, 33)
+    q = f.value(ts)
+    qlo, qhi = family.u(lo, ts), family.u(hi, ts)
+    inside = (np.minimum(qlo, qhi) <= q) & (q <= np.maximum(qlo, qhi))
+    if not np.all(inside):
+        raise FoliationError(
+            f"path leaves the foliated region at t={ts[~inside][0]}")
     return action(L, f, n=n) - action(L, f_o, n=n)
 
 
@@ -627,28 +707,29 @@ def family_from_shooting(L: Lagrangian1D, initial, s_interval, t_grid,
     """
     g = np.asarray(t_grid, float)
     s_nodes = np.linspace(s_interval[0], s_interval[1], n_leaves)
-    leaves = []
-    for s in s_nodes:
-        q0, qd0 = initial(float(s))
-        leaves.append(solve_el(L, float(g[0]), q0, qd0, g))
+    leaves = [solve_el(L, float(g[0]), *initial(float(s)), g) for s in s_nodes]
+    values = np.array([f.values for f in leaves])
+    slopes = np.array([f.derivatives for f in leaves])
 
-    def _window(s: float) -> tuple[int, np.ndarray]:
-        k = int(np.searchsorted(s_nodes, s)) - 1
-        k = min(max(k - 1, 0), len(s_nodes) - 4)
-        xs = s_nodes[k:k + 4]
-        w = np.array([
-            np.prod([(s - xs[j]) / (xs[i] - xs[j]) for j in range(4) if j != i])
-            for i in range(4)
-        ])
-        return k, w
+    def blend(basis, s, t):
+        # cubic Lagrange weights over the four leaves around each s, applied
+        # to the Hermite interpolants of those leaves at each t
+        s, t = np.asarray(s, float), np.asarray(t, float)
+        k = np.clip(np.searchsorted(s_nodes, s) - 2, 0, len(s_nodes) - 4)
+        xs = [s_nodes[k + j] for j in range(4)]
+        i, h, x = _grid_cell(g, t)
+        total = 0.0
+        for m in range(4):
+            w = 1.0
+            for j in range(4):
+                if j != m:
+                    w = w * ((s - xs[j]) / (xs[m] - xs[j]))
+            total = total + w * basis(x, h, values[k + m, i], slopes[k + m, i],
+                                      values[k + m, i + 1], slopes[k + m, i + 1])
+        return _out(total, s, t)
 
-    def u(s: float, t: float) -> float:
-        k, w = _window(s)
-        return float(sum(w[i] * leaves[k + i].value(t) for i in range(4)))
-
-    def du_dt(s: float, t: float) -> float:
-        k, w = _window(s)
-        return float(sum(w[i] * leaves[k + i].derivative(t) for i in range(4)))
+    u = _takes_arrays(lambda s, t: blend(_hermite_value, s, t))
+    du_dt = _takes_arrays(lambda s, t: blend(_hermite_slope, s, t))
 
     return SolutionFamily(
         u=u, s_interval=(float(s_interval[0]), float(s_interval[1])),
@@ -693,9 +774,9 @@ def _oscillator() -> MayerProblem:
         domain=(0.5, 2.5),
     )
     fam = SolutionFamily(
-        u=lambda s, t: s * math.sin(t),
+        u=lambda s, t: s * np.sin(t),
         s_interval=(0.01, 3.0), t_domain=(0.5, 2.5), s0=0.5,
-        du_dt=lambda s, t: s * math.cos(t),
+        du_dt=lambda s, t: s * np.cos(t),
     )
     return MayerProblem("oscillator", L, fam,
                         "harmonic oscillator on a sine-leaf foliation")
@@ -704,10 +785,10 @@ def _oscillator() -> MayerProblem:
 def _cosh() -> MayerProblem:
     c = 0.5
     L = Lagrangian1D(
-        l=lambda t, q, qd: math.cosh(qd),
+        l=lambda t, q, qd: np.cosh(qd),
         dL_dq=lambda t, q, qd: 0.0,
-        dL_dqdot=lambda t, q, qd: math.sinh(qd),
-        d2L_dqdot2=lambda t, q, qd: math.cosh(qd),
+        dL_dqdot=lambda t, q, qd: np.sinh(qd),
+        d2L_dqdot2=lambda t, q, qd: np.cosh(qd),
         domain=(0.0, 1.0),
     )
     fam = SolutionFamily(

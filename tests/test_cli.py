@@ -301,3 +301,22 @@ def test_bad_config_exit_2(tmp_path, square_file, monkeypatch):
     cfg.write_text("[1, 2]")
     monkeypatch.setenv("ISOCAL_CONFIG", str(cfg))
     assert main(["verify", square_file]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["mayer", "--problem", "free"], ["calibration"], ["plotdata", "leaves"]])
+@pytest.mark.parametrize("setting", [
+    {"samples": 2.5}, {"samples": "8"}, {"samples": True}, {"samples": 0},
+    {"seed": "x"}, {"seed": -1}, {"seed": 1.0}])
+def test_bad_samples_or_seed_in_config_exit_2(tmp_path, monkeypatch, capsys,
+                                              command, setting):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    monkeypatch.setenv("ISOCAL_CONFIG", str(cfg))
+    assert main(command + ["--out", str(tmp_path / "out")]) == 2
+    assert f"{next(iter(setting))} must be" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exit_2(capsys):
+    assert main(["mayer", "--problem", "free", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err

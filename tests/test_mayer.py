@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocal import (
     CallablePath,
@@ -555,3 +557,77 @@ def test_energy_and_impulsion_definitions():
     assert impulsion(L, t, q, qd) == math.sinh(0.8)
     assert energy(L, t, q, qd) == pytest.approx(
         0.8 * math.sinh(0.8) - math.cosh(0.8), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# batches: results do not depend on how points are grouped
+
+BATCH_FAMILIES = {
+    "oscillator": OSC.family,
+    "shooting": family_from_shooting(
+        OSC.lagrangian,
+        initial=lambda s: (s * math.sin(0.5), s * math.cos(0.5)),
+        s_interval=(0.05, 2.0), t_grid=np.arange(0.5, 2.5 + 1e-12, 1e-2),
+        s0=0.5),
+    # scalar-only callables run element by element
+    "scalar_only": SolutionFamily(
+        u=lambda s, t: s * math.sin(t),
+        s_interval=(0.01, 3.0), t_domain=(0.5, 2.5), s0=0.5,
+        du_dt=lambda s, t: s * math.cos(t)),
+}
+
+
+def _batch(fam, data):
+    lo, hi = fam.s_interval
+    a, b = fam.t_domain
+    n = data.draw(st.integers(1, 40), label="n")
+    t = np.array(data.draw(st.lists(st.floats(a, b), min_size=n, max_size=n),
+                           label="t"))
+    s = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n),
+                           label="s"))
+    return t, fam.u(s, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(BATCH_FAMILIES)), data=st.data())
+def test_mayer_slope_batch_equals_scalar_calls(name, data):
+    fam = BATCH_FAMILIES[name]
+    t, q = _batch(fam, data)
+    batch = mayer_slope(fam, t, q)
+    single = np.array([mayer_slope(fam, ti, qi) for ti, qi in zip(t, q)])
+    assert batch.tobytes() == single.tobytes()
+    assert mayer_slope(fam, t[::-1], q[::-1]).tobytes() == batch[::-1].tobytes()
+    k = data.draw(st.integers(0, len(t)), label="split")
+    parts = np.concatenate([mayer_slope(fam, t[:k], q[:k]),
+                            mayer_slope(fam, t[k:], q[k:])])
+    assert parts.tobytes() == batch.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(BATCH_FAMILIES)), data=st.data())
+def test_mayer_slope_batch_out_of_range_point_raises(name, data):
+    fam = BATCH_FAMILIES[name]
+    t, q = _batch(fam, data)
+    j = data.draw(st.integers(0, len(t) - 1), label="j")
+    lo, hi = fam.s_interval
+    q[j] = max(fam.u(lo, t[j]), fam.u(hi, t[j])) + 1.0
+    with pytest.raises(FoliationError, match=re.escape(f"q={q[j]} ")):
+        mayer_slope(fam, t, q)
+
+
+def test_dominance_sweep_matches_scalar_loop_and_any_blocking(monkeypatch):
+    # the parent algorithm drew (t, s, qdot) per sample and called the gap
+    # on scalars; the batched sweep must reproduce it bit for bit
+    rng = np.random.default_rng(17)
+    a, b = OSC.family.t_domain
+    lo, hi = OSC.family.s_interval
+    gaps = []
+    for _ in range(150):
+        t = rng.uniform(a + 1e-3, b - 1e-3)
+        s = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
+        qd = rng.uniform(-3.0, 3.0)
+        gaps.append(weierstrass_gap(OSC.lagrangian, OSC.family, t,
+                                    OSC.family.u(s, t), qd))
+    assert checks.dominance_minimum(OSC, 150, seed=17) == min(gaps)
+    monkeypatch.setattr(checks, "_SAMPLE_BLOCK", 7)
+    assert checks.dominance_minimum(OSC, 150, seed=17) == min(gaps)

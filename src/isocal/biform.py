@@ -28,7 +28,9 @@ class CoincidentPointsError(ValueError):
 
 def _check_distinct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = x - y
-    scale = max(1.0, float(np.abs(x).max()), float(np.abs(y).max()))
+    # relative to the points' own scale, so distinct points at any scale
+    # pass; identical points (the origin included) never do
+    scale = max(float(np.abs(x).max()), float(np.abs(y).max()))
     if float(np.hypot(*z) if len(z) == 2 else np.linalg.norm(z)) <= 1e-12 * scale:
         raise CoincidentPointsError(f"points coincide: {x.tolist()} ~ {y.tolist()}")
     return z

@@ -164,8 +164,9 @@ def _cmd_verify(args) -> int:
     space = file_space
     refinement = args.refinement if args.refinement is not None \
         else config.get("refinement")
-    if refinement is not None and refinement < 1:
-        raise UsageError("--refinement must be >= 1")
+    if refinement is not None and not _int_at_least(refinement, 1):
+        raise UsageError(
+            f"refinement must be a positive integer, got {refinement!r}")
     if refinement is None:
         refinement = quadrature.auto_refinement(curve) \
             if space == "euclidean" else 1

@@ -678,6 +678,14 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
     """
     if f_o is None:
         f_o = family.central_leaf
+    return _competitor_action(L, family, f, f_o, n, endpoint_tol) \
+        - action(L, f_o, n=n)
+
+
+def _competitor_action(L: Lagrangian1D, family: SolutionFamily, f, f_o,
+                       n: int, endpoint_tol: float = 1e-10) -> float:
+    """Action of a competitor after checking that it shares endpoints with
+    f_o and stays inside the foliated region."""
     a, b = L.domain
     if abs(f.value(a) - f_o.value(a)) > endpoint_tol or \
        abs(f.value(b) - f_o.value(b)) > endpoint_tol:
@@ -690,7 +698,7 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
     if not np.all(inside):
         raise FoliationError(
             f"path leaves the foliated region at t={ts[~inside][0]}")
-    return action(L, f, n=n) - action(L, f_o, n=n)
+    return action(L, f, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Integration engines for boundary one-forms, the double boundary integral
 of the tangent kernel, and the singular interior curl integral.
 
-Reductions use math.fsum, which returns the correctly rounded sum of its
-inputs.  All totals are therefore independent of any internal blocking or
-parallel partitioning: the row-major order of node contributions fully
-determines every result, bit for bit.
+Every total is one math.fsum, which returns the correctly rounded sum of
+its inputs whatever their order.  The pair sum feeds all of its terms into a
+single fsum, so its value is a function of the multiset of terms alone: it
+is the same, bit for bit, for any row blocking and any starting vertex.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,11 +36,6 @@ class IsoperimetricReport:
     deficit: float
     calibration_gap: float
     space_tag: str
-
-
-def _fsum_rows(m: np.ndarray) -> float:
-    """Exact row sums, then an exact sum of those: blocking-independent."""
-    return math.fsum(math.fsum(row) for row in m)
 
 
 def line_integral(curve: ClosedCurve, field, refinement: int = 1) -> float:
@@ -115,64 +111,107 @@ def winding_integral(curve: ClosedCurve, x, refinement: int = 1,
 # ---------------------------------------------------------------------------
 # double boundary integral of the tangent kernel
 
-_ROW_BLOCK = 512
+# Bytes of one float64 (rows x columns) temporary of the pair sum; row blocks
+# are sized to it, so memory stays bounded at any node count.  128 KiB keeps
+# a block's dozen temporaries in a 2 MiB L2 (64-256 KiB measured alike).
+_BLOCK_BYTES = 1 << 17
 
 
-def _kernel_rows(P, T, E, i0, i1):
-    """Tangent-kernel rows [i0:i1); same-edge pairs take the exact value 1."""
-    d = P[i0:i1, None, :] - P[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    zu = np.einsum("ijk,ik->ij", d, T[i0:i1])
-    zv = np.einsum("ijk,jk->ij", d, T)
-    dt = T[i0:i1] @ T.T
-    same = E[i0:i1, None] == E[None, :]
-    # the kernel restricted to one straight edge is identically 1, so the
-    # diagonal (and every same-edge pair) is exact rather than singular
-    r2 = np.where(same, 1.0, r2)
-    K = 2.0 * zu * zv / r2 - dt
-    return np.where(same, 1.0, K), np.where(same, np.inf, np.sqrt(r2))
+def metric_dot(J, a, b):
+    """sum_k J_k a_k b_k over component arrays, for J_0 = 1, J_k = +-1: in
+    component order with no BLAS call, so bitwise symmetric in (a, b) and
+    odd in the sign of each."""
+    out = a[0] * b[0]
+    for s, x, y in zip(J[1:], a[1:], b[1:]):
+        out = out + x * y if s > 0 else out - x * y
+    return out
 
 
-def _refined_pair(sa_i, sb_i, t_i, sa_j, sb_j, t_j, w_i, w_j, k: int) -> float:
-    """Re-integrate one near-diagonal pair on a k x k midpoint subgrid."""
+def _kernel(d, ti, tj, J, r2):
+    """2 <d, ti> <d, tj> / r2 - <ti, tj> under J, for d = x_i - x_j.  Swapping
+    i and j negates d and swaps the dots: K(i, j) is bitwise K(j, i)."""
+    return (2.0 * metric_dot(J, d, ti) * metric_dot(J, d, tj) / r2
+            - metric_dot(J, ti, tj))
+
+
+def _refined_terms(SA, SB, T, W, J, i, j, k=8):
+    """Doubled terms of the near pairs (i, j) on a k x k midpoint subgrid of
+    their two sub-edges, batched within the block budget."""
     s = (np.arange(k) + 0.5) / k
-    pi = sa_i[None, :] + s[:, None] * (sb_i - sa_i)[None, :]
-    pj = sa_j[None, :] + s[:, None] * (sb_j - sa_j)[None, :]
-    d = pi[:, None, :] - pj[None, :, :]
-    r2 = np.einsum("abk,abk->ab", d, d)
-    vals = 2.0 * (d @ t_i) * (d @ t_j) / r2 - t_i @ t_j
-    return (w_i / k) * (w_j / k) * _fsum_rows(vals)
+    step = max(1, _BLOCK_BYTES // (8 * k * k))
+    for c0 in range(0, len(i), step):
+        a, b = i[c0:c0 + step], j[c0:c0 + step]
+        d = [(sa[a, None] + s * (sb[a] - sa[a])[:, None])[:, :, None]
+             - (sa[b, None] + s * (sb[b] - sa[b])[:, None])[:, None, :]
+             for sa, sb in zip(SA.T, SB.T)]
+        vals = _kernel(d, [t[a, None, None] for t in T.T],
+                       [t[b, None, None] for t in T.T], J, metric_dot(J, d, d))
+        wt = 2.0 * (W[a] / k) * (W[b] / k)
+        yield (wt[:, None, None] * vals).ravel().tolist()
+
+
+def _pair_terms(P, T, W, E, J, near):
+    n = len(P)
+    yield (W * W).tolist()  # the diagonal: one edge, kernel exactly 1
+    delta = float(W.max()) / 4.0
+    i0 = 0
+    while i0 < n - 1:
+        # rows i0:i1 against columns i0+1:n; entry (r, c) is the pair
+        # (i0 + r, i0 + 1 + c), in the strict upper triangle when c >= r
+        i1 = min(n, i0 + max(1, _BLOCK_BYTES // (8 * (n - i0))))
+        rows, cols = slice(i0, i1), slice(i0 + 1, n)
+        d = [p[rows, None] - p[None, cols] for p in P.T]
+        same = E[rows, None] == E[None, cols]
+        # the kernel restricted to one geodesic edge is identically 1, so
+        # same-edge pairs take that value rather than a near-singular one
+        r2 = np.where(same, 1.0, metric_dot(J, d, d))
+        K = np.where(same, 1.0, _kernel(d, [t[rows, None] for t in T.T],
+                                         [t[None, cols] for t in T.T], J, r2))
+        terms = (2.0 * W[rows, None]) * W[None, cols]
+        terms *= K
+        if near is not None:
+            # candidates by r2, then the rule dist < delta itself; a near
+            # pair's own term is left out rather than added and subtracted
+            rr, cc = np.nonzero(r2 < 1.01 * delta * delta)
+            hit = (cc >= rr) & ~same[rr, cc] & (np.sqrt(r2[rr, cc]) < delta)
+            rr, cc = rr[hit], cc[hit]
+            terms[rr, cc] = 0.0
+            yield from _refined_terms(*near, T, W, J, rr + i0, cc + i0 + 1)
+        for r in range(i1 - i0):
+            yield terms[r, r:].tolist()
+        i0 = i1
+
+
+def pair_sum(P, T, W, E, J, near=None) -> float:
+    """Sum_{i,j} w_i w_j K(x_i, t_i; x_j, t_j) under the diagonal metric J.
+
+    K = 2 <z, t_i> <z, t_j> / <z, z> - <t_i, t_j>, z = x_i - x_j, <a, b> =
+    sum_k J_k a_k b_k, J = (1, 1), (1, 1, 1) or (1, 1, -1).  Pairs on one
+    edge (equal E) take the exact value 1.  With near = (sub_starts,
+    sub_ends), cross-edge pairs closer than max(W) / 4 are re-integrated on
+    an 8 x 8 midpoint subgrid of their sub-edges.  As K(i, j) is bitwise
+    K(j, i), the diagonal terms, the doubled strict-upper terms and the
+    subgrid terms go into one math.fsum: the correctly rounded sum of the
+    ordered-pair multiset, whatever the row blocking or starting vertex.
+    """
+    return math.fsum(itertools.chain.from_iterable(
+        _pair_terms(P, T, W, E, J, near)))
 
 
 def double_boundary_integral(curve: ClosedCurve, refinement: int = 1,
                              check_simple: bool = True) -> float:
     """Sum_{i,j} w_i w_j K(x_i, t_i; y_j, t_j) over all boundary node pairs.
 
-    Node pairs on the same edge use the exact along-edge kernel value 1.
-    Cross-edge pairs closer than max-sub-edge/4 are re-integrated on an
-    8x locally refined subgrid.  For a simple positively oriented curve the
+    Evaluated symmetrically by pair_sum: the diagonal plus twice the strict
+    upper triangle, in one exact sum.  Same-edge pairs use the exact value 1;
+    cross-edge pairs closer than max-sub-edge/4 are re-integrated on an 8x
+    locally refined subgrid.  For a simple positively oriented curve the
     value converges to 4*pi*area quadratically in the sub-edge length.
     """
     if check_simple:
         curves.ensure_simple(curve)
     P, T, W, E, SA, SB = curves.boundary_node_arrays(curve, refinement)
-    n = len(P)
-    delta = float(W.max()) / 4.0
-    partial = []
-    corrections = []
-    for i0 in range(0, n, _ROW_BLOCK):
-        i1 = min(i0 + _ROW_BLOCK, n)
-        K, dist = _kernel_rows(P, T, E, i0, i1)
-        contrib = (W[i0:i1, None] * W[None, :]) * K
-        partial.append(_fsum_rows(contrib))
-        ii, jj = np.nonzero(dist < delta)
-        for i, j in zip(ii + i0, jj):
-            corrections.append(-W[i] * W[j] * K[i - i0, j])
-            corrections.append(
-                _refined_pair(SA[i], SB[i], T[i], SA[j], SB[j], T[j],
-                              W[i], W[j], 8)
-            )
-    return math.fsum(partial + corrections)
+    return pair_sum(P, T, W, E, (1.0, 1.0), near=(SA, SB))
 
 
 # ---------------------------------------------------------------------------

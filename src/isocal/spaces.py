@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ClosedCurve, CurveError
-from .quadrature import IsoperimetricReport, _fsum_rows
+from .quadrature import IsoperimetricReport, metric_dot, pair_sum
 
 _MINK = np.array([1.0, 1.0, -1.0])
+_EUCLID3 = (1.0, 1.0, 1.0)
 
 
 def minkowski_dot(a, b) -> float:
@@ -109,9 +110,24 @@ def geodesic_cap(theta: float, n: int) -> SphericalCurve:
                                 np.full(n, ct)])
 
 
-def _slerp(a, b, t: float) -> np.ndarray:
-    ang = _arc_angle(a, b)
-    return (math.sin((1.0 - t) * ang) * a + math.sin(t * ang) * b) / math.sin(ang)
+def _nodes(v, refinement: int, length, f, J):
+    """(points, tangents, weights, edge_ids) of the geodesic sub-arcs, with
+    breakpoints (f((1 - t) L) a + f(t L) b) / f(L), t = k / refinement, on
+    each edge (a, b) of length L; f = sin (sphere) or sinh (hyperboloid).
+    Midpoints and chords are normalised under J (|<m, m>|: timelike m)."""
+    if refinement < 1:
+        raise ValueError("refinement must be >= 1")
+    a, b = v, np.roll(v, -1, axis=0)
+    L = length(a, b)[:, None]
+    t = np.arange(refinement + 1) / refinement
+    q = ((f((1.0 - t) * L)[..., None] * a[:, None, :]
+          + f(t * L)[..., None] * b[:, None, :]) / f(L)[..., None])
+    p0, p1 = q[:, :-1].reshape(-1, 3), q[:, 1:].reshape(-1, 3)
+    m, ch = p0 + p1, p1 - p0
+    m = m / np.sqrt(np.abs(metric_dot(J, m.T, m.T)))[:, None]
+    ch = ch / np.sqrt(metric_dot(J, ch.T, ch.T))[:, None]
+    return (m, ch, np.repeat(L[:, 0] / refinement, refinement),
+            np.repeat(np.arange(len(v)), refinement))
 
 
 def sphere_boundary_nodes(curve: SphericalCurve, refinement: int = 1):
@@ -121,58 +137,18 @@ def sphere_boundary_nodes(curve: SphericalCurve, refinement: int = 1):
     exactly tangent at its geodesic midpoint, so tangents are normalised
     chords with no extra projection error.
     """
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
-    v = curve.vertices
-    n = len(v)
-    pts, tans, wts, eids = [], [], [], []
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        ang = _arc_angle(a, b)
-        for k in range(refinement):
-            p0 = _slerp(a, b, k / refinement)
-            p1 = _slerp(a, b, (k + 1) / refinement)
-            m = p0 + p1
-            m /= np.linalg.norm(m)
-            ch = p1 - p0
-            pts.append(m)
-            tans.append(ch / np.linalg.norm(ch))
-            wts.append(ang / refinement)
-            eids.append(i)
-    return np.array(pts), np.array(tans), np.array(wts), np.array(eids)
-
-
-def _double_integral_kernel(P, T, W, E, J: np.ndarray) -> float:
-    """Pair sum of the tangent kernel w.r.t. the metric J (diag signature).
-
-    Same-edge pairs take the exact along-geodesic value 1; the kernel applied
-    to two tangents of one geodesic is identically 1 in both signatures.
-    """
-    TJ = T * J[None, :]
-    parts = []
-    block = 512
-    n = len(P)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        d = P[i0:i1, None, :] - P[None, :, :]
-        dJ = d * J[None, None, :]
-        r2 = np.einsum("ijk,ijk->ij", d, dJ)
-        zu = np.einsum("ijk,ik->ij", dJ, T[i0:i1])
-        zv = np.einsum("ijk,jk->ij", dJ, T)
-        dt = T[i0:i1] @ TJ.T
-        same = E[i0:i1, None] == E[None, :]
-        r2 = np.where(same, 1.0, r2)
-        K = 2.0 * zu * zv / r2 - dt
-        K = np.where(same, 1.0, K)
-        parts.append(_fsum_rows(W[i0:i1, None] * W[None, :] * K))
-    return math.fsum(parts)
+    return _nodes(
+        curve.vertices, refinement,
+        lambda a, b: np.arctan2(np.linalg.norm(np.cross(a, b), axis=1),
+                                metric_dot(_EUCLID3, a.T, b.T)),
+        np.sin, _EUCLID3)
 
 
 def sphere_double_integral(curve: SphericalCurve, refinement: int = 1) -> float:
     """Double boundary integral of the three-space tangent kernel restricted
     to the sphere; converges to 4*pi*A - A^2 for the enclosed area A."""
     P, T, W, E = sphere_boundary_nodes(curve, refinement)
-    return _double_integral_kernel(P, T, W, E, np.array([1.0, 1.0, 1.0]))
+    return pair_sum(P, T, W, E, _EUCLID3)
 
 
 def _check_simple_sphere(curve: SphericalCurve) -> None:
@@ -295,28 +271,10 @@ def hyperbolic_area(curve: HyperbolicCurve) -> float:
 def hyperbolic_boundary_nodes(curve: HyperbolicCurve, refinement: int = 1):
     """(points, tangents, weights, edge_ids); chords of geodesic sub-arcs are
     exactly tangent at the geodesic midpoint, Minkowski-normalised."""
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
-    v = curve.vertices
-    n = len(v)
-    pts, tans, wts, eids = [], [], [], []
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        d = math.acosh(max(-minkowski_dot(a, b), 1.0))
-        sd = math.sinh(d)
-        for k in range(refinement):
-            t0, t1 = k / refinement, (k + 1) / refinement
-            p0 = (math.sinh((1 - t0) * d) * a + math.sinh(t0 * d) * b) / sd
-            p1 = (math.sinh((1 - t1) * d) * a + math.sinh(t1 * d) * b) / sd
-            m = p0 + p1
-            m = m / math.sqrt(-minkowski_dot(m, m))
-            ch = p1 - p0
-            ch = ch / math.sqrt(minkowski_dot(ch, ch))
-            pts.append(m)
-            tans.append(ch)
-            wts.append(d / refinement)
-            eids.append(i)
-    return np.array(pts), np.array(tans), np.array(wts), np.array(eids)
+    return _nodes(
+        curve.vertices, refinement,
+        lambda a, b: np.arccosh(np.maximum(-metric_dot(_MINK, a.T, b.T), 1.0)),
+        np.sinh, _MINK)
 
 
 def hyperbolic_double_integral(curve: HyperbolicCurve,
@@ -325,7 +283,7 @@ def hyperbolic_double_integral(curve: HyperbolicCurve,
     matches (4*pi + A) * A on the curves tested and equals perimeter^2 on
     metric circles (the equality case)."""
     P, T, W, E = hyperbolic_boundary_nodes(curve, refinement)
-    return _double_integral_kernel(P, T, W, E, _MINK)
+    return pair_sum(P, T, W, E, _MINK)
 
 
 def _check_simple_hyperbolic(curve: HyperbolicCurve) -> None:

@@ -76,6 +76,20 @@ def test_mayer_vector_coincident_points():
         mayer_vector((1.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
 
+def test_coincidence_is_relative_to_point_scale():
+    # distinct points at scale 1e-13 are distinct; equal points never are
+    v = mayer_vector((0.0, 0.0), (1.0, 0.0), (1e-13, 0.0))
+    assert (v.u1, v.u2) == pytest.approx((1.0, 0.0), abs=1e-12)
+    assert biform2((1e-13, 0.0), (0.0, 0.0)).m[0, 0] == pytest.approx(1.0)
+    assert biform3((0.0, 0.0, 1e-13), (0.0, 0.0, 0.0)).m[2, 2] == \
+        pytest.approx(1.0)
+    for p in ((0.0, 0.0), (1e-13, 0.0), (1e8, 3.0)):
+        with pytest.raises(CoincidentPointsError):
+            biform2(p, p)
+        with pytest.raises(CoincidentPointsError):
+            mayer_vector(p, (1.0, 0.0), p)
+
+
 # ---------------------------------------------------------------------------
 # kernel matrices
 

@@ -317,6 +317,21 @@ def test_bad_samples_or_seed_in_config_exit_2(tmp_path, monkeypatch, capsys,
     assert f"{next(iter(setting))} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("refinement", ["8", 2.5, True, 0, -1])
+def test_bad_refinement_in_config_exit_2(tmp_path, square_file, monkeypatch,
+                                         capsys, refinement):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"refinement": refinement}))
+    monkeypatch.setenv("ISOCAL_CONFIG", str(cfg))
+    assert main(["verify", square_file]) == 2
+    assert "refinement must be a positive integer" in capsys.readouterr().err
+
+
+def test_zero_refinement_flag_exit_2(square_file, capsys):
+    assert main(["verify", square_file, "--refinement", "0"]) == 2
+    assert "refinement must be a positive integer" in capsys.readouterr().err
+
+
 def test_negative_seed_flag_exit_2(capsys):
     assert main(["mayer", "--problem", "free", "--seed", "-1"]) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err

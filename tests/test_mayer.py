@@ -496,6 +496,18 @@ def test_minimality_random_perturbations():
     assert checks.minimality_minimum(OSC, 30, seed=14) >= -1e-8
 
 
+@pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
+def test_minimality_minimum_equals_min_of_gaps(name):
+    prob = get_problem(name)
+    rng = np.random.default_rng(21)
+    gaps = [minimality_gap(prob.lagrangian, prob.family,
+                           checks._bump_path(prob, rng, checks._AMPLITUDE[name]),
+                           n=500)
+            for _ in range(8)]
+    got = checks.minimality_minimum(prob, 8, seed=21, n_quad=500)
+    assert got.hex() == min(gaps).hex()
+
+
 def test_minimality_endpoint_mismatch():
     f = CallablePath(f=lambda t: 0.5 * math.sin(t) + 0.05,
                      fdot=lambda t: 0.5 * math.cos(t))

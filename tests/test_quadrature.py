@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import star_polygon
 from isocal import (
@@ -23,8 +24,15 @@ from isocal import (
     winding_integral,
     winding_number,
 )
+from isocal import quadrature
 from isocal.curves import boundary_node_arrays, distance_to_boundary
 from isocal.quadrature import auto_refinement, interior_curl_integral
+from isocal.spaces import (
+    geodesic_cap,
+    hyperbolic_boundary_nodes,
+    hyperbolic_circle,
+    sphere_boundary_nodes,
+)
 
 SQUARE = ClosedCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -182,6 +190,106 @@ def test_double_integral_thin_triangle_near_pairs():
     tri = ClosedCurve([[0.0, 0.0], [2.0, 0.0], [2.0, 0.1]])
     val = double_boundary_integral(tri, 256)
     assert val == pytest.approx(4 * math.pi * signed_area(tri), rel=1e-3)
+
+
+def spiky_star(rng, n):
+    """Simple star with jittered, monotone angles and random radii: many
+    near-diagonal pairs at its spikes."""
+    th = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    r = rng.uniform(0.3, 1.5, n)
+    return np.c_[r * np.cos(th), r * np.sin(th)]
+
+
+METRICS = {"plane": (1.0, 1.0), "sphere": (1.0, 1.0, 1.0),
+           "hyperboloid": (1.0, 1.0, -1.0)}
+
+
+def metric_nodes(space, rng):
+    if space == "plane":
+        c = ClosedCurve(spiky_star(rng, 40))
+        return boundary_node_arrays(c, 3)[:4]
+    if space == "sphere":
+        return sphere_boundary_nodes(geodesic_cap(rng.uniform(0.3, 2.5), 37), 3)
+    return hyperbolic_boundary_nodes(
+        hyperbolic_circle(rng.uniform(0.3, 2.0), 37, rng.uniform(0, 1)), 3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), refinement=st.integers(2, 3),
+       shift=st.integers(1, 10**6))
+def test_double_integral_bitwise_independent_of_blocking_and_start(
+        seed, refinement, shift):
+    # 400 to 1050 nodes: several row blocks at every budget below
+    rng = np.random.default_rng(seed)
+    v = spiky_star(rng, int(rng.integers(200, 350)))
+    want = double_boundary_integral(ClosedCurve(v), refinement, False).hex()
+    rolled = ClosedCurve(np.roll(v, shift % len(v), axis=0))
+    assert double_boundary_integral(rolled, refinement, False).hex() == want
+    for budget in (1 << 12, 1 << 15, 1 << 24):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_BLOCK_BYTES", budget)
+            got = double_boundary_integral(ClosedCurve(v), refinement, False)
+        assert got.hex() == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(space=st.sampled_from(sorted(METRICS)), seed=st.integers(0, 2**32 - 1))
+def test_kernel_bitwise_symmetric(space, seed):
+    J = METRICS[space]
+    P, T, _, _ = metric_nodes(space, np.random.default_rng(seed))
+    i, j = np.nonzero(~np.eye(len(P), dtype=bool))
+
+    def kern(a, b):
+        d = [p[a] - p[b] for p in P.T]
+        return quadrature._kernel(d, [t[a] for t in T.T], [t[b] for t in T.T],
+                                  J, quadrature.metric_dot(J, d, d))
+
+    assert kern(i, j).tobytes() == kern(j, i).tobytes()
+
+
+@pytest.mark.parametrize("space", sorted(METRICS))
+def test_pair_sum_equals_exact_sum_of_full_matrix(space):
+    # doubling the upper triangle sums the same multiset as all ordered pairs
+    J = METRICS[space]
+    P, T, W, E = metric_nodes(space, np.random.default_rng(7))
+    d = [p[:, None] - p[None, :] for p in P.T]
+    same = E[:, None] == E[None, :]
+    r2 = np.where(same, 1.0, quadrature.metric_dot(J, d, d))
+    K = np.where(same, 1.0, quadrature._kernel(
+        d, [t[:, None] for t in T.T], [t[None, :] for t in T.T], J, r2))
+    full = math.fsum(((W[:, None] * W[None, :]) * K).ravel())
+    assert quadrature.pair_sum(P, T, W, E, J).hex() == full.hex()
+
+
+def refined_pair_reference(sa_i, sb_i, t_i, sa_j, sb_j, t_j, w_i, w_j, k=8):
+    """One near pair re-integrated on a k x k midpoint subgrid, pair by
+    pair: the reference for the batched refinement."""
+    s = (np.arange(k) + 0.5) / k
+    pi = sa_i[None, :] + s[:, None] * (sb_i - sa_i)[None, :]
+    pj = sa_j[None, :] + s[:, None] * (sb_j - sa_j)[None, :]
+    d = pi[:, None, :] - pj[None, :, :]
+    r2 = np.einsum("abk,abk->ab", d, d)
+    vals = 2.0 * (d @ t_i) * (d @ t_j) / r2 - t_i @ t_j
+    return (w_i / k) * (w_j / k) * math.fsum(vals.ravel())
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), refinement=st.integers(1, 4))
+def test_batched_refinement_matches_per_pair_reference(seed, refinement):
+    rng = np.random.default_rng(seed)
+    c = ClosedCurve(spiky_star(rng, int(rng.integers(20, 80))))
+    P, T, W, E, SA, SB = boundary_node_arrays(c, refinement)
+    dist = np.hypot(*(P[:, None] - P[None, :]).T)
+    i, j = np.nonzero((dist < W.max() / 4) & (E[:, None] != E[None, :]))
+    assume(len(i) > 0)
+    terms = np.concatenate([np.asarray(t) for t in quadrature._refined_terms(
+        SA, SB, T, W, (1.0, 1.0), i, j)]).reshape(len(i), -1)
+    for a, b, row in zip(i, j, terms):
+        want = refined_pair_reference(SA[a], SB[a], T[a], SA[b], SB[b], T[b],
+                                      W[a], W[b])
+        # relative to w_i w_j, which bounds the pair's integral (|K| <= 1)
+        # where the integral itself cancels
+        assert abs(math.fsum(row) / 2 - want) <= 1e-15 * W[a] * W[b]
 
 
 def test_line_integral_propagates_field_failure():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_rotation3
 from isocal import (
@@ -22,7 +23,12 @@ from isocal import (
     verify_isoperimetric,
     verify_sphere_isoperimetric,
 )
-from isocal.spaces import lorentz_boost
+from isocal import quadrature
+from isocal.spaces import (
+    hyperbolic_boundary_nodes,
+    lorentz_boost,
+    sphere_boundary_nodes,
+)
 
 OCTANT = SphericalCurve([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -307,3 +313,82 @@ def test_hyperbolic_kernel_norm_bound_empirical():
             - minkowski_dot(u, v)
         worst = max(worst, abs(val))
     assert worst <= 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# node generation and the pair sum
+
+
+def sphere_nodes_reference(v, refinement):
+    """Per-sub-arc loop over slerp breakpoints: the reference for the array
+    node generator."""
+    pts, tans, wts = [], [], []
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        ang = math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
+        q = [(math.sin((1 - k / refinement) * ang) * a
+              + math.sin(k / refinement * ang) * b) / math.sin(ang)
+             for k in range(refinement + 1)]
+        for p0, p1 in zip(q, q[1:]):
+            pts.append((p0 + p1) / np.linalg.norm(p0 + p1))
+            tans.append((p1 - p0) / np.linalg.norm(p1 - p0))
+            wts.append(ang / refinement)
+    return np.array(pts), np.array(tans), np.array(wts)
+
+
+def hyperbolic_nodes_reference(v, refinement):
+    pts, tans, wts = [], [], []
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        d = math.acosh(max(-minkowski_dot(a, b), 1.0))
+        q = [(math.sinh((1 - k / refinement) * d) * a
+              + math.sinh(k / refinement * d) * b) / math.sinh(d)
+             for k in range(refinement + 1)]
+        for p0, p1 in zip(q, q[1:]):
+            m, ch = p0 + p1, p1 - p0
+            pts.append(m / math.sqrt(-minkowski_dot(m, m)))
+            tans.append(ch / math.sqrt(minkowski_dot(ch, ch)))
+            wts.append(d / refinement)
+    return np.array(pts), np.array(tans), np.array(wts)
+
+
+@pytest.mark.parametrize("refinement", [1, 3, 32])
+def test_array_nodes_match_loop_reference(refinement):
+    cap = wobbled_cap(1.0, 40)
+    circle = HyperbolicCurve(wobbled_hyperbolic_circle(0.8, 40).vertices
+                             @ lorentz_boost(0.7, 1.1).T)
+    for nodes, reference, curve in (
+            (sphere_boundary_nodes, sphere_nodes_reference, cap),
+            (hyperbolic_boundary_nodes, hyperbolic_nodes_reference, circle)):
+        P, T, W, E = nodes(curve, refinement)
+        rP, rT, rW = reference(curve.vertices, refinement)
+        scale = np.abs(curve.vertices).max()
+        assert np.array_equal(E, np.repeat(np.arange(40), refinement))
+        assert np.allclose(W, rW, rtol=1e-14, atol=0)
+        assert np.abs(P - rP).max() <= 1e-14 * scale
+        # a chord is a difference of two nearby points: its rounding grows
+        # as the points' scale over the sub-arc length
+        assert (np.abs(T - rT).max(axis=1) * W <= 4e-15 * scale).all()
+
+
+@settings(max_examples=12, deadline=None)
+@given(space=st.sampled_from(["sphere", "hyperbolic"]),
+       seed=st.integers(0, 2**32 - 1), refinement=st.integers(1, 4),
+       shift=st.integers(1, 10**6))
+def test_pair_sum_bitwise_independent_of_blocking_and_start(
+        space, seed, refinement, shift):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(60, 200))
+    amplitude, modes = rng.uniform(0.0, 0.2), int(rng.integers(2, 7))
+    if space == "sphere":
+        make, integral = SphericalCurve, sphere_double_integral
+        v = wobbled_cap(rng.uniform(0.3, 2.5), n, amplitude, modes).vertices
+    else:
+        make, integral = HyperbolicCurve, hyperbolic_double_integral
+        v = wobbled_hyperbolic_circle(rng.uniform(0.3, 2.0), n, amplitude,
+                                      modes).vertices
+    want = integral(make(v), refinement).hex()
+    rolled = make(np.roll(v, shift % n, axis=0))
+    assert integral(rolled, refinement).hex() == want
+    for budget in (1 << 12, 1 << 15, 1 << 24):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_BLOCK_BYTES", budget)
+            assert integral(make(v), refinement).hex() == want

@@ -73,11 +73,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _tolerances(config: dict, overrides: list[str] | None) -> dict:
+    """Named tolerances: the defaults, then the config's `tolerances` object,
+    then each --tolerance NAME=VALUE; every value a finite positive number."""
     tol = dict(DEFAULT_TOLERANCES)
-    for name, val in (config.get("tolerances") or {}).items():
+    configured = config.get("tolerances", {})
+    if not isinstance(configured, dict):
+        raise UsageError(
+            f"tolerances must be a JSON object, got {configured!r}")
+    for name, val in configured.items():
         if name not in tol:
             raise UsageError(f"unknown tolerance {name!r} in config")
-        tol[name] = float(val)
+        tol[name] = val
     for item in overrides or []:
         name, sep, val = item.partition("=")
         if not sep:
@@ -90,8 +96,13 @@ def _tolerances(config: dict, overrides: list[str] | None) -> dict:
         except ValueError as e:
             raise UsageError(f"bad tolerance value {item!r}") from e
     for name, val in tol.items():
-        if val <= 0:
-            raise UsageError(f"tolerance {name} must be positive")
+        # the upper bound also rejects nan, inf and ints too large for a float
+        if not (isinstance(val, (int, float)) and not isinstance(val, bool)
+                and 0 < val <= sys.float_info.max):
+            raise UsageError(
+                f"tolerance {name} must be a finite positive number, "
+                f"got {val!r}")
+        tol[name] = float(val)
     return tol
 
 

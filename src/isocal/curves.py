@@ -20,6 +20,11 @@ import numpy as np
 BOUNDARY_TOL_FACTOR = 1e-9
 # Consecutive vertices closer than this fraction of the diameter are degenerate.
 VERTEX_SEP_FACTOR = 1e-12
+# Bytes of one float64 temporary of a blocked computation (the pair sum's
+# row blocks, the simplicity sweep's pair chunks, the curl integral's ray
+# blocks), so memory stays bounded at any size.  128 KiB keeps a block's
+# dozen temporaries in a 2 MiB L2 (64-256 KiB measured alike).
+_BLOCK_BYTES = 1 << 17
 
 
 class CurveError(ValueError):
@@ -241,7 +246,12 @@ def contains(curve: ClosedCurve, x) -> bool:
 
 
 def ensure_simple(curve: ClosedCurve) -> None:
-    """Raise CurveError unless the polygon is simple (O(n^2) exact check)."""
+    """Raise CurveError unless the polygon is simple.
+
+    Exact: a bounding-box sweep and a float sign filter certified by the
+    orientation error bound discard edge pairs that cannot meet; exact
+    orientation predicates decide the rest.
+    """
     if not curve.is_simple:
         raise CurveError("curve is self-intersecting")
 
@@ -258,6 +268,10 @@ def ensure_positive(curve: ClosedCurve) -> None:
 # ---------------------------------------------------------------------------
 # exact orientation predicate and simplicity test
 
+# Shewchuk's bound (3 + 16 eps) eps on the relative error of the float
+# orientation determinant: beyond it, the float sign is the exact sign.
+_ORIENT_ERRBOUND = 3.3306690738754716e-16
+
 
 def _orient_exact(ax, ay, bx, by, cx, cy) -> int:
     """Sign of det(b - a, c - a), exactly.
@@ -268,7 +282,7 @@ def _orient_exact(ax, ay, bx, by, cx, cy) -> int:
     detl = (bx - ax) * (cy - ay)
     detr = (by - ay) * (cx - ax)
     det = detl - detr
-    errbound = 3.3306690738754716e-16 * (abs(detl) + abs(detr))
+    errbound = _ORIENT_ERRBOUND * (abs(detl) + abs(detr))
     if det > errbound:
         return 1
     if det < -errbound:
@@ -306,35 +320,62 @@ def _segments_intersect(a, b, c, d) -> bool:
     return False
 
 
+def _orient_signs(a, b, c) -> np.ndarray:
+    """Row-wise sign of det(b - a, c - a) where _orient_exact's float filter
+    certifies it, 0 where it does not (the exact call decides those)."""
+    detl = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    detr = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    det = detl - detr
+    errbound = _ORIENT_ERRBOUND * (np.abs(detl) + np.abs(detr))
+    return (det > errbound).astype(np.int8) - (det < -errbound)
+
+
+def _box_pairs(lo, hi):
+    """Index arrays (i, j), i != j, of every pair of closed boxes [lo, hi]
+    (shape (m, d)) that overlap on every axis, each pair once.
+
+    Sort-and-sweep (Shamos & Hoey): boxes sorted by low x; box k's x-overlap
+    partners follow it up to the first low x above its high x.  The pairs
+    are enumerated in chunks of at most _BLOCK_BYTES / (8 d) pairs, so a
+    float64 (pairs, d) gather of a chunk fits the block budget.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order].T, hi[order].T
+    end = np.searchsorted(lo[0], hi[0], side="right")
+    offsets = np.r_[0, np.cumsum(end - np.arange(1, len(order) + 1))]
+    step = max(1, _BLOCK_BYTES // (8 * len(lo)))
+    for t0 in range(0, int(offsets[-1]), step):
+        t = np.arange(t0, min(t0 + step, int(offsets[-1])))
+        i = np.searchsorted(offsets, t, side="right") - 1
+        j = i + 1 + (t - offsets[i])
+        keep = np.ones(len(t), dtype=bool)
+        for l, h in zip(lo[1:], hi[1:]):
+            keep &= (l[j] <= h[i]) & (l[i] <= h[j])
+        yield order[i[keep]], order[j[keep]]
+
+
 def _polygon_is_simple(v: np.ndarray) -> bool:
     n = len(v)
     a = v
     b = np.roll(v, -1, axis=0)
+    c = np.roll(v, -2, axis=0)
     # adjacent edges: reject collinear backtracking through the shared vertex
-    for i in range(n):
-        j = (i + 1) % n
-        if _orient_exact(*v[i], *v[j], *v[(j + 1) % n]) == 0:
-            back = (v[(j + 1) % n] - v[j]) @ (v[i] - v[j])
-            if back > 0:
-                return False
-    # non-adjacent pairs: float prefilter, exact confirmation
-    ex = b - a
-    for i in range(n - 2):
-        js = np.arange(i + 2, n if i > 0 else n - 1)
-        if len(js) == 0:
-            continue
-        ca = a[js] - a[i]
-        cb = b[js] - a[i]
-        o1 = ex[i, 0] * ca[:, 1] - ex[i, 1] * ca[:, 0]
-        o2 = ex[i, 0] * cb[:, 1] - ex[i, 1] * cb[:, 0]
-        da = a[i] - a[js]
-        db = b[i] - a[js]
-        o3 = ex[js, 0] * da[:, 1] - ex[js, 1] * da[:, 0]
-        o4 = ex[js, 0] * db[:, 1] - ex[js, 1] * db[:, 0]
-        scale = np.abs(o1) + np.abs(o2) + np.abs(o3) + np.abs(o4) + 1e-300
-        guard = (1e-12 * scale) ** 2
-        candidates = js[(o1 * o2 <= guard) & (o3 * o4 <= guard)]
-        for j in candidates:
-            if _segments_intersect(a[i], b[i], a[j], b[j]):
+    back = np.einsum("ij,ij->i", c - b, a - b) > 0
+    for i in np.flatnonzero(back & (_orient_signs(a, b, c) == 0)):
+        if _orient_exact(*a[i], *b[i], *c[i]) == 0:
+            return False
+    # non-adjacent pairs: overlapping boxes, then a certified sign filter
+    # (both ends of one segment strictly on one side of the other's line),
+    # then exact confirmation of the pairs it cannot rule out
+    for i, j in _box_pairs(np.minimum(a, b), np.maximum(a, b)):
+        gap = (j - i) % n
+        far = (gap != 1) & (gap != n - 1)
+        i, j = i[far], j[far]
+        apart = ((_orient_signs(a[i], b[i], a[j])
+                  * _orient_signs(a[i], b[i], b[j]) > 0)
+                 | (_orient_signs(a[j], b[j], a[i])
+                    * _orient_signs(a[j], b[j], b[i]) > 0))
+        for p, q in zip(i[~apart], j[~apart]):
+            if _segments_intersect(a[p], b[p], a[q], b[q]):
                 return False
     return True

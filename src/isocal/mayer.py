@@ -387,8 +387,12 @@ def _locate_leaf(family: SolutionFamily, t, q, s_tol: float = 1e-12):
     lo0, hi0 = family.s_interval
     qlo = np.broadcast_to(family.u(lo0, t), t.shape)
     qhi = np.broadcast_to(family.u(hi0, t), t.shape)
+    # u(s, t) of an interpolated family can leave [u(lo), u(hi)] by rounding
+    # for s next to an end, so the ends take a few ulps of the range's scale;
     # written so that a NaN q counts as outside
-    inside = ((qlo <= q) & (q <= qhi)) | ((qhi <= q) & (q <= qlo))
+    slack = 4.0 * np.finfo(float).eps * np.maximum(np.abs(qlo), np.abs(qhi))
+    inside = (((qlo - slack <= q) & (q <= qhi + slack))
+              | ((qhi - slack <= q) & (q <= qlo + slack)))
     if not np.all(inside):
         k = np.flatnonzero(~inside)[0]
         a, b = sorted((float(qlo.flat[k]), float(qhi.flat[k])))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves
-from .curves import ClosedCurve, _vec2
+from .curves import _BLOCK_BYTES, ClosedCurve, _vec2
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,6 @@ def winding_integral(curve: ClosedCurve, x, refinement: int = 1,
 
 # ---------------------------------------------------------------------------
 # double boundary integral of the tangent kernel
-
-# Bytes of one float64 (rows x columns) temporary of the pair sum; row blocks
-# are sized to it, so memory stays bounded at any node count.  128 KiB keeps
-# a block's dozen temporaries in a 2 MiB L2 (64-256 KiB measured alike).
-_BLOCK_BYTES = 1 << 17
-
 
 def metric_dot(J, a, b):
     """sum_k J_k a_k b_k over component arrays, for J_0 = 1, J_k = +-1: in
@@ -235,6 +229,27 @@ def _locate_on_boundary(curve: ClosedCurve, y):
     return i, e[i] / math.hypot(*e[i])
 
 
+def _ray_crossings(curve: ClosedCurve, p, w):
+    """Sorted distances r > 1e-12 * diameter at which the rays p + r w (rows
+    of w) cross an edge a + s e, s in [0, 1), by Cramer on [w, -e]; one row
+    per ray, as many columns as the most crossed ray, inf-padded."""
+    v = curve.vertices
+    a = v
+    e = np.roll(v, -1, axis=0) - v
+    D = w[:, None, 0] * e[None, :, 1] - w[:, None, 1] * e[None, :, 0]
+    rhs = a - p
+    cr_e = rhs[None, :, 0] * e[None, :, 1] - rhs[None, :, 1] * e[None, :, 0]
+    cr_w = rhs[:, 0][None, :] * w[:, 1][:, None] - rhs[:, 1][None, :] * w[:, 0][:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = cr_e / D
+        s = cr_w / D
+    rmin = 1e-12 * curve.diameter
+    valid = np.isfinite(r) & (r > rmin) & (s >= 0.0) & (s < 1.0)
+    r = np.where(valid, r, np.inf)
+    r.sort(axis=1)
+    return r[:, :int(valid.sum(axis=1).max(initial=0))]
+
+
 def interior_curl_integral(curve: ClosedCurve, y, t_y, n_phi: int = 4096) -> float:
     """Integral over the curve's interior of 2 det(y - x, t_y)/|x - y|^2 dA.
 
@@ -247,40 +262,37 @@ def interior_curl_integral(curve: ClosedCurve, y, t_y, n_phi: int = 4096) -> flo
     p = _vec2(y)
     t = np.asarray(t_y, float)
     v = curve.vertices
-    a = v
-    e = np.roll(v, -1, axis=0) - v
+    n = len(v)
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     w = np.c_[np.cos(phi), np.sin(phi)]
-    # ray y + r w against every edge a + s e: Cramer on [w, -e]
-    D = w[:, None, 0] * e[None, :, 1] - w[:, None, 1] * e[None, :, 0]
-    rhs = a - p
-    cr_e = rhs[None, :, 0] * e[None, :, 1] - rhs[None, :, 1] * e[None, :, 0]
-    cr_w = rhs[:, 0][None, :] * w[:, 1][:, None] - rhs[:, 1][None, :] * w[:, 0][:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = cr_e / D
-        s = cr_w / D
-    rmin = 1e-12 * curve.diameter
-    valid = np.isfinite(r) & (r > rmin) & (s >= 0.0) & (s < 1.0)
-    r = np.where(valid, r, np.inf)
-    r.sort(axis=1)
-    # interval breakpoints per ray: 0, r_1, r_2, ...
-    counts = valid.sum(axis=1)
-    kmax = int(counts.max(initial=0))
+    # crossing distances r_1 <= r_2 <= ... of each ray, in blocks of rays
+    # within the block budget, inf-padded to the most crossed ray's count
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    crossings = [_ray_crossings(curve, p, w[r0:r0 + step])
+                 for r0 in range(0, n_phi, step)]
+    kmax = max(c.shape[1] for c in crossings)
     if kmax == 0:
         return 0.0
-    bounds = np.concatenate([np.zeros((n_phi, 1)), r[:, :kmax]], axis=1)
+    r = np.concatenate([np.pad(c, ((0, 0), (0, kmax - c.shape[1])),
+                               constant_values=np.inf) for c in crossings])
+    # interval breakpoints per ray: 0, r_1, r_2, ...
+    bounds = np.concatenate([np.zeros((n_phi, 1)), r], axis=1)
     seg_ok = np.isfinite(bounds[:, 1:])
     lo = np.where(seg_ok, bounds[:, :-1], 0.0)
     hi = np.where(seg_ok, bounds[:, 1:], 0.0)
     mids = 0.5 * (lo + hi)
-    # membership of each interval midpoint, vectorised winding over vertices
-    pts = p[None, None, :] + mids[:, :, None] * w[:, None, :]
-    flat = pts.reshape(-1, 2)
-    dv = v[None, :, :] - flat[:, None, :]
-    ang = np.arctan2(dv[:, :, 1], dv[:, :, 0])
-    inc = np.diff(np.concatenate([ang, ang[:, :1]], axis=1), axis=1)
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    wind = np.rint(inc.sum(axis=1) / (2.0 * np.pi)).reshape(n_phi, kmax)
+    # membership of each interval midpoint, winding over vertices in blocks
+    # of rays whose (rays, kmax, vertices) temporaries fit the budget
+    wind = np.empty((n_phi, kmax))
+    step = max(1, _BLOCK_BYTES // (8 * kmax * n))
+    for r0 in range(0, n_phi, step):
+        rays = slice(r0, r0 + step)
+        pts = p[None, None, :] + mids[rays, :, None] * w[rays, None, :]
+        dv = v[None, :, :] - pts.reshape(-1, 2)[:, None, :]
+        ang = np.arctan2(dv[:, :, 1], dv[:, :, 0])
+        inc = np.diff(np.concatenate([ang, ang[:, :1]], axis=1), axis=1)
+        inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+        wind[rays] = np.rint(inc.sum(axis=1) / (2.0 * np.pi)).reshape(-1, kmax)
     inside = seg_ok & (wind != 0)
     mu = np.where(inside, hi - lo, 0.0).sum(axis=1)
     dphi = 2.0 * np.pi / n_phi

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedCurve, CurveError
+from .curves import ClosedCurve, CurveError, _box_pairs
 from .quadrature import IsoperimetricReport, metric_dot, pair_sum
 
 _MINK = np.array([1.0, 1.0, -1.0])
@@ -29,6 +29,11 @@ def minkowski_dot(a, b) -> float:
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     return float(a[0] * b[0] + a[1] * b[1] - a[2] * b[2])
+
+
+def _rowdot(J, x, y):
+    """metric_dot of the rows of x and y."""
+    return metric_dot(J, x.T, y.T)
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +69,26 @@ class SphericalCurve:
         return len(self.vertices)
 
 
-def _arc_angle(a, b) -> float:
-    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
+def _sphere_lengths(a, b):
+    """Great-circle lengths between the rows of a and b."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=1),
+                      _rowdot(_EUCLID3, a, b))
 
 
 def sphere_perimeter(curve: SphericalCurve) -> float:
     """Sum of great-circle edge lengths."""
     v = curve.vertices
-    return math.fsum(
-        _arc_angle(v[i], v[(i + 1) % len(v)]) for i in range(len(v))
-    )
+    return math.fsum(_sphere_lengths(v, np.roll(v, -1, axis=0)))
+
+
+def _turning(v, J):
+    """Signed turning angle at each vertex of a geodesic polygon under the
+    metric J: the angle from the incoming to the outgoing edge's plane
+    normal J (v_i x (v_{i+1} - v_i)), oriented by det(v_i, ., .).  The edge
+    difference keeps the normal accurate to rounding for short edges."""
+    m = np.cross(v, np.roll(v, -1, axis=0) - v) * J
+    p = np.roll(m, 1, axis=0)
+    return np.arctan2(_rowdot(_EUCLID3, v, np.cross(p, m)), _rowdot(J, p, m))
 
 
 def sphere_area(curve: SphericalCurve) -> float:
@@ -82,18 +97,7 @@ def sphere_area(curve: SphericalCurve) -> float:
     Exact for geodesic polygons.  The excess equals the sum of interior
     angles minus (n - 2)*pi.
     """
-    v = curve.vertices
-    n = len(v)
-    turning = []
-    for i in range(n):
-        a, b, c = v[(i - 1) % n], v[i], v[(i + 1) % n]
-        t_in = b * float(a @ b) - a
-        t_in /= np.linalg.norm(t_in)
-        t_out = c - b * float(b @ c)
-        t_out /= np.linalg.norm(t_out)
-        turning.append(math.atan2(float(b @ np.cross(t_in, t_out)),
-                                  float(t_in @ t_out)))
-    area = 2.0 * math.pi - math.fsum(turning)
+    area = 2.0 * math.pi - math.fsum(_turning(curve.vertices, _EUCLID3))
     return area % (4.0 * math.pi)
 
 
@@ -137,11 +141,7 @@ def sphere_boundary_nodes(curve: SphericalCurve, refinement: int = 1):
     exactly tangent at its geodesic midpoint, so tangents are normalised
     chords with no extra projection error.
     """
-    return _nodes(
-        curve.vertices, refinement,
-        lambda a, b: np.arctan2(np.linalg.norm(np.cross(a, b), axis=1),
-                                metric_dot(_EUCLID3, a.T, b.T)),
-        np.sin, _EUCLID3)
+    return _nodes(curve.vertices, refinement, _sphere_lengths, np.sin, _EUCLID3)
 
 
 def sphere_double_integral(curve: SphericalCurve, refinement: int = 1) -> float:
@@ -152,32 +152,46 @@ def sphere_double_integral(curve: SphericalCurve, refinement: int = 1) -> float:
 
 
 def _check_simple_sphere(curve: SphericalCurve) -> None:
-    """Reject crossing great-circle edges (O(n^2) sign tests)."""
+    """Reject crossing great-circle edges.
+
+    Candidate pairs come from the box sweep of curves._box_pairs; an arc lies
+    in its endpoint box padded on every axis by its sagitta 1 - cos(L/2).
+    Two non-adjacent arcs cross when each one's great circle strictly
+    separates the other's endpoints and a common point of the two circles
+    lies in both arcs' hemispheres; the first such pair in vertex order
+    names the error.
+    """
     v = curve.vertices
     n = len(v)
-    nrm = np.cross(v, np.roll(v, -1, axis=0))
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        js = [j for j in range(i + 2, n) if not (i == 0 and j == n - 1)]
-        if not js:
-            continue
-        c = v[js]
-        d = v[[(j + 1) % n for j in js]]
-        s1 = c @ nrm[i]
-        s2 = d @ nrm[i]
-        s3 = nrm[js] @ a
-        s4 = nrm[js] @ b
-        cand = np.nonzero((s1 * s2 < 0) & (s3 * s4 < 0))[0]
-        for k in cand:
-            j = js[k]
-            p = np.cross(nrm[i], nrm[j])
-            norm = np.linalg.norm(p)
-            if norm < 1e-15:
-                raise CurveError("overlapping great-circle edges")
-            p /= norm
-            for q in (p, -p):
-                if q @ (a + b) > 0 and q @ (v[j] + v[(j + 1) % n]) > 0:
-                    raise CurveError("spherical curve is self-intersecting")
+    w = np.roll(v, -1, axis=0)
+    nrm = np.cross(v, w)
+    # 1 - cos(L/2) = 2 sin^2(L/4); 1e-11 covers the vertices' 1e-12
+    # unit-norm tolerance and rounding
+    pad = (2.0 * np.sin(0.25 * _sphere_lengths(v, w)) ** 2 + 1e-11)[:, None]
+
+    def dot(x, y):
+        return _rowdot(_EUCLID3, x, y)
+
+    first = None  # (i * n + j, overlap) of the first hit pair, i < j
+    for i, j in _box_pairs(np.minimum(v, w) - pad, np.maximum(v, w) + pad):
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        far = (j - i > 1) & (j - i < n - 1)
+        i, j = i[far], j[far]
+        crossing = ((dot(v[j], nrm[i]) * dot(w[j], nrm[i]) < 0)
+                    & (dot(nrm[j], v[i]) * dot(nrm[j], w[i]) < 0))
+        i, j = i[crossing], j[crossing]
+        p = np.cross(nrm[i], nrm[j])
+        overlap = np.linalg.norm(p, axis=1) < 1e-15
+        hi, hj = dot(p, v[i] + w[i]), dot(p, v[j] + w[j])
+        meet = ((hi > 0) & (hj > 0)) | ((hi < 0) & (hj < 0))
+        hit = np.flatnonzero(overlap | meet)
+        if len(hit):
+            k = hit[np.argmin(i[hit] * n + j[hit])]
+            if first is None or i[k] * n + j[k] < first[0]:
+                first = (i[k] * n + j[k], overlap[k])
+    if first is not None:
+        raise CurveError("overlapping great-circle edges" if first[1]
+                         else "spherical curve is self-intersecting")
 
 
 def verify_sphere_isoperimetric(curve: SphericalCurve,
@@ -240,41 +254,28 @@ def hyperbolic_circle(radius: float, n: int, phase: float = 0.0) -> HyperbolicCu
                                  np.full(n, cr)])
 
 
+def _hyperbolic_lengths(a, b):
+    """Geodesic lengths arccosh(-<a, b>) between the rows of a and b."""
+    return np.arccosh(np.maximum(-_rowdot(_MINK, a, b), 1.0))
+
+
 def hyperbolic_perimeter(curve: HyperbolicCurve) -> float:
     """Sum of geodesic edge lengths arccosh(-<v_i, v_{i+1}>)."""
     v = curve.vertices
-    n = len(v)
-    return math.fsum(
-        math.acosh(max(-minkowski_dot(v[i], v[(i + 1) % n]), 1.0))
-        for i in range(n)
-    )
+    return math.fsum(_hyperbolic_lengths(v, np.roll(v, -1, axis=0)))
 
 
 def hyperbolic_area(curve: HyperbolicCurve) -> float:
     """Area by angle defect: total turning minus 2*pi, equivalently
     (n - 2)*pi minus the interior angle sum.  Exact for geodesic polygons."""
-    v = curve.vertices
-    n = len(v)
-    turning = []
-    for i in range(n):
-        a, b, c = v[(i - 1) % n], v[i], v[(i + 1) % n]
-        t_in = -(a + minkowski_dot(a, b) * b)
-        t_in = t_in / math.sqrt(minkowski_dot(t_in, t_in))
-        t_out = c + minkowski_dot(c, b) * b
-        t_out = t_out / math.sqrt(minkowski_dot(t_out, t_out))
-        # det(b, t_in, t_out) is the Lorentz-invariant area form at b
-        sin_part = float(np.linalg.det(np.array([b, t_in, t_out])))
-        turning.append(math.atan2(sin_part, minkowski_dot(t_in, t_out)))
-    return math.fsum(turning) - 2.0 * math.pi
+    return math.fsum(_turning(curve.vertices, _MINK)) - 2.0 * math.pi
 
 
 def hyperbolic_boundary_nodes(curve: HyperbolicCurve, refinement: int = 1):
     """(points, tangents, weights, edge_ids); chords of geodesic sub-arcs are
     exactly tangent at the geodesic midpoint, Minkowski-normalised."""
-    return _nodes(
-        curve.vertices, refinement,
-        lambda a, b: np.arccosh(np.maximum(-metric_dot(_MINK, a.T, b.T), 1.0)),
-        np.sinh, _MINK)
+    return _nodes(curve.vertices, refinement, _hyperbolic_lengths, np.sinh,
+                  _MINK)
 
 
 def hyperbolic_double_integral(curve: HyperbolicCurve,

@@ -335,3 +335,37 @@ def test_zero_refinement_flag_exit_2(square_file, capsys):
 def test_negative_seed_flag_exit_2(capsys):
     assert main(["mayer", "--problem", "free", "--seed", "-1"]) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"deficit_min": "abc"}, {"deficit_min": "1e-3"}, {"deficit_min": None},
+    {"deficit_min": True}, {"deficit_min": 0}, {"deficit_min": -1e-3},
+    {"deficit_min": 1e999}, {"deficit_min": 10**400}, [1], None, "1e-3"])
+def test_bad_tolerances_in_config_exit_2(tmp_path, square_file, monkeypatch,
+                                         capsys, tolerances):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": tolerances}))
+    monkeypatch.setenv("ISOCAL_CONFIG", str(cfg))
+    out = tmp_path / "out.json"
+    assert main(["verify", square_file, "--out", str(out)]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3", "x"])
+def test_bad_tolerance_flag_exit_2(tmp_path, square_file, capsys, value):
+    out = tmp_path / "out.json"
+    assert main(["verify", square_file, "--out", str(out),
+                 "--tolerance", f"double_integral_rel={value}"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_tolerance_in_config_accepted(tmp_path, square_file,
+                                              monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"double_integral_rel": 1}}))
+    monkeypatch.setenv("ISOCAL_CONFIG", str(cfg))
+    out = tmp_path / "out.json"
+    assert main(["verify", square_file, "--out", str(out)]) == 0
+    assert _read(out)["config"]["tolerances"]["double_integral_rel"] == 1.0

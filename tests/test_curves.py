@@ -20,7 +20,13 @@ from isocal import (
     signed_area,
     winding_number,
 )
-from isocal.curves import ensure_simple
+from isocal import curves
+from isocal.curves import (
+    _orient_exact,
+    _polygon_is_simple,
+    _segments_intersect,
+    ensure_simple,
+)
 
 SQUARE = ClosedCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -248,3 +254,138 @@ def test_touching_nonadjacent_edges_detected():
 
 def test_fine_polygon_is_simple_fast():
     assert regular_polygon(1024).is_simple
+
+
+# ---------------------------------------------------------------------------
+# the sweep-filtered simplicity test against the all-pairs test it replaced
+
+
+def polygon_is_simple_reference(v):
+    """The all-pairs simplicity test: one exact backtrack test and one numpy
+    row of edge tests per vertex."""
+    n = len(v)
+    a = v
+    b = np.roll(v, -1, axis=0)
+    for i in range(n):
+        j = (i + 1) % n
+        if _orient_exact(*v[i], *v[j], *v[(j + 1) % n]) == 0:
+            back = (v[(j + 1) % n] - v[j]) @ (v[i] - v[j])
+            if back > 0:
+                return False
+    ex = b - a
+    for i in range(n - 2):
+        js = np.arange(i + 2, n if i > 0 else n - 1)
+        if len(js) == 0:
+            continue
+        ca = a[js] - a[i]
+        cb = b[js] - a[i]
+        o1 = ex[i, 0] * ca[:, 1] - ex[i, 1] * ca[:, 0]
+        o2 = ex[i, 0] * cb[:, 1] - ex[i, 1] * cb[:, 0]
+        da = a[i] - a[js]
+        db = b[i] - a[js]
+        o3 = ex[js, 0] * da[:, 1] - ex[js, 1] * da[:, 0]
+        o4 = ex[js, 0] * db[:, 1] - ex[js, 1] * db[:, 0]
+        scale = np.abs(o1) + np.abs(o2) + np.abs(o3) + np.abs(o4) + 1e-300
+        guard = (1e-12 * scale) ** 2
+        candidates = js[(o1 * o2 <= guard) & (o3 * o4 <= guard)]
+        for j in candidates:
+            if _segments_intersect(a[i], b[i], a[j], b[j]):
+                return False
+    return True
+
+
+def random_polygon(rng, kind, n):
+    """Uniform points; points on a small integer grid (collinear and touching
+    edges); an axis-parallel lattice walk (backtracking edges); a star
+    polygon (simple), or one snapped to a grid (simple or touching)."""
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, (n, 2))
+    if kind == "grid":
+        return rng.integers(0, 5, (n, 2)).astype(float)
+    if kind == "walk":
+        steps = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], float)
+        return np.cumsum(steps[rng.integers(0, 4, n)]
+                         * rng.integers(1, 3, (n, 1)), axis=0)
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    v = rng.uniform(0.2, 1.0, (n, 1)) * np.c_[np.cos(th), np.sin(th)]
+    return v if kind == "star" else np.round(4.0 * v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["uniform", "grid", "walk", "star",
+                             "snapped"]),
+       n=st.integers(3, 24), shift=st.integers(0, 10**6))
+def test_simplicity_matches_all_pairs_reference(seed, kind, n, shift):
+    v = random_polygon(np.random.default_rng(seed), kind, n)
+    try:
+        ClosedCurve(v)
+    except CurveError:
+        return  # coincident neighbours: not a curve
+    want = polygon_is_simple_reference(v)
+    assert ClosedCurve(v).is_simple == want
+    assert _polygon_is_simple(np.roll(v, shift % n, axis=0)) == want
+    assert _polygon_is_simple(v[::-1].copy()) == want
+
+
+def test_collinear_disjoint_edges_are_simple():
+    # the bottom edges (0,0)-(1,0) and (2,0)-(3,0) share a line, not a point
+    c = ClosedCurve([[0, 0], [1, 0], [1, 1], [2, 1], [2, 0], [3, 0], [3, 2],
+                     [0, 2]])
+    assert c.is_simple
+    assert polygon_is_simple_reference(c.vertices)
+
+
+@pytest.mark.parametrize("offset, simple", [((41, 48), False),
+                                            ((48, 41), True)])
+def test_orientation_rounding_decided_exactly(offset, simple):
+    # Kettner et al.'s near-collinear example: c = (12, 12) lies a hair right
+    # (41, 48) or left (48, 41) of the edge from a to (24, 24), and the float
+    # determinant gets the side wrong both times.  Right of it, the edges
+    # into and out of c cross that edge; the all-pairs test's uncertified
+    # float prefilter missed that crossing.
+    u = 2.0**-53
+    a = (0.5 + offset[0] * u, 0.5 + offset[1] * u)
+    v = np.array([a, (24, 24), (23, 30), (14, 20), (12, 12), (6, 10)])
+    assert ClosedCurve(v).is_simple is simple
+    assert polygon_is_simple_reference(v) is True
+
+
+def test_large_regular_polygon_is_simple():
+    assert regular_polygon(16384).is_simple
+
+
+def test_crossing_between_far_apart_edges_detected():
+    # vertex n/2 pulled across the polygon to just outside edge 0: its two
+    # edges cross edges half the polygon away in vertex order
+    n = 16384
+    v = regular_polygon(n).vertices.copy()
+    v[n // 2] = 1.001 * np.array([math.cos(2 * math.pi / n),
+                                  math.sin(2 * math.pi / n)])
+    c = ClosedCurve(v)
+    assert not c.is_simple
+    with pytest.raises(CurveError):
+        ensure_simple(c)
+
+
+@pytest.mark.parametrize("budget", [1, 40, 100, 1 << 17])
+def test_box_pairs_chunks_and_verdicts_at_any_budget(monkeypatch, budget):
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(0.0, 1.0, (60, 2))
+    hi = lo + rng.uniform(0.0, 0.3, (60, 2))
+    lo[7] = lo[8]  # equal low x
+    chunks = list(curves._box_pairs(lo, hi))
+    assert all(len(i) <= max(1, budget // 16) for i, _ in chunks)
+    got = sorted(tuple(sorted(p)) for i, j in chunks for p in zip(i, j))
+    want = [(i, j) for i in range(60) for j in range(i + 1, 60)
+            if np.all((lo[j] <= hi[i]) & (lo[i] <= hi[j]))]
+    assert got == want
+    for seed in range(40):
+        v = random_polygon(np.random.default_rng(seed), "grid", 12)
+        try:
+            ClosedCurve(v)
+        except CurveError:
+            continue
+        assert _polygon_is_simple(v) == polygon_is_simple_reference(v)
+    assert _polygon_is_simple(star_polygon(rng, 200, 200).vertices)

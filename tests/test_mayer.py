@@ -615,6 +615,16 @@ def test_mayer_slope_batch_equals_scalar_calls(name, data):
     assert parts.tobytes() == batch.tobytes()
 
 
+def test_mayer_slope_accepts_points_on_leaves_next_to_the_ends():
+    # u(s, t) one ulp inside the parameter interval rounds below u(lo, t)
+    fam = BATCH_FAMILIES["shooting"]
+    t = np.array([1.0, 0.625])
+    q = fam.u(np.array([1.0, np.nextafter(fam.s_interval[0], 1.0)]), t)
+    batch = mayer_slope(fam, t, q)
+    single = np.array([mayer_slope(fam, ti, qi) for ti, qi in zip(t, q)])
+    assert batch.tobytes() == single.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(sorted(BATCH_FAMILIES)), data=st.data())
 def test_mayer_slope_batch_out_of_range_point_raises(name, data):

@@ -24,7 +24,9 @@ from isocal import (
     verify_sphere_isoperimetric,
 )
 from isocal import quadrature
+from isocal import curves
 from isocal.spaces import (
+    _check_simple_sphere,
     hyperbolic_boundary_nodes,
     lorentz_boost,
     sphere_boundary_nodes,
@@ -180,6 +182,101 @@ def test_sphere_self_intersection_rejected():
                              pt(0.0, 0.6), pt(1.5, 0.6)])
     with pytest.raises(CurveError):
         verify_sphere_isoperimetric(bowtie)
+
+
+def check_simple_sphere_reference(curve):
+    """The all-pairs great-circle crossing test: one row of sign tests per
+    vertex, in vertex order."""
+    v = curve.vertices
+    n = len(v)
+    nrm = np.cross(v, np.roll(v, -1, axis=0))
+    for i in range(n):
+        a, b = v[i], v[(i + 1) % n]
+        js = [j for j in range(i + 2, n) if not (i == 0 and j == n - 1)]
+        if not js:
+            continue
+        c = v[js]
+        d = v[[(j + 1) % n for j in js]]
+        s1 = c @ nrm[i]
+        s2 = d @ nrm[i]
+        s3 = nrm[js] @ a
+        s4 = nrm[js] @ b
+        cand = np.nonzero((s1 * s2 < 0) & (s3 * s4 < 0))[0]
+        for k in cand:
+            j = js[k]
+            p = np.cross(nrm[i], nrm[j])
+            norm = np.linalg.norm(p)
+            if norm < 1e-15:
+                raise CurveError("overlapping great-circle edges")
+            p /= norm
+            for q in (p, -p):
+                if q @ (a + b) > 0 and q @ (v[j] + v[(j + 1) % n]) > 0:
+                    raise CurveError("spherical curve is self-intersecting")
+
+
+def simplicity_error(check, curve):
+    try:
+        check(curve)
+    except CurveError as e:
+        return str(e)
+    return None
+
+
+def random_geodesic_polygon(rng, kind, n):
+    """Points scattered in a cap (mostly self-intersecting), or a star about
+    the cap's centre (sorted azimuths, random colatitudes), turned at
+    random."""
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    if kind == "star":
+        phi.sort()
+    radius = rng.uniform(0.05, 2.5)
+    th = radius * (np.sqrt(rng.uniform(0.0, 1.0, n)) if kind == "scatter"
+                   else rng.uniform(0.3, 1.0, n))
+    v = np.c_[np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)]
+    return v @ random_rotation3(rng).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["scatter", "star"]),
+       n=st.integers(3, 40), shift=st.integers(0, 10**6))
+def test_sphere_simplicity_matches_all_pairs_reference(seed, kind, n, shift):
+    try:
+        curve = SphericalCurve(random_geodesic_polygon(
+            np.random.default_rng(seed), kind, n))
+    except CurveError:
+        return  # coincident or antipodal neighbours: not a curve
+    want = simplicity_error(check_simple_sphere_reference, curve)
+    assert simplicity_error(_check_simple_sphere, curve) == want
+    for v in (np.roll(curve.vertices, shift % n, axis=0), curve.vertices[::-1]):
+        got = simplicity_error(_check_simple_sphere, SphericalCurve(v))
+        assert (got is None) == (want is None)
+
+
+def test_sphere_crossing_in_the_bulge_of_a_long_arc_detected():
+    # the 160-degree equator arc reaches x = 1 at longitude 0, far outside
+    # its endpoints' box (x = cos 80 degrees); edge DE crosses it there
+    def pt(lat, lon):
+        lat, lon = math.radians(lat), math.radians(lon)
+        return [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
+                math.sin(lat)]
+
+    curve = SphericalCurve([pt(0, -80), pt(0, 80), pt(40, 80), pt(10, 0),
+                            pt(-10, 0), pt(-40, -80)])
+    with pytest.raises(CurveError, match="self-intersecting"):
+        _check_simple_sphere(curve)
+    assert simplicity_error(check_simple_sphere_reference, curve) is not None
+
+
+@pytest.mark.parametrize("budget", [1, 100, 1 << 17])
+def test_sphere_simplicity_at_any_chunk_budget(monkeypatch, budget):
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    _check_simple_sphere(geodesic_cap(1.0, 4096))
+    _check_simple_sphere(wobbled_cap(2.8, 300, 0.05, 5))
+    for seed in range(30):
+        curve = SphericalCurve(random_geodesic_polygon(
+            np.random.default_rng(seed), "scatter", 12))
+        assert (simplicity_error(_check_simple_sphere, curve)
+                == simplicity_error(check_simple_sphere_reference, curve))
 
 
 # ---------------------------------------------------------------------------

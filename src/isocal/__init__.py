@@ -19,8 +19,7 @@ from .curves import (
     winding_number,
 )
 from .biform import (
-    BiformValue2,
-    BiformValue3,
+    BiformValue,
     CoincidentPointsError,
     MixedDerivativeTensor,
     averaged_field,

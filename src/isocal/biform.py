@@ -6,20 +6,24 @@ the reflection matrix m = 2 u u^T - I with u = (x - y)/|x - y|; it is
 symmetric, orthogonal, and has operator norm exactly one, which is what makes
 the calibration argument work.  The kernel is undefined on the diagonal
 x = y: coincident inputs raise instead of returning NaN.
+
+Its three forms, the value K(x, y; a, b) = a^T m b, the field V = m t_y and
+the matrix m itself, are all evaluated by one formula, the pair sum's
+quadrature._kernel, through _pair_kernel and _field.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .curves import ClosedCurve, UnitVector2, _require_off_boundary, _vec2
 from .curves import boundary_node_arrays, perimeter
-
-MayerVector = UnitVector2
 
 
 class CoincidentPointsError(ValueError):
@@ -31,7 +35,7 @@ def _check_distinct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # relative to the points' own scale, so distinct points at any scale
     # pass; identical points (the origin included) never do
     scale = max(float(np.abs(x).max()), float(np.abs(y).max()))
-    if float(np.hypot(*z) if len(z) == 2 else np.linalg.norm(z)) <= 1e-12 * scale:
+    if math.hypot(*z) <= 1e-12 * scale:
         raise CoincidentPointsError(f"points coincide: {x.tolist()} ~ {y.tolist()}")
     return z
 
@@ -44,6 +48,28 @@ def _unit(v) -> np.ndarray:
     return a
 
 
+def _pair_kernel(z, a, b):
+    """K(z; a, b) = a^T m(z) b over the last axis, broadcast over the others,
+    by the pair sum's own formula quadrature._kernel.  z is first scaled by
+    the power of two that brings its largest component into [1/2, 1): K has
+    degree 0 in z, so this changes no bits where |z|^2 is a normal number,
+    and keeps the kernel finite at any separation."""
+    z, a, b = (list(np.rollaxis(np.asarray(v, float), -1)) for v in (z, a, b))
+    _, e = np.frexp(functools.reduce(np.maximum, map(np.abs, z)))
+    d = [np.ldexp(c, -e) for c in z]
+    J = (1.0,) * len(d)
+    return quadrature._kernel(d, a, b, J, quadrature.metric_dot(J, d, d))
+
+
+def _field(z, t):
+    """m(z) t over the last axis, z and t broadcast over the others:
+    component i is K(z; e_i, t).  With t = I, whose rows are the e_j, the
+    result is the kernel matrix m_ji = K(z; e_i, e_j), for a batch of z
+    given as z[..., None, :]."""
+    z, t = np.asarray(z, float), np.asarray(t, float)
+    return _pair_kernel(z[..., None, :], np.eye(z.shape[-1]), t[..., None, :])
+
+
 def mayer_vector(y, t_y, x) -> UnitVector2:
     """Unit vector V(y, t_y, x) = 2 <x-y, t_y> (x-y)/|x-y|^2 - t_y.
 
@@ -51,24 +77,28 @@ def mayer_vector(y, t_y, x) -> UnitVector2:
     oriented circle through x and y whose tangent at y is t_y.
     """
     yv, xv = _vec2(y), _vec2(x)
-    t = _unit(t_y)
-    d = _check_distinct(xv, yv)
-    r2 = d @ d
-    v = (2.0 * (d @ t) / r2) * d - t
+    v = _field(_check_distinct(xv, yv), _unit(t_y))
     return UnitVector2(float(v[0]), float(v[1]))
 
 
 @dataclass(frozen=True, eq=False)
-class BiformValue2:
-    """2x2 coefficient matrix of the kernel at a point pair; acts as u^T m v."""
+class BiformValue:
+    """Kernel matrix m = 2 z z^T/|z|^2 - I at a point pair, z = x - y, in the
+    plane (2x2) or in three-space (3x3): symmetric, an involution, trace
+    2 - dim.  Acts as u^T m v."""
 
     m: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        _check_kernel_matrix(m, expected_trace=0.0)
+        if m.shape not in ((2, 2), (3, 3)):
+            raise ValueError(f"expected a 2x2 or 3x3 matrix, got {m.shape}")
+        if abs(m - m.T).max() > 1e-12:
+            raise ValueError("kernel matrix must be symmetric")
+        if abs(np.trace(m) - (2 - len(m))) > 1e-12:
+            raise ValueError(f"kernel trace must be {2 - len(m)}")
+        if abs(m @ m - np.eye(len(m))).max() > 1e-12:
+            raise ValueError("kernel matrix must be orthogonal (an involution)")
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
 
@@ -76,48 +106,20 @@ class BiformValue2:
         return float(np.asarray(u, float) @ self.m @ np.asarray(v, float))
 
 
-@dataclass(frozen=True, eq=False)
-class BiformValue3:
-    """3x3 kernel matrix m = 2 z z^T/|z|^2 - I with z = x - y; trace -1."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("expected a 3x3 matrix")
-        _check_kernel_matrix(m, expected_trace=-1.0)
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
-
-    def apply(self, u, v) -> float:
-        return float(np.asarray(u, float) @ self.m @ np.asarray(v, float))
+def _biform(x, y, dim: int) -> BiformValue:
+    xv = np.asarray(x, float).reshape(dim)
+    yv = np.asarray(y, float).reshape(dim)
+    return BiformValue(_field(_check_distinct(xv, yv), np.eye(dim)))
 
 
-def _check_kernel_matrix(m: np.ndarray, expected_trace: float) -> None:
-    if abs(m - m.T).max() > 1e-12:
-        raise ValueError("kernel matrix must be symmetric")
-    if abs(np.trace(m) - expected_trace) > 1e-12:
-        raise ValueError(f"kernel trace must be {expected_trace}")
-    if abs(m @ m - np.eye(len(m))).max() > 1e-12:
-        raise ValueError("kernel matrix must be orthogonal (an involution)")
-
-
-def biform2(x, y) -> BiformValue2:
+def biform2(x, y) -> BiformValue:
     """Kernel matrix at (x, y) in the plane."""
-    xv, yv = _vec2(x), _vec2(y)
-    z = _check_distinct(xv, yv)
-    u = z / np.hypot(*z)
-    return BiformValue2(2.0 * np.outer(u, u) - np.eye(2))
+    return _biform(_vec2(x), _vec2(y), 2)
 
 
-def biform3(x, y) -> BiformValue3:
+def biform3(x, y) -> BiformValue:
     """Kernel matrix at (x, y) in three-space."""
-    xv = np.asarray(x, float).reshape(3)
-    yv = np.asarray(y, float).reshape(3)
-    z = _check_distinct(xv, yv)
-    u = z / np.linalg.norm(z)
-    return BiformValue3(2.0 * np.outer(u, u) - np.eye(3))
+    return _biform(x, y, 3)
 
 
 def _anyvec(v) -> np.ndarray:
@@ -132,31 +134,8 @@ def biform_apply(x, y, u, v) -> float:
     For unit v this equals <V(y, v, x), u>: the kernel applied to a tangent
     pair is the cosine between V and the first tangent.
     """
-    xv = _anyvec(x)
-    yv = _anyvec(y)
-    uv = _anyvec(u)
-    vv = _anyvec(v)
-    z = _check_distinct(xv, yv)
-    r2 = z @ z
-    return float(2.0 * (z @ uv) * (z @ vv) / r2 - uv @ vv)
-
-
-def apply_pairs(X, U, Y, V) -> np.ndarray:
-    """Vectorised kernel values for broadcast batches of point/vector pairs.
-
-    X, U and Y, V broadcast against each other on the leading axes; the last
-    axis is the space dimension.  The caller is responsible for keeping the
-    point pairs off the diagonal.
-    """
-    X, U = np.asarray(X, float), np.asarray(U, float)
-    Y, V = np.asarray(Y, float), np.asarray(V, float)
-    z = X - Y
-    r2 = np.einsum("...k,...k->...", z, z)
-    zu = np.einsum("...k,...k->...", z, np.broadcast_to(U, z.shape))
-    zv = np.einsum("...k,...k->...", z, np.broadcast_to(V, z.shape))
-    uv = np.einsum("...k,...k->...", np.broadcast_to(U, z.shape),
-                   np.broadcast_to(V, z.shape))
-    return 2.0 * zu * zv / r2 - uv
+    z = _check_distinct(_anyvec(x), _anyvec(y))
+    return float(_pair_kernel(z, _anyvec(u), _anyvec(v)))
 
 
 def curl_density(y, t_y, x) -> float:
@@ -177,10 +156,7 @@ def averaged_field(curve: ClosedCurve, x, refinement: int = 1) -> np.ndarray:
     """
     p = _require_off_boundary(curve, x)
     pts, tan, wts, _, _, _ = boundary_node_arrays(curve, refinement)
-    d = p[None, :] - pts
-    r2 = np.einsum("ij,ij->i", d, d)
-    proj = np.einsum("ij,ij->i", d, tan)
-    field = (2.0 * proj / r2)[:, None] * d - tan
+    field = _field(p[None, :] - pts, tan)
     total = np.array([
         math.fsum(wts * field[:, 0]),
         math.fsum(wts * field[:, 1]),
@@ -215,27 +191,17 @@ class MixedDerivativeTensor:
     step: float
 
 
-def _kernel_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    z = x - y
-    r2 = z @ z
-    return 2.0 * np.outer(z, z) / r2 - np.eye(len(z))
-
-
 def _mixed_partials(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    """D[k, l, i, j] = centred d^2 m_ij / dx_k dy_l."""
+    """D[k, l, i, j] = centred d^2 m_ij / dx_k dy_l, all 4 dim^2 stencil
+    matrices in one kernel call."""
     dim = len(x)
-    D = np.empty((dim, dim, dim, dim))
-    basis = np.eye(dim)
-    for k in range(dim):
-        for l in range(dim):
-            ek, el = h * basis[k], h * basis[l]
-            D[k, l] = (
-                _kernel_matrix(x + ek, y + el)
-                - _kernel_matrix(x + ek, y - el)
-                - _kernel_matrix(x - ek, y + el)
-                + _kernel_matrix(x - ek, y - el)
-            ) / (4.0 * h * h)
-    return D
+    # the stencil points x + s_a h e_k and y + s_b h e_l, s = (+1, -1)
+    step = np.array([1.0, -1.0])[None, :, None] * (h * np.eye(dim))[:, None, :]
+    xs, ys = x + step, y + step
+    z = xs[:, None, :, None] - ys[None, :, None, :]
+    m = _field(z[..., None, :], np.eye(dim))
+    return (m[:, :, 0, 0] - m[:, :, 0, 1] - m[:, :, 1, 0]
+            + m[:, :, 1, 1]) / (4.0 * h * h)
 
 
 def d1d2_fd(space: str, x, y, h: float) -> MixedDerivativeTensor:

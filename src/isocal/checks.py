@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .biform import d1d2_fd, mixed_derivative_closed_form
+from .biform import _field, _pair_kernel, biform_apply, d1d2_fd
+from .biform import mixed_derivative_closed_form
 from .mayer import (
     CallablePath,
     MayerProblem,
@@ -47,9 +48,7 @@ def mayer_vector_norm_residual(n: int = 10000, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     x, y = _random_points(rng, n, 2)
     t = _random_units(rng, n, 2)
-    d = x - y
-    r2 = np.einsum("ij,ij->i", d, d)
-    v = (2.0 * np.einsum("ij,ij->i", d, t) / r2)[:, None] * d - t
+    v = _field(x - y, t)
     return float(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0).max())
 
 
@@ -57,9 +56,7 @@ def orthogonality_residual(dim: int, n: int = 10000, seed: int = 0) -> float:
     """max over samples of ||m^T m - I||_inf for the kernel matrix."""
     rng = np.random.default_rng(seed)
     x, y = _random_points(rng, n, dim)
-    u = x - y
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    m = 2.0 * np.einsum("ni,nj->nij", u, u) - np.eye(dim)[None, :, :]
+    m = _field((x - y)[:, None, :], np.eye(dim))
     mm = np.einsum("nij,njk->nik", m, m) - np.eye(dim)[None, :, :]
     return float(np.abs(mm).max())
 
@@ -85,9 +82,7 @@ def circle_equality_residual(dim: int, n_circles: int = 100,
         y = center + radius * (math.cos(a2) * e1 + math.sin(a2) * e2)
         tx = -math.sin(a1) * e1 + math.cos(a1) * e2
         ty = -math.sin(a2) * e1 + math.cos(a2) * e2
-        z = x - y
-        val = 2.0 * (z @ tx) * (z @ ty) / (z @ z) - tx @ ty
-        worst = max(worst, abs(val - 1.0))
+        worst = max(worst, abs(biform_apply(x, y, tx, ty) - 1.0))
     return worst
 
 
@@ -97,12 +92,8 @@ def consistency_residual(n: int = 10000, seed: int = 0) -> float:
     x, y = _random_points(rng, n, 2)
     t = _random_units(rng, n, 2)
     u = _random_units(rng, n, 2)
-    d = x - y
-    r2 = np.einsum("ij,ij->i", d, d)
-    v = (2.0 * np.einsum("ij,ij->i", d, t) / r2)[:, None] * d - t
-    lhs = 2.0 * np.einsum("ij,ij->i", d, u) * np.einsum("ij,ij->i", d, t) / r2 \
-        - np.einsum("ij,ij->i", u, t)
-    rhs = np.einsum("ij,ij->i", v, u)
+    lhs = _pair_kernel(x - y, u, t)
+    rhs = np.einsum("ij,ij->i", _field(x - y, t), u)
     return float(np.abs(lhs - rhs).max())
 
 

@@ -312,13 +312,10 @@ def stokes_check(curve: ClosedCurve, y, t_y=None, refinement: int = 1,
     t = edge_tangent if t_y is None else np.asarray(_vec2(t_y), float)
     p = _vec2(y)
     pts, tan, wts, eids, _, _ = curves.boundary_node_arrays(curve, refinement)
-    d = pts - p
-    r2 = np.einsum("ij,ij->i", d, d)
+    d = list((pts - p).T)
     own = eids == edge
-    r2 = np.where(own, 1.0, r2)
-    proj = d @ t
-    field = (2.0 * proj / r2)[:, None] * d - t
-    kern = np.einsum("ij,ij->i", field, tan)
+    r2 = np.where(own, 1.0, metric_dot((1.0, 1.0), d, d))
+    kern = _kernel(d, list(tan.T), t, (1.0, 1.0), r2)
     # along y's own edge the kernel is exactly <t_y, edge tangent> (1 for
     # the canonical tangent), including at the node that coincides with y
     kern = np.where(own, float(t @ edge_tangent), kern)

@@ -26,9 +26,7 @@ _EUCLID3 = (1.0, 1.0, 1.0)
 
 
 def minkowski_dot(a, b) -> float:
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    return float(a[0] * b[0] + a[1] * b[1] - a[2] * b[2])
+    return float(metric_dot(_MINK, np.asarray(a, float), np.asarray(b, float)))
 
 
 def _rowdot(J, x, y):
@@ -255,12 +253,15 @@ def hyperbolic_circle(radius: float, n: int, phase: float = 0.0) -> HyperbolicCu
 
 
 def _hyperbolic_lengths(a, b):
-    """Geodesic lengths arccosh(-<a, b>) between the rows of a and b."""
-    return np.arccosh(np.maximum(-_rowdot(_MINK, a, b), 1.0))
+    """Geodesic lengths 2 asinh(sqrt(<b - a, b - a>) / 2) between the rows of
+    a and b: the chord's Minkowski length is 2 sinh(d / 2).  Unlike
+    arccosh(-<a, b>) it does not cancel on short edges."""
+    c = b - a
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(_rowdot(_MINK, c, c), 0.0)))
 
 
 def hyperbolic_perimeter(curve: HyperbolicCurve) -> float:
-    """Sum of geodesic edge lengths arccosh(-<v_i, v_{i+1}>)."""
+    """Sum of geodesic edge lengths d(v_i, v_{i+1})."""
     v = curve.vertices
     return math.fsum(_hyperbolic_lengths(v, np.roll(v, -1, axis=0)))
 

@@ -17,8 +17,8 @@ from isocal import (
     mixed_derivative_closed_form,
     regular_polygon,
 )
-from isocal.biform import BiformValue2, apply_pairs
-from isocal import checks
+from isocal.biform import BiformValue
+from isocal import checks, cli, quadrature
 
 
 def _rot90(v):
@@ -90,6 +90,58 @@ def test_coincidence_is_relative_to_point_scale():
             mayer_vector(p, (1.0, 0.0), p)
 
 
+# powers of two scale exactly; the decimal scales round the inputs
+_SCALES = [pytest.param(2.0 ** k, id=f"2^{k}")
+           for k in (-1000, -600, -60, 60, 600, 1000)] \
+    + [pytest.param(s, id=f"{s:g}") for s in (1e155, 1e-155, 1e-170)]
+
+
+@pytest.mark.parametrize("s", _SCALES)
+def test_kernel_is_scale_free(s):
+    x, y = np.array([0.3, -1.1]), np.array([-0.7, 0.4])
+    x3, y3 = np.array([0.3, -1.1, 0.8]), np.array([-0.7, 0.4, -0.2])
+    t, u = np.array([0.6, 0.8]), np.array([0.28, -0.96])
+
+    def values(s):
+        v = mayer_vector(s * y, t, s * x)
+        return [np.array([v.u1, v.u2]),
+                biform_apply(s * x, s * y, u, t),
+                biform_apply(s * x3, s * y3, np.r_[u, 0.0], np.r_[0.0, t]),
+                biform2(s * x, s * y).m,
+                biform3(s * x3, s * y3).m]
+
+    for got, want in zip(values(s), values(1.0)):
+        if math.frexp(s)[0] == 0.5:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_sweeps_and_reports_share_one_kernel(monkeypatch):
+    # the randomised sweeps and the pair sum evaluate one kernel function:
+    # perturbing it where it is looked up moves all of them past their
+    # report tolerances
+    tol = cli.DEFAULT_TOLERANCES
+    curve = regular_polygon(64)
+
+    def sweeps():
+        return [("unit_norm", checks.mayer_vector_norm_residual(1000)),
+                ("orthogonality", checks.orthogonality_residual(2, 1000)),
+                ("orthogonality", checks.orthogonality_residual(3, 1000)),
+                ("circle_equality", checks.circle_equality_residual(2, 20)),
+                ("circle_equality", checks.circle_equality_residual(3, 20)),
+                ("consistency", checks.consistency_residual(1000))]
+
+    before = sweeps()
+    integral = quadrature.double_boundary_integral(curve, 2)
+    kernel = quadrature._kernel
+    monkeypatch.setattr(quadrature, "_kernel", lambda *a: kernel(*a) + 0.01)
+    for (name, old), (_, new) in zip(before, sweeps()):
+        assert old <= tol[name] < new, name
+    moved = quadrature.double_boundary_integral(curve, 2)
+    assert abs(moved / integral - 1.0) > tol["double_integral_rel"]
+
+
 # ---------------------------------------------------------------------------
 # kernel matrices
 
@@ -116,9 +168,9 @@ def test_biform2_eigenvalues_are_unit():
 
 def test_biform_matrix_invariants_enforced():
     with pytest.raises(ValueError):
-        BiformValue2(np.array([[1.0, 0.1], [0.0, -1.0]]))
+        BiformValue(np.array([[1.0, 0.1], [0.0, -1.0]]))
     with pytest.raises(ValueError):
-        BiformValue2(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        BiformValue(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_biform2_involution():
@@ -182,19 +234,6 @@ def test_circle_tangent_equality_r3():
 def test_orthogonality_sweeps():
     assert checks.orthogonality_residual(2, 10_000, seed=9) <= 1e-12
     assert checks.orthogonality_residual(3, 10_000, seed=9) <= 1e-12
-
-
-def test_apply_pairs_matches_scalar():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(7, 2))
-    Y = rng.normal(size=(5, 2)) + 4.0
-    U = rng.normal(size=(7, 2))
-    V = rng.normal(size=(5, 2))
-    K = apply_pairs(X[:, None, :], U[:, None, :], Y[None, :, :], V[None, :, :])
-    for i in range(7):
-        for j in range(5):
-            assert K[i, j] == pytest.approx(
-                biform_apply(X[i], Y[j], U[i], V[j]), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,16 @@ def test_hyperbolic_circle_perimeter_and_area():
         2 * math.pi * (math.cosh(1.0) - 1.0), abs=1e-3)
 
 
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
+def test_hyperbolic_polygon_perimeter_closed_form(r, n):
+    # each edge of the inscribed regular n-gon has length
+    # 2 asinh(sinh r sin(pi / n)); arccosh(-<a, b>) cancels on short edges
+    want = n * 2.0 * math.asinh(math.sinh(r) * math.sin(math.pi / n))
+    assert hyperbolic_perimeter(hyperbolic_circle(r, n)) == pytest.approx(
+        want, rel=1e-14, abs=0)
+
+
 def test_right_angled_pentagon_area():
     # a regular pentagon with five right angles has defect
     # (5 - 2) pi - 5 pi/2 = pi/2; circumradius arccosh(cot(pi/5 ... 36 deg))
@@ -435,7 +445,7 @@ def sphere_nodes_reference(v, refinement):
 def hyperbolic_nodes_reference(v, refinement):
     pts, tans, wts = [], [], []
     for a, b in zip(v, np.roll(v, -1, axis=0)):
-        d = math.acosh(max(-minkowski_dot(a, b), 1.0))
+        d = 2.0 * math.asinh(math.sqrt(minkowski_dot(b - a, b - a)) / 2.0)
         q = [(math.sinh((1 - k / refinement) * d) * a
               + math.sinh(k / refinement * d) * b) / math.sinh(d)
              for k in range(refinement + 1)]

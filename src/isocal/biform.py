@@ -140,12 +140,17 @@ def biform_apply(x, y, u, v) -> float:
 
 def curl_density(y, t_y, x) -> float:
     """2 det(y - x, t_y) / |x - y|^2, the x-exterior-derivative coefficient
-    of the one-form <V(y, t_y, x), dx>.  det(a, b) = a1 b2 - a2 b1."""
-    yv, xv = _vec2(y), _vec2(x)
+    of the one-form <V(y, t_y, x), dx>.  det(a, b) = a1 b2 - a2 b1.  Exact
+    to rounding wherever the value is a float; at separations below about
+    1e-308 it overflows, and math.ldexp raises OverflowError."""
     t = _unit(t_y)
-    z = _check_distinct(xv, yv)
-    d = yv - xv
-    return float(2.0 * (d[0] * t[1] - d[1] * t[0]) / (z @ z))
+    # degree -1 in y - x: scaled by the power of two 2^-e that brings its
+    # largest component into [1/2, 1), as in _pair_kernel, and the value
+    # by the same 2^-e, which changes no bits where |x - y|^2 is normal
+    z = _check_distinct(_vec2(x), _vec2(y))
+    e = int(np.frexp(np.abs(z).max())[1])
+    d = np.ldexp(-z, -e)
+    return math.ldexp(float(2.0 * (d[0] * t[1] - d[1] * t[0]) / (d @ d)), -e)
 
 
 def averaged_field(curve: ClosedCurve, x, refinement: int = 1) -> np.ndarray:

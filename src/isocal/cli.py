@@ -15,13 +15,14 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import __version__, biform, checks, io, mayer, quadrature, spaces
+from . import __version__, biform, checks, io, mayer
 from .curves import CurveError
 
 ENV_CONFIG = "ISOCAL_CONFIG"
@@ -162,26 +163,19 @@ def _cmd_verify(args) -> int:
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed curve JSON: {e}") from e
     curve = io.curve_from_dict(data)
-    file_space = data.get("space", "euclidean")
-    if args.space and args.space != file_space:
-        raise UsageError(
-            f"--space {args.space} conflicts with curve file space {file_space!r}")
-    space = file_space
+    geometry = curve.geometry
+    if args.space and args.space != geometry.tag:
+        raise UsageError(f"--space {args.space} conflicts with curve file "
+                         f"space {geometry.tag!r}")
     refinement = args.refinement if args.refinement is not None \
         else config.get("refinement")
     if refinement is not None and not _int_at_least(refinement, 1):
         raise UsageError(
             f"refinement must be a positive integer, got {refinement!r}")
     if refinement is None:
-        refinement = quadrature.auto_refinement(curve) \
-            if space == "euclidean" else 1
-
-    if space == "euclidean":
-        report_data = quadrature.verify_isoperimetric(curve, refinement)
-    elif space == "sphere":
-        report_data = spaces.verify_sphere_isoperimetric(curve, refinement)
-    else:
-        report_data = spaces.verify_hyperbolic_isoperimetric(curve, refinement)
+        refinement = geometry.default_refinement(curve)
+    verify = operator.attrgetter(geometry.verify)(sys.modules[__package__])
+    report_data = verify(curve, refinement)
 
     # the double integral converges to the sharp bound itself
     expected = report_data.lower_bound
@@ -193,16 +187,11 @@ def _cmd_verify(args) -> int:
         _check("double_integral_rel_error", rel_err,
                tol["double_integral_rel"], "abs"),
     ]
-    notes = []
-    if space == "hyperbolic":
-        notes.append(
-            "hyperbolic kernel norm bound |alpha| <= 1 is verified "
-            "empirically, not proved")
     report = {
         "schema": 1,
         "tool": {"name": "isocal", "version": __version__},
         "command": "verify",
-        "space": space,
+        "space": geometry.tag,
         "config": {"refinement": refinement, "tolerances": tol},
         "input": {"path": args.curve, "content_hash": io.content_hash(curve)},
         "results": {
@@ -215,7 +204,7 @@ def _cmd_verify(args) -> int:
             "expected_double_integral": expected,
         },
         "checks": checks_list,
-        "notes": notes,
+        "notes": list(geometry.notes),
     }
     return _finish(report, args.out, t0, args.argv_echo)
 

@@ -1,4 +1,6 @@
-"""Oriented closed polygonal curves in the plane.
+"""Oriented closed polygonal curves in the plane, and the geometry records
+whose node generator and perimeter sum serve the sphere and the hyperboloid
+too.
 
 Everything downstream treats a curve as a polygon: smooth boundaries enter as
 fine polygons, which turns every integral in the package into a finite sum
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -37,6 +40,80 @@ class PointOnBoundaryError(CurveError):
 
 class OrientationError(CurveError):
     """Curve has the wrong orientation for the requested operation."""
+
+
+def metric_dot(J, a, b):
+    """sum_k J_k a_k b_k over component arrays, for J_0 = 1, J_k = +-1: in
+    component order with no BLAS call, so bitwise symmetric in (a, b) and
+    odd in the sign of each."""
+    out = a[0] * b[0]
+    for s, x, y in zip(J[1:], a[1:], b[1:]):
+        out = out + x * y if s > 0 else out - x * y
+    return out
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """One geometry of the inequality perimeter^2 >= (4 pi - K area) area
+    for geodesic polygons: the plane (PLANE, below), the unit sphere and the
+    hyperboloid (SPHERE and HYPERBOLIC in spaces).  Each curve class carries
+    its record as the class attribute `geometry`."""
+
+    tag: str          # the curve file's "space" key and the report's space_tag
+    K: float          # curvature: 0, +1 or -1
+    J: tuple          # the ambient pairing's diagonal, for metric_dot
+    f: Callable       # identity, sin or sinh: the edge parametrisation of nodes
+    length: Callable  # geodesic lengths between the rows of a and b
+    verify: str       # the report function as "module.name" in the package,
+                      # looked up at call time, so wrappers of it see the call
+    default_refinement: Callable  # curve -> refinement of its CLI report
+    notes: tuple = ()  # caveats that every report in this geometry carries
+
+    def perimeter(self, v) -> float:
+        """Sum of the edge lengths of the closed polygon v, in one fsum."""
+        return math.fsum(self.length(v, np.roll(v, -1, axis=0)))
+
+    def nodes(self, v, refinement: int):
+        """(points, tangents, weights, edge_ids, sub_starts, sub_ends) of the
+        closed polygon v, each edge (a, b) of length L cut into `refinement`
+        equal pieces.  The point at arc length s is (f(L - s) / f(L)) a +
+        (f(s) / f(L)) b, ratios first, so coordinates are never multiplied
+        by L.  Nodes are the pieces' midpoints, weights L / refinement, and
+        tangents their chords (tangent at the midpoint of a geodesic piece),
+        scaled by a power of two and normalised under J: finite at any scale.
+        """
+        if refinement < 1:
+            raise ValueError("refinement must be >= 1")
+        a, b = v, np.roll(v, -1, axis=0)
+        L = self.length(a, b)[:, None]
+        # even columns are the pieces' ends, odd columns their midpoints
+        s = L * (np.arange(2 * refinement + 1) / (2 * refinement))
+        fL = self.f(L)
+        q = ((self.f(L - s) / fL)[..., None] * a[:, None, :]
+             + (self.f(s) / fL)[..., None] * b[:, None, :])
+        starts = q[:, :-1:2].reshape(-1, v.shape[1])
+        ends = q[:, 2::2].reshape(-1, v.shape[1])
+        ch = ends - starts
+        ch = np.ldexp(ch, -np.frexp(np.abs(ch).max(axis=1))[1][:, None])
+        tangents = ch / np.sqrt(metric_dot(self.J, ch.T, ch.T))[:, None]
+        return (q[:, 1::2].reshape(-1, v.shape[1]), tangents,
+                np.repeat(L[:, 0] / refinement, refinement),
+                np.repeat(np.arange(len(v)), refinement), starts, ends)
+
+
+def auto_refinement(curve, target_nodes: int = 512) -> int:
+    """Sub-edge refinement giving at least target_nodes nodes (minimum 2)."""
+    return max(2, math.ceil(target_nodes / curve.n_vertices))
+
+
+def _plane_lengths(a, b):
+    """Euclidean lengths between the rows of a and b."""
+    return np.hypot(*(b - a).T)
+
+
+PLANE = Geometry(tag="euclidean", K=0.0, J=(1.0, 1.0), f=np.positive,
+                 length=_plane_lengths, verify="quadrature.verify_isoperimetric",
+                 default_refinement=auto_refinement)
 
 
 @dataclass(frozen=True)
@@ -102,6 +179,7 @@ class ClosedCurve:
     """
 
     vertices: np.ndarray
+    geometry: ClassVar[Geometry] = PLANE
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -161,8 +239,7 @@ def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0),
 
 def perimeter(curve: ClosedCurve) -> float:
     """Sum of edge lengths; strictly positive for a valid curve."""
-    v = curve.vertices
-    return math.fsum(np.hypot(*(np.roll(v, -1, axis=0) - v).T))
+    return PLANE.perimeter(curve.vertices)
 
 
 def signed_area(curve: ClosedCurve) -> float:
@@ -173,27 +250,12 @@ def signed_area(curve: ClosedCurve) -> float:
 
 
 def boundary_node_arrays(curve: ClosedCurve, refinement: int = 1):
-    """Quadrature nodes as plain arrays.
-
-    Returns (points, tangents, weights, edge_ids, sub_starts, sub_ends); the
-    nodes are midpoints of each edge subdivided `refinement` times, tangents
-    are the (constant) edge directions, weights the sub-edge lengths.
+    """Quadrature nodes as plain arrays: (points, tangents, weights,
+    edge_ids, sub_starts, sub_ends) of each edge subdivided `refinement`
+    times, from the shared generator PLANE.nodes.  Tangents are the
+    (constant) edge directions, weights the sub-edge lengths.
     """
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
-    v = curve.vertices
-    n = len(v)
-    a = np.repeat(v, refinement, axis=0)
-    e = np.repeat(np.roll(v, -1, axis=0) - v, refinement, axis=0)
-    k = np.tile(np.arange(refinement, dtype=float), n)
-    sub_starts = a + e * (k / refinement)[:, None]
-    sub_ends = a + e * ((k + 1) / refinement)[:, None]
-    points = 0.5 * (sub_starts + sub_ends)
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    tangents = e / lengths[:, None]
-    weights = lengths / refinement
-    edge_ids = np.repeat(np.arange(n), refinement)
-    return points, tangents, weights, edge_ids, sub_starts, sub_ends
+    return PLANE.nodes(curve.vertices, refinement)
 
 
 def boundary_nodes(curve: ClosedCurve, refinement: int = 1) -> list[BoundaryNode]:
@@ -205,17 +267,21 @@ def boundary_nodes(curve: ClosedCurve, refinement: int = 1) -> list[BoundaryNode
     ]
 
 
+def _nearest_edge(curve: ClosedCurve, p: np.ndarray) -> tuple[int, float]:
+    """(index, distance) of the edge nearest to the point p, by projection
+    onto each edge clamped to its ends."""
+    v = curve.vertices
+    e = np.roll(v, -1, axis=0) - v
+    ee = np.einsum("ij,ij->i", e, e)
+    t = np.clip(np.einsum("ij,ij->i", p[None, :] - v, e) / ee, 0.0, 1.0)
+    d = np.hypot(*(v + t[:, None] * e - p).T)
+    i = int(np.argmin(d))
+    return i, float(d[i])
+
+
 def distance_to_boundary(curve: ClosedCurve, x) -> float:
     """Euclidean distance from x to the polygon boundary."""
-    p = _vec2(x)
-    v = curve.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
-    e = b - a
-    ee = np.einsum("ij,ij->i", e, e)
-    t = np.clip(np.einsum("ij,ij->i", p[None, :] - a, e) / ee, 0.0, 1.0)
-    proj = a + t[:, None] * e
-    return float(np.min(np.hypot(*(proj - p).T)))
+    return _nearest_edge(curve, _vec2(x))[1]
 
 
 def _require_off_boundary(curve: ClosedCurve, x) -> np.ndarray:

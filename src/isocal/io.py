@@ -17,7 +17,9 @@ import numpy as np
 from .curves import ClosedCurve, CurveError
 from .spaces import HyperbolicCurve, SphericalCurve
 
-SPACES = ("euclidean", "sphere", "hyperbolic")
+_CURVES = {c.geometry.tag: c
+           for c in (ClosedCurve, SphericalCurve, HyperbolicCurve)}
+SPACES = tuple(_CURVES)
 
 
 def curve_from_dict(data: dict):
@@ -32,22 +34,12 @@ def curve_from_dict(data: dict):
         vertices = np.asarray(data["vertices"], dtype=float)
     except (KeyError, ValueError, TypeError) as e:
         raise CurveError(f"bad vertex list: {e}") from e
-    if space == "sphere":
-        return SphericalCurve(vertices)
-    if space == "hyperbolic":
-        return HyperbolicCurve(vertices)
-    return ClosedCurve(vertices)
+    return _CURVES[space](vertices)
 
 
 def curve_to_dict(curve) -> dict:
-    data = {"vertices": curve.vertices.tolist(), "closed": True}
-    if isinstance(curve, SphericalCurve):
-        data["space"] = "sphere"
-    elif isinstance(curve, HyperbolicCurve):
-        data["space"] = "hyperbolic"
-    else:
-        data["space"] = "euclidean"
-    return data
+    return {"vertices": curve.vertices.tolist(), "closed": True,
+            "space": curve.geometry.tag}
 
 
 def load_curve(path: str):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves
-from .curves import _BLOCK_BYTES, ClosedCurve, _vec2
+from .curves import (_BLOCK_BYTES, PLANE, ClosedCurve, auto_refinement,
+                     metric_dot, _vec2)
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class IsoperimetricReport:
     """Scalar summary of one isoperimetric verification run.
 
     deficit = perimeter^2 - lower_bound, where lower_bound is the sharp
-    space-dependent bound (4*pi*area in the plane).  calibration_gap is
+    bound (4*pi - K*area) * area of the curvature K.  calibration_gap is
     perimeter^2 minus the computed double boundary integral; both must be
     nonnegative up to quadrature tolerance.
     """
@@ -36,6 +37,19 @@ class IsoperimetricReport:
     deficit: float
     calibration_gap: float
     space_tag: str
+
+    @classmethod
+    def of(cls, geometry: curves.Geometry, perimeter: float, area: float,
+           double_integral: float) -> "IsoperimetricReport":
+        """The report with the sharp bound (4*pi - K*area) * area of the
+        geometry's curvature K; as 0*A = 0 and (-1)*A = -A exactly, this is
+        4*pi*A, (4*pi - A)*A and (4*pi + A)*A bit for bit."""
+        L = perimeter
+        lower = (4.0 * math.pi - geometry.K * area) * area
+        return cls(perimeter=L, area=area, double_integral=double_integral,
+                   lower_bound=lower, deficit=L * L - lower,
+                   calibration_gap=L * L - double_integral,
+                   space_tag=geometry.tag)
 
 
 def line_integral(curve: ClosedCurve, field, refinement: int = 1) -> float:
@@ -96,30 +110,14 @@ def winding_integral(curve: ClosedCurve, x, refinement: int = 1,
     adaptive Simpson with a per-piece budget of tol / #pieces.
     """
     p = curves._require_off_boundary(curve, x)
-    v = curve.vertices
-    n = len(v)
-    pieces = []
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        for k in range(refinement):
-            pieces.append((a + (b - a) * (k / refinement),
-                           a + (b - a) * ((k + 1) / refinement)))
-    per = tol / len(pieces)
-    return math.fsum(_edge_winding_integral(a, b, p, per) for a, b in pieces)
+    *_, starts, ends = PLANE.nodes(curve.vertices, refinement)
+    per = tol / len(starts)
+    return math.fsum(_edge_winding_integral(a, b, p, per)
+                     for a, b in zip(starts, ends))
 
 
 # ---------------------------------------------------------------------------
 # double boundary integral of the tangent kernel
-
-def metric_dot(J, a, b):
-    """sum_k J_k a_k b_k over component arrays, for J_0 = 1, J_k = +-1: in
-    component order with no BLAS call, so bitwise symmetric in (a, b) and
-    odd in the sign of each."""
-    out = a[0] * b[0]
-    for s, x, y in zip(J[1:], a[1:], b[1:]):
-        out = out + x * y if s > 0 else out - x * y
-    return out
-
 
 def _kernel(d, ti, tj, J, r2):
     """2 <d, ti> <d, tj> / r2 - <ti, tj> under J, for d = x_i - x_j.  Swapping
@@ -215,39 +213,12 @@ def double_boundary_integral(curve: ClosedCurve, refinement: int = 1,
 def _locate_on_boundary(curve: ClosedCurve, y):
     """Edge index and tangent of the edge containing y; error if off-curve."""
     p = _vec2(y)
-    v = curve.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
-    e = b - a
-    ee = np.einsum("ij,ij->i", e, e)
-    t = np.clip(np.einsum("ij,ij->i", p[None, :] - a, e) / ee, 0.0, 1.0)
-    proj = a + t[:, None] * e
-    d = np.hypot(*(proj - p).T)
-    i = int(np.argmin(d))
-    if d[i] > curves.BOUNDARY_TOL_FACTOR * curve.diameter:
+    i, d = curves._nearest_edge(curve, p)
+    if d > curves.BOUNDARY_TOL_FACTOR * curve.diameter:
         raise curves.CurveError(f"point {p.tolist()} does not lie on the curve")
-    return i, e[i] / math.hypot(*e[i])
-
-
-def _ray_crossings(curve: ClosedCurve, p, w):
-    """Sorted distances r > 1e-12 * diameter at which the rays p + r w (rows
-    of w) cross an edge a + s e, s in [0, 1), by Cramer on [w, -e]; one row
-    per ray, as many columns as the most crossed ray, inf-padded."""
     v = curve.vertices
-    a = v
-    e = np.roll(v, -1, axis=0) - v
-    D = w[:, None, 0] * e[None, :, 1] - w[:, None, 1] * e[None, :, 0]
-    rhs = a - p
-    cr_e = rhs[None, :, 0] * e[None, :, 1] - rhs[None, :, 1] * e[None, :, 0]
-    cr_w = rhs[:, 0][None, :] * w[:, 1][:, None] - rhs[:, 1][None, :] * w[:, 0][:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = cr_e / D
-        s = cr_w / D
-    rmin = 1e-12 * curve.diameter
-    valid = np.isfinite(r) & (r > rmin) & (s >= 0.0) & (s < 1.0)
-    r = np.where(valid, r, np.inf)
-    r.sort(axis=1)
-    return r[:, :int(valid.sum(axis=1).max(initial=0))]
+    e = v[(i + 1) % len(v)] - v[i]
+    return i, e / math.hypot(*e)
 
 
 def interior_curl_integral(curve: ClosedCurve, y, t_y, n_phi: int = 4096) -> float:
@@ -258,43 +229,37 @@ def interior_curl_integral(curve: ClosedCurve, y, t_y, n_phi: int = 4096) -> flo
     integral reduces exactly to the inside-length of each ray, obtained by
     ray casting against the polygon.  Only the angular variable is quadratured
     (midpoint rule on n_phi samples).
+
+    Crossing parity: each vertex's side det(w, v - y) is computed once per
+    ray, so a ray through a vertex counts it alike on both of its edges; an
+    edge crosses where one side is > 0 and the other is not, at a distance
+    interpolated from <v - y, w>.  Beyond its farthest crossing a ray is
+    outside, so its inside length is r_K - r_(K-1) + ...  An edge along a
+    sample ray stays ill-conditioned, as in any float ray caster.
     """
     p = _vec2(y)
     t = np.asarray(t_y, float)
-    v = curve.vertices
-    n = len(v)
+    d = curve.vertices - p
+    rmin = 1e-12 * curve.diameter
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     w = np.c_[np.cos(phi), np.sin(phi)]
-    # crossing distances r_1 <= r_2 <= ... of each ray, in blocks of rays
-    # within the block budget, inf-padded to the most crossed ray's count
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    crossings = [_ray_crossings(curve, p, w[r0:r0 + step])
-                 for r0 in range(0, n_phi, step)]
-    kmax = max(c.shape[1] for c in crossings)
-    if kmax == 0:
-        return 0.0
-    r = np.concatenate([np.pad(c, ((0, 0), (0, kmax - c.shape[1])),
-                               constant_values=np.inf) for c in crossings])
-    # interval breakpoints per ray: 0, r_1, r_2, ...
-    bounds = np.concatenate([np.zeros((n_phi, 1)), r], axis=1)
-    seg_ok = np.isfinite(bounds[:, 1:])
-    lo = np.where(seg_ok, bounds[:, :-1], 0.0)
-    hi = np.where(seg_ok, bounds[:, 1:], 0.0)
-    mids = 0.5 * (lo + hi)
-    # membership of each interval midpoint, winding over vertices in blocks
-    # of rays whose (rays, kmax, vertices) temporaries fit the budget
-    wind = np.empty((n_phi, kmax))
-    step = max(1, _BLOCK_BYTES // (8 * kmax * n))
+    mu = np.empty(n_phi)
+    # blocks of rays whose (rays, vertices) temporaries fit the budget
+    step = max(1, _BLOCK_BYTES // (8 * len(d)))
     for r0 in range(0, n_phi, step):
-        rays = slice(r0, r0 + step)
-        pts = p[None, None, :] + mids[rays, :, None] * w[rays, None, :]
-        dv = v[None, :, :] - pts.reshape(-1, 2)[:, None, :]
-        ang = np.arctan2(dv[:, :, 1], dv[:, :, 0])
-        inc = np.diff(np.concatenate([ang, ang[:, :1]], axis=1), axis=1)
-        inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-        wind[rays] = np.rint(inc.sum(axis=1) / (2.0 * np.pi)).reshape(-1, kmax)
-    inside = seg_ok & (wind != 0)
-    mu = np.where(inside, hi - lo, 0.0).sum(axis=1)
+        w0, w1 = w[r0:r0 + step, :1], w[r0:r0 + step, 1:]
+        side = w0 * d[:, 1] - w1 * d[:, 0]
+        dist = w0 * d[:, 0] + w1 * d[:, 1]
+        side1, dist1 = np.roll(side, -1, axis=1), np.roll(dist, -1, axis=1)
+        cross = (side > 0) != (side1 > 0)
+        lam = np.divide(side, side - side1, out=np.zeros_like(side),
+                        where=cross)
+        r = dist + (dist1 - dist) * lam
+        # descending, non-crossings as zeros, paired off from the top
+        r = -np.sort(-np.where(cross & (r > rmin), r, 0.0), axis=1)
+        if r.shape[1] % 2:
+            r = np.pad(r, ((0, 0), (0, 1)))
+        mu[r0:r0 + step] = (r[:, 0::2] - r[:, 1::2]).sum(axis=1)
     dphi = 2.0 * np.pi / n_phi
     detwt = w[:, 0] * t[1] - w[:, 1] * t[0]
     return math.fsum(-2.0 * detwt * mu * dphi)
@@ -327,33 +292,29 @@ def stokes_check(curve: ClosedCurve, y, t_y=None, refinement: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def auto_refinement(curve: ClosedCurve, target_nodes: int = 512) -> int:
-    """Sub-edge refinement giving at least target_nodes nodes (minimum 2)."""
-    return max(2, math.ceil(target_nodes / curve.n_vertices))
-
-
 def verify_isoperimetric(curve: ClosedCurve, refinement: int | None = None,
                          check_simple: bool = True) -> IsoperimetricReport:
     """Full planar report: perimeter, area, double integral, sharp bound.
 
     Requires a simple, positively oriented curve; a negatively oriented
     input raises OrientationError rather than silently flipping signs.
+    Computed in units of 2^e, the diameter's power of two, which changes no
+    bits where the values are normal floats; a curve whose perimeter^2 is
+    not one is rejected with CurveError before any arithmetic overflows.
     """
+    e = math.frexp(curve.diameter)[1]
+    unit = ClosedCurve(np.ldexp(curve.vertices, -e))
+    L = curves.perimeter(unit)
+    k = math.frexp(L)[1] + e  # L = m 2^k, 1/2 <= m < 1
+    if not -510 <= k <= 512:
+        raise curves.CurveError(f"perimeter squared, about 2^{2 * k}, "
+                                "is not a normal float")
     curves.ensure_positive(curve)
     if check_simple:
         curves.ensure_simple(curve)
     if refinement is None:
         refinement = auto_refinement(curve)
-    L = curves.perimeter(curve)
-    A = curves.signed_area(curve)
-    I = double_boundary_integral(curve, refinement, check_simple=False)
-    lower = 4.0 * math.pi * A
-    return IsoperimetricReport(
-        perimeter=L,
-        area=A,
-        double_integral=I,
-        lower_bound=lower,
-        deficit=L * L - lower,
-        calibration_gap=L * L - I,
-        space_tag="euclidean",
-    )
+    A = curves.signed_area(unit)
+    I = double_boundary_integral(unit, refinement, check_simple=False)
+    return IsoperimetricReport.of(PLANE, math.ldexp(L, e),
+                                  math.ldexp(A, 2 * e), math.ldexp(I, 2 * e))

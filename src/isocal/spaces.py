@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .curves import ClosedCurve, CurveError, _box_pairs
-from .quadrature import IsoperimetricReport, metric_dot, pair_sum
+from .curves import ClosedCurve, CurveError, Geometry, _box_pairs, metric_dot
+from .quadrature import IsoperimetricReport, pair_sum
 
-_MINK = np.array([1.0, 1.0, -1.0])
+_MINK = (1.0, 1.0, -1.0)
 _EUCLID3 = (1.0, 1.0, 1.0)
 
 
@@ -38,6 +39,18 @@ def _rowdot(J, x, y):
 # spherical curves
 
 
+def _sphere_lengths(a, b):
+    """Great-circle lengths between the rows of a and b."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=1),
+                      _rowdot(_EUCLID3, a, b))
+
+
+SPHERE = Geometry(tag="sphere", K=1.0, J=_EUCLID3, f=np.sin,
+                  length=_sphere_lengths,
+                  verify="spaces.verify_sphere_isoperimetric",
+                  default_refinement=lambda curve: 1)
+
+
 @dataclass(frozen=True, eq=False)
 class SphericalCurve:
     """Geodesic polygon on the unit sphere: unit vertices, great-circle edges.
@@ -46,6 +59,7 @@ class SphericalCurve:
     """
 
     vertices: np.ndarray
+    geometry: ClassVar[Geometry] = SPHERE
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -67,16 +81,9 @@ class SphericalCurve:
         return len(self.vertices)
 
 
-def _sphere_lengths(a, b):
-    """Great-circle lengths between the rows of a and b."""
-    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=1),
-                      _rowdot(_EUCLID3, a, b))
-
-
 def sphere_perimeter(curve: SphericalCurve) -> float:
     """Sum of great-circle edge lengths."""
-    v = curve.vertices
-    return math.fsum(_sphere_lengths(v, np.roll(v, -1, axis=0)))
+    return SPHERE.perimeter(curve.vertices)
 
 
 def _turning(v, J):
@@ -112,26 +119,6 @@ def geodesic_cap(theta: float, n: int) -> SphericalCurve:
                                 np.full(n, ct)])
 
 
-def _nodes(v, refinement: int, length, f, J):
-    """(points, tangents, weights, edge_ids) of the geodesic sub-arcs, with
-    breakpoints (f((1 - t) L) a + f(t L) b) / f(L), t = k / refinement, on
-    each edge (a, b) of length L; f = sin (sphere) or sinh (hyperboloid).
-    Midpoints and chords are normalised under J (|<m, m>|: timelike m)."""
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
-    a, b = v, np.roll(v, -1, axis=0)
-    L = length(a, b)[:, None]
-    t = np.arange(refinement + 1) / refinement
-    q = ((f((1.0 - t) * L)[..., None] * a[:, None, :]
-          + f(t * L)[..., None] * b[:, None, :]) / f(L)[..., None])
-    p0, p1 = q[:, :-1].reshape(-1, 3), q[:, 1:].reshape(-1, 3)
-    m, ch = p0 + p1, p1 - p0
-    m = m / np.sqrt(np.abs(metric_dot(J, m.T, m.T)))[:, None]
-    ch = ch / np.sqrt(metric_dot(J, ch.T, ch.T))[:, None]
-    return (m, ch, np.repeat(L[:, 0] / refinement, refinement),
-            np.repeat(np.arange(len(v)), refinement))
-
-
 def sphere_boundary_nodes(curve: SphericalCurve, refinement: int = 1):
     """(points, tangents, weights, edge_ids) for arc-length quadrature.
 
@@ -139,14 +126,13 @@ def sphere_boundary_nodes(curve: SphericalCurve, refinement: int = 1):
     exactly tangent at its geodesic midpoint, so tangents are normalised
     chords with no extra projection error.
     """
-    return _nodes(curve.vertices, refinement, _sphere_lengths, np.sin, _EUCLID3)
+    return SPHERE.nodes(curve.vertices, refinement)[:4]
 
 
 def sphere_double_integral(curve: SphericalCurve, refinement: int = 1) -> float:
     """Double boundary integral of the three-space tangent kernel restricted
     to the sphere; converges to 4*pi*A - A^2 for the enclosed area A."""
-    P, T, W, E = sphere_boundary_nodes(curve, refinement)
-    return pair_sum(P, T, W, E, _EUCLID3)
+    return pair_sum(*sphere_boundary_nodes(curve, refinement), SPHERE.J)
 
 
 def _check_simple_sphere(curve: SphericalCurve) -> None:
@@ -198,18 +184,29 @@ def verify_sphere_isoperimetric(curve: SphericalCurve,
     """Report with the sharp spherical bound (4*pi - A) * A."""
     if check_simple:
         _check_simple_sphere(curve)
-    L = sphere_perimeter(curve)
-    A = sphere_area(curve)
-    I = sphere_double_integral(curve, refinement)
-    lower = (4.0 * math.pi - A) * A
-    return IsoperimetricReport(
-        perimeter=L, area=A, double_integral=I, lower_bound=lower,
-        deficit=L * L - lower, calibration_gap=L * L - I, space_tag="sphere",
-    )
+    return IsoperimetricReport.of(SPHERE, sphere_perimeter(curve),
+                                  sphere_area(curve),
+                                  sphere_double_integral(curve, refinement))
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic curves on the upper hyperboloid
+
+
+def _hyperbolic_lengths(a, b):
+    """Geodesic lengths 2 asinh(sqrt(<b - a, b - a>) / 2) between the rows of
+    a and b: the chord's Minkowski length is 2 sinh(d / 2).  Unlike
+    arccosh(-<a, b>) it does not cancel on short edges."""
+    c = b - a
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(_rowdot(_MINK, c, c), 0.0)))
+
+
+HYPERBOLIC = Geometry(
+    tag="hyperbolic", K=-1.0, J=_MINK, f=np.sinh,
+    length=_hyperbolic_lengths, verify="spaces.verify_hyperbolic_isoperimetric",
+    default_refinement=lambda curve: 1,
+    notes=("hyperbolic kernel norm bound |alpha| <= 1 is verified "
+           "empirically, not proved",))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +214,7 @@ class HyperbolicCurve:
     """Geodesic polygon on {<x, x> = -1, x3 > 0} with the Minkowski pairing."""
 
     vertices: np.ndarray
+    geometry: ClassVar[Geometry] = HYPERBOLIC
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -228,7 +226,7 @@ class HyperbolicCurve:
         if v[:, 2].min() < 1.0 - 1e-12:
             raise CurveError("vertices must lie on the upper sheet (x3 >= 1)")
         # -<v_i, v_{i+1}> = cosh(edge length); 1 means coincident vertices
-        cosh_d = -np.einsum("ij,ij->i", v * _MINK[None, :], np.roll(v, -1, axis=0))
+        cosh_d = -_rowdot(_MINK, v, np.roll(v, -1, axis=0))
         if cosh_d.min() <= 1.0 + 1e-14:
             raise CurveError("consecutive vertices coincide")
         v.flags.writeable = False
@@ -252,18 +250,9 @@ def hyperbolic_circle(radius: float, n: int, phase: float = 0.0) -> HyperbolicCu
                                  np.full(n, cr)])
 
 
-def _hyperbolic_lengths(a, b):
-    """Geodesic lengths 2 asinh(sqrt(<b - a, b - a>) / 2) between the rows of
-    a and b: the chord's Minkowski length is 2 sinh(d / 2).  Unlike
-    arccosh(-<a, b>) it does not cancel on short edges."""
-    c = b - a
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(_rowdot(_MINK, c, c), 0.0)))
-
-
 def hyperbolic_perimeter(curve: HyperbolicCurve) -> float:
     """Sum of geodesic edge lengths d(v_i, v_{i+1})."""
-    v = curve.vertices
-    return math.fsum(_hyperbolic_lengths(v, np.roll(v, -1, axis=0)))
+    return HYPERBOLIC.perimeter(curve.vertices)
 
 
 def hyperbolic_area(curve: HyperbolicCurve) -> float:
@@ -275,8 +264,7 @@ def hyperbolic_area(curve: HyperbolicCurve) -> float:
 def hyperbolic_boundary_nodes(curve: HyperbolicCurve, refinement: int = 1):
     """(points, tangents, weights, edge_ids); chords of geodesic sub-arcs are
     exactly tangent at the geodesic midpoint, Minkowski-normalised."""
-    return _nodes(curve.vertices, refinement, _hyperbolic_lengths, np.sinh,
-                  _MINK)
+    return HYPERBOLIC.nodes(curve.vertices, refinement)[:4]
 
 
 def hyperbolic_double_integral(curve: HyperbolicCurve,
@@ -284,8 +272,8 @@ def hyperbolic_double_integral(curve: HyperbolicCurve,
     """Double boundary integral of the Minkowski-analog tangent kernel;
     matches (4*pi + A) * A on the curves tested and equals perimeter^2 on
     metric circles (the equality case)."""
-    P, T, W, E = hyperbolic_boundary_nodes(curve, refinement)
-    return pair_sum(P, T, W, E, _MINK)
+    return pair_sum(*hyperbolic_boundary_nodes(curve, refinement),
+                    HYPERBOLIC.J)
 
 
 def _check_simple_hyperbolic(curve: HyperbolicCurve) -> None:
@@ -307,14 +295,9 @@ def verify_hyperbolic_isoperimetric(curve: HyperbolicCurve,
     """Report with the sharp hyperbolic bound (4*pi + A) * A."""
     if check_simple:
         _check_simple_hyperbolic(curve)
-    L = hyperbolic_perimeter(curve)
-    A = hyperbolic_area(curve)
-    I = hyperbolic_double_integral(curve, refinement)
-    lower = (4.0 * math.pi + A) * A
-    return IsoperimetricReport(
-        perimeter=L, area=A, double_integral=I, lower_bound=lower,
-        deficit=L * L - lower, calibration_gap=L * L - I, space_tag="hyperbolic",
-    )
+    return IsoperimetricReport.of(HYPERBOLIC, hyperbolic_perimeter(curve),
+                                  hyperbolic_area(curve),
+                                  hyperbolic_double_integral(curve, refinement))
 
 
 def lorentz_boost(rapidity: float, angle: float = 0.0) -> np.ndarray:

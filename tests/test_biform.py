@@ -261,6 +261,26 @@ def test_curl_density_bound():
         assert abs(curl_density(y, t, x)) <= 2.0 / r + 1e-12
 
 
+@pytest.mark.parametrize("s", [1e-170, 1e155, 2.0**-600, 2.0**600])
+def test_curl_density_scale_free(s):
+    # -2 / s: exact where s is a power of two
+    got = curl_density((0.0, 0.0), (0.0, 1.0), (s, 0.0))
+    if math.frexp(s)[0] == 0.5:
+        assert got == -2.0 / s
+    else:
+        assert got == pytest.approx(-2.0 / s, rel=1e-15, abs=0)
+
+
+def test_curl_density_unchanged_at_ordinary_separations():
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        y, x = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-3, 4, (2, 1))
+        a = rng.uniform(0, 2 * np.pi)
+        t = np.array([math.cos(a), math.sin(a)])
+        d, z = y - x, x - y
+        assert curl_density(y, t, x) == 2.0 * (d[0] * t[1] - d[1] * t[0]) / (z @ z)
+
+
 def test_curl_density_matches_field_curl():
     # finite-difference curl of the vector field cross-checks the closed form
     rng = np.random.default_rng(12)

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from isocal import (
@@ -13,7 +15,11 @@ from isocal import (
     regular_polygon,
     reverse,
     save_curve,
+    verify_hyperbolic_isoperimetric,
+    verify_isoperimetric,
+    verify_sphere_isoperimetric,
 )
+from isocal import io
 from isocal.cli import main
 from isocal.curves import CurveError
 
@@ -128,6 +134,47 @@ def test_verify_hyperbolic_flags_empirical_bound(tmp_path):
     assert main(["verify", str(path), "--out", str(out)]) == 0
     rep = _read(out)
     assert any("empirically" in note for note in rep["notes"])
+
+
+def test_space_tags_agree():
+    cases = [(SQUARE, verify_isoperimetric),
+             (geodesic_cap(1.0, 16), verify_sphere_isoperimetric),
+             (hyperbolic_circle(0.5, 16), verify_hyperbolic_isoperimetric)]
+    assert io.SPACES == tuple(type(c).geometry.tag for c, _ in cases)
+    for curve, verify in cases:
+        tag = type(curve).geometry.tag
+        assert verify(curve, 2).space_tag == tag
+        data = io.curve_to_dict(curve)
+        assert data["space"] == tag
+        assert type(io.curve_from_dict(data)) is type(curve)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e155, 1e-160])
+def test_verify_extreme_scale_exit_2(tmp_path, capsys, scale):
+    # the report would hold inf or NaN: rejected as input, no report
+    path, out = tmp_path / "square.json", tmp_path / "r.json"
+    save_curve(ClosedCurve(SQUARE.vertices * scale), str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "perimeter squared" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_verify_large_and_small_squares_pass(tmp_path, scale):
+    reports = []
+    for s in (1.0, scale):
+        path, out = tmp_path / "square.json", tmp_path / "r.json"
+        save_curve(ClosedCurve(SQUARE.vertices * s), str(path))
+        assert main(["verify", str(path), "--out", str(out)]) == 0
+        reports.append(_read(out)["results"])
+    unit, scaled = reports
+    assert scaled["perimeter"] == 4.0 * scale
+    assert scaled["area"] == scale * scale
+    assert scaled["lower_bound"] == 4.0 * math.pi * (scale * scale)
+    assert scaled["double_integral"] == pytest.approx(
+        unit["double_integral"] * scale ** 2, rel=1e-15, abs=0)
 
 
 def test_verify_space_conflict(tmp_path, circle_file, capsys):

@@ -161,6 +161,56 @@ def test_boundary_nodes_bad_refinement():
 
 
 # ---------------------------------------------------------------------------
+# the shared node generator
+
+
+def planar_nodes_reference(v, refinement):
+    """The planar formula before the shared generator: sub-edge ends
+    a + e k / refinement, their midpoints, and edge directions by hypot."""
+    a = np.repeat(v, refinement, axis=0)
+    e = np.repeat(np.roll(v, -1, axis=0) - v, refinement, axis=0)
+    k = np.tile(np.arange(refinement, dtype=float), len(v))
+    starts = a + e * (k / refinement)[:, None]
+    ends = a + e * ((k + 1) / refinement)[:, None]
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    return (0.5 * (starts + ends), e / lengths[:, None], lengths / refinement,
+            starts, ends)
+
+
+@pytest.mark.parametrize("refinement", [1, 3, 32])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_planar_nodes_match_reference(refinement, scale):
+    c = star_polygon(np.random.default_rng(refinement), 20, 40, scale=scale,
+                     center=(0.3 * scale, -0.2 * scale))
+    P, T, W, E, SA, SB = curves.boundary_node_arrays(c, refinement)
+    rP, rT, rW, rSA, rSB = planar_nodes_reference(c.vertices, refinement)
+    size = np.abs(c.vertices).max()
+    assert np.array_equal(E, np.repeat(np.arange(c.n_vertices), refinement))
+    assert np.allclose(W, rW, rtol=1e-15, atol=0)
+    for got, want in ((P, rP), (SA, rSA), (SB, rSB)):
+        assert np.abs(got - want).max() <= 1e-15 * size
+    # a chord of a short piece rounds as the points' scale over its length
+    assert (np.abs(T - rT).max(axis=1) * W <= 4e-15 * size).all()
+
+
+@pytest.mark.parametrize("exponent", [-990, 990])
+def test_planar_nodes_scale_free(exponent):
+    # finite, unit tangents under J, and exactly the unit-scale nodes scaled
+    c = star_polygon(np.random.default_rng(8))
+    unit = curves.boundary_node_arrays(c, 8)
+    far = curves.boundary_node_arrays(
+        ClosedCurve(np.ldexp(c.vertices, exponent)), 8)
+    for a in far[:3] + far[4:]:
+        assert np.isfinite(a).all()
+    T = far[1]
+    assert np.abs(curves.metric_dot(curves.PLANE.J, T.T, T.T) - 1.0).max() \
+        <= 4e-16
+    for i in (0, 2, 4, 5):
+        assert np.array_equal(far[i], np.ldexp(unit[i], exponent))
+    assert np.array_equal(far[1], unit[1])
+
+
+# ---------------------------------------------------------------------------
 # winding number and containment
 
 

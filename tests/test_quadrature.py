@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,6 +342,74 @@ def test_interior_curl_integral_sign():
     val = interior_curl_integral(c, y.point.as_array(),
                                  y.tangent.as_array(), n_phi=1024)
     assert val > 0
+
+
+def inside_length_exact(v, p, w) -> Fraction:
+    """Length of {r > 0 : p + r w inside the polygon v}, in rationals: the
+    line crossings by the half-open side rule, alternately summed from the
+    farthest one (outside beyond it)."""
+    P, W = [Fraction(c) for c in p], [Fraction(c) for c in w]
+    V = [(Fraction(a) - P[0], Fraction(b) - P[1]) for a, b in v]
+    side = [W[0] * b - W[1] * a for a, b in V]
+    dist = [W[0] * a + W[1] * b for a, b in V]
+    rs = []
+    for i in range(len(V)):
+        j = (i + 1) % len(V)
+        if (side[i] > 0) != (side[j] > 0):
+            r = dist[i] + (dist[j] - dist[i]) * side[i] / (side[i] - side[j])
+            if r > 0:
+                rs.append(r)
+    rs.sort(reverse=True)
+    return sum(rs[0::2], Fraction(0)) - sum(rs[1::2], Fraction(0))
+
+
+def one_vertex_per_ray_polygons(count, n_phi):
+    """Star polygons with y the midpoint of edge 0 and every other vertex
+    moved onto its own sample ray of interior_curl_integral from y, so that
+    rays pass through vertices but no edge lies along a ray."""
+    rng = np.random.default_rng(2024)
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    w = np.c_[np.cos(phi), np.sin(phi)]
+    out = []
+    while len(out) < count:
+        v = star_polygon(rng, 6, 20).vertices.copy()
+        y = 0.5 * (v[0] + v[1])
+        d = v[2:] - y
+        k = np.floor(np.arctan2(d[:, 1], d[:, 0]) % (2 * np.pi)
+                     / (2 * np.pi) * n_phi).astype(int) % n_phi
+        if len(set(k)) < len(k):
+            continue
+        v[2:] = y + np.hypot(*d.T)[:, None] * w[k]
+        c = ClosedCurve(v)
+        if c.is_simple and c.orientation > 0:
+            out.append((c, y))
+    return out
+
+
+def test_interior_curl_integral_rays_through_vertices():
+    # a ray through a vertex meets both of its edges there; crossing parity
+    # must count that vertex once (or twice, where the ray only touches it)
+    n_phi = 64
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    w = np.c_[np.cos(phi), np.sin(phi)]
+    for c, y in one_vertex_per_ray_polygons(40, n_phi):
+        e = c.vertices[1] - c.vertices[0]
+        t = e / np.hypot(*e)
+        mu = [float(inside_length_exact(c.vertices, y, wk)) for wk in w]
+        want = math.fsum(-2.0 * (w[:, 0] * t[1] - w[:, 1] * t[0])
+                         * np.array(mu) * (2.0 * np.pi / n_phi))
+        got = interior_curl_integral(c, y, t, n_phi=n_phi)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_interior_curl_integral_bitwise_independent_of_blocking(monkeypatch):
+    c = star_polygon(np.random.default_rng(17), 40, 60)
+    y = 0.5 * (c.vertices[0] + c.vertices[1])
+    t = (1.0, 0.0)
+    want = interior_curl_integral(c, y, t, n_phi=1000).hex()
+    for budget in (1, 1 << 10, 1 << 24):
+        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+        assert interior_curl_integral(c, y, t, n_phi=1000).hex() == want
 
 
 # ---------------------------------------------------------------------------

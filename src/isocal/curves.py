@@ -189,6 +189,10 @@ class ClosedCurve:
             raise CurveError("a closed curve needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise CurveError("vertices must be finite")
+        # below 2^1022 every coordinate difference and its hypot is finite
+        if np.abs(v).max() >= 2.0 ** 1022:
+            raise CurveError("vertex coordinates must be below 2^1022 in "
+                             "magnitude (their differences would overflow)")
         diam = float(np.hypot(*(v.max(axis=0) - v.min(axis=0))))
         if diam == 0.0:
             raise CurveError("all vertices coincide")
@@ -243,8 +247,13 @@ def perimeter(curve: ClosedCurve) -> float:
 
 
 def signed_area(curve: ClosedCurve) -> float:
-    """Shoelace sum; positive iff the interior lies left of travel."""
-    v = curve.vertices
+    """Shoelace sum; positive iff the interior lies left of travel.
+
+    Taken relative to the bounding box's low corner, so a curve far from the
+    origin keeps its area, and the terms depend on neither the starting
+    vertex nor the direction: reversal negates the area exactly.
+    """
+    v = curve.vertices - curve.vertices.min(axis=0)
     x, y = v[:, 0], v[:, 1]
     return 0.5 * math.fsum(x * np.roll(y, -1) - np.roll(x, -1) * y)
 

@@ -1,15 +1,15 @@
 """Integration engines for boundary one-forms, the double boundary integral
 of the tangent kernel, and the singular interior curl integral.
 
-Every total is one math.fsum, which returns the correctly rounded sum of
-its inputs whatever their order.  The pair sum feeds all of its terms into a
-single fsum, so its value is a function of the multiset of terms alone: it
-is the same, bit for bit, for any row blocking and any starting vertex.
+Every total is correctly rounded: the short sums are one math.fsum each, and
+the pair sum, millions of terms, is one exact binned reduction, correctly
+rounded, the same bits as math.fsum.  Either way a total is a function of
+the multiset of its terms alone: the pair sum is the same, bit for bit, for
+any row blocking and any starting vertex.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -126,9 +126,75 @@ def _kernel(d, ti, tj, J, r2):
             - metric_dot(J, ti, tj))
 
 
+# Terms binned between two flushes of an _ExactSum.  A term's significand
+# is split into two 26-bit halves, so each bin's two weight sums stay
+# integers below 2^53, exact in any order, up to 2^27 terms.
+_FLUSH_TERMS = 1 << 27
+
+
+class _ExactSum:
+    """Exact sum of float64 arrays, rounded once: the same bits as
+    math.fsum over the same terms.
+
+    Binned exact summation (Demmel & Nguyen, "Parallel reproducible
+    summation", IEEE TC 2015): the bit pattern of a term is
+    sign | exponent e (11 bits) | fraction f (52 bits), and its value is
+    +-(2^52 [e > 0] + f) 2^(max(e, 1) - 1075).  np.bincount indexes by the
+    top 12 bits and sums the count and the two halves of f per bin, exactly;
+    a flush folds the bins into one Python int in units of 2^-1075, which
+    value() divides by 2^1075 with one correct rounding.  Non-finite terms
+    decide the result alone, as in fsum: value() is then math.fsum of them.
+    A sum beyond the float range raises OverflowError, as fsum does.
+    """
+
+    def __init__(self):
+        self._bins = np.zeros((3, 4096))  # count, high half, low half
+        self._terms = 0  # binned since the last flush
+        self._total = 0
+        self._special = []  # the non-finite terms
+
+    def add(self, x) -> None:
+        x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+        for k0 in range(0, len(x), _FLUSH_TERMS):
+            self._bin(x[k0:k0 + _FLUSH_TERMS])
+
+    def _bin(self, x) -> None:
+        if self._terms + len(x) > _FLUSH_TERMS:
+            self._flush()
+        self._terms += len(x)
+        b = x.view(np.uint64)
+        top = (b >> np.uint64(52)).view(np.int64)
+        count = np.bincount(top, minlength=4096)
+        if count[0x7ff] or count[0xfff]:
+            self._special.extend(x[~np.isfinite(x)].tolist())
+        self._bins[0] += count
+        self._bins[1] += np.bincount(
+            top, (b >> np.uint64(26)) & np.uint64(0x3ffffff), 4096)
+        self._bins[2] += np.bincount(top, b & np.uint64(0x3ffffff), 4096)
+
+    def _flush(self) -> None:
+        count, high, low = self._bins
+        for k in np.flatnonzero(count).tolist():
+            e = k & 0x7ff
+            if e == 0x7ff:
+                continue
+            m = (int(high[k]) << 26) + int(low[k])
+            if e:
+                m += int(count[k]) << 52
+            self._total += (-m if k >> 11 else m) << max(e, 1)
+        self._bins[:] = 0.0
+        self._terms = 0
+
+    def value(self) -> float:
+        if self._special:
+            return math.fsum(self._special)
+        self._flush()
+        return self._total / (1 << 1075)  # int division rounds correctly
+
+
 def _refined_terms(SA, SB, T, W, J, i, j, k=8):
     """Doubled terms of the near pairs (i, j) on a k x k midpoint subgrid of
-    their two sub-edges, batched within the block budget."""
+    their two sub-edges, as arrays batched within the block budget."""
     s = (np.arange(k) + 0.5) / k
     step = max(1, _BLOCK_BYTES // (8 * k * k))
     for c0 in range(0, len(i), step):
@@ -139,12 +205,25 @@ def _refined_terms(SA, SB, T, W, J, i, j, k=8):
         vals = _kernel(d, [t[a, None, None] for t in T.T],
                        [t[b, None, None] for t in T.T], J, metric_dot(J, d, d))
         wt = 2.0 * (W[a] / k) * (W[b] / k)
-        yield (wt[:, None, None] * vals).ravel().tolist()
+        yield (wt[:, None, None] * vals).ravel()
 
 
-def _pair_terms(P, T, W, E, J, near):
+def pair_sum(P, T, W, E, J, near=None) -> float:
+    """Sum_{i,j} w_i w_j K(x_i, t_i; x_j, t_j) under the diagonal metric J.
+
+    K = 2 <z, t_i> <z, t_j> / <z, z> - <t_i, t_j>, z = x_i - x_j, <a, b> =
+    sum_k J_k a_k b_k, J = (1, 1), (1, 1, 1) or (1, 1, -1).  Pairs on one
+    edge (equal E) take the exact value 1.  With near = (sub_starts,
+    sub_ends), cross-edge pairs closer than max(W) / 4 are re-integrated on
+    an 8 x 8 midpoint subgrid of their sub-edges.  As K(i, j) is bitwise
+    K(j, i), the diagonal terms, the doubled strict-upper terms and the
+    subgrid terms go into one exact binned reduction, correctly rounded, the
+    same bits as math.fsum: the correctly rounded sum of the ordered-pair
+    multiset, whatever the row blocking or starting vertex.
+    """
     n = len(P)
-    yield (W * W).tolist()  # the diagonal: one edge, kernel exactly 1
+    acc = _ExactSum()
+    acc.add(W * W)  # the diagonal: one edge, kernel exactly 1
     delta = float(W.max()) / 4.0
     i0 = 0
     while i0 < n - 1:
@@ -161,6 +240,9 @@ def _pair_terms(P, T, W, E, J, near):
                                          [t[None, cols] for t in T.T], J, r2))
         terms = (2.0 * W[rows, None]) * W[None, cols]
         terms *= K
+        # entries below the strict upper triangle add zero
+        corner = terms[:, :i1 - i0]
+        corner[np.tri(*corner.shape, -1, dtype=bool)] = 0.0
         if near is not None:
             # candidates by r2, then the rule dist < delta itself; a near
             # pair's own term is left out rather than added and subtracted
@@ -168,26 +250,11 @@ def _pair_terms(P, T, W, E, J, near):
             hit = (cc >= rr) & ~same[rr, cc] & (np.sqrt(r2[rr, cc]) < delta)
             rr, cc = rr[hit], cc[hit]
             terms[rr, cc] = 0.0
-            yield from _refined_terms(*near, T, W, J, rr + i0, cc + i0 + 1)
-        for r in range(i1 - i0):
-            yield terms[r, r:].tolist()
+            for sub in _refined_terms(*near, T, W, J, rr + i0, cc + i0 + 1):
+                acc.add(sub)
+        acc.add(terms)
         i0 = i1
-
-
-def pair_sum(P, T, W, E, J, near=None) -> float:
-    """Sum_{i,j} w_i w_j K(x_i, t_i; x_j, t_j) under the diagonal metric J.
-
-    K = 2 <z, t_i> <z, t_j> / <z, z> - <t_i, t_j>, z = x_i - x_j, <a, b> =
-    sum_k J_k a_k b_k, J = (1, 1), (1, 1, 1) or (1, 1, -1).  Pairs on one
-    edge (equal E) take the exact value 1.  With near = (sub_starts,
-    sub_ends), cross-edge pairs closer than max(W) / 4 are re-integrated on
-    an 8 x 8 midpoint subgrid of their sub-edges.  As K(i, j) is bitwise
-    K(j, i), the diagonal terms, the doubled strict-upper terms and the
-    subgrid terms go into one math.fsum: the correctly rounded sum of the
-    ordered-pair multiset, whatever the row blocking or starting vertex.
-    """
-    return math.fsum(itertools.chain.from_iterable(
-        _pair_terms(P, T, W, E, J, near)))
+    return acc.value()
 
 
 def double_boundary_integral(curve: ClosedCurve, refinement: int = 1,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
@@ -69,7 +70,8 @@ class SphericalCurve:
         if np.abs(norms - 1.0).max() > 1e-12:
             raise CurveError("vertices must lie on the unit sphere (|v| = 1)")
         dots = np.einsum("ij,ij->i", v, np.roll(v, -1, axis=0))
-        if dots.max() >= 1.0 - 1e-15:
+        if (dots.max() >= 1.0 - 1e-15
+                or not np.cross(v, np.roll(v, -1, axis=0)).any(axis=1).all()):
             raise CurveError("consecutive vertices coincide")
         if dots.min() <= -1.0 + 1e-9:
             raise CurveError("consecutive vertices are antipodal")
@@ -135,46 +137,105 @@ def sphere_double_integral(curve: SphericalCurve, refinement: int = 1) -> float:
     return pair_sum(*sphere_boundary_nodes(curve, refinement), SPHERE.J)
 
 
+# Relative error bound of (a x b) . c in floats, against its permanent (the
+# sum of |a_k b_l c_m| over its six products): at most five roundings reach
+# each product, 5 eps / (1 - 5 eps) on the exact permanent, and the float
+# permanent's own rounding stays inside 8 eps.
+_DET3_ERRBOUND = 8.0 * 2.0 ** -53
+
+
+def _plane_signs(nrm, mag, x) -> np.ndarray:
+    """Row-wise sign of det(a, b, x) = nrm . x, for nrm = a x b in floats,
+    where _DET3_ERRBOUND certifies it against the permanent mag . |x| (mag
+    = |a_2 b_3| + |a_3 b_2|, ... componentwise), plus the smallest normal
+    for products that underflow; 0 where it does not (the exact call
+    decides those)."""
+    det = _rowdot(_EUCLID3, nrm, x)
+    err = (_DET3_ERRBOUND * _rowdot(_EUCLID3, mag, np.abs(x))
+           + np.finfo(float).tiny)
+    return (det > err).astype(np.int8) - (det < -err)
+
+
+def _arcs_meet(a, b, c, d) -> int:
+    """0 if the closed great-circle arcs ab and cd are disjoint, 1 if they
+    share one point, 2 if they share more (an arc of one great circle).
+
+    Exact on the given coordinates, in Fractions: the arc ab is the cone
+    alpha a + beta b (alpha, beta >= 0) of its end rays, so the vertices
+    need not be exact unit vectors.  A ray x in ab's plane has alpha and
+    beta of the signs of (x x b) . n and (a x x) . n, n = a x b.
+    """
+    a, b, c, d = (np.array([Fraction(t) for t in p], dtype=object)
+                  for p in (a, b, c, d))
+    nab, ncd = np.cross(a, b), np.cross(c, d)
+    sc, sd, sa, sb = nab @ c, nab @ d, ncd @ a, ncd @ b
+    if sc * sd > 0 or sa * sb > 0:
+        return 0  # one arc strictly on one side of the other's plane
+
+    def low(x, p, q, n):
+        # alpha |n|^2 or beta |n|^2, whichever is smaller
+        return min(np.cross(x, q) @ n, np.cross(p, x) @ n)
+
+    if sc == 0 and sd == 0:
+        # one great circle: arcs meet where an end lies in the other arc,
+        # and overlap where an end lies strictly inside, or the arcs match
+        ends = [low(c, a, b, nab), low(d, a, b, nab),
+                low(a, c, d, ncd), low(b, c, d, ncd)]
+        if max(ends) < 0:
+            return 0
+        return 2 if max(ends) > 0 or ends[0] == ends[1] == 0 else 1
+    # cd meets ab's plane in the ray of the chord point (sc d - sd c)/(sc - sd)
+    return int(low((sc * d - sd * c) / (sc - sd), a, b, nab) >= 0)
+
+
 def _check_simple_sphere(curve: SphericalCurve) -> None:
-    """Reject crossing great-circle edges.
+    """Reject great-circle edges that meet anywhere but at their shared
+    vertex, closed arcs: touching counts.
 
     Candidate pairs come from the box sweep of curves._box_pairs; an arc lies
     in its endpoint box padded on every axis by its sagitta 1 - cos(L/2).
-    Two non-adjacent arcs cross when each one's great circle strictly
-    separates the other's endpoints and a common point of the two circles
-    lies in both arcs' hemispheres; the first such pair in vertex order
-    names the error.
+    A pair is apart where the signs of det(v_i, w_i, v_j) and det(v_i, w_i,
+    w_j), or of det(v_j, w_j, v_i) and det(v_j, w_j, w_i), certify one arc
+    strictly on one side of the other's plane; _arcs_meet decides the rest
+    exactly.  Adjacent arcs meet beyond their vertex only on one great
+    circle, turning back.  The first meeting pair in vertex order names the
+    error: "overlapping great-circle edges" if the two share more than a
+    point.
     """
     v = curve.vertices
     n = len(v)
     w = np.roll(v, -1, axis=0)
-    nrm = np.cross(v, w)
+    u = np.roll(v, -2, axis=0)
     # 1 - cos(L/2) = 2 sin^2(L/4); 1e-11 covers the vertices' 1e-12
     # unit-norm tolerance and rounding
     pad = (2.0 * np.sin(0.25 * _sphere_lengths(v, w)) ** 2 + 1e-11)[:, None]
-
-    def dot(x, y):
-        return _rowdot(_EUCLID3, x, y)
-
-    first = None  # (i * n + j, overlap) of the first hit pair, i < j
+    nrm = np.cross(v, w)
+    r1, r2 = [1, 2, 0], [2, 0, 1]
+    mag = np.abs(v[:, r1] * w[:, r2]) + np.abs(v[:, r2] * w[:, r1])
+    hits = []  # (i * n + j, overlap) of meeting pairs, i < j
+    for i in np.flatnonzero(_plane_signs(nrm, mag, u) == 0):
+        if _arcs_meet(v[i], w[i], w[i], u[i]) == 2:
+            i, j = sorted((int(i), (int(i) + 1) % n))
+            hits.append((i * n + j, True))
     for i, j in _box_pairs(np.minimum(v, w) - pad, np.maximum(v, w) + pad):
         i, j = np.minimum(i, j), np.maximum(i, j)
         far = (j - i > 1) & (j - i < n - 1)
         i, j = i[far], j[far]
-        crossing = ((dot(v[j], nrm[i]) * dot(w[j], nrm[i]) < 0)
-                    & (dot(nrm[j], v[i]) * dot(nrm[j], w[i]) < 0))
-        i, j = i[crossing], j[crossing]
-        p = np.cross(nrm[i], nrm[j])
-        overlap = np.linalg.norm(p, axis=1) < 1e-15
-        hi, hj = dot(p, v[i] + w[i]), dot(p, v[j] + w[j])
-        meet = ((hi > 0) & (hj > 0)) | ((hi < 0) & (hj < 0))
-        hit = np.flatnonzero(overlap | meet)
-        if len(hit):
-            k = hit[np.argmin(i[hit] * n + j[hit])]
-            if first is None or i[k] * n + j[k] < first[0]:
-                first = (i[k] * n + j[k], overlap[k])
-    if first is not None:
-        raise CurveError("overlapping great-circle edges" if first[1]
+        apart = ((_plane_signs(nrm[i], mag[i], v[j])
+                  * _plane_signs(nrm[i], mag[i], w[j]) > 0)
+                 | (_plane_signs(nrm[j], mag[j], v[i])
+                    * _plane_signs(nrm[j], mag[j], w[i]) > 0))
+        keys = np.sort(i[~apart] * n + j[~apart])
+        for key in keys.tolist():
+            if hits and key >= min(hits)[0]:
+                break
+            meet = _arcs_meet(v[key // n], w[key // n], v[key % n],
+                              w[key % n])
+            if meet:
+                hits.append((key, meet == 2))
+                break
+    if hits:
+        raise CurveError("overlapping great-circle edges" if min(hits)[1]
                          else "spherical curve is self-intersecting")
 
 

@@ -161,6 +161,18 @@ def test_verify_extreme_scale_exit_2(tmp_path, capsys, scale):
     assert "perimeter squared" in capsys.readouterr().err
 
 
+def test_verify_out_of_range_vertices_exit_2(tmp_path, capsys):
+    path, out = tmp_path / "huge.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"vertices": [[-1e308, 0.0], [1e308, 0.0],
+                                             [0.0, 1e308]], "closed": True}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "2^1022" in err and "coincide" not in err
+
+
 @pytest.mark.parametrize("scale", [1e150, 1e-150])
 def test_verify_large_and_small_squares_pass(tmp_path, scale):
     reports = []

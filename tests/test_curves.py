@@ -56,6 +56,23 @@ def test_curve_rejects_repeated_vertex():
         ClosedCurve([[0, 0], [1, 0], [1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("v", [
+    [[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]],
+    [[0.0, 0.0], [2.0**1022, 0.0], [0.0, 1.0]],
+    [[-1.5e308, -1.5e308], [0.0, 0.0], [1.0, -1.0]]])
+def test_curve_rejects_out_of_range_vertices(v):
+    # before any difference of coordinates overflows (a RuntimeWarning fails
+    # the suite) and with the cause named
+    with pytest.raises(CurveError, match="below 2\\^1022"):
+        ClosedCurve(v)
+
+
+def test_curve_accepts_vertices_just_in_range():
+    big = math.nextafter(2.0**1022, 0.0)
+    c = ClosedCurve([[-big, -big], [big, -big], [0.0, big]])
+    assert math.isfinite(c.diameter)
+
+
 def test_curve_vertices_frozen():
     with pytest.raises(ValueError):
         SQUARE.vertices[0, 0] = 5.0
@@ -107,6 +124,25 @@ def test_rigid_motion_invariance():
         assert perimeter(moved) == pytest.approx(perimeter(c), rel=1e-12)
         assert signed_area(moved) == pytest.approx(
             signed_area(c), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e9])
+def test_signed_area_of_translated_curve(shift):
+    # a regular 64-gon on a 2^-20 grid: translating it by 1e6 or 1e9 is exact
+    v = np.round(regular_polygon(64).vertices * 2**20) / 2**20
+    want = signed_area(ClosedCurve(v))
+    moved = ClosedCurve(v + shift)
+    assert np.array_equal(moved.vertices - shift, v)
+    assert abs(signed_area(moved) - want) <= 1e-12 * want
+    assert moved.orientation == 1
+    curves.ensure_positive(moved)
+
+
+def test_signed_area_bitwise_independent_of_start_vertex():
+    c = star_polygon(np.random.default_rng(12), 30, 30, center=(1e3, -2e3))
+    for k in range(c.n_vertices):
+        rolled = ClosedCurve(np.roll(c.vertices, k, axis=0))
+        assert signed_area(rolled).hex() == signed_area(c).hex()
 
 
 def test_scaling_law():

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -291,6 +292,135 @@ def test_batched_refinement_matches_per_pair_reference(seed, refinement):
         # relative to w_i w_j, which bounds the pair's integral (|K| <= 1)
         # where the integral itself cancels
         assert abs(math.fsum(row) / 2 - want) <= 1e-15 * W[a] * W[b]
+
+
+# ---------------------------------------------------------------------------
+# the exact binned reduction against math.fsum
+
+
+def exact_sum(*chunks):
+    acc = quadrature._ExactSum()
+    for c in chunks:
+        acc.add(np.asarray(c, dtype=float))
+    return acc.value()
+
+
+def split(terms, cuts):
+    """terms cut into consecutive chunks at the given positions."""
+    edges = sorted({min(c, len(terms)) for c in cuts})
+    return [terms[a:b] for a, b in zip([0] + edges, edges + [len(terms)])]
+
+
+# sign * m * 2^e over every exponent, subnormals included; below 2^1000 in
+# magnitude, so that no sum of a few thousand terms leaves the float range
+spread = st.builds(lambda s, m, e: s * math.ldexp(m, e),
+                   st.sampled_from([1.0, -1.0]), st.integers(0, 2**53 - 1),
+                   st.integers(-1074, 946))
+anyfloat = st.floats(-2.0**1000, 2.0**1000) | spread | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -2.0**-1022])
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(anyfloat, max_size=200),
+       cuts=st.lists(st.integers(0, 200), max_size=4))
+def test_exact_sum_matches_fsum_bit_for_bit(terms, cuts):
+    assert exact_sum(*split(terms, cuts)).hex() == math.fsum(terms).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(st.sampled_from([0.0, -0.0]), max_size=20),
+       extra=st.lists(anyfloat, max_size=3))
+def test_exact_sum_signed_zeros(terms, extra):
+    for t in (terms, terms + extra):
+        assert exact_sum(t).hex() == math.fsum(t).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(anyfloat, min_size=1, max_size=100),
+       extra=st.lists(anyfloat, max_size=1), seed=st.integers(0, 2**32 - 1))
+def test_exact_sum_exact_cancellation(terms, extra, seed):
+    both = np.random.default_rng(seed).permutation(
+        terms + [-t for t in terms] + extra)
+    assert exact_sum(both).hex() == math.fsum(both).hex()
+    if not extra:
+        assert exact_sum(both).hex() == (0.0).hex()
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_exact_sum_of_one_term_is_the_term(x):
+    # fsum([-0.0]) is 0.0, its zero sum
+    assert exact_sum([x]).hex() == math.fsum([x]).hex() == (x + 0.0).hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(e=st.integers(-1074, 940), count=st.integers(1, 5000),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_exact_sum_many_max_significand_terms(e, count, sign):
+    # every fraction bit set: both halves of each bin at their largest
+    x = sign * math.ldexp(2**53 - 1, e)
+    terms = [x] * count
+    assert exact_sum(terms).hex() == math.fsum(terms).hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(terms=st.lists(anyfloat, max_size=60),
+       cuts=st.lists(st.integers(0, 60), max_size=4),
+       limit=st.integers(1, 7))
+def test_exact_sum_across_flushes(terms, cuts, limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_FLUSH_TERMS", limit)
+        got = exact_sum(*split(terms, cuts))
+    assert got.hex() == math.fsum(terms).hex()
+
+
+def test_exact_sum_flushes_hold_at_most_the_limit(monkeypatch):
+    monkeypatch.setattr(quadrature, "_FLUSH_TERMS", 5)
+    flushes = []
+    flush = quadrature._ExactSum._flush
+    monkeypatch.setattr(quadrature._ExactSum, "_flush",
+                        lambda self: flushes.append(self._terms) or flush(self))
+    terms = np.random.default_rng(2).normal(size=23) * 1e10
+    assert exact_sum(terms[:3], terms[3:17], terms[17:]).hex() == \
+        math.fsum(terms).hex()
+    assert sum(flushes) == 23 and len(flushes) >= 5
+    assert all(0 <= k <= 5 for k in flushes)
+
+
+def test_pair_sum_bitwise_independent_of_flush_limit(monkeypatch):
+    c = ClosedCurve(spiky_star(np.random.default_rng(4), 120))
+    want = double_boundary_integral(c, 3, False).hex()
+    monkeypatch.setattr(quadrature, "_FLUSH_TERMS", 997)
+    assert double_boundary_integral(c, 3, False).hex() == want
+
+
+@pytest.mark.parametrize("terms", [
+    [math.inf, 1.0], [-math.inf, -1.0, 1e308], [1.0, math.inf, math.inf],
+    [math.nan, 1.0], [math.inf, math.nan], [-0.0, math.nan, -math.inf]])
+def test_exact_sum_non_finite_like_fsum(terms):
+    assert exact_sum(terms).hex() == math.fsum(terms).hex()
+
+
+@pytest.mark.parametrize("terms", [[math.inf, -math.inf],
+                                   [1.0, -math.inf, 2.0, math.inf]])
+def test_exact_sum_inf_minus_inf_raises_like_fsum(terms):
+    with pytest.raises(ValueError):
+        math.fsum(terms)
+    with pytest.raises(ValueError):
+        exact_sum(terms)
+
+
+def test_exact_sum_beyond_float_range_raises_like_fsum():
+    big = [1.7e308, 1.7e308]
+    with pytest.raises(OverflowError):
+        math.fsum(big)
+    with pytest.raises(OverflowError):
+        exact_sum(big)
+    # the largest float plus half its last place rounds to even, upward
+    edge = [sys.float_info.max, math.ldexp(1.0, 970)]
+    with pytest.raises(OverflowError):
+        exact_sum(edge)
+    assert exact_sum([sys.float_info.max, math.ldexp(1.0, 969)]) == \
+        sys.float_info.max
 
 
 def test_line_integral_propagates_field_failure():

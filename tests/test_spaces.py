@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,6 +279,155 @@ def test_sphere_simplicity_at_any_chunk_budget(monkeypatch, budget):
             np.random.default_rng(seed), "scatter", 12))
         assert (simplicity_error(_check_simple_sphere, curve)
                 == simplicity_error(check_simple_sphere_reference, curve))
+
+
+# ---------------------------------------------------------------------------
+# exact simplicity on the sphere: closed arcs, co-circular edges
+
+
+def _fcross(x, y):
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0]]
+
+
+def _fdot(x, y):
+    return sum(s * t for s, t in zip(x, y))
+
+
+def arcs_meet_reference(a, b, c, d):
+    """0, 1 or 2 (for more) common points of the closed minor arcs ab and
+    cd, in Fractions: two great circles meet in the rays +-p, p = (a x b) x
+    (c x d); on one great circle, the common points are bounded by end rays
+    lying in both arcs, so two distinct such rays mean a common arc."""
+    a, b, c, d = ([Fraction(float(t)) for t in q] for q in (a, b, c, d))
+    nab, ncd = _fcross(a, b), _fcross(c, d)
+
+    def inside(x, p, q, n):  # x = alpha p + beta q, alpha, beta >= 0
+        return (_fdot(x, n) == 0 and _fdot(_fcross(p, x), n) >= 0
+                and _fdot(_fcross(x, q), n) >= 0)
+
+    def both(x):
+        return inside(x, a, b, nab) and inside(x, c, d, ncd)
+
+    p = _fcross(nab, ncd)
+    if any(p):
+        return int(both(p) or both([-t for t in p]))
+    rays = []
+    for x in filter(both, (a, b, c, d)):
+        if not any(_fdot(x, y) > 0 and not any(_fcross(x, y)) for y in rays):
+            rays.append(x)
+    return min(len(rays), 2)
+
+
+def check_simple_sphere_exact_reference(curve):
+    """All pairs of edges in vertex order: non-adjacent edges may not meet,
+    adjacent ones only at their shared vertex."""
+    v = curve.vertices
+    n = len(v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            meet = arcs_meet_reference(v[i], v[(i + 1) % n], v[j],
+                                       v[(j + 1) % n])
+            if meet > adjacent:
+                raise CurveError("overlapping great-circle edges" if meet == 2
+                                 else "spherical curve is self-intersecting")
+
+
+def eq(lon):
+    """Point on the equator z = 0 (exactly) at longitude lon degrees."""
+    t = math.radians(lon)
+    return [math.cos(t), math.sin(t), 0.0]
+
+
+def geo(lat, lon):
+    lat, lon = math.radians(lat), math.radians(lon)
+    return [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
+            math.sin(lat)]
+
+
+EQUATOR_CASES = {
+    # edge 3 (60 -> 0 degrees) contains edge 0 (20 -> 40 degrees)
+    "overlapping great-circle edges": [eq(20), eq(40), geo(30, 50), eq(60),
+                                       eq(0), geo(-30, 10)],
+    # edges 0 (0 -> 30) and 3 (60 -> 30) touch at 30 degrees only
+    "spherical curve is self-intersecting": [eq(0), eq(30), geo(40, 45),
+                                             eq(60), eq(30), geo(-40, 15)],
+    # edges 0 (0 -> 30) and 3 (60 -> 90) on one great circle, apart
+    None: [eq(0), eq(30), geo(40, 45), eq(60), eq(90), geo(-40, 45)],
+}
+
+SIGNED_PERMUTATIONS = [np.diag(s)[list(p)] for p in itertools.permutations(
+    range(3)) for s in itertools.product([1.0, -1.0], repeat=3)]
+
+
+@pytest.mark.parametrize("want", list(EQUATOR_CASES))
+def test_sphere_simplicity_of_equator_arcs(want):
+    curve = SphericalCurve(EQUATOR_CASES[want])
+    assert simplicity_error(check_simple_sphere_exact_reference, curve) == want
+    # signed axis permutations are exact: the verdict may not move
+    for q in SIGNED_PERMUTATIONS:
+        moved = SphericalCurve(curve.vertices @ q.T)
+        assert simplicity_error(_check_simple_sphere, moved) == want
+    n = curve.n_vertices
+    for k in range(n):
+        got = simplicity_error(_check_simple_sphere,
+                               SphericalCurve(np.roll(curve.vertices, k, 0)))
+        assert (got is None) == (want is None)
+
+
+def test_sphere_adjacent_edges_turning_back_overlap():
+    # 0 -> 60 degrees, then back along the equator to 30 degrees
+    curve = SphericalCurve([eq(0), eq(60), eq(30), geo(-40, 20)])
+    with pytest.raises(CurveError, match="overlapping great-circle edges"):
+        _check_simple_sphere(curve)
+    # going on along the equator is fine
+    _check_simple_sphere(SphericalCurve([eq(0), eq(30), eq(60), geo(40, 30)]))
+
+
+def test_sphere_curve_rejects_parallel_neighbours():
+    # an exact multiple of a vertex within the unit-norm tolerance: no arc
+    with pytest.raises(CurveError, match="coincide"):
+        SphericalCurve([[1.0, 0.0, 0.0], [1.0 - 2.0**-45, 0.0, 0.0],
+                        [0.0, 1.0, 0.0]])
+
+
+# vertices from two exact great circles (z = 0 and y = 0) and a few others,
+# so that edges lie on one circle, touch and overlap
+POOL = ([eq(lon) for lon in range(0, 360, 30)]
+        + [[math.sin(t), 0.0, math.cos(t)]
+           for t in np.radians(np.arange(15, 360, 30))]
+        + [geo(35, 20), geo(-25, 70), geo(50, -40)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(picks=st.lists(st.integers(0, len(POOL) - 1), min_size=3, max_size=9),
+       shift=st.integers(0, 100))
+def test_sphere_simplicity_matches_exact_reference(picks, shift):
+    try:
+        curve = SphericalCurve([POOL[k] for k in picks])
+    except CurveError:
+        return  # coincident or antipodal neighbours: not a curve
+    want = simplicity_error(check_simple_sphere_exact_reference, curve)
+    assert simplicity_error(_check_simple_sphere, curve) == want
+    n = curve.n_vertices
+    for v in (np.roll(curve.vertices, shift % n, axis=0), curve.vertices[::-1]):
+        got = simplicity_error(_check_simple_sphere, SphericalCurve(v))
+        assert (got is None) == (want is None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["scatter", "star"]),
+       n=st.integers(3, 14))
+def test_sphere_simplicity_of_random_polygons_matches_exact_reference(
+        seed, kind, n):
+    try:
+        curve = SphericalCurve(random_geodesic_polygon(
+            np.random.default_rng(seed), kind, n))
+    except CurveError:
+        return
+    assert (simplicity_error(_check_simple_sphere, curve)
+            == simplicity_error(check_simple_sphere_exact_reference, curve))
 
 
 # ---------------------------------------------------------------------------

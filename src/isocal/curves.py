@@ -42,14 +42,23 @@ class OrientationError(CurveError):
     """Curve has the wrong orientation for the requested operation."""
 
 
-def metric_dot(J, a, b):
+def metric_dot(J, a, b, out=None):
     """sum_k J_k a_k b_k over component arrays, for J_0 = 1, J_k = +-1: in
     component order with no BLAS call, so bitwise symmetric in (a, b) and
-    odd in the sign of each."""
-    out = a[0] * b[0]
+    odd in the sign of each.  With out = (result, scratch), two arrays of
+    the broadcast shape, the same operations write into them and allocate
+    nothing; without, operators allocate, which is faster on scalars."""
+    if out is None:
+        res = a[0] * b[0]
+        for s, x, y in zip(J[1:], a[1:], b[1:]):
+            res = res + x * y if s > 0 else res - x * y
+        return res
+    res, xy = out
+    np.multiply(a[0], b[0], out=res)
     for s, x, y in zip(J[1:], a[1:], b[1:]):
-        out = out + x * y if s > 0 else out - x * y
-    return out
+        (np.add if s > 0 else np.subtract)(res, np.multiply(x, y, out=xy),
+                                           out=res)
+    return res
 
 
 @dataclass(frozen=True)
@@ -214,8 +223,10 @@ class ClosedCurve:
 
     @cached_property
     def orientation(self) -> int:
-        """+1 for positive (counterclockwise) orientation, -1 otherwise."""
-        return 1 if signed_area(self) > 0 else -1
+        """+1 for positive (counterclockwise) orientation, -1 otherwise: the
+        sign of the area in units of the diameter's power of two, so right
+        at any scale."""
+        return 1 if _unit_area(self)[0] > 0 else -1
 
     @cached_property
     def is_simple(self) -> bool:
@@ -246,16 +257,30 @@ def perimeter(curve: ClosedCurve) -> float:
     return PLANE.perimeter(curve.vertices)
 
 
-def signed_area(curve: ClosedCurve) -> float:
-    """Shoelace sum; positive iff the interior lies left of travel.
+def _unit_area(curve: ClosedCurve) -> tuple[float, int]:
+    """(a, e): the signed area is a 4^e, with a the shoelace sum in units of
+    2^e, the diameter's power of two, so a neither over- nor underflows.
 
     Taken relative to the bounding box's low corner, so a curve far from the
     origin keeps its area, and the terms depend on neither the starting
     vertex nor the direction: reversal negates the area exactly.
     """
-    v = curve.vertices - curve.vertices.min(axis=0)
+    e = math.frexp(curve.diameter)[1]
+    v = np.ldexp(curve.vertices, -e)
+    v -= v.min(axis=0)
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * math.fsum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    return 0.5 * math.fsum(x * np.roll(y, -1) - np.roll(x, -1) * y), e
+
+
+def signed_area(curve: ClosedCurve) -> float:
+    """Shoelace sum; positive iff the interior lies left of travel.
+
+    Computed in units of the diameter's power of two (_unit_area) and scaled
+    back with one rounding, which changes no bits where the area is a normal
+    float; OverflowError if it is beyond the float range.
+    """
+    a, e = _unit_area(curve)
+    return math.ldexp(a, 2 * e)
 
 
 def boundary_node_arrays(curve: ClosedCurve, refinement: int = 1):
@@ -334,10 +359,12 @@ def ensure_simple(curve: ClosedCurve) -> None:
 def ensure_positive(curve: ClosedCurve) -> None:
     """Raise OrientationError unless positively oriented (area > 0)."""
     if curve.orientation < 0:
-        raise OrientationError(
-            "curve is negatively oriented (signed area "
-            f"{signed_area(curve):.6g}); reverse it explicitly"
-        )
+        a, e = _unit_area(curve)
+        k = math.frexp(a)[1] + 2 * e  # |area| < 2^k
+        area = (f"{math.ldexp(a, 2 * e):.6g}" if -1021 <= k <= 1024
+                else f"{a:.6g} * 4^{e}")
+        raise OrientationError(f"curve is negatively oriented (signed area "
+                               f"{area}); reverse it explicitly")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 of the tangent kernel, and the singular interior curl integral.
 
 Every total is correctly rounded: the short sums are one math.fsum each, and
-the pair sum, millions of terms, is one exact binned reduction, correctly
-rounded, the same bits as math.fsum.  Either way a total is a function of
-the multiset of its terms alone: the pair sum is the same, bit for bit, for
-any row blocking and any starting vertex.
+the pair sum, millions of terms, is one exact binned reduction (two float
+halves per term, np.bincount by sign and exponent), correctly rounded, the
+same bits as math.fsum.  Either way a total is a function of the multiset of
+its terms alone: the pair sum is the same, bit for bit, for any row blocking
+and any starting vertex.  The pair sum walks row blocks within a fixed byte
+budget; every block is a view of buffers allocated once per call, which the
+kernel fills through _kernel(..., out), and as nodes come edge by edge its
+same-edge pairs lie in a narrow band of columns.
 """
 
 from __future__ import annotations
@@ -119,17 +123,31 @@ def winding_integral(curve: ClosedCurve, x, refinement: int = 1,
 # ---------------------------------------------------------------------------
 # double boundary integral of the tangent kernel
 
-def _kernel(d, ti, tj, J, r2):
+def _kernel(d, ti, tj, J, r2, out=None):
     """2 <d, ti> <d, tj> / r2 - <ti, tj> under J, for d = x_i - x_j.  Swapping
-    i and j negates d and swaps the dots: K(i, j) is bitwise K(j, i)."""
-    return (2.0 * metric_dot(J, d, ti) * metric_dot(J, d, tj) / r2
-            - metric_dot(J, ti, tj))
+    i and j negates d and swaps the dots: K(i, j) is bitwise K(j, i).  With
+    out, three arrays of the result's shape, the same operations in the same
+    order write into them, allocate nothing and return out[0]."""
+    if out is None:
+        return (2.0 * metric_dot(J, d, ti) * metric_dot(J, d, tj) / r2
+                - metric_dot(J, ti, tj))
+    w, u, s = out
+    k = np.multiply(2.0, metric_dot(J, d, ti, (w, s)), out=w)
+    k *= metric_dot(J, d, tj, (u, s))
+    k /= r2
+    k -= metric_dot(J, ti, tj, (u, s))
+    return k
 
 
-# Terms binned between two flushes of an _ExactSum.  A term's significand
-# is split into two 26-bit halves, so each bin's two weight sums stay
-# integers below 2^53, exact in any order, up to 2^27 terms.
-_FLUSH_TERMS = 1 << 27
+# Terms binned between two flushes of an _ExactSum.  Each term is split into
+# two floats whose per-bin sums stay integers below 2^53 units of their last
+# place, exact in any order, up to 2^26 terms.
+_FLUSH_TERMS = 1 << 26
+# Clears the low 26 bits of a float64's fraction.
+_HI_MASK = np.uint64((1 << 64) - (1 << 26))
+# The biased exponent of 2^998: from here on 2^26 terms of one bin could
+# sum beyond the float range.
+_BIG = 998 + 1023
 
 
 class _ExactSum:
@@ -137,21 +155,27 @@ class _ExactSum:
     math.fsum over the same terms.
 
     Binned exact summation (Demmel & Nguyen, "Parallel reproducible
-    summation", IEEE TC 2015): the bit pattern of a term is
-    sign | exponent e (11 bits) | fraction f (52 bits), and its value is
-    +-(2^52 [e > 0] + f) 2^(max(e, 1) - 1075).  np.bincount indexes by the
-    top 12 bits and sums the count and the two halves of f per bin, exactly;
-    a flush folds the bins into one Python int in units of 2^-1075, which
-    value() divides by 2^1075 with one correct rounding.  Non-finite terms
-    decide the result alone, as in fsum: value() is then math.fsum of them.
-    A sum beyond the float range raises OverflowError, as fsum does.
+    summation", IEEE TC 2015): np.bincount indexes each term x by its top
+    12 bits (sign and exponent E) and sums two floats per bin, hi = x with
+    its low 26 fraction bits cleared (a bit mask) and lo = x - hi, both
+    exact.  In a bin, hi is a multiple of 2^(E-26) below 2^27 of them and lo
+    a multiple of 2^(E-52) below 2^26 of them, so up to 2^26 terms every
+    partial sum is an integer below 2^53 units, exact in any order.  A flush
+    turns each bin sum, m 2^k by frexp, into an exact Python int in units of
+    2^-1127, and value() divides the total by 2^1127 with one correct
+    rounding.  A float bin sum stays finite for E < 998; a chunk whose hi
+    bins show larger or non-finite terms takes the path _rare.  Non-finite
+    terms decide the result alone, as in fsum: value() is then math.fsum of
+    them.  A sum beyond the float range raises OverflowError, as fsum does.
     """
 
     def __init__(self):
-        self._bins = np.zeros((3, 4096))  # count, high half, low half
+        self._bins = np.zeros((2, 4096))  # the sums of hi and of lo per bin
         self._terms = 0  # binned since the last flush
         self._total = 0
         self._special = []  # the non-finite terms
+        self._buf = np.empty((2, 0), np.uint64)  # bin indices, hi then lo
+        self._big = None  # the terms of 2^998 and above, times 2^-128
 
     def add(self, x) -> None:
         x = np.ascontiguousarray(x, dtype=np.float64).ravel()
@@ -161,27 +185,39 @@ class _ExactSum:
     def _bin(self, x) -> None:
         if self._terms + len(x) > _FLUSH_TERMS:
             self._flush()
-        self._terms += len(x)
+        if self._buf.shape[1] < len(x):
+            self._buf = np.empty((2, len(x)), np.uint64)
         b = x.view(np.uint64)
-        top = (b >> np.uint64(52)).view(np.int64)
-        count = np.bincount(top, minlength=4096)
-        if count[0x7ff] or count[0xfff]:
-            self._special.extend(x[~np.isfinite(x)].tolist())
-        self._bins[0] += count
-        self._bins[1] += np.bincount(
-            top, (b >> np.uint64(26)) & np.uint64(0x3ffffff), 4096)
-        self._bins[2] += np.bincount(top, b & np.uint64(0x3ffffff), 4096)
+        top = np.right_shift(b, np.uint64(52), out=self._buf[0, :len(x)])
+        top = top.view(np.int64)
+        half = np.bitwise_and(b, _HI_MASK, out=self._buf[1, :len(x)])
+        half = half.view(np.float64)
+        hi = np.bincount(top, half, 4096)
+        if hi[_BIG:0x800].any() or hi[0x800 + _BIG:].any():
+            self._rare(x)
+            return
+        self._terms += len(x)
+        self._bins[0] += hi
+        self._bins[1] += np.bincount(top, np.subtract(x, half, out=half), 4096)
+
+    def _rare(self, x) -> None:
+        """Non-finite terms are kept apart; finite ones of 2^998 and above,
+        where a bin sum could overflow, go exactly scaled by 2^-128 into a
+        second accumulator."""
+        finite = np.isfinite(x)
+        self._special.extend(x[~finite].tolist())
+        big = finite & (np.abs(x) >= 2.0 ** 998)
+        if self._big is None:
+            self._big = _ExactSum()
+        self._big.add(np.ldexp(x[big], -128))
+        self._bin(x[finite & ~big])
 
     def _flush(self) -> None:
-        count, high, low = self._bins
-        for k in np.flatnonzero(count).tolist():
-            e = k & 0x7ff
-            if e == 0x7ff:
-                continue
-            m = (int(high[k]) << 26) + int(low[k])
-            if e:
-                m += int(count[k]) << 52
-            self._total += (-m if k >> 11 else m) << max(e, 1)
+        nz = np.flatnonzero(self._bins)
+        m, k = np.frexp(self._bins.ravel()[nz])
+        for mi, ki in zip(np.ldexp(m, 53).astype(np.int64).tolist(),
+                          k.tolist()):
+            self._total += mi << (ki + 1074)
         self._bins[:] = 0.0
         self._terms = 0
 
@@ -189,7 +225,11 @@ class _ExactSum:
         if self._special:
             return math.fsum(self._special)
         self._flush()
-        return self._total / (1 << 1075)  # int division rounds correctly
+        total = self._total
+        if self._big is not None:
+            self._big._flush()
+            total += self._big._total << 128
+        return total / (1 << 1127)  # int division rounds correctly
 
 
 def _refined_terms(SA, SB, T, W, J, i, j, k=8):
@@ -213,41 +253,63 @@ def pair_sum(P, T, W, E, J, near=None) -> float:
 
     K = 2 <z, t_i> <z, t_j> / <z, z> - <t_i, t_j>, z = x_i - x_j, <a, b> =
     sum_k J_k a_k b_k, J = (1, 1), (1, 1, 1) or (1, 1, -1).  Pairs on one
-    edge (equal E) take the exact value 1.  With near = (sub_starts,
-    sub_ends), cross-edge pairs closer than max(W) / 4 are re-integrated on
-    an 8 x 8 midpoint subgrid of their sub-edges.  As K(i, j) is bitwise
-    K(j, i), the diagonal terms, the doubled strict-upper terms and the
-    subgrid terms go into one exact binned reduction, correctly rounded, the
-    same bits as math.fsum: the correctly rounded sum of the ordered-pair
-    multiset, whatever the row blocking or starting vertex.
+    edge (equal E) take the exact value 1.  E must be nondecreasing, as
+    Geometry.nodes lays nodes out edge by edge (ValueError otherwise): in
+    the row block i0:i1 the same-edge pairs then lie in the columns up to
+    the last node of edge E[i1 - 1], a narrow band where the mask is built.
+    With near = (sub_starts, sub_ends), cross-edge pairs closer than
+    max(W) / 4 are re-integrated on an 8 x 8 midpoint subgrid of their
+    sub-edges; blocks whose r2 stays above the rule skip the search.  As
+    K(i, j) is bitwise K(j, i), the diagonal terms, the doubled
+    strict-upper terms and the subgrid terms go into one exact binned
+    reduction, correctly rounded, the same bits as math.fsum: the correctly
+    rounded sum of the ordered-pair multiset, whatever the row blocking or
+    starting vertex.  Every block is a view of buffers allocated once per
+    call; the kernel fills its workspace through _kernel(..., out).
     """
     n = len(P)
+    if (np.diff(E) < 0).any():
+        raise ValueError("edge ids E must be nondecreasing")
+    # contiguous coordinate and tangent columns
+    pc = [np.ascontiguousarray(p) for p in P.T]
+    tc = [np.ascontiguousarray(t) for t in T.T]
+    W2 = 2.0 * W
     acc = _ExactSum()
     acc.add(W * W)  # the diagonal: one edge, kernel exactly 1
     delta = float(W.max()) / 4.0
+    near_r2 = 1.01 * delta * delta
+    # a block has at most this many entries: one row, or within the budget
+    buf = np.empty((len(pc) + 4, max(_BLOCK_BYTES // 8, n)))
     i0 = 0
     while i0 < n - 1:
         # rows i0:i1 against columns i0+1:n; entry (r, c) is the pair
         # (i0 + r, i0 + 1 + c), in the strict upper triangle when c >= r
         i1 = min(n, i0 + max(1, _BLOCK_BYTES // (8 * (n - i0))))
         rows, cols = slice(i0, i1), slice(i0 + 1, n)
-        d = [p[rows, None] - p[None, cols] for p in P.T]
-        same = E[rows, None] == E[None, cols]
+        m, c = i1 - i0, n - i0 - 1
+        *d, r2, k0, k1, k2 = (b[:m * c].reshape(m, c) for b in buf)
+        for p, dp in zip(pc, d):
+            np.subtract(p[rows, None], p[None, cols], out=dp)
+        metric_dot(J, d, d, (r2, k0))
         # the kernel restricted to one geodesic edge is identically 1, so
         # same-edge pairs take that value rather than a near-singular one
-        r2 = np.where(same, 1.0, metric_dot(J, d, d))
-        K = np.where(same, 1.0, _kernel(d, [t[rows, None] for t in T.T],
-                                         [t[None, cols] for t in T.T], J, r2))
-        terms = (2.0 * W[rows, None]) * W[None, cols]
-        terms *= K
+        band = int(np.searchsorted(E, E[i1 - 1], "right")) - (i0 + 1)
+        same = E[rows, None] == E[None, i0 + 1:i0 + 1 + band]
+        np.copyto(r2[:, :band], 1.0, where=same)
+        K = _kernel(d, [t[rows, None] for t in tc],
+                    [t[None, cols] for t in tc], J, r2, (k0, k1, k2))
+        np.copyto(K[:, :band], 1.0, where=same)
+        terms = np.multiply(K, np.multiply(W2[rows, None], W[None, cols],
+                                           out=k1), out=K)
         # entries below the strict upper triangle add zero
-        corner = terms[:, :i1 - i0]
+        corner = terms[:, :m]
         corner[np.tri(*corner.shape, -1, dtype=bool)] = 0.0
-        if near is not None:
+        if near is not None and r2.min() < near_r2:
             # candidates by r2, then the rule dist < delta itself; a near
             # pair's own term is left out rather than added and subtracted
-            rr, cc = np.nonzero(r2 < 1.01 * delta * delta)
-            hit = (cc >= rr) & ~same[rr, cc] & (np.sqrt(r2[rr, cc]) < delta)
+            rr, cc = np.nonzero(r2 < near_r2)
+            hit = ((cc >= rr) & (E[rr + i0] != E[cc + i0 + 1])
+                   & (np.sqrt(r2[rr, cc]) < delta))
             rr, cc = rr[hit], cc[hit]
             terms[rr, cc] = 0.0
             for sub in _refined_terms(*near, T, W, J, rr + i0, cc + i0 + 1):
@@ -366,8 +428,9 @@ def verify_isoperimetric(curve: ClosedCurve, refinement: int | None = None,
     Requires a simple, positively oriented curve; a negatively oriented
     input raises OrientationError rather than silently flipping signs.
     Computed in units of 2^e, the diameter's power of two, which changes no
-    bits where the values are normal floats; a curve whose perimeter^2 is
-    not one is rejected with CurveError before any arithmetic overflows.
+    bits where the values are normal floats; a curve whose perimeter^2 or
+    area is not one is rejected with CurveError before any arithmetic
+    over- or underflows.
     """
     e = math.frexp(curve.diameter)[1]
     unit = ClosedCurve(np.ldexp(curve.vertices, -e))
@@ -379,9 +442,12 @@ def verify_isoperimetric(curve: ClosedCurve, refinement: int | None = None,
     curves.ensure_positive(curve)
     if check_simple:
         curves.ensure_simple(curve)
+    A = curves.signed_area(unit)
+    k = math.frexp(A)[1] + 2 * e  # below L^2 / (4 pi), so at most 1024
+    if k < -1021:
+        raise curves.CurveError(f"area, about 2^{k}, is not a normal float")
     if refinement is None:
         refinement = auto_refinement(curve)
-    A = curves.signed_area(unit)
     I = double_boundary_integral(unit, refinement, check_simple=False)
     return IsoperimetricReport.of(PLANE, math.ldexp(L, e),
                                   math.ldexp(A, 2 * e), math.ldexp(I, 2 * e))

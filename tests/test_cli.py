@@ -173,6 +173,18 @@ def test_verify_out_of_range_vertices_exit_2(tmp_path, capsys):
     assert "2^1022" in err and "coincide" not in err
 
 
+def test_verify_subnormal_area_exit_2_with_its_cause(tmp_path, capsys):
+    # positively oriented, perimeter^2 a normal float, area about 5e-331
+    path, out = tmp_path / "thin.json", tmp_path / "r.json"
+    save_curve(ClosedCurve([[0.0, 0.0], [1e-150, 0.0], [5e-151, 1e-180]]),
+               str(path))
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "area, about 2^-1097, is not a normal float" in err
+    assert "oriented" not in err
+
+
 @pytest.mark.parametrize("scale", [1e150, 1e-150])
 def test_verify_large_and_small_squares_pass(tmp_path, scale):
     reports = []

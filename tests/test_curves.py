@@ -18,6 +18,7 @@ from isocal import (
     regular_polygon,
     reverse,
     signed_area,
+    verify_isoperimetric,
     winding_number,
 )
 from isocal import curves
@@ -143,6 +144,50 @@ def test_signed_area_bitwise_independent_of_start_vertex():
     for k in range(c.n_vertices):
         rolled = ClosedCurve(np.roll(c.vertices, k, axis=0))
         assert signed_area(rolled).hex() == signed_area(c).hex()
+
+
+def test_orientation_of_a_thin_tiny_triangle():
+    # area 5e-331: every raw shoelace product underflows to 0, so a raw sum
+    # reads both directions as negative
+    tri = ClosedCurve([[0.0, 0.0], [1e-150, 0.0], [5e-151, 1e-180]])
+    assert tri.orientation == 1
+    assert tri.reversed().orientation == -1
+    curves.ensure_positive(tri)
+    with pytest.raises(curves.OrientationError):
+        curves.ensure_positive(tri.reversed())
+    # the area itself rounds once, to 0; the report rejects it by name
+    assert signed_area(tri) == 0.0
+    with pytest.raises(CurveError, match="area, about 2\\^-1097, is not a "
+                                         "normal float"):
+        verify_isoperimetric(tri)
+
+
+@pytest.mark.parametrize("k", [-900, -500, -60, 60, 500, 600, 1000])
+def test_signed_area_scales_exactly(k):
+    # the area times 4^k, rounded once: 0 below the float range, and
+    # OverflowError above it
+    c = star_polygon(np.random.default_rng(5), 20, 20, center=(3.0, -1.0))
+    scaled = ClosedCurve(np.ldexp(c.vertices, k))
+    assert scaled.orientation == -scaled.reversed().orientation == 1
+    if k <= 500:
+        want = math.ldexp(signed_area(c), 2 * k)
+        assert signed_area(scaled).hex() == want.hex()
+    else:
+        with pytest.raises(OverflowError):
+            signed_area(scaled)
+
+
+def test_huge_square_orientation_without_overflow():
+    # a warning would fail here: RuntimeWarnings are errors in this suite
+    big = ClosedCurve(np.array(SQUARE.vertices) * 1e200)
+    assert big.orientation == 1 and big.reversed().orientation == -1
+    with pytest.raises(OverflowError):
+        signed_area(big)
+    with pytest.raises(curves.OrientationError,
+                       match=r"signed area -0\.\d+ \* 4\^665"):
+        curves.ensure_positive(big.reversed())
+    with pytest.raises(curves.OrientationError, match=r"signed area -1\)"):
+        curves.ensure_positive(SQUARE.reversed())
 
 
 def test_scaling_law():

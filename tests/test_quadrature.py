@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +28,11 @@ from isocal import (
     winding_number,
 )
 from isocal import quadrature
-from isocal.curves import boundary_node_arrays, distance_to_boundary
+from isocal.curves import PLANE, boundary_node_arrays, distance_to_boundary
 from isocal.quadrature import auto_refinement, interior_curl_integral
 from isocal.spaces import (
+    HYPERBOLIC,
+    SPHERE,
     geodesic_cap,
     hyperbolic_boundary_nodes,
     hyperbolic_circle,
@@ -421,6 +424,176 @@ def test_exact_sum_beyond_float_range_raises_like_fsum():
         exact_sum(edge)
     assert exact_sum([sys.float_info.max, math.ldexp(1.0, 969)]) == \
         sys.float_info.max
+
+
+@pytest.mark.parametrize("x", [math.ldexp(2**53 - 1, -600),
+                               -math.ldexp(2**53 - 1, -1074),
+                               math.ldexp(2**52 - 1, -1074),
+                               math.ldexp(2**53 - 1, 997 - 52),
+                               -math.ldexp(2**53 - 1, 998 - 52)],
+                         ids=["normal", "lowest-binade", "subnormal",
+                              "top-binned", "first-scaled"])
+def test_exact_sum_at_its_flush_limit(x):
+    # 2^26 + 3 terms of one bin, every fraction bit set, in 2^20-term chunks:
+    # the bin sums reach their largest value just before the flush, and a
+    # limit above 2^26 would round them (or, from 2^998 on, overflow them).
+    # Terms of the opposite sign, the sum rounded to a float or as many
+    # times the largest float as fit, leave the exact residual, which shows
+    # any such rounding.
+    count = (1 << 26) + 3
+    total = count * Fraction(x)
+    chunk = np.full(1 << 20, x)
+    acc = quadrature._ExactSum()
+    for k0 in range(0, count, len(chunk)):
+        acc.add(chunk[:count - k0])
+    big = sys.float_info.max
+    if abs(total) <= big:
+        assert acc.value().hex() == float(total).hex()
+        cancel = [-float(total)]
+    else:
+        cancel = [math.copysign(big, -x)] * int(abs(total) // Fraction(big))
+    acc.add(cancel)
+    assert acc.value().hex() == float(total + sum(map(Fraction, cancel))).hex()
+
+
+# ---------------------------------------------------------------------------
+# the pair sum's blocks, band and buffers
+
+
+def full_matrix_sum(P, T, W, E, J):
+    """Sum over every ordered node pair, one math.fsum: no blocking, no
+    triangle, no band."""
+    d = [p[:, None] - p[None, :] for p in P.T]
+    same = E[:, None] == E[None, :]
+    r2 = np.where(same, 1.0, quadrature.metric_dot(J, d, d))
+    K = np.where(same, 1.0, quadrature._kernel(
+        d, [t[:, None] for t in T.T], [t[None, :] for t in T.T], J, r2))
+    return math.fsum(((W[:, None] * W[None, :]) * K).ravel())
+
+
+def metric_polygon(space, rng, n):
+    """(geometry, vertices) of an n-gon in the space."""
+    if space == "plane":
+        return PLANE, spiky_star(rng, n)
+    if space == "sphere":
+        return SPHERE, geodesic_cap(rng.uniform(0.3, 2.5), n).vertices
+    return HYPERBOLIC, hyperbolic_circle(rng.uniform(0.3, 2.0), n,
+                                         rng.uniform(0, 1)).vertices
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=st.sampled_from(sorted(METRICS)), seed=st.integers(0, 2**32 - 1),
+       refinement=st.integers(1, 5),
+       budget=st.sampled_from([8, 1 << 12, 1 << 17, 1 << 24]),
+       shift=st.integers(1, 10**6))
+def test_pair_sum_band_and_blocking_match_the_full_matrix(
+        space, seed, refinement, budget, shift):
+    # blocks of one row (8 B), of a few rows starting and ending mid-edge
+    # (4 KiB), of many rows (128 KiB) and of the whole matrix (16 MiB)
+    rng = np.random.default_rng(seed)
+    geometry, v = metric_polygon(space, rng, int(rng.integers(5, 40)))
+    J = METRICS[space]
+    want = full_matrix_sum(*geometry.nodes(v, refinement)[:4], J).hex()
+    for start in (0, shift % len(v)):
+        P, T, W, E = geometry.nodes(np.roll(v, start, axis=0), refinement)[:4]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_BLOCK_BYTES", budget)
+            assert quadrature.pair_sum(P, T, W, E, J).hex() == want
+
+
+def reference_pair_sum(P, T, W, E, J, near=None) -> float:
+    """The pair sum as it was before the same-edge band and the reused
+    buffers: full-block masks and np.where, fresh arrays per block, and all
+    terms into one math.fsum."""
+    n = len(P)
+    terms_all = [W * W]
+    delta = float(W.max()) / 4.0
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n, i0 + max(1, (1 << 17) // (8 * (n - i0))))
+        rows, cols = slice(i0, i1), slice(i0 + 1, n)
+        d = [p[rows, None] - p[None, cols] for p in P.T]
+        same = E[rows, None] == E[None, cols]
+        r2 = np.where(same, 1.0, quadrature.metric_dot(J, d, d))
+        K = np.where(same, 1.0, quadrature._kernel(
+            d, [t[rows, None] for t in T.T], [t[None, cols] for t in T.T],
+            J, r2))
+        terms = (2.0 * W[rows, None]) * W[None, cols]
+        terms *= K
+        corner = terms[:, :i1 - i0]
+        corner[np.tri(*corner.shape, -1, dtype=bool)] = 0.0
+        if near is not None:
+            rr, cc = np.nonzero(r2 < 1.01 * delta * delta)
+            hit = (cc >= rr) & ~same[rr, cc] & (np.sqrt(r2[rr, cc]) < delta)
+            rr, cc = rr[hit], cc[hit]
+            terms[rr, cc] = 0.0
+            terms_all.extend(quadrature._refined_terms(
+                *near, T, W, J, rr + i0, cc + i0 + 1))
+        terms_all.append(terms.ravel())
+        i0 = i1
+    return math.fsum(np.concatenate(terms_all))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), refinement=st.integers(1, 4),
+       budget=st.sampled_from([1 << 12, 1 << 17]))
+def test_double_integral_matches_the_reference_near_rule(seed, refinement,
+                                                         budget):
+    # spiky stars: hundreds of near pairs, re-integrated on the subgrid
+    rng = np.random.default_rng(seed)
+    c = ClosedCurve(spiky_star(rng, int(rng.integers(30, 150))))
+    P, T, W, E, SA, SB = boundary_node_arrays(c, refinement)
+    want = reference_pair_sum(P, T, W, E, (1.0, 1.0), near=(SA, SB))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_BLOCK_BYTES", budget)
+        assert double_boundary_integral(c, refinement, False).hex() == \
+            want.hex()
+
+
+def test_pair_sum_requires_nondecreasing_edge_ids():
+    P, T, W, E = metric_nodes("plane", np.random.default_rng(3))
+    order = np.random.default_rng(4).permutation(len(P))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        quadrature.pair_sum(P[order], T[order], W[order], E[order], (1.0, 1.0))
+    E = E.copy()
+    E[[5, -5]] = E[[-5, 5]]
+    with pytest.raises(ValueError, match="nondecreasing"):
+        quadrature.pair_sum(P, T, W, E, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("budget", [1 << 12, 1 << 17])
+def test_pair_sum_memory_is_linear_in_budget_and_nodes(monkeypatch, budget):
+    # a 2048-node star with near pairs, k = 2 coordinates.  A block has at
+    # most max(budget, 8 n) bytes of float64 entries: k + 4 buffers of that
+    # size live for the call (coordinate differences, r2, the kernel's
+    # workspace) and two more in the reduction; per block come at most two
+    # of candidate indices and about ten of one subgrid batch; per node,
+    # copies of the coordinate and tangent columns and the weights (2k + 4
+    # floats); the 4096-bin sums are fixed.  The full matrix is 32 MiB.
+    c = ClosedCurve(spiky_star(np.random.default_rng(9), 512))
+    P, T, W, E, SA, SB = boundary_node_arrays(c, 4)
+    n = len(P)
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        quadrature.pair_sum(P, T, W, E, (1.0, 1.0), near=(SA, SB))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * max(budget, 8 * n) + 8 * 8 * n + (1 << 17)
+
+
+@pytest.mark.parametrize("terms", [
+    [1.7e308, 1.7e308, -1.6e308, -1.7e308],
+    [sys.float_info.max] * 3 + [-sys.float_info.max] * 2 + [-2.0**970],
+    [2.0**1000] * 20 + [-2.0**1000] * 19 + [1e-300]])
+def test_exact_sum_near_overflow_is_exact(terms):
+    # a bin's float sum would overflow where the total does not (fsum,
+    # summing in order, raises on some of these): the exact value
+    want = float(sum(map(Fraction, terms)))
+    for seed in range(3):
+        shuffled = np.random.default_rng(seed).permutation(terms)
+        assert exact_sum(shuffled).hex() == want.hex()
 
 
 def test_line_integral_propagates_field_failure():

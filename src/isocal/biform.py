@@ -31,12 +31,20 @@ class CoincidentPointsError(ValueError):
 
 
 def _check_distinct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z = x - y over the last axis, batched over the others; raises
+    CoincidentPointsError for the first pair that coincides."""
     z = x - y
-    # relative to the points' own scale, so distinct points at any scale
-    # pass; identical points (the origin included) never do
-    scale = max(float(np.abs(x).max()), float(np.abs(y).max()))
-    if math.hypot(*z) <= 1e-12 * scale:
-        raise CoincidentPointsError(f"points coincide: {x.tolist()} ~ {y.tolist()}")
+    # relative to each pair's own scale, so distinct points at any scale
+    # pass; identical points (the origin included) never do.  |z| is
+    # math.hypot's, as for a single pair.
+    scale = np.maximum(np.abs(x).max(axis=-1), np.abs(y).max(axis=-1))
+    rows = z.reshape(-1, z.shape[-1]).tolist()
+    for k, (zk, sk) in enumerate(zip(rows, np.ravel(scale).tolist())):
+        if math.hypot(*zk) <= 1e-12 * sk:
+            at = np.unravel_index(k, z.shape[:-1])
+            xk, yk = (np.broadcast_to(v, z.shape)[at] for v in (x, y))
+            raise CoincidentPointsError(
+                f"points coincide: {xk.tolist()} ~ {yk.tolist()}")
     return z
 
 
@@ -187,8 +195,9 @@ class MixedDerivativeTensor:
     """d1 d2 of the kernel in the area-element basis.
 
     In R^2 a single scalar (coefficient of dx1^dx2 (x) dy1^dy2); in R^3 a
-    3x3 array in the cyclic basis [dx2^dx3, dx3^dx1, dx1^dx2] for each slot.
-    Antisymmetry in each index pair is built into the reduction.
+    3x3 array in the cyclic basis [dx2^dx3, dx3^dx1, dx1^dx2] for each slot;
+    for a batch of point pairs, with the batch axes in front.  Antisymmetry
+    in each index pair is built into the reduction.
     """
 
     space: str
@@ -196,17 +205,36 @@ class MixedDerivativeTensor:
     step: float
 
 
+def _points(v, dim: int) -> np.ndarray:
+    """v as points of shape (..., dim); dim entries in any shape, as a
+    single point always was, give one point of shape (dim,)."""
+    a = np.asarray(v, float)
+    if a.size == dim:
+        return a.reshape(dim)
+    if a.shape[-1:] != (dim,):
+        raise ValueError(f"expected points of dimension {dim}, "
+                         f"got shape {a.shape}")
+    return a
+
+
+def _space_dim(space: str) -> int:
+    if space not in ("r2", "r3"):
+        raise ValueError(f"space must be 'r2' or 'r3', got {space!r}")
+    return 2 if space == "r2" else 3
+
+
 def _mixed_partials(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    """D[k, l, i, j] = centred d^2 m_ij / dx_k dy_l, all 4 dim^2 stencil
-    matrices in one kernel call."""
-    dim = len(x)
+    """D[..., k, l, i, j] = centred d^2 m_ij / dx_k dy_l for point pairs
+    (x, y) of shape (..., dim), all 4 dim^2 stencil matrices of every pair
+    in one kernel call."""
+    dim = x.shape[-1]
     # the stencil points x + s_a h e_k and y + s_b h e_l, s = (+1, -1)
     step = np.array([1.0, -1.0])[None, :, None] * (h * np.eye(dim))[:, None, :]
-    xs, ys = x + step, y + step
-    z = xs[:, None, :, None] - ys[None, :, None, :]
+    xs, ys = x[..., None, None, :] + step, y[..., None, None, :] + step
+    z = xs[..., :, None, :, None, :] - ys[..., None, :, None, :, :]
     m = _field(z[..., None, :], np.eye(dim))
-    return (m[:, :, 0, 0] - m[:, :, 0, 1] - m[:, :, 1, 0]
-            + m[:, :, 1, 1]) / (4.0 * h * h)
+    return (m[..., 0, 0, :, :] - m[..., 0, 1, :, :] - m[..., 1, 0, :, :]
+            + m[..., 1, 1, :, :]) / (4.0 * h * h)
 
 
 def d1d2_fd(space: str, x, y, h: float) -> MixedDerivativeTensor:
@@ -214,22 +242,24 @@ def d1d2_fd(space: str, x, y, h: float) -> MixedDerivativeTensor:
 
     Requires h < |x - y| / 10 so the stencil stays clear of the diagonal.
     Off the diagonal the R^2 value converges to 0 at order h^2 and the R^3
-    tensor to mixed_derivative_closed_form at order h^2.
+    tensor to mixed_derivative_closed_form at order h^2.  x and y may carry
+    leading batch axes, (..., dim): the value then has them too, and each
+    pair's entry has the same bits as the call on that pair alone.
     """
-    if space not in ("r2", "r3"):
-        raise ValueError(f"space must be 'r2' or 'r3', got {space!r}")
-    dim = 2 if space == "r2" else 3
-    xv = np.asarray(x, float).reshape(dim)
-    yv = np.asarray(y, float).reshape(dim)
+    dim = _space_dim(space)
+    xv, yv = _points(x, dim), _points(y, dim)
     z = _check_distinct(xv, yv)
-    r = float(np.linalg.norm(z))
-    if not 0.0 < h < r / 10.0:
-        raise ValueError(f"step {h} too large for separation {r} (need h < r/10)")
+    r = np.sqrt(np.vecdot(z, z))  # as np.linalg.norm of one pair
+    if not (0.0 < h and np.all(h < r / 10.0)):
+        raise ValueError(f"step {h} too large for separation "
+                         f"{float(np.min(r))} (need h < r/10)")
     D = _mixed_partials(xv, yv, h)
     if dim == 2:
-        value = float(D[0, 0, 1, 1] - D[0, 1, 1, 0] - D[1, 0, 0, 1] + D[1, 1, 0, 0])
+        value = (D[..., 0, 0, 1, 1] - D[..., 0, 1, 1, 0] - D[..., 1, 0, 0, 1]
+                 + D[..., 1, 1, 0, 0])
+        value = float(value) if value.ndim == 0 else value
     else:
-        value = np.einsum("aki,blj,klij->ab", _EPS3, _EPS3, D)
+        value = np.einsum("aki,blj,...klij->...ab", _EPS3, _EPS3, D)
     return MixedDerivativeTensor(space=space, value=value, step=h)
 
 
@@ -237,17 +267,12 @@ def mixed_derivative_closed_form(space: str, x, y) -> float | np.ndarray:
     """Exact off-diagonal value of d1 d2 of the kernel.
 
     Identically zero in R^2; in R^3 equal to 4 z z^T / |z|^4 with z = x - y,
-    expressed in the same cyclic area-element basis as d1d2_fd.
+    expressed in the same cyclic area-element basis as d1d2_fd.  Batched
+    over leading axes of x and y as d1d2_fd is; one R^2 pair gives 0.0.
     """
-    if space == "r2":
-        xv = np.asarray(x, float).reshape(2)
-        yv = np.asarray(y, float).reshape(2)
-        _check_distinct(xv, yv)
-        return 0.0
-    if space == "r3":
-        xv = np.asarray(x, float).reshape(3)
-        yv = np.asarray(y, float).reshape(3)
-        z = _check_distinct(xv, yv)
-        r2 = z @ z
-        return 4.0 * np.outer(z, z) / (r2 * r2)
-    raise ValueError(f"space must be 'r2' or 'r3', got {space!r}")
+    dim = _space_dim(space)
+    z = _check_distinct(_points(x, dim), _points(y, dim))
+    if dim == 2:
+        return 0.0 if z.ndim == 1 else np.zeros(z.shape[:-1])
+    r2 = np.vecdot(z, z)[..., None, None]  # z @ z, bit for bit
+    return 4.0 * (z[..., :, None] * z[..., None, :]) / (r2 * r2)

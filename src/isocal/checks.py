@@ -3,6 +3,13 @@
 These drive both the CLI's calibration/mayer commands and the acceptance
 tests, so the sampled quantities and their tolerances live in one place.
 Every sweep takes an explicit seed and is deterministic given it.
+
+The kernel sweeps work on arrays.  circle_equality_residual and
+mixed_derivative_residual still draw each sample by its own RNG calls, in
+the order a loop of scalar samples would, and then evaluate the samples in
+blocks within the byte budget _BLOCK_BYTES: one QR factorisation, one
+kernel call or one d1d2_fd call per block, each sample with the same bits
+as alone, so no result depends on the blocking.
 """
 
 from __future__ import annotations
@@ -11,8 +18,9 @@ import math
 
 import numpy as np
 
-from .biform import _field, _pair_kernel, biform_apply, d1d2_fd
+from .biform import _field, _pair_kernel, d1d2_fd
 from .biform import mixed_derivative_closed_form
+from .curves import _BLOCK_BYTES
 from .mayer import (
     CallablePath,
     MayerProblem,
@@ -57,32 +65,50 @@ def orthogonality_residual(dim: int, n: int = 10000, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     x, y = _random_points(rng, n, dim)
     m = _field((x - y)[:, None, :], np.eye(dim))
-    mm = np.einsum("nij,njk->nik", m, m) - np.eye(dim)[None, :, :]
+    # (m m)_ik = sum_j m_ij m_jk, summed in j order
+    mm = m[:, :, 0, None] * m[:, None, 0, :]
+    for j in range(1, dim):
+        mm += m[:, :, j, None] * m[:, None, j, :]
+    mm -= np.eye(dim)
     return float(np.abs(mm).max())
 
 
 def circle_equality_residual(dim: int, n_circles: int = 100,
                              seed: int = 0) -> float:
-    """max over random circles and point pairs of |K(tangent pair) - 1|."""
+    """max over random circles and point pairs of |K(tangent pair) - 1|.
+
+    Each circle draws its frame (R^3), centre, radius and two angles, and
+    takes cos and sin of the angles by math; the circles are evaluated in
+    blocks, one QR and one kernel call each.  Two points of a circle of
+    radius >= 0.1 at angles >= 2e-3 apart never coincide."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_circles):
+    step = max(1, _BLOCK_BYTES // (8 * dim * dim))
+    for start in range(0, n_circles, step):
+        m = min(step, n_circles - start)
+        frame = np.empty((m, dim, dim))
+        center, radius = np.empty((m, dim)), np.empty(m)
+        trig = np.empty((4, m))
+        for k in range(m):
+            if dim == 3:
+                frame[k] = rng.normal(size=(3, 3))
+            center[k] = rng.normal(size=dim) * 2
+            radius[k] = rng.uniform(0.1, 3.0)
+            a1, a2 = rng.uniform(0, 2 * np.pi, size=2)
+            if abs(math.sin((a1 - a2) / 2)) < 1e-3:
+                a2 += 0.5
+            trig[:, k] = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
         if dim == 2:
             e1, e2 = np.eye(2)
-            center = rng.normal(size=2) * 2
         else:
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            e1, e2 = q[:, 0], q[:, 1]
-            center = rng.normal(size=3) * 2
-        radius = rng.uniform(0.1, 3.0)
-        a1, a2 = rng.uniform(0, 2 * np.pi, size=2)
-        if abs(math.sin((a1 - a2) / 2)) < 1e-3:
-            a2 += 0.5
-        x = center + radius * (math.cos(a1) * e1 + math.sin(a1) * e2)
-        y = center + radius * (math.cos(a2) * e1 + math.sin(a2) * e2)
-        tx = -math.sin(a1) * e1 + math.cos(a1) * e2
-        ty = -math.sin(a2) * e1 + math.cos(a2) * e2
-        worst = max(worst, abs(biform_apply(x, y, tx, ty) - 1.0))
+            q = np.linalg.qr(frame)[0]
+            e1, e2 = q[:, :, 0], q[:, :, 1]
+        c1, s1, c2, s2 = trig[:, :, None]
+        r = radius[:, None]
+        x = center + r * (c1 * e1 + s1 * e2)
+        y = center + r * (c2 * e1 + s2 * e2)
+        k = _pair_kernel(x - y, -s1 * e1 + c1 * e2, -s2 * e1 + c2 * e2)
+        worst = float(np.max(np.abs(k - 1.0), initial=worst))
     return worst
 
 
@@ -100,18 +126,26 @@ def consistency_residual(n: int = 10000, seed: int = 0) -> float:
 def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0,
                               h: float = 1e-3) -> float:
     """max abs deviation of the finite-difference mixed derivative from the
-    closed form, over pairs at unit-order separation."""
+    closed form, over pairs at unit-order separation.
+
+    Each pair draws a direction, a distance and a base point; the pairs go
+    to d1d2_fd in blocks (all 50 of the CLI's in one call)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     dim = 2 if space == "r2" else 3
-    for _ in range(n):
-        u = _random_units(rng, 1, dim)[0]
-        r = rng.uniform(1.0, 2.0)
-        y = rng.normal(size=dim)
-        x = y + r * u
+    # a pair's stencil holds 4 dim^4 kernel entries
+    step = max(1, _BLOCK_BYTES // (8 * 4 * dim ** 4))
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        u, r, y = np.empty((m, dim)), np.empty(m), np.empty((m, dim))
+        for k in range(m):
+            u[k] = rng.normal(size=(1, dim))
+            r[k] = rng.uniform(1.0, 2.0)
+            y[k] = rng.normal(size=dim)
+        x = y + r[:, None] * (u / np.linalg.norm(u, axis=1, keepdims=True))
         got = d1d2_fd(space, x, y, h).value
         want = mixed_derivative_closed_form(space, x, y)
-        worst = max(worst, float(np.abs(np.asarray(got) - np.asarray(want)).max()))
+        worst = float(np.max(np.abs(got - want), initial=worst))
     return worst
 
 

@@ -12,6 +12,7 @@ on the left of travel).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +41,14 @@ class PointOnBoundaryError(CurveError):
 
 class OrientationError(CurveError):
     """Curve has the wrong orientation for the requested operation."""
+
+
+def _require_count(name: str, value) -> None:
+    """ValueError unless value is an integer >= 1 (a Python or numpy
+    integer, not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def metric_dot(J, a, b, out=None):
@@ -91,8 +100,7 @@ class Geometry:
         tangents their chords (tangent at the midpoint of a geodesic piece),
         scaled by a power of two and normalised under J: finite at any scale.
         """
-        if refinement < 1:
-            raise ValueError("refinement must be >= 1")
+        _require_count("refinement", refinement)
         a, b = v, np.roll(v, -1, axis=0)
         L = self.length(a, b)[:, None]
         # even columns are the pieces' ends, odd columns their midpoints

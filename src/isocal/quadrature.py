@@ -9,7 +9,10 @@ its terms alone: the pair sum is the same, bit for bit, for any row blocking
 and any starting vertex.  The pair sum walks row blocks within a fixed byte
 budget; every block is a view of buffers allocated once per call, which the
 kernel fills through _kernel(..., out), and as nodes come edge by edge its
-same-edge pairs lie in a narrow band of columns.
+same-edge pairs lie in a narrow band of columns.  The winding integral's
+adaptive Simpson trees are evaluated level by level, all pieces in one
+numpy pass per level, and summed back up each tree as a depth-first
+recursion would: the same bits.
 """
 
 from __future__ import annotations
@@ -73,36 +76,71 @@ def line_integral(curve: ClosedCurve, field, refinement: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # winding integral: adaptive Simpson of 2 det(y - x, dy)/|y - x|^2
 
+# Depth at which an interval is a leaf whatever its error estimate.
+_SIMPSON_DEPTH = 48
+# The rows of a level's work array q in _simpson_pass: the interval record
+# (edge, s0, s2, f0, f1, f2) with the midpoint s1, the values lm, rm of f at
+# the halves' midpoints and the halves' estimates left, right.  A split
+# interval's left half is the record (edge, s0, s1, f0, lm, f1, left) and
+# its right half (edge, s1, s2, f1, rm, f2, right): the columns of _HALVES.
+_HALVES = np.array([[0, 0], [1, 6], [6, 2], [3, 4], [7, 8], [4, 5], [9, 10]])
 
-def _edge_winding_integral(a, b, x, tol: float) -> float:
-    e0, e1 = b[0] - a[0], b[1] - a[1]
-    # det(y(s) - x, e) is independent of s along the edge
-    c = (a[0] - x[0]) * e1 - (a[1] - x[1]) * e0
-    if c == 0.0:
-        return 0.0
 
-    def f(s: float) -> float:
-        d0 = a[0] + s * e0 - x[0]
-        d1 = a[1] + s * e1 - x[1]
-        return 2.0 * c / (d0 * d0 + d1 * d1)
+def _winding_f(edges, x, s):
+    """2 c / |a + s e - x|^2 at parameters s of the edges (a0, a1, e0, e1, c)
+    from a along e, where c = det(a - x, e)."""
+    a0, a1, e0, e1, c = edges
+    d0 = a0 + s * e0 - x[0]
+    d1 = a1 + s * e1 - x[1]
+    return 2.0 * c / (d0 * d0 + d1 * d1)
 
-    def rec(s0, s2, f0, f1, f2, whole, depth):
-        s1 = 0.5 * (s0 + s2)
-        lm = f(0.5 * (s0 + s1))
-        rm = f(0.5 * (s1 + s2))
-        h = s2 - s0
-        left = h / 12.0 * (f0 + 4.0 * lm + f1)
-        right = h / 12.0 * (f1 + 4.0 * rm + f2)
-        err = left + right - whole
-        if depth >= 48 or abs(err) < 15.0 * tol:
-            return left + right + err / 15.0
-        return rec(s0, s1, f0, lm, f1, left, depth + 1) + rec(
-            s1, s2, f1, rm, f2, right, depth + 1
-        )
 
-    f0, f1, f2 = f(0.0), f(0.5), f(1.0)
-    whole = (f0 + 4.0 * f1 + f2) / 6.0
-    return rec(0.0, 1.0, f0, f1, f2, whole, 0)
+def _simpson_pass(edges, x, tol15, nodes):
+    """One level of adaptive Simpson for the intervals given as the rows
+    (edge, s0, s2, f0, f1, f2, whole) of nodes: [s0, s2] on the edge
+    edges[:, edge], f at s0, at the midpoint and at s2, and the interval's
+    Simpson estimate.  Evaluates f at the midpoints of both halves of every
+    interval and returns the values as leaves, left + right + err / 15, the
+    indices of the intervals with |err| >= tol15 (15 tol) or NaN, which
+    split, and the records of their halves: the left halves, then the
+    right halves."""
+    q = np.empty((11, nodes.shape[1]))
+    q[:6] = nodes[:6]
+    s0, s2, whole = nodes[1], nodes[2], nodes[6]
+    s1 = np.multiply(0.5, s0 + s2, out=q[6])
+    mids = np.array([s0 + s1, s1 + s2])
+    mids *= 0.5
+    q[7:9] = _winding_f(edges[:, nodes[0].astype(np.intp)], x, mids)
+    # left, right = h / 12 (f0 + 4 lm + f1), h / 12 (f1 + 4 rm + f2)
+    np.multiply((s2 - s0) / 12.0, q[3:5] + 4.0 * q[7:9] + q[4:6], out=q[9:11])
+    both = q[9] + q[10]
+    err = both - whole
+    split = np.flatnonzero(~(np.abs(err) < tol15))
+    return both + err / 15.0, split, q[:, split][_HALVES].reshape(7, -1)
+
+
+def _simpson_tree(edges, x, tol15, depth, nodes):
+    """Adaptive Simpson values of intervals all at one depth of their edges'
+    trees (the records of _simpson_pass), level-synchronous: one pass per
+    level, and the halves of all the intervals that split go one level down
+    together, where each takes the value of its left half plus that of its
+    right half, as a depth-first recursion would.  Intervals at depth
+    _SIMPSON_DEPTH are leaves.  As subtrees are independent, a level of
+    more than _BLOCK_BYTES / 128 intervals goes down in chunks of that
+    many, one after the other: what a level holds while its subtrees are
+    evaluated, its values and the records of its halves (15 floats an
+    interval), fits the budget, and the whole descent holds at most
+    _SIMPSON_DEPTH + 1 budgets."""
+    step = max(1, _BLOCK_BYTES // 128)
+    if nodes.shape[1] > step:
+        return np.concatenate([
+            _simpson_tree(edges, x, tol15, depth, nodes[:, k:k + step])
+            for k in range(0, nodes.shape[1], step)])
+    value, split, halves = _simpson_pass(edges, x, tol15, nodes)
+    if depth < _SIMPSON_DEPTH and len(split):
+        sub = _simpson_tree(edges, x, tol15, depth + 1, halves)
+        value[split] = sub[:len(split)] + sub[len(split):]
+    return value
 
 
 def winding_integral(curve: ClosedCurve, x, refinement: int = 1,
@@ -111,13 +149,28 @@ def winding_integral(curve: ClosedCurve, x, refinement: int = 1,
     winding number up to the quadrature tolerance.
 
     Each edge is pre-split `refinement` times and then integrated by
-    adaptive Simpson with a per-piece budget of tol / #pieces.
+    adaptive Simpson with a per-piece budget of tol / #pieces: an interval
+    is split until its error estimate is below 15 times that, or at depth
+    48.  The trees of all pieces are evaluated level by level, one numpy
+    pass per level (_simpson_tree), and each piece's value is summed back
+    up its own tree, left half plus right half: the same bits as a
+    depth-first recursion per piece.  The pieces' values go into one fsum.
+    A piece whose line passes through x (det(a - x, e) = 0) adds 0.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     p = curves._require_off_boundary(curve, x)
     *_, starts, ends = PLANE.nodes(curve.vertices, refinement)
-    per = tol / len(starts)
-    return math.fsum(_edge_winding_integral(a, b, p, per)
-                     for a, b in zip(starts, ends))
+    tol15 = 15.0 * (tol / len(starts))
+    a, e = starts.T, (ends - starts).T
+    # det(y(s) - x, e) is independent of s along the edge
+    c = (a[0] - p[0]) * e[1] - (a[1] - p[1]) * e[0]
+    g = np.flatnonzero(c != 0.0)
+    edges = np.array([*a, *e, c])
+    f = _winding_f(edges[:, g], p, np.array([[0.0], [0.5], [1.0]]))
+    nodes = np.array([g, np.zeros(len(g)), np.ones(len(g)), *f,
+                      (f[0] + 4.0 * f[1] + f[2]) / 6.0])
+    return math.fsum(_simpson_tree(edges, p, tol15, 0, nodes).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +179,10 @@ def winding_integral(curve: ClosedCurve, x, refinement: int = 1,
 def _kernel(d, ti, tj, J, r2, out=None):
     """2 <d, ti> <d, tj> / r2 - <ti, tj> under J, for d = x_i - x_j.  Swapping
     i and j negates d and swaps the dots: K(i, j) is bitwise K(j, i).  With
-    out, three arrays of the result's shape, the same operations in the same
-    order write into them, allocate nothing and return out[0]."""
+    out, three contiguous arrays of the result's shape, the same operations
+    in the same order write into them, allocate nothing and return out[0];
+    <ti, tj> takes the head of out[1] and out[2] at its own broadcast shape,
+    which is smaller where the tangents are constant along axes of d."""
     if out is None:
         return (2.0 * metric_dot(J, d, ti) * metric_dot(J, d, tj) / r2
                 - metric_dot(J, ti, tj))
@@ -135,6 +190,10 @@ def _kernel(d, ti, tj, J, r2, out=None):
     k = np.multiply(2.0, metric_dot(J, d, ti, (w, s)), out=w)
     k *= metric_dot(J, d, tj, (u, s))
     k /= r2
+    shape = np.broadcast(ti[0], tj[0]).shape
+    if shape != k.shape:
+        u, s = (x.reshape(-1)[:math.prod(shape)].reshape(shape)
+                for x in (u, s))
     k -= metric_dot(J, ti, tj, (u, s))
     return k
 
@@ -232,20 +291,29 @@ class _ExactSum:
         return total / (1 << 1127)  # int division rounds correctly
 
 
-def _refined_terms(SA, SB, T, W, J, i, j, k=8):
+def _refined_terms(SA, SB, T, W, J, i, j, buf=None, k=8):
     """Doubled terms of the near pairs (i, j) on a k x k midpoint subgrid of
-    their two sub-edges, as arrays batched within the block budget."""
+    their two sub-edges, as arrays batched within the block budget.  The
+    kernel fills len(J) + 4 work arrays of a batch's size through
+    _kernel(..., out): views of the rows of buf, reused by every batch (so
+    a batch's terms are overwritten by the next), or fresh ones per batch
+    without buf."""
     s = (np.arange(k) + 0.5) / k
     step = max(1, _BLOCK_BYTES // (8 * k * k))
     for c0 in range(0, len(i), step):
         a, b = i[c0:c0 + step], j[c0:c0 + step]
-        d = [(sa[a, None] + s * (sb[a] - sa[a])[:, None])[:, :, None]
-             - (sa[b, None] + s * (sb[b] - sa[b])[:, None])[:, None, :]
-             for sa, sb in zip(SA.T, SB.T)]
+        shape = (len(a), k, k)
+        ws = np.empty((len(J) + 4, len(a) * k * k)) if buf is None else buf
+        *d, r2, w, u, v = (x[:len(a) * k * k].reshape(shape) for x in ws)
+        for sa, sb, dc in zip(SA.T, SB.T, d):
+            pa = sa[a, None] + s * (sb[a] - sa[a])[:, None]
+            pb = sa[b, None] + s * (sb[b] - sa[b])[:, None]
+            np.subtract(pa[:, :, None], pb[:, None, :], out=dc)
         vals = _kernel(d, [t[a, None, None] for t in T.T],
-                       [t[b, None, None] for t in T.T], J, metric_dot(J, d, d))
-        wt = 2.0 * (W[a] / k) * (W[b] / k)
-        yield (wt[:, None, None] * vals).ravel()
+                       [t[b, None, None] for t in T.T], J,
+                       metric_dot(J, d, d, (r2, u)), (w, u, v))
+        vals *= (2.0 * (W[a] / k) * (W[b] / k))[:, None, None]
+        yield vals.ravel()
 
 
 def pair_sum(P, T, W, E, J, near=None) -> float:
@@ -278,8 +346,9 @@ def pair_sum(P, T, W, E, J, near=None) -> float:
     acc.add(W * W)  # the diagonal: one edge, kernel exactly 1
     delta = float(W.max()) / 4.0
     near_r2 = 1.01 * delta * delta
-    # a block has at most this many entries: one row, or within the budget
-    buf = np.empty((len(pc) + 4, max(_BLOCK_BYTES // 8, n)))
+    # a block has at most this many entries: one row, or within the
+    # budget; so has a batch of subgrid terms, or one pair's 8 x 8
+    buf = np.empty((len(pc) + 4, max(_BLOCK_BYTES // 8, n, 64)))
     i0 = 0
     while i0 < n - 1:
         # rows i0:i1 against columns i0+1:n; entry (r, c) is the pair
@@ -304,7 +373,9 @@ def pair_sum(P, T, W, E, J, near=None) -> float:
         # entries below the strict upper triangle add zero
         corner = terms[:, :m]
         corner[np.tri(*corner.shape, -1, dtype=bool)] = 0.0
-        if near is not None and r2.min() < near_r2:
+        if near is None or r2.min() >= near_r2:
+            acc.add(terms)
+        else:
             # candidates by r2, then the rule dist < delta itself; a near
             # pair's own term is left out rather than added and subtracted
             rr, cc = np.nonzero(r2 < near_r2)
@@ -312,9 +383,12 @@ def pair_sum(P, T, W, E, J, near=None) -> float:
                    & (np.sqrt(r2[rr, cc]) < delta))
             rr, cc = rr[hit], cc[hit]
             terms[rr, cc] = 0.0
-            for sub in _refined_terms(*near, T, W, J, rr + i0, cc + i0 + 1):
+            # the sum is exact, so in any order: the block goes in first,
+            # and its buffers become the subgrid's workspace
+            acc.add(terms)
+            for sub in _refined_terms(*near, T, W, J, rr + i0, cc + i0 + 1,
+                                      buf):
                 acc.add(sub)
-        acc.add(terms)
         i0 = i1
     return acc.value()
 
@@ -366,6 +440,7 @@ def interior_curl_integral(curve: ClosedCurve, y, t_y, n_phi: int = 4096) -> flo
     outside, so its inside length is r_K - r_(K-1) + ...  An edge along a
     sample ray stays ill-conditioned, as in any float ray caster.
     """
+    curves._require_count("n_phi", n_phi)
     p = _vec2(y)
     t = np.asarray(t_y, float)
     d = curve.vertices - p
@@ -402,6 +477,7 @@ def stokes_check(curve: ClosedCurve, y, t_y=None, refinement: int = 1,
     Returns (lhs, rhs); the two agree up to the quadrature tolerances.  The
     node on y's own edge uses the exact along-edge kernel value 1.
     """
+    curves._require_count("n_phi", n_phi)
     edge, edge_tangent = _locate_on_boundary(curve, y)
     t = edge_tangent if t_y is None else np.asarray(_vec2(t_y), float)
     p = _vec2(y)

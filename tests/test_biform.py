@@ -391,3 +391,36 @@ def test_d1d2_step_guards():
 
 def test_closed_form_r2_is_zero():
     assert mixed_derivative_closed_form("r2", (1.0, 0.3), (0.0, 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("space", ["r2", "r3"])
+def test_d1d2_and_closed_form_batched_keep_the_bits_of_each_pair(space):
+    dim = 2 if space == "r2" else 3
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(4, 5, dim))
+    y = x + rng.uniform(1.0, 2.0, size=(4, 5, 1)) * rng.normal(size=(4, 5, dim))
+    got = d1d2_fd(space, x, y, 1e-3).value
+    want = mixed_derivative_closed_form(space, x, y)
+    assert np.shape(got) == np.shape(want) == (4, 5) + ((3, 3) if dim == 3
+                                                        else ())
+    for i in range(4):
+        for j in range(5):
+            one = d1d2_fd(space, x[i, j], y[i, j], 1e-3).value
+            exact = mixed_derivative_closed_form(space, x[i, j], y[i, j])
+            assert type(one) is (float if dim == 2 else np.ndarray)
+            assert np.asarray(one).tobytes() == got[i, j].tobytes()
+            assert np.asarray(exact).tobytes() == want[i, j].tobytes()
+
+
+def test_d1d2_batched_guards_name_the_offending_pair():
+    x = np.array([[1.0, 0.0], [2.0, 2.0], [3.0, 0.0]])
+    y = np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(CoincidentPointsError, match=r"\[2.0, 2.0\]"):
+        d1d2_fd("r2", x, y, 1e-4)
+    with pytest.raises(CoincidentPointsError, match=r"\[2.0, 2.0\]"):
+        mixed_derivative_closed_form("r2", x, y)
+    y[1] = (2.0, 1.95)
+    with pytest.raises(ValueError, match="too large for separation"):
+        d1d2_fd("r2", x, y, 1e-2)
+    with pytest.raises(ValueError, match="dimension 3"):
+        d1d2_fd("r3", x, y, 1e-4)

@@ -1,0 +1,162 @@
+"""The blocked kernel sweeps of isocal.checks against the per-sample loops
+they replaced: the same draws, the same bits, bounded memory."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from isocal import checks
+from isocal.biform import _field, biform_apply, d1d2_fd
+from isocal.biform import mixed_derivative_closed_form
+
+
+# ---------------------------------------------------------------------------
+# the per-sample loops, as they were before the sweeps were blocked
+
+
+def circle_equality_reference(dim, n_circles=100, seed=0):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_circles):
+        if dim == 2:
+            e1, e2 = np.eye(2)
+            center = rng.normal(size=2) * 2
+        else:
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            e1, e2 = q[:, 0], q[:, 1]
+            center = rng.normal(size=3) * 2
+        radius = rng.uniform(0.1, 3.0)
+        a1, a2 = rng.uniform(0, 2 * np.pi, size=2)
+        if abs(math.sin((a1 - a2) / 2)) < 1e-3:
+            a2 += 0.5
+        x = center + radius * (math.cos(a1) * e1 + math.sin(a1) * e2)
+        y = center + radius * (math.cos(a2) * e1 + math.sin(a2) * e2)
+        tx = -math.sin(a1) * e1 + math.cos(a1) * e2
+        ty = -math.sin(a2) * e1 + math.cos(a2) * e2
+        worst = max(worst, abs(biform_apply(x, y, tx, ty) - 1.0))
+    return worst
+
+
+def mixed_derivative_reference(space, n=50, seed=0, h=1e-3):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    dim = 2 if space == "r2" else 3
+    for _ in range(n):
+        u = rng.normal(size=(1, dim))
+        u = (u / np.linalg.norm(u, axis=1, keepdims=True))[0]
+        r = rng.uniform(1.0, 2.0)
+        y = rng.normal(size=dim)
+        x = y + r * u
+        got = d1d2_fd(space, x, y, h).value
+        want = mixed_derivative_closed_form(space, x, y)
+        worst = max(worst,
+                    float(np.abs(np.asarray(got) - np.asarray(want)).max()))
+    return worst
+
+
+def orthogonality_reference(dim, n=10000, seed=0):
+    rng = np.random.default_rng(seed)
+    x, y = checks._random_points(rng, n, dim)
+    m = _field((x - y)[:, None, :], np.eye(dim))
+    mm = np.einsum("nij,njk->nik", m, m) - np.eye(dim)[None, :, :]
+    return float(np.abs(mm).max())
+
+
+# ---------------------------------------------------------------------------
+# bit identity
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 7, 100])
+def test_circle_equality_keeps_the_bits_of_the_loop(dim, n):
+    for seed in range(20):
+        assert checks.circle_equality_residual(dim, n, seed).hex() == \
+            circle_equality_reference(dim, n, seed).hex()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_circle_equality_is_independent_of_the_blocking(monkeypatch, dim):
+    # blocks of 1, 3 and 4 circles: 7 circles end mid-block or on its edge
+    for budget in (8, 8 * dim * dim * 3, 8 * dim * dim * 4):
+        monkeypatch.setattr(checks, "_BLOCK_BYTES", budget)
+        for seed in range(5):
+            assert checks.circle_equality_residual(dim, 7, seed).hex() == \
+                circle_equality_reference(dim, 7, seed).hex()
+
+
+@pytest.mark.parametrize("space", ["r2", "r3"])
+@pytest.mark.parametrize("n", [0, 1, 50])
+def test_mixed_derivative_keeps_the_bits_of_the_loop(space, n):
+    for seed in range(10):
+        assert checks.mixed_derivative_residual(space, n, seed).hex() == \
+            mixed_derivative_reference(space, n, seed).hex()
+
+
+@pytest.mark.parametrize("space", ["r2", "r3"])
+def test_mixed_derivative_is_independent_of_the_blocking(monkeypatch, space):
+    dim = 2 if space == "r2" else 3
+    # blocks of 1 pair and of 7: 50 pairs end mid-block
+    for budget in (8, 7 * 8 * 4 * dim ** 4):
+        monkeypatch.setattr(checks, "_BLOCK_BYTES", budget)
+        for seed in range(3):
+            assert checks.mixed_derivative_residual(space, 50, seed).hex() \
+                == mixed_derivative_reference(space, 50, seed).hex()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_orthogonality_keeps_the_bits_of_einsum(dim):
+    for seed in range(20):
+        assert checks.orthogonality_residual(dim, 2000, seed).hex() == \
+            orthogonality_reference(dim, 2000, seed).hex()
+
+
+def test_sweeps_call_d1d2_fd_once_per_block(monkeypatch):
+    # the CLI's 50 pairs go in one call, for r2 and r3 alike
+    calls = []
+
+    def counted(space, x, y, h):
+        calls.append(np.shape(x))
+        return d1d2_fd(space, x, y, h)
+
+    monkeypatch.setattr(checks, "d1d2_fd", counted)
+    checks.mixed_derivative_residual("r2", 50)
+    checks.mixed_derivative_residual("r3", 50)
+    assert calls == [(50, 2), (50, 3)]
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def _peak(fn, warm):
+    warm()  # first calls allocate module-level state (numpy.linalg, caches)
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_circle_equality_memory_is_linear_in_budget(monkeypatch):
+    # a block of circles holds some 70 floats a circle, about 8 budgets
+    # (the budget buys budget / 72 circles); 100,000 circles at once would
+    # take some 50 MB
+    budget = 1 << 14
+    monkeypatch.setattr(checks, "_BLOCK_BYTES", budget)
+    peak = _peak(lambda: checks.circle_equality_residual(3, 100_000),
+                 lambda: checks.circle_equality_residual(3, 10))
+    assert peak < 12 * budget + (1 << 16)
+
+
+def test_mixed_derivative_memory_is_linear_in_budget(monkeypatch):
+    # a block of pairs holds about 5 budgets of stencil kernel entries
+    # (the budget buys budget / 2592 pairs in R^3); 20,000 pairs at once
+    # would take over 200 MB
+    budget = 1 << 15
+    monkeypatch.setattr(checks, "_BLOCK_BYTES", budget)
+    peak = _peak(lambda: checks.mixed_derivative_residual("r3", 20_000),
+                 lambda: checks.mixed_derivative_residual("r3", 10))
+    assert peak < 8 * budget + (1 << 16)

@@ -241,6 +241,19 @@ def test_boundary_nodes_bad_refinement():
         boundary_nodes(SQUARE, 0)
 
 
+@pytest.mark.parametrize("refinement", [2.5, 2.0, -1, True, "2", None])
+def test_nodes_reject_a_refinement_that_is_not_a_positive_integer(refinement):
+    # 2.5 used to reach numpy as a broadcast error
+    with pytest.raises(ValueError, match="refinement must be an integer"):
+        curves.PLANE.nodes(SQUARE.vertices, refinement)
+
+
+def test_nodes_accept_numpy_integers():
+    want = curves.PLANE.nodes(SQUARE.vertices, 3)
+    got = curves.PLANE.nodes(SQUARE.vertices, np.int64(3))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # the shared node generator
 

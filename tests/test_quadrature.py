@@ -119,6 +119,124 @@ def test_winding_integral_point_on_boundary():
         winding_integral(SQUARE, (0.5, 0.0))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_winding_integral_rejects_a_tolerance_that_is_not_positive(tol):
+    # at tol <= 0 or NaN every interval would split to depth 48: 2^48
+    # integrand calls per edge
+    with pytest.raises(ValueError, match="tol must be positive"):
+        winding_integral(SQUARE, (0.5, 0.5), tol=tol)
+
+
+def edge_winding_reference(a, b, x, tol: float) -> float:
+    """One edge's adaptive Simpson by depth-first recursion, as the winding
+    integral was evaluated before its trees were evaluated level by level."""
+    e0, e1 = b[0] - a[0], b[1] - a[1]
+    c = (a[0] - x[0]) * e1 - (a[1] - x[1]) * e0
+    if c == 0.0:
+        return 0.0
+
+    def f(s: float) -> float:
+        d0 = a[0] + s * e0 - x[0]
+        d1 = a[1] + s * e1 - x[1]
+        return 2.0 * c / (d0 * d0 + d1 * d1)
+
+    def rec(s0, s2, f0, f1, f2, whole, depth):
+        s1 = 0.5 * (s0 + s2)
+        lm = f(0.5 * (s0 + s1))
+        rm = f(0.5 * (s1 + s2))
+        h = s2 - s0
+        left = h / 12.0 * (f0 + 4.0 * lm + f1)
+        right = h / 12.0 * (f1 + 4.0 * rm + f2)
+        err = left + right - whole
+        if depth >= 48 or abs(err) < 15.0 * tol:
+            return left + right + err / 15.0
+        return rec(s0, s1, f0, lm, f1, left, depth + 1) + rec(
+            s1, s2, f1, rm, f2, right, depth + 1
+        )
+
+    f0, f1, f2 = f(0.0), f(0.5), f(1.0)
+    whole = (f0 + 4.0 * f1 + f2) / 6.0
+    return rec(0.0, 1.0, f0, f1, f2, whole, 0)
+
+
+def winding_reference(curve, x, refinement=1, tol=1e-9) -> float:
+    *_, starts, ends = PLANE.nodes(curve.vertices, refinement)
+    per = tol / len(starts)
+    return math.fsum(edge_winding_reference(a, b, np.asarray(x, float), per)
+                     for a, b in zip(starts, ends))
+
+
+def off_edge(curve, i, gap):
+    """The point at `gap` edge lengths left of the midpoint of edge i."""
+    v = curve.vertices
+    a, b = v[i], v[(i + 1) % len(v)]
+    return (a + b) / 2 + gap * np.array([-(b - a)[1], (b - a)[0]])
+
+
+def test_winding_integral_keeps_the_bits_of_the_recursion():
+    # inside, outside, and near an edge on either side
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        c = star_polygon(rng, 3, 48)
+        i = int(rng.integers(c.n_vertices))
+        for x in ((0.0, 0.0), rng.uniform(2.0, 3.0, 2), off_edge(c, i, 1e-6),
+                  off_edge(c, i, -1e-4)):
+            for refinement, tol in ((1, 1e-9), (3, 1e-12), (1, 1e-2)):
+                assert winding_integral(c, x, refinement, tol).hex() == \
+                    winding_reference(c, x, refinement, tol).hex()
+
+
+@pytest.mark.parametrize("budget", [8, 1 << 10])
+def test_winding_integral_is_independent_of_the_chunking(monkeypatch,
+                                                         budget):
+    # levels of more than budget / 128 intervals go down in chunks
+    c = regular_polygon(40)
+    x = off_edge(c, 3, 1e-7)
+    want = winding_reference(c, x, 2, 1e-11).hex()
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+    assert winding_integral(c, x, 2, 1e-11).hex() == want
+
+
+def test_winding_integral_keeps_the_bits_at_the_depth_cap():
+    # a triangle of size 1e-154 and a point 1.6e-162 from an edge: near the
+    # point |y - x|^2 is subnormal, and its rounding keeps the error
+    # estimate above 15 tol down to depth 48 on a few intervals
+    L, d = 1e-154, 1.6e-162 * (1 - 1e-6)
+    c = ClosedCurve([[0.0, 0.0], [L, 0.0], [L / 2, L]])
+    depths = []
+    simpson_tree = quadrature._simpson_tree
+
+    def spy(edges, x, tol15, depth, nodes):
+        depths.append(depth)
+        return simpson_tree(edges, x, tol15, depth, nodes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_simpson_tree", spy)
+        got = winding_integral(c, (L / 3, -d))
+    assert max(depths) == quadrature._SIMPSON_DEPTH
+    assert got.hex() == winding_reference(c, (L / 3, -d)).hex()
+
+
+@pytest.mark.parametrize("budget", [1 << 12, 1 << 14])
+def test_winding_integral_memory_is_linear_in_budget(monkeypatch, budget):
+    # 1024 pieces refined to depth 33, some 60,000 intervals (7 MB of
+    # records).  A level holds at most one budget while its subtrees are
+    # evaluated, 48 levels deep; per piece, some 40 floats of nodes, edge
+    # data and root records.
+    c = regular_polygon(256)
+    x = off_edge(c, 0, 4e-6)
+    winding_integral(c, x, 4, 1e-12)
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        winding_integral(c, x, 4, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (quadrature._SIMPSON_DEPTH + 1) * budget + 512 * 1024 \
+        + (1 << 16)
+
+
 # ---------------------------------------------------------------------------
 # double boundary integral
 
@@ -635,6 +753,16 @@ def test_stokes_lhs_bounded_by_perimeter():
 def test_stokes_requires_point_on_curve():
     with pytest.raises(CurveError):
         stokes_check(SQUARE, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("n_phi", [0, -5, 2.5])
+def test_curl_and_stokes_reject_a_sample_count_that_is_not_positive(n_phi):
+    # 0 used to raise ZeroDivisionError, -5 a numpy error, 2.5 a TypeError
+    y = np.array([0.5, 0.0])
+    with pytest.raises(ValueError, match="n_phi must be an integer >= 1"):
+        interior_curl_integral(SQUARE, y, (1.0, 0.0), n_phi=n_phi)
+    with pytest.raises(ValueError, match="n_phi must be an integer >= 1"):
+        stokes_check(SQUARE, y, n_phi=n_phi)
 
 
 def test_interior_curl_integral_sign():

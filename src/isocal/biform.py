@@ -35,16 +35,16 @@ def _check_distinct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     CoincidentPointsError for the first pair that coincides."""
     z = x - y
     # relative to each pair's own scale, so distinct points at any scale
-    # pass; identical points (the origin included) never do.  |z| is
-    # math.hypot's, as for a single pair.
+    # pass; identical points (the origin included) never do.  |z| by nested
+    # hypot, which neither over- nor underflows where |z| is a float.
     scale = np.maximum(np.abs(x).max(axis=-1), np.abs(y).max(axis=-1))
-    rows = z.reshape(-1, z.shape[-1]).tolist()
-    for k, (zk, sk) in enumerate(zip(rows, np.ravel(scale).tolist())):
-        if math.hypot(*zk) <= 1e-12 * sk:
-            at = np.unravel_index(k, z.shape[:-1])
-            xk, yk = (np.broadcast_to(v, z.shape)[at] for v in (x, y))
-            raise CoincidentPointsError(
-                f"points coincide: {xk.tolist()} ~ {yk.tolist()}")
+    norm = functools.reduce(np.hypot, np.moveaxis(z, -1, 0))
+    bad = np.flatnonzero(norm <= 1e-12 * scale)
+    if bad.size:
+        at = np.unravel_index(bad[0], z.shape[:-1])
+        xk, yk = (np.broadcast_to(v, z.shape)[at] for v in (x, y))
+        raise CoincidentPointsError(
+            f"points coincide: {xk.tolist()} ~ {yk.tolist()}")
     return z
 
 

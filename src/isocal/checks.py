@@ -1,15 +1,17 @@
 """Randomised property sweeps over the kernel and the Mayer machinery.
 
 These drive both the CLI's calibration/mayer commands and the acceptance
-tests, so the sampled quantities and their tolerances live in one place.
-Every sweep takes an explicit seed and is deterministic given it.
+tests, so the sampled quantities live in one place; the tolerances they are
+judged by are the CLI's (cli.DEFAULT_TOLERANCES).  Every sweep takes an
+explicit seed and is deterministic given it.
 
 The kernel sweeps work on arrays.  circle_equality_residual and
-mixed_derivative_residual still draw each sample by its own RNG calls, in
-the order a loop of scalar samples would, and then evaluate the samples in
-blocks within the byte budget _BLOCK_BYTES: one QR factorisation, one
-kernel call or one d1d2_fd call per block, each sample with the same bits
-as alone, so no result depends on the blocking.
+mixed_derivative_residual draw each sample as one row of each of two
+streams spawned from the seed, one of normal and one of uniform draws, and
+evaluate the samples in blocks within the byte budget _BLOCK_BYTES: one QR
+factorisation, one kernel call or one d1d2_fd call per block.  A block
+draws the rows that follow the previous block's, and each sample gets the
+same bits as alone, so no result depends on the blocking.
 """
 
 from __future__ import annotations
@@ -77,34 +79,25 @@ def circle_equality_residual(dim: int, n_circles: int = 100,
                              seed: int = 0) -> float:
     """max over random circles and point pairs of |K(tangent pair) - 1|.
 
-    Each circle draws its frame (R^3), centre, radius and two angles, and
-    takes cos and sin of the angles by math; the circles are evaluated in
-    blocks, one QR and one kernel call each.  Two points of a circle of
-    radius >= 0.1 at angles >= 2e-3 apart never coincide."""
-    rng = np.random.default_rng(seed)
+    Each circle is one row of each of two streams spawned from the seed: a
+    normal row holds its frame and centre, a uniform row its radius and two
+    angles.  The circles are evaluated in blocks, one QR and one kernel
+    call each.  Two points of a circle of radius >= 0.1 at angles >= 2e-3
+    apart never coincide."""
+    normal, uniform = np.random.default_rng(seed).spawn(2)
     worst = 0.0
     step = max(1, _BLOCK_BYTES // (8 * dim * dim))
     for start in range(0, n_circles, step):
         m = min(step, n_circles - start)
-        frame = np.empty((m, dim, dim))
-        center, radius = np.empty((m, dim)), np.empty(m)
-        trig = np.empty((4, m))
-        for k in range(m):
-            if dim == 3:
-                frame[k] = rng.normal(size=(3, 3))
-            center[k] = rng.normal(size=dim) * 2
-            radius[k] = rng.uniform(0.1, 3.0)
-            a1, a2 = rng.uniform(0, 2 * np.pi, size=2)
-            if abs(math.sin((a1 - a2) / 2)) < 1e-3:
-                a2 += 0.5
-            trig[:, k] = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
-        if dim == 2:
-            e1, e2 = np.eye(2)
-        else:
-            q = np.linalg.qr(frame)[0]
-            e1, e2 = q[:, :, 0], q[:, :, 1]
-        c1, s1, c2, s2 = trig[:, :, None]
-        r = radius[:, None]
+        g = normal.normal(size=(m, dim + 1, dim))
+        radius, a1, a2 = uniform.uniform(
+            (0.1, 0.0, 0.0), (3.0, 2 * np.pi, 2 * np.pi), size=(m, 3)).T
+        a2 = np.where(np.abs(np.sin((a1 - a2) / 2)) < 1e-3, a2 + 0.5, a2)
+        q = np.linalg.qr(g[:, :dim])[0]
+        e1, e2 = q[:, :, 0], q[:, :, 1]
+        c1, s1, c2, s2 = (f(a)[:, None] for a in (a1, a2)
+                          for f in (np.cos, np.sin))
+        center, r = g[:, dim] * 2, radius[:, None]
         x = center + r * (c1 * e1 + s1 * e2)
         y = center + r * (c2 * e1 + s2 * e2)
         k = _pair_kernel(x - y, -s1 * e1 + c1 * e2, -s2 * e1 + c2 * e2)
@@ -128,20 +121,19 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0,
     """max abs deviation of the finite-difference mixed derivative from the
     closed form, over pairs at unit-order separation.
 
-    Each pair draws a direction, a distance and a base point; the pairs go
-    to d1d2_fd in blocks (all 50 of the CLI's in one call)."""
-    rng = np.random.default_rng(seed)
+    Each pair is one row of each of two streams spawned from the seed: a
+    normal row holds a direction and a base point, a uniform row the
+    distance.  The pairs go to d1d2_fd in blocks (all 50 of the CLI's in
+    one call)."""
+    normal, uniform = np.random.default_rng(seed).spawn(2)
     worst = 0.0
     dim = 2 if space == "r2" else 3
     # a pair's stencil holds 4 dim^4 kernel entries
     step = max(1, _BLOCK_BYTES // (8 * 4 * dim ** 4))
     for start in range(0, n, step):
         m = min(step, n - start)
-        u, r, y = np.empty((m, dim)), np.empty(m), np.empty((m, dim))
-        for k in range(m):
-            u[k] = rng.normal(size=(1, dim))
-            r[k] = rng.uniform(1.0, 2.0)
-            y[k] = rng.normal(size=dim)
+        u, y = normal.normal(size=(m, 2, dim)).transpose(1, 0, 2)
+        r = uniform.uniform(1.0, 2.0, size=m)
         x = y + r[:, None] * (u / np.linalg.norm(u, axis=1, keepdims=True))
         got = d1d2_fd(space, x, y, h).value
         want = mixed_derivative_closed_form(space, x, y)
@@ -258,16 +250,16 @@ def minimality_minimum(problem: MayerProblem, n: int = 100,
     return worst
 
 
-def run_mayer_checks(problem: MayerProblem, samples: int = 10000,
-                     seed: int = 0, n_pairs: int = 20,
-                     n_pullback: int = 100,
-                     n_perturbations: int = 100) -> dict[str, float]:
-    """The five null-Lagrangian checks; keys match the report names."""
+def run_mayer_checks(problem: MayerProblem, samples: int,
+                     seed: int) -> dict[str, float]:
+    """The five null-Lagrangian checks of the mayer command, at its sizes (5
+    path pairs, 50 pullback points, 20 perturbations); keys match the
+    report's check and tolerance names."""
     return {
         "dominance_min": dominance_minimum(problem, samples, seed),
         "field_equality_max": field_equality_residual(problem),
         "path_independence_max": path_independence_residual(
-            problem, n_pairs, seed + 1),
-        "pullback_max": pullback_residual(problem, n_pullback, seed + 2),
-        "minimality_min": minimality_minimum(problem, n_perturbations, seed + 3),
+            problem, 5, seed + 1),
+        "pullback_max": pullback_residual(problem, 50, seed + 2),
+        "minimality_min": minimality_minimum(problem, 20, seed + 3),
     }

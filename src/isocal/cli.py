@@ -101,15 +101,16 @@ def _tolerances(config: dict, overrides: list[str] | None) -> dict:
     return tol
 
 
-def _samples_and_seed(args, config: dict, default_samples):
+def _samples_and_seed(config: dict, samples, seed, default_samples):
     """Sample count and seed: the flag, else the config, else the default.
 
     The sample count is a positive integer (or None where the command has
     no default), the seed a non-negative integer.
     """
-    samples = args.samples if args.samples is not None \
-        else config.get("samples", default_samples)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if samples is None:
+        samples = config.get("samples", default_samples)
+    if seed is None:
+        seed = config.get("seed", 0)
     if samples is not None and not _int_at_least(samples, 1):
         raise UsageError(f"samples must be a positive integer, got {samples!r}")
     if not _int_at_least(seed, 0):
@@ -121,39 +122,49 @@ def _int_at_least(val, least: int) -> bool:
     return isinstance(val, int) and not isinstance(val, bool) and val >= least
 
 
-def _check(name: str, value: float, tolerance: float, kind: str) -> dict:
-    if kind == "min":
-        ok = value >= -tolerance
-    else:
-        ok = abs(value) <= tolerance
-    return {"name": name, "value": value, "tolerance": tolerance,
-            "passed": bool(ok)}
+def _report(args, tol: dict, settings: dict, head: dict, results: dict,
+            entries, notes=()) -> int:
+    """Write a command's JSON report to --out, else stdout, and return its
+    exit code: 0 if every check passed, else 1.
 
-
-def _emit(report: dict, out: str | None) -> None:
+    Each entry (check name, value, tolerance name) is one check.  A
+    tolerance named *_min bounds the value from below, value >= -tol; any
+    other bounds its size, |value| <= tol."""
+    checks_list = []
+    for name, value, tol_name in entries:
+        bound = tol[tol_name]
+        ok = value >= -bound if tol_name.endswith("_min") \
+            else abs(value) <= bound
+        checks_list.append({"name": name, "value": value, "tolerance": bound,
+                            "passed": bool(ok)})
+    passed = all(c["passed"] for c in checks_list)
+    report = {
+        "schema": 1,
+        "tool": {"name": "isocal", "version": __version__},
+        "command": args.command,
+        **head,
+        "config": {**settings, "tolerances": tol},
+        "results": results,
+        "checks": checks_list,
+        "notes": list(notes),
+        "argv": args.argv_echo,
+        "passed": passed,
+        "wall_time_s": time.perf_counter() - args.t0,
+    }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _finish(report: dict, out: str | None, t0: float, argv: list[str]) -> int:
-    report["argv"] = list(argv)
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    report["wall_time_s"] = time.perf_counter() - t0
-    _emit(report, out)
-    return 0 if report["passed"] else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    config = _load_config(args.config)
+def _cmd_verify(args, config: dict) -> int:
     tol = _tolerances(config, args.tolerance)
     try:
         with open(args.curve, "r", encoding="utf-8") as fh:
@@ -175,126 +186,91 @@ def _cmd_verify(args) -> int:
     if refinement is None:
         refinement = geometry.default_refinement(curve)
     verify = operator.attrgetter(geometry.verify)(sys.modules[__package__])
-    report_data = verify(curve, refinement)
+    r = verify(curve, refinement)
 
     # the double integral converges to the sharp bound itself
-    expected = report_data.lower_bound
-    rel_err = (report_data.double_integral - expected) / expected
-    checks_list = [
-        _check("deficit", report_data.deficit, tol["deficit_min"], "min"),
-        _check("calibration_gap", report_data.calibration_gap,
-               tol["calibration_gap_min"], "min"),
-        _check("double_integral_rel_error", rel_err,
-               tol["double_integral_rel"], "abs"),
-    ]
-    report = {
-        "schema": 1,
-        "tool": {"name": "isocal", "version": __version__},
-        "command": "verify",
-        "space": geometry.tag,
-        "config": {"refinement": refinement, "tolerances": tol},
-        "input": {"path": args.curve, "content_hash": io.content_hash(curve)},
-        "results": {
-            "perimeter": report_data.perimeter,
-            "area": report_data.area,
-            "double_integral": report_data.double_integral,
-            "lower_bound": report_data.lower_bound,
-            "deficit": report_data.deficit,
-            "calibration_gap": report_data.calibration_gap,
-            "expected_double_integral": expected,
-        },
-        "checks": checks_list,
-        "notes": list(geometry.notes),
+    results = {
+        "perimeter": r.perimeter,
+        "area": r.area,
+        "double_integral": r.double_integral,
+        "lower_bound": r.lower_bound,
+        "deficit": r.deficit,
+        "calibration_gap": r.calibration_gap,
+        "expected_double_integral": r.lower_bound,
     }
-    return _finish(report, args.out, t0, args.argv_echo)
+    entries = [
+        ("deficit", r.deficit, "deficit_min"),
+        ("calibration_gap", r.calibration_gap, "calibration_gap_min"),
+        ("double_integral_rel_error",
+         (r.double_integral - r.lower_bound) / r.lower_bound,
+         "double_integral_rel"),
+    ]
+    head = {"space": geometry.tag,
+            "input": {"path": args.curve,
+                      "content_hash": io.content_hash(curve)}}
+    return _report(args, tol, {"refinement": refinement}, head, results,
+                   entries, geometry.notes)
 
 
 # ---------------------------------------------------------------------------
 # calibration
 
+# The checks in report order: (check name, sweep(samples, seed), tolerance
+# name); r3 adds three to the five of r2.  Each sweep looks its function up
+# on the checks module when it runs, so a wrapper set there sees the call.
+_CALIBRATION_R2 = [
+    ("unit_norm", lambda n, s: checks.mayer_vector_norm_residual(n, s),
+     "unit_norm"),
+    ("orthogonality_r2", lambda n, s: checks.orthogonality_residual(2, n, s),
+     "orthogonality"),
+    ("circle_equality_r2",
+     lambda n, s: checks.circle_equality_residual(2, min(n, 100), s),
+     "circle_equality"),
+    ("consistency", lambda n, s: checks.consistency_residual(n, s),
+     "consistency"),
+    ("mixed_r2",
+     lambda n, s: checks.mixed_derivative_residual("r2", min(n, 50), s),
+     "mixed_r2"),
+]
+_CALIBRATION = {"r2": _CALIBRATION_R2, "r3": _CALIBRATION_R2 + [
+    ("orthogonality_r3", lambda n, s: checks.orthogonality_residual(3, n, s),
+     "orthogonality"),
+    ("circle_equality_r3",
+     lambda n, s: checks.circle_equality_residual(3, min(n, 100), s),
+     "circle_equality"),
+    ("mixed_r3",
+     lambda n, s: checks.mixed_derivative_residual("r3", min(n, 50), s),
+     "mixed_r3"),
+]}
 
-def _cmd_calibration(args) -> int:
-    t0 = time.perf_counter()
-    config = _load_config(args.config)
+
+def _cmd_calibration(args, config: dict) -> int:
     tol = _tolerances(config, args.tolerance)
-    samples, seed = _samples_and_seed(args, config, 10000)
-    n_circles = min(samples, 100)
-    n_mixed = min(samples, 50)
-
-    results = {
-        "unit_norm": checks.mayer_vector_norm_residual(samples, seed),
-        "orthogonality_r2": checks.orthogonality_residual(2, samples, seed),
-        "circle_equality_r2": checks.circle_equality_residual(2, n_circles, seed),
-        "consistency": checks.consistency_residual(samples, seed),
-        "mixed_r2": checks.mixed_derivative_residual("r2", n_mixed, seed),
-    }
-    checks_list = [
-        _check("unit_norm", results["unit_norm"], tol["unit_norm"], "abs"),
-        _check("orthogonality_r2", results["orthogonality_r2"],
-               tol["orthogonality"], "abs"),
-        _check("circle_equality_r2", results["circle_equality_r2"],
-               tol["circle_equality"], "abs"),
-        _check("consistency", results["consistency"], tol["consistency"], "abs"),
-        _check("mixed_r2", results["mixed_r2"], tol["mixed_r2"], "abs"),
-    ]
-    if args.space == "r3":
-        results["orthogonality_r3"] = checks.orthogonality_residual(3, samples, seed)
-        results["circle_equality_r3"] = checks.circle_equality_residual(
-            3, n_circles, seed)
-        results["mixed_r3"] = checks.mixed_derivative_residual("r3", n_mixed, seed)
-        checks_list += [
-            _check("orthogonality_r3", results["orthogonality_r3"],
-                   tol["orthogonality"], "abs"),
-            _check("circle_equality_r3", results["circle_equality_r3"],
-                   tol["circle_equality"], "abs"),
-            _check("mixed_r3", results["mixed_r3"], tol["mixed_r3"], "abs"),
-        ]
-    report = {
-        "schema": 1,
-        "tool": {"name": "isocal", "version": __version__},
-        "command": "calibration",
-        "space": args.space or "r2",
-        "config": {"samples": samples, "seed": seed, "tolerances": tol},
-        "results": results,
-        "checks": checks_list,
-        "notes": [],
-    }
-    return _finish(report, args.out, t0, args.argv_echo)
+    samples, seed = _samples_and_seed(config, args.samples, args.seed, 10000)
+    table = _CALIBRATION[args.space]
+    results = {name: sweep(samples, seed) for name, sweep, _ in table}
+    entries = [(name, results[name], tol_name) for name, _, tol_name in table]
+    return _report(args, tol, {"samples": samples, "seed": seed},
+                   {"space": args.space}, results, entries)
 
 
 # ---------------------------------------------------------------------------
 # mayer
 
 
-def _cmd_mayer(args) -> int:
-    t0 = time.perf_counter()
-    config = _load_config(args.config)
+def _cmd_mayer(args, config: dict) -> int:
     tol = _tolerances(config, args.tolerance)
-    samples, seed = _samples_and_seed(args, config, 2000)
+    samples, seed = _samples_and_seed(config, args.samples, args.seed, 2000)
     try:
         problem = mayer.get_problem(args.problem)
     except KeyError as e:
         raise UsageError(str(e)) from e
-
-    results = checks.run_mayer_checks(
-        problem, samples=samples, seed=seed,
-        n_pairs=5, n_pullback=50, n_perturbations=20)
-    kind = {"dominance_min": "min", "minimality_min": "min"}
-    checks_list = [
-        _check(name, val, tol[name], kind.get(name, "abs"))
-        for name, val in results.items()
-    ]
-    report = {
-        "schema": 1,
-        "tool": {"name": "isocal", "version": __version__},
-        "command": "mayer",
-        "problem": problem.name,
-        "config": {"samples": samples, "seed": seed, "tolerances": tol},
-        "results": results,
-        "checks": checks_list,
-        "notes": [problem.description],
-    }
-    return _finish(report, args.out, t0, args.argv_echo)
+    # each result is named after its tolerance
+    results = checks.run_mayer_checks(problem, samples, seed)
+    return _report(args, tol, {"samples": samples, "seed": seed},
+                   {"problem": problem.name}, results,
+                   [(name, value, name) for name, value in results.items()],
+                   [problem.description])
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +284,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _cmd_plotdata(args) -> int:
-    config = _load_config(args.config)
-    samples, _ = _samples_and_seed(args, config, None)
+def _cmd_plotdata(args, config: dict) -> int:
+    samples, _ = _samples_and_seed(config, args.samples, None, None)
     out_dir = args.out or "plotdata"
     if args.kind == "vfield":
         n = samples if samples is not None else 21
@@ -352,10 +327,11 @@ def _cmd_plotdata(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         lo, hi = problem.family.s_interval
         a, b = problem.family.t_domain
-        rows = []
-        for s in np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), n):
-            for t in np.linspace(a, b, 101):
-                rows.append([s, t, problem.family.u(float(s), float(t))])
+        s = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), n)
+        t = np.linspace(a, b, 101)
+        u = problem.family.u(s[:, None], t[None, :])
+        rows = zip(np.repeat(s, len(t)).tolist(), np.tile(t, n).tolist(),
+                   u.ravel().tolist())
         path = os.path.join(out_dir, "leaves.csv")
         _write_csv(path, ["s", "t", "u"], rows)
     sys.stdout.write(path + "\n")
@@ -363,6 +339,19 @@ def _cmd_plotdata(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+# the common flags; each command adds only the ones it reads, so argparse
+# rejects any other with exit code 2
+_FLAGS = {
+    "refinement": {"type": int,
+                   "help": "sub-edge refinement (default: automatic)"},
+    "tolerance": {"action": "append", "metavar": "NAME=VALUE",
+                  "help": "override a named tolerance (repeatable)"},
+    "samples": {"type": int, "help": "sample count for randomised sweeps"},
+    "seed": {"type": int, "help": "RNG seed"},
+    "out": {"help": "output path"},
+    "config": {"help": f"config JSON (default: ${ENV_CONFIG})"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -373,44 +362,35 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"isocal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--refinement", type=int, default=None,
-                       help="sub-edge refinement (default: automatic)")
-        p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                       help="override a named tolerance (repeatable)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="sample count for randomised sweeps")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--config", default=None,
-                       help=f"config JSON (default: ${ENV_CONFIG})")
+    def command(name, about, func, flags):
+        p = sub.add_parser(name, help=about)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="isoperimetric report for a curve file")
-    common(p)
+    p = command("verify", "isoperimetric report for a curve file",
+                _cmd_verify, ["refinement", "tolerance", "out", "config"])
     p.add_argument("--space", choices=io.SPACES, default=None,
                    help="expected geometry of the curve file")
     p.add_argument("curve", help="curve JSON file")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("calibration", help="kernel invariant sweep")
-    common(p)
-    p.add_argument("--space", choices=["r2", "r3"], default="r2",
+    p = command("calibration", "kernel invariant sweep", _cmd_calibration,
+                ["tolerance", "samples", "seed", "out", "config"])
+    p.add_argument("--space", choices=sorted(_CALIBRATION), default="r2",
                    help="r3 adds the three-space checks incl. the mixed-"
                         "derivative closed form")
-    p.set_defaults(func=_cmd_calibration)
 
-    p = sub.add_parser("mayer", help="null-Lagrangian checks on a problem")
-    common(p)
+    p = command("mayer", "null-Lagrangian checks on a problem", _cmd_mayer,
+                ["tolerance", "samples", "seed", "out", "config"])
     p.add_argument("--problem", required=True,
                    help=f"one of {mayer.problem_names()}")
-    p.set_defaults(func=_cmd_mayer)
 
-    p = sub.add_parser("plotdata", help="CSV samples for figures")
-    common(p)
+    p = command("plotdata", "CSV samples for figures", _cmd_plotdata,
+                ["samples", "out", "config"])
     p.add_argument("kind", choices=["vfield", "circles", "leaves"])
     p.add_argument("--problem", default=None,
                    help="registry problem for `leaves`")
-    p.set_defaults(func=_cmd_plotdata)
     return parser
 
 
@@ -418,8 +398,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.argv_echo = list(argv) if argv is not None else list(sys.argv[1:])
+    args.t0 = time.perf_counter()
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except UsageError as e:
         print(f"isocal: error: {e}", file=sys.stderr)
         return 2

@@ -497,8 +497,8 @@ def stokes_check(curve: ClosedCurve, y, t_y=None, refinement: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def verify_isoperimetric(curve: ClosedCurve, refinement: int | None = None,
-                         check_simple: bool = True) -> IsoperimetricReport:
+def verify_isoperimetric(curve: ClosedCurve,
+                         refinement: int | None = None) -> IsoperimetricReport:
     """Full planar report: perimeter, area, double integral, sharp bound.
 
     Requires a simple, positively oriented curve; a negatively oriented
@@ -516,8 +516,7 @@ def verify_isoperimetric(curve: ClosedCurve, refinement: int | None = None,
         raise curves.CurveError(f"perimeter squared, about 2^{2 * k}, "
                                 "is not a normal float")
     curves.ensure_positive(curve)
-    if check_simple:
-        curves.ensure_simple(curve)
+    curves.ensure_simple(curve)
     A = curves.signed_area(unit)
     k = math.frexp(A)[1] + 2 * e  # below L^2 / (4 pi), so at most 1024
     if k < -1021:

@@ -240,11 +240,9 @@ def _check_simple_sphere(curve: SphericalCurve) -> None:
 
 
 def verify_sphere_isoperimetric(curve: SphericalCurve,
-                                refinement: int = 1,
-                                check_simple: bool = True) -> IsoperimetricReport:
+                                refinement: int = 1) -> IsoperimetricReport:
     """Report with the sharp spherical bound (4*pi - A) * A."""
-    if check_simple:
-        _check_simple_sphere(curve)
+    _check_simple_sphere(curve)
     return IsoperimetricReport.of(SPHERE, sphere_perimeter(curve),
                                   sphere_area(curve),
                                   sphere_double_integral(curve, refinement))
@@ -351,11 +349,9 @@ def _check_simple_hyperbolic(curve: HyperbolicCurve) -> None:
 
 
 def verify_hyperbolic_isoperimetric(curve: HyperbolicCurve,
-                                    refinement: int = 1,
-                                    check_simple: bool = True) -> IsoperimetricReport:
+                                    refinement: int = 1) -> IsoperimetricReport:
     """Report with the sharp hyperbolic bound (4*pi + A) * A."""
-    if check_simple:
-        _check_simple_hyperbolic(curve)
+    _check_simple_hyperbolic(curve)
     return IsoperimetricReport.of(HYPERBOLIC, hyperbolic_perimeter(curve),
                                   hyperbolic_area(curve),
                                   hyperbolic_double_integral(curve, refinement))

@@ -1,7 +1,6 @@
-"""The blocked kernel sweeps of isocal.checks against the per-sample loops
-they replaced: the same draws, the same bits, bounded memory."""
+"""The blocked kernel sweeps of isocal.checks against per-sample loops over
+the same draws: the same bits, whatever the blocking, in bounded memory."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -13,41 +12,38 @@ from isocal.biform import mixed_derivative_closed_form
 
 
 # ---------------------------------------------------------------------------
-# the per-sample loops, as they were before the sweeps were blocked
+# the per-sample loops: the same rows of the same two streams, drawn one
+# sample at a time and evaluated one sample at a time
 
 
 def circle_equality_reference(dim, n_circles=100, seed=0):
-    rng = np.random.default_rng(seed)
+    normal, uniform = np.random.default_rng(seed).spawn(2)
     worst = 0.0
     for _ in range(n_circles):
-        if dim == 2:
-            e1, e2 = np.eye(2)
-            center = rng.normal(size=2) * 2
-        else:
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            e1, e2 = q[:, 0], q[:, 1]
-            center = rng.normal(size=3) * 2
-        radius = rng.uniform(0.1, 3.0)
-        a1, a2 = rng.uniform(0, 2 * np.pi, size=2)
-        if abs(math.sin((a1 - a2) / 2)) < 1e-3:
+        g = normal.normal(size=(dim + 1, dim))
+        radius, a1, a2 = uniform.uniform((0.1, 0.0, 0.0),
+                                         (3.0, 2 * np.pi, 2 * np.pi))
+        if abs(np.sin((a1 - a2) / 2)) < 1e-3:
             a2 += 0.5
-        x = center + radius * (math.cos(a1) * e1 + math.sin(a1) * e2)
-        y = center + radius * (math.cos(a2) * e1 + math.sin(a2) * e2)
-        tx = -math.sin(a1) * e1 + math.cos(a1) * e2
-        ty = -math.sin(a2) * e1 + math.cos(a2) * e2
+        q, _ = np.linalg.qr(g[:dim])
+        e1, e2 = q[:, 0], q[:, 1]
+        center = g[dim] * 2
+        x = center + radius * (np.cos(a1) * e1 + np.sin(a1) * e2)
+        y = center + radius * (np.cos(a2) * e1 + np.sin(a2) * e2)
+        tx = -np.sin(a1) * e1 + np.cos(a1) * e2
+        ty = -np.sin(a2) * e1 + np.cos(a2) * e2
         worst = max(worst, abs(biform_apply(x, y, tx, ty) - 1.0))
     return worst
 
 
 def mixed_derivative_reference(space, n=50, seed=0, h=1e-3):
-    rng = np.random.default_rng(seed)
+    normal, uniform = np.random.default_rng(seed).spawn(2)
     worst = 0.0
     dim = 2 if space == "r2" else 3
     for _ in range(n):
-        u = rng.normal(size=(1, dim))
-        u = (u / np.linalg.norm(u, axis=1, keepdims=True))[0]
-        r = rng.uniform(1.0, 2.0)
-        y = rng.normal(size=dim)
+        u, y = normal.normal(size=(2, dim))
+        r = uniform.uniform(1.0, 2.0)
+        u = (u[None] / np.linalg.norm(u[None], axis=1, keepdims=True))[0]
         x = y + r * u
         got = d1d2_fd(space, x, y, h).value
         want = mixed_derivative_closed_form(space, x, y)
@@ -141,7 +137,7 @@ def _peak(fn, warm):
 
 
 def test_circle_equality_memory_is_linear_in_budget(monkeypatch):
-    # a block of circles holds some 70 floats a circle, about 8 budgets
+    # a block of circles holds some 90 floats a circle, about 10 budgets
     # (the budget buys budget / 72 circles); 100,000 circles at once would
     # take some 50 MB
     budget = 1 << 14

@@ -10,6 +10,7 @@ from isocal import (
     ClosedCurve,
     content_hash,
     geodesic_cap,
+    get_problem,
     hyperbolic_circle,
     load_curve,
     regular_polygon,
@@ -323,10 +324,13 @@ def test_plotdata_leaves_monotone(tmp_path):
                  "--samples", "7", "--out", str(out)]) == 0
     with open(out / "leaves.csv") as fh:
         rows = list(csv.DictReader(fh))
+    # one array call gives each point's scalar value, bit for bit
+    family = get_problem("oscillator").family
     by_t = {}
     for row in rows:
-        by_t.setdefault(float(row["t"]), []).append(
-            (float(row["s"]), float(row["u"])))
+        s, t, u = float(row["s"]), float(row["t"]), float(row["u"])
+        assert u == family.u(s, t)
+        by_t.setdefault(t, []).append((s, u))
     for t, pairs in by_t.items():
         pairs.sort()
         us = [u for _, u in pairs]
@@ -345,6 +349,39 @@ def test_plotdata_circles_written(tmp_path):
             (float(row["x1"]), float(row["x2"])))
     for pts in by_id.values():
         assert min(math.hypot(x1, x2) for x1, x2 in pts) < 0.2
+
+
+# ---------------------------------------------------------------------------
+# flags
+
+
+# every flag some command reads, given to a command that does not read it
+UNREAD_FLAGS = [
+    (["verify", "CURVE"], "--samples", "5"),
+    (["verify", "CURVE"], "--seed", "1"),
+    (["verify", "CURVE"], "--problem", "free"),
+    (["calibration"], "--refinement", "2"),
+    (["calibration"], "--problem", "free"),
+    (["mayer", "--problem", "free"], "--refinement", "2"),
+    (["mayer", "--problem", "free"], "--space", "r2"),
+    (["plotdata", "vfield"], "--refinement", "2"),
+    (["plotdata", "vfield"], "--tolerance", "unit_norm=1"),
+    (["plotdata", "vfield"], "--seed", "1"),
+    (["plotdata", "vfield"], "--space", "r2"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS,
+                         ids=[f"{c[0]}{f}" for c, f, _ in UNREAD_FLAGS])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, square_file, capsys,
+                                                command, flag, value):
+    out = tmp_path / "out"
+    argv = [square_file if a == "CURVE" else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -183,12 +183,10 @@ def _cmd_verify(args, config: dict) -> int:
     if refinement is not None and not _int_at_least(refinement, 1):
         raise UsageError(
             f"refinement must be a positive integer, got {refinement!r}")
-    if refinement is None:
-        refinement = geometry.default_refinement(curve)
     verify = operator.attrgetter(geometry.verify)(sys.modules[__package__])
-    r = verify(curve, refinement)
+    r = verify(curve) if refinement is None else verify(curve, refinement)
 
-    # the double integral converges to the sharp bound itself
+    # the double integral converges to (planar: equals) the sharp bound
     results = {
         "perimeter": r.perimeter,
         "area": r.area,
@@ -198,6 +196,10 @@ def _cmd_verify(args, config: dict) -> int:
         "calibration_gap": r.calibration_gap,
         "expected_double_integral": r.lower_bound,
     }
+    if r.midpoint_double_integral is not None:  # a witness, not a check
+        results["midpoint_double_integral"] = r.midpoint_double_integral
+        results["midpoint_rel_deviation"] = (
+            r.midpoint_double_integral - r.double_integral) / r.lower_bound
     entries = [
         ("deficit", r.deficit, "deficit_min"),
         ("calibration_gap", r.calibration_gap, "calibration_gap_min"),
@@ -344,7 +346,7 @@ def _cmd_plotdata(args, config: dict) -> int:
 # rejects any other with exit code 2
 _FLAGS = {
     "refinement": {"type": int,
-                   "help": "sub-edge refinement (default: automatic)"},
+                   "help": "midpoint pieces per edge (planar: a witness)"},
     "tolerance": {"action": "append", "metavar": "NAME=VALUE",
                   "help": "override a named tolerance (repeatable)"},
     "samples": {"type": int, "help": "sample count for randomised sweeps"},
@@ -396,7 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse's usage error, --help or --version
+        return e.code
     args.argv_echo = list(argv) if argv is not None else list(sys.argv[1:])
     args.t0 = time.perf_counter()
     try:

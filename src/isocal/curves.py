@@ -84,7 +84,6 @@ class Geometry:
     length: Callable  # geodesic lengths between the rows of a and b
     verify: str       # the report function as "module.name" in the package,
                       # looked up at call time, so wrappers of it see the call
-    default_refinement: Callable  # curve -> refinement of its CLI report
     notes: tuple = ()  # caveats that every report in this geometry carries
 
     def perimeter(self, v) -> float:
@@ -129,8 +128,7 @@ def _plane_lengths(a, b):
 
 
 PLANE = Geometry(tag="euclidean", K=0.0, J=(1.0, 1.0), f=np.positive,
-                 length=_plane_lengths, verify="quadrature.verify_isoperimetric",
-                 default_refinement=auto_refinement)
+                 length=_plane_lengths, verify="quadrature.verify_isoperimetric")
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,31 @@
 """Integration engines for boundary one-forms, the double boundary integral
 of the tangent kernel, and the singular interior curl integral.
 
-Every total is correctly rounded: the short sums are one math.fsum each, and
-the pair sum, millions of terms, is one exact binned reduction (two float
-halves per term, np.bincount by sign and exponent), correctly rounded, the
-same bits as math.fsum.  Either way a total is a function of the multiset of
-its terms alone: the pair sum is the same, bit for bit, for any row blocking
-and any starting vertex.  The pair sum walks row blocks within a fixed byte
-budget; every block is a view of buffers allocated once per call, which the
-kernel fills through _kernel(..., out), and as nodes come edge by edge its
-same-edge pairs lie in a narrow band of columns.  The winding integral's
-adaptive Simpson trees are evaluated level by level, all pieces in one
-numpy pass per level, and summed back up each tree as a depth-first
-recursion would: the same bits.
+The planar double integral is exact, a corner sum over vertex pairs; the
+midpoint rule, pair_sum, serves all three geometries.  Every total is
+correctly rounded: the short sums are one math.fsum each, and the corner
+and pair sums, millions of terms, one exact binned reduction each (two
+float halves per term, np.bincount by sign and exponent), the same bits as
+math.fsum.  Either way a total is a function of the multiset of its terms
+alone: the same, bit for bit, for any row blocking and any starting
+vertex.  The pair sum walks row blocks within a fixed byte budget; every
+block is a view of buffers allocated once per call, which the kernel fills
+through _kernel(..., out), and as nodes come edge by edge its same-edge
+pairs lie in a narrow band of columns.  The winding integral's adaptive
+Simpson trees are evaluated level by level, all pieces in one numpy pass
+per level, and summed back up each tree as a depth-first recursion would:
+the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import curves
+# auto_refinement stays importable here: perfbench/harness.py calls it
 from .curves import (_BLOCK_BYTES, PLANE, ClosedCurve, auto_refinement,
                      metric_dot, _vec2)
 
@@ -44,6 +47,7 @@ class IsoperimetricReport:
     deficit: float
     calibration_gap: float
     space_tag: str
+    midpoint_double_integral: float | None = None  # planar, with refinement
 
     @classmethod
     def of(cls, geometry: curves.Geometry, perimeter: float, area: float,
@@ -180,9 +184,8 @@ def _kernel(d, ti, tj, J, r2, out=None):
     """2 <d, ti> <d, tj> / r2 - <ti, tj> under J, for d = x_i - x_j.  Swapping
     i and j negates d and swaps the dots: K(i, j) is bitwise K(j, i).  With
     out, three contiguous arrays of the result's shape, the same operations
-    in the same order write into them, allocate nothing and return out[0];
-    <ti, tj> takes the head of out[1] and out[2] at its own broadcast shape,
-    which is smaller where the tangents are constant along axes of d."""
+    in the same order write into them, allocate nothing and return out[0].
+    """
     if out is None:
         return (2.0 * metric_dot(J, d, ti) * metric_dot(J, d, tj) / r2
                 - metric_dot(J, ti, tj))
@@ -190,10 +193,6 @@ def _kernel(d, ti, tj, J, r2, out=None):
     k = np.multiply(2.0, metric_dot(J, d, ti, (w, s)), out=w)
     k *= metric_dot(J, d, tj, (u, s))
     k /= r2
-    shape = np.broadcast(ti[0], tj[0]).shape
-    if shape != k.shape:
-        u, s = (x.reshape(-1)[:math.prod(shape)].reshape(shape)
-                for x in (u, s))
     k -= metric_dot(J, ti, tj, (u, s))
     return k
 
@@ -291,32 +290,7 @@ class _ExactSum:
         return total / (1 << 1127)  # int division rounds correctly
 
 
-def _refined_terms(SA, SB, T, W, J, i, j, buf=None, k=8):
-    """Doubled terms of the near pairs (i, j) on a k x k midpoint subgrid of
-    their two sub-edges, as arrays batched within the block budget.  The
-    kernel fills len(J) + 4 work arrays of a batch's size through
-    _kernel(..., out): views of the rows of buf, reused by every batch (so
-    a batch's terms are overwritten by the next), or fresh ones per batch
-    without buf."""
-    s = (np.arange(k) + 0.5) / k
-    step = max(1, _BLOCK_BYTES // (8 * k * k))
-    for c0 in range(0, len(i), step):
-        a, b = i[c0:c0 + step], j[c0:c0 + step]
-        shape = (len(a), k, k)
-        ws = np.empty((len(J) + 4, len(a) * k * k)) if buf is None else buf
-        *d, r2, w, u, v = (x[:len(a) * k * k].reshape(shape) for x in ws)
-        for sa, sb, dc in zip(SA.T, SB.T, d):
-            pa = sa[a, None] + s * (sb[a] - sa[a])[:, None]
-            pb = sa[b, None] + s * (sb[b] - sa[b])[:, None]
-            np.subtract(pa[:, :, None], pb[:, None, :], out=dc)
-        vals = _kernel(d, [t[a, None, None] for t in T.T],
-                       [t[b, None, None] for t in T.T], J,
-                       metric_dot(J, d, d, (r2, u)), (w, u, v))
-        vals *= (2.0 * (W[a] / k) * (W[b] / k))[:, None, None]
-        yield vals.ravel()
-
-
-def pair_sum(P, T, W, E, J, near=None) -> float:
+def pair_sum(P, T, W, E, J) -> float:
     """Sum_{i,j} w_i w_j K(x_i, t_i; x_j, t_j) under the diagonal metric J.
 
     K = 2 <z, t_i> <z, t_j> / <z, z> - <t_i, t_j>, z = x_i - x_j, <a, b> =
@@ -325,15 +299,12 @@ def pair_sum(P, T, W, E, J, near=None) -> float:
     Geometry.nodes lays nodes out edge by edge (ValueError otherwise): in
     the row block i0:i1 the same-edge pairs then lie in the columns up to
     the last node of edge E[i1 - 1], a narrow band where the mask is built.
-    With near = (sub_starts, sub_ends), cross-edge pairs closer than
-    max(W) / 4 are re-integrated on an 8 x 8 midpoint subgrid of their
-    sub-edges; blocks whose r2 stays above the rule skip the search.  As
-    K(i, j) is bitwise K(j, i), the diagonal terms, the doubled
-    strict-upper terms and the subgrid terms go into one exact binned
-    reduction, correctly rounded, the same bits as math.fsum: the correctly
-    rounded sum of the ordered-pair multiset, whatever the row blocking or
-    starting vertex.  Every block is a view of buffers allocated once per
-    call; the kernel fills its workspace through _kernel(..., out).
+    As K(i, j) is bitwise K(j, i), the diagonal terms and the doubled
+    strict-upper terms go into one exact binned reduction, correctly
+    rounded, the same bits as math.fsum: the correctly rounded sum of the
+    ordered-pair multiset, whatever the row blocking or starting vertex.
+    Every block is a view of buffers allocated once per call; the kernel
+    fills its workspace through _kernel(..., out).
     """
     n = len(P)
     if (np.diff(E) < 0).any():
@@ -344,11 +315,8 @@ def pair_sum(P, T, W, E, J, near=None) -> float:
     W2 = 2.0 * W
     acc = _ExactSum()
     acc.add(W * W)  # the diagonal: one edge, kernel exactly 1
-    delta = float(W.max()) / 4.0
-    near_r2 = 1.01 * delta * delta
-    # a block has at most this many entries: one row, or within the
-    # budget; so has a batch of subgrid terms, or one pair's 8 x 8
-    buf = np.empty((len(pc) + 4, max(_BLOCK_BYTES // 8, n, 64)))
+    # a block has at most this many entries: one row, or within the budget
+    buf = np.empty((len(pc) + 4, max(_BLOCK_BYTES // 8, n)))
     i0 = 0
     while i0 < n - 1:
         # rows i0:i1 against columns i0+1:n; entry (r, c) is the pair
@@ -373,40 +341,86 @@ def pair_sum(P, T, W, E, J, near=None) -> float:
         # entries below the strict upper triangle add zero
         corner = terms[:, :m]
         corner[np.tri(*corner.shape, -1, dtype=bool)] = 0.0
-        if near is None or r2.min() >= near_r2:
-            acc.add(terms)
-        else:
-            # candidates by r2, then the rule dist < delta itself; a near
-            # pair's own term is left out rather than added and subtracted
-            rr, cc = np.nonzero(r2 < near_r2)
-            hit = ((cc >= rr) & (E[rr + i0] != E[cc + i0 + 1])
-                   & (np.sqrt(r2[rr, cc]) < delta))
-            rr, cc = rr[hit], cc[hit]
-            terms[rr, cc] = 0.0
-            # the sum is exact, so in any order: the block goes in first,
-            # and its buffers become the subgrid's workspace
-            acc.add(terms)
-            for sub in _refined_terms(*near, T, W, J, rr + i0, cc + i0 + 1,
-                                      buf):
-                acc.add(sub)
+        acc.add(terms)
         i0 = i1
     return acc.value()
 
 
+def _corner_terms(v, t):
+    """Doubled terms Re((conj(t_i)^2 + conj(t_j)^2) S_ij) of the edge pairs
+    i < j of the closed polygon v with unit edge tangents t, both complex,
+    in row blocks within the budget: entry (r, k) is the pair (i0 + r,
+    i0 + 1 + k), 0 unless i < j.  S_ij = (G11 + G00) - (G10 + G01), G =
+    z^2 (Log z - 1/2) at z_pq = v_p - v_q, p in {i, i+1}, q in {j, j+1},
+    Log continuous on the pair's parallelogram of z.  Log is taken of w =
+    +-z, Re w > 0 or Re w = 0 < Im w, so z and -z give the same bits: a
+    term depends on its unordered pair alone, not on blocking or starting
+    vertex.  Corners flipped alike shift Log by a constant, which changes
+    no term; the other pairs get their branch back, Log w + i pi k.
+    """
+    n = len(v)
+    vz = np.append(v, v[0])  # vertex n is vertex 0
+    c = 0.5 * np.conj(t) ** 2
+    i0 = 0
+    while i0 < n - 1:
+        # edge rows i0:i1 against edge columns i0+1:n, on vertex rows
+        # i0..i1 against vertex columns i0+1..n
+        i1 = min(n - 1, i0 + max(1, _BLOCK_BYTES // (16 * (n - i0))))
+        z = vz[i0:i1 + 1, None] - vz[None, i0 + 1:]
+        flip = (z.real < 0.0) | ((z.real == 0.0) & (z.imag <= 0.0))
+        w = np.where(flip, -z, z)
+        r2 = w.real * w.real + w.imag * w.imag
+        # 2 G = w^2 (log|w|^2 - 1 + 2i arg w); at a zero corner, 0
+        g = w * w * ((np.log(np.where(r2 == 0.0, 1.0, r2)) - 1.0)
+                     + 2j * np.arctan2(w.imag, w.real))
+        s = (g[1:, 1:] + g[:-1, :-1]) - (g[1:, :-1] + g[:-1, 1:])
+        alike = ((flip[1:, 1:] == flip[:-1, :-1])
+                 & (flip[1:, :-1] == flip[:-1, :-1])
+                 & (flip[:-1, 1:] == flip[:-1, :-1]))
+        rr, kk = np.nonzero(np.triu(~alike))
+        # their corners 11, 00, 10 and 01; k is the flip, or its complement
+        # where the args, zero corners left out, span more than pi (the
+        # parallelogram crosses the imaginary axis below 0).  As zero
+        # corners are flipped, the least k of the others is always 0
+        corner = (rr + [[1], [0], [1], [0]], kk + [[1], [0], [0], [1]])
+        fk, wk = flip[corner], w[corner]
+        zero = wk == 0.0
+        turn = np.where(zero, np.nan, np.angle(wk) + np.pi * fk)
+        k = fk != (np.fmax.reduce(turn) - np.fmin.reduce(turn) > np.pi)
+        kw = np.where(k, wk * wk, 0.0)
+        s[rr, kk] += 2j * np.pi * ((kw[0] + kw[1]) - (kw[2] + kw[3]))
+        yield np.triu(((c[i0:i1, None] + c[None, i0 + 1:]) * s).real)
+        i0 = i1
+
+
 def double_boundary_integral(curve: ClosedCurve, refinement: int = 1,
                              check_simple: bool = True) -> float:
-    """Sum_{i,j} w_i w_j K(x_i, t_i; y_j, t_j) over all boundary node pairs.
-
-    Evaluated symmetrically by pair_sum: the diagonal plus twice the strict
-    upper triangle, in one exact sum.  Same-edge pairs use the exact value 1;
-    cross-edge pairs closer than max-sub-edge/4 are re-integrated on an 8x
-    locally refined subgrid.  For a simple positively oriented curve the
-    value converges to 4*pi*area quadratically in the sub-edge length.
+    """The double integral of the tangent kernel over the polygon, exactly:
+    Sum L_i^2 - 2 Sum L_i^2 log L_i + Sum_{i != j} Re(c_ij S_ij), c_ij =
+    (conj(t_i)^2 + conj(t_j)^2) / 2 (_corner_terms; README, Numerical
+    conventions), in one exact binned reduction.  For a simple positively
+    oriented curve it is 4 pi area up to rounding, a few n eps L^2 for n
+    vertices and perimeter L.  `refinement` changes nothing;
+    midpoint_double_integral is the rule that takes one.
     """
     if check_simple:
         curves.ensure_simple(curve)
-    P, T, W, E, SA, SB = curves.boundary_node_arrays(curve, refinement)
-    return pair_sum(P, T, W, E, (1.0, 1.0), near=(SA, SB))
+    v = curve.vertices[:, 0] + 1j * curve.vertices[:, 1]
+    e = np.roll(v, -1) - v
+    L = np.abs(e)
+    acc = _ExactSum()
+    acc.add(L * L)
+    acc.add(-2.0 * (L * L) * np.log(L))
+    for terms in _corner_terms(v, e / L):
+        acc.add(terms)
+    return acc.value()
+
+
+def midpoint_double_integral(curve: ClosedCurve, refinement: int) -> float:
+    """double_boundary_integral by the midpoint rule: pair_sum over the
+    nodes of each edge cut into `refinement` pieces."""
+    P, T, W, E, _, _ = curves.boundary_node_arrays(curve, refinement)
+    return pair_sum(P, T, W, E, PLANE.J)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +513,8 @@ def stokes_check(curve: ClosedCurve, y, t_y=None, refinement: int = 1,
 
 def verify_isoperimetric(curve: ClosedCurve,
                          refinement: int | None = None) -> IsoperimetricReport:
-    """Full planar report: perimeter, area, double integral, sharp bound.
+    """Full planar report: perimeter, area, exact double integral, sharp
+    bound, and with a refinement the midpoint rule's double integral too.
 
     Requires a simple, positively oriented curve; a negatively oriented
     input raises OrientationError rather than silently flipping signs.
@@ -521,8 +536,10 @@ def verify_isoperimetric(curve: ClosedCurve,
     k = math.frexp(A)[1] + 2 * e  # below L^2 / (4 pi), so at most 1024
     if k < -1021:
         raise curves.CurveError(f"area, about 2^{k}, is not a normal float")
+    I = double_boundary_integral(unit, check_simple=False)
+    rep = IsoperimetricReport.of(PLANE, math.ldexp(L, e),
+                                 math.ldexp(A, 2 * e), math.ldexp(I, 2 * e))
     if refinement is None:
-        refinement = auto_refinement(curve)
-    I = double_boundary_integral(unit, refinement, check_simple=False)
-    return IsoperimetricReport.of(PLANE, math.ldexp(L, e),
-                                  math.ldexp(A, 2 * e), math.ldexp(I, 2 * e))
+        return rep
+    mid = midpoint_double_integral(unit, refinement)
+    return replace(rep, midpoint_double_integral=math.ldexp(mid, 2 * e))

@@ -48,8 +48,7 @@ def _sphere_lengths(a, b):
 
 SPHERE = Geometry(tag="sphere", K=1.0, J=_EUCLID3, f=np.sin,
                   length=_sphere_lengths,
-                  verify="spaces.verify_sphere_isoperimetric",
-                  default_refinement=lambda curve: 1)
+                  verify="spaces.verify_sphere_isoperimetric")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +262,6 @@ def _hyperbolic_lengths(a, b):
 HYPERBOLIC = Geometry(
     tag="hyperbolic", K=-1.0, J=_MINK, f=np.sinh,
     length=_hyperbolic_lengths, verify="spaces.verify_hyperbolic_isoperimetric",
-    default_refinement=lambda curve: 1,
     notes=("hyperbolic kernel norm bound |alpha| <= 1 is verified "
            "empirically, not proved",))
 

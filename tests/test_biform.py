@@ -118,9 +118,10 @@ def test_kernel_is_scale_free(s):
 
 
 def test_sweeps_and_reports_share_one_kernel(monkeypatch):
-    # the randomised sweeps and the pair sum evaluate one kernel function:
-    # perturbing it where it is looked up moves all of them past their
-    # report tolerances
+    # the randomised sweeps and the pair sum (here the planar midpoint rule;
+    # the planar report's exact corner sum has no kernel to call) evaluate
+    # one kernel function: perturbing it where it is looked up moves all of
+    # them past their report tolerances
     tol = cli.DEFAULT_TOLERANCES
     curve = regular_polygon(64)
 
@@ -133,12 +134,12 @@ def test_sweeps_and_reports_share_one_kernel(monkeypatch):
                 ("consistency", checks.consistency_residual(1000))]
 
     before = sweeps()
-    integral = quadrature.double_boundary_integral(curve, 2)
+    integral = quadrature.midpoint_double_integral(curve, 2)
     kernel = quadrature._kernel
     monkeypatch.setattr(quadrature, "_kernel", lambda *a: kernel(*a) + 0.01)
     for (name, old), (_, new) in zip(before, sweeps()):
         assert old <= tol[name] < new, name
-    moved = quadrature.double_boundary_integral(curve, 2)
+    moved = quadrature.midpoint_double_integral(curve, 2)
     assert abs(moved / integral - 1.0) > tol["double_integral_rel"]
 
 

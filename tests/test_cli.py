@@ -35,6 +35,15 @@ def square_file(tmp_path):
 
 
 @pytest.fixture()
+def spike_file(tmp_path):
+    # L^2 / (4 pi area) is about 3e5, so the exact double integral's few
+    # ulps of L^2 read as a relative error near 1e-10
+    path = tmp_path / "spike.json"
+    save_curve(ClosedCurve([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6]]), str(path))
+    return str(path)
+
+
+@pytest.fixture()
 def circle_file(tmp_path):
     path = tmp_path / "circle.json"
     save_curve(regular_polygon(512), str(path))
@@ -206,12 +215,43 @@ def test_verify_space_conflict(tmp_path, circle_file, capsys):
     assert main(["verify", "--space", "sphere", circle_file]) == 2
 
 
-def test_verify_failing_tolerance_exits_1(tmp_path, square_file):
+def test_verify_failing_tolerance_exits_1(tmp_path, spike_file):
     out = tmp_path / "rep.json"
-    rc = main(["verify", square_file, "--refinement", "8",
-               "--tolerance", "double_integral_rel=1e-12", "--out", str(out)])
+    rc = main(["verify", spike_file, "--tolerance",
+               "double_integral_rel=1e-13", "--out", str(out)])
     assert rc == 1
     assert _read(out)["passed"] is False
+
+
+def test_verify_planar_refinement_adds_the_midpoint_witness(tmp_path,
+                                                            square_file):
+    out = tmp_path / "rep.json"
+    assert main(["verify", square_file, "--out", str(out)]) == 0
+    exact = _read(out)
+    assert exact["config"]["refinement"] is None
+    assert "midpoint_double_integral" not in exact["results"]
+    assert "midpoint_rel_deviation" not in exact["results"]
+    assert main(["verify", square_file, "--refinement", "8",
+                 "--out", str(out)]) == 0
+    rep = _read(out)
+    assert rep["config"]["refinement"] == 8
+    res = rep["results"]
+    # the exact value and the checks do not depend on the refinement
+    assert res["double_integral"] == exact["results"]["double_integral"]
+    assert rep["checks"] == exact["checks"]
+    # the midpoint rule at 8 pieces an edge is off by about 1e-2
+    assert res["midpoint_rel_deviation"] == pytest.approx(
+        (res["midpoint_double_integral"] - res["double_integral"])
+        / res["lower_bound"], rel=1e-15)
+    assert 1e-4 < abs(res["midpoint_rel_deviation"]) < 1e-1
+
+
+def test_verify_curved_reports_have_no_midpoint_witness(tmp_path):
+    path, out = tmp_path / "cap.json", tmp_path / "rep.json"
+    save_curve(geodesic_cap(1.0, 64), str(path))
+    assert main(["verify", str(path), "--refinement", "2",
+                 "--out", str(out)]) == 0
+    assert "midpoint_double_integral" not in _read(out)["results"]
 
 
 def test_verify_corrupt_json_exit_2_no_partial_report(tmp_path, capsys):
@@ -377,23 +417,33 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, square_file, capsys,
                                                 command, flag, value):
     out = tmp_path / "out"
     argv = [square_file if a == "CURVE" else a for a in command]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [flag, value, "--out", str(out)])
-    assert exc.value.code == 2
+    assert main(argv + [flag, value, "--out", str(out)]) == 2
     assert not out.exists()
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["--help"], "usage: isocal"), (["--version"], "isocal "),
+    (["verify", "--help"], "--refinement")])
+def test_help_and_version_exit_0(capsys, argv, shown):
+    assert main(argv) == 0
+    assert shown in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
 # config file and env var
 
 
-def test_config_file_tolerances_respected(tmp_path, square_file, monkeypatch):
+def test_config_file_tolerances_respected(tmp_path, spike_file, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"double_integral_rel": 1e-12},
+    cfg.write_text(json.dumps({"tolerances": {"double_integral_rel": 1e-13},
                                "refinement": 8}))
     monkeypatch.setenv("ISOCAL_CONFIG", str(cfg))
-    assert main(["verify", square_file]) == 1
+    out = tmp_path / "rep.json"
+    assert main(["verify", spike_file, "--out", str(out)]) == 1
+    rep = _read(out)
+    assert rep["config"]["refinement"] == 8
+    assert "midpoint_double_integral" in rep["results"]
 
 
 def test_cli_flag_overrides_config(tmp_path, square_file, monkeypatch):

@@ -275,7 +275,8 @@ def test_kernel_symmetric_under_argument_exchange():
 def test_double_integral_quadratic_convergence():
     poly = regular_polygon(64)
     target = 4 * math.pi * signed_area(poly)
-    errs = [abs(double_boundary_integral(poly, r) - target) for r in (1, 2, 4, 8)]
+    errs = [abs(quadrature.midpoint_double_integral(poly, r) - target)
+            for r in (1, 2, 4, 8)]
     for a, b in zip(errs, errs[1:]):
         assert a / b >= 3.0
 
@@ -308,11 +309,115 @@ def test_double_integral_nonconvex_star():
 
 
 def test_double_integral_thin_triangle_near_pairs():
-    # a short edge flanked by long ones produces cross-edge node pairs inside
-    # the near-diagonal band, exercising the local re-integration
+    # a short edge flanked by long ones: nearly coincident edges, where the
+    # kernel's ridge is narrow
     tri = ClosedCurve([[0.0, 0.0], [2.0, 0.0], [2.0, 0.1]])
     val = double_boundary_integral(tri, 256)
     assert val == pytest.approx(4 * math.pi * signed_area(tri), rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the corner sum
+
+# closed polygons and an edge pair (i, j), i < j, of each; the pair's
+# parallelogram of z = x - y: z00 = v_i - v_j, z10 = v_(i+1) - v_j, ...
+CORNER_PAIRS = {
+    "generic": ([[0, 0], [1, 0.2], [0.3, 1.5], [-0.7, 1.1]], 0, 2),
+    "adjacent": ([[0, 0], [1, 0], [0.2, 0.7]], 0, 1),
+    "adjacent-through-vertex-0": ([[0, 0], [1, 0], [0.2, 0.7]], 0, 2),
+    "adjacent-collinear": ([[0, 0], [1, 0], [2.5, 0], [1, 1]], 0, 1),
+    "collinear-facing": ([[0, 0], [1, 0], [3, 0], [2, 0]], 0, 2),
+    "parallel-1e-3-apart": ([[0, 0], [1, 0], [1, 1e-3], [0, 1e-3]], 0, 2),
+    # z straddles x = 0 above 0: corners flipped unalike, no wrap
+    "across-the-cut-above-0": ([[0, 0], [1, 0], [0.5, -2], [-0.6, -1.9]],
+                               0, 2),
+    # z straddles x = 0 below 0: the args span the canonical cut
+    "across-the-cut-below-0": ([[0, 0], [1, 0], [0.5, 2], [-0.6, 1.9]], 0, 2),
+    # z straddles the negative real axis: all flipped alike
+    "across-the-negative-real-axis": ([[0, 0.3], [0, -0.3], [2, -0.6],
+                                       [2, 0.6]], 0, 2),
+}
+
+
+def corner_pair_integral(v, i, j):
+    """The corner sum's value of the edge pair (i, j): half its doubled
+    corner term plus the second difference of -|z|^2 log|z|, which the
+    full sum folds into -2 Sum L^2 log L."""
+    v = np.asarray(v, float)
+    n = len(v)
+    z = v[:, 0] + 1j * v[:, 1]
+    e = np.roll(z, -1) - z
+    L = np.abs(e)
+    # n <= 4: all rows in one block
+    block = next(quadrature._corner_terms(z, e / L))
+    parts = [block[i, j - 1] / 2]
+    for p, q, sign in ((i + 1, j + 1, 1), (i, j, 1), (i + 1, j, -1),
+                       (i, j + 1, -1)):
+        d = v[p % n] - v[q % n]
+        r2 = float(d @ d)
+        parts.append(-sign * 0.5 * r2 * math.log(r2) if r2 else 0.0)
+    return math.fsum(parts), L[i], L[j]
+
+
+def kernel_dblquad(v, i, j):
+    """The integral of quadrature._kernel over edges i and j by
+    scipy.integrate.dblquad, the inner integral split where it meets the
+    ridge of nearly coincident points."""
+    integrate = pytest.importorskip("scipy.integrate")
+    v = np.asarray(v, float)
+    n = len(v)
+    a, b, c, d = v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]
+    Li, Lj = float(np.hypot(*(b - a))), float(np.hypot(*(d - c)))
+    ti, tj = ((b - a) / Li).tolist(), ((d - c) / Lj).tolist()
+    ox, oy = (a - c).tolist()
+
+    def f(t, s):
+        z = [ox + s * ti[0] - t * tj[0], oy + s * ti[1] - t * tj[1]]
+        return quadrature._kernel(z, ti, tj, (1.0, 1.0),
+                                  z[0] * z[0] + z[1] * z[1])
+
+    def ridge(s):
+        t = (ox + s * ti[0]) * tj[0] + (oy + s * ti[1]) * tj[1]
+        return min(max(t, 0.0), Lj)
+
+    opts = {"epsabs": 1e-14 * Li * Lj, "epsrel": 0.0}
+    return (integrate.dblquad(f, 0.0, Li, 0.0, ridge, **opts)[0]
+            + integrate.dblquad(f, 0.0, Li, ridge, Lj, **opts)[0])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(CORNER_PAIRS))
+def test_corner_term_is_the_integral_of_the_kernel(name):
+    v, i, j = CORNER_PAIRS[name]
+    want = kernel_dblquad(v, i, j)
+    got, Li, Lj = corner_pair_integral(v, i, j)
+    assert abs(got - want) <= 1e-14 * Li * Lj
+
+
+def test_double_integral_does_not_depend_on_the_refinement():
+    c = ClosedCurve(spiky_star(np.random.default_rng(5), 60))
+    want = double_boundary_integral(c).hex()
+    for refinement in (1, 3, 64):
+        assert double_boundary_integral(c, refinement).hex() == want
+
+
+@pytest.mark.parametrize("n, budget", [(512, 1 << 12), (2048, 1 << 17)])
+def test_corner_sum_memory_is_linear_in_budget(monkeypatch, n, budget):
+    # spiky stars.  A block's complex temporaries, on its vertex grid, have
+    # at most max(budget, 16 n) + 16 n <= 2 max(budget, 16 n) bytes; some
+    # fifteen live at once, the reduction's included; each pair whose
+    # branch is restored, at most one per grid entry, takes some 250
+    # bytes; per vertex, a few complex numbers; the 4096-bin sums are
+    # fixed.  The full complex matrix is 4 MiB and 64 MiB.
+    c = ClosedCurve(spiky_star(np.random.default_rng(9), n))
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        double_boundary_integral(c, check_simple=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * max(budget, 16 * n) + (1 << 17)
 
 
 def spiky_star(rng, n):
@@ -382,37 +487,6 @@ def test_pair_sum_equals_exact_sum_of_full_matrix(space):
         d, [t[:, None] for t in T.T], [t[None, :] for t in T.T], J, r2))
     full = math.fsum(((W[:, None] * W[None, :]) * K).ravel())
     assert quadrature.pair_sum(P, T, W, E, J).hex() == full.hex()
-
-
-def refined_pair_reference(sa_i, sb_i, t_i, sa_j, sb_j, t_j, w_i, w_j, k=8):
-    """One near pair re-integrated on a k x k midpoint subgrid, pair by
-    pair: the reference for the batched refinement."""
-    s = (np.arange(k) + 0.5) / k
-    pi = sa_i[None, :] + s[:, None] * (sb_i - sa_i)[None, :]
-    pj = sa_j[None, :] + s[:, None] * (sb_j - sa_j)[None, :]
-    d = pi[:, None, :] - pj[None, :, :]
-    r2 = np.einsum("abk,abk->ab", d, d)
-    vals = 2.0 * (d @ t_i) * (d @ t_j) / r2 - t_i @ t_j
-    return (w_i / k) * (w_j / k) * math.fsum(vals.ravel())
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), refinement=st.integers(1, 4))
-def test_batched_refinement_matches_per_pair_reference(seed, refinement):
-    rng = np.random.default_rng(seed)
-    c = ClosedCurve(spiky_star(rng, int(rng.integers(20, 80))))
-    P, T, W, E, SA, SB = boundary_node_arrays(c, refinement)
-    dist = np.hypot(*(P[:, None] - P[None, :]).T)
-    i, j = np.nonzero((dist < W.max() / 4) & (E[:, None] != E[None, :]))
-    assume(len(i) > 0)
-    terms = np.concatenate([np.asarray(t) for t in quadrature._refined_terms(
-        SA, SB, T, W, (1.0, 1.0), i, j)]).reshape(len(i), -1)
-    for a, b, row in zip(i, j, terms):
-        want = refined_pair_reference(SA[a], SB[a], T[a], SA[b], SB[b], T[b],
-                                      W[a], W[b])
-        # relative to w_i w_j, which bounds the pair's integral (|K| <= 1)
-        # where the integral itself cancels
-        assert abs(math.fsum(row) / 2 - want) <= 1e-15 * W[a] * W[b]
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +693,12 @@ def test_pair_sum_band_and_blocking_match_the_full_matrix(
             assert quadrature.pair_sum(P, T, W, E, J).hex() == want
 
 
-def reference_pair_sum(P, T, W, E, J, near=None) -> float:
+def reference_pair_sum(P, T, W, E, J) -> float:
     """The pair sum as it was before the same-edge band and the reused
     buffers: full-block masks and np.where, fresh arrays per block, and all
     terms into one math.fsum."""
     n = len(P)
     terms_all = [W * W]
-    delta = float(W.max()) / 4.0
     i0 = 0
     while i0 < n - 1:
         i1 = min(n, i0 + max(1, (1 << 17) // (8 * (n - i0))))
@@ -640,13 +713,6 @@ def reference_pair_sum(P, T, W, E, J, near=None) -> float:
         terms *= K
         corner = terms[:, :i1 - i0]
         corner[np.tri(*corner.shape, -1, dtype=bool)] = 0.0
-        if near is not None:
-            rr, cc = np.nonzero(r2 < 1.01 * delta * delta)
-            hit = (cc >= rr) & ~same[rr, cc] & (np.sqrt(r2[rr, cc]) < delta)
-            rr, cc = rr[hit], cc[hit]
-            terms[rr, cc] = 0.0
-            terms_all.extend(quadrature._refined_terms(
-                *near, T, W, J, rr + i0, cc + i0 + 1))
         terms_all.append(terms.ravel())
         i0 = i1
     return math.fsum(np.concatenate(terms_all))
@@ -655,16 +721,16 @@ def reference_pair_sum(P, T, W, E, J, near=None) -> float:
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), refinement=st.integers(1, 4),
        budget=st.sampled_from([1 << 12, 1 << 17]))
-def test_double_integral_matches_the_reference_near_rule(seed, refinement,
-                                                         budget):
-    # spiky stars: hundreds of near pairs, re-integrated on the subgrid
+def test_midpoint_double_integral_matches_the_reference_pair_sum(
+        seed, refinement, budget):
+    # spiky stars: many nearly coincident edges
     rng = np.random.default_rng(seed)
     c = ClosedCurve(spiky_star(rng, int(rng.integers(30, 150))))
-    P, T, W, E, SA, SB = boundary_node_arrays(c, refinement)
-    want = reference_pair_sum(P, T, W, E, (1.0, 1.0), near=(SA, SB))
+    P, T, W, E, _, _ = boundary_node_arrays(c, refinement)
+    want = reference_pair_sum(P, T, W, E, (1.0, 1.0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_BLOCK_BYTES", budget)
-        assert double_boundary_integral(c, refinement, False).hex() == \
+        assert quadrature.midpoint_double_integral(c, refinement).hex() == \
             want.hex()
 
 
@@ -681,20 +747,19 @@ def test_pair_sum_requires_nondecreasing_edge_ids():
 
 @pytest.mark.parametrize("budget", [1 << 12, 1 << 17])
 def test_pair_sum_memory_is_linear_in_budget_and_nodes(monkeypatch, budget):
-    # a 2048-node star with near pairs, k = 2 coordinates.  A block has at
-    # most max(budget, 8 n) bytes of float64 entries: k + 4 buffers of that
-    # size live for the call (coordinate differences, r2, the kernel's
-    # workspace) and two more in the reduction; per block come at most two
-    # of candidate indices and about ten of one subgrid batch; per node,
-    # copies of the coordinate and tangent columns and the weights (2k + 4
-    # floats); the 4096-bin sums are fixed.  The full matrix is 32 MiB.
+    # a 2048-node star, k = 2 coordinates.  A block has at most
+    # max(budget, 8 n) bytes of float64 entries: k + 4 buffers of that size
+    # live for the call (coordinate differences, r2, the kernel's
+    # workspace) and two more in the reduction; per node, copies of the
+    # coordinate and tangent columns and the weights (2k + 4 floats); the
+    # 4096-bin sums are fixed.  The full matrix is 32 MiB.
     c = ClosedCurve(spiky_star(np.random.default_rng(9), 512))
-    P, T, W, E, SA, SB = boundary_node_arrays(c, 4)
+    P, T, W, E, _, _ = boundary_node_arrays(c, 4)
     n = len(P)
     monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
-        quadrature.pair_sum(P, T, W, E, (1.0, 1.0), near=(SA, SB))
+        quadrature.pair_sum(P, T, W, E, (1.0, 1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

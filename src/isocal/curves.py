@@ -331,19 +331,28 @@ def _require_off_boundary(curve: ClosedCurve, x) -> np.ndarray:
     return p
 
 
-def winding_number(curve: ClosedCurve, x) -> int:
-    """Signed number of turns of (y - x) as y traverses the curve.
-
-    Computed as the sum of exact per-edge subtended angles; each edge that
-    does not contain x subtends strictly less than pi, so the per-edge
-    increment is unambiguous.
-    """
+def _subtended_angles(curve: ClosedCurve, x) -> np.ndarray:
+    """The signed angle each edge subtends at x, a point off the boundary:
+    arctan2(det(d_i, d_i+1), <d_i, d_i+1>), d_i = v_i - x, in units of the
+    power of two of the largest |d_i|, so no product overflows and none
+    that matters underflows.  Near +-pi, where x nears the edge, |det| = L h
+    (L the edge's length, h >= 1e-9 diameters the distance of x from it) is
+    far above its rounding, so the angle keeps its sign.  Each term depends
+    on its edge alone, and reversing the curve negates every det, and with
+    it every angle, bit for bit."""
     p = _require_off_boundary(curve, x)
     d = curve.vertices - p
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    inc = np.diff(np.r_[ang, ang[:1]])
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(math.fsum(inc) / (2.0 * np.pi)))
+    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
+    d1 = np.roll(d, -1, axis=0)
+    det = d[:, 0] * d1[:, 1] - d[:, 1] * d1[:, 0]
+    dot = d[:, 0] * d1[:, 0] + d[:, 1] * d1[:, 1]
+    return np.arctan2(det, dot)
+
+
+def winding_number(curve: ClosedCurve, x) -> int:
+    """Signed number of turns of (y - x) as y traverses the curve: the sum
+    of the edges' subtended angles over 2 pi, rounded."""
+    return round(math.fsum(_subtended_angles(curve, x)) / (2.0 * math.pi))
 
 
 def contains(curve: ClosedCurve, x) -> bool:

@@ -22,6 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .curves import _require_count
+
 Scalar3 = Callable[[float, float, float], float]
 
 # Below this the Legendre coefficient counts as degenerate: every downstream
@@ -587,11 +589,13 @@ def weierstrass_gap(L: Lagrangian1D, family: SolutionFamily, t, q, qdot):
 
 def action(L: Lagrangian1D, path, a: float | None = None,
            b: float | None = None, n: int = 2000) -> float:
-    """Composite-Simpson action integral of L along the path over (a, b).
+    """Composite-Simpson action integral of L along the path over (a, b),
+    on n intervals (n + 1 if n is odd); n must be an integer >= 1.
 
     The integrand is evaluated once on the whole grid; both weighted sums
     are exact (math.fsum).
     """
+    _require_count("n", n)
     if a is None:
         a = L.domain[0]
     if b is None:

@@ -11,10 +11,8 @@ alone: the same, bit for bit, for any row blocking and any starting
 vertex.  The pair sum walks row blocks within a fixed byte budget; every
 block is a view of buffers allocated once per call, which the kernel fills
 through _kernel(..., out), and as nodes come edge by edge its same-edge
-pairs lie in a narrow band of columns.  The winding integral's adaptive
-Simpson trees are evaluated level by level, all pieces in one numpy pass
-per level, and summed back up each tree as a depth-first recursion would:
-the same bits.
+pairs lie in a narrow band of columns.  The winding integral is exact
+too, twice the sum of the angles the edges subtend at the point.
 """
 
 from __future__ import annotations
@@ -77,104 +75,14 @@ def line_integral(curve: ClosedCurve, field, refinement: int = 1) -> float:
     return math.fsum(terms)
 
 
-# ---------------------------------------------------------------------------
-# winding integral: adaptive Simpson of 2 det(y - x, dy)/|y - x|^2
-
-# Depth at which an interval is a leaf whatever its error estimate.
-_SIMPSON_DEPTH = 48
-# The rows of a level's work array q in _simpson_pass: the interval record
-# (edge, s0, s2, f0, f1, f2) with the midpoint s1, the values lm, rm of f at
-# the halves' midpoints and the halves' estimates left, right.  A split
-# interval's left half is the record (edge, s0, s1, f0, lm, f1, left) and
-# its right half (edge, s1, s2, f1, rm, f2, right): the columns of _HALVES.
-_HALVES = np.array([[0, 0], [1, 6], [6, 2], [3, 4], [7, 8], [4, 5], [9, 10]])
-
-
-def _winding_f(edges, x, s):
-    """2 c / |a + s e - x|^2 at parameters s of the edges (a0, a1, e0, e1, c)
-    from a along e, where c = det(a - x, e)."""
-    a0, a1, e0, e1, c = edges
-    d0 = a0 + s * e0 - x[0]
-    d1 = a1 + s * e1 - x[1]
-    return 2.0 * c / (d0 * d0 + d1 * d1)
-
-
-def _simpson_pass(edges, x, tol15, nodes):
-    """One level of adaptive Simpson for the intervals given as the rows
-    (edge, s0, s2, f0, f1, f2, whole) of nodes: [s0, s2] on the edge
-    edges[:, edge], f at s0, at the midpoint and at s2, and the interval's
-    Simpson estimate.  Evaluates f at the midpoints of both halves of every
-    interval and returns the values as leaves, left + right + err / 15, the
-    indices of the intervals with |err| >= tol15 (15 tol) or NaN, which
-    split, and the records of their halves: the left halves, then the
-    right halves."""
-    q = np.empty((11, nodes.shape[1]))
-    q[:6] = nodes[:6]
-    s0, s2, whole = nodes[1], nodes[2], nodes[6]
-    s1 = np.multiply(0.5, s0 + s2, out=q[6])
-    mids = np.array([s0 + s1, s1 + s2])
-    mids *= 0.5
-    q[7:9] = _winding_f(edges[:, nodes[0].astype(np.intp)], x, mids)
-    # left, right = h / 12 (f0 + 4 lm + f1), h / 12 (f1 + 4 rm + f2)
-    np.multiply((s2 - s0) / 12.0, q[3:5] + 4.0 * q[7:9] + q[4:6], out=q[9:11])
-    both = q[9] + q[10]
-    err = both - whole
-    split = np.flatnonzero(~(np.abs(err) < tol15))
-    return both + err / 15.0, split, q[:, split][_HALVES].reshape(7, -1)
-
-
-def _simpson_tree(edges, x, tol15, depth, nodes):
-    """Adaptive Simpson values of intervals all at one depth of their edges'
-    trees (the records of _simpson_pass), level-synchronous: one pass per
-    level, and the halves of all the intervals that split go one level down
-    together, where each takes the value of its left half plus that of its
-    right half, as a depth-first recursion would.  Intervals at depth
-    _SIMPSON_DEPTH are leaves.  As subtrees are independent, a level of
-    more than _BLOCK_BYTES / 128 intervals goes down in chunks of that
-    many, one after the other: what a level holds while its subtrees are
-    evaluated, its values and the records of its halves (15 floats an
-    interval), fits the budget, and the whole descent holds at most
-    _SIMPSON_DEPTH + 1 budgets."""
-    step = max(1, _BLOCK_BYTES // 128)
-    if nodes.shape[1] > step:
-        return np.concatenate([
-            _simpson_tree(edges, x, tol15, depth, nodes[:, k:k + step])
-            for k in range(0, nodes.shape[1], step)])
-    value, split, halves = _simpson_pass(edges, x, tol15, nodes)
-    if depth < _SIMPSON_DEPTH and len(split):
-        sub = _simpson_tree(edges, x, tol15, depth + 1, halves)
-        value[split] = sub[:len(split)] + sub[len(split):]
-    return value
-
-
-def winding_integral(curve: ClosedCurve, x, refinement: int = 1,
-                     tol: float = 1e-9) -> float:
-    """Loop integral of 2 det(y - x, dy)/|y - x|^2; equals 4*pi times the
-    winding number up to the quadrature tolerance.
-
-    Each edge is pre-split `refinement` times and then integrated by
-    adaptive Simpson with a per-piece budget of tol / #pieces: an interval
-    is split until its error estimate is below 15 times that, or at depth
-    48.  The trees of all pieces are evaluated level by level, one numpy
-    pass per level (_simpson_tree), and each piece's value is summed back
-    up its own tree, left half plus right half: the same bits as a
-    depth-first recursion per piece.  The pieces' values go into one fsum.
-    A piece whose line passes through x (det(a - x, e) = 0) adds 0.
+def winding_integral(curve: ClosedCurve, x) -> float:
+    """Loop integral of 2 det(y - x, dy)/|y - x|^2, exactly: the one-form is
+    2 dtheta, so the integral is twice the sum of the angles the edges
+    subtend at x, in one fsum (curves._subtended_angles).  It is 4 pi times
+    the winding number up to rounding, a few n eps for n vertices; the same
+    bits from any starting vertex, negated under reversal.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    p = curves._require_off_boundary(curve, x)
-    *_, starts, ends = PLANE.nodes(curve.vertices, refinement)
-    tol15 = 15.0 * (tol / len(starts))
-    a, e = starts.T, (ends - starts).T
-    # det(y(s) - x, e) is independent of s along the edge
-    c = (a[0] - p[0]) * e[1] - (a[1] - p[1]) * e[0]
-    g = np.flatnonzero(c != 0.0)
-    edges = np.array([*a, *e, c])
-    f = _winding_f(edges[:, g], p, np.array([[0.0], [0.5], [1.0]]))
-    nodes = np.array([g, np.zeros(len(g)), np.ones(len(g)), *f,
-                      (f[0] + 4.0 * f[1] + f[2]) / 6.0])
-    return math.fsum(_simpson_tree(edges, p, tol15, 0, nodes).tolist())
+    return 2.0 * math.fsum(curves._subtended_angles(curve, x))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +364,7 @@ def interior_curl_integral(curve: ClosedCurve, y, t_y, n_phi: int = 4096) -> flo
     """
     curves._require_count("n_phi", n_phi)
     p = _vec2(y)
-    t = np.asarray(t_y, float)
+    t = _vec2(t_y)
     d = curve.vertices - p
     rmin = 1e-12 * curve.diameter
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi

@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from isocal import (
     verify_isoperimetric,
     verify_sphere_isoperimetric,
 )
+import isocal
 from isocal import io
 from isocal.cli import main
 from isocal.curves import CurveError
@@ -527,3 +532,33 @@ def test_integer_tolerance_in_config_accepted(tmp_path, square_file,
     out = tmp_path / "out.json"
     assert main(["verify", square_file, "--out", str(out)]) == 0
     assert _read(out)["config"]["tolerances"]["double_integral_rel"] == 1.0
+
+
+# With the packages that only tests use made unimportable, the package
+# still imports and verify (plane and sphere), calibration and mayer exit 0:
+# the runtime needs numpy alone.
+NUMPY_ONLY = """
+import sys
+for name in ("scipy", "mpmath", "sympy", "hypothesis"):
+    sys.modules[name] = None
+sys.path.insert(0, sys.argv[1])
+import isocal
+from isocal.cli import main
+tmp = sys.argv[2]
+isocal.save_curve(isocal.regular_polygon(64), tmp + "/plane.json")
+isocal.save_curve(isocal.geodesic_cap(1.0, 64), tmp + "/sphere.json")
+print([main(argv + ["--out", tmp + "/out.json"]) for argv in (
+    ["verify", tmp + "/plane.json"], ["verify", tmp + "/sphere.json"],
+    ["calibration", "--samples", "50"],
+    ["mayer", "--problem", "oscillator", "--samples", "50"])])
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    src = str(Path(isocal.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "ISOCAL_CONFIG"}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, src,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0]", proc.stderr

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation2, star_polygon
+from conftest import (near_point, random_rotation2, star_polygon,
+                      vertex_angle_winding_number)
 from isocal import (
     ClosedCurve,
     CurveError,
@@ -26,6 +27,7 @@ from isocal.curves import (
     _orient_exact,
     _polygon_is_simple,
     _segments_intersect,
+    distance_to_boundary,
     ensure_simple,
 )
 
@@ -349,7 +351,6 @@ def test_winding_matches_raycast_oracle():
         c = star_polygon(rng)
         for _ in range(10):
             p = rng.uniform(-1.8, 1.8, 2)
-            from isocal.curves import distance_to_boundary
             if distance_to_boundary(c, p) < 1e-3:
                 continue
             w = winding_number(c, p)
@@ -358,6 +359,24 @@ def test_winding_matches_raycast_oracle():
             assert contains(c, p) == (w == 1)
             checked += 1
     assert checked > 500
+
+
+def test_winding_number_matches_the_vertex_angle_formula():
+    # 1.01e-9 diameters off the boundary, just beyond BOUNDARY_TOL_FACTOR,
+    # next to every edge and vertex, and at random points farther off
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        c = star_polygon(rng, 3, 40, scale=2.0 ** int(rng.integers(-60, 60)))
+        gap = 1.01e-9 * c.diameter
+        points = [near_point(c.vertices, i, kind, gap)
+                  for i in range(c.n_vertices)
+                  for kind in ("left", "right", "vertex")]
+        points += [p for p in rng.uniform(-0.8, 0.8, (40, 2)) * c.diameter
+                   if distance_to_boundary(c, p) >= 1e-9 * c.diameter]
+        for p in points:
+            w = vertex_angle_winding_number(c, p)
+            assert winding_number(c, p) == w
+            assert contains(c, p) == (w != 0)
 
 
 def test_interior_exterior_winding_values():

@@ -354,6 +354,18 @@ def test_action_simpson_against_analytic():
     assert val == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [0, -4, 2.5, True])
+def test_action_rejects_an_interval_count_that_is_not_a_positive_integer(n):
+    leaf = OSC.family.central_leaf
+    nl = null_lagrangian(OSC.lagrangian, OSC.family)
+    for call in (lambda: action(OSC.lagrangian, leaf, n=n),
+                 lambda: path_independence_check(nl, leaf, leaf, n=n),
+                 lambda: minimality_gap(OSC.lagrangian, OSC.family, leaf,
+                                        n=n)):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            call()
+
+
 def test_path_independence_leaf_vs_cubic():
     nl = null_lagrangian(OSC.lagrangian, OSC.family)
     a, b = 0.5, 2.5

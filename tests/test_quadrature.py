@@ -27,7 +27,7 @@ from isocal import (
     winding_integral,
     winding_number,
 )
-from isocal import quadrature
+from isocal import curves, quadrature
 from isocal.curves import PLANE, boundary_node_arrays, distance_to_boundary
 from isocal.quadrature import auto_refinement, interior_curl_integral
 from isocal.spaces import (
@@ -119,17 +119,10 @@ def test_winding_integral_point_on_boundary():
         winding_integral(SQUARE, (0.5, 0.0))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-def test_winding_integral_rejects_a_tolerance_that_is_not_positive(tol):
-    # at tol <= 0 or NaN every interval would split to depth 48: 2^48
-    # integrand calls per edge
-    with pytest.raises(ValueError, match="tol must be positive"):
-        winding_integral(SQUARE, (0.5, 0.5), tol=tol)
-
-
 def edge_winding_reference(a, b, x, tol: float) -> float:
-    """One edge's adaptive Simpson by depth-first recursion, as the winding
-    integral was evaluated before its trees were evaluated level by level."""
+    """One edge's integral of 2 det(y - x, dy)/|y - x|^2 by adaptive Simpson,
+    depth-first: a witness of the subtended-angle terms that shares no
+    formula with them."""
     e0, e1 = b[0] - a[0], b[1] - a[1]
     c = (a[0] - x[0]) * e1 - (a[1] - x[1]) * e0
     if c == 0.0:
@@ -159,11 +152,23 @@ def edge_winding_reference(a, b, x, tol: float) -> float:
     return rec(0.0, 1.0, f0, f1, f2, whole, 0)
 
 
-def winding_reference(curve, x, refinement=1, tol=1e-9) -> float:
-    *_, starts, ends = PLANE.nodes(curve.vertices, refinement)
-    per = tol / len(starts)
-    return math.fsum(edge_winding_reference(a, b, np.asarray(x, float), per)
-                     for a, b in zip(starts, ends))
+def edge_winding_quad(a, b, x) -> float:
+    """The same edge integral by scipy.integrate.quad, with breakpoints at
+    geometric distances from the foot of x on the edge's line, so that a
+    peak as narrow as x's distance from the line is resolved."""
+    integrate = pytest.importorskip("scipy.integrate")
+    e = b - a
+    c = (a[0] - x[0]) * e[1] - (a[1] - x[1]) * e[0]
+    if c == 0.0:
+        return 0.0
+    foot = float((x - a) @ e / (e @ e))
+    g = abs(c) / (e @ e) * np.geomspace(1.0, 1e9, 10)
+    points = [s for s in np.r_[foot - g, foot, foot + g] if 0.0 < s < 1.0]
+    val, *_ = integrate.quad(
+        lambda s: 2.0 * c / ((a + s * e - x) @ (a + s * e - x)), 0.0, 1.0,
+        points=points or None, epsabs=1e-14, epsrel=1e-14, limit=400,
+        full_output=1)
+    return val
 
 
 def off_edge(curve, i, gap):
@@ -173,68 +178,33 @@ def off_edge(curve, i, gap):
     return (a + b) / 2 + gap * np.array([-(b - a)[1], (b - a)[0]])
 
 
-def test_winding_integral_keeps_the_bits_of_the_recursion():
-    # inside, outside, and near an edge on either side
-    rng = np.random.default_rng(21)
-    for _ in range(12):
-        c = star_polygon(rng, 3, 48)
-        i = int(rng.integers(c.n_vertices))
-        for x in ((0.0, 0.0), rng.uniform(2.0, 3.0, 2), off_edge(c, i, 1e-6),
-                  off_edge(c, i, -1e-4)):
-            for refinement, tol in ((1, 1e-9), (3, 1e-12), (1, 1e-2)):
-                assert winding_integral(c, x, refinement, tol).hex() == \
-                    winding_reference(c, x, refinement, tol).hex()
-
-
-@pytest.mark.parametrize("budget", [8, 1 << 10])
-def test_winding_integral_is_independent_of_the_chunking(monkeypatch,
-                                                         budget):
-    # levels of more than budget / 128 intervals go down in chunks
-    c = regular_polygon(40)
-    x = off_edge(c, 3, 1e-7)
-    want = winding_reference(c, x, 2, 1e-11).hex()
-    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
-    assert winding_integral(c, x, 2, 1e-11).hex() == want
-
-
-def test_winding_integral_keeps_the_bits_at_the_depth_cap():
-    # a triangle of size 1e-154 and a point 1.6e-162 from an edge: near the
-    # point |y - x|^2 is subnormal, and its rounding keeps the error
-    # estimate above 15 tol down to depth 48 on a few intervals
-    L, d = 1e-154, 1.6e-162 * (1 - 1e-6)
-    c = ClosedCurve([[0.0, 0.0], [L, 0.0], [L / 2, L]])
-    depths = []
-    simpson_tree = quadrature._simpson_tree
-
-    def spy(edges, x, tol15, depth, nodes):
-        depths.append(depth)
-        return simpson_tree(edges, x, tol15, depth, nodes)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_simpson_tree", spy)
-        got = winding_integral(c, (L / 3, -d))
-    assert max(depths) == quadrature._SIMPSON_DEPTH
-    assert got.hex() == winding_reference(c, (L / 3, -d)).hex()
-
-
-@pytest.mark.parametrize("budget", [1 << 12, 1 << 14])
-def test_winding_integral_memory_is_linear_in_budget(monkeypatch, budget):
-    # 1024 pieces refined to depth 33, some 60,000 intervals (7 MB of
-    # records).  A level holds at most one budget while its subtrees are
-    # evaluated, 48 levels deep; per piece, some 40 floats of nodes, edge
-    # data and root records.
-    c = regular_polygon(256)
-    x = off_edge(c, 0, 4e-6)
-    winding_integral(c, x, 4, 1e-12)
-    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
-    tracemalloc.start()
-    try:
-        winding_integral(c, x, 4, 1e-12)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (quadrature._SIMPSON_DEPTH + 1) * budget + 512 * 1024 \
-        + (1 << 16)
+def test_winding_integral_terms_are_the_edge_integrals():
+    # per edge, twice the subtended angle is the integral of the one-form,
+    # within the Simpson rule's error at tol 1e-12 (1.3e-12 seen).  1e-8
+    # edge lengths off an edge, the integrand itself is only good to about
+    # eps / 1e-8 relative where it peaks, so either rule is too (the Simpson
+    # rule came within 2.1e-9, quad within 1.8e-8 there)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        c = star_polygon(rng, 5, 9)
+        v, n = c.vertices, c.n_vertices
+        # the longest edge: 1e-8 of its length is over 1e-9 diameters
+        i = int(np.argmax(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
+        a, b = v[i], v[(i + 1) % n]
+        points = [((0.0, 0.0), 1e-11), (rng.uniform(2.0, 3.0, 2), 1e-11),
+                  (off_edge(c, i, 1e-8), 1e-7), (off_edge(c, i, -1e-8), 1e-7),
+                  # on the edge's line, beyond either end
+                  (a + 1.5 * (b - a), 1e-11), (a - 0.5 * (b - a), 1e-11)]
+        for x, tol in points:
+            x = np.asarray(x, float)
+            terms = 2.0 * curves._subtended_angles(c, x)
+            for j in range(n):
+                p, q = v[j], v[(j + 1) % n]
+                assert terms[j] == pytest.approx(
+                    edge_winding_reference(p, q, x, 1e-12), abs=tol)
+                assert terms[j] == pytest.approx(
+                    edge_winding_quad(p, q, x), abs=tol)
+            assert winding_integral(c, x) == math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +808,16 @@ def test_interior_curl_integral_sign():
     val = interior_curl_integral(c, y.point.as_array(),
                                  y.tangent.as_array(), n_phi=1024)
     assert val > 0
+
+
+def test_interior_curl_integral_reads_t_y_as_a_2_vector():
+    # as stokes_check does: a UnitVector2 is accepted, a 3-vector rejected
+    c = regular_polygon(64)
+    y = boundary_nodes(c, 1)[0]
+    want = interior_curl_integral(c, y.point, y.tangent.as_array(), n_phi=256)
+    assert interior_curl_integral(c, y.point, y.tangent, n_phi=256) == want
+    with pytest.raises(ValueError, match="expected a 2-vector"):
+        interior_curl_integral(c, y.point, (1.0, 0.0, 5.0), n_phi=256)
 
 
 def inside_length_exact(v, p, w) -> Fraction:

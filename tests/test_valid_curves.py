@@ -3,7 +3,8 @@
 The plane: random-radius stars, combs with narrow gaps, needles, runs of
 collinear vertices and regular polygons, each scaled by a power of two and
 translated.  The exact double integral is then 4 pi area to within rounding,
-|I - 4 pi A| <= 8 n eps L^2 for n vertices and perimeter L.
+|I - 4 pi A| <= 8 n eps L^2 for n vertices and perimeter L, and the exact
+winding integral is 4 pi w to within rounding at points off the boundary.
 """
 
 import json
@@ -11,10 +12,13 @@ import math
 import sys
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from isocal import ClosedCurve, save_curve
+from conftest import near_point, vertex_angle_winding_number
+from isocal import (ClosedCurve, contains, reverse, save_curve,
+                    winding_integral, winding_number)
 from isocal.cli import main
+from isocal.curves import distance_to_boundary
 
 EPS = sys.float_info.epsilon
 
@@ -42,7 +46,8 @@ def comb(teeth, gap):
 
 def needle(aspect, at):
     """A unit square with a needle of length 1 and width 1 / aspect on
-    its top edge, at `at` along it."""
+    its top edge, at `at` along it: inside the edge for aspect > 5 and
+    0.1 <= at <= 0.9."""
     h = 0.5 / aspect
     return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [at + h, 1.0],
                      [at, 2.0], [at - h, 1.0], [0.0, 1.0]])
@@ -71,7 +76,7 @@ seeds = st.integers(0, 2**32 - 1)
 shapes = st.one_of(
     st.builds(star, seeds, st.integers(3, 128)),
     st.builds(comb, st.integers(2, 12), st.floats(1e-6, 1e-1)),
-    st.builds(needle, st.floats(1.0, 1e6), st.floats(0.1, 0.9)),
+    st.builds(needle, st.floats(10.0, 1e6), st.floats(0.1, 0.9)),
     st.builds(sliver, st.floats(1.0, 1e6), st.floats(-0.5, 1.5)),
     st.builds(collinear, seeds, st.integers(3, 24),
               st.sampled_from([2, 4, 8])),
@@ -94,3 +99,36 @@ def test_valid_planar_curves_pass_verify_at_default_settings(
     L = res["perimeter"]
     err = abs(res["double_integral"] - res["lower_bound"]) / (L * L)
     assert err <= 8 * curve.n_vertices * EPS
+
+
+# |I - 4 pi w| / (n eps): the largest seen in 48,000 examples of this test
+# and 200,000 random 3- to 6-gons run by hand is 8/3, on triangles (one
+# unit in the last place of 4 pi).  Without the power-of-two scaling of
+# v_i - x, 37 of 600 examples exceeded it, the worst by 9.4e4 n eps at
+# scale 2^-500.
+WINDING_ERROR_N_EPS = 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=shapes, k=st.one_of(st.sampled_from([-500, 500]),
+                             st.integers(-500, 500)),
+       shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       i=st.integers(0, 2**16),
+       kind=st.sampled_from(["left", "right", "vertex", "line"]),
+       gap=st.one_of(st.just(1.01e-9), st.floats(1.01e-9, 1.0)),
+       turn=st.integers(1, 2**16))
+def test_winding_integral_is_4_pi_times_the_winding_number(
+        v, k, shift, i, kind, gap, turn):
+    curve = ClosedCurve(np.ldexp(v + np.array(shift), k))
+    n = curve.n_vertices
+    x = near_point(curve.vertices, i, kind, gap * curve.diameter)
+    assume(distance_to_boundary(curve, x) >= 1e-9 * curve.diameter)
+    w = winding_number(curve, x)
+    assert w == vertex_angle_winding_number(curve, x)
+    assert contains(curve, x) == (w != 0)
+    I = winding_integral(curve, x)
+    assert abs(I - 4.0 * math.pi * w) <= WINDING_ERROR_N_EPS * n * EPS
+    # each edge's term depends on that edge alone, and reversal negates it
+    rotated = ClosedCurve(np.roll(curve.vertices, turn % n, axis=0))
+    assert winding_integral(rotated, x).hex() == I.hex()
+    assert winding_integral(reverse(curve), x) == -I

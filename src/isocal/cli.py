@@ -287,6 +287,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _cmd_plotdata(args, config: dict) -> int:
+    if args.problem is not None and args.kind != "leaves":
+        raise UsageError("unrecognized arguments: --problem "
+                         f"(plotdata {args.kind} reads none)")
     samples, _ = _samples_and_seed(config, args.samples, None, None)
     out_dir = args.out or "plotdata"
     if args.kind == "vfield":

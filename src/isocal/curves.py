@@ -24,10 +24,11 @@ import numpy as np
 BOUNDARY_TOL_FACTOR = 1e-9
 # Consecutive vertices closer than this fraction of the diameter are degenerate.
 VERTEX_SEP_FACTOR = 1e-12
-# Bytes of one float64 temporary of a blocked computation (the pair sum's
-# row blocks, the simplicity sweep's pair chunks, the curl integral's ray
-# blocks), so memory stays bounded at any size.  128 KiB keeps a block's
-# dozen temporaries in a 2 MiB L2 (64-256 KiB measured alike).
+# Bytes of one float64 temporary of a blocked computation (the pair and
+# corner sums' row blocks, the simplicity sweep's pair chunks, the field
+# sweeps' sample blocks), so memory stays bounded at any size.  128 KiB
+# keeps a block's dozen temporaries in a 2 MiB L2 (64-256 KiB measured
+# alike).
 _BLOCK_BYTES = 1 << 17
 
 
@@ -43,12 +44,13 @@ class OrientationError(CurveError):
     """Curve has the wrong orientation for the requested operation."""
 
 
-def _require_count(name: str, value) -> None:
-    """ValueError unless value is an integer >= 1 (a Python or numpy
+def _require_count(name: str, value, least: int = 1) -> None:
+    """ValueError unless value is an integer >= least (a Python or numpy
     integer, not a bool)."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
 
 
 def metric_dot(J, a, b, out=None):
@@ -251,8 +253,7 @@ def reverse(curve: ClosedCurve) -> ClosedCurve:
 def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0),
                     phase: float = 0.0) -> ClosedCurve:
     """Regular n-gon inscribed in the circle of given radius, CCW."""
-    if n < 3:
-        raise CurveError("need at least 3 vertices")
+    _require_count("n", n, 3)
     th = phase + 2.0 * np.pi * (np.arange(n) + 0.5) / n
     c = _vec2(center)
     return ClosedCurve(np.c_[c[0] + radius * np.cos(th), c[1] + radius * np.sin(th)])
@@ -331,22 +332,29 @@ def _require_off_boundary(curve: ClosedCurve, x) -> np.ndarray:
     return p
 
 
-def _subtended_angles(curve: ClosedCurve, x) -> np.ndarray:
-    """The signed angle each edge subtends at x, a point off the boundary:
-    arctan2(det(d_i, d_i+1), <d_i, d_i+1>), d_i = v_i - x, in units of the
-    power of two of the largest |d_i|, so no product overflows and none
-    that matters underflows.  Near +-pi, where x nears the edge, |det| = L h
-    (L the edge's length, h >= 1e-9 diameters the distance of x from it) is
-    far above its rounding, so the angle keeps its sign.  Each term depends
-    on its edge alone, and reversing the curve negates every det, and with
-    it every angle, bit for bit."""
-    p = _require_off_boundary(curve, x)
+def _fan(curve: ClosedCurve, p: np.ndarray):
+    """(d, d1, det, angle, e) of the fan triangles (p, v_i, v_i+1): d_i =
+    v_i - p in units of 2^e, the power of two of the largest |d_i|
+    component, so no product overflows and none that matters underflows;
+    d1 the rows d_i+1, det = det(d_i, d_i+1) and angle the signed angle the
+    edge subtends at p, arctan2(det, <d_i, d_i+1>).  Each row depends on
+    its edge alone, and reversing the curve negates every det, and with it
+    every angle, bit for bit."""
     d = curve.vertices - p
-    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
+    e = int(np.frexp(np.abs(d).max())[1])
+    d = np.ldexp(d, -e)
     d1 = np.roll(d, -1, axis=0)
     det = d[:, 0] * d1[:, 1] - d[:, 1] * d1[:, 0]
     dot = d[:, 0] * d1[:, 0] + d[:, 1] * d1[:, 1]
-    return np.arctan2(det, dot)
+    return d, d1, det, np.arctan2(det, dot), e
+
+
+def _subtended_angles(curve: ClosedCurve, x) -> np.ndarray:
+    """The signed angle each edge subtends at x, a point off the boundary
+    (_fan).  Near +-pi, where x nears the edge, |det| = L h (L the edge's
+    length, h >= 1e-9 diameters the distance of x from it) is far above its
+    rounding, so the angle keeps its sign."""
+    return _fan(curve, _require_off_boundary(curve, x))[3]
 
 
 def winding_number(curve: ClosedCurve, x) -> int:

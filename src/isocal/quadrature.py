@@ -12,7 +12,9 @@ vertex.  The pair sum walks row blocks within a fixed byte budget; every
 block is a view of buffers allocated once per call, which the kernel fills
 through _kernel(..., out), and as nodes come edge by edge its same-edge
 pairs lie in a narrow band of columns.  The winding integral is exact
-too, twice the sum of the angles the edges subtend at the point.
+too, twice the sum of the angles the edges subtend at the point, and so is
+the interior curl integral, one closed-form term per fan triangle from its
+singular point.
 """
 
 from __future__ import annotations
@@ -332,7 +334,7 @@ def midpoint_double_integral(curve: ClosedCurve, refinement: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interior curl integral in polar coordinates and the Stokes check
+# interior curl integral over the fan triangles, and the Stokes check
 
 
 def _locate_on_boundary(curve: ClosedCurve, y):
@@ -346,60 +348,40 @@ def _locate_on_boundary(curve: ClosedCurve, y):
     return i, e / math.hypot(*e)
 
 
-def interior_curl_integral(curve: ClosedCurve, y, t_y, n_phi: int = 4096) -> float:
-    """Integral over the curve's interior of 2 det(y - x, t_y)/|x - y|^2 dA.
-
-    In polar coordinates centred at the singular point y the integrand times
-    the area element is -2 det(w(phi), t_y) dr dphi, bounded; the radial
-    integral reduces exactly to the inside-length of each ray, obtained by
-    ray casting against the polygon.  Only the angular variable is quadratured
-    (midpoint rule on n_phi samples).
-
-    Crossing parity: each vertex's side det(w, v - y) is computed once per
-    ray, so a ray through a vertex counts it alike on both of its edges; an
-    edge crosses where one side is > 0 and the other is not, at a distance
-    interpolated from <v - y, w>.  Beyond its farthest crossing a ray is
-    outside, so its inside length is r_K - r_(K-1) + ...  An edge along a
-    sample ray stays ill-conditioned, as in any float ray caster.
+def interior_curl_integral(curve: ClosedCurve, y, t_y) -> float:
+    """Integral over the curve's interior of 2 det(y - x, t_y)/|x - y|^2 dA,
+    exactly, for any y: the fan triangles (y, v_k, v_k+1) cover the
+    interior with winding-number weights, and in polar coordinates about y
+    triangle k adds J_k = -2 (D_k / |e_k|) (<t_y, u_k> theta_k + det(u_k,
+    t_y) log(|d_k+1| / |d_k|)), d_k = v_k - y, D_k = det(d_k, d_k+1), e_k =
+    d_k+1 - d_k = |e_k| u_k and theta_k the angle edge k subtends at y
+    (curves._fan; README, Numerical conventions).  A degenerate triangle,
+    D_k = 0, adds 0.  One fsum in units of a power of two: the same bits
+    from any starting vertex and at any power-of-two scale, negated under
+    reversal.
     """
-    curves._require_count("n_phi", n_phi)
-    p = _vec2(y)
     t = _vec2(t_y)
-    d = curve.vertices - p
-    rmin = 1e-12 * curve.diameter
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    w = np.c_[np.cos(phi), np.sin(phi)]
-    mu = np.empty(n_phi)
-    # blocks of rays whose (rays, vertices) temporaries fit the budget
-    step = max(1, _BLOCK_BYTES // (8 * len(d)))
-    for r0 in range(0, n_phi, step):
-        w0, w1 = w[r0:r0 + step, :1], w[r0:r0 + step, 1:]
-        side = w0 * d[:, 1] - w1 * d[:, 0]
-        dist = w0 * d[:, 0] + w1 * d[:, 1]
-        side1, dist1 = np.roll(side, -1, axis=1), np.roll(dist, -1, axis=1)
-        cross = (side > 0) != (side1 > 0)
-        lam = np.divide(side, side - side1, out=np.zeros_like(side),
-                        where=cross)
-        r = dist + (dist1 - dist) * lam
-        # descending, non-crossings as zeros, paired off from the top
-        r = -np.sort(-np.where(cross & (r > rmin), r, 0.0), axis=1)
-        if r.shape[1] % 2:
-            r = np.pad(r, ((0, 0), (0, 1)))
-        mu[r0:r0 + step] = (r[:, 0::2] - r[:, 1::2]).sum(axis=1)
-    dphi = 2.0 * np.pi / n_phi
-    detwt = w[:, 0] * t[1] - w[:, 1] * t[0]
-    return math.fsum(-2.0 * detwt * mu * dphi)
+    d, d1, D, theta, scale = curves._fan(curve, _vec2(y))
+    edge = d1 - d
+    L = np.hypot(*edge.T)
+    u0, u1 = edge[:, 0] / L, edge[:, 1] / L
+    r = np.hypot(*d.T)
+    log_r = np.log(np.where(r > 0.0, r, 1.0))  # r = 0, y at a vertex: D = 0
+    terms = -2.0 * (D / L) * ((u0 * t[0] + u1 * t[1]) * theta
+                              + (u0 * t[1] - u1 * t[0])
+                              * (np.roll(log_r, -1) - log_r))
+    return math.ldexp(math.fsum(terms), scale)
 
 
-def stokes_check(curve: ClosedCurve, y, t_y=None, refinement: int = 1,
-                 n_phi: int = 4096) -> tuple[float, float]:
+def stokes_check(curve: ClosedCurve, y, t_y=None,
+                 refinement: int = 1) -> tuple[float, float]:
     """Boundary integral of <V(y, t_y, .), dx> versus the interior curl
     integral, for a source point y on the curve.
 
-    Returns (lhs, rhs); the two agree up to the quadrature tolerances.  The
-    node on y's own edge uses the exact along-edge kernel value 1.
+    Returns (lhs, rhs): the midpoint rule with `refinement` pieces per edge
+    and the exact interior integral, which agree up to the midpoint rule's
+    error.  The node on y's own edge uses the exact along-edge kernel value.
     """
-    curves._require_count("n_phi", n_phi)
     edge, edge_tangent = _locate_on_boundary(curve, y)
     t = edge_tangent if t_y is None else np.asarray(_vec2(t_y), float)
     p = _vec2(y)
@@ -412,7 +394,7 @@ def stokes_check(curve: ClosedCurve, y, t_y=None, refinement: int = 1,
     # the canonical tangent), including at the node that coincides with y
     kern = np.where(own, float(t @ edge_tangent), kern)
     lhs = math.fsum(wts * kern)
-    rhs = interior_curl_integral(curve, p, t, n_phi=n_phi)
+    rhs = interior_curl_integral(curve, p, t)
     return lhs, rhs
 
 

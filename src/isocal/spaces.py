@@ -20,7 +20,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .curves import ClosedCurve, CurveError, Geometry, _box_pairs, metric_dot
+from .curves import (ClosedCurve, CurveError, Geometry, _box_pairs,
+                     _require_count, metric_dot)
 from .quadrature import IsoperimetricReport, pair_sum
 
 _MINK = (1.0, 1.0, -1.0)
@@ -65,6 +66,8 @@ class SphericalCurve:
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3 or len(v) < 3:
             raise CurveError(f"need (n>=3, 3) vertex array, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise CurveError("vertices must be finite")
         norms = np.linalg.norm(v, axis=1)
         if np.abs(norms - 1.0).max() > 1e-12:
             raise CurveError("vertices must lie on the unit sphere (|v| = 1)")
@@ -112,8 +115,7 @@ def geodesic_cap(theta: float, n: int) -> SphericalCurve:
     north pole (the enclosed cap contains the pole)."""
     if not 0.0 < theta < math.pi:
         raise ValueError(f"colatitude must lie in (0, pi), got {theta}")
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
+    _require_count("n", n, 3)
     phi = 2.0 * np.pi * np.arange(n) / n
     st, ct = math.sin(theta), math.cos(theta)
     return SphericalCurve(np.c_[st * np.cos(phi), st * np.sin(phi),
@@ -277,6 +279,8 @@ class HyperbolicCurve:
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3 or len(v) < 3:
             raise CurveError(f"need (n>=3, 3) vertex array, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise CurveError("vertices must be finite")
         quad = v[:, 0] ** 2 + v[:, 1] ** 2 - v[:, 2] ** 2
         if np.abs(quad + 1.0).max() > 1e-10:
             raise CurveError("vertices must lie on the unit hyperboloid")
@@ -297,10 +301,9 @@ class HyperbolicCurve:
 def hyperbolic_circle(radius: float, n: int, phase: float = 0.0) -> HyperbolicCurve:
     """Regular n-gon inscribed in the metric circle of given radius about the
     apex (0, 0, 1), positively oriented."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    _require_count("n", n, 3)
     phi = phase + 2.0 * np.pi * np.arange(n) / n
     sr, cr = math.sinh(radius), math.cosh(radius)
     return HyperbolicCurve(np.c_[sr * np.cos(phi), sr * np.sin(phi),

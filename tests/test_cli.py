@@ -188,6 +188,22 @@ def test_verify_out_of_range_vertices_exit_2(tmp_path, capsys):
     assert "2^1022" in err and "coincide" not in err
 
 
+@pytest.mark.parametrize("space, v", [
+    ("sphere", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ("hyperbolic", [[0.0, 0.0, 1.0], [1.0, 0.0, math.sqrt(2.0)],
+                    [0.0, 1.0, math.sqrt(2.0)]])])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_non_finite_curved_vertex_exit_2(tmp_path, capsys, space, v,
+                                                bad):
+    v[1][0] = bad
+    path, out = tmp_path / "bad.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"vertices": v, "closed": True,
+                                "space": space}))
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "vertices must be finite" in capsys.readouterr().err
+
+
 def test_verify_subnormal_area_exit_2_with_its_cause(tmp_path, capsys):
     # positively oriented, perimeter^2 a normal float, area about 5e-331
     path, out = tmp_path / "thin.json", tmp_path / "r.json"
@@ -413,6 +429,8 @@ UNREAD_FLAGS = [
     (["plotdata", "vfield"], "--tolerance", "unit_norm=1"),
     (["plotdata", "vfield"], "--seed", "1"),
     (["plotdata", "vfield"], "--space", "r2"),
+    (["plotdata", "vfield"], "--problem", "free"),
+    (["plotdata", "circles"], "--problem", "free"),
 ]
 
 
@@ -535,8 +553,8 @@ def test_integer_tolerance_in_config_accepted(tmp_path, square_file,
 
 
 # With the packages that only tests use made unimportable, the package
-# still imports and verify (plane and sphere), calibration and mayer exit 0:
-# the runtime needs numpy alone.
+# still imports, stokes_check runs, and verify (plane and sphere),
+# calibration and mayer exit 0: the runtime needs numpy alone.
 NUMPY_ONLY = """
 import sys
 for name in ("scipy", "mpmath", "sympy", "hypothesis"):
@@ -547,6 +565,9 @@ from isocal.cli import main
 tmp = sys.argv[2]
 isocal.save_curve(isocal.regular_polygon(64), tmp + "/plane.json")
 isocal.save_curve(isocal.geodesic_cap(1.0, 64), tmp + "/sphere.json")
+square = isocal.ClosedCurve([[0, 0], [1, 0], [1, 1], [0, 1]])
+lhs, rhs = isocal.stokes_check(square, (0.5, 0.0), refinement=64)
+assert abs(lhs - rhs) < 1e-3, (lhs, rhs)
 print([main(argv + ["--out", tmp + "/out.json"]) for argv in (
     ["verify", tmp + "/plane.json"], ["verify", tmp + "/sphere.json"],
     ["calibration", "--samples", "50"],

@@ -444,6 +444,35 @@ def test_hyperbolic_curve_validation():
         HyperbolicCurve(lower)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, v", [
+    (SphericalCurve, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    (HyperbolicCurve, [[0.0, 0.0, 1.0], [1.0, 0.0, math.sqrt(2.0)],
+                       [0.0, 1.0, math.sqrt(2.0)]])], ids=["sphere", "hyp"])
+def test_curved_curves_reject_non_finite_vertices(cls, v, bad):
+    for i, k in ((0, 0), (1, 2), (2, 1)):
+        w = np.array(v)
+        w[i, k] = bad
+        with pytest.raises(CurveError, match="vertices must be finite"):
+            cls(w)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+def test_hyperbolic_circle_rejects_a_radius_not_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        hyperbolic_circle(radius, 8)
+
+
+@pytest.mark.parametrize("make", [
+    regular_polygon, lambda n: geodesic_cap(1.0, n),
+    lambda n: hyperbolic_circle(0.5, n)], ids=["plane", "sphere", "hyp"])
+@pytest.mark.parametrize("n", [3.5, 2, 8.0, True, "8"])
+def test_regular_polygons_need_an_integer_vertex_count_of_3_or_more(make, n):
+    with pytest.raises(ValueError, match="n must be an integer >= 3"):
+        make(n)
+    assert make(np.int64(3)).n_vertices == 3
+
+
 def test_hyperbolic_circle_perimeter_and_area():
     c = hyperbolic_circle(1.0, 512)
     assert hyperbolic_perimeter(c) == pytest.approx(

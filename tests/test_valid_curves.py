@@ -5,6 +5,8 @@ collinear vertices and regular polygons, each scaled by a power of two and
 translated.  The exact double integral is then 4 pi area to within rounding,
 |I - 4 pi A| <= 8 n eps L^2 for n vertices and perimeter L, and the exact
 winding integral is 4 pi w to within rounding at points off the boundary.
+The exact interior curl integral keeps its bits under rotation of the
+start vertex and power-of-two scaling, and is negated under reversal.
 """
 
 import json
@@ -19,6 +21,7 @@ from isocal import (ClosedCurve, contains, reverse, save_curve,
                     winding_integral, winding_number)
 from isocal.cli import main
 from isocal.curves import distance_to_boundary
+from isocal.quadrature import interior_curl_integral
 
 EPS = sys.float_info.epsilon
 
@@ -132,3 +135,39 @@ def test_winding_integral_is_4_pi_times_the_winding_number(
     rotated = ClosedCurve(np.roll(curve.vertices, turn % n, axis=0))
     assert winding_integral(rotated, x).hex() == I.hex()
     assert winding_integral(reverse(curve), x) == -I
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=shapes, k=st.one_of(st.sampled_from([-500, 500]),
+                             st.integers(-500, 500)),
+       shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       i=st.integers(0, 2**16),
+       kind=st.sampled_from(["mid", "at", "left", "right", "vertex", "line"]),
+       gap=st.floats(1e-9, 1.0), a=st.floats(0.0, 2.0 * math.pi),
+       turn=st.integers(1, 2**16))
+def test_interior_curl_integral_keeps_its_bits(v, k, shift, i, kind, gap, a,
+                                               turn):
+    # the fan sum's terms depend each on its own edge, in units of a power
+    # of two: the same bits from any start vertex and at any scale 2^k,
+    # negated under reversal, for y on the curve or off it
+    curve = ClosedCurve(v + np.array(shift))
+    n = curve.n_vertices
+    w = curve.vertices
+    if kind == "mid":
+        y = 0.5 * (w[i % n] + w[(i + 1) % n])
+    elif kind == "at":
+        y = w[i % n]
+    else:
+        y = near_point(w, i, kind, gap * curve.diameter)
+    t = (math.cos(a), math.sin(a))
+    scaled = ClosedCurve(np.ldexp(w, k))
+    # 2^k scales every coordinate exactly unless it leaves the normal range
+    assume(np.array_equal(np.ldexp(scaled.vertices, -k), w)
+           and np.array_equal(np.ldexp(np.ldexp(y, k), -k), y))
+    I = interior_curl_integral(curve, y, t)
+    assert math.isfinite(I)
+    rotated = ClosedCurve(np.roll(w, turn % n, axis=0))
+    assert interior_curl_integral(rotated, y, t).hex() == I.hex()
+    assert interior_curl_integral(reverse(curve), y, t) == -I
+    assert (interior_curl_integral(scaled, np.ldexp(y, k), t).hex()
+            == math.ldexp(I, k).hex())

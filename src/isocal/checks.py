@@ -222,13 +222,10 @@ def pullback_residual(problem: MayerProblem, n: int = 100, seed: int = 0,
     rng = np.random.default_rng(seed)
     a, b = problem.family.t_domain
     lo, hi = problem.family.s_interval
-    worst = 0.0
-    for _ in range(n):
-        s = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
-        t = rng.uniform(a + 10 * h, b - 10 * h)
-        worst = max(worst, abs(lagrangian_submanifold_check(
-            problem.lagrangian, problem.family, s, t, h)))
-    return worst
+    s, t = rng.uniform([lo + 0.1 * (hi - lo), a + 10 * h],
+                       [hi - 0.1 * (hi - lo), b - 10 * h], size=(n, 2)).T
+    return float(np.max(np.abs(lagrangian_submanifold_check(
+        problem.lagrangian, problem.family, s, t, h)), initial=0.0))
 
 
 def minimality_minimum(problem: MayerProblem, n: int = 100,

@@ -165,12 +165,13 @@ class UnitVector2:
 
 
 def _vec2(p) -> np.ndarray:
-    """Coerce Point2 / UnitVector2 / sequence to a float array of shape (2,)."""
-    if hasattr(p, "as_array"):
-        return p.as_array()
-    a = np.asarray(p, dtype=float)
+    """Coerce Point2 / UnitVector2 / sequence to a finite float array of
+    shape (2,)."""
+    a = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
     if a.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"expected a finite 2-vector, got {a.tolist()}")
     return a
 
 

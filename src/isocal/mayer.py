@@ -85,10 +85,18 @@ def _array_callable(fn, *probe):
 
 def _out(x, *like):
     """x broadcast to the common shape of `like`: a float when that shape is
-    (), else a fresh array."""
+    (), from x of one point, else a fresh array."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in like))
-    x = np.broadcast_to(np.asarray(x, float), shape)
-    return float(x) if x.ndim == 0 else x.copy()
+    x = np.broadcast_to(np.asarray(x, float), shape or (1,))
+    return float(x[0]) if shape == () else x.copy()
+
+
+def _points(*xs):
+    """xs as float arrays of their common shape, at least 1-d: callables see
+    arrays only, so a point gets the same bits alone or in a batch (a numpy
+    scalar's x ** 3 rounds unlike an array's)."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in xs)) or (1,)
+    return [np.broadcast_to(np.asarray(x, float), shape) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -240,15 +248,9 @@ class Extremal:
         return cls(g, np.array([f(t) for t in g]), np.array([fdot(t) for t in g]))
 
 
-def solve_el(L: Lagrangian1D, t0: float, q0: float, qdot0: float,
-             grid) -> Extremal:
-    """Integrate the Euler-Lagrange equation by classical fixed-step RK4.
-
-    The second-order equation is solved for the acceleration through the
-    Legendre coefficient; cross-partials of dL_dqdot are taken by centred
-    differences.  Degenerate Legendre coefficients and solution blow-up are
-    hard errors.
-    """
+def _integrate_el(L: Lagrangian1D, t0: float, q0, qdot0, grid):
+    """(values, slopes) of solve_el for arrays q0, qdot0 in one pass, with the
+    bits each gets alone (_points): a row per initial value, a column per time."""
     g = np.asarray(grid, float)
     if len(g) < 2 or np.any(np.diff(g) <= 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
@@ -256,20 +258,21 @@ def solve_el(L: Lagrangian1D, t0: float, q0: float, qdot0: float,
         raise ValueError("grid must start at t0")
 
     fd = _FD_CROSS
+    q, qd = _points(q0, qdot0)
 
     def acc(t, q, qd):
-        m = L.d2L_dqdot2(t, q, qd)
-        if abs(m) < DEGENERATE_D2:
+        m = np.broadcast_to(L.d2L_dqdot2(t, q, qd), q.shape)
+        k = np.argmin(np.abs(m))  # the most degenerate point
+        if abs(m.flat[k]) < DEGENERATE_D2:
             raise LegendreError(
-                f"degenerate Legendre coefficient {m!r} at t={t}, q={q}, qdot={qd}")
+                f"degenerate Legendre coefficient {m.flat[k]!r} at t={t}, "
+                f"q={q.flat[k]}, qdot={qd.flat[k]}")
         dpdt = (L.dL_dqdot(t + fd, q, qd) - L.dL_dqdot(t - fd, q, qd)) / (2 * fd)
         dpdq = (L.dL_dqdot(t, q + fd, qd) - L.dL_dqdot(t, q - fd, qd)) / (2 * fd)
         return (L.dL_dq(t, q, qd) - dpdt - dpdq * qd) / m
 
-    qs = np.empty(len(g))
-    ds = np.empty(len(g))
-    q, qd = float(q0), float(qdot0)
-    qs[0], ds[0] = q, qd
+    qs, ds = np.empty((2,) + q.shape + g.shape)
+    qs[..., 0], ds[..., 0] = q, qd
     for i in range(len(g) - 1):
         t, h = g[i], g[i + 1] - g[i]
         k1q, k1v = qd, acc(t, q, qd)
@@ -279,12 +282,25 @@ def solve_el(L: Lagrangian1D, t0: float, q0: float, qdot0: float,
         k3v = acc(t + 0.5 * h, q + 0.5 * h * k2q, k3q)
         k4q = qd + h * k3v
         k4v = acc(t + h, q + h * k3q, k4q)
-        q += h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        qd += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if abs(q) > 1e8 or abs(qd) > 1e8:
+        q = q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        qd = qd + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if np.any(np.abs(q) > 1e8) or np.any(np.abs(qd) > 1e8):
             raise OverflowError(f"solution blew up near t={g[i + 1]}")
-        qs[i + 1], ds[i + 1] = q, qd
-    return Extremal(g, qs, ds)
+        qs[..., i + 1], ds[..., i + 1] = q, qd
+    return qs, ds
+
+
+def solve_el(L: Lagrangian1D, t0: float, q0: float, qdot0: float,
+             grid) -> Extremal:
+    """Integrate the Euler-Lagrange equation by classical fixed-step RK4.
+
+    The second-order equation is solved for the acceleration through the
+    Legendre coefficient; cross-partials of dL_dqdot are taken by centred
+    differences.  Degenerate Legendre coefficients and solution blow-up are
+    hard errors.
+    """
+    values, slopes = _integrate_el(L, t0, float(q0), float(qdot0), grid)
+    return Extremal(grid, values[0], slopes[0])
 
 
 def el_residual(L: Lagrangian1D, f, t, h: float = 1e-5, domain=None):
@@ -343,20 +359,15 @@ class SolutionFamily:
         ss = np.linspace(lo, hi, 33)
         ts = np.linspace(a, b, 17)[:, None]
         steps = np.diff(np.broadcast_to(self.u(ss, ts), (17, 33)), axis=1)
-        sign = 0
-        for t, d in zip(ts[:, 0], steps):
-            if np.all(d > 0):
-                here = 1
-            elif np.all(d < 0):
-                here = -1
-            else:
-                raise FoliationError(
-                    f"family is not strictly monotone in s at t={t}")
-            if sign == 0:
-                sign = here
-            elif sign != here:
-                raise FoliationError("monotonicity direction flips with t")
-        object.__setattr__(self, "_monotone_sign", sign)
+        # per time: +1 where u rises in s, -1 where it falls, 0 otherwise
+        sign = np.all(steps > 0, axis=1).astype(int) - np.all(steps < 0, axis=1)
+        k = int(np.argmax((sign == 0) | (sign != sign[0])))
+        if sign[k] == 0:
+            raise FoliationError(
+                f"family is not strictly monotone in s at t={ts[k, 0]}")
+        if sign[k] != sign[0]:
+            raise FoliationError("monotonicity direction flips with t")
+        object.__setattr__(self, "_monotone_sign", int(sign[0]))
 
     def time_slope(self, s, t):
         if self.du_dt is not None:
@@ -379,13 +390,13 @@ class SolutionFamily:
 
 
 def _locate_leaf(family: SolutionFamily, t, q, s_tol: float = 1e-12):
-    """Parameter of the leaf through each (t, q), by bisection on arrays.
+    """Parameter of the leaf through each (t, q), arrays of one shape
+    (_points), by bisection.
 
     Every point takes ceil(log2(width / s_tol)) halvings, a count set by the
     width of the parameter interval alone, so a point gets the same bits
     whether it is solved alone or inside a batch.
     """
-    t, q = np.broadcast_arrays(np.asarray(t, float), np.asarray(q, float))
     lo0, hi0 = family.s_interval
     qlo = np.broadcast_to(family.u(lo0, t), t.shape)
     qhi = np.broadcast_to(family.u(hi0, t), t.shape)
@@ -400,15 +411,22 @@ def _locate_leaf(family: SolutionFamily, t, q, s_tol: float = 1e-12):
         a, b = sorted((float(qlo.flat[k]), float(qhi.flat[k])))
         raise FoliationError(f"q={q.flat[k]} outside the foliated range at "
                              f"t={t.flat[k]} ([{a}, {b}])")
-    lo = np.full(t.shape, float(lo0))
-    half = float(hi0 - lo0)
-    rising = family._monotone_sign > 0
-    for _ in range(max(0, math.ceil(math.log2((hi0 - lo0) / s_tol)))):
-        # the leaf lies in [lo, lo + 2 half]; keep the half that holds it
-        half *= 0.5
+    # below(s): the leaf through (t, q) has a parameter at or above s
+    below = ((lambda s: family.u(s, t) <= q) if family._monotone_sign > 0
+             else (lambda s: family.u(s, t) >= q))
+    return _bisect(below, np.full(t.shape, float(lo0)), float(hi0 - lo0),
+                   max(0, math.ceil(math.log2((hi0 - lo0) / s_tol))))
+
+
+def _bisect(below, lo, width, halvings: int):
+    """Where below(x) turns from true to false in each bracket [lo, lo +
+    width], by halving all at once and keeping the half that holds it; lo,
+    a float array, is updated in place."""
+    half = width
+    for _ in range(halvings):
+        half = half * 0.5
         mid = lo + half
-        u = family.u(mid, t)
-        np.copyto(lo, mid, where=(u <= q) if rising else (u >= q))
+        np.copyto(lo, mid, where=below(mid))
     return lo + 0.5 * half
 
 
@@ -417,8 +435,9 @@ def mayer_slope(family: SolutionFamily, t, q):
 
     Takes scalars or arrays; a float for scalar input.
     """
-    s = _locate_leaf(family, t, q)
-    return _out(family.time_slope(s, t), s)
+    args = t, q
+    t, q = _points(*args)
+    return _out(family.time_slope(_locate_leaf(family, t, q), t), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -435,70 +454,46 @@ def energy(L: Lagrangian1D, t, q, qdot):
     return qdot * L.dL_dqdot(t, q, qdot) - L.l(t, q, qdot)
 
 
-def legendre_inverse(L: Lagrangian1D, t: float, q: float, p: float,
-                     tol: float = 1e-10, max_range: float = 1e8) -> float:
-    """Velocity qhat with dL_dqdot(t, q, qhat) = p, residual below tol.
+def legendre_inverse(L: Lagrangian1D, t, q, p):
+    """Velocity qhat with dL_dqdot(t, q, qhat) = p, elementwise on arrays; a
+    float for scalar input.
 
-    Expanding bracket plus safeguarded Newton.  Raises LegendreError when no
-    bracket exists within max_range or when the Legendre coefficient at the
-    solution is degenerate (the inverse is then ill-defined).
+    Each point doubles its own bracket [-w, w] from w = 1 + |p| until it
+    holds the root, then halves it 68 times (_bisect), whatever the batch,
+    so a point gets the same bits alone or in a batch.  LegendreError names
+    the first point with no bracket within 1e8, or with a degenerate (so
+    ill-defined) inverse: a Legendre coefficient at the root below 1e-10.
     """
-
-    def g(x):
-        return L.dL_dqdot(t, q, x) - p
-
-    w = 1.0 + abs(p)
-    lo, hi = -w, w
-    while g(lo) > 0.0:
-        lo *= 2.0
-        if -lo > max_range:
-            raise LegendreError(f"no lower bracket within {max_range}")
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > max_range:
-            raise LegendreError(f"no upper bracket within {max_range}")
-
-    x = 0.5 * (lo + hi)
-    gx = g(x)
-    for _ in range(200):
-        if abs(gx) <= tol:
+    args = t, q, p
+    t, q, p = _points(*args)
+    w = 1.0 + np.abs(p)
+    while True:
+        # written so that a non-finite p, q or end value holds no root
+        held = (np.isfinite(w) & (L.dL_dqdot(t, q, -w) <= p)
+                & (p <= L.dL_dqdot(t, q, w)))
+        if np.all(held):
             break
-        if gx > 0:
-            hi = x
-        else:
-            lo = x
-        d2 = L.d2L_dqdot2(t, q, x)
-        if d2 > DEGENERATE_D2:
-            xn = x - gx / d2
-            if not lo < xn < hi:
-                xn = 0.5 * (lo + hi)
-        else:
-            xn = 0.5 * (lo + hi)
-        x, gx = xn, g(xn)
-    else:
-        raise LegendreError("Legendre inversion did not converge")
-
-    if L.d2L_dqdot2(t, q, x) < 1e-4:
-        # suspiciously flat: drive the bracket down and recheck at the root
-        for _ in range(200):
-            if hi - lo <= 1e-12 * (1 + abs(x)):
-                break
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        x = 0.5 * (lo + hi)
-        if L.d2L_dqdot2(t, q, x) < DEGENERATE_D2:
-            raise LegendreError(
-                f"degenerate Legendre coefficient at the solution qdot={x!r}")
-    return x
+        w = np.where(held, w, 2.0 * w)
+        if not np.all(w <= 1e8):
+            k = np.argmin(w <= 1e8)  # the first point beyond, or NaN
+            raise LegendreError(f"no bracket within 1e8 for p={p.flat[k]} "
+                                f"at t={t.flat[k]}, q={q.flat[k]}")
+    x = _bisect(lambda x: L.dL_dqdot(t, q, x) <= p, -w, 2.0 * w, 68)
+    d2 = np.broadcast_to(L.d2L_dqdot2(t, q, x), x.shape)
+    if not np.all(d2 >= DEGENERATE_D2):
+        k = np.argmin(d2 >= DEGENERATE_D2)  # the first degenerate point
+        raise LegendreError(
+            f"degenerate Legendre coefficient {d2.flat[k]!r} at the solution "
+            f"qdot={x.flat[k]!r} (t={t.flat[k]}, q={q.flat[k]}, p={p.flat[k]})")
+    return _out(x, *args)
 
 
-def hamiltonian(L: Lagrangian1D, t: float, q: float, p: float) -> float:
-    """H(t, q, p) = p qhat - L(t, q, qhat) with qhat = legendre_inverse."""
+def hamiltonian(L: Lagrangian1D, t, q, p):
+    """H(t, q, p) = p qhat - L(t, q, qhat), qhat = legendre_inverse."""
+    args = t, q, p
+    t, q, p = _points(*args)
     qhat = legendre_inverse(L, t, q, p)
-    return p * qhat - L.l(t, q, qhat)
+    return _out(p * qhat - L.l(t, q, qhat), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +574,10 @@ def null_lagrangian(L: Lagrangian1D, family: SolutionFamily,
 def weierstrass_gap(L: Lagrangian1D, family: SolutionFamily, t, q, qdot):
     """Pointwise excess L - lam at (t, q, qdot); nonnegative under convexity,
     zero exactly when qdot equals the slope field."""
+    args = t, q, qdot
+    t, q, qdot = _points(*args)
     lam = NullLagrangianField(lagrangian=L, family=family).lam(t, q, qdot)
-    return _out(L.l(t, q, qdot) - lam, t, q, qdot)
+    return _out(L.l(t, q, qdot) - lam, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +614,8 @@ def path_independence_check(nl: NullLagrangianField, f1, f2,
 
     Returns the two integrals; they agree up to quadrature tolerance.
     """
-    a, b = nl.lagrangian.domain
-    if abs(f1.value(a) - f2.value(a)) > endpoint_tol or \
-       abs(f1.value(b) - f2.value(b)) > endpoint_tol:
+    ends = np.array(nl.lagrangian.domain)
+    if np.max(np.abs(f1.value(ends) - f2.value(ends))) > endpoint_tol:
         raise EndpointError("paths do not share endpoints")
     lam = nl.as_lagrangian()
     return action(lam, f1, n=n), action(lam, f2, n=n)
@@ -637,20 +633,20 @@ class PhaseLift:
     lagrangian: Lagrangian1D
     family: SolutionFamily
 
-    def u(self, s: float, t: float) -> float:
+    def u(self, s, t):
         return self.family.u(s, t)
 
-    def v(self, s: float, t: float) -> float:
+    def v(self, s, t):
         return self.lagrangian.dL_dqdot(t, self.family.u(s, t),
                                         self.family.time_slope(s, t))
 
-    def w(self, s: float, t: float) -> float:
+    def w(self, s, t):
         return hamiltonian(self.lagrangian, t, self.family.u(s, t), self.v(s, t))
 
-    def map(self, s: float, t: float) -> tuple[float, float, float, float]:
+    def map(self, s, t):
         return (t, self.u(s, t), self.w(s, t), self.v(s, t))
 
-    def pullback_coefficient(self, s: float, t: float, h: float = 1e-4) -> float:
+    def pullback_coefficient(self, s, t, h: float = 1e-4):
         """Coefficient of dt^ds in the pulled-back symplectic form:
         dv/dt du/ds - dv/ds du/dt + dw/ds, by centred differences."""
         dv_dt = (self.v(s, t + h) - self.v(s, t - h)) / (2 * h)
@@ -666,14 +662,18 @@ def phase_lift(L: Lagrangian1D, family: SolutionFamily) -> PhaseLift:
 
 
 def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
-                                 s: float, t: float, h: float = 1e-4) -> float:
-    """Pullback coefficient of the symplectic form at (s, t); near zero for
-    a genuine foliation by extremals, bounded away from zero otherwise."""
+                                 s, t, h: float = 1e-4):
+    """Pullback coefficient of the symplectic form at each interior (s, t);
+    near zero for a genuine foliation by extremals, else bounded away."""
+    args = s, t
+    s, t = _points(*args)
     a, b = family.t_domain
     lo, hi = family.s_interval
-    if not (lo < s < hi and a < t < b):
-        raise ValueError("(s, t) must be interior to the family's domain")
-    return phase_lift(L, family).pullback_coefficient(s, t, h)
+    inside = (lo < s) & (s < hi) & (a < t) & (t < b)
+    if not np.all(inside):
+        k = np.argmin(inside)
+        raise ValueError(f"(s, t) = ({s.flat[k]}, {t.flat[k]}) not interior")
+    return _out(phase_lift(L, family).pullback_coefficient(s, t, h), *args)
 
 
 def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
@@ -694,9 +694,8 @@ def _competitor_action(L: Lagrangian1D, family: SolutionFamily, f, f_o,
                        n: int, endpoint_tol: float = 1e-10) -> float:
     """Action of a competitor after checking that it shares endpoints with
     f_o and stays inside the foliated region."""
-    a, b = L.domain
-    if abs(f.value(a) - f_o.value(a)) > endpoint_tol or \
-       abs(f.value(b) - f_o.value(b)) > endpoint_tol:
+    a, b = ends = np.array(L.domain)
+    if np.max(np.abs(f.value(ends) - f_o.value(ends))) > endpoint_tol:
         raise EndpointError("competitor does not share endpoints with the leaf")
     lo, hi = family.s_interval
     ts = np.linspace(a, b, 33)
@@ -718,14 +717,13 @@ def family_from_shooting(L: Lagrangian1D, initial, s_interval, t_grid,
     """Foliate by integrating a line of initial conditions.
 
     `initial(s)` returns (q0, qdot0) at t_grid[0].  Leaves are solved on the
-    grid and interpolated cubically in both s and t; monotonicity is then
-    verified by the SolutionFamily constructor as usual.
+    grid in one pass, each with solve_el's bits, and interpolated cubically
+    in both s and t; monotonicity is verified by SolutionFamily as usual.
     """
-    g = np.asarray(t_grid, float)
     s_nodes = np.linspace(s_interval[0], s_interval[1], n_leaves)
-    leaves = [solve_el(L, float(g[0]), *initial(float(s)), g) for s in s_nodes]
-    values = np.array([f.values for f in leaves])
-    slopes = np.array([f.derivatives for f in leaves])
+    g = np.asarray(t_grid, float)
+    q0, qdot0 = np.array([initial(float(s)) for s in s_nodes], float).T
+    values, slopes = _integrate_el(L, g[0], q0, qdot0, g)
 
     def blend(basis, s, t):
         # cubic Lagrange weights over the four leaves around each s, applied

@@ -303,15 +303,15 @@ def _corner_terms(v, t):
         i0 = i1
 
 
-def double_boundary_integral(curve: ClosedCurve, refinement: int = 1,
+def double_boundary_integral(curve: ClosedCurve, *,
                              check_simple: bool = True) -> float:
     """The double integral of the tangent kernel over the polygon, exactly:
     Sum L_i^2 - 2 Sum L_i^2 log L_i + Sum_{i != j} Re(c_ij S_ij), c_ij =
     (conj(t_i)^2 + conj(t_j)^2) / 2 (_corner_terms; README, Numerical
     conventions), in one exact binned reduction.  For a simple positively
     oriented curve it is 4 pi area up to rounding, a few n eps L^2 for n
-    vertices and perimeter L.  `refinement` changes nothing;
-    midpoint_double_integral is the rule that takes one.
+    vertices and perimeter L.  midpoint_double_integral is the rule that
+    takes a refinement.
     """
     if check_simple:
         curves.ensure_simple(curve)

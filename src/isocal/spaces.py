@@ -281,8 +281,10 @@ class HyperbolicCurve:
             raise CurveError(f"need (n>=3, 3) vertex array, got {v.shape}")
         if not np.isfinite(v).all():
             raise CurveError("vertices must be finite")
-        quad = v[:, 0] ** 2 + v[:, 1] ** 2 - v[:, 2] ** 2
-        if np.abs(quad + 1.0).max() > 1e-10:
+        # from 2^27 on, the rounding of <v, v> alone exceeds 1e-10, and from
+        # 2^500 on its squares could overflow: such a vertex is off the sheet
+        if np.abs(v).max() >= 2.0 ** 500 or np.abs(
+                v[:, 0] ** 2 + v[:, 1] ** 2 - v[:, 2] ** 2 + 1.0).max() > 1e-10:
             raise CurveError("vertices must lie on the unit hyperboloid")
         if v[:, 2].min() < 1.0 - 1e-12:
             raise CurveError("vertices must lie on the upper sheet (x3 >= 1)")

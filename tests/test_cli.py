@@ -204,6 +204,17 @@ def test_verify_non_finite_curved_vertex_exit_2(tmp_path, capsys, space, v,
     assert "vertices must be finite" in capsys.readouterr().err
 
 
+def test_verify_hyperbolic_vertex_too_far_out_exit_2(tmp_path, capsys):
+    path, out = tmp_path / "far.json", tmp_path / "r.json"
+    v = hyperbolic_circle(1.0, 8).vertices.copy()
+    v[0] = [math.sinh(710.0), 0.0, math.cosh(710.0)]
+    path.write_text(json.dumps({"vertices": v.tolist(), "closed": True,
+                                "space": "hyperbolic"}))
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "unit hyperboloid" in capsys.readouterr().err
+
+
 def test_verify_subnormal_area_exit_2_with_its_cause(tmp_path, capsys):
     # positively oriented, perimeter^2 a normal float, area about 5e-331
     path, out = tmp_path / "thin.json", tmp_path / "r.json"

@@ -323,6 +323,21 @@ def test_point_on_boundary_rejected():
         contains(SQUARE, (1.0, 0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_and_tangents_are_rejected(bad):
+    # a NaN distance compares false with every tolerance, so the one
+    # 2-vector coercion point has to reject it
+    from isocal.quadrature import stokes_check, winding_integral
+    calls = [lambda: stokes_check(SQUARE, (bad, 0.0)),
+             lambda: stokes_check(SQUARE, (0.5, 0.0), (1.0, bad)),
+             lambda: winding_integral(SQUARE, (bad, 0.5)),
+             lambda: winding_number(SQUARE, (0.5, bad)),
+             lambda: contains(SQUARE, (0.5, bad))]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"finite 2-vector, got \[.*(nan|inf)"):
+            call()
+
+
 def test_point_on_edge_extension_is_fine():
     # collinear with the bottom edge but outside the segment: subtended
     # angle is exactly zero, no ambiguity

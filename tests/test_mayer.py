@@ -30,7 +30,7 @@ from isocal import (
     solve_el,
     weierstrass_gap,
 )
-from isocal import checks
+from isocal import checks, mayer
 
 FREE = get_problem("free")
 OSC = get_problem("oscillator")
@@ -188,6 +188,46 @@ def test_legendre_inverse_quartic_regular_point():
 def test_legendre_inverse_degenerate():
     with pytest.raises(LegendreError):
         legendre_inverse(QUARTIC, 0.0, 0.0, 0.0)
+
+
+SQRT = Lagrangian1D(
+    l=lambda t, q, qd: np.sqrt(1.0 + qd * qd),
+    dL_dq=lambda t, q, qd: 0.0,
+    dL_dqdot=lambda t, q, qd: qd / np.sqrt(1.0 + qd * qd),
+    d2L_dqdot2=lambda t, q, qd: (1.0 + qd * qd) ** -1.5,
+    domain=(0.0, 1.0),
+)
+
+
+def test_legendre_inverse_errors_name_the_first_bad_point_of_a_batch():
+    # the momentum of sqrt(1 + qdot^2) stays inside (-1, 1): no bracket
+    with pytest.raises(LegendreError,
+                       match=r"no bracket within 1e8 for p=2\.0 at t=0\.2"):
+        legendre_inverse(SQRT, [0.1, 0.2, 0.3], 0.0, [0.5, 2.0, -3.0])
+    # 4 qdot^3 = 0 has its root where the coefficient 12 qdot^2 vanishes
+    with pytest.raises(LegendreError, match=r"degenerate .* p=0\.0\)"):
+        legendre_inverse(QUARTIC, 0.0, [0.1, 0.2], [4.0, 0.0])
+
+
+@pytest.mark.parametrize("L", [FREE.lagrangian, OSC.lagrangian,
+                               COSH.lagrangian, QUARTIC, SQRT],
+                         ids=["free", "oscillator", "cosh", "quartic", "sqrt"])
+def test_legendre_inverse_and_hamiltonian_batch_equal_scalar_calls(L):
+    # a fixed count of halvings: a point gets the same bits alone or in a
+    # batch, whatever bracket its neighbours need
+    rng = np.random.default_rng(22)
+    t = rng.uniform(*L.domain, 40)
+    q = rng.uniform(-2.0, 2.0, 40)
+    p = rng.uniform(-0.9, 0.9, 40) if L is SQRT else rng.uniform(-30, 30, 40)
+    for fn in (legendre_inverse, hamiltonian):
+        batch = fn(L, t, q, p)
+        single = np.array([fn(L, *x) for x in zip(t, q, p)])
+        assert batch.tobytes() == single.tobytes()
+        assert isinstance(fn(L, t[0], q[0], p[0]), float)
+        assert fn(L, t[::-1], q[::-1], p[::-1]).tobytes() == batch[::-1].tobytes()
+    # and the root's residual is at the rounding level of the momentum
+    qhat = legendre_inverse(L, t, q, p)
+    assert np.abs(L.dL_dqdot(t, q, qhat) - p).max() <= 1e-12 * np.abs(p).max()
 
 
 def test_legendre_duality_roundtrip():
@@ -475,6 +515,63 @@ def test_phase_lift_map_components():
 def test_pullback_interior_domain_required():
     with pytest.raises(ValueError):
         lagrangian_submanifold_check(OSC.lagrangian, OSC.family, 5.0, 1.0)
+    # every point of a batch is checked, a NaN one included
+    for s in ([1.0, 5.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match=r"\(s, t\) = \((5\.0|nan), 1\.5\)"):
+            lagrangian_submanifold_check(OSC.lagrangian, OSC.family, s, 1.5)
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator", "cosh", "corrupted"])
+def test_submanifold_check_batch_equals_scalar_calls(name):
+    fam = corrupted_family() if name == "corrupted" else get_problem(name).family
+    L = OSC.lagrangian if name == "corrupted" else get_problem(name).lagrangian
+    rng = np.random.default_rng(23)
+    (lo, hi), (a, b) = fam.s_interval, fam.t_domain
+    s = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 30)
+    t = rng.uniform(a + 1e-3, b - 1e-3, 30)
+    batch = lagrangian_submanifold_check(L, fam, s, t)
+    single = np.array([lagrangian_submanifold_check(L, fam, *x)
+                       for x in zip(s, t)])
+    assert batch.tobytes() == single.tobytes()
+    pl = phase_lift(L, fam)
+    for k, part in enumerate(pl.map(s, t)):
+        want = np.array([pl.map(*x)[k] for x in zip(s, t)], float)
+        assert np.broadcast_to(part, s.shape).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
+def test_pullback_sweep_equals_the_per_sample_loop(name):
+    # the parent algorithm drew s, then t, per sample and called the check
+    # on scalars; the batched sweep must reproduce it bit for bit
+    prob = get_problem(name)
+    rng = np.random.default_rng(24)
+    (lo, hi), (a, b), h = prob.family.s_interval, prob.family.t_domain, 1e-4
+    worst = 0.0
+    for _ in range(40):
+        s = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
+        t = rng.uniform(a + 10 * h, b - 10 * h)
+        worst = max(worst, abs(lagrangian_submanifold_check(
+            prob.lagrangian, prob.family, s, t, h)))
+    assert checks.pullback_residual(prob, 40, seed=24) == worst
+
+
+def test_pullback_sweep_calls_legendre_inverse_a_fixed_number_of_times(
+        monkeypatch):
+    calls = []
+    inverse = mayer.legendre_inverse
+
+    def counted(*args):
+        calls.append(np.size(args[3]))
+        return inverse(*args)
+
+    monkeypatch.setattr(mayer, "legendre_inverse", counted)
+    counts = []
+    for n in (5, 100):
+        calls.clear()
+        checks.pullback_residual(OSC, n, seed=25)
+        counts.append(len(calls))
+        assert sum(calls) == 2 * n
+    assert counts[0] == counts[1] == 2
 
 
 def test_pullback_richardson_sanity():
@@ -567,6 +664,100 @@ def test_shooting_family_oscillator_matches_analytic():
         q / math.tan(1.7), abs=1e-6)
 
 
+ANHARMONIC = Lagrangian1D(
+    l=lambda t, q, qd: 0.5 * qd * qd - 0.25 * q ** 4,
+    dL_dq=lambda t, q, qd: -q ** 3,
+    dL_dqdot=lambda t, q, qd: qd,
+    d2L_dqdot2=lambda t, q, qd: 1.0,
+    domain=(0.5, 2.5),
+)
+
+
+@pytest.mark.parametrize("L", [OSC.lagrangian, ANHARMONIC],
+                         ids=["oscillator", "anharmonic"])
+def test_shooting_family_equals_the_per_leaf_loop(monkeypatch, L):
+    # the parent algorithm integrated each leaf on its own with solve_el;
+    # the one-pass RK4 must give every leaf the same bits, also where a
+    # callable rounds differently on a numpy scalar (q ** 3)
+    g = np.linspace(0.5, 2.5, 101)
+
+    def initial(s):
+        return s * math.sin(0.5), s * math.cos(0.5)
+
+    fam = family_from_shooting(L, initial, (0.05, 0.6), g, 0.5)
+    leaves = [solve_el(L, float(g[0]), *initial(float(s)), g)
+              for s in np.linspace(0.05, 0.6, 33)]
+    values = np.array([f.values for f in leaves])
+    slopes = np.array([f.derivatives for f in leaves])
+    monkeypatch.setattr(mayer, "_integrate_el", lambda *a: (values, slopes))
+    ref = family_from_shooting(L, initial, (0.05, 0.6), g, 0.5)
+    rng = np.random.default_rng(26)
+    s, t = rng.uniform(0.05, 0.6, 200), rng.uniform(0.5, 2.5, 200)
+    s[:33], t[:33] = np.linspace(0.05, 0.6, 33), g[:99:3]  # on the nodes
+    assert fam.u(s, t).tobytes() == ref.u(s, t).tobytes()
+    assert fam.du_dt(s, t).tobytes() == ref.du_dt(s, t).tobytes()
+
+
+def test_shooting_family_keeps_its_guards():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        family_from_shooting(OSC.lagrangian, lambda s: (s, 0.0), (0.1, 1.0),
+                             [0.5, 0.5, 1.0], 0.5)
+    with pytest.raises(LegendreError, match="q=0.25, qdot=0.0"):
+        family_from_shooting(QUARTIC, lambda s: (s, s - 0.25), (0.0, 1.0),
+                             np.linspace(0.0, 1.0, 11), 0.5, n_leaves=5)
+
+
+# ---------------------------------------------------------------------------
+# Jacobi's condition: past the first conjugate point there is no field
+
+
+def test_oscillator_family_past_the_conjugate_point_is_rejected():
+    with pytest.raises(FoliationError, match="monotonicity direction flips"):
+        SolutionFamily(u=lambda s, t: s * np.sin(t), s_interval=(0.01, 3.0),
+                       t_domain=(0.5, 4.0), s0=0.5,
+                       du_dt=lambda s, t: s * np.cos(t))
+
+
+def test_shooting_past_the_conjugate_point_is_rejected():
+    def shoot(b):
+        return family_from_shooting(
+            OSC.lagrangian, lambda s: (s * math.sin(0.5), s * math.cos(0.5)),
+            (0.01, 3.0), np.linspace(0.5, b, 141), 0.5)
+
+    with pytest.raises(FoliationError):
+        shoot(4.0)
+    assert shoot(2.5).s_interval == (0.01, 3.0)
+
+
+@pytest.mark.parametrize("T, want", [(3.5, -4.25e-4), (2.0, 1.83e-3)])
+def test_bump_gap_is_the_second_variation(T, want):
+    # the Lagrangian is quadratic and 0.5 sin t an extremal, so the gap of
+    # 0.5 sin t + eps sin(pi (t - a) / T) is eps^2 (T/4) ((pi/T)^2 - 1):
+    # negative past the conjugate point pi, positive before it
+    a, eps, k = 0.5, 0.05, math.pi / T
+    leaf = CallablePath(f=lambda t: 0.5 * np.sin(t),
+                        fdot=lambda t: 0.5 * np.cos(t))
+    bump = CallablePath(
+        f=lambda t: 0.5 * np.sin(t) + eps * np.sin(k * (t - a)),
+        fdot=lambda t: 0.5 * np.cos(t) + eps * k * np.cos(k * (t - a)))
+    L = OSC.lagrangian
+    gap = action(L, bump, a, a + T) - action(L, leaf, a, a + T)
+    closed = eps * eps * (T / 4) * (k * k - 1.0)
+    assert gap == pytest.approx(closed, abs=1e-12)
+    assert closed == pytest.approx(want, rel=5e-3)
+
+
+def test_first_zero_of_the_jacobi_field_is_pi():
+    # the Jacobi field du/ds of the leaves s sin t, by centred differences
+    h = 1e-4
+
+    def positive(t):
+        return (0.5 + h) * np.sin(t) - (0.5 - h) * np.sin(t) > 0.0
+
+    t0 = mayer._bisect(positive, np.array(0.5), 3.5, 60)
+    assert abs(t0 - math.pi) <= 1e-10
+
+
 def test_extremal_hermite_interpolation():
     grid = np.linspace(0.0, 2.0, 41)
     f = Extremal.from_callable(math.sin, math.cos, grid)
@@ -647,6 +838,26 @@ def test_mayer_slope_batch_out_of_range_point_raises(name, data):
     q[j] = max(fam.u(lo, t[j]), fam.u(hi, t[j])) + 1.0
     with pytest.raises(FoliationError, match=re.escape(f"q={q[j]} ")):
         mayer_slope(fam, t, q)
+
+
+def test_slope_and_gap_batch_equal_scalar_calls_where_powers_round():
+    # a numpy scalar's t ** 3 rounds unlike an array's, so a scalar call
+    # must reach the callables as a one-point array
+    fam = SolutionFamily(u=lambda s, t: s * (1.0 + 0.25 * t ** 4),
+                         s_interval=(0.1, 2.0), t_domain=(0.0, 1.0), s0=0.5,
+                         du_dt=lambda s, t: s * t ** 3)
+    L = Lagrangian1D(l=lambda t, q, qd: 0.25 * qd ** 4 + q ** 3,
+                     dL_dq=lambda t, q, qd: 3.0 * q ** 2,
+                     dL_dqdot=lambda t, q, qd: qd ** 3,
+                     d2L_dqdot2=lambda t, q, qd: 3.0 * qd ** 2,
+                     domain=(0.0, 1.0))
+    rng = np.random.default_rng(27)
+    t, s, qd = rng.uniform([0.01, 0.2, -2.0], [1.0, 1.9, 2.0], (300, 3)).T
+    q = fam.u(s, t)
+    slope = np.array([mayer_slope(fam, *x) for x in zip(t, q)])
+    assert mayer_slope(fam, t, q).tobytes() == slope.tobytes()
+    gap = np.array([weierstrass_gap(L, fam, *x) for x in zip(t, q, qd)])
+    assert weierstrass_gap(L, fam, t, q, qd).tobytes() == gap.tobytes()
 
 
 def test_dominance_sweep_matches_scalar_loop_and_any_blocking(monkeypatch):

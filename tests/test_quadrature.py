@@ -214,19 +214,19 @@ def test_winding_integral_terms_are_the_edge_integrals():
 
 def test_double_integral_circle():
     c = regular_polygon(1024)
-    val = double_boundary_integral(c, 1)
+    val = double_boundary_integral(c)
     assert val == pytest.approx(4 * math.pi ** 2, rel=1e-4)
 
 
 def test_double_integral_square():
-    val = double_boundary_integral(SQUARE, 128)
+    val = double_boundary_integral(SQUARE)
     assert val == pytest.approx(4 * math.pi, rel=1e-3)
 
 
 def test_double_integral_ellipse():
     th = 2 * np.pi * (np.arange(512) + 0.5) / 512
     ellipse = ClosedCurve(np.c_[2 * np.cos(th), np.sin(th)])
-    val = double_boundary_integral(ellipse, 1)
+    val = double_boundary_integral(ellipse)
     assert val == pytest.approx(8 * math.pi ** 2, rel=1e-3)
     # the identity targets the polygon's own area
     assert val == pytest.approx(4 * math.pi * signed_area(ellipse), rel=1e-4)
@@ -256,8 +256,7 @@ def test_double_integral_inequality_chain():
     rng = np.random.default_rng(4)
     for _ in range(20):
         c = star_polygon(rng)
-        ref = auto_refinement(c)
-        val = double_boundary_integral(c, ref)
+        val = double_boundary_integral(c)
         p2 = perimeter(c) ** 2
         lower = 4 * math.pi * signed_area(c)
         assert p2 >= val - 1e-8 * p2
@@ -267,7 +266,7 @@ def test_double_integral_inequality_chain():
 def test_double_integral_rejects_self_intersection():
     bowtie = ClosedCurve([[0, 0], [2, 2], [2, 0], [0, 2]])
     with pytest.raises(CurveError):
-        double_boundary_integral(bowtie, 4)
+        double_boundary_integral(bowtie)
 
 
 def test_double_integral_nonconvex_star():
@@ -275,7 +274,7 @@ def test_double_integral_nonconvex_star():
     th = 2 * np.pi * np.arange(10) / 10
     r = np.where(np.arange(10) % 2 == 0, 1.0, 0.35)
     star = ClosedCurve(np.c_[r * np.cos(th), r * np.sin(th)])
-    val = double_boundary_integral(star, 104)
+    val = double_boundary_integral(star)
     assert val == pytest.approx(4 * math.pi * signed_area(star), rel=1e-3)
 
 
@@ -283,7 +282,7 @@ def test_double_integral_thin_triangle_near_pairs():
     # a short edge flanked by long ones: nearly coincident edges, where the
     # kernel's ridge is narrow
     tri = ClosedCurve([[0.0, 0.0], [2.0, 0.0], [2.0, 0.1]])
-    val = double_boundary_integral(tri, 256)
+    val = double_boundary_integral(tri)
     assert val == pytest.approx(4 * math.pi * signed_area(tri), rel=1e-3)
 
 
@@ -365,11 +364,13 @@ def test_corner_term_is_the_integral_of_the_kernel(name):
     assert abs(got - want) <= 1e-14 * Li * Lj
 
 
-def test_double_integral_does_not_depend_on_the_refinement():
+def test_double_integral_takes_no_refinement():
+    # the corner sum is exact: a refinement, which it would ignore, is an
+    # error, and check_simple cannot be passed by position in its place
     c = ClosedCurve(spiky_star(np.random.default_rng(5), 60))
-    want = double_boundary_integral(c).hex()
-    for refinement in (1, 3, 64):
-        assert double_boundary_integral(c, refinement).hex() == want
+    for args, kwargs in (((3,), {}), ((), {"refinement": 3})):
+        with pytest.raises(TypeError):
+            double_boundary_integral(c, *args, **kwargs)
 
 
 @pytest.mark.parametrize("n, budget", [(512, 1 << 12), (2048, 1 << 17)])
@@ -414,20 +415,19 @@ def metric_nodes(space, rng):
 
 
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), refinement=st.integers(2, 3),
-       shift=st.integers(1, 10**6))
+@given(seed=st.integers(0, 2**32 - 1), shift=st.integers(1, 10**6))
 def test_double_integral_bitwise_independent_of_blocking_and_start(
-        seed, refinement, shift):
-    # 400 to 1050 nodes: several row blocks at every budget below
+        seed, shift):
+    # 200 to 350 vertices: many row blocks at the two smaller budgets below
     rng = np.random.default_rng(seed)
     v = spiky_star(rng, int(rng.integers(200, 350)))
-    want = double_boundary_integral(ClosedCurve(v), refinement, False).hex()
+    want = double_boundary_integral(ClosedCurve(v), check_simple=False).hex()
     rolled = ClosedCurve(np.roll(v, shift % len(v), axis=0))
-    assert double_boundary_integral(rolled, refinement, False).hex() == want
+    assert double_boundary_integral(rolled, check_simple=False).hex() == want
     for budget in (1 << 12, 1 << 15, 1 << 24):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadrature, "_BLOCK_BYTES", budget)
-            got = double_boundary_integral(ClosedCurve(v), refinement, False)
+            got = double_boundary_integral(ClosedCurve(v), check_simple=False)
         assert got.hex() == want
 
 
@@ -554,9 +554,9 @@ def test_exact_sum_flushes_hold_at_most_the_limit(monkeypatch):
 
 def test_pair_sum_bitwise_independent_of_flush_limit(monkeypatch):
     c = ClosedCurve(spiky_star(np.random.default_rng(4), 120))
-    want = double_boundary_integral(c, 3, False).hex()
+    want = double_boundary_integral(c, check_simple=False).hex()
     monkeypatch.setattr(quadrature, "_FLUSH_TERMS", 997)
-    assert double_boundary_integral(c, 3, False).hex() == want
+    assert double_boundary_integral(c, check_simple=False).hex() == want
 
 
 @pytest.mark.parametrize("terms", [

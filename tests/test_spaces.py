@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -455,6 +456,20 @@ def test_curved_curves_reject_non_finite_vertices(cls, v, bad):
         w[i, k] = bad
         with pytest.raises(CurveError, match="vertices must be finite"):
             cls(w)
+
+
+@pytest.mark.parametrize("radius", [12.0, 100.0, 700.0, 710.0])
+def test_hyperbolic_membership_test_does_not_overflow(radius):
+    # cosh(710) squared overflows; the test runs on rows scaled by a power
+    # of two, and a vertex too far out to resolve 1e-10 is rejected
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurveError, match="unit hyperboloid"):
+            hyperbolic_circle(radius, 8)
+        with pytest.raises(CurveError, match="unit hyperboloid"):
+            HyperbolicCurve([[big, 0.0, big], [0.0, big, big],
+                             [-big, 0.0, big]])
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])

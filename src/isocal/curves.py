@@ -1,6 +1,7 @@
 """Oriented closed polygonal curves in the plane, and the geometry records
 whose node generator and perimeter sum serve the sphere and the hyperboloid
-too.
+too, as does the exact simplicity test, which takes every edge as the cone
+of its end rays.
 
 Everything downstream treats a curve as a polygon: smooth boundaries enter as
 fine polygons, which turns every integral in the package into a finite sum
@@ -240,7 +241,7 @@ class ClosedCurve:
     @cached_property
     def is_simple(self) -> bool:
         """True if no two non-adjacent edges intersect (exact predicates)."""
-        return _polygon_is_simple(self.vertices)
+        return _first_meeting(self.vertices) is None
 
     def reversed(self) -> "ClosedCurve":
         return ClosedCurve(self.vertices[::-1])
@@ -372,9 +373,9 @@ def contains(curve: ClosedCurve, x) -> bool:
 def ensure_simple(curve: ClosedCurve) -> None:
     """Raise CurveError unless the polygon is simple.
 
-    Exact: a bounding-box sweep and a float sign filter certified by the
-    orientation error bound discard edge pairs that cannot meet; exact
-    orientation predicates decide the rest.
+    Exact (_first_meeting): a bounding-box sweep and a float sign filter
+    certified by the orientation error bound discard edge pairs that cannot
+    meet; exact predicates on the lifted vertices decide the rest.
     """
     if not curve.is_simple:
         raise CurveError("curve is self-intersecting")
@@ -392,68 +393,72 @@ def ensure_positive(curve: ClosedCurve) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact orientation predicate and simplicity test
+# exact simplicity test: every edge is the cone of its end rays
 
 # Shewchuk's bound (3 + 16 eps) eps on the relative error of the float
 # orientation determinant: beyond it, the float sign is the exact sign.
 _ORIENT_ERRBOUND = 3.3306690738754716e-16
-
-
-def _orient_exact(ax, ay, bx, by, cx, cy) -> int:
-    """Sign of det(b - a, c - a), exactly.
-
-    Fast float path with an error-bound filter; falls back to rational
-    arithmetic when the float result is not certain.
-    """
-    detl = (bx - ax) * (cy - ay)
-    detr = (by - ay) * (cx - ax)
-    det = detl - detr
-    errbound = _ORIENT_ERRBOUND * (abs(detl) + abs(detr))
-    if det > errbound:
-        return 1
-    if det < -errbound:
-        return -1
-    d = (Fraction(bx) - Fraction(ax)) * (Fraction(cy) - Fraction(ay)) - (
-        Fraction(by) - Fraction(ay)
-    ) * (Fraction(cx) - Fraction(ax))
-    return (d > 0) - (d < 0)
-
-
-def _on_segment(ax, ay, bx, by, px, py) -> bool:
-    """Assuming p collinear with segment ab: does p lie on it (inclusive)?"""
-    return (
-        min(ax, bx) <= px <= max(ax, bx)
-        and min(ay, by) <= py <= max(ay, by)
-    )
-
-
-def _segments_intersect(a, b, c, d) -> bool:
-    """Closed-segment intersection with exact orientation signs."""
-    o1 = _orient_exact(a[0], a[1], b[0], b[1], c[0], c[1])
-    o2 = _orient_exact(a[0], a[1], b[0], b[1], d[0], d[1])
-    o3 = _orient_exact(c[0], c[1], d[0], d[1], a[0], a[1])
-    o4 = _orient_exact(c[0], c[1], d[0], d[1], b[0], b[1])
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(a[0], a[1], b[0], b[1], c[0], c[1]):
-        return True
-    if o2 == 0 and _on_segment(a[0], a[1], b[0], b[1], d[0], d[1]):
-        return True
-    if o3 == 0 and _on_segment(c[0], c[1], d[0], d[1], a[0], a[1]):
-        return True
-    if o4 == 0 and _on_segment(c[0], c[1], d[0], d[1], b[0], b[1]):
-        return True
-    return False
+# Relative error bound of (a x b) . c in floats, against its permanent (the
+# sum of |a_k b_l c_m| over its six products): at most five roundings reach
+# each product, 5 eps / (1 - 5 eps) on the exact permanent, and the float
+# permanent's own rounding stays inside 8 eps.
+_DET3_ERRBOUND = 8.0 * 2.0 ** -53
 
 
 def _orient_signs(a, b, c) -> np.ndarray:
-    """Row-wise sign of det(b - a, c - a) where _orient_exact's float filter
-    certifies it, 0 where it does not (the exact call decides those)."""
+    """Row-wise sign of det(b - a, c - a) where the float determinant is
+    certified by _ORIENT_ERRBOUND, 0 where it is not.  The difference form
+    stays certified for a polygon far from the origin."""
     detl = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
     detr = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
     det = detl - detr
     errbound = _ORIENT_ERRBOUND * (np.abs(detl) + np.abs(detr))
     return (det > errbound).astype(np.int8) - (det < -errbound)
+
+
+def _plane_signs(nrm, mag, x) -> np.ndarray:
+    """Row-wise sign of det(a, b, x) = nrm . x, for nrm = a x b in floats,
+    where _DET3_ERRBOUND certifies it against the permanent mag . |x| (mag
+    = |a_2 b_3| + |a_3 b_2|, ... componentwise), plus the smallest normal
+    for products that underflow; 0 where it does not."""
+    one = (1.0, 1.0, 1.0)
+    det = metric_dot(one, nrm.T, x.T)
+    err = (_DET3_ERRBOUND * metric_dot(one, mag.T, np.abs(x).T)
+           + np.finfo(float).tiny)
+    return (det > err).astype(np.int8) - (det < -err)
+
+
+def _cones_meet(a, b, c, d) -> int:
+    """0 if the closed cones alpha a + beta b and gamma c + delta d (alpha,
+    beta, gamma, delta >= 0) of two pairs of independent rays in R^3, each
+    within an open half-space, share only the origin, 1 if they share one
+    ray, 2 if they share more (a wedge of one plane).
+
+    Exact on the given coordinates, in Fractions.  A ray x in ab's plane
+    has alpha and beta of the signs of (x x b) . n and (a x x) . n, n = a x
+    b.
+    """
+    a, b, c, d = (np.array([Fraction(t) for t in p], dtype=object)
+                  for p in (a, b, c, d))
+    nab, ncd = np.cross(a, b), np.cross(c, d)
+    sc, sd, sa, sb = nab @ c, nab @ d, ncd @ a, ncd @ b
+    if sc * sd > 0 or sa * sb > 0:
+        return 0  # one cone strictly on one side of the other's plane
+
+    def low(x, p, q, n):
+        # alpha |n|^2 or beta |n|^2, whichever is smaller
+        return min(np.cross(x, q) @ n, np.cross(p, x) @ n)
+
+    if sc == 0 and sd == 0:
+        # one plane: cones meet where an end ray lies in the other cone,
+        # and overlap where one lies strictly inside, or the cones match
+        ends = [low(c, a, b, nab), low(d, a, b, nab),
+                low(a, c, d, ncd), low(b, c, d, ncd)]
+        if max(ends) < 0:
+            return 0
+        return 2 if max(ends) > 0 or ends[0] == ends[1] == 0 else 1
+    # cd meets ab's plane in the ray of (sc d - sd c) / (sc - sd)
+    return int(low((sc * d - sd * c) / (sc - sd), a, b, nab) >= 0)
 
 
 def _box_pairs(lo, hi):
@@ -480,28 +485,67 @@ def _box_pairs(lo, hi):
         yield order[i[keep]], order[j[keep]]
 
 
-def _polygon_is_simple(v: np.ndarray) -> bool:
+def _first_meeting(v):
+    """None if the closed polygon v is simple, else the number of common
+    points (1, or 2 for more) of its first offending edge pair in vertex
+    order: non-adjacent edges may not meet, adjacent ones only at their
+    shared vertex.
+
+    Every edge is the cone of its end rays: planar vertices (n, 2) lift
+    exactly to (x, y, 1), and sphere and hyperboloid vertices (n, 3) are
+    rays as they are.  Candidate pairs come from _box_pairs over boxes that
+    hold each edge's section (the segment; the unit-sphere arc of the
+    rays); a pair is apart where certified signs put one edge's ends
+    strictly on one side of the other's line or plane; _cones_meet decides
+    the rest exactly.
+    """
     n = len(v)
-    a = v
-    b = np.roll(v, -1, axis=0)
-    c = np.roll(v, -2, axis=0)
-    # adjacent edges: reject collinear backtracking through the shared vertex
-    back = np.einsum("ij,ij->i", c - b, a - b) > 0
-    for i in np.flatnonzero(back & (_orient_signs(a, b, c) == 0)):
-        if _orient_exact(*a[i], *b[i], *c[i]) == 0:
-            return False
-    # non-adjacent pairs: overlapping boxes, then a certified sign filter
-    # (both ends of one segment strictly on one side of the other's line),
-    # then exact confirmation of the pairs it cannot rule out
-    for i, j in _box_pairs(np.minimum(a, b), np.maximum(a, b)):
-        gap = (j - i) % n
-        far = (gap != 1) & (gap != n - 1)
-        i, j = i[far], j[far]
-        apart = ((_orient_signs(a[i], b[i], a[j])
-                  * _orient_signs(a[i], b[i], b[j]) > 0)
-                 | (_orient_signs(a[j], b[j], a[i])
-                    * _orient_signs(a[j], b[j], b[i]) > 0))
-        for p, q in zip(i[~apart], j[~apart]):
-            if _segments_intersect(a[p], b[p], a[q], b[q]):
-                return False
-    return True
+    w = np.roll(v, -1, axis=0)
+    if v.shape[1] == 2:
+        rays = np.c_[v, np.ones(n)]
+        lo, hi = np.minimum(v, w), np.maximum(v, w)
+        # adjacent segments turn back only where <v_i+2 - v_i+1, v_i - v_i+1>
+        # > 0, a sign floats get right on collinear points
+        back = np.einsum("ij,ij->i", np.roll(w, -1, axis=0) - w, v - w) > 0
+
+        def side(i, j):
+            return _orient_signs(v[i], w[i], v[j])
+    else:
+        rays = v
+        nrm, c1, c2 = np.cross(v, w), [1, 2, 0], [2, 0, 1]
+        mag = np.abs(v[:, c1] * w[:, c2]) + np.abs(v[:, c2] * w[:, c1])
+        u = v / np.linalg.norm(v, axis=1)[:, None]
+        u1 = np.roll(u, -1, axis=0)
+        # an arc of angle L < pi lies in its chord's box padded by its
+        # sagitta 1 - cos(L/2) <= |u1 - u|^2 / 2; 1e-11 covers rounding
+        pad = 0.5 * ((u1 - u) ** 2).sum(axis=1)[:, None] + 1e-11
+        lo, hi = np.minimum(u, u1) - pad, np.maximum(u, u1) + pad
+        back = True
+
+        def side(i, j):
+            return _plane_signs(nrm[i], mag[i], v[j])
+
+    def candidates():  # keys i * n + j, i < j, of edge pairs that may meet
+        i = np.flatnonzero(back & (side(np.arange(n), np.arange(2, n + 2) % n)
+                                   == 0))
+        yield np.where(i < n - 1, i * (n + 1) + 1, n - 1)
+        for i, j in _box_pairs(lo, hi):
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            far = (j - i > 1) & (j - i < n - 1)
+            i, j = i[far], j[far]
+            apart = ((side(i, j) * side(i, (j + 1) % n) > 0)
+                     | (side(j, i) * side(j, (i + 1) % n) > 0))
+            yield i[~apart] * n + j[~apart]
+
+    first = None  # (key, common points) of the first meeting pair so far
+    for keys in candidates():
+        for key in np.sort(keys).tolist():
+            if first and key >= first[0]:
+                break
+            i, j = divmod(key, n)
+            meet = _cones_meet(rays[i], rays[(i + 1) % n], rays[j],
+                               rays[(j + 1) % n])
+            if meet > (j - i in (1, n - 1)):
+                first = key, meet
+                break
+    return None if first is None else first[1]

@@ -232,7 +232,7 @@ class Extremal:
         return float(self.grid[0]), float(self.grid[-1])
 
     def _eval(self, basis, t):
-        i, h, s = _grid_cell(self.grid, np.asarray(t, float))
+        i, h, s = _grid_cell(self.grid, _points(t)[0])
         return _out(basis(s, h, self.values[i], self.derivatives[i],
                           self.values[i + 1], self.derivatives[i + 1]), t)
 
@@ -310,7 +310,7 @@ def el_residual(L: Lagrangian1D, f, t, h: float = 1e-5, domain=None):
     when it has one and to the Lagrangian's otherwise.
     """
     a, b = domain if domain is not None else getattr(f, "domain", L.domain)
-    tt = np.asarray(t, float)
+    tt = _points(t)[0]
     inside = (a + h <= tt) & (tt <= b - h)
     if not np.all(inside):
         raise ValueError(f"t={tt[~inside].flat[0]} not interior to the path "
@@ -468,9 +468,11 @@ def legendre_inverse(L: Lagrangian1D, t, q, p):
     t, q, p = _points(*args)
     w = 1.0 + np.abs(p)
     while True:
-        # written so that a non-finite p, q or end value holds no root
-        held = (np.isfinite(w) & (L.dL_dqdot(t, q, -w) <= p)
-                & (p <= L.dL_dqdot(t, q, w)))
+        # written so that a non-finite p, q or end value holds no root; an
+        # end value that overflows to +-inf still compares right
+        with np.errstate(over="ignore"):
+            held = (np.isfinite(w) & (L.dL_dqdot(t, q, -w) <= p)
+                    & (p <= L.dL_dqdot(t, q, w)))
         if np.all(held):
             break
         w = np.where(held, w, 2.0 * w)
@@ -524,8 +526,11 @@ class NullLagrangianField:
 
     @_takes_arrays
     def lam(self, t, q, qdot):
+        args = t, q, qdot
+        t, q, qdot = _points(*args)
         s = self.psi(t, q)
-        return self.p_hat(t, q, s) * qdot - self.energy_at(t, q, s)
+        return _out(self.p_hat(t, q, s) * qdot - self.energy_at(t, q, s),
+                    *args)
 
     @_takes_arrays
     def dlambda_dqdot(self, t, q, qdot=0.0):

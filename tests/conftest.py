@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,3 +71,54 @@ def random_rotation3(rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def _fcross(x, y):
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0]]
+
+
+def _fdot(x, y):
+    return sum(s * t for s, t in zip(x, y))
+
+
+def cones_meet_reference(a, b, c, d):
+    """0, 1 or 2 (for more) common rays of the closed cones spanned by the
+    rays a, b and by c, d (great-circle arcs on the sphere), in Fractions:
+    two planes through the origin meet in the rays +-p, p = (a x b) x (c x
+    d); in one plane, the common rays are bounded by end rays lying in both
+    cones, so two distinct such rays mean a common wedge."""
+    a, b, c, d = ([Fraction(float(t)) for t in q] for q in (a, b, c, d))
+    nab, ncd = _fcross(a, b), _fcross(c, d)
+
+    def inside(x, p, q, n):  # x = alpha p + beta q, alpha, beta >= 0
+        return (_fdot(x, n) == 0 and _fdot(_fcross(p, x), n) >= 0
+                and _fdot(_fcross(x, q), n) >= 0)
+
+    def both(x):
+        return inside(x, a, b, nab) and inside(x, c, d, ncd)
+
+    p = _fcross(nab, ncd)
+    if any(p):
+        return int(both(p) or both([-t for t in p]))
+    rays = []
+    for x in filter(both, (a, b, c, d)):
+        if not any(_fdot(x, y) > 0 and not any(_fcross(x, y)) for y in rays):
+            rays.append(x)
+    return min(len(rays), 2)
+
+
+def simplicity_reference(v):
+    """None if the closed polygon of rays v (rows) is simple, else the
+    cones_meet_reference count (1, or 2 for an overlap) of its first
+    offending edge pair i < j in vertex order, over all pairs: non-adjacent
+    edges may not meet, adjacent ones only in their shared ray."""
+    n = len(v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            meet = cones_meet_reference(v[i], v[(i + 1) % n], v[j],
+                                        v[(j + 1) % n])
+            if meet > adjacent:
+                return meet
+    return None

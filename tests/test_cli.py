@@ -215,6 +215,22 @@ def test_verify_hyperbolic_vertex_too_far_out_exit_2(tmp_path, capsys):
     assert "unit hyperboloid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius, n", [(6.9, 13), (10.0, 64), (15.0, 64)])
+def test_verify_hyperbolic_circle_far_out(tmp_path, capsys, radius, n):
+    # the membership tolerance grows with x3^2, as the rounding of <v, v>
+    # does; a vertex off the sheet by 1e-8 relative is still rejected
+    path, out = tmp_path / "far.json", tmp_path / "r.json"
+    save_curve(hyperbolic_circle(radius, n), str(path))
+    assert main(["verify", str(path), "--out", str(out)]) in (0, 1)
+    for k in (0, 2):
+        v = hyperbolic_circle(radius, n).vertices.copy()
+        v[0, k] *= 1.0 + 1e-8
+        path.write_text(json.dumps({"vertices": v.tolist(), "closed": True,
+                                    "space": "hyperbolic"}))
+        assert main(["verify", str(path), "--out", str(out)]) == 2
+        assert "unit hyperboloid" in capsys.readouterr().err
+
+
 def test_verify_subnormal_area_exit_2_with_its_cause(tmp_path, capsys):
     # positively oriented, perimeter^2 a normal float, area about 5e-331
     path, out = tmp_path / "thin.json", tmp_path / "r.json"

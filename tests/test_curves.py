@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,13 +24,7 @@ from isocal import (
     winding_number,
 )
 from isocal import curves
-from isocal.curves import (
-    _orient_exact,
-    _polygon_is_simple,
-    _segments_intersect,
-    distance_to_boundary,
-    ensure_simple,
-)
+from isocal.curves import _ORIENT_ERRBOUND, distance_to_boundary, ensure_simple
 
 SQUARE = ClosedCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -438,6 +433,53 @@ def test_fine_polygon_is_simple_fast():
 # the sweep-filtered simplicity test against the all-pairs test it replaced
 
 
+def _orient_exact(ax, ay, bx, by, cx, cy) -> int:
+    """Sign of det(b - a, c - a), exactly.
+
+    Fast float path with an error-bound filter; falls back to rational
+    arithmetic when the float result is not certain.
+    """
+    detl = (bx - ax) * (cy - ay)
+    detr = (by - ay) * (cx - ax)
+    det = detl - detr
+    errbound = _ORIENT_ERRBOUND * (abs(detl) + abs(detr))
+    if det > errbound:
+        return 1
+    if det < -errbound:
+        return -1
+    d = (Fraction(bx) - Fraction(ax)) * (Fraction(cy) - Fraction(ay)) - (
+        Fraction(by) - Fraction(ay)
+    ) * (Fraction(cx) - Fraction(ax))
+    return (d > 0) - (d < 0)
+
+
+def _on_segment(ax, ay, bx, by, px, py) -> bool:
+    """Assuming p collinear with segment ab: does p lie on it (inclusive)?"""
+    return (
+        min(ax, bx) <= px <= max(ax, bx)
+        and min(ay, by) <= py <= max(ay, by)
+    )
+
+
+def _segments_intersect(a, b, c, d) -> bool:
+    """Closed-segment intersection with exact orientation signs."""
+    o1 = _orient_exact(a[0], a[1], b[0], b[1], c[0], c[1])
+    o2 = _orient_exact(a[0], a[1], b[0], b[1], d[0], d[1])
+    o3 = _orient_exact(c[0], c[1], d[0], d[1], a[0], a[1])
+    o4 = _orient_exact(c[0], c[1], d[0], d[1], b[0], b[1])
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and _on_segment(a[0], a[1], b[0], b[1], c[0], c[1]):
+        return True
+    if o2 == 0 and _on_segment(a[0], a[1], b[0], b[1], d[0], d[1]):
+        return True
+    if o3 == 0 and _on_segment(c[0], c[1], d[0], d[1], a[0], a[1]):
+        return True
+    if o4 == 0 and _on_segment(c[0], c[1], d[0], d[1], b[0], b[1]):
+        return True
+    return False
+
+
 def polygon_is_simple_reference(v):
     """The all-pairs simplicity test: one exact backtrack test and one numpy
     row of edge tests per vertex."""
@@ -502,8 +544,8 @@ def test_simplicity_matches_all_pairs_reference(seed, kind, n, shift):
         return  # coincident neighbours: not a curve
     want = polygon_is_simple_reference(v)
     assert ClosedCurve(v).is_simple == want
-    assert _polygon_is_simple(np.roll(v, shift % n, axis=0)) == want
-    assert _polygon_is_simple(v[::-1].copy()) == want
+    assert ClosedCurve(np.roll(v, shift % n, axis=0)).is_simple == want
+    assert ClosedCurve(v[::-1]).is_simple == want
 
 
 def test_collinear_disjoint_edges_are_simple():
@@ -527,6 +569,23 @@ def test_orientation_rounding_decided_exactly(offset, simple):
     v = np.array([a, (24, 24), (23, 30), (14, 20), (12, 12), (6, 10)])
     assert ClosedCurve(v).is_simple is simple
     assert polygon_is_simple_reference(v) is True
+
+
+def test_translated_polygon_is_simple_without_exact_predicates(monkeypatch):
+    # the difference-form filter stays certified far from the origin, where
+    # a filter on the lifted points (x, y, 1) would leave hundreds of the
+    # star's edge pairs to the exact test
+    calls = []
+    meet = curves._cones_meet
+    monkeypatch.setattr(curves, "_cones_meet",
+                        lambda *rays: calls.append(rays) or meet(*rays))
+    th = 2.0 * np.pi * (np.arange(512) + 0.5) / 512
+    r = np.random.default_rng(5).uniform(0.3, 1.0, 512)
+    for shift in (0.0, 1e6):
+        assert regular_polygon(2048, center=(shift, shift)).is_simple
+        assert ClosedCurve(np.c_[shift + r * np.cos(th),
+                                 shift + r * np.sin(th)]).is_simple
+    assert calls == []
 
 
 def test_large_regular_polygon_is_simple():
@@ -565,5 +624,5 @@ def test_box_pairs_chunks_and_verdicts_at_any_budget(monkeypatch, budget):
             ClosedCurve(v)
         except CurveError:
             continue
-        assert _polygon_is_simple(v) == polygon_is_simple_reference(v)
-    assert _polygon_is_simple(star_polygon(rng, 200, 200).vertices)
+        assert ClosedCurve(v).is_simple == polygon_is_simple_reference(v)
+    assert star_polygon(rng, 200, 200).is_simple

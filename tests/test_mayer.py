@@ -178,6 +178,9 @@ def test_legendre_inverse_cosh():
     for p in (-2.0, -0.3, 0.0, 1.1, 5.0):
         got = legendre_inverse(COSH.lagrangian, 0.5, 0.0, p)
         assert got == pytest.approx(math.asinh(p), abs=1e-10)
+    # sinh overflows at the bracket's ends, whose +-inf still compare right
+    got = legendre_inverse(COSH.lagrangian, 0.5, 0.0, 1e3)
+    assert abs(got - math.asinh(1e3)) <= math.ulp(math.asinh(1e3))
 
 
 def test_legendre_inverse_quartic_regular_point():
@@ -858,6 +861,16 @@ def test_slope_and_gap_batch_equal_scalar_calls_where_powers_round():
     assert mayer_slope(fam, t, q).tobytes() == slope.tobytes()
     gap = np.array([weierstrass_gap(L, fam, *x) for x in zip(t, q, qd)])
     assert weierstrass_gap(L, fam, t, q, qd).tobytes() == gap.tobytes()
+    lam = mayer.NullLagrangianField(L, fam).lam
+    assert (lam(t, q, qd).tobytes()
+            == np.array([lam(*x) for x in zip(t, q, qd)]).tobytes())
+    path = CallablePath(lambda t: t ** 3 + t / 2, lambda t: 3 * t ** 2 + 0.5)
+    grid = np.linspace(0.0, 1.0, 101)
+    curve = Extremal(grid, path.f(grid), path.fdot(grid))
+    t = t[t < 0.99]
+    for fn in (lambda t: el_residual(L, path, t), curve.value,
+               curve.derivative):
+        assert fn(t).tobytes() == np.array([fn(x) for x in t]).tobytes()
 
 
 def test_dominance_sweep_matches_scalar_loop_and_any_blocking(monkeypatch):

@@ -1,13 +1,12 @@
 import itertools
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_rotation3
+from conftest import random_rotation3, simplicity_reference
 from isocal import (
     CurveError,
     HyperbolicCurve,
@@ -29,7 +28,6 @@ from isocal import (
 from isocal import quadrature
 from isocal import curves
 from isocal.spaces import (
-    _check_simple_sphere,
     hyperbolic_boundary_nodes,
     lorentz_boost,
     sphere_boundary_nodes,
@@ -249,9 +247,9 @@ def test_sphere_simplicity_matches_all_pairs_reference(seed, kind, n, shift):
     except CurveError:
         return  # coincident or antipodal neighbours: not a curve
     want = simplicity_error(check_simple_sphere_reference, curve)
-    assert simplicity_error(_check_simple_sphere, curve) == want
+    assert simplicity_error(verify_sphere_isoperimetric, curve) == want
     for v in (np.roll(curve.vertices, shift % n, axis=0), curve.vertices[::-1]):
-        got = simplicity_error(_check_simple_sphere, SphericalCurve(v))
+        got = simplicity_error(verify_sphere_isoperimetric, SphericalCurve(v))
         assert (got is None) == (want is None)
 
 
@@ -266,19 +264,19 @@ def test_sphere_crossing_in_the_bulge_of_a_long_arc_detected():
     curve = SphericalCurve([pt(0, -80), pt(0, 80), pt(40, 80), pt(10, 0),
                             pt(-10, 0), pt(-40, -80)])
     with pytest.raises(CurveError, match="self-intersecting"):
-        _check_simple_sphere(curve)
+        verify_sphere_isoperimetric(curve)
     assert simplicity_error(check_simple_sphere_reference, curve) is not None
 
 
 @pytest.mark.parametrize("budget", [1, 100, 1 << 17])
 def test_sphere_simplicity_at_any_chunk_budget(monkeypatch, budget):
     monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
-    _check_simple_sphere(geodesic_cap(1.0, 4096))
-    _check_simple_sphere(wobbled_cap(2.8, 300, 0.05, 5))
+    for curve in (geodesic_cap(1.0, 4096), wobbled_cap(2.8, 300, 0.05, 5)):
+        assert curves._first_meeting(curve.vertices) is None
     for seed in range(30):
         curve = SphericalCurve(random_geodesic_polygon(
             np.random.default_rng(seed), "scatter", 12))
-        assert (simplicity_error(_check_simple_sphere, curve)
+        assert (simplicity_error(verify_sphere_isoperimetric, curve)
                 == simplicity_error(check_simple_sphere_reference, curve))
 
 
@@ -286,53 +284,12 @@ def test_sphere_simplicity_at_any_chunk_budget(monkeypatch, budget):
 # exact simplicity on the sphere: closed arcs, co-circular edges
 
 
-def _fcross(x, y):
-    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0]]
-
-
-def _fdot(x, y):
-    return sum(s * t for s, t in zip(x, y))
-
-
-def arcs_meet_reference(a, b, c, d):
-    """0, 1 or 2 (for more) common points of the closed minor arcs ab and
-    cd, in Fractions: two great circles meet in the rays +-p, p = (a x b) x
-    (c x d); on one great circle, the common points are bounded by end rays
-    lying in both arcs, so two distinct such rays mean a common arc."""
-    a, b, c, d = ([Fraction(float(t)) for t in q] for q in (a, b, c, d))
-    nab, ncd = _fcross(a, b), _fcross(c, d)
-
-    def inside(x, p, q, n):  # x = alpha p + beta q, alpha, beta >= 0
-        return (_fdot(x, n) == 0 and _fdot(_fcross(p, x), n) >= 0
-                and _fdot(_fcross(x, q), n) >= 0)
-
-    def both(x):
-        return inside(x, a, b, nab) and inside(x, c, d, ncd)
-
-    p = _fcross(nab, ncd)
-    if any(p):
-        return int(both(p) or both([-t for t in p]))
-    rays = []
-    for x in filter(both, (a, b, c, d)):
-        if not any(_fdot(x, y) > 0 and not any(_fcross(x, y)) for y in rays):
-            rays.append(x)
-    return min(len(rays), 2)
-
-
 def check_simple_sphere_exact_reference(curve):
-    """All pairs of edges in vertex order: non-adjacent edges may not meet,
-    adjacent ones only at their shared vertex."""
-    v = curve.vertices
-    n = len(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            meet = arcs_meet_reference(v[i], v[(i + 1) % n], v[j],
-                                       v[(j + 1) % n])
-            if meet > adjacent:
-                raise CurveError("overlapping great-circle edges" if meet == 2
-                                 else "spherical curve is self-intersecting")
+    """The sphere's errors for the shared all-pairs cone reference."""
+    meet = simplicity_reference(curve.vertices)
+    if meet:
+        raise CurveError("overlapping great-circle edges" if meet == 2
+                         else "spherical curve is self-intersecting")
 
 
 def eq(lon):
@@ -369,10 +326,10 @@ def test_sphere_simplicity_of_equator_arcs(want):
     # signed axis permutations are exact: the verdict may not move
     for q in SIGNED_PERMUTATIONS:
         moved = SphericalCurve(curve.vertices @ q.T)
-        assert simplicity_error(_check_simple_sphere, moved) == want
+        assert simplicity_error(verify_sphere_isoperimetric, moved) == want
     n = curve.n_vertices
     for k in range(n):
-        got = simplicity_error(_check_simple_sphere,
+        got = simplicity_error(verify_sphere_isoperimetric,
                                SphericalCurve(np.roll(curve.vertices, k, 0)))
         assert (got is None) == (want is None)
 
@@ -381,9 +338,10 @@ def test_sphere_adjacent_edges_turning_back_overlap():
     # 0 -> 60 degrees, then back along the equator to 30 degrees
     curve = SphericalCurve([eq(0), eq(60), eq(30), geo(-40, 20)])
     with pytest.raises(CurveError, match="overlapping great-circle edges"):
-        _check_simple_sphere(curve)
+        verify_sphere_isoperimetric(curve)
     # going on along the equator is fine
-    _check_simple_sphere(SphericalCurve([eq(0), eq(30), eq(60), geo(40, 30)]))
+    verify_sphere_isoperimetric(
+        SphericalCurve([eq(0), eq(30), eq(60), geo(40, 30)]))
 
 
 def test_sphere_curve_rejects_parallel_neighbours():
@@ -410,25 +368,64 @@ def test_sphere_simplicity_matches_exact_reference(picks, shift):
     except CurveError:
         return  # coincident or antipodal neighbours: not a curve
     want = simplicity_error(check_simple_sphere_exact_reference, curve)
-    assert simplicity_error(_check_simple_sphere, curve) == want
+    assert simplicity_error(verify_sphere_isoperimetric, curve) == want
     n = curve.n_vertices
     for v in (np.roll(curve.vertices, shift % n, axis=0), curve.vertices[::-1]):
-        got = simplicity_error(_check_simple_sphere, SphericalCurve(v))
+        got = simplicity_error(verify_sphere_isoperimetric, SphericalCurve(v))
         assert (got is None) == (want is None)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["scatter", "star"]),
+def random_klein_polygon(rng, n):
+    """Points of a grid of step 1/3 in the Klein disk (collinear, touching
+    and crossing edges) lifted to the sheet, k -> (k, 1) / sqrt(1 - |k|^2):
+    after rounding, rays of collinear points are nearly, not exactly,
+    coplanar."""
+    k = rng.integers(-2, 3, (n, 2)) / 3.0
+    return np.c_[k, np.ones(n)] / np.sqrt(1.0 - (k * k).sum(axis=1))[:, None]
+
+
+# The Klein points of the first three vertices are collinear after rounding,
+# but det(v_0, v_1, v_2) of the given rays is about -2.1e-17: simple.
+KLEIN_ROUNDED = [[0.0, 0.4364357804719847, 1.0910894511799618],
+                 [-0.8660254037844386, 0.5773502691896257, 1.4433756729740643],
+                 [0.223606797749979, 0.447213595499958, 1.118033988749895],
+                 [0.485071250072666, -0.485071250072666, 1.212678125181665]]
+
+
+def check_simple_hyperbolic_exact_reference(curve):
+    if simplicity_reference(curve.vertices):
+        raise CurveError("hyperbolic curve is self-intersecting")
+
+
+def curved_polygon(seed, kind, n):
+    """A random polygon of the kind: "scatter" or "star" on the sphere,
+    "klein" on the hyperboloid; "fixed" is KLEIN_ROUNDED."""
+    rng = np.random.default_rng(seed)
+    if kind == "fixed":
+        return HyperbolicCurve(KLEIN_ROUNDED)
+    if kind == "klein":
+        return HyperbolicCurve(random_klein_polygon(rng, n))
+    return SphericalCurve(random_geodesic_polygon(rng, kind, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["scatter", "star", "klein"]),
        n=st.integers(3, 14))
-def test_sphere_simplicity_of_random_polygons_matches_exact_reference(
+@example(seed=0, kind="fixed", n=4)
+def test_curved_simplicity_of_random_polygons_matches_exact_reference(
         seed, kind, n):
     try:
-        curve = SphericalCurve(random_geodesic_polygon(
-            np.random.default_rng(seed), kind, n))
+        curve = curved_polygon(seed, kind, n)
     except CurveError:
-        return
-    assert (simplicity_error(_check_simple_sphere, curve)
-            == simplicity_error(check_simple_sphere_exact_reference, curve))
+        return  # coincident or antipodal neighbours: not a curve
+    if isinstance(curve, SphericalCurve):
+        check, reference = (verify_sphere_isoperimetric,
+                            check_simple_sphere_exact_reference)
+    else:
+        check, reference = (verify_hyperbolic_isoperimetric,
+                            check_simple_hyperbolic_exact_reference)
+    assert simplicity_error(check, curve) == simplicity_error(reference, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +440,10 @@ def test_hyperbolic_curve_validation():
                       [0.0, 1.0, -math.sqrt(2)]])
     with pytest.raises(CurveError):
         HyperbolicCurve(lower)
+    # parallel neighbours within the membership tolerance: no edge between
+    with pytest.raises(CurveError, match="coincide"):
+        HyperbolicCurve([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 + 1e-11],
+                         [1.0, 0.0, math.sqrt(2.0)]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -458,15 +459,18 @@ def test_curved_curves_reject_non_finite_vertices(cls, v, bad):
             cls(w)
 
 
-@pytest.mark.parametrize("radius", [12.0, 100.0, 700.0, 710.0])
+@pytest.mark.parametrize("radius", [12.0, 17.0, 17.5, 100.0, 700.0, 710.0])
 def test_hyperbolic_membership_test_does_not_overflow(radius):
-    # cosh(710) squared overflows; the test runs on rows scaled by a power
-    # of two, and a vertex too far out to resolve 1e-10 is rejected
+    # cosh(710) squared overflows; a coordinate from 2^24 on is rejected,
+    # and below, |<v, v> + 1| is tested relative to x3^2
     big = np.finfo(float).max
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CurveError, match="unit hyperboloid"):
+        if math.cosh(radius) < 2.0 ** 24:
             hyperbolic_circle(radius, 8)
+        else:
+            with pytest.raises(CurveError, match="unit hyperboloid"):
+                hyperbolic_circle(radius, 8)
         with pytest.raises(CurveError, match="unit hyperboloid"):
             HyperbolicCurve([[big, 0.0, big], [0.0, big, big],
                              [-big, 0.0, big]])

@@ -184,13 +184,14 @@ class HyperbolicCurve:
             raise CurveError(f"need (n>=3, 3) vertex array, got {v.shape}")
         if not np.isfinite(v).all():
             raise CurveError("vertices must be finite")
-        # |<v, v> + 1| against 1e-10 x3^2, as its rounding grows with x3^2;
-        # from 2^24 on, x3^2 is rounded to 2^-4 or coarser, close to the -1
-        # it must resolve, and the turning angles lose their digits (a
-        # 64-gon at radius 18, x3 near 2^25, reads an area 2 pi short)
-        if np.abs(v).max() >= 2.0 ** 24 or np.any(np.abs(
+        # |<v, v> + 1| against 1e-10 + 8 eps x3^2: the rounding of <v, v>
+        # on generated circles reaches 5.7 eps x3^2, and a vertex moved
+        # along its ray by lambda is off by lambda^2 - 1.  From 2^22 on,
+        # 8 eps x3^2 passes 2^-5, so the floats no longer fix a vertex's
+        # place on its ray to within 1.6 %, and such vertices are rejected.
+        if np.abs(v).max() >= 2.0 ** 22 or np.any(np.abs(
                 v[:, 0] ** 2 + v[:, 1] ** 2 - v[:, 2] ** 2 + 1.0)
-                > 1e-10 * v[:, 2] ** 2):
+                > 1e-10 + 2.0 ** -49 * v[:, 2] ** 2):
             raise CurveError("vertices must lie on the unit hyperboloid")
         if v[:, 2].min() < 1.0 - 1e-12:
             raise CurveError("vertices must lie on the upper sheet (x3 >= 1)")

@@ -215,16 +215,19 @@ def test_verify_hyperbolic_vertex_too_far_out_exit_2(tmp_path, capsys):
     assert "unit hyperboloid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("radius, n", [(6.9, 13), (10.0, 64), (15.0, 64)])
-def test_verify_hyperbolic_circle_far_out(tmp_path, capsys, radius, n):
+@pytest.mark.parametrize("radius, n, scale", [
+    (6.0, 64, 1.0 + 1e-6), (6.9, 13, 1.0 + 1e-6), (10.0, 64, 1.0 + 1e-4),
+    (15.0, 64, 1.5), (15.9, 64, 1.02)])
+def test_verify_hyperbolic_circle_far_out(tmp_path, capsys, radius, n, scale):
     # the membership tolerance grows with x3^2, as the rounding of <v, v>
-    # does; a vertex off the sheet by 1e-8 relative is still rejected
+    # does, but stays rounding-sized: a vertex off the sheet by 1e-8
+    # relative, or moved along its ray by the scale, is still rejected
     path, out = tmp_path / "far.json", tmp_path / "r.json"
     save_curve(hyperbolic_circle(radius, n), str(path))
     assert main(["verify", str(path), "--out", str(out)]) in (0, 1)
-    for k in (0, 2):
+    for k, factor in ((0, 1.0 + 1e-8), (2, 1.0 + 1e-8), (slice(None), scale)):
         v = hyperbolic_circle(radius, n).vertices.copy()
-        v[0, k] *= 1.0 + 1e-8
+        v[0, k] *= factor
         path.write_text(json.dumps({"vertices": v.tolist(), "closed": True,
                                     "space": "hyperbolic"}))
         assert main(["verify", str(path), "--out", str(out)]) == 2

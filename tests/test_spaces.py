@@ -459,14 +459,14 @@ def test_curved_curves_reject_non_finite_vertices(cls, v, bad):
             cls(w)
 
 
-@pytest.mark.parametrize("radius", [12.0, 17.0, 17.5, 100.0, 700.0, 710.0])
+@pytest.mark.parametrize("radius", [12.0, 15.9, 17.0, 100.0, 700.0, 710.0])
 def test_hyperbolic_membership_test_does_not_overflow(radius):
-    # cosh(710) squared overflows; a coordinate from 2^24 on is rejected,
-    # and below, |<v, v> + 1| is tested relative to x3^2
+    # cosh(710) squared overflows; a coordinate from 2^22 on is rejected,
+    # and below, |<v, v> + 1| is tested against 1e-10 + 8 eps x3^2
     big = np.finfo(float).max
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if math.cosh(radius) < 2.0 ** 24:
+        if math.cosh(radius) < 2.0 ** 22:
             hyperbolic_circle(radius, 8)
         else:
             with pytest.raises(CurveError, match="unit hyperboloid"):

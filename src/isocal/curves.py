@@ -25,9 +25,10 @@ import numpy as np
 BOUNDARY_TOL_FACTOR = 1e-9
 # Consecutive vertices closer than this fraction of the diameter are degenerate.
 VERTEX_SEP_FACTOR = 1e-12
-# Bytes of one float64 temporary of a blocked computation (the pair and
-# corner sums' row blocks, the simplicity sweep's pair chunks, the field
-# sweeps' sample blocks), so memory stays bounded at any size.  128 KiB
+# Bytes of one float64 temporary of a blocked computation (the pair sum's
+# row blocks, the sweep's pair chunks for the simplicity test and the
+# branch terms, the field sweeps' sample blocks), so memory stays bounded
+# at any size.  128 KiB
 # keeps a block's dozen temporaries in a 2 MiB L2 (64-256 KiB measured
 # alike).
 _BLOCK_BYTES = 1 << 17

@@ -1,13 +1,14 @@
 """Integration engines for boundary one-forms, the double boundary integral
 of the tangent kernel, and the singular interior curl integral.
 
-The planar double integral is exact, a corner sum over vertex pairs; the
+The planar double integral is exact: of its corner sum over edge pairs
+only the Log branch terms remain, on the pairs whose x-ranges overlap; the
 midpoint rule, pair_sum, serves all three geometries.  Every total is
-correctly rounded: the short sums are one math.fsum each, and the corner
-and pair sums, millions of terms, one exact binned reduction each (two
-float halves per term, np.bincount by sign and exponent), the same bits as
-math.fsum.  Either way a total is a function of the multiset of its terms
-alone: the same, bit for bit, for any row blocking and any starting
+correctly rounded: the short sums are one math.fsum each, and the branch
+and pair sums, up to millions of terms, one exact binned reduction each
+(two float halves per term, np.bincount by sign and exponent), the same
+bits as math.fsum.  Either way a total is a function of the multiset of
+its terms alone: the same, bit for bit, for any blocking and any starting
 vertex.  The pair sum walks row blocks within a fixed byte budget; every
 block is a view of buffers allocated once per call, which the kernel fills
 through _kernel(..., out), and as nodes come edge by edge its same-edge
@@ -256,73 +257,62 @@ def pair_sum(P, T, W, E, J) -> float:
     return acc.value()
 
 
-def _corner_terms(v, t):
-    """Doubled terms Re((conj(t_i)^2 + conj(t_j)^2) S_ij) of the edge pairs
-    i < j of the closed polygon v with unit edge tangents t, both complex,
-    in row blocks within the budget: entry (r, k) is the pair (i0 + r,
-    i0 + 1 + k), 0 unless i < j.  S_ij = (G11 + G00) - (G10 + G01), G =
-    z^2 (Log z - 1/2) at z_pq = v_p - v_q, p in {i, i+1}, q in {j, j+1},
-    Log continuous on the pair's parallelogram of z.  Log is taken of w =
-    +-z, Re w > 0 or Re w = 0 < Im w, so z and -z give the same bits: a
-    term depends on its unordered pair alone, not on blocking or starting
-    vertex.  Corners flipped alike shift Log by a constant, which changes
-    no term; the other pairs get their branch back, Log w + i pi k.
+def _branch_terms(vz, c, i, j):
+    """Doubled terms Re((conj(t_i)^2 + conj(t_j)^2) S_ij) of the edge
+    pairs (i, j), i != j, of the closed polygon vz (complex, vertex n
+    repeated as n + 1), with c = conj(t)^2 / 2 of its unit edge tangents
+    t.  S_ij = i pi (k w^2 at corners 11 + 00 - 10 - 01), at z_pq = v_p -
+    v_q, p in {i, i+1}, q in {j, j+1}, is what the Log branch adds to the
+    pair's second difference of G = z^2 (Log z - 1/2).  Log is taken of w
+    = +-z, Re w > 0 or Re w = 0 < Im w, so z and -z give the same bits.
+    Corners flipped alike shift Log by a constant, which adds no term, so
+    such pairs give 0; the others get Log w + i pi k back, k the flip, or
+    its complement where the args, zero corners left out, span more than
+    pi (the parallelogram crosses the imaginary axis below 0).  As zero
+    corners are flipped, the least k of the others is always 0.  Swapping
+    i and j negates the nonzero corners, which complements both their
+    flips and the span test: k, and the term, depend on the unordered pair
+    alone.
     """
-    n = len(v)
-    vz = np.append(v, v[0])  # vertex n is vertex 0
-    c = 0.5 * np.conj(t) ** 2
-    i0 = 0
-    while i0 < n - 1:
-        # edge rows i0:i1 against edge columns i0+1:n, on vertex rows
-        # i0..i1 against vertex columns i0+1..n
-        i1 = min(n - 1, i0 + max(1, _BLOCK_BYTES // (16 * (n - i0))))
-        z = vz[i0:i1 + 1, None] - vz[None, i0 + 1:]
-        flip = (z.real < 0.0) | ((z.real == 0.0) & (z.imag <= 0.0))
-        w = np.where(flip, -z, z)
-        r2 = w.real * w.real + w.imag * w.imag
-        # 2 G = w^2 (log|w|^2 - 1 + 2i arg w); at a zero corner, 0
-        g = w * w * ((np.log(np.where(r2 == 0.0, 1.0, r2)) - 1.0)
-                     + 2j * np.arctan2(w.imag, w.real))
-        s = (g[1:, 1:] + g[:-1, :-1]) - (g[1:, :-1] + g[:-1, 1:])
-        alike = ((flip[1:, 1:] == flip[:-1, :-1])
-                 & (flip[1:, :-1] == flip[:-1, :-1])
-                 & (flip[:-1, 1:] == flip[:-1, :-1]))
-        rr, kk = np.nonzero(np.triu(~alike))
-        # their corners 11, 00, 10 and 01; k is the flip, or its complement
-        # where the args, zero corners left out, span more than pi (the
-        # parallelogram crosses the imaginary axis below 0).  As zero
-        # corners are flipped, the least k of the others is always 0
-        corner = (rr + [[1], [0], [1], [0]], kk + [[1], [0], [0], [1]])
-        fk, wk = flip[corner], w[corner]
-        zero = wk == 0.0
-        turn = np.where(zero, np.nan, np.angle(wk) + np.pi * fk)
-        k = fk != (np.fmax.reduce(turn) - np.fmin.reduce(turn) > np.pi)
-        kw = np.where(k, wk * wk, 0.0)
-        s[rr, kk] += 2j * np.pi * ((kw[0] + kw[1]) - (kw[2] + kw[3]))
-        yield np.triu(((c[i0:i1, None] + c[None, i0 + 1:]) * s).real)
-        i0 = i1
+    # corners 11, 00, 10 and 01 of each pair
+    z = vz[[i + 1, i, i + 1, i]] - vz[[j + 1, j, j, j + 1]]
+    flip = (z.real < 0.0) | ((z.real == 0.0) & (z.imag <= 0.0))
+    w = np.where(flip, -z, z)
+    turn = np.where(w == 0.0, np.nan, np.angle(w) + np.pi * flip)
+    k = flip != (np.fmax.reduce(turn) - np.fmin.reduce(turn) > np.pi)
+    k &= (flip != flip[0]).any(axis=0)  # pairs flipped alike add 0
+    kw = np.where(k, w * w, 0.0)
+    s = 2j * np.pi * ((kw[0] + kw[1]) - (kw[2] + kw[3]))
+    return ((c[i] + c[j]) * s).real
 
 
 def double_boundary_integral(curve: ClosedCurve, *,
                              check_simple: bool = True) -> float:
     """The double integral of the tangent kernel over the polygon, exactly:
-    Sum L_i^2 - 2 Sum L_i^2 log L_i + Sum_{i != j} Re(c_ij S_ij), c_ij =
-    (conj(t_i)^2 + conj(t_j)^2) / 2 (_corner_terms; README, Numerical
-    conventions), in one exact binned reduction.  For a simple positively
-    oriented curve it is 4 pi area up to rounding, a few n eps L^2 for n
-    vertices and perimeter L.  midpoint_double_integral is the rule that
-    takes a refinement.
+    the Log branch terms of the corner sum, Sum_{i != j} Re(c_ij S_ij),
+    c_ij = (conj(t_i)^2 + conj(t_j)^2) / 2 (_branch_terms; README,
+    Numerical conventions), in one exact binned reduction.  Every other
+    term of the corner sum cancels, and a pair has branch terms only where
+    the closed x-ranges of its edges overlap, as its corners' flips compare
+    vertices lexicographically, so only those pairs are visited
+    (curves._box_pairs on 1-D boxes), in chunks within the budget.  For a
+    simple positively oriented curve it is 4 pi area up to rounding, a few
+    eps times the sum of the terms' magnitudes.  midpoint_double_integral
+    is the rule that takes a refinement.
     """
     if check_simple:
         curves.ensure_simple(curve)
     v = curve.vertices[:, 0] + 1j * curve.vertices[:, 1]
-    e = np.roll(v, -1) - v
-    L = np.abs(e)
+    vz = np.append(v, v[0])  # vertex n is vertex 0
+    e = np.diff(vz)
+    c = 0.5 * np.conj(e / np.abs(e)) ** 2
+    x = vz.real
+    lo, hi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
+    step = max(1, _BLOCK_BYTES // 64)  # pairs of 4 complex corners
     acc = _ExactSum()
-    acc.add(L * L)
-    acc.add(-2.0 * (L * L) * np.log(L))
-    for terms in _corner_terms(v, e / L):
-        acc.add(terms)
+    for i, j in curves._box_pairs(lo[:, None], hi[:, None]):
+        for k0 in range(0, len(i), step):
+            acc.add(_branch_terms(vz, c, i[k0:k0 + step], j[k0:k0 + step]))
     return acc.value()
 
 

@@ -1,16 +1,17 @@
 """Constant-curvature counterparts: geodesic polygons on the unit sphere and
 on the hyperboloid model of the hyperbolic plane.
 
-Areas come from turning angles (exact for geodesic polygons, no pole or chart
-issues); boundary node tangents are sub-arc chords, which at the geodesic
-midpoint of a sub-arc lie exactly in the tangent plane.  A geodesic edge is
-the section of the cone spanned by its end rays, so the exact simplicity
-test of the plane serves both (curves._first_meeting).  The hyperbolic
-kernel replaces every Euclidean pairing in the three-space kernel with the
-Minkowski pairing <a, b> = a1 b1 + a2 b2 - a3 b3; chords between distinct
-hyperboloid points are spacelike, so the denominators stay positive.  Its
-pointwise norm bound on the hyperboloid is verified empirically by the test
-suite, not proved here; reports produced by the CLI flag this.
+Areas are exact for geodesic polygons, with no pole or chart issues: turning
+angles on the sphere, a fan of triangles from the apex on the hyperboloid.
+Boundary node tangents are sub-arc chords, which at the geodesic midpoint of
+a sub-arc lie exactly in the tangent plane.  A geodesic edge is the section
+of the cone spanned by its end rays, so the exact simplicity test of the
+plane serves both (curves._first_meeting).  The hyperbolic kernel replaces
+every Euclidean pairing in the three-space kernel with the Minkowski pairing
+<a, b> = a1 b1 + a2 b2 - a3 b3; chords between distinct hyperboloid points
+are spacelike, so the denominators stay positive.  Its pointwise norm bound
+on the hyperboloid is verified empirically by the test suite, not proved
+here; reports produced by the CLI flag this.
 """
 
 from __future__ import annotations
@@ -91,24 +92,21 @@ def sphere_perimeter(curve: SphericalCurve) -> float:
     return SPHERE.perimeter(curve.vertices)
 
 
-def _turning(v, J):
-    """Signed turning angle at each vertex of a geodesic polygon under the
-    metric J: the angle from the incoming to the outgoing edge's plane
-    normal J (v_i x (v_{i+1} - v_i)), oriented by det(v_i, ., .).  The edge
-    difference keeps the normal accurate to rounding for short edges."""
-    m = np.cross(v, np.roll(v, -1, axis=0) - v) * J
-    p = np.roll(m, 1, axis=0)
-    return np.arctan2(_rowdot(_EUCLID3, v, np.cross(p, m)), _rowdot(J, p, m))
-
-
 def sphere_area(curve: SphericalCurve) -> float:
     """Area by angular excess: 2*pi minus the total turning, in [0, 4*pi).
 
     Exact for geodesic polygons.  The excess equals the sum of interior
     angles minus (n - 2)*pi.
     """
-    area = 2.0 * math.pi - math.fsum(_turning(curve.vertices, _EUCLID3))
-    return area % (4.0 * math.pi)
+    # the turning angle at v_i, from the incoming to the outgoing edge's
+    # normal v_i x (v_i+1 - v_i), oriented by det(v_i, ., .); the edge
+    # difference keeps the normal accurate to rounding for short edges
+    v = curve.vertices
+    m = np.cross(v, np.roll(v, -1, axis=0) - v)
+    p = np.roll(m, 1, axis=0)
+    turning = np.arctan2(_rowdot(_EUCLID3, v, np.cross(p, m)),
+                         _rowdot(_EUCLID3, p, m))
+    return (2.0 * math.pi - math.fsum(turning)) % (4.0 * math.pi)
 
 
 def geodesic_cap(theta: float, n: int) -> SphericalCurve:
@@ -227,9 +225,17 @@ def hyperbolic_perimeter(curve: HyperbolicCurve) -> float:
 
 
 def hyperbolic_area(curve: HyperbolicCurve) -> float:
-    """Area by angle defect: total turning minus 2*pi, equivalently
-    (n - 2)*pi minus the interior angle sum.  Exact for geodesic polygons."""
-    return math.fsum(_turning(curve.vertices, _MINK)) - 2.0 * math.pi
+    """Signed area as a fan of geodesic triangles (c, a, b) from the apex c
+    = (0, 0, 1) over the edges ab, each tan(A/2) = det(c, a, b) / (1 -
+    <c,a> - <a,b> - <b,c>) (Van Oosterom & Strackee's solid-angle formula
+    under the Minkowski form), in one fsum.  Exact for geodesic polygons;
+    the denominator 1 + a3 + b3 + cosh d(a, b) >= 4 cancels nothing, so
+    far-out polygons keep their digits, unlike turning angles."""
+    a = curve.vertices
+    b = np.roll(a, -1, axis=0)
+    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return 2.0 * math.fsum(np.arctan2(det, 1.0 + a[:, 2] + b[:, 2]
+                                      - _rowdot(_MINK, a, b)))
 
 
 def hyperbolic_boundary_nodes(curve: HyperbolicCurve, refinement: int = 1):

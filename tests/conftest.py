@@ -14,13 +14,17 @@ def star_polygon(rng, n_min=5, n_max=16, r_min=0.3, r_max=1.5, scale=1.0,
                  center=(0.0, 0.0)):
     """Random star-shaped (hence simple) polygon, positively oriented."""
     n = int(rng.integers(n_min, n_max + 1))
-    # bounded angular gaps: no degenerate edges, and gaps below pi keep the
-    # generating center strictly inside
+    # bounded angular gaps: at least min_gap, so no degenerate edges, plus
+    # the rest of the turn split by normalised exponentials (the spacings
+    # of sorted uniform angles); gaps below pi keep the generating center
+    # strictly inside
+    min_gap = 1e-3
     while True:
-        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-        gaps = np.diff(np.r_[angles, angles[0] + 2 * np.pi])
-        if gaps.min() > 1e-3 and gaps.max() < 2.5:
+        x = rng.exponential(size=n)
+        gaps = min_gap + (2.0 * np.pi - n * min_gap) * (x / x.sum())
+        if gaps.max() < 2.5:
             break
+    angles = rng.uniform(0.0, 2.0 * np.pi) + np.r_[0.0, np.cumsum(gaps[:-1])]
     radii = rng.uniform(r_min, r_max, n) * scale
     c = np.asarray(center, float)
     return ClosedCurve(np.c_[c[0] + radii * np.cos(angles),

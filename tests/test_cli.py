@@ -41,8 +41,9 @@ def square_file(tmp_path):
 
 @pytest.fixture()
 def spike_file(tmp_path):
-    # L^2 / (4 pi area) is about 3e5, so the exact double integral's few
-    # ulps of L^2 read as a relative error near 1e-10
+    # a needle: L^2 / (4 pi area) is about 3e5, yet the double integral's
+    # rounding reads as a relative error of 1.3e-16, so a tolerance of
+    # 1e-17 fails it
     path = tmp_path / "spike.json"
     save_curve(ClosedCurve([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6]]), str(path))
     return str(path)
@@ -269,7 +270,7 @@ def test_verify_space_conflict(tmp_path, circle_file, capsys):
 def test_verify_failing_tolerance_exits_1(tmp_path, spike_file):
     out = tmp_path / "rep.json"
     rc = main(["verify", spike_file, "--tolerance",
-               "double_integral_rel=1e-13", "--out", str(out)])
+               "double_integral_rel=1e-17", "--out", str(out)])
     assert rc == 1
     assert _read(out)["passed"] is False
 
@@ -489,7 +490,7 @@ def test_help_and_version_exit_0(capsys, argv, shown):
 
 def test_config_file_tolerances_respected(tmp_path, spike_file, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"double_integral_rel": 1e-13},
+    cfg.write_text(json.dumps({"tolerances": {"double_integral_rel": 1e-17},
                                "refinement": 8}))
     monkeypatch.setenv("ISOCAL_CONFIG", str(cfg))
     out = tmp_path / "rep.json"

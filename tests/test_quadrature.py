@@ -41,6 +41,7 @@ from isocal.spaces import (
 )
 
 SQUARE = ClosedCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +310,64 @@ CORNER_PAIRS = {
 }
 
 
+def corner_terms(v, t, rows=64):
+    """Doubled terms Re((conj(t_i)^2 + conj(t_j)^2) S_ij) of the edge pairs
+    i < j of the closed polygon v with unit edge tangents t, both complex,
+    in blocks of `rows` edge rows: entry (r, k) is the pair (i0 + r, i0 + 1
+    + k), 0 unless i < j.  S_ij = (G11 + G00) - (G10 + G01), G = z^2 (Log z
+    - 1/2) at z_pq = v_p - v_q, p in {i, i+1}, q in {j, j+1}, Log
+    continuous on the pair's parallelogram of z.  Log is taken of w = +-z,
+    Re w > 0 or Re w = 0 < Im w; corners flipped alike shift Log by a
+    constant, which changes no term; the other pairs get their branch back,
+    Log w + i pi k.  double_boundary_integral keeps only these branch
+    terms, as the rest cancels over all pairs; this is the all-pairs
+    reference for it.
+    """
+    n = len(v)
+    vz = np.append(v, v[0])  # vertex n is vertex 0
+    c = 0.5 * np.conj(t) ** 2
+    for i0 in range(0, n - 1, rows):
+        # edge rows i0:i1 against edge columns i0+1:n, on vertex rows
+        # i0..i1 against vertex columns i0+1..n
+        i1 = min(n - 1, i0 + rows)
+        z = vz[i0:i1 + 1, None] - vz[None, i0 + 1:]
+        flip = (z.real < 0.0) | ((z.real == 0.0) & (z.imag <= 0.0))
+        w = np.where(flip, -z, z)
+        r2 = w.real * w.real + w.imag * w.imag
+        # 2 G = w^2 (log|w|^2 - 1 + 2i arg w); at a zero corner, 0
+        g = w * w * ((np.log(np.where(r2 == 0.0, 1.0, r2)) - 1.0)
+                     + 2j * np.arctan2(w.imag, w.real))
+        s = (g[1:, 1:] + g[:-1, :-1]) - (g[1:, :-1] + g[:-1, 1:])
+        alike = ((flip[1:, 1:] == flip[:-1, :-1])
+                 & (flip[1:, :-1] == flip[:-1, :-1])
+                 & (flip[:-1, 1:] == flip[:-1, :-1]))
+        rr, kk = np.nonzero(np.triu(~alike))
+        # their corners 11, 00, 10 and 01; k is the flip, or its complement
+        # where the args, zero corners left out, span more than pi
+        corner = (rr + [[1], [0], [1], [0]], kk + [[1], [0], [0], [1]])
+        fk, wk = flip[corner], w[corner]
+        turn = np.where(wk == 0.0, np.nan, np.angle(wk) + np.pi * fk)
+        k = fk != (np.fmax.reduce(turn) - np.fmin.reduce(turn) > np.pi)
+        kw = np.where(k, wk * wk, 0.0)
+        s[rr, kk] += 2j * np.pi * ((kw[0] + kw[1]) - (kw[2] + kw[3]))
+        yield np.triu(((c[i0:i1, None] + c[None, i0 + 1:]) * s).real)
+
+
+def corner_sum_reference(curve):
+    """The double integral as the full corner sum over all edge pairs,
+    Sum L_i^2 - 2 Sum L_i^2 log L_i + Sum_{i != j} Re(c_ij S_ij), in one
+    exact sum."""
+    v = curve.vertices[:, 0] + 1j * curve.vertices[:, 1]
+    e = np.roll(v, -1) - v
+    L = np.abs(e)
+    acc = quadrature._ExactSum()
+    acc.add(L * L)
+    acc.add(-2.0 * (L * L) * np.log(L))
+    for terms in corner_terms(v, e / L):
+        acc.add(terms)
+    return acc.value()
+
+
 def corner_pair_integral(v, i, j):
     """The corner sum's value of the edge pair (i, j): half its doubled
     corner term plus the second difference of -|z|^2 log|z|, which the
@@ -319,7 +378,7 @@ def corner_pair_integral(v, i, j):
     e = np.roll(z, -1) - z
     L = np.abs(e)
     # n <= 4: all rows in one block
-    block = next(quadrature._corner_terms(z, e / L))
+    block = next(corner_terms(z, e / L))
     parts = [block[i, j - 1] / 2]
     for p, q, sign in ((i + 1, j + 1, 1), (i, j, 1), (i + 1, j, -1),
                        (i, j + 1, -1)):
@@ -364,6 +423,58 @@ def test_corner_term_is_the_integral_of_the_kernel(name):
     assert abs(got - want) <= 1e-14 * Li * Lj
 
 
+def histogram_polygon(rng):
+    """Lattice polygon over 1 to 11 columns of widths 1 to 3 and heights 1
+    to 5: vertical edges, exact x-ties between edges, straight runs."""
+    w = rng.integers(1, 4, int(rng.integers(1, 12)))
+    h = rng.integers(1, 6, len(w))
+    x = np.r_[0, np.cumsum(w)]
+    v = [(0, 0), (x[-1], 0)]
+    for k in range(len(w) - 1, -1, -1):
+        v += [(x[k + 1], h[k]), (x[k], h[k])]
+    v = np.array(v, float)
+    # equal heights side by side repeat a vertex
+    return v[(v != np.roll(v, 1, axis=0)).any(axis=1)]
+
+
+def agreement_polygon(kind, rng):
+    if kind == "star":
+        return star_polygon(rng, 3, 300).vertices
+    if kind == "ellipse":
+        n = int(rng.integers(3, 300))
+        a, b = rng.uniform(0.2, 3.0, 2)
+        th = rng.uniform(0.0, 2 * np.pi) + 2 * np.pi * np.arange(n) / n
+        return np.c_[a * np.cos(th), b * np.sin(th)]
+    if kind == "rectangle":
+        (x, y), (w, h) = rng.integers(-5, 6, 2), rng.integers(1, 6, 2)
+        return np.array([[x, y], [x + w, y], [x + w, y + h], [x, y + h]],
+                        float)
+    return histogram_polygon(rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["star", "ellipse", "rectangle", "histogram"]),
+       seed=st.integers(0, 2**32 - 1), turns=st.integers(0, 3))
+def test_branch_terms_equal_the_all_pairs_corner_sum(kind, seed, turns):
+    # quarter turns (x, y) -> (-y, x) are exact: the lattice shapes' x-ties
+    # become y-ties and back
+    v = agreement_polygon(kind, np.random.default_rng(seed))
+    for _ in range(turns):
+        v = np.c_[-v[:, 1], v[:, 0]]
+    c = ClosedCurve(v)
+    L = perimeter(c)
+    got = double_boundary_integral(c)
+    assert abs(got - corner_sum_reference(c)) <= 4 * len(v) * EPS * L * L
+
+
+def test_branch_terms_on_a_2048_vertex_star():
+    c = star_polygon(np.random.default_rng(16), 2048, 2048)
+    n, L = len(c.vertices), perimeter(c)
+    got = double_boundary_integral(c)
+    assert abs(got - corner_sum_reference(c)) <= 4 * n * EPS * L * L
+    assert abs(got - 4 * math.pi * signed_area(c)) <= 4 * n * EPS * L * L
+
+
 def test_double_integral_takes_no_refinement():
     # the corner sum is exact: a refinement, which it would ignore, is an
     # error, and check_simple cannot be passed by position in its place
@@ -375,13 +486,15 @@ def test_double_integral_takes_no_refinement():
 
 @pytest.mark.parametrize("n, budget", [(512, 1 << 12), (2048, 1 << 17)])
 def test_corner_sum_memory_is_linear_in_budget(monkeypatch, n, budget):
-    # spiky stars.  A block's complex temporaries, on its vertex grid, have
-    # at most max(budget, 16 n) + 16 n <= 2 max(budget, 16 n) bytes; some
-    # fifteen live at once, the reduction's included; each pair whose
-    # branch is restored, at most one per grid entry, takes some 250
-    # bytes; per vertex, a few complex numbers; the 4096-bin sums are
-    # fixed.  The full complex matrix is 4 MiB and 64 MiB.
+    # spiky stars.  The budget is read where it is used: by the sweep's
+    # pair chunks (curves) and by the branch terms' sub-chunks
+    # (quadrature).  A chunk's index arrays and a sub-chunk's complex
+    # corners each take at most max(budget, 16 n) bytes, and some dozen
+    # live at once, the reduction's included; per vertex, a few complex
+    # numbers; the 4096-bin sums are fixed.  The full complex matrix is
+    # 4 MiB and 64 MiB.
     c = ClosedCurve(spiky_star(np.random.default_rng(9), n))
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:

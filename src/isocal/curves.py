@@ -462,20 +462,20 @@ def _cones_meet(a, b, c, d) -> int:
     return int(low((sc * d - sd * c) / (sc - sd), a, b, nab) >= 0)
 
 
-def _box_pairs(lo, hi):
+def _box_pairs(lo, hi, budget=None):
     """Index arrays (i, j), i != j, of every pair of closed boxes [lo, hi]
     (shape (m, d)) that overlap on every axis, each pair once.
 
     Sort-and-sweep (Shamos & Hoey): boxes sorted by low x; box k's x-overlap
     partners follow it up to the first low x above its high x.  The pairs
-    are enumerated in chunks of at most _BLOCK_BYTES / (8 d) pairs, so a
-    float64 (pairs, d) gather of a chunk fits the block budget.
+    are enumerated in chunks of at most budget (default _BLOCK_BYTES) /
+    (8 d) pairs, so a float64 (pairs, d) gather of a chunk fits the budget.
     """
     order = np.argsort(lo[:, 0], kind="stable")
     lo, hi = lo[order].T, hi[order].T
     end = np.searchsorted(lo[0], hi[0], side="right")
     offsets = np.r_[0, np.cumsum(end - np.arange(1, len(order) + 1))]
-    step = max(1, _BLOCK_BYTES // (8 * len(lo)))
+    step = max(1, (budget or _BLOCK_BYTES) // (8 * len(lo)))
     for t0 in range(0, int(offsets[-1]), step):
         t = np.arange(t0, min(t0 + step, int(offsets[-1])))
         i = np.searchsorted(offsets, t, side="right") - 1

@@ -310,7 +310,7 @@ def double_boundary_integral(curve: ClosedCurve, *,
     lo, hi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
     step = max(1, _BLOCK_BYTES // 64)  # pairs of 4 complex corners
     acc = _ExactSum()
-    for i, j in curves._box_pairs(lo[:, None], hi[:, None]):
+    for i, j in curves._box_pairs(lo[:, None], hi[:, None], _BLOCK_BYTES):
         for k0 in range(0, len(i), step):
             acc.add(_branch_terms(vz, c, i[k0:k0 + step], j[k0:k0 + step]))
     return acc.value()

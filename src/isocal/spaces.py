@@ -225,17 +225,19 @@ def hyperbolic_perimeter(curve: HyperbolicCurve) -> float:
 
 
 def hyperbolic_area(curve: HyperbolicCurve) -> float:
-    """Signed area as a fan of geodesic triangles (c, a, b) from the apex c
-    = (0, 0, 1) over the edges ab, each tan(A/2) = det(c, a, b) / (1 -
-    <c,a> - <a,b> - <b,c>) (Van Oosterom & Strackee's solid-angle formula
-    under the Minkowski form), in one fsum.  Exact for geodesic polygons;
-    the denominator 1 + a3 + b3 + cosh d(a, b) >= 4 cancels nothing, so
-    far-out polygons keep their digits, unlike turning angles."""
+    """Area by angle defect, total turning minus 2*pi: A if positively
+    oriented, -4*pi - A if not, where the bound (4*pi + a) * a is the same.
+    A fan of geodesic triangles (c, a, b) from the apex c = (0, 0, 1) gives
+    the signed area, each tan(A/2) = det(c, a, b) / (1 - <c,a> - <a,b> -
+    <b,c>) (Van Oosterom & Strackee's solid-angle formula under the
+    Minkowski form), in one fsum.  Its denominator 1 + a3 + b3 + cosh d(a,
+    b) >= 4 cancels nothing, so far-out polygons keep their digits."""
     a = curve.vertices
     b = np.roll(a, -1, axis=0)
     det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return 2.0 * math.fsum(np.arctan2(det, 1.0 + a[:, 2] + b[:, 2]
-                                      - _rowdot(_MINK, a, b)))
+    fan = 2.0 * math.fsum(np.arctan2(det, 1.0 + a[:, 2] + b[:, 2]
+                                     - _rowdot(_MINK, a, b)))
+    return fan if fan >= 0.0 else fan - 4.0 * math.pi
 
 
 def hyperbolic_boundary_nodes(curve: HyperbolicCurve, refinement: int = 1):

@@ -15,6 +15,7 @@ from isocal import (
     content_hash,
     geodesic_cap,
     get_problem,
+    HyperbolicCurve,
     hyperbolic_circle,
     load_curve,
     regular_polygon,
@@ -150,6 +151,27 @@ def test_verify_hyperbolic_flags_empirical_bound(tmp_path):
     assert main(["verify", str(path), "--out", str(out)]) == 0
     rep = _read(out)
     assert any("empirically" in note for note in rep["notes"])
+
+
+def test_verify_reversed_hyperbolic_circle_passes_like_the_forward_one(
+        tmp_path):
+    # reversed, the polygon turns by -(2 pi + A) and its area reads
+    # -4 pi - A, where the sharp bound (4 pi + a) a takes the value it has
+    # at A; the midpoint double integral does not see the orientation
+    forward = hyperbolic_circle(1.0, 256)
+    reports = []
+    for name, curve in (("fwd", forward),
+                        ("rev", HyperbolicCurve(forward.vertices[::-1]))):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-rep.json"
+        save_curve(curve, str(path))
+        assert main(["verify", str(path), "--out", str(out)]) == 0
+        reports.append(_read(out))
+    fwd, rev = (r["results"] for r in reports)
+    assert rev["area"] == pytest.approx(-4 * math.pi - fwd["area"],
+                                        rel=1e-14)
+    assert rev["lower_bound"] == pytest.approx(fwd["lower_bound"], rel=1e-14)
+    assert rev["double_integral"] == fwd["double_integral"]
+    assert all(r["passed"] for r in reports)
 
 
 def test_space_tags_agree():

@@ -486,15 +486,13 @@ def test_double_integral_takes_no_refinement():
 
 @pytest.mark.parametrize("n, budget", [(512, 1 << 12), (2048, 1 << 17)])
 def test_corner_sum_memory_is_linear_in_budget(monkeypatch, n, budget):
-    # spiky stars.  The budget is read where it is used: by the sweep's
-    # pair chunks (curves) and by the branch terms' sub-chunks
-    # (quadrature).  A chunk's index arrays and a sub-chunk's complex
-    # corners each take at most max(budget, 16 n) bytes, and some dozen
-    # live at once, the reduction's included; per vertex, a few complex
+    # spiky stars.  quadrature's budget sets both the sweep's pair chunks
+    # and the branch terms' sub-chunks.  A chunk's index arrays and a
+    # sub-chunk's complex corners each take at most max(budget, 16 n)
+    # bytes, and some dozen live at once, the reduction's included; per vertex, a few complex
     # numbers; the 4096-bin sums are fixed.  The full complex matrix is
     # 4 MiB and 64 MiB.
     c = ClosedCurve(spiky_star(np.random.default_rng(9), n))
-    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:

@@ -8,10 +8,11 @@ explicit seed and is deterministic given it.
 The kernel sweeps work on arrays.  circle_equality_residual and
 mixed_derivative_residual draw each sample as one row of each of two
 streams spawned from the seed, one of normal and one of uniform draws, and
-evaluate the samples in blocks within the byte budget _BLOCK_BYTES: one QR
-factorisation, one kernel call or one d1d2_fd call per block.  A block
-draws the rows that follow the previous block's, and each sample gets the
-same bits as alone, so no result depends on the blocking.
+evaluate the samples in blocks within the byte budget curves._BLOCK_BYTES,
+as dominance_minimum does: one QR factorisation, one kernel call or one
+d1d2_fd call per block.  A block draws the rows that follow the previous
+block's, and each sample gets the same bits as alone, so no result depends
+on the blocking.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import math
 
 import numpy as np
 
+from . import curves
 from .biform import _field, _pair_kernel, d1d2_fd
 from .biform import mixed_derivative_closed_form
-from .curves import _BLOCK_BYTES
 from .mayer import (
     CallablePath,
     MayerProblem,
@@ -86,7 +87,7 @@ def circle_equality_residual(dim: int, n_circles: int = 100,
     apart never coincide."""
     normal, uniform = np.random.default_rng(seed).spawn(2)
     worst = 0.0
-    step = max(1, _BLOCK_BYTES // (8 * dim * dim))
+    step = max(1, curves._BLOCK_BYTES // (8 * dim * dim))
     for start in range(0, n_circles, step):
         m = min(step, n_circles - start)
         g = normal.normal(size=(m, dim + 1, dim))
@@ -129,7 +130,7 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0,
     worst = 0.0
     dim = 2 if space == "r2" else 3
     # a pair's stencil holds 4 dim^4 kernel entries
-    step = max(1, _BLOCK_BYTES // (8 * 4 * dim ** 4))
+    step = max(1, curves._BLOCK_BYTES // (8 * 4 * dim ** 4))
     for start in range(0, n, step):
         m = min(step, n - start)
         u, y = normal.normal(size=(m, 2, dim)).transpose(1, 0, 2)
@@ -145,7 +146,6 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0,
 # Mayer-side sweeps
 
 _AMPLITUDE = {"free": 0.8, "oscillator": 0.12, "cosh": 0.8}
-_SAMPLE_BLOCK = 4096
 
 
 def _bump_path(problem: MayerProblem, rng, amplitude: float,
@@ -179,11 +179,11 @@ def dominance_minimum(problem: MayerProblem, n: int = 10000,
     low = [a + 1e-3, lo + 0.05 * (hi - lo), -3.0]
     high = [b - 1e-3, hi - 0.05 * (hi - lo), 3.0]
     worst = math.inf
-    # blocks bound the memory; each (t, s, qdot) row takes the same draws as
-    # one scalar sample would, and results do not depend on the blocking
-    for start in range(0, n, _SAMPLE_BLOCK):
-        t, s, qd = rng.uniform(low, high,
-                               size=(min(_SAMPLE_BLOCK, n - start), 3)).T
+    # blocks of budget / 32 samples (4096) bound the memory; each (t, s,
+    # qdot) row takes the draws of one scalar sample, whatever the blocking
+    block = max(1, curves._BLOCK_BYTES // 32)
+    for start in range(0, n, block):
+        t, s, qd = rng.uniform(low, high, size=(min(block, n - start), 3)).T
         gap = weierstrass_gap(problem.lagrangian, problem.family, t,
                               problem.family.u(s, t), qd)
         worst = float(np.min(gap, initial=worst))

@@ -1,7 +1,8 @@
-"""Oriented closed polygonal curves in the plane, and the geometry records
-whose node generator and perimeter sum serve the sphere and the hyperboloid
-too, as does the exact simplicity test, which takes every edge as the cone
-of its end rays.
+"""Closed geodesic polygons of the plane, the sphere and the hyperboloid:
+Polygon holds their vertex contract and exact simplicity test (every edge
+is the cone of its end rays; ensure_simple is the one entry), and their
+Geometry records the node generator and perimeter sum.  ClosedCurve is
+the plane's polygon; the curved ones live in spaces.
 
 Everything downstream treats a curve as a polygon: smooth boundaries enter as
 fine polygons, which turns every integral in the package into a finite sum
@@ -25,12 +26,12 @@ import numpy as np
 BOUNDARY_TOL_FACTOR = 1e-9
 # Consecutive vertices closer than this fraction of the diameter are degenerate.
 VERTEX_SEP_FACTOR = 1e-12
-# Bytes of one float64 temporary of a blocked computation (the pair sum's
-# row blocks, the sweep's pair chunks for the simplicity test and the
-# branch terms, the field sweeps' sample blocks), so memory stays bounded
-# at any size.  128 KiB
-# keeps a block's dozen temporaries in a 2 MiB L2 (64-256 KiB measured
-# alike).
+# Bytes of one float64 temporary of a blocked computation, so memory stays
+# bounded at any size.  Every blocked loop reads it here when it is called:
+# quadrature.pair_sum's row blocks, _box_pairs' pair chunks (the simplicity
+# test and the branch terms of quadrature.double_boundary_integral), and
+# the sample blocks of the checks sweeps.  128 KiB keeps a block's dozen
+# temporaries in a 2 MiB L2 (64-256 KiB measured alike).
 _BLOCK_BYTES = 1 << 17
 
 
@@ -58,19 +59,14 @@ def _require_count(name: str, value, least: int = 1) -> None:
 def metric_dot(J, a, b, out=None):
     """sum_k J_k a_k b_k over component arrays, for J_0 = 1, J_k = +-1: in
     component order with no BLAS call, so bitwise symmetric in (a, b) and
-    odd in the sign of each.  With out = (result, scratch), two arrays of
-    the broadcast shape, the same operations write into them and allocate
-    nothing; without, operators allocate, which is faster on scalars."""
-    if out is None:
-        res = a[0] * b[0]
-        for s, x, y in zip(J[1:], a[1:], b[1:]):
-            res = res + x * y if s > 0 else res - x * y
-        return res
-    res, xy = out
-    np.multiply(a[0], b[0], out=res)
+    odd in the sign of each.  out = (result, scratch), arrays of the
+    broadcast shape or None, are the ufuncs' out targets; with arrays,
+    nothing is allocated."""
+    buf, xy = out or (None, None)
+    res = np.multiply(a[0], b[0], out=buf)
     for s, x, y in zip(J[1:], a[1:], b[1:]):
-        (np.add if s > 0 else np.subtract)(res, np.multiply(x, y, out=xy),
-                                           out=res)
+        res = (np.add if s > 0 else np.subtract)(
+            res, np.multiply(x, y, out=xy), out=buf)
     return res
 
 
@@ -191,24 +187,52 @@ class BoundaryNode:
 
 
 @dataclass(frozen=True, eq=False)
-class ClosedCurve:
-    """Oriented closed polyline, at least 3 vertices, no repeated neighbours.
-
-    The vertex array is copied and frozen; instances are immutable and safe
-    to share across threads.
-    """
+class Polygon:
+    """Closed geodesic polygon of the class's geometry: at least 3 finite
+    vertices in its dimension, copied and frozen, so instances are immutable
+    and safe to share across threads.  Each subclass adds its own checks,
+    _check_vertices(v), and ensure_simple's messages for a first meeting in
+    one point and in more, _meeting_errors."""
 
     vertices: np.ndarray
-    geometry: ClassVar[Geometry] = PLANE
+    geometry: ClassVar[Geometry]
+    _meeting_errors: ClassVar[tuple] = ("curve is self-intersecting",) * 2
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2:
-            raise CurveError(f"vertices must have shape (n, 2), got {v.shape}")
+        dim = len(self.geometry.J)
+        if v.ndim != 2 or v.shape[1] != dim:
+            raise CurveError(f"vertices must have shape (n, {dim}), "
+                             f"got {v.shape}")
         if len(v) < 3:
             raise CurveError("a closed curve needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise CurveError("vertices must be finite")
+        self._check_vertices(v)
+        v.flags.writeable = False
+        object.__setattr__(self, "vertices", v)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertices)
+
+    @cached_property
+    def _meeting(self):
+        """_first_meeting of the vertices: None if simple, else 1 or 2."""
+        return _first_meeting(self.vertices)
+
+    @property
+    def is_simple(self) -> bool:
+        """True if only adjacent edges meet, at their shared vertex."""
+        return self._meeting is None
+
+
+class ClosedCurve(Polygon):
+    """Oriented closed polyline of the plane, no repeated neighbours."""
+
+    geometry = PLANE
+
+    def _check_vertices(self, v) -> None:
         # below 2^1022 every coordinate difference and its hypot is finite
         if np.abs(v).max() >= 2.0 ** 1022:
             raise CurveError("vertex coordinates must be below 2^1022 in "
@@ -219,12 +243,6 @@ class ClosedCurve:
         gaps = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
         if gaps.min() <= VERTEX_SEP_FACTOR * diam:
             raise CurveError("consecutive vertices coincide (degenerate edge)")
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
     @cached_property
     def diameter(self) -> float:
@@ -238,11 +256,6 @@ class ClosedCurve:
         sign of the area in units of the diameter's power of two, so right
         at any scale."""
         return 1 if _unit_area(self)[0] > 0 else -1
-
-    @cached_property
-    def is_simple(self) -> bool:
-        """True if no two non-adjacent edges intersect (exact predicates)."""
-        return _first_meeting(self.vertices) is None
 
     def reversed(self) -> "ClosedCurve":
         return ClosedCurve(self.vertices[::-1])
@@ -371,15 +384,15 @@ def contains(curve: ClosedCurve, x) -> bool:
     return winding_number(curve, x) != 0
 
 
-def ensure_simple(curve: ClosedCurve) -> None:
-    """Raise CurveError unless the polygon is simple.
+def ensure_simple(curve: Polygon) -> None:
+    """Raise CurveError unless the polygon, in any geometry, is simple.
 
     Exact (_first_meeting): a bounding-box sweep and a float sign filter
-    certified by the orientation error bound discard edge pairs that cannot
-    meet; exact predicates on the lifted vertices decide the rest.
+    certified by error bounds discard edge pairs that cannot meet; exact
+    predicates on the vertices as rays decide the rest.
     """
     if not curve.is_simple:
-        raise CurveError("curve is self-intersecting")
+        raise CurveError(curve._meeting_errors[curve._meeting - 1])
 
 
 def ensure_positive(curve: ClosedCurve) -> None:
@@ -462,20 +475,20 @@ def _cones_meet(a, b, c, d) -> int:
     return int(low((sc * d - sd * c) / (sc - sd), a, b, nab) >= 0)
 
 
-def _box_pairs(lo, hi, budget=None):
+def _box_pairs(lo, hi):
     """Index arrays (i, j), i != j, of every pair of closed boxes [lo, hi]
     (shape (m, d)) that overlap on every axis, each pair once.
 
     Sort-and-sweep (Shamos & Hoey): boxes sorted by low x; box k's x-overlap
     partners follow it up to the first low x above its high x.  The pairs
-    are enumerated in chunks of at most budget (default _BLOCK_BYTES) /
-    (8 d) pairs, so a float64 (pairs, d) gather of a chunk fits the budget.
+    are enumerated in chunks of at most _BLOCK_BYTES / (8 d) pairs, so a
+    float64 (pairs, d) gather of a chunk fits the budget.
     """
     order = np.argsort(lo[:, 0], kind="stable")
     lo, hi = lo[order].T, hi[order].T
     end = np.searchsorted(lo[0], hi[0], side="right")
     offsets = np.r_[0, np.cumsum(end - np.arange(1, len(order) + 1))]
-    step = max(1, (budget or _BLOCK_BYTES) // (8 * len(lo)))
+    step = max(1, _BLOCK_BYTES // (8 * len(lo)))
     for t0 in range(0, int(offsets[-1]), step):
         t = np.arange(t0, min(t0 + step, int(offsets[-1])))
         i = np.searchsorted(offsets, t, side="right") - 1

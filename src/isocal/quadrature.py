@@ -9,13 +9,13 @@ and pair sums, up to millions of terms, one exact binned reduction each
 (two float halves per term, np.bincount by sign and exponent), the same
 bits as math.fsum.  Either way a total is a function of the multiset of
 its terms alone: the same, bit for bit, for any blocking and any starting
-vertex.  The pair sum walks row blocks within a fixed byte budget; every
-block is a view of buffers allocated once per call, which the kernel fills
-through _kernel(..., out), and as nodes come edge by edge its same-edge
-pairs lie in a narrow band of columns.  The winding integral is exact
-too, twice the sum of the angles the edges subtend at the point, and so is
-the interior curl integral, one closed-form term per fan triangle from its
-singular point.
+vertex.  Blocks stay within the byte budget curves._BLOCK_BYTES.  Every
+row block of the pair sum is a view of buffers allocated once per call,
+which the kernel fills through _kernel(..., out), and as nodes come edge
+by edge its same-edge pairs lie in a narrow band of columns.  The winding
+integral is exact too, twice the sum of the angles the edges subtend at
+the point, and so is the interior curl integral, one closed-form term per
+fan triangle from its singular point.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import numpy as np
 
 from . import curves
 # auto_refinement stays importable here: perfbench/harness.py calls it
-from .curves import (_BLOCK_BYTES, PLANE, ClosedCurve, auto_refinement,
-                     metric_dot, _vec2)
+from .curves import PLANE, ClosedCurve, auto_refinement, metric_dot, _vec2
 
 
 @dataclass(frozen=True)
@@ -92,20 +91,16 @@ def winding_integral(curve: ClosedCurve, x) -> float:
 # double boundary integral of the tangent kernel
 
 def _kernel(d, ti, tj, J, r2, out=None):
-    """2 <d, ti> <d, tj> / r2 - <ti, tj> under J, for d = x_i - x_j.  Swapping
-    i and j negates d and swaps the dots: K(i, j) is bitwise K(j, i).  With
-    out, three contiguous arrays of the result's shape, the same operations
-    in the same order write into them, allocate nothing and return out[0].
-    """
-    if out is None:
-        return (2.0 * metric_dot(J, d, ti) * metric_dot(J, d, tj) / r2
-                - metric_dot(J, ti, tj))
-    w, u, s = out
+    """2 <d, ti> <d, tj> / r2 - <ti, tj> under J, for d = x_i - x_j, in that
+    order of ufuncs.  Swapping i and j negates d and swaps the dots: K(i, j)
+    is bitwise K(j, i).  out = (w, u, s), contiguous arrays of the result's
+    shape or None, are the ufuncs' out targets; with arrays, nothing is
+    allocated and the result is w."""
+    w, u, s = out or (None, None, None)
     k = np.multiply(2.0, metric_dot(J, d, ti, (w, s)), out=w)
-    k *= metric_dot(J, d, tj, (u, s))
-    k /= r2
-    k -= metric_dot(J, ti, tj, (u, s))
-    return k
+    k = np.multiply(k, metric_dot(J, d, tj, (u, s)), out=w)
+    k = np.divide(k, r2, out=w)
+    return np.subtract(k, metric_dot(J, ti, tj, (u, s)), out=w)
 
 
 # Terms binned between two flushes of an _ExactSum.  Each term is split into
@@ -227,12 +222,13 @@ def pair_sum(P, T, W, E, J) -> float:
     acc = _ExactSum()
     acc.add(W * W)  # the diagonal: one edge, kernel exactly 1
     # a block has at most this many entries: one row, or within the budget
-    buf = np.empty((len(pc) + 4, max(_BLOCK_BYTES // 8, n)))
+    budget = curves._BLOCK_BYTES
+    buf = np.empty((len(pc) + 4, max(budget // 8, n)))
     i0 = 0
     while i0 < n - 1:
         # rows i0:i1 against columns i0+1:n; entry (r, c) is the pair
         # (i0 + r, i0 + 1 + c), in the strict upper triangle when c >= r
-        i1 = min(n, i0 + max(1, _BLOCK_BYTES // (8 * (n - i0))))
+        i1 = min(n, i0 + max(1, budget // (8 * (n - i0))))
         rows, cols = slice(i0, i1), slice(i0 + 1, n)
         m, c = i1 - i0, n - i0 - 1
         *d, r2, k0, k1, k2 = (b[:m * c].reshape(m, c) for b in buf)
@@ -308,9 +304,9 @@ def double_boundary_integral(curve: ClosedCurve, *,
     c = 0.5 * np.conj(e / np.abs(e)) ** 2
     x = vz.real
     lo, hi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
-    step = max(1, _BLOCK_BYTES // 64)  # pairs of 4 complex corners
+    step = max(1, curves._BLOCK_BYTES // 64)  # pairs of 4 complex corners
     acc = _ExactSum()
-    for i, j in curves._box_pairs(lo[:, None], hi[:, None], _BLOCK_BYTES):
+    for i, j in curves._box_pairs(lo[:, None], hi[:, None]):
         for k0 in range(0, len(i), step):
             acc.add(_branch_terms(vz, c, i[k0:k0 + step], j[k0:k0 + step]))
     return acc.value()

@@ -4,9 +4,10 @@ on the hyperboloid model of the hyperbolic plane.
 Areas are exact for geodesic polygons, with no pole or chart issues: turning
 angles on the sphere, a fan of triangles from the apex on the hyperboloid.
 Boundary node tangents are sub-arc chords, which at the geodesic midpoint of
-a sub-arc lie exactly in the tangent plane.  A geodesic edge is the section
-of the cone spanned by its end rays, so the exact simplicity test of the
-plane serves both (curves._first_meeting).  The hyperbolic kernel replaces
+a sub-arc lie exactly in the tangent plane.  Both curve classes are
+curves.Polygon, with its vertex contract and its exact simplicity test
+(curves.ensure_simple): a geodesic edge is the section of the cone spanned
+by its end rays, as a planar segment is.  The hyperbolic kernel replaces
 every Euclidean pairing in the three-space kernel with the Minkowski pairing
 <a, b> = a1 b1 + a2 b2 - a3 b3; chords between distinct hyperboloid points
 are spacelike, so the denominators stay positive.  Its pointwise norm bound
@@ -17,13 +18,11 @@ here; reports produced by the CLI flag this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from .curves import (CurveError, Geometry, _first_meeting, _require_count,
-                     metric_dot)
+from . import curves
+from .curves import CurveError, Geometry, Polygon, _require_count, metric_dot
 from .quadrature import IsoperimetricReport, pair_sum
 
 _MINK = (1.0, 1.0, -1.0)
@@ -54,22 +53,15 @@ SPHERE = Geometry(tag="sphere", K=1.0, J=_EUCLID3, f=np.sin,
                   verify="spaces.verify_sphere_isoperimetric")
 
 
-@dataclass(frozen=True, eq=False)
-class SphericalCurve:
-    """Geodesic polygon on the unit sphere: unit vertices, great-circle edges.
+class SphericalCurve(Polygon):
+    """Geodesic polygon on the unit sphere: unit vertices, great-circle
+    edges, the interior on the left of travel."""
 
-    Vertex order defines the interior (the region on the left of travel).
-    """
+    geometry = SPHERE
+    _meeting_errors = ("spherical curve is self-intersecting",
+                       "overlapping great-circle edges")
 
-    vertices: np.ndarray
-    geometry: ClassVar[Geometry] = SPHERE
-
-    def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 3 or len(v) < 3:
-            raise CurveError(f"need (n>=3, 3) vertex array, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise CurveError("vertices must be finite")
+    def _check_vertices(self, v) -> None:
         norms = np.linalg.norm(v, axis=1)
         if np.abs(norms - 1.0).max() > 1e-12:
             raise CurveError("vertices must lie on the unit sphere (|v| = 1)")
@@ -79,12 +71,6 @@ class SphericalCurve:
             raise CurveError("consecutive vertices coincide")
         if dots.min() <= -1.0 + 1e-9:
             raise CurveError("consecutive vertices are antipodal")
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
 
 def sphere_perimeter(curve: SphericalCurve) -> float:
@@ -140,11 +126,8 @@ def sphere_double_integral(curve: SphericalCurve, refinement: int = 1) -> float:
 def verify_sphere_isoperimetric(curve: SphericalCurve,
                                 refinement: int = 1) -> IsoperimetricReport:
     """Report with the sharp spherical bound (4*pi - A) * A, for a simple
-    curve (curves._first_meeting): arcs are closed, so touching counts."""
-    meet = _first_meeting(curve.vertices)
-    if meet:
-        raise CurveError("overlapping great-circle edges" if meet == 2
-                         else "spherical curve is self-intersecting")
+    curve (curves.ensure_simple)."""
+    curves.ensure_simple(curve)
     return IsoperimetricReport.of(SPHERE, sphere_perimeter(curve),
                                   sphere_area(curve),
                                   sphere_double_integral(curve, refinement))
@@ -169,19 +152,13 @@ HYPERBOLIC = Geometry(
            "empirically, not proved",))
 
 
-@dataclass(frozen=True, eq=False)
-class HyperbolicCurve:
+class HyperbolicCurve(Polygon):
     """Geodesic polygon on {<x, x> = -1, x3 > 0} with the Minkowski pairing."""
 
-    vertices: np.ndarray
-    geometry: ClassVar[Geometry] = HYPERBOLIC
+    geometry = HYPERBOLIC
+    _meeting_errors = ("hyperbolic curve is self-intersecting",) * 2
 
-    def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 3 or len(v) < 3:
-            raise CurveError(f"need (n>=3, 3) vertex array, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise CurveError("vertices must be finite")
+    def _check_vertices(self, v) -> None:
         # |<v, v> + 1| against 1e-10 + 8 eps x3^2: the rounding of <v, v>
         # on generated circles reaches 5.7 eps x3^2, and a vertex moved
         # along its ray by lambda is off by lambda^2 - 1.  From 2^22 on,
@@ -199,12 +176,6 @@ class HyperbolicCurve:
         if (cosh_d.min() <= 1.0 + 1e-14
                 or not np.cross(v, np.roll(v, -1, axis=0)).any(axis=1).all()):
             raise CurveError("consecutive vertices coincide")
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
 
 def hyperbolic_circle(radius: float, n: int, phase: float = 0.0) -> HyperbolicCurve:
@@ -258,9 +229,8 @@ def hyperbolic_double_integral(curve: HyperbolicCurve,
 def verify_hyperbolic_isoperimetric(curve: HyperbolicCurve,
                                     refinement: int = 1) -> IsoperimetricReport:
     """Report with the sharp hyperbolic bound (4*pi + A) * A, for a simple
-    curve (curves._first_meeting, on the vertices as rays)."""
-    if _first_meeting(curve.vertices):
-        raise CurveError("hyperbolic curve is self-intersecting")
+    curve (curves.ensure_simple)."""
+    curves.ensure_simple(curve)
     return IsoperimetricReport.of(HYPERBOLIC, hyperbolic_perimeter(curve),
                                   hyperbolic_area(curve),
                                   hyperbolic_double_integral(curve, refinement))

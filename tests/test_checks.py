@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isocal import checks
+from isocal import checks, curves
 from isocal.biform import _field, biform_apply, d1d2_fd
 from isocal.biform import mixed_derivative_closed_form
 
@@ -76,7 +76,7 @@ def test_circle_equality_keeps_the_bits_of_the_loop(dim, n):
 def test_circle_equality_is_independent_of_the_blocking(monkeypatch, dim):
     # blocks of 1, 3 and 4 circles: 7 circles end mid-block or on its edge
     for budget in (8, 8 * dim * dim * 3, 8 * dim * dim * 4):
-        monkeypatch.setattr(checks, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
         for seed in range(5):
             assert checks.circle_equality_residual(dim, 7, seed).hex() == \
                 circle_equality_reference(dim, 7, seed).hex()
@@ -95,7 +95,7 @@ def test_mixed_derivative_is_independent_of_the_blocking(monkeypatch, space):
     dim = 2 if space == "r2" else 3
     # blocks of 1 pair and of 7: 50 pairs end mid-block
     for budget in (8, 7 * 8 * 4 * dim ** 4):
-        monkeypatch.setattr(checks, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
         for seed in range(3):
             assert checks.mixed_derivative_residual(space, 50, seed).hex() \
                 == mixed_derivative_reference(space, 50, seed).hex()
@@ -141,7 +141,7 @@ def test_circle_equality_memory_is_linear_in_budget(monkeypatch):
     # (the budget buys budget / 72 circles); 100,000 circles at once would
     # take some 50 MB
     budget = 1 << 14
-    monkeypatch.setattr(checks, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
     peak = _peak(lambda: checks.circle_equality_residual(3, 100_000),
                  lambda: checks.circle_equality_residual(3, 10))
     assert peak < 12 * budget + (1 << 16)
@@ -152,7 +152,7 @@ def test_mixed_derivative_memory_is_linear_in_budget(monkeypatch):
     # (the budget buys budget / 2592 pairs in R^3); 20,000 pairs at once
     # would take over 200 MB
     budget = 1 << 15
-    monkeypatch.setattr(checks, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
     peak = _peak(lambda: checks.mixed_derivative_residual("r3", 20_000),
                  lambda: checks.mixed_derivative_residual("r3", 10))
     assert peak < 8 * budget + (1 << 16)

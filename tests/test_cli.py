@@ -348,6 +348,56 @@ def test_verify_reversed_curve_rejected(tmp_path, capsys):
     assert "negatively oriented" in capsys.readouterr().err
 
 
+def _on_equator(lon):
+    t = math.radians(lon)
+    return [math.cos(t), math.sin(t), 0.0]
+
+
+def _at(space, r, phi):
+    """The point at distance r from the centre (0, 0, 1) of the sphere or
+    the hyperboloid, or from the origin of the plane, at azimuth phi."""
+    if space == "euclidean":
+        return [r * math.cos(phi), r * math.sin(phi)]
+    if space == "sphere":
+        return [math.sin(r) * math.cos(phi), math.sin(r) * math.sin(phi),
+                math.cos(r)]
+    return [math.sinh(r) * math.cos(phi), math.sinh(r) * math.sin(phi),
+            math.cosh(r)]
+
+
+@pytest.mark.parametrize("space, valid, k, moved, message", [
+    ("euclidean", regular_polygon(8).vertices, 0,
+     _at("euclidean", 1.2, 2 * math.pi * 5 / 8), "self-intersecting"),
+    ("sphere", geodesic_cap(1.0, 8).vertices, 0,
+     _at("sphere", 1.3, 2 * math.pi * 4.5 / 8), "self-intersecting"),
+    # edge 3 runs from 60 to 90 degrees on the equator; moved to 10 degrees
+    # it covers part of edge 0, from 0 to 30 degrees
+    ("sphere", [_on_equator(0), _on_equator(30), [0.5, 0.5, math.sqrt(0.5)],
+                _on_equator(60), _on_equator(90),
+                [0.5, 0.5, -math.sqrt(0.5)]], 4, _on_equator(10),
+     "overlapping great-circle edges"),
+    ("hyperbolic", hyperbolic_circle(1.0, 8).vertices, 0,
+     _at("hyperbolic", 1.3, 2 * math.pi * 4.5 / 8), "self-intersecting")],
+    ids=["plane", "sphere", "sphere-overlap", "hyperbolic"])
+def test_verify_vertex_moved_across_an_edge_exit_2(tmp_path, capsys, space,
+                                                   valid, k, moved, message):
+    # the valid polygon is accepted (its check may fail at refinement 1);
+    # with vertex k moved across a non-adjacent edge it is rejected
+    path = tmp_path / "c.json"
+
+    def verify(v):
+        path.write_text(json.dumps({"vertices": v.tolist(), "closed": True,
+                                    "space": space}))
+        return main(["verify", str(path), "--out", str(tmp_path / "r.json")])
+
+    v = np.array(valid, float)
+    assert verify(v) in (0, 1)
+    v[k] = moved
+    assert verify(v) == 2
+    err = capsys.readouterr().err
+    assert "invalid curve" in err and message in err
+
+
 def test_verify_unknown_tolerance_exit_2(square_file):
     assert main(["verify", square_file, "--tolerance", "bogus=1"]) == 2
 

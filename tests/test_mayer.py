@@ -30,7 +30,7 @@ from isocal import (
     solve_el,
     weierstrass_gap,
 )
-from isocal import checks, mayer
+from isocal import checks, curves, mayer
 
 FREE = get_problem("free")
 OSC = get_problem("oscillator")
@@ -887,5 +887,5 @@ def test_dominance_sweep_matches_scalar_loop_and_any_blocking(monkeypatch):
         gaps.append(weierstrass_gap(OSC.lagrangian, OSC.family, t,
                                     OSC.family.u(s, t), qd))
     assert checks.dominance_minimum(OSC, 150, seed=17) == min(gaps)
-    monkeypatch.setattr(checks, "_SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", 7 * 32)  # blocks of 7
     assert checks.dominance_minimum(OSC, 150, seed=17) == min(gaps)

@@ -486,14 +486,14 @@ def test_double_integral_takes_no_refinement():
 
 @pytest.mark.parametrize("n, budget", [(512, 1 << 12), (2048, 1 << 17)])
 def test_corner_sum_memory_is_linear_in_budget(monkeypatch, n, budget):
-    # spiky stars.  quadrature's budget sets both the sweep's pair chunks
+    # spiky stars.  The one budget sets both the sweep's pair chunks
     # and the branch terms' sub-chunks.  A chunk's index arrays and a
     # sub-chunk's complex corners each take at most max(budget, 16 n)
     # bytes, and some dozen live at once, the reduction's included; per vertex, a few complex
     # numbers; the 4096-bin sums are fixed.  The full complex matrix is
     # 4 MiB and 64 MiB.
     c = ClosedCurve(spiky_star(np.random.default_rng(9), n))
-    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
         double_boundary_integral(c, check_simple=False)
@@ -537,7 +537,7 @@ def test_double_integral_bitwise_independent_of_blocking_and_start(
     assert double_boundary_integral(rolled, check_simple=False).hex() == want
     for budget in (1 << 12, 1 << 15, 1 << 24):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quadrature, "_BLOCK_BYTES", budget)
+            mp.setattr(curves, "_BLOCK_BYTES", budget)
             got = double_boundary_integral(ClosedCurve(v), check_simple=False)
         assert got.hex() == want
 
@@ -771,7 +771,7 @@ def test_pair_sum_band_and_blocking_match_the_full_matrix(
     for start in (0, shift % len(v)):
         P, T, W, E = geometry.nodes(np.roll(v, start, axis=0), refinement)[:4]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quadrature, "_BLOCK_BYTES", budget)
+            mp.setattr(curves, "_BLOCK_BYTES", budget)
             assert quadrature.pair_sum(P, T, W, E, J).hex() == want
 
 
@@ -811,7 +811,7 @@ def test_midpoint_double_integral_matches_the_reference_pair_sum(
     P, T, W, E, _, _ = boundary_node_arrays(c, refinement)
     want = reference_pair_sum(P, T, W, E, (1.0, 1.0))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_BLOCK_BYTES", budget)
+        mp.setattr(curves, "_BLOCK_BYTES", budget)
         assert quadrature.midpoint_double_integral(c, refinement).hex() == \
             want.hex()
 
@@ -838,7 +838,7 @@ def test_pair_sum_memory_is_linear_in_budget_and_nodes(monkeypatch, budget):
     c = ClosedCurve(spiky_star(np.random.default_rng(9), 512))
     P, T, W, E, _, _ = boundary_node_arrays(c, 4)
     n = len(P)
-    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
         quadrature.pair_sum(P, T, W, E, (1.0, 1.0))

@@ -11,8 +11,9 @@ bits as math.fsum.  Either way a total is a function of the multiset of
 its terms alone: the same, bit for bit, for any blocking and any starting
 vertex.  Blocks stay within the byte budget curves._BLOCK_BYTES.  Every
 row block of the pair sum is a view of buffers allocated once per call,
-which the kernel fills through _kernel(..., out), and as nodes come edge
-by edge its same-edge pairs lie in a narrow band of columns.  The winding
+which the kernel fills through _kernel(..., out).  As nodes come edge by
+edge, the pair sum adds its same-edge pairs in closed form, and its
+blocks' columns start past the row's edge.  The winding
 integral is exact too, twice the sum of the angles the edges subtend at
 the point, and so is the interior curl integral, one closed-form term per
 fan triangle from its singular point.
@@ -133,12 +134,13 @@ class _ExactSum:
     them.  A sum beyond the float range raises OverflowError, as fsum does.
     """
 
-    def __init__(self):
+    def __init__(self, size: int = 0):
         self._bins = np.zeros((2, 4096))  # the sums of hi and of lo per bin
         self._terms = 0  # binned since the last flush
         self._total = 0
         self._special = []  # the non-finite terms
-        self._buf = np.empty((2, 0), np.uint64)  # bin indices, hi then lo
+        # bin indices, hi then lo: room for size terms, grown by larger adds
+        self._buf = np.empty((2, size), np.uint64)
         self._big = None  # the terms of 2^998 and above, times 2^-128
 
     def add(self, x) -> None:
@@ -176,6 +178,19 @@ class _ExactSum:
         self._big.add(np.ldexp(x[big], -128))
         self._bin(x[finite & ~big])
 
+    def add_copies(self, x: float, count: int) -> None:
+        """Add count >= 0 copies of the float x, exactly for any count: one
+        Python-int product in the units of _flush, 2^-1127, which hold
+        every finite float as an integer.  A non-finite x decides the
+        result as one copy does in fsum."""
+        if count == 0:
+            return
+        if not math.isfinite(x):
+            self._special.append(x)
+            return
+        p, q = x.as_integer_ratio()  # q is a power of two
+        self._total += count * p * ((1 << 1127) // q)
+
     def _flush(self) -> None:
         nz = np.flatnonzero(self._bins)
         m, k = np.frexp(self._bins.ravel()[nz])
@@ -200,54 +215,70 @@ def pair_sum(P, T, W, E, J) -> float:
     """Sum_{i,j} w_i w_j K(x_i, t_i; x_j, t_j) under the diagonal metric J.
 
     K = 2 <z, t_i> <z, t_j> / <z, z> - <t_i, t_j>, z = x_i - x_j, <a, b> =
-    sum_k J_k a_k b_k, J = (1, 1), (1, 1, 1) or (1, 1, -1).  Pairs on one
-    edge (equal E) take the exact value 1.  E must be nondecreasing, as
-    Geometry.nodes lays nodes out edge by edge (ValueError otherwise): in
-    the row block i0:i1 the same-edge pairs then lie in the columns up to
-    the last node of edge E[i1 - 1], a narrow band where the mask is built.
-    As K(i, j) is bitwise K(j, i), the diagonal terms and the doubled
-    strict-upper terms go into one exact binned reduction, correctly
-    rounded, the same bits as math.fsum: the correctly rounded sum of the
-    ordered-pair multiset, whatever the row blocking or starting vertex.
-    Every block is a view of buffers allocated once per call; the kernel
-    fills its workspace through _kernel(..., out).
+    sum_k J_k a_k b_k, J = (1, 1), (1, 1, 1) or (1, 1, -1).  E must be
+    nondecreasing, as Geometry.nodes lays nodes out edge by edge, and W
+    constant on each run of equal E, an edge (ValueError otherwise).  On
+    one geodesic edge K is identically 1, so the pairs of an edge of m
+    nodes of weight w are summed in closed form: the diagonal terms w w
+    and m (m - 1) / 2 copies of the doubled term (2 w) w
+    (_ExactSum.add_copies).  As K(i, j) is bitwise K(j, i), the kernel
+    sees only the pairs i < j of distinct edges, doubled: rows i0:i1
+    against the columns c0:n past row i0's edge.  Rows that reach past c0,
+    into later edges, meet their own and earlier edges in the columns up
+    to the end of edge E[i1 - 1], a narrow band where those entries are
+    masked to zero.  Every term goes into one exact binned reduction,
+    correctly rounded, the same bits as math.fsum: the correctly rounded
+    sum of the ordered-pair multiset, whatever the row blocking or
+    starting vertex.  Every block is a view of buffers allocated once per
+    call; the kernel fills its workspace through _kernel(..., out).
     """
     n = len(P)
     if (np.diff(E) < 0).any():
         raise ValueError("edge ids E must be nondecreasing")
+    # the runs of equal E: edge k holds the nodes starts[k]:ends[k]
+    starts = np.flatnonzero(np.diff(E, prepend=np.nan))
+    ends = np.append(starts[1:], n)
+    m = ends - starts
+    if (W != np.repeat(W[starts], m)).any():
+        raise ValueError("weights W must be constant on each edge")
+    # a block has at most this many entries: one row, or within the budget
+    budget = curves._BLOCK_BYTES
+    size = max(budget // 8, n)
+    acc = _ExactSum(size)
+    acc.add(W * W)  # the diagonal
+    w, k = W[starts[m > 1]], m[m > 1]
+    for x, count in zip(((2.0 * w) * w).tolist(), (k * (k - 1) // 2).tolist()):
+        acc.add_copies(x, count)
     # contiguous coordinate and tangent columns
     pc = [np.ascontiguousarray(p) for p in P.T]
     tc = [np.ascontiguousarray(t) for t in T.T]
     W2 = 2.0 * W
-    acc = _ExactSum()
-    acc.add(W * W)  # the diagonal: one edge, kernel exactly 1
-    # a block has at most this many entries: one row, or within the budget
-    budget = curves._BLOCK_BYTES
-    buf = np.empty((len(pc) + 4, max(budget // 8, n)))
-    i0 = 0
-    while i0 < n - 1:
-        # rows i0:i1 against columns i0+1:n; entry (r, c) is the pair
-        # (i0 + r, i0 + 1 + c), in the strict upper triangle when c >= r
-        i1 = min(n, i0 + max(1, budget // (8 * (n - i0))))
-        rows, cols = slice(i0, i1), slice(i0 + 1, n)
-        m, c = i1 - i0, n - i0 - 1
-        *d, r2, k0, k1, k2 = (b[:m * c].reshape(m, c) for b in buf)
+    past = np.repeat(ends, m)  # the first node past each node's edge
+    buf = np.empty((len(pc) + 4, size))
+    i0, last = 0, starts[-1] if n else 0  # the last edge's rows pair nothing
+    while i0 < last:
+        # rows i0:i1 against columns c0:n; entry (r, c) is the pair
+        # (i0 + r, c0 + c)
+        c0 = int(past[i0])
+        i1 = min(last, i0 + max(1, budget // (8 * (n - c0))))
+        rows, cols = slice(i0, i1), slice(c0, n)
+        *d, r2, k0, k1, k2 = (b[:(i1 - i0) * (n - c0)].reshape(i1 - i0, -1)
+                              for b in buf)
         for p, dp in zip(pc, d):
             np.subtract(p[rows, None], p[None, cols], out=dp)
         metric_dot(J, d, d, (r2, k0))
-        # the kernel restricted to one geodesic edge is identically 1, so
-        # same-edge pairs take that value rather than a near-singular one
-        band = int(np.searchsorted(E, E[i1 - 1], "right")) - (i0 + 1)
-        same = E[rows, None] == E[None, i0 + 1:i0 + 1 + band]
-        np.copyto(r2[:, :band], 1.0, where=same)
+        band = int(past[i1 - 1]) - c0
+        if band > 0:
+            # pairs on the row's own edge, summed in closed form, or with j
+            # on an earlier one, summed as (j, i); r2 = 1 spares i = j 0 / 0
+            done = E[None, c0:c0 + band] <= E[rows, None]
+            np.copyto(r2[:, :band], 1.0, where=done)
         K = _kernel(d, [t[rows, None] for t in tc],
                     [t[None, cols] for t in tc], J, r2, (k0, k1, k2))
-        np.copyto(K[:, :band], 1.0, where=same)
         terms = np.multiply(K, np.multiply(W2[rows, None], W[None, cols],
                                            out=k1), out=K)
-        # entries below the strict upper triangle add zero
-        corner = terms[:, :m]
-        corner[np.tri(*corner.shape, -1, dtype=bool)] = 0.0
+        if band > 0:
+            np.copyto(terms[:, :band], 0.0, where=done)
         acc.add(terms)
         i0 = i1
     return acc.value()

@@ -730,6 +730,50 @@ def test_exact_sum_at_its_flush_limit(x):
     assert acc.value().hex() == float(total + sum(map(Fraction, cancel))).hex()
 
 
+def rounded(total):
+    """The float a sum rounds to, or the error it raises."""
+    try:
+        return total().hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+# every exponent: subnormals, and terms of 2^998 and above (the _rare path)
+everyexp = st.builds(lambda s, m, e: s * math.ldexp(m, e),
+                     st.sampled_from([1.0, -1.0]), st.integers(0, 2**53 - 1),
+                     st.integers(-1074, 971))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(st.tuples(st.lists(everyexp, max_size=4), everyexp,
+                              st.integers(0, 50) | st.integers(0, 2**40)),
+                    max_size=6))
+def test_exact_sum_add_copies_is_exact(ops):
+    # ordinary adds interleaved with repeated ones, against the exact sum;
+    # with at most 50 copies each, against fsum over the expanded list too
+    acc, total, expanded = quadrature._ExactSum(), Fraction(0), []
+    for terms, x, count in ops:
+        acc.add(terms)
+        acc.add_copies(x, count)
+        total += sum(map(Fraction, terms)) + count * Fraction(x)
+        expanded += terms + [x] * min(count, 51)  # read if count <= 50
+    got = rounded(acc.value)
+    assert got == rounded(lambda: float(total))
+    if all(count <= 50 for _, _, count in ops) and \
+            rounded(lambda: math.fsum(expanded)) != "OverflowError":
+        assert got == math.fsum(expanded).hex()
+
+
+@pytest.mark.parametrize("x, count, terms", [
+    (math.inf, 3, [1.0]), (-math.inf, 1, [1e308, 2.0]),
+    (math.nan, 2, [1.0]), (math.inf, 0, [1.0, -math.inf])])
+def test_exact_sum_add_copies_non_finite_like_fsum(x, count, terms):
+    acc = quadrature._ExactSum()
+    acc.add(terms)
+    acc.add_copies(x, count)
+    assert acc.value().hex() == math.fsum(terms + [x] * count).hex()
+
+
 # ---------------------------------------------------------------------------
 # the pair sum's blocks, band and buffers
 
@@ -757,15 +801,18 @@ def metric_polygon(space, rng, n):
 
 @settings(max_examples=40, deadline=None)
 @given(space=st.sampled_from(sorted(METRICS)), seed=st.integers(0, 2**32 - 1),
-       refinement=st.integers(1, 5),
+       refinement=st.integers(1, 5) | st.sampled_from([17, 64]),
        budget=st.sampled_from([8, 1 << 12, 1 << 17, 1 << 24]),
        shift=st.integers(1, 10**6))
 def test_pair_sum_band_and_blocking_match_the_full_matrix(
         space, seed, refinement, budget, shift):
     # blocks of one row (8 B), of a few rows starting and ending mid-edge
-    # (4 KiB), of many rows (128 KiB) and of the whole matrix (16 MiB)
+    # (4 KiB), of many rows (128 KiB) and of the whole matrix (16 MiB); at
+    # refinements 17 and 64 (5 to 9 vertices) most row blocks lie inside
+    # one edge
     rng = np.random.default_rng(seed)
-    geometry, v = metric_polygon(space, rng, int(rng.integers(5, 40)))
+    geometry, v = metric_polygon(
+        space, rng, int(rng.integers(5, 40 if refinement <= 5 else 10)))
     J = METRICS[space]
     want = full_matrix_sum(*geometry.nodes(v, refinement)[:4], J).hex()
     for start in (0, shift % len(v)):
@@ -825,6 +872,47 @@ def test_pair_sum_requires_nondecreasing_edge_ids():
     E[[5, -5]] = E[[-5, 5]]
     with pytest.raises(ValueError, match="nondecreasing"):
         quadrature.pair_sum(P, T, W, E, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("space", sorted(METRICS))
+def test_pair_sum_requires_one_weight_per_edge(space):
+    # the same-edge pairs are summed as copies of one term per edge
+    P, T, W, E = metric_nodes(space, np.random.default_rng(3))
+    for node in (0, 7, len(W) - 1):  # first, inner and last run
+        bent = W.copy()
+        bent[node] = np.nextafter(bent[node], np.inf)
+        with pytest.raises(ValueError, match="constant on each edge"):
+            quadrature.pair_sum(P, T, bent, E, METRICS[space])
+
+
+@pytest.mark.parametrize("vertices, refinement", [(SQUARE.vertices, 64),
+                                                  (SQUARE.vertices[:3], 50)])
+@pytest.mark.parametrize("budget", [1 << 12, 1 << 17])
+def test_pair_sum_evaluates_only_cross_edge_pairs(monkeypatch, vertices,
+                                                  refinement, budget):
+    # the kernel sees each pair i < j of distinct edges once; beyond those,
+    # only a block's rows past its first column c0 see the columns from c0
+    # to the end of their own edge, which add zero.  At 4 KiB the row
+    # blocks lie inside one edge, and nothing more is evaluated.
+    P, T, W, E, _, _ = boundary_node_arrays(ClosedCurve(vertices), refinement)
+    n, m = len(P), np.bincount(E)
+    ends = np.repeat(np.cumsum(m), m)
+    want = full_matrix_sum(P, T, W, E, (1.0, 1.0))
+    kernel, shapes = quadrature._kernel, []
+    monkeypatch.setattr(quadrature, "_kernel",
+                        lambda *a: shapes.append(a[4].shape) or kernel(*a))
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    assert quadrature.pair_sum(P, T, W, E, (1.0, 1.0)).hex() == want.hex()
+    cross = (n * n - (m * m).sum()) // 2
+    evaluated, slack, i0 = 0, 0, 0
+    for rows, cols in shapes:
+        c0 = n - cols
+        evaluated += rows * cols
+        slack += (ends[c0:i0 + rows] - c0).sum()
+        i0 += rows
+    assert evaluated == cross + slack < n * (n - 1) // 2
+    if budget == 1 << 12:
+        assert slack == 0
 
 
 @pytest.mark.parametrize("budget", [1 << 12, 1 << 17])

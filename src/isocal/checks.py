@@ -27,6 +27,7 @@ from .biform import mixed_derivative_closed_form
 from .mayer import (
     CallablePath,
     MayerProblem,
+    _PULLBACK_STEP,
     _competitor_action,
     _takes_arrays,
     action,
@@ -37,15 +38,12 @@ from .mayer import (
 )
 
 
-def _random_points(rng, n, dim, min_sep=1e-6):
+def _random_points(rng, n, dim):
+    """n point pairs, each at least 1e-6 apart."""
     x = rng.normal(size=(n, dim)) * 1.5
     y = rng.normal(size=(n, dim)) * 1.5
-    d = np.linalg.norm(x - y, axis=1)
-    bad = d < min_sep
-    while bad.any():
+    while (bad := np.linalg.norm(x - y, axis=1) < 1e-6).any():
         y[bad] = rng.normal(size=(int(bad.sum()), dim)) * 1.5
-        d = np.linalg.norm(x - y, axis=1)
-        bad = d < min_sep
     return x, y
 
 
@@ -117,10 +115,9 @@ def consistency_residual(n: int = 10000, seed: int = 0) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0,
-                              h: float = 1e-3) -> float:
-    """max abs deviation of the finite-difference mixed derivative from the
-    closed form, over pairs at unit-order separation.
+def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
+    """max abs deviation of the finite-difference mixed derivative, of step
+    1e-3, from the closed form, over pairs at unit-order separation.
 
     Each pair is one row of each of two streams spawned from the seed: a
     normal row holds a direction and a base point, a uniform row the
@@ -136,7 +133,7 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0,
         u, y = normal.normal(size=(m, 2, dim)).transpose(1, 0, 2)
         r = uniform.uniform(1.0, 2.0, size=m)
         x = y + r[:, None] * (u / np.linalg.norm(u, axis=1, keepdims=True))
-        got = d1d2_fd(space, x, y, h).value
+        got = d1d2_fd(space, x, y, 1e-3).value
         want = mixed_derivative_closed_form(space, x, y)
         worst = float(np.max(np.abs(got - want), initial=worst))
     return worst
@@ -145,16 +142,13 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Mayer-side sweeps
 
-_AMPLITUDE = {"free": 0.8, "oscillator": 0.12, "cosh": 0.8}
-
-
-def _bump_path(problem: MayerProblem, rng, amplitude: float,
-               n_modes: int = 3) -> CallablePath:
-    """Central leaf plus random sine modes vanishing at both endpoints."""
+def _bump_path(problem: MayerProblem, rng) -> CallablePath:
+    """Central leaf plus three random sine modes vanishing at both
+    endpoints, with coefficients within the problem's amplitude."""
     a, b = problem.lagrangian.domain
     base = problem.family.central_leaf
-    coeffs = rng.uniform(-amplitude, amplitude, size=n_modes)
-    ks = np.arange(1, n_modes + 1) * math.pi / (b - a)
+    coeffs = rng.uniform(-problem.amplitude, problem.amplitude, size=3)
+    ks = np.arange(1, len(coeffs) + 1) * math.pi / (b - a)
 
     @_takes_arrays
     def f(t):
@@ -190,36 +184,36 @@ def dominance_minimum(problem: MayerProblem, n: int = 10000,
     return worst
 
 
-def field_equality_residual(problem: MayerProblem, n: int = 33) -> float:
-    """max |L - lam| along the central leaf."""
+def field_equality_residual(problem: MayerProblem) -> float:
+    """max |L - lam| at 33 times along the central leaf."""
     a, b = problem.lagrangian.domain
     leaf = problem.family.central_leaf
-    t = np.linspace(a + 1e-3, b - 1e-3, n)
+    t = np.linspace(a + 1e-3, b - 1e-3, 33)
     gap = weierstrass_gap(problem.lagrangian, problem.family, t,
                           leaf.value(t), leaf.derivative(t))
     return float(np.max(np.abs(gap), initial=0.0))
 
 
 def path_independence_residual(problem: MayerProblem, n_pairs: int = 20,
-                               seed: int = 0, n_quad: int = 2000) -> float:
+                               seed: int = 0) -> float:
     """max |action(lam, f1) - action(lam, f2)| over random endpoint-matched
     path pairs."""
     rng = np.random.default_rng(seed)
     nl = null_lagrangian(problem.lagrangian, problem.family)
-    amp = _AMPLITUDE[problem.name]
     worst = 0.0
     for _ in range(n_pairs):
-        f1 = _bump_path(problem, rng, amp)
-        f2 = _bump_path(problem, rng, amp)
-        i1, i2 = path_independence_check(nl, f1, f2, n=n_quad)
+        f1 = _bump_path(problem, rng)
+        f2 = _bump_path(problem, rng)
+        i1, i2 = path_independence_check(nl, f1, f2)
         worst = max(worst, abs(i1 - i2))
     return worst
 
 
-def pullback_residual(problem: MayerProblem, n: int = 100, seed: int = 0,
-                      h: float = 1e-4) -> float:
+def pullback_residual(problem: MayerProblem, n: int = 100,
+                      seed: int = 0) -> float:
     """max |pullback coefficient of the symplectic form| over random (s, t)."""
     rng = np.random.default_rng(seed)
+    h = _PULLBACK_STEP
     a, b = problem.family.t_domain
     lo, hi = problem.family.s_interval
     s, t = rng.uniform([lo + 0.1 * (hi - lo), a + 10 * h],
@@ -235,13 +229,12 @@ def minimality_minimum(problem: MayerProblem, n: int = 100,
     Equals min(minimality_gap(...)) over the same draws, bit for bit, with
     the central leaf's action integrated once."""
     rng = np.random.default_rng(seed)
-    amp = _AMPLITUDE[problem.name]
     L, family = problem.lagrangian, problem.family
     leaf = family.central_leaf
     central = action(L, leaf, n=n_quad)
     worst = math.inf
     for _ in range(n):
-        f = _bump_path(problem, rng, amp)
+        f = _bump_path(problem, rng)
         worst = min(worst,
                     _competitor_action(L, family, f, leaf, n_quad) - central)
     return worst

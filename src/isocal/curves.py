@@ -117,9 +117,9 @@ class Geometry:
                 np.repeat(np.arange(len(v)), refinement), starts, ends)
 
 
-def auto_refinement(curve, target_nodes: int = 512) -> int:
-    """Sub-edge refinement giving at least target_nodes nodes (minimum 2)."""
-    return max(2, math.ceil(target_nodes / curve.n_vertices))
+def auto_refinement(curve) -> int:
+    """Sub-edge refinement giving at least 512 nodes (minimum 2)."""
+    return max(2, math.ceil(512 / curve.n_vertices))
 
 
 def _plane_lengths(a, b):

@@ -29,7 +29,16 @@ Scalar3 = Callable[[float, float, float], float]
 # Below this the Legendre coefficient counts as degenerate: every downstream
 # formula divides by it.
 DEGENERATE_D2 = 1e-10
+# Centred-difference steps: _FD_CROSS for time derivatives and the
+# Euler-Lagrange cross partials, _FD_STEP for from_value_fn's partials and
+# the residuals checked against such partials, _PULLBACK_STEP for the
+# pullback coefficient (lagrangian_submanifold_check, checks.pullback_residual).
 _FD_CROSS = 1e-6
+_FD_STEP = 1e-5
+_PULLBACK_STEP = 1e-4
+_ENDPOINT_TOL = 1e-10  # paths that agree to this at both ends share them
+_LEAF_TOL = 1e-12  # bracket width of a leaf parameter (_locate_leaf)
+_EL_TOL = 1e-6  # Euler-Lagrange residual bound on null_lagrangian's leaves
 
 
 class LegendreError(ValueError):
@@ -122,9 +131,9 @@ class Lagrangian1D:
                                _array_callable(getattr(self, name), *probe))
 
     @classmethod
-    def from_value_fn(cls, l: Scalar3, domain, fd_step: float = 1e-5):
+    def from_value_fn(cls, l: Scalar3, domain):
         """Build the partials from the value function by centred differences."""
-        h = fd_step
+        h = _FD_STEP
 
         def dq(t, q, qd):
             return (l(t, q + h, qd) - l(t, q - h, qd)) / (2 * h)
@@ -137,13 +146,12 @@ class Lagrangian1D:
 
         return cls(l, dq, dqd, d2, (float(domain[0]), float(domain[1])))
 
-    def partials_residual(self, n: int = 200, seed: int = 0,
-                          box: float = 2.0, fd_step: float = 1e-5) -> float:
+    def partials_residual(self, n: int = 200, seed: int = 0) -> float:
         """Max relative deviation of the stated partials from differences."""
         rng = np.random.default_rng(seed)
         a, b = self.domain
-        h = fd_step
-        t, q, qd = rng.uniform([a + 1e-3, -box, -box], [b - 1e-3, box, box],
+        h = _FD_STEP
+        t, q, qd = rng.uniform([a + 1e-3, -2.0, -2.0], [b - 1e-3, 2.0, 2.0],
                                size=(n, 3)).T
         fd_q = (self.l(t, q + h, qd) - self.l(t, q - h, qd)) / (2 * h)
         fd_qd = (self.l(t, q, qd + h) - self.l(t, q, qd - h)) / (2 * h)
@@ -163,7 +171,6 @@ class CallablePath:
 
     f: Callable[[float], float]
     fdot: Optional[Callable[[float], float]] = None
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         probe = np.array([0.3, 0.7])
@@ -177,7 +184,7 @@ class CallablePath:
     def derivative(self, t):
         if self.fdot is not None:
             return self.fdot(t)
-        h = self.fd_step
+        h = _FD_CROSS
         return (self.f(t + h) - self.f(t - h)) / (2 * h)
 
 
@@ -303,12 +310,13 @@ def solve_el(L: Lagrangian1D, t0: float, q0: float, qdot0: float,
     return Extremal(grid, values[0], slopes[0])
 
 
-def el_residual(L: Lagrangian1D, f, t, h: float = 1e-5, domain=None):
+def el_residual(L: Lagrangian1D, f, t, domain=None):
     """d/dt [dL_dqdot along f] - dL_dq along f, by centred differences.
 
-    Times must lie h inside `domain`, which defaults to the path's own domain
-    when it has one and to the Lagrangian's otherwise.
+    Times must lie the step, 1e-5, inside `domain`, which defaults to the
+    path's own domain when it has one and to the Lagrangian's otherwise.
     """
+    h = _FD_STEP
     a, b = domain if domain is not None else getattr(f, "domain", L.domain)
     tt = _points(t)[0]
     inside = (a + h <= tt) & (tt <= b - h)
@@ -341,7 +349,6 @@ class SolutionFamily:
     t_domain: tuple[float, float]
     s0: float
     du_dt: Optional[Callable[[float, float], float]] = None
-    fd_step: float = 1e-6
     _monotone_sign: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -372,7 +379,7 @@ class SolutionFamily:
     def time_slope(self, s, t):
         if self.du_dt is not None:
             return self.du_dt(s, t)
-        h = self.fd_step
+        h = _FD_CROSS
         return (self.u(s, t + h) - self.u(s, t - h)) / (2 * h)
 
     def leaf(self, s: float) -> CallablePath:
@@ -381,7 +388,6 @@ class SolutionFamily:
             f=_takes_arrays(lambda t: u(s, t)),
             fdot=_takes_arrays(lambda t: du_dt(s, t)) if du_dt is not None
             else None,
-            fd_step=self.fd_step,
         )
 
     @property
@@ -389,13 +395,13 @@ class SolutionFamily:
         return self.leaf(self.s0)
 
 
-def _locate_leaf(family: SolutionFamily, t, q, s_tol: float = 1e-12):
+def _locate_leaf(family: SolutionFamily, t, q):
     """Parameter of the leaf through each (t, q), arrays of one shape
     (_points), by bisection.
 
-    Every point takes ceil(log2(width / s_tol)) halvings, a count set by the
-    width of the parameter interval alone, so a point gets the same bits
-    whether it is solved alone or inside a batch.
+    Every point takes ceil(log2(width / _LEAF_TOL)) halvings, a count set
+    by the width of the parameter interval alone, so a point gets the same
+    bits whether it is solved alone or inside a batch.
     """
     lo0, hi0 = family.s_interval
     qlo = np.broadcast_to(family.u(lo0, t), t.shape)
@@ -415,7 +421,7 @@ def _locate_leaf(family: SolutionFamily, t, q, s_tol: float = 1e-12):
     below = ((lambda s: family.u(s, t) <= q) if family._monotone_sign > 0
              else (lambda s: family.u(s, t) >= q))
     return _bisect(below, np.full(t.shape, float(lo0)), float(hi0 - lo0),
-                   max(0, math.ceil(math.log2((hi0 - lo0) / s_tol))))
+                   max(0, math.ceil(math.log2((hi0 - lo0) / _LEAF_TOL))))
 
 
 def _bisect(below, lo, width, halvings: int):
@@ -506,14 +512,13 @@ def hamiltonian(L: Lagrangian1D, t, q, p):
 class NullLagrangianField:
     """Slope field psi with the derived affine-in-velocity Lagrangian.
 
-    lam(t, q, qdot) = p_hat(t, q, psi) qdot - energy_at(t, q, psi); it is
+    lam(t, q, qdot) = p_hat(t, q, psi) qdot - energy(L, t, q, psi); it is
     dominated by the generating Lagrangian, agrees with it along the field,
     and its action depends only on path endpoints.
     """
 
     lagrangian: Lagrangian1D
     family: SolutionFamily
-    fd_q: float = 1e-5
 
     def psi(self, t, q):
         return mayer_slope(self.family, t, q)
@@ -521,16 +526,13 @@ class NullLagrangianField:
     def p_hat(self, t, q, qdot):
         return self.lagrangian.dL_dqdot(t, q, qdot)
 
-    def energy_at(self, t, q, qdot):
-        return energy(self.lagrangian, t, q, qdot)
-
     @_takes_arrays
     def lam(self, t, q, qdot):
         args = t, q, qdot
         t, q, qdot = _points(*args)
         s = self.psi(t, q)
-        return _out(self.p_hat(t, q, s) * qdot - self.energy_at(t, q, s),
-                    *args)
+        return _out(self.p_hat(t, q, s) * qdot
+                    - energy(self.lagrangian, t, q, s), *args)
 
     @_takes_arrays
     def dlambda_dqdot(self, t, q, qdot=0.0):
@@ -539,7 +541,7 @@ class NullLagrangianField:
 
     @_takes_arrays
     def dlambda_dq(self, t, q, qdot):
-        h = self.fd_q
+        h = _FD_STEP
         return (self.lam(t, q + h, qdot) - self.lam(t, q - h, qdot)) / (2 * h)
 
     def as_lagrangian(self) -> Lagrangian1D:
@@ -552,27 +554,25 @@ class NullLagrangianField:
         )
 
 
-def null_lagrangian(L: Lagrangian1D, family: SolutionFamily,
-                    validate: bool = True,
-                    validate_tol: float = 1e-6) -> NullLagrangianField:
+def null_lagrangian(L: Lagrangian1D,
+                    family: SolutionFamily) -> NullLagrangianField:
     """Build the null Lagrangian of the family's slope field.
 
-    With validate=True a sample of leaves is checked to satisfy the
-    Euler-Lagrange equation of L; a corrupted family fails here.
+    Five leaves are checked to satisfy the Euler-Lagrange equation of L to
+    1e-6 at seven times each; a corrupted family fails here.
     """
-    if validate:
-        a, b = family.t_domain
-        lo, hi = family.s_interval
-        margin = 1e-3 * (b - a)
-        ts = np.linspace(a + margin, b - margin, 7)
-        for s in np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5):
-            r = el_residual(L, family.leaf(float(s)), ts, domain=(a, b))
-            bad = np.flatnonzero(np.abs(r) > validate_tol)
-            if bad.size:
-                k = bad[0]
-                raise FoliationError(
-                    f"leaf s={s} violates the Euler-Lagrange equation "
-                    f"(residual {r[k]:.3e} at t={ts[k]})")
+    a, b = family.t_domain
+    lo, hi = family.s_interval
+    margin = 1e-3 * (b - a)
+    ts = np.linspace(a + margin, b - margin, 7)
+    for s in np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5):
+        r = el_residual(L, family.leaf(float(s)), ts, domain=(a, b))
+        bad = np.flatnonzero(np.abs(r) > _EL_TOL)
+        if bad.size:
+            k = bad[0]
+            raise FoliationError(
+                f"leaf s={s} violates the Euler-Lagrange equation "
+                f"(residual {r[k]:.3e} at t={ts[k]})")
     return NullLagrangianField(lagrangian=L, family=family)
 
 
@@ -612,16 +612,20 @@ def action(L: Lagrangian1D, path, a: float | None = None,
     return h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even)
 
 
+def _require_shared_endpoints(domain, f, g) -> None:
+    """Raise EndpointError unless f and g agree at both ends of domain."""
+    ends = np.array(domain)
+    if np.max(np.abs(f.value(ends) - g.value(ends))) > _ENDPOINT_TOL:
+        raise EndpointError("paths do not share endpoints")
+
+
 def path_independence_check(nl: NullLagrangianField, f1, f2,
-                            n: int = 2000,
-                            endpoint_tol: float = 1e-10) -> tuple[float, float]:
+                            n: int = 2000) -> tuple[float, float]:
     """Action of the null Lagrangian along two paths with shared endpoints.
 
     Returns the two integrals; they agree up to quadrature tolerance.
     """
-    ends = np.array(nl.lagrangian.domain)
-    if np.max(np.abs(f1.value(ends) - f2.value(ends))) > endpoint_tol:
-        raise EndpointError("paths do not share endpoints")
+    _require_shared_endpoints(nl.lagrangian.domain, f1, f2)
     lam = nl.as_lagrangian()
     return action(lam, f1, n=n), action(lam, f2, n=n)
 
@@ -651,7 +655,7 @@ class PhaseLift:
     def map(self, s, t):
         return (t, self.u(s, t), self.w(s, t), self.v(s, t))
 
-    def pullback_coefficient(self, s, t, h: float = 1e-4):
+    def pullback_coefficient(self, s, t, h: float):
         """Coefficient of dt^ds in the pulled-back symplectic form:
         dv/dt du/ds - dv/ds du/dt + dw/ds, by centred differences."""
         dv_dt = (self.v(s, t + h) - self.v(s, t - h)) / (2 * h)
@@ -667,7 +671,7 @@ def phase_lift(L: Lagrangian1D, family: SolutionFamily) -> PhaseLift:
 
 
 def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
-                                 s, t, h: float = 1e-4):
+                                 s, t, h: float = _PULLBACK_STEP):
     """Pullback coefficient of the symplectic form at each interior (s, t);
     near zero for a genuine foliation by extremals, else bounded away."""
     args = s, t
@@ -682,8 +686,7 @@ def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
 
 
 def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
-                   f_o=None, n: int = 2000,
-                   endpoint_tol: float = 1e-10) -> float:
+                   f_o=None, n: int = 2000) -> float:
     """Action difference between a competitor path and the central leaf.
 
     The competitor must share endpoints with the leaf and stay inside the
@@ -691,17 +694,15 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
     """
     if f_o is None:
         f_o = family.central_leaf
-    return _competitor_action(L, family, f, f_o, n, endpoint_tol) \
-        - action(L, f_o, n=n)
+    return _competitor_action(L, family, f, f_o, n) - action(L, f_o, n=n)
 
 
 def _competitor_action(L: Lagrangian1D, family: SolutionFamily, f, f_o,
-                       n: int, endpoint_tol: float = 1e-10) -> float:
+                       n: int) -> float:
     """Action of a competitor after checking that it shares endpoints with
     f_o and stays inside the foliated region."""
-    a, b = ends = np.array(L.domain)
-    if np.max(np.abs(f.value(ends) - f_o.value(ends))) > endpoint_tol:
-        raise EndpointError("competitor does not share endpoints with the leaf")
+    _require_shared_endpoints(L.domain, f, f_o)
+    a, b = L.domain
     lo, hi = family.s_interval
     ts = np.linspace(a, b, 33)
     q = f.value(ts)
@@ -762,10 +763,14 @@ def family_from_shooting(L: Lagrangian1D, initial, s_interval, t_grid,
 
 @dataclass(frozen=True)
 class MayerProblem:
+    """A Lagrangian with a foliation by its extremals; the sweeps' sine-mode
+    perturbations of the central leaf stay inside it at `amplitude`."""
+
     name: str
     lagrangian: Lagrangian1D
     family: SolutionFamily
     description: str
+    amplitude: float
 
 
 def _free() -> MayerProblem:
@@ -781,7 +786,8 @@ def _free() -> MayerProblem:
         s_interval=(-5.0, 5.0), t_domain=(0.0, 1.0), s0=0.0,
         du_dt=lambda s, t: 1.0,
     )
-    return MayerProblem("free", L, fam, "free particle, unit-slope line field")
+    return MayerProblem("free", L, fam, "free particle, unit-slope line field",
+                        0.8)
 
 
 def _oscillator() -> MayerProblem:
@@ -798,7 +804,7 @@ def _oscillator() -> MayerProblem:
         du_dt=lambda s, t: s * np.cos(t),
     )
     return MayerProblem("oscillator", L, fam,
-                        "harmonic oscillator on a sine-leaf foliation")
+                        "harmonic oscillator on a sine-leaf foliation", 0.12)
 
 
 def _cosh() -> MayerProblem:
@@ -816,7 +822,7 @@ def _cosh() -> MayerProblem:
         du_dt=lambda s, t: c,
     )
     return MayerProblem("cosh", L, fam,
-                        "cosh velocity cost; extremals are straight lines")
+                        "cosh velocity cost; extremals are straight lines", 0.8)
 
 
 _BUILDERS = {"free": _free, "oscillator": _oscillator, "cosh": _cosh}

@@ -313,8 +313,7 @@ def _branch_terms(vz, c, i, j):
     return ((c[i] + c[j]) * s).real
 
 
-def double_boundary_integral(curve: ClosedCurve, *,
-                             check_simple: bool = True) -> float:
+def double_boundary_integral(curve: ClosedCurve) -> float:
     """The double integral of the tangent kernel over the polygon, exactly:
     the Log branch terms of the corner sum, Sum_{i != j} Re(c_ij S_ij),
     c_ij = (conj(t_i)^2 + conj(t_j)^2) / 2 (_branch_terms; README,
@@ -327,8 +326,7 @@ def double_boundary_integral(curve: ClosedCurve, *,
     eps times the sum of the terms' magnitudes.  midpoint_double_integral
     is the rule that takes a refinement.
     """
-    if check_simple:
-        curves.ensure_simple(curve)
+    curves.ensure_simple(curve)
     v = curve.vertices[:, 0] + 1j * curve.vertices[:, 1]
     vz = np.append(v, v[0])  # vertex n is vertex 0
     e = np.diff(vz)
@@ -438,12 +436,12 @@ def verify_isoperimetric(curve: ClosedCurve,
         raise curves.CurveError(f"perimeter squared, about 2^{2 * k}, "
                                 "is not a normal float")
     curves.ensure_positive(curve)
-    curves.ensure_simple(curve)
+    curves.ensure_simple(unit)
     A = curves.signed_area(unit)
     k = math.frexp(A)[1] + 2 * e  # below L^2 / (4 pi), so at most 1024
     if k < -1021:
         raise curves.CurveError(f"area, about 2^{k}, is not a normal float")
-    I = double_boundary_integral(unit, check_simple=False)
+    I = double_boundary_integral(unit)
     rep = IsoperimetricReport.of(PLANE, math.ldexp(L, e),
                                  math.ldexp(A, 2 * e), math.ldexp(I, 2 * e))
     if refinement is None:

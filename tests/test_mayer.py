@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -449,6 +450,21 @@ def test_path_independence_endpoint_mismatch():
         path_independence_check(nl, f1, f2)
 
 
+@pytest.mark.parametrize("shift, shared", [(2e-10, False), (5e-11, True)])
+def test_endpoints_within_1e_10_count_as_shared(shift, shared):
+    # path_independence_check and minimality_gap share one endpoint guard
+    nl = null_lagrangian(FREE.lagrangian, FREE.family)
+    leaf = FREE.family.central_leaf
+    f = CallablePath(f=lambda t: t + shift, fdot=lambda t: 1.0)
+    for call in (lambda: path_independence_check(nl, leaf, f),
+                 lambda: minimality_gap(FREE.lagrangian, FREE.family, f)):
+        if shared:
+            call()
+        else:
+            with pytest.raises(EndpointError):
+                call()
+
+
 def test_null_lagrangian_el_property_on_arbitrary_paths():
     # every in-region path solves the Euler-Lagrange equation of lam
     nl = null_lagrangian(OSC.lagrangian, OSC.family)
@@ -613,11 +629,23 @@ def test_minimality_minimum_equals_min_of_gaps(name):
     prob = get_problem(name)
     rng = np.random.default_rng(21)
     gaps = [minimality_gap(prob.lagrangian, prob.family,
-                           checks._bump_path(prob, rng, checks._AMPLITUDE[name]),
+                           checks._bump_path(prob, rng),
                            n=500)
             for _ in range(8)]
     got = checks.minimality_minimum(prob, 8, seed=21, n_quad=500)
     assert got.hex() == min(gaps).hex()
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
+def test_mayer_checks_do_not_depend_on_the_problem_name(name):
+    # the sweeps' perturbation amplitude belongs to the problem: a copy
+    # under another name gets the registry problem's numbers, bit for bit
+    prob = get_problem(name)
+    want = checks.run_mayer_checks(prob, 200, 1)
+    got = checks.run_mayer_checks(dataclasses.replace(prob, name="mine"),
+                                  200, 1)
+    assert {k: v.hex() for k, v in got.items()} == \
+        {k: v.hex() for k, v in want.items()}
 
 
 def test_minimality_endpoint_mismatch():

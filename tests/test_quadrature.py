@@ -477,7 +477,7 @@ def test_branch_terms_on_a_2048_vertex_star():
 
 def test_double_integral_takes_no_refinement():
     # the corner sum is exact: a refinement, which it would ignore, is an
-    # error, and check_simple cannot be passed by position in its place
+    # error, by position or by name
     c = ClosedCurve(spiky_star(np.random.default_rng(5), 60))
     for args, kwargs in (((3,), {}), ((), {"refinement": 3})):
         with pytest.raises(TypeError):
@@ -494,9 +494,10 @@ def test_corner_sum_memory_is_linear_in_budget(monkeypatch, n, budget):
     # 4 MiB and 64 MiB.
     c = ClosedCurve(spiky_star(np.random.default_rng(9), n))
     monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    curves.ensure_simple(c)  # cached on c: the integral's own test is free
     tracemalloc.start()
     try:
-        double_boundary_integral(c, check_simple=False)
+        double_boundary_integral(c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -532,13 +533,13 @@ def test_double_integral_bitwise_independent_of_blocking_and_start(
     # 200 to 350 vertices: many row blocks at the two smaller budgets below
     rng = np.random.default_rng(seed)
     v = spiky_star(rng, int(rng.integers(200, 350)))
-    want = double_boundary_integral(ClosedCurve(v), check_simple=False).hex()
+    want = double_boundary_integral(ClosedCurve(v)).hex()
     rolled = ClosedCurve(np.roll(v, shift % len(v), axis=0))
-    assert double_boundary_integral(rolled, check_simple=False).hex() == want
+    assert double_boundary_integral(rolled).hex() == want
     for budget in (1 << 12, 1 << 15, 1 << 24):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(curves, "_BLOCK_BYTES", budget)
-            got = double_boundary_integral(ClosedCurve(v), check_simple=False)
+            got = double_boundary_integral(ClosedCurve(v))
         assert got.hex() == want
 
 
@@ -665,9 +666,9 @@ def test_exact_sum_flushes_hold_at_most_the_limit(monkeypatch):
 
 def test_pair_sum_bitwise_independent_of_flush_limit(monkeypatch):
     c = ClosedCurve(spiky_star(np.random.default_rng(4), 120))
-    want = double_boundary_integral(c, check_simple=False).hex()
+    want = double_boundary_integral(c).hex()
     monkeypatch.setattr(quadrature, "_FLUSH_TERMS", 997)
-    assert double_boundary_integral(c, check_simple=False).hex() == want
+    assert double_boundary_integral(c).hex() == want
 
 
 @pytest.mark.parametrize("terms", [

@@ -3,14 +3,10 @@ inequalities (plane, sphere, hyperbolic plane) and of the one-dimensional
 Mayer field / null Lagrangian construction."""
 
 from .curves import (
-    BoundaryNode,
     ClosedCurve,
     CurveError,
     OrientationError,
-    Point2,
     PointOnBoundaryError,
-    UnitVector2,
-    boundary_nodes,
     contains,
     perimeter,
     regular_polygon,
@@ -21,7 +17,6 @@ from .curves import (
 from .biform import (
     BiformValue,
     CoincidentPointsError,
-    MixedDerivativeTensor,
     averaged_field,
     biform2,
     biform3,

@@ -10,19 +10,22 @@ x = y: coincident inputs raise instead of returning NaN.
 Its three forms, the value K(x, y; a, b) = a^T m b, the field V = m t_y and
 the matrix m itself, are all evaluated by one formula, the pair sum's
 quadrature._kernel, through _pair_kernel and _field.
+
+Points, tangents and values are plain arrays and floats: each entry point
+coerces array-likes and checks them (curves._vec2, _unit).  Only the kernel
+matrix has a type, BiformValue, which checks a matrix anyone may construct.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature
-from .curves import ClosedCurve, UnitVector2, _require_off_boundary, _vec2
+from .curves import ClosedCurve, _require_off_boundary, _vec2
 from .curves import boundary_node_arrays, perimeter
 
 
@@ -49,7 +52,7 @@ def _check_distinct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _unit(v) -> np.ndarray:
-    a = _vec2(v) if np.shape(v) == (2,) or hasattr(v, "as_array") else np.asarray(v, float)
+    a = _vec2(v)
     n = float(np.linalg.norm(a))
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"expected a unit vector, |v| = {n!r}")
@@ -78,15 +81,14 @@ def _field(z, t):
     return _pair_kernel(z[..., None, :], np.eye(z.shape[-1]), t[..., None, :])
 
 
-def mayer_vector(y, t_y, x) -> UnitVector2:
-    """Unit vector V(y, t_y, x) = 2 <x-y, t_y> (x-y)/|x-y|^2 - t_y.
+def mayer_vector(y, t_y, x) -> np.ndarray:
+    """Unit vector V(y, t_y, x) = 2 <x-y, t_y> (x-y)/|x-y|^2 - t_y, an
+    array of shape (2,).
 
     Geometrically: the positively oriented unit tangent at x of the unique
     oriented circle through x and y whose tangent at y is t_y.
     """
-    yv, xv = _vec2(y), _vec2(x)
-    v = _field(_check_distinct(xv, yv), _unit(t_y))
-    return UnitVector2(float(v[0]), float(v[1]))
+    return _field(_check_distinct(_vec2(x), _vec2(y)), _unit(t_y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +132,14 @@ def biform3(x, y) -> BiformValue:
     return _biform(x, y, 3)
 
 
-def _anyvec(v) -> np.ndarray:
-    if hasattr(v, "as_array"):
-        return v.as_array()
-    return np.asarray(v, float).ravel()
-
-
 def biform_apply(x, y, u, v) -> float:
     """u^T m(x, y) v without building the matrix; works in R^2 and R^3.
 
     For unit v this equals <V(y, v, x), u>: the kernel applied to a tangent
     pair is the cosine between V and the first tangent.
     """
-    z = _check_distinct(_anyvec(x), _anyvec(y))
-    return float(_pair_kernel(z, _anyvec(u), _anyvec(v)))
+    x, y, u, v = (np.asarray(a, float).ravel() for a in (x, y, u, v))
+    return float(_pair_kernel(_check_distinct(x, y), u, v))
 
 
 def curl_density(y, t_y, x) -> float:
@@ -180,29 +176,11 @@ def averaged_field(curve: ClosedCurve, x, refinement: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # mixed exterior derivative d1 d2 by centred finite differences
 
+# the Levi-Civita symbol: +1 on the even permutations of (0, 1, 2), -1 on
+# the odd ones
 _EPS3 = np.zeros((3, 3, 3))
-for _p in itertools.permutations(range(3)):
-    _sg = 1
-    for _i in range(3):
-        for _j in range(_i + 1, 3):
-            if _p[_i] > _p[_j]:
-                _sg = -_sg
-    _EPS3[_p] = _sg
-
-
-@dataclass(frozen=True)
-class MixedDerivativeTensor:
-    """d1 d2 of the kernel in the area-element basis.
-
-    In R^2 a single scalar (coefficient of dx1^dx2 (x) dy1^dy2); in R^3 a
-    3x3 array in the cyclic basis [dx2^dx3, dx3^dx1, dx1^dx2] for each slot;
-    for a batch of point pairs, with the batch axes in front.  Antisymmetry
-    in each index pair is built into the reduction.
-    """
-
-    space: str
-    value: float | np.ndarray
-    step: float
+_EPS3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPS3[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
 
 
 def _points(v, dim: int) -> np.ndarray:
@@ -237,14 +215,18 @@ def _mixed_partials(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
             + m[..., 1, 1, :, :]) / (4.0 * h * h)
 
 
-def d1d2_fd(space: str, x, y, h: float) -> MixedDerivativeTensor:
-    """Mixed second derivative of the kernel, antisymmetrised in each slot.
+def d1d2_fd(space: str, x, y, h: float) -> float | np.ndarray:
+    """Mixed second derivative d1 d2 of the kernel by centred differences
+    of step h, antisymmetrised in each slot, in the area-element basis.
 
-    Requires h < |x - y| / 10 so the stencil stays clear of the diagonal.
-    Off the diagonal the R^2 value converges to 0 at order h^2 and the R^3
-    tensor to mixed_derivative_closed_form at order h^2.  x and y may carry
-    leading batch axes, (..., dim): the value then has them too, and each
-    pair's entry has the same bits as the call on that pair alone.
+    In R^2 a scalar, the coefficient of dx1^dx2 (x) dy1^dy2: a float for
+    one pair.  In R^3 a 3x3 array in the cyclic basis [dx2^dx3, dx3^dx1,
+    dx1^dx2] for each slot.  Requires h < |x - y| / 10 so the stencil stays
+    clear of the diagonal.  Off the diagonal the R^2 value converges to 0
+    at order h^2 and the R^3 tensor to mixed_derivative_closed_form at
+    order h^2.  x and y may carry leading batch axes, (..., dim): the value
+    then has them too, in front, and each pair's entry has the same bits
+    as the call on that pair alone.
     """
     dim = _space_dim(space)
     xv, yv = _points(x, dim), _points(y, dim)
@@ -257,10 +239,8 @@ def d1d2_fd(space: str, x, y, h: float) -> MixedDerivativeTensor:
     if dim == 2:
         value = (D[..., 0, 0, 1, 1] - D[..., 0, 1, 1, 0] - D[..., 1, 0, 0, 1]
                  + D[..., 1, 1, 0, 0])
-        value = float(value) if value.ndim == 0 else value
-    else:
-        value = np.einsum("aki,blj,...klij->...ab", _EPS3, _EPS3, D)
-    return MixedDerivativeTensor(space=space, value=value, step=h)
+        return float(value) if value.ndim == 0 else value
+    return np.einsum("aki,blj,...klij->...ab", _EPS3, _EPS3, D)
 
 
 def mixed_derivative_closed_form(space: str, x, y) -> float | np.ndarray:

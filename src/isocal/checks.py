@@ -133,7 +133,7 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
         u, y = normal.normal(size=(m, 2, dim)).transpose(1, 0, 2)
         r = uniform.uniform(1.0, 2.0, size=m)
         x = y + r[:, None] * (u / np.linalg.norm(u, axis=1, keepdims=True))
-        got = d1d2_fd(space, x, y, 1e-3).value
+        got = d1d2_fd(space, x, y, 1e-3)
         want = mixed_derivative_closed_form(space, x, y)
         worst = float(np.max(np.abs(got - want), initial=worst))
     return worst

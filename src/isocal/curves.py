@@ -2,7 +2,9 @@
 Polygon holds their vertex contract and exact simplicity test (every edge
 is the cone of its end rays; ensure_simple is the one entry), and their
 Geometry records the node generator and perimeter sum.  ClosedCurve is
-the plane's polygon; the curved ones live in spaces.
+the plane's polygon; the curved ones live in spaces.  Points, tangents
+and quadrature nodes are plain float arrays (_vec2 coerces and checks a
+single point; boundary_node_arrays gives the nodes).
 
 Everything downstream treats a curve as a polygon: smooth boundaries enter as
 fine polygons, which turns every integral in the package into a finite sum
@@ -131,59 +133,14 @@ PLANE = Geometry(tag="euclidean", K=0.0, J=(1.0, 1.0), f=np.positive,
                  length=_plane_lengths, verify="quadrature.verify_isoperimetric")
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point of the plane."""
-
-    x1: float
-    x2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise ValueError("point coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2])
-
-
-@dataclass(frozen=True)
-class UnitVector2:
-    """A unit vector of the plane; the norm is enforced to 1e-12."""
-
-    u1: float
-    u2: float
-
-    def __post_init__(self):
-        n = math.hypot(self.u1, self.u2)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"not a unit vector: |u| = {n!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u1, self.u2])
-
-
 def _vec2(p) -> np.ndarray:
-    """Coerce Point2 / UnitVector2 / sequence to a finite float array of
-    shape (2,)."""
-    a = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
+    """Coerce a point or vector to a finite float array of shape (2,)."""
+    a = np.asarray(p, dtype=float)
     if a.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"expected a finite 2-vector, got {a.tolist()}")
     return a
-
-
-@dataclass(frozen=True)
-class BoundaryNode:
-    """Arc-length quadrature node: midpoint of a sub-edge with its tangent."""
-
-    point: Point2
-    tangent: UnitVector2
-    weight: float
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("quadrature weight must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,18 +267,10 @@ def boundary_node_arrays(curve: ClosedCurve, refinement: int = 1):
     """Quadrature nodes as plain arrays: (points, tangents, weights,
     edge_ids, sub_starts, sub_ends) of each edge subdivided `refinement`
     times, from the shared generator PLANE.nodes.  Tangents are the
-    (constant) edge directions, weights the sub-edge lengths.
+    (constant) edge directions, weights the sub-edge lengths; the weights
+    sum to the perimeter up to rounding.
     """
     return PLANE.nodes(curve.vertices, refinement)
-
-
-def boundary_nodes(curve: ClosedCurve, refinement: int = 1) -> list[BoundaryNode]:
-    """BoundaryNode list; weights sum to the perimeter up to rounding."""
-    pts, tan, wts, _, _, _ = boundary_node_arrays(curve, refinement)
-    return [
-        BoundaryNode(Point2(*p), UnitVector2(*t), float(w))
-        for p, t, w in zip(pts, tan, wts)
-    ]
 
 
 def _nearest_edge(curve: ClosedCurve, p: np.ndarray) -> tuple[int, float]:

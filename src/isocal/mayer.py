@@ -589,6 +589,12 @@ def weierstrass_gap(L: Lagrangian1D, family: SolutionFamily, t, q, qdot):
 # action integrals and the endpoint-dependence checks
 
 
+def _simpson_grid(a: float, b: float, n: int) -> np.ndarray:
+    """The nodes of action's composite Simpson rule over (a, b)."""
+    _require_count("n", n)
+    return np.linspace(a, b, n + n % 2 + 1)
+
+
 def action(L: Lagrangian1D, path, a: float | None = None,
            b: float | None = None, n: int = 2000) -> float:
     """Composite-Simpson action integral of L along the path over (a, b),
@@ -597,15 +603,12 @@ def action(L: Lagrangian1D, path, a: float | None = None,
     The integrand is evaluated once on the whole grid; both weighted sums
     are exact (math.fsum).
     """
-    _require_count("n", n)
     if a is None:
         a = L.domain[0]
     if b is None:
         b = L.domain[1]
-    if n % 2:
-        n += 1
-    ts = np.linspace(a, b, n + 1)
-    h = (b - a) / n
+    ts = _simpson_grid(a, b, n)
+    h = (b - a) / (len(ts) - 1)
     vals = _out(L.l(ts, path.value(ts), path.derivative(ts)), ts).tolist()
     odd = math.fsum(vals[1:-1:2])
     even = math.fsum(vals[2:-1:2])
@@ -700,11 +703,11 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
 def _competitor_action(L: Lagrangian1D, family: SolutionFamily, f, f_o,
                        n: int) -> float:
     """Action of a competitor after checking that it shares endpoints with
-    f_o and stays inside the foliated region."""
+    f_o and stays inside the foliated region at every node the action
+    evaluates."""
     _require_shared_endpoints(L.domain, f, f_o)
-    a, b = L.domain
     lo, hi = family.s_interval
-    ts = np.linspace(a, b, 33)
+    ts = _simpson_grid(*L.domain, n)
     q = f.value(ts)
     qlo, qhi = family.u(lo, ts), family.u(hi, ts)
     inside = (np.minimum(qlo, qhi) <= q) & (q <= np.maximum(qlo, qhi))
@@ -724,8 +727,10 @@ def family_from_shooting(L: Lagrangian1D, initial, s_interval, t_grid,
 
     `initial(s)` returns (q0, qdot0) at t_grid[0].  Leaves are solved on the
     grid in one pass, each with solve_el's bits, and interpolated cubically
-    in both s and t; monotonicity is verified by SolutionFamily as usual.
+    in both s and t, which takes n_leaves >= 4; monotonicity is verified by
+    SolutionFamily as usual.
     """
+    _require_count("n_leaves", n_leaves, 4)
     s_nodes = np.linspace(s_interval[0], s_interval[1], n_leaves)
     g = np.asarray(t_grid, float)
     q0, qdot0 = np.array([initial(float(s)) for s in s_nodes], float).T

@@ -398,7 +398,7 @@ def stokes_check(curve: ClosedCurve, y, t_y=None,
     error.  The node on y's own edge uses the exact along-edge kernel value.
     """
     edge, edge_tangent = _locate_on_boundary(curve, y)
-    t = edge_tangent if t_y is None else np.asarray(_vec2(t_y), float)
+    t = edge_tangent if t_y is None else _vec2(t_y)
     p = _vec2(y)
     pts, tan, wts, eids, _, _ = curves.boundary_node_arrays(curve, refinement)
     d = list((pts - p).T)

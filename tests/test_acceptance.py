@@ -120,7 +120,7 @@ def test_criterion_5_mixed_derivative_order():
         for h in hs:
             worst = 0.0
             for x, y in pairs:
-                got = d1d2_fd("r3", x, y, h).value
+                got = d1d2_fd("r3", x, y, h)
                 want = mixed_derivative_closed_form("r3", x, y)
                 worst = max(worst, float(np.abs(got - want).max()))
             errs3.append(worst)
@@ -139,7 +139,7 @@ def test_criterion_5_mixed_derivative_order():
             pairs2.append((y + rng.uniform(1.5, 2.5) * u, y))
         errs2 = []
         for h in hs:
-            worst = max(abs(d1d2_fd("r2", x, y, h).value) for x, y in pairs2)
+            worst = max(abs(d1d2_fd("r2", x, y, h)) for x, y in pairs2)
             errs2.append(worst)
         assert 3.0 <= errs2[0] / errs2[1] <= 5.5
         assert 3.0 <= errs2[1] / errs2[2] <= 5.5

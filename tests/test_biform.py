@@ -32,18 +32,18 @@ def _rot90(v):
 def test_mayer_vector_along_tangent_direction():
     # x - y parallel to t_y: formula collapses to 2 t_y - t_y
     v = mayer_vector((0.0, 0.0), (1.0, 0.0), (2.5, 0.0))
-    assert (v.u1, v.u2) == (1.0, 0.0)
+    assert (v[0], v[1]) == (1.0, 0.0)
 
 
 def test_mayer_vector_orthogonal_direction():
     v = mayer_vector((0.0, 0.0), (1.0, 0.0), (0.0, 3.0))
-    assert (v.u1, v.u2) == (-1.0, 0.0)
+    assert (v[0], v[1]) == (-1.0, 0.0)
 
 
 def test_mayer_vector_diagonal_case():
     # 2 <., t> = 2, |x-y|^2 = 2: V = (1,1) - (1,0)
     v = mayer_vector((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
-    assert abs(v.u1) < 1e-15 and abs(v.u2 - 1.0) < 1e-15
+    assert abs(v[0]) < 1e-15 and abs(v[1] - 1.0) < 1e-15
 
 
 def test_mayer_vector_is_circle_tangent():
@@ -64,11 +64,19 @@ def test_mayer_vector_is_circle_tangent():
         radius = abs(s)
         t_exp = math.copysign(1.0, s) * _rot90(x - center) / radius
         v = mayer_vector(y, ty, x)
-        assert np.allclose([v.u1, v.u2], t_exp, atol=1e-10)
+        assert np.allclose(v, t_exp, atol=1e-10)
 
 
 def test_mayer_vector_unit_norm_sweep():
     assert checks.mayer_vector_norm_residual(10_000, seed=1) <= 1e-12
+
+
+def test_tangents_must_be_unit_vectors():
+    # the entry check of every tangent argument: |t_y| = 1 to 1e-9
+    for fn in (mayer_vector, curl_density):
+        fn((0.0, 0.0), (0.6, 0.8), (1.0, 1.0))
+        with pytest.raises(ValueError, match="expected a unit vector"):
+            fn((0, 0), (0.6, 0.81), (1, 1))
 
 
 def test_mayer_vector_coincident_points():
@@ -79,7 +87,7 @@ def test_mayer_vector_coincident_points():
 def test_coincidence_is_relative_to_point_scale():
     # distinct points at scale 1e-13 are distinct; equal points never are
     v = mayer_vector((0.0, 0.0), (1.0, 0.0), (1e-13, 0.0))
-    assert (v.u1, v.u2) == pytest.approx((1.0, 0.0), abs=1e-12)
+    assert (v[0], v[1]) == pytest.approx((1.0, 0.0), abs=1e-12)
     assert biform2((1e-13, 0.0), (0.0, 0.0)).m[0, 0] == pytest.approx(1.0)
     assert biform3((0.0, 0.0, 1e-13), (0.0, 0.0, 0.0)).m[2, 2] == \
         pytest.approx(1.0)
@@ -103,8 +111,7 @@ def test_kernel_is_scale_free(s):
     t, u = np.array([0.6, 0.8]), np.array([0.28, -0.96])
 
     def values(s):
-        v = mayer_vector(s * y, t, s * x)
-        return [np.array([v.u1, v.u2]),
+        return [mayer_vector(s * y, t, s * x),
                 biform_apply(s * x, s * y, u, t),
                 biform_apply(s * x3, s * y3, np.r_[u, 0.0], np.r_[0.0, t]),
                 biform2(s * x, s * y).m,
@@ -310,8 +317,7 @@ def test_curl_density_matches_field_curl():
             continue
 
         def v(p):
-            w = mayer_vector(y, t, p)
-            return np.array([w.u1, w.u2])
+            return mayer_vector(y, t, p)
 
         curl_fd = (
             (v(x + [h, 0.0])[1] - v(x - [h, 0.0])[1])
@@ -361,15 +367,15 @@ def test_averaged_field_on_boundary_raises():
 
 def test_d1d2_r2_vanishes_off_diagonal():
     t = d1d2_fd("r2", (1.0, 0.0), (0.0, 0.0), 1e-3)
-    assert isinstance(t.value, float)
-    assert abs(t.value) <= 1e-5
+    assert isinstance(t, float)
+    assert abs(t) <= 1e-5
 
 
 def test_d1d2_r3_frozen_component():
     # z = (1,0,0): closed form 4 z z^T/|z|^4 has (23|23) entry 4
     t = d1d2_fd("r3", (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1e-3)
-    assert t.value.shape == (3, 3)
-    assert t.value[0, 0] == pytest.approx(4.0, abs=1e-4)
+    assert t.shape == (3, 3)
+    assert t[0, 0] == pytest.approx(4.0, abs=1e-4)
 
 
 def test_d1d2_r3_matches_closed_form_random():
@@ -383,14 +389,14 @@ def test_d1d2_r3_second_order():
     x *= 1.5
     y = np.zeros(3)
     want = mixed_derivative_closed_form("r3", x, y)
-    errs = [np.abs(d1d2_fd("r3", x, y, h).value - want).max()
+    errs = [np.abs(d1d2_fd("r3", x, y, h) - want).max()
             for h in (4e-3, 2e-3, 1e-3)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.4)
 
 
 def test_d1d2_r2_second_order():
-    errs = [abs(d1d2_fd("r2", (1.3, 0.4), (0.1, -0.2), h).value)
+    errs = [abs(d1d2_fd("r2", (1.3, 0.4), (0.1, -0.2), h))
             for h in (4e-3, 2e-3, 1e-3)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.4)
@@ -415,13 +421,13 @@ def test_d1d2_and_closed_form_batched_keep_the_bits_of_each_pair(space):
     rng = np.random.default_rng(16)
     x = rng.normal(size=(4, 5, dim))
     y = x + rng.uniform(1.0, 2.0, size=(4, 5, 1)) * rng.normal(size=(4, 5, dim))
-    got = d1d2_fd(space, x, y, 1e-3).value
+    got = d1d2_fd(space, x, y, 1e-3)
     want = mixed_derivative_closed_form(space, x, y)
     assert np.shape(got) == np.shape(want) == (4, 5) + ((3, 3) if dim == 3
                                                         else ())
     for i in range(4):
         for j in range(5):
-            one = d1d2_fd(space, x[i, j], y[i, j], 1e-3).value
+            one = d1d2_fd(space, x[i, j], y[i, j], 1e-3)
             exact = mixed_derivative_closed_form(space, x[i, j], y[i, j])
             assert type(one) is (float if dim == 2 else np.ndarray)
             assert np.asarray(one).tobytes() == got[i, j].tobytes()

@@ -11,10 +11,7 @@ from conftest import (near_point, random_rotation2, star_polygon,
 from isocal import (
     ClosedCurve,
     CurveError,
-    Point2,
     PointOnBoundaryError,
-    UnitVector2,
-    boundary_nodes,
     contains,
     perimeter,
     regular_polygon,
@@ -31,17 +28,6 @@ SQUARE = ClosedCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-def test_point_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Point2(float("nan"), 0.0)
-
-
-def test_unit_vector_norm_enforced():
-    UnitVector2(0.6, 0.8)
-    with pytest.raises(ValueError):
-        UnitVector2(0.6, 0.81)
 
 
 def test_curve_requires_three_vertices():
@@ -209,33 +195,36 @@ def test_polygon_deficit_nonnegative():
 
 
 def test_boundary_nodes_square_refinement_1():
-    nodes = boundary_nodes(SQUARE, 1)
-    assert len(nodes) == 4
-    assert all(n.weight == 1.0 for n in nodes)
-    mids = {(n.point.x1, n.point.x2) for n in nodes}
+    pts, tan, wts = curves.boundary_node_arrays(SQUARE, 1)[:3]
+    assert len(pts) == 4
+    assert all(w == 1.0 for w in wts)
+    mids = {(p[0], p[1]) for p in pts.tolist()}
     assert mids == {(0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.5)}
-    for n in nodes:
-        assert abs(n.tangent.u1) in (0.0, 1.0) and abs(n.tangent.u2) in (0.0, 1.0)
+    for t in tan:
+        assert abs(t[0]) in (0.0, 1.0) and abs(t[1]) in (0.0, 1.0)
 
 
 def test_boundary_nodes_square_refinement_2():
-    nodes = boundary_nodes(SQUARE, 2)
-    assert len(nodes) == 8
-    assert all(n.weight == 0.5 for n in nodes)
+    pts, _, wts = curves.boundary_node_arrays(SQUARE, 2)[:3]
+    assert len(pts) == 8
+    assert all(w == 0.5 for w in wts)
 
 
 def test_boundary_node_weights_sum_to_perimeter():
+    # every tangent a unit vector to 1e-12 and every weight positive
     rng = np.random.default_rng(10)
     for _ in range(20):
         c = star_polygon(rng)
         ref = int(rng.integers(1, 6))
-        total = math.fsum(n.weight for n in boundary_nodes(c, ref))
-        assert total == pytest.approx(perimeter(c), rel=1e-10)
+        _, tan, wts = curves.boundary_node_arrays(c, ref)[:3]
+        assert np.abs(np.hypot(*tan.T) - 1.0).max() <= 1e-12
+        assert wts.min() > 0
+        assert math.fsum(wts) == pytest.approx(perimeter(c), rel=1e-10)
 
 
 def test_boundary_nodes_bad_refinement():
     with pytest.raises(ValueError):
-        boundary_nodes(SQUARE, 0)
+        curves.boundary_node_arrays(SQUARE, 0)
 
 
 @pytest.mark.parametrize("refinement", [2.5, 2.0, -1, True, "2", None])

@@ -665,6 +665,27 @@ def test_minimality_path_outside_region():
         minimality_gap(OSC.lagrangian, OSC.family, f)
 
 
+def test_minimality_rejects_an_excursion_between_33_check_times():
+    # a bump of width 0.01 midway between the 16th and 17th of 33 equally
+    # spaced times leaves the foliated region (q <= 3 sin t) by 1.51 on the
+    # action's grid; the region is checked on every node the action uses
+    a, b = OSC.lagrangian.domain
+    c = a + 15.5 / 32 * (b - a)
+
+    def bump(t):
+        return 4.0 * np.exp(-((t - c) / 0.01) ** 2)
+
+    f = CallablePath(f=lambda t: 0.5 * np.sin(t) + bump(t),
+                     fdot=lambda t: 0.5 * np.cos(t) - 2e4 * (t - c) * bump(t))
+    ts = np.linspace(a, b, 2001)
+    assert np.max(f.value(ts) - 3.0 * np.sin(ts)) > 1.5
+    with pytest.raises(FoliationError, match="leaves the foliated region"):
+        minimality_gap(OSC.lagrangian, OSC.family, f)
+    with pytest.raises(FoliationError, match="leaves the foliated region"):
+        mayer._competitor_action(OSC.lagrangian, OSC.family, f,
+                                 OSC.family.central_leaf, 2000)
+
+
 # ---------------------------------------------------------------------------
 # shooting families and interpolation
 
@@ -736,6 +757,15 @@ def test_shooting_family_keeps_its_guards():
     with pytest.raises(LegendreError, match="q=0.25, qdot=0.0"):
         family_from_shooting(QUARTIC, lambda s: (s, s - 0.25), (0.0, 1.0),
                              np.linspace(0.0, 1.0, 11), 0.5, n_leaves=5)
+
+
+@pytest.mark.parametrize("n_leaves", [3, 2, 1, 0, True, 33.0, "33"])
+def test_shooting_family_needs_four_leaves(n_leaves):
+    # the cubic blend in s takes four leaves around each s
+    with pytest.raises(ValueError, match="n_leaves must be an integer >= 4"):
+        family_from_shooting(
+            OSC.lagrangian, lambda s: (s * math.sin(0.5), s * math.cos(0.5)),
+            (0.05, 2.0), np.linspace(0.5, 2.5, 101), 0.5, n_leaves=n_leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from isocal import (
     OrientationError,
     PointOnBoundaryError,
     biform_apply,
-    boundary_nodes,
     double_boundary_integral,
     line_integral,
     mayer_vector,
@@ -70,12 +69,11 @@ def test_line_integral_rotational_field_gives_area():
 
 def test_line_integral_of_unit_field_bounded_by_perimeter():
     c = regular_polygon(256)
-    y = boundary_nodes(c, 1)[10]
-    yv, tv = y.point.as_array(), y.tangent.as_array()
+    pts, tan = boundary_node_arrays(c, 1)[:2]
+    yv, tv = pts[10], tan[10]
 
     def field(p):
-        v = mayer_vector(yv, tv, p)
-        return np.array([v.u1, v.u2])
+        return mayer_vector(yv, tv, p)
 
     # integration nodes at refinement 2 are quarter points, distinct from y
     val = line_integral(c, field, refinement=2)
@@ -964,8 +962,7 @@ def test_line_integral_propagates_field_failure():
 
 def test_stokes_circle_node():
     c = regular_polygon(256)
-    y = boundary_nodes(c, 1)[0]
-    lhs, rhs = stokes_check(c, y.point.as_array())
+    lhs, rhs = stokes_check(c, boundary_node_arrays(c, 1)[0][0])
     assert lhs == pytest.approx(2 * math.pi, abs=1e-3)
     assert rhs == pytest.approx(2 * math.pi, abs=1e-3)
     assert abs(lhs - rhs) <= 1e-3
@@ -995,19 +992,19 @@ def test_interior_curl_integral_sign():
     # positively oriented circle: positive density at interior points seen
     # from any boundary source
     c = regular_polygon(64)
-    y = boundary_nodes(c, 1)[0]
-    val = interior_curl_integral(c, y.point.as_array(), y.tangent.as_array())
+    pts, tan = boundary_node_arrays(c, 1)[:2]
+    val = interior_curl_integral(c, pts[0], tan[0])
     assert val > 0
 
 
 def test_interior_curl_integral_reads_t_y_as_a_2_vector():
-    # as stokes_check does: a UnitVector2 is accepted, a 3-vector rejected
+    # as stokes_check does: a 2-sequence is accepted, a 3-vector rejected
     c = regular_polygon(64)
-    y = boundary_nodes(c, 1)[0]
-    want = interior_curl_integral(c, y.point, y.tangent.as_array())
-    assert interior_curl_integral(c, y.point, y.tangent) == want
+    pts, tan = boundary_node_arrays(c, 1)[:2]
+    want = interior_curl_integral(c, pts[0], tan[0])
+    assert interior_curl_integral(c, pts[0], tuple(tan[0].tolist())) == want
     with pytest.raises(ValueError, match="expected a 2-vector"):
-        interior_curl_integral(c, y.point, (1.0, 0.0, 5.0))
+        interior_curl_integral(c, pts[0], (1.0, 0.0, 5.0))
 
 
 def fan_triangle_dblquad(y, a, b, t) -> float:

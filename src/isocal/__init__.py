@@ -10,7 +10,6 @@ from .curves import (
     contains,
     perimeter,
     regular_polygon,
-    reverse,
     signed_area,
     winding_number,
 )
@@ -29,7 +28,6 @@ from .biform import (
 from .quadrature import (
     IsoperimetricReport,
     double_boundary_integral,
-    line_integral,
     stokes_check,
     verify_isoperimetric,
     winding_integral,
@@ -50,14 +48,12 @@ from .mayer import (
     family_from_shooting,
     get_problem,
     hamiltonian,
-    impulsion,
     lagrangian_submanifold_check,
     legendre_inverse,
     mayer_slope,
     minimality_gap,
     null_lagrangian,
     path_independence_check,
-    phase_lift,
     solve_el,
     weierstrass_gap,
 )

@@ -52,16 +52,22 @@ class UsageError(Exception):
     pass
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file; UsageError when it cannot be read, is not
+    UTF-8, is not JSON or nests too deep for the parser."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as e:
+        raise UsageError(f"cannot read {what} {path}: {e}") from e
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         path = os.environ.get(ENV_CONFIG)
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"cannot read config {path}: {e}") from e
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     return data
@@ -166,14 +172,7 @@ def _report(args, tol: dict, settings: dict, head: dict, results: dict,
 
 def _cmd_verify(args, config: dict) -> int:
     tol = _tolerances(config, args.tolerance)
-    try:
-        with open(args.curve, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read curve file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise UsageError(f"malformed curve JSON: {e}") from e
-    curve = io.curve_from_dict(data)
+    curve = io.curve_from_dict(_read_json(args.curve, "curve file"))
     geometry = curve.geometry
     if args.space and args.space != geometry.tag:
         raise UsageError(f"--space {args.space} conflicts with curve file "

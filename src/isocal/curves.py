@@ -215,19 +215,15 @@ class ClosedCurve(Polygon):
         return 1 if _unit_area(self)[0] > 0 else -1
 
     def reversed(self) -> "ClosedCurve":
+        """Same polygon traversed the other way round."""
         return ClosedCurve(self.vertices[::-1])
 
 
-def reverse(curve: ClosedCurve) -> ClosedCurve:
-    """Same polygon traversed the other way round."""
-    return curve.reversed()
-
-
-def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0),
-                    phase: float = 0.0) -> ClosedCurve:
+def regular_polygon(n: int, radius: float = 1.0,
+                    center=(0.0, 0.0)) -> ClosedCurve:
     """Regular n-gon inscribed in the circle of given radius, CCW."""
     _require_count("n", n, 3)
-    th = phase + 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     c = _vec2(center)
     return ClosedCurve(np.c_[c[0] + radius * np.cos(th), c[1] + radius * np.sin(th)])
 

@@ -30,9 +30,9 @@ Scalar3 = Callable[[float, float, float], float]
 # formula divides by it.
 DEGENERATE_D2 = 1e-10
 # Centred-difference steps: _FD_CROSS for time derivatives and the
-# Euler-Lagrange cross partials, _FD_STEP for from_value_fn's partials and
-# the residuals checked against such partials, _PULLBACK_STEP for the
-# pullback coefficient (lagrangian_submanifold_check, checks.pullback_residual).
+# Euler-Lagrange cross partials, _FD_STEP for the residuals checked against
+# stated partials, _PULLBACK_STEP for the pullback coefficient
+# (lagrangian_submanifold_check, checks.pullback_residual).
 _FD_CROSS = 1e-6
 _FD_STEP = 1e-5
 _PULLBACK_STEP = 1e-4
@@ -129,22 +129,6 @@ class Lagrangian1D:
         for name in ("l", "dL_dq", "dL_dqdot", "d2L_dqdot2"):
             object.__setattr__(self, name,
                                _array_callable(getattr(self, name), *probe))
-
-    @classmethod
-    def from_value_fn(cls, l: Scalar3, domain):
-        """Build the partials from the value function by centred differences."""
-        h = _FD_STEP
-
-        def dq(t, q, qd):
-            return (l(t, q + h, qd) - l(t, q - h, qd)) / (2 * h)
-
-        def dqd(t, q, qd):
-            return (l(t, q, qd + h) - l(t, q, qd - h)) / (2 * h)
-
-        def d2(t, q, qd):
-            return (l(t, q, qd + h) - 2 * l(t, q, qd) + l(t, q, qd - h)) / (h * h)
-
-        return cls(l, dq, dqd, d2, (float(domain[0]), float(domain[1])))
 
     def partials_residual(self, n: int = 200, seed: int = 0) -> float:
         """Max relative deviation of the stated partials from differences."""
@@ -248,11 +232,6 @@ class Extremal:
 
     def derivative(self, t):
         return self._eval(_hermite_slope, t)
-
-    @classmethod
-    def from_callable(cls, f, fdot, grid) -> "Extremal":
-        g = np.asarray(grid, float)
-        return cls(g, np.array([f(t) for t in g]), np.array([fdot(t) for t in g]))
 
 
 def _integrate_el(L: Lagrangian1D, t0: float, q0, qdot0, grid):
@@ -450,11 +429,6 @@ def mayer_slope(family: SolutionFamily, t, q):
 # Legendre transform and Hamiltonian
 
 
-def impulsion(L: Lagrangian1D, t, q, qdot):
-    """Conjugate momentum dL/dqdot, elementwise on arrays."""
-    return L.dL_dqdot(t, q, qdot)
-
-
 def energy(L: Lagrangian1D, t, q, qdot):
     """qdot * dL/dqdot - L, elementwise on arrays."""
     return qdot * L.dL_dqdot(t, q, qdot) - L.l(t, q, qdot)
@@ -512,32 +486,27 @@ def hamiltonian(L: Lagrangian1D, t, q, p):
 class NullLagrangianField:
     """Slope field psi with the derived affine-in-velocity Lagrangian.
 
-    lam(t, q, qdot) = p_hat(t, q, psi) qdot - energy(L, t, q, psi); it is
-    dominated by the generating Lagrangian, agrees with it along the field,
-    and its action depends only on path endpoints.
+    lam(t, q, qdot) = dL_dqdot(t, q, psi) qdot - energy(L, t, q, psi), with
+    psi = mayer_slope(family, t, q); it is dominated by the generating
+    Lagrangian, agrees with it along the field, and its action depends only
+    on path endpoints.
     """
 
     lagrangian: Lagrangian1D
     family: SolutionFamily
 
-    def psi(self, t, q):
-        return mayer_slope(self.family, t, q)
-
-    def p_hat(self, t, q, qdot):
-        return self.lagrangian.dL_dqdot(t, q, qdot)
-
     @_takes_arrays
     def lam(self, t, q, qdot):
         args = t, q, qdot
         t, q, qdot = _points(*args)
-        s = self.psi(t, q)
-        return _out(self.p_hat(t, q, s) * qdot
+        s = mayer_slope(self.family, t, q)
+        return _out(self.lagrangian.dL_dqdot(t, q, s) * qdot
                     - energy(self.lagrangian, t, q, s), *args)
 
     @_takes_arrays
     def dlambda_dqdot(self, t, q, qdot=0.0):
         # lam is affine in qdot, so this is exact
-        return self.p_hat(t, q, self.psi(t, q))
+        return self.lagrangian.dL_dqdot(t, q, mayer_slope(self.family, t, q))
 
     @_takes_arrays
     def dlambda_dq(self, t, q, qdot):
@@ -595,24 +564,29 @@ def _simpson_grid(a: float, b: float, n: int) -> np.ndarray:
     return np.linspace(a, b, n + n % 2 + 1)
 
 
+def _simpson(vals, ts) -> float:
+    """Composite-Simpson sum of the integrand values vals on the grid ts of
+    _simpson_grid; both weighted sums are exact (math.fsum)."""
+    h = (float(ts[-1]) - float(ts[0])) / (len(ts) - 1)
+    vals = _out(vals, ts).tolist()
+    odd = math.fsum(vals[1:-1:2])
+    even = math.fsum(vals[2:-1:2])
+    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even)
+
+
 def action(L: Lagrangian1D, path, a: float | None = None,
            b: float | None = None, n: int = 2000) -> float:
     """Composite-Simpson action integral of L along the path over (a, b),
     on n intervals (n + 1 if n is odd); n must be an integer >= 1.
 
-    The integrand is evaluated once on the whole grid; both weighted sums
-    are exact (math.fsum).
+    The integrand is evaluated once on the whole grid.
     """
     if a is None:
         a = L.domain[0]
     if b is None:
         b = L.domain[1]
     ts = _simpson_grid(a, b, n)
-    h = (b - a) / (len(ts) - 1)
-    vals = _out(L.l(ts, path.value(ts), path.derivative(ts)), ts).tolist()
-    odd = math.fsum(vals[1:-1:2])
-    even = math.fsum(vals[2:-1:2])
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even)
+    return _simpson(L.l(ts, path.value(ts), path.derivative(ts)), ts)
 
 
 def _require_shared_endpoints(domain, f, g) -> None:
@@ -669,10 +643,6 @@ class PhaseLift:
         return dv_dt * du_ds - dv_ds * du_dt + dw_ds
 
 
-def phase_lift(L: Lagrangian1D, family: SolutionFamily) -> PhaseLift:
-    return PhaseLift(lagrangian=L, family=family)
-
-
 def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
                                  s, t, h: float = _PULLBACK_STEP):
     """Pullback coefficient of the symplectic form at each interior (s, t);
@@ -685,7 +655,7 @@ def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
     if not np.all(inside):
         k = np.argmin(inside)
         raise ValueError(f"(s, t) = ({s.flat[k]}, {t.flat[k]}) not interior")
-    return _out(phase_lift(L, family).pullback_coefficient(s, t, h), *args)
+    return _out(PhaseLift(L, family).pullback_coefficient(s, t, h), *args)
 
 
 def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
@@ -693,18 +663,11 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
     """Action difference between a competitor path and the central leaf.
 
     The competitor must share endpoints with the leaf and stay inside the
-    foliated region; the gap is nonnegative up to quadrature tolerance.
+    foliated region at every node its action is summed on; the gap is
+    nonnegative up to quadrature tolerance.
     """
     if f_o is None:
         f_o = family.central_leaf
-    return _competitor_action(L, family, f, f_o, n) - action(L, f_o, n=n)
-
-
-def _competitor_action(L: Lagrangian1D, family: SolutionFamily, f, f_o,
-                       n: int) -> float:
-    """Action of a competitor after checking that it shares endpoints with
-    f_o and stays inside the foliated region at every node the action
-    evaluates."""
     _require_shared_endpoints(L.domain, f, f_o)
     lo, hi = family.s_interval
     ts = _simpson_grid(*L.domain, n)
@@ -714,7 +677,7 @@ def _competitor_action(L: Lagrangian1D, family: SolutionFamily, f, f_o,
     if not np.all(inside):
         raise FoliationError(
             f"path leaves the foliated region at t={ts[~inside][0]}")
-    return action(L, f, n=n)
+    return _simpson(L.l(ts, q, f.derivative(ts)), ts) - action(L, f_o, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -64,20 +64,6 @@ class IsoperimetricReport:
                    space_tag=geometry.tag)
 
 
-def line_integral(curve: ClosedCurve, field, refinement: int = 1) -> float:
-    """Midpoint-rule line integral of <field(x), dx> over the curve.
-
-    `field` maps a point array of shape (2,) to a vector of shape (2,);
-    evaluation failures at a node propagate unchanged.
-    """
-    pts, tan, wts, _, _, _ = curves.boundary_node_arrays(curve, refinement)
-    terms = [
-        w * float(np.asarray(field(p), float) @ t)
-        for p, t, w in zip(pts, tan, wts)
-    ]
-    return math.fsum(terms)
-
-
 def winding_integral(curve: ClosedCurve, x) -> float:
     """Loop integral of 2 det(y - x, dy)/|y - x|^2, exactly: the one-form is
     2 dtheta, so the integral is twice the sum of the angles the edges

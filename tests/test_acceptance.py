@@ -26,7 +26,6 @@ from isocal import (
     lagrangian_submanifold_check,
     mixed_derivative_closed_form,
     regular_polygon,
-    reverse,
     signed_area,
     sphere_area,
     sphere_double_integral,
@@ -197,5 +196,5 @@ def test_criterion_9_negative_controls():
 
         square = ClosedCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(OrientationError):
-            verify_isoperimetric(reverse(square))
-        assert signed_area(reverse(square)) == -signed_area(square)
+            verify_isoperimetric(square.reversed())
+        assert signed_area(square.reversed()) == -signed_area(square)

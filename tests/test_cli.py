@@ -19,7 +19,6 @@ from isocal import (
     hyperbolic_circle,
     load_curve,
     regular_polygon,
-    reverse,
     save_curve,
     verify_hyperbolic_isoperimetric,
     verify_isoperimetric,
@@ -337,13 +336,29 @@ def test_verify_corrupt_json_exit_2_no_partial_report(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"[" * 100000],
+                         ids=["not-utf8", "deep-nesting"])
+@pytest.mark.parametrize("which", ["curve", "config"])
+def test_unreadable_json_exit_2_no_partial_report(tmp_path, capsys,
+                                                  square_file, which,
+                                                  content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "never.json"
+    argv = (["verify", str(bad)] if which == "curve"
+            else ["verify", square_file, "--config", str(bad)])
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error" in capsys.readouterr().err
+
+
 def test_verify_missing_file_exit_2(tmp_path):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
 
 def test_verify_reversed_curve_rejected(tmp_path, capsys):
     path = tmp_path / "rev.json"
-    save_curve(reverse(SQUARE), str(path))
+    save_curve(SQUARE.reversed(), str(path))
     assert main(["verify", str(path)]) == 2
     assert "negatively oriented" in capsys.readouterr().err
 

@@ -13,6 +13,7 @@ from isocal import (
     FoliationError,
     Lagrangian1D,
     LegendreError,
+    PhaseLift,
     SolutionFamily,
     action,
     el_residual,
@@ -20,14 +21,12 @@ from isocal import (
     family_from_shooting,
     get_problem,
     hamiltonian,
-    impulsion,
     lagrangian_submanifold_check,
     legendre_inverse,
     mayer_slope,
     minimality_gap,
     null_lagrangian,
     path_independence_check,
-    phase_lift,
     solve_el,
     weierstrass_gap,
 )
@@ -73,14 +72,6 @@ def test_registry_legendre_condition():
                                     rng.uniform(-2, 2, 100),
                                     rng.uniform(-2, 2, 100))]
         assert min(vals) >= 0.0
-
-
-def test_from_value_fn_builds_consistent_partials():
-    L = Lagrangian1D.from_value_fn(lambda t, q, qd: 0.5 * (qd * qd - q * q),
-                                   (0.5, 2.5))
-    assert L.dL_dq(1.0, 0.7, 0.2) == pytest.approx(-0.7, abs=1e-8)
-    assert L.dL_dqdot(1.0, 0.7, 0.2) == pytest.approx(0.2, abs=1e-8)
-    assert L.d2L_dqdot2(1.0, 0.7, 0.2) == pytest.approx(1.0, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +147,10 @@ def test_hamilton_equations_along_solution():
     h = 1e-5
     for t in (0.9, 1.6, 2.3):
         q, qd = f.value(t), f.derivative(t)
-        g = impulsion(L, t, q, qd)
+        g = L.dL_dqdot(t, q, qd)
         dfdt = (f.value(t + h) - f.value(t - h)) / (2 * h)
-        dgdt = (impulsion(L, t + h, f.value(t + h), f.derivative(t + h))
-                - impulsion(L, t - h, f.value(t - h), f.derivative(t - h))) / (2 * h)
+        dgdt = (L.dL_dqdot(t + h, f.value(t + h), f.derivative(t + h))
+                - L.dL_dqdot(t - h, f.value(t - h), f.derivative(t - h))) / (2 * h)
         dH_dp = (hamiltonian(L, t, q, g + h) - hamiltonian(L, t, q, g - h)) / (2 * h)
         dH_dq = (hamiltonian(L, t, q + h, g) - hamiltonian(L, t, q - h, g)) / (2 * h)
         assert dfdt == pytest.approx(dH_dp, abs=1e-5)
@@ -241,7 +232,7 @@ def test_legendre_duality_roundtrip():
             t = rng.uniform(*L.domain)
             q = rng.uniform(-2, 2)
             qd = rng.uniform(-3, 3)
-            p = impulsion(L, t, q, qd)
+            p = L.dL_dqdot(t, q, qd)
             assert legendre_inverse(L, t, q, p) == pytest.approx(qd, abs=1e-9)
 
 
@@ -482,12 +473,12 @@ def test_null_lagrangian_el_property_on_arbitrary_paths():
 
 
 def test_momentum_minus_energy_form_is_closed():
-    # mixed partials of P dq - H dt with P = p_hat(t, q, psi)
+    # mixed partials of P dq - H dt with P = dL_dqdot(t, q, psi)
     nl = null_lagrangian(OSC.lagrangian, OSC.family)
     h = 1e-4
 
     def P(t, q):
-        return nl.p_hat(t, q, nl.psi(t, q))
+        return nl.dlambda_dqdot(t, q)
 
     def Hq(t, q):
         return hamiltonian(OSC.lagrangian, t, q, P(t, q))
@@ -523,7 +514,7 @@ def test_pullback_detects_corrupted_family():
 
 
 def test_phase_lift_map_components():
-    pl = phase_lift(OSC.lagrangian, OSC.family)
+    pl = PhaseLift(OSC.lagrangian, OSC.family)
     t, u, w, v = pl.map(0.5, 1.2)
     assert t == 1.2
     assert u == pytest.approx(0.5 * math.sin(1.2), abs=1e-12)
@@ -552,7 +543,7 @@ def test_submanifold_check_batch_equals_scalar_calls(name):
     single = np.array([lagrangian_submanifold_check(L, fam, *x)
                        for x in zip(s, t)])
     assert batch.tobytes() == single.tobytes()
-    pl = phase_lift(L, fam)
+    pl = PhaseLift(L, fam)
     for k, part in enumerate(pl.map(s, t)):
         want = np.array([pl.map(*x)[k] for x in zip(s, t)], float)
         assert np.broadcast_to(part, s.shape).tobytes() == want.tobytes()
@@ -636,6 +627,23 @@ def test_minimality_minimum_equals_min_of_gaps(name):
     assert got.hex() == min(gaps).hex()
 
 
+def test_minimality_gap_evaluates_the_competitor_once_per_grid():
+    # the region test and the action sum share one evaluation of the
+    # competitor on the n + 1 nodes of the Simpson grid
+    sizes = []
+
+    class Counted(CallablePath):
+        def value(self, t):
+            sizes.append(np.size(t))
+            return super().value(t)
+
+    path = checks._bump_path(OSC, np.random.default_rng(4))
+    f = Counted(path.f, path.fdot)
+    gap = minimality_gap(OSC.lagrangian, OSC.family, f, n=500)
+    assert sizes.count(501) == 1
+    assert gap == minimality_gap(OSC.lagrangian, OSC.family, path, n=500)
+
+
 @pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
 def test_mayer_checks_do_not_depend_on_the_problem_name(name):
     # the sweeps' perturbation amplitude belongs to the problem: a copy
@@ -681,9 +689,6 @@ def test_minimality_rejects_an_excursion_between_33_check_times():
     assert np.max(f.value(ts) - 3.0 * np.sin(ts)) > 1.5
     with pytest.raises(FoliationError, match="leaves the foliated region"):
         minimality_gap(OSC.lagrangian, OSC.family, f)
-    with pytest.raises(FoliationError, match="leaves the foliated region"):
-        mayer._competitor_action(OSC.lagrangian, OSC.family, f,
-                                 OSC.family.central_leaf, 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +826,7 @@ def test_first_zero_of_the_jacobi_field_is_pi():
 
 def test_extremal_hermite_interpolation():
     grid = np.linspace(0.0, 2.0, 41)
-    f = Extremal.from_callable(math.sin, math.cos, grid)
+    f = Extremal(grid, np.sin(grid), np.cos(grid))
     for t in (0.33, 1.111, 1.97):
         assert f.value(t) == pytest.approx(math.sin(t), abs=1e-6)
         assert f.derivative(t) == pytest.approx(math.cos(t), abs=1e-4)
@@ -830,7 +835,7 @@ def test_extremal_hermite_interpolation():
 def test_energy_and_impulsion_definitions():
     L = COSH.lagrangian
     t, q, qd = 0.3, 0.1, 0.8
-    assert impulsion(L, t, q, qd) == math.sinh(0.8)
+    assert L.dL_dqdot(t, q, qd) == math.sinh(0.8)
     assert energy(L, t, q, qd) == pytest.approx(
         0.8 * math.sinh(0.8) - math.cosh(0.8), abs=1e-14)
 

@@ -16,11 +16,8 @@ from isocal import (
     PointOnBoundaryError,
     biform_apply,
     double_boundary_integral,
-    line_integral,
-    mayer_vector,
     perimeter,
     regular_polygon,
-    reverse,
     signed_area,
     stokes_check,
     verify_isoperimetric,
@@ -41,43 +38,6 @@ from isocal.spaces import (
 
 SQUARE = ClosedCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 EPS = sys.float_info.epsilon
-
-
-# ---------------------------------------------------------------------------
-# line integrals
-
-
-def test_line_integral_constant_field_vanishes():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        c = star_polygon(rng)
-        val = line_integral(c, lambda p: np.array([1.0, 0.0]), refinement=2)
-        assert abs(val) <= 1e-10
-
-
-def test_line_integral_rotational_field_gives_area():
-    # Green's theorem: the field (-x2, x1)/2 integrates to the enclosed area,
-    # and the midpoint rule is exact for fields linear in position
-    val = line_integral(SQUARE, lambda p: 0.5 * np.array([-p[1], p[0]]))
-    assert val == pytest.approx(1.0, abs=1e-14)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        c = star_polygon(rng)
-        val = line_integral(c, lambda p: 0.5 * np.array([-p[1], p[0]]))
-        assert val == pytest.approx(signed_area(c), rel=1e-12)
-
-
-def test_line_integral_of_unit_field_bounded_by_perimeter():
-    c = regular_polygon(256)
-    pts, tan = boundary_node_arrays(c, 1)[:2]
-    yv, tv = pts[10], tan[10]
-
-    def field(p):
-        return mayer_vector(yv, tv, p)
-
-    # integration nodes at refinement 2 are quarter points, distinct from y
-    val = line_integral(c, field, refinement=2)
-    assert abs(val) <= perimeter(c) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -948,14 +908,6 @@ def test_exact_sum_near_overflow_is_exact(terms):
         assert exact_sum(shuffled).hex() == want.hex()
 
 
-def test_line_integral_propagates_field_failure():
-    def broken(p):
-        raise RuntimeError("no field here")
-
-    with pytest.raises(RuntimeError):
-        line_integral(SQUARE, broken)
-
-
 # ---------------------------------------------------------------------------
 # Stokes check
 
@@ -1121,9 +1073,9 @@ def test_verify_hundred_random_polygons_cheap_refinement():
 
 def test_verify_rejects_reversed_orientation():
     with pytest.raises(OrientationError):
-        verify_isoperimetric(reverse(SQUARE))
+        verify_isoperimetric(SQUARE.reversed())
     # and the signed area itself reports the flipped sign rather than hiding it
-    assert signed_area(reverse(SQUARE)) == -1.0
+    assert signed_area(SQUARE.reversed()) == -1.0
 
 
 def test_auto_refinement_targets_node_count():

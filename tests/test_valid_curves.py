@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import near_point, vertex_angle_winding_number
-from isocal import (ClosedCurve, contains, reverse, save_curve,
+from isocal import (ClosedCurve, contains, save_curve,
                     winding_integral, winding_number)
 from isocal.cli import main
 from isocal.curves import distance_to_boundary
@@ -134,7 +134,7 @@ def test_winding_integral_is_4_pi_times_the_winding_number(
     # each edge's term depends on that edge alone, and reversal negates it
     rotated = ClosedCurve(np.roll(curve.vertices, turn % n, axis=0))
     assert winding_integral(rotated, x).hex() == I.hex()
-    assert winding_integral(reverse(curve), x) == -I
+    assert winding_integral(curve.reversed(), x) == -I
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,6 +168,6 @@ def test_interior_curl_integral_keeps_its_bits(v, k, shift, i, kind, gap, a,
     assert math.isfinite(I)
     rotated = ClosedCurve(np.roll(w, turn % n, axis=0))
     assert interior_curl_integral(rotated, y, t).hex() == I.hex()
-    assert interior_curl_integral(reverse(curve), y, t) == -I
+    assert interior_curl_integral(curve.reversed(), y, t) == -I
     assert (interior_curl_integral(scaled, np.ldexp(y, k), t).hex()
             == math.ldexp(I, k).hex())

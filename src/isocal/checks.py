@@ -138,6 +138,29 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
     return worst
 
 
+def run_calibration_checks(space: str, samples: int,
+                           seed: int) -> dict[str, float]:
+    """The kernel checks of the calibration command in report order: five in
+    the plane, and for r3 three more in three-space.  The circle sweeps take
+    at most 100 circles, the mixed-derivative sweeps at most 50 pairs."""
+    if space not in ("r2", "r3"):
+        raise ValueError(f"space must be 'r2' or 'r3', got {space!r}")
+    n_circles, n_pairs = min(samples, 100), min(samples, 50)
+    results = {
+        "unit_norm": mayer_vector_norm_residual(samples, seed),
+        "orthogonality_r2": orthogonality_residual(2, samples, seed),
+        "circle_equality_r2": circle_equality_residual(2, n_circles, seed),
+        "consistency": consistency_residual(samples, seed),
+        "mixed_r2": mixed_derivative_residual("r2", n_pairs, seed),
+    }
+    if space == "r3":
+        results["orthogonality_r3"] = orthogonality_residual(3, samples, seed)
+        results["circle_equality_r3"] = circle_equality_residual(
+            3, n_circles, seed)
+        results["mixed_r3"] = mixed_derivative_residual("r3", n_pairs, seed)
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Mayer-side sweeps
 

@@ -107,25 +107,17 @@ def _tolerances(config: dict, overrides: list[str] | None) -> dict:
     return tol
 
 
-def _samples_and_seed(config: dict, samples, seed, default_samples):
-    """Sample count and seed: the flag, else the config, else the default.
-
-    The sample count is a positive integer (or None where the command has
-    no default), the seed a non-negative integer.
-    """
-    if samples is None:
-        samples = config.get("samples", default_samples)
-    if seed is None:
-        seed = config.get("seed", 0)
-    if samples is not None and not _int_at_least(samples, 1):
-        raise UsageError(f"samples must be a positive integer, got {samples!r}")
-    if not _int_at_least(seed, 0):
-        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
-    return samples, seed
-
-
-def _int_at_least(val, least: int) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool) and val >= least
+def _setting(args, config: dict, name: str, default, least: int):
+    """An integer setting: the flag, else the config key, else the default
+    (None where the command has none); an int >= least, not a bool."""
+    val = getattr(args, name, None)
+    if val is None:
+        val = config.get(name, default)
+    if val is not None and not (isinstance(val, int)
+                                and not isinstance(val, bool) and val >= least):
+        kind = "positive" if least == 1 else "non-negative"
+        raise UsageError(f"{name} must be a {kind} integer, got {val!r}")
+    return val
 
 
 def _report(args, tol: dict, settings: dict, head: dict, results: dict,
@@ -177,11 +169,7 @@ def _cmd_verify(args, config: dict) -> int:
     if args.space and args.space != geometry.tag:
         raise UsageError(f"--space {args.space} conflicts with curve file "
                          f"space {geometry.tag!r}")
-    refinement = args.refinement if args.refinement is not None \
-        else config.get("refinement")
-    if refinement is not None and not _int_at_least(refinement, 1):
-        raise UsageError(
-            f"refinement must be a positive integer, got {refinement!r}")
+    refinement = _setting(args, config, "refinement", None, 1)
     verify = operator.attrgetter(geometry.verify)(sys.modules[__package__])
     r = verify(curve) if refinement is None else verify(curve, refinement)
 
@@ -216,41 +204,14 @@ def _cmd_verify(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 # calibration
 
-# The checks in report order: (check name, sweep(samples, seed), tolerance
-# name); r3 adds three to the five of r2.  Each sweep looks its function up
-# on the checks module when it runs, so a wrapper set there sees the call.
-_CALIBRATION_R2 = [
-    ("unit_norm", lambda n, s: checks.mayer_vector_norm_residual(n, s),
-     "unit_norm"),
-    ("orthogonality_r2", lambda n, s: checks.orthogonality_residual(2, n, s),
-     "orthogonality"),
-    ("circle_equality_r2",
-     lambda n, s: checks.circle_equality_residual(2, min(n, 100), s),
-     "circle_equality"),
-    ("consistency", lambda n, s: checks.consistency_residual(n, s),
-     "consistency"),
-    ("mixed_r2",
-     lambda n, s: checks.mixed_derivative_residual("r2", min(n, 50), s),
-     "mixed_r2"),
-]
-_CALIBRATION = {"r2": _CALIBRATION_R2, "r3": _CALIBRATION_R2 + [
-    ("orthogonality_r3", lambda n, s: checks.orthogonality_residual(3, n, s),
-     "orthogonality"),
-    ("circle_equality_r3",
-     lambda n, s: checks.circle_equality_residual(3, min(n, 100), s),
-     "circle_equality"),
-    ("mixed_r3",
-     lambda n, s: checks.mixed_derivative_residual("r3", min(n, 50), s),
-     "mixed_r3"),
-]}
-
-
 def _cmd_calibration(args, config: dict) -> int:
     tol = _tolerances(config, args.tolerance)
-    samples, seed = _samples_and_seed(config, args.samples, args.seed, 10000)
-    table = _CALIBRATION[args.space]
-    results = {name: sweep(samples, seed) for name, sweep, _ in table}
-    entries = [(name, results[name], tol_name) for name, _, tol_name in table]
+    samples = _setting(args, config, "samples", 10000, 1)
+    seed = _setting(args, config, "seed", 0, 0)
+    results = checks.run_calibration_checks(args.space, samples, seed)
+    # a check takes the tolerance of its name, else of its name less _r2/_r3
+    entries = [(name, value, name if name in tol else name[:-3])
+               for name, value in results.items()]
     return _report(args, tol, {"samples": samples, "seed": seed},
                    {"space": args.space}, results, entries)
 
@@ -261,7 +222,8 @@ def _cmd_calibration(args, config: dict) -> int:
 
 def _cmd_mayer(args, config: dict) -> int:
     tol = _tolerances(config, args.tolerance)
-    samples, seed = _samples_and_seed(config, args.samples, args.seed, 2000)
+    samples = _setting(args, config, "samples", 2000, 1)
+    seed = _setting(args, config, "seed", 0, 0)
     try:
         problem = mayer.get_problem(args.problem)
     except KeyError as e:
@@ -279,6 +241,7 @@ def _cmd_mayer(args, config: dict) -> int:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -289,13 +252,13 @@ def _cmd_plotdata(args, config: dict) -> int:
     if args.problem is not None and args.kind != "leaves":
         raise UsageError("unrecognized arguments: --problem "
                          f"(plotdata {args.kind} reads none)")
-    samples, _ = _samples_and_seed(config, args.samples, None, None)
+    samples = _setting(args, config, "samples", None, 1)
+    _setting(args, config, "seed", 0, 0)  # no flag, but the config's is checked
     out_dir = args.out or "plotdata"
     if args.kind == "vfield":
         n = samples if samples is not None else 21
         if n < 2:
             raise UsageError("vfield needs --samples >= 2 grid points per axis")
-        os.makedirs(out_dir, exist_ok=True)
         # V(y, t_y, x) = m(x - y) t_y on the grid, y = (0, 0), t_y = (1, 0)
         g = np.linspace(-2.0, 2.0, n)
         x = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -305,7 +268,6 @@ def _cmd_plotdata(args, config: dict) -> int:
         _write_csv(path, ["x1", "x2", "v1", "v2"], rows)
     elif args.kind == "circles":
         n = samples if samples is not None else 9
-        os.makedirs(out_dir, exist_ok=True)
         rows = []
         # circles through y=(0,0) tangent to t_y=(1,0): centers (0, d/2)
         for k in range(1, n + 1):
@@ -328,7 +290,6 @@ def _cmd_plotdata(args, config: dict) -> int:
             problem = mayer.get_problem(args.problem or "oscillator")
         except KeyError as e:
             raise UsageError(str(e)) from e
-        os.makedirs(out_dir, exist_ok=True)
         lo, hi = problem.family.s_interval
         a, b = problem.family.t_domain
         s = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), n)
@@ -381,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("calibration", "kernel invariant sweep", _cmd_calibration,
                 ["tolerance", "samples", "seed", "out", "config"])
-    p.add_argument("--space", choices=sorted(_CALIBRATION), default="r2",
+    p.add_argument("--space", choices=["r2", "r3"], default="r2",
                    help="r3 adds the three-space checks incl. the mixed-"
                         "derivative closed form")
 
@@ -398,10 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:  # argparse's usage error, --help or --version
         return e.code
     args.argv_echo = list(argv) if argv is not None else list(sys.argv[1:])
@@ -416,6 +379,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"isocal: i/o error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # an input too large for the arrays it needs
+        print(f"isocal: error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

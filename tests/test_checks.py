@@ -122,6 +122,47 @@ def test_sweeps_call_d1d2_fd_once_per_block(monkeypatch):
     assert calls == [(50, 2), (50, 3)]
 
 
+# the calibration command's checks: (name, sweep, its arguments at
+# samples=150, seed=5), in report order; the circle sweeps clamp to 100
+# circles and the mixed-derivative sweeps to 50 pairs
+CALIBRATION_R2 = [
+    ("unit_norm", "mayer_vector_norm_residual", (150, 5)),
+    ("orthogonality_r2", "orthogonality_residual", (2, 150, 5)),
+    ("circle_equality_r2", "circle_equality_residual", (2, 100, 5)),
+    ("consistency", "consistency_residual", (150, 5)),
+    ("mixed_r2", "mixed_derivative_residual", ("r2", 50, 5)),
+]
+CALIBRATION_R3 = CALIBRATION_R2 + [
+    ("orthogonality_r3", "orthogonality_residual", (3, 150, 5)),
+    ("circle_equality_r3", "circle_equality_residual", (3, 100, 5)),
+    ("mixed_r3", "mixed_derivative_residual", ("r3", 50, 5)),
+]
+
+
+@pytest.mark.parametrize("space, table", [("r2", CALIBRATION_R2),
+                                          ("r3", CALIBRATION_R3)])
+def test_calibration_checks_in_report_order_with_their_clamps(monkeypatch,
+                                                              space, table):
+    # each sweep is called through the module, as a wrapper set there sees it
+    calls = []
+    for sweep in {sweep for _, sweep, _ in table}:
+        def recorded(*args, _sweep=sweep, _fn=getattr(checks, sweep)):
+            calls.append((_sweep, args))
+            return _fn(*args)
+        monkeypatch.setattr(checks, sweep, recorded)
+    got = checks.run_calibration_checks(space, 150, 5)
+    monkeypatch.undo()
+    assert list(got) == [name for name, _, _ in table]
+    assert calls == [(sweep, args) for _, sweep, args in table]
+    for name, sweep, args in table:
+        assert got[name].hex() == getattr(checks, sweep)(*args).hex()
+
+
+def test_calibration_checks_reject_an_unknown_space():
+    with pytest.raises(ValueError, match="space"):
+        checks.run_calibration_checks("r4", 10, 0)
+
+
 # ---------------------------------------------------------------------------
 # memory
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -450,6 +451,21 @@ def test_calibration_impossible_tolerance_exit_1(tmp_path):
     assert rc == 1
 
 
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for seed in ("1", "2"):
+        assert main(["calibration", "--samples", "5", "--seed", seed,
+                     "--out", str(tmp_path / "cal.json")]) == 0
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # mayer
 
@@ -614,6 +630,26 @@ def test_bad_samples_or_seed_in_config_exit_2(tmp_path, monkeypatch, capsys,
     monkeypatch.setenv("ISOCAL_CONFIG", str(cfg))
     assert main(command + ["--out", str(tmp_path / "out")]) == 2
     assert f"{next(iter(setting))} must be" in capsys.readouterr().err
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+
+@pytest.mark.parametrize("target, command", [
+    ("isocal.quadrature.verify_isoperimetric", "verify"),
+    ("isocal.checks.run_calibration_checks", "calibration"),
+    ("isocal.biform._field", "plotdata vfield")])
+def test_out_of_memory_exit_2_no_report(tmp_path, square_file, monkeypatch,
+                                        capsys, target, command):
+    monkeypatch.setattr(target, _out_of_memory)
+    out = tmp_path / "out.json"
+    argv = command.split() + ([square_file] if command == "verify" else [])
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("isocal: error: out of memory: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()  # plotdata: no directory either
 
 
 @pytest.mark.parametrize("refinement", ["8", 2.5, True, 0, -1])

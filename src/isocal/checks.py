@@ -13,6 +13,18 @@ as dominance_minimum does: one QR factorisation, one kernel call or one
 d1d2_fd call per block.  A block draws the rows that follow the previous
 block's, and each sample gets the same bits as alone, so no result depends
 on the blocking.
+
+The Mayer sweeps path_independence_residual and minimality_minimum draw
+their random paths from one uniform stream, a block of rows of three
+sine-mode coefficients at a time (_bump_paths), the rows a path at a time
+would draw.  A block holds as many paths as keep its whole working set, a
+few to a few dozen float arrays of one value per Simpson node and path,
+within curves._BLOCK_BYTES: one pair, or two competitors, by default.  A
+block of path pairs is one path_independence_check, so one evaluation of
+lam and one leaf location over all its points; a block of competitors is
+one evaluation of L against the central leaf's action and the region
+bounds, which the sweep computes once.  Each path gets the bits it gets
+alone.
 """
 
 from __future__ import annotations
@@ -28,9 +40,10 @@ from .mayer import (
     CallablePath,
     MayerProblem,
     _PULLBACK_STEP,
+    _gap_to_leaf,
+    _simpson_grid,
     _takes_arrays,
     lagrangian_submanifold_check,
-    minimality_gap,
     null_lagrangian,
     path_independence_check,
     weierstrass_gap,
@@ -164,26 +177,39 @@ def run_calibration_checks(space: str, samples: int,
 # ---------------------------------------------------------------------------
 # Mayer-side sweeps
 
-def _bump_path(problem: MayerProblem, rng) -> CallablePath:
-    """Central leaf plus three random sine modes vanishing at both
-    endpoints, with coefficients within the problem's amplitude."""
+def _bump_paths(problem: MayerProblem, coeffs) -> CallablePath:
+    """The central leaf plus three sine modes vanishing at both endpoints,
+    one path per row of coeffs (..., 3); the paths' values at times t have
+    the shape coeffs.shape[:-1] + t.shape."""
     a, b = problem.lagrangian.domain
     base = problem.family.central_leaf
-    coeffs = rng.uniform(-problem.amplitude, problem.amplitude, size=3)
-    ks = np.arange(1, len(coeffs) + 1) * math.pi / (b - a)
+    coeffs = np.asarray(coeffs, float)
+    ks = np.arange(1, coeffs.shape[-1] + 1) * math.pi / (b - a)
 
     @_takes_arrays
     def f(t):
         x = t - a
-        return base.value(t) + sum(c * np.sin(k * x) for c, k in zip(coeffs, ks))
+        return base.value(t) + sum(np.multiply.outer(coeffs[..., j],
+                                                     np.sin(k * x))
+                                   for j, k in enumerate(ks))
 
     @_takes_arrays
     def fdot(t):
         x = t - a
-        return base.derivative(t) + sum(
-            c * k * np.cos(k * x) for c, k in zip(coeffs, ks))
+        return base.derivative(t) + sum(np.multiply.outer(coeffs[..., j] * k,
+                                                          np.cos(k * x))
+                                        for j, k in enumerate(ks))
 
     return CallablePath(f=f, fdot=fdot)
+
+
+def _bump_block(arrays: int, n_quad: int) -> int:
+    """Rows per block of a Mayer sweep whose working set holds `arrays`
+    float arrays a row, each of one value per node of the n_quad-interval
+    Simpson grid, so that the block's arrays stay within
+    curves._BLOCK_BYTES (one row at least)."""
+    row = 8 * arrays * _simpson_grid(0.0, 1.0, n_quad).size
+    return max(1, curves._BLOCK_BYTES // row)
 
 
 def dominance_minimum(problem: MayerProblem, n: int = 10000,
@@ -219,15 +245,21 @@ def field_equality_residual(problem: MayerProblem) -> float:
 def path_independence_residual(problem: MayerProblem, n_pairs: int = 20,
                                seed: int = 0) -> float:
     """max |action(lam, f1) - action(lam, f2)| over random endpoint-matched
-    path pairs."""
+    path pairs.
+
+    Pair i's two paths are rows 2i and 2i + 1 of the uniform draws, so a
+    block of pairs is one draw and one path_independence_check."""
     rng = np.random.default_rng(seed)
     nl = null_lagrangian(problem.lagrangian, problem.family)
+    amp = problem.amplitude
     worst = 0.0
-    for _ in range(n_pairs):
-        f1 = _bump_path(problem, rng)
-        f2 = _bump_path(problem, rng)
-        i1, i2 = path_independence_check(nl, f1, f2)
-        worst = max(worst, abs(i1 - i2))
+    # leaf location holds about 14 arrays for each of a pair's two rows
+    step = _bump_block(28, 2000)
+    for start in range(0, n_pairs, step):
+        c = rng.uniform(-amp, amp, size=(2 * min(step, n_pairs - start), 3))
+        i1, i2 = path_independence_check(nl, _bump_paths(problem, c[0::2]),
+                                         _bump_paths(problem, c[1::2]))
+        worst = float(np.max(np.abs(i1 - i2), initial=worst))
     return worst
 
 
@@ -247,14 +279,17 @@ def pullback_residual(problem: MayerProblem, n: int = 100,
 def minimality_minimum(problem: MayerProblem, n: int = 100,
                        seed: int = 0, n_quad: int = 2000) -> float:
     """min minimality_gap of random endpoint-matched perturbations of the
-    central leaf."""
+    central leaf, a block of rows of the uniform draws at a time."""
     rng = np.random.default_rng(seed)
-    L, family = problem.lagrangian, problem.family
-    leaf = family.central_leaf
+    gap = _gap_to_leaf(problem.lagrangian, problem.family,
+                       problem.family.central_leaf, n_quad)
+    amp = problem.amplitude
     worst = math.inf
-    for _ in range(n):
-        f = _bump_path(problem, rng)
-        worst = min(worst, minimality_gap(L, family, f, leaf, n_quad))
+    # a competitor's values, its slopes and two temporaries of L
+    step = _bump_block(4, n_quad)
+    for start in range(0, n, step):
+        c = rng.uniform(-amp, amp, size=(min(step, n - start), 3))
+        worst = float(np.min(gap(_bump_paths(problem, c)), initial=worst))
     return worst
 
 

@@ -37,7 +37,7 @@ _FD_CROSS = 1e-6
 _FD_STEP = 1e-5
 _PULLBACK_STEP = 1e-4
 _ENDPOINT_TOL = 1e-10  # paths that agree to this at both ends share them
-_LEAF_TOL = 1e-12  # bracket width of a leaf parameter (_locate_leaf)
+_LEAF_TOL = 1e-12  # widest final bracket of a leaf parameter (_locate_leaf)
 _EL_TOL = 1e-6  # Euler-Lagrange residual bound on null_lagrangian's leaves
 
 
@@ -376,11 +376,19 @@ class SolutionFamily:
 
 def _locate_leaf(family: SolutionFamily, t, q):
     """Parameter of the leaf through each (t, q), arrays of one shape
-    (_points), by bisection.
+    (_points), by false position on the parameter interval.
 
-    Every point takes ceil(log2(width / _LEAF_TOL)) halvings, a count set
-    by the width of the parameter interval alone, so a point gets the same
-    bits whether it is solved alone or inside a batch.
+    The Illinois variant (Dowell & Jarratt 1971) halves the value kept at
+    an end that two steps in a row left in place.  A secant point within
+    2 eps max(|s|, 1) of the last point moves that far towards the root,
+    so a converged point closes its bracket at the next step.  With n =
+    ceil(log2(width / _LEAF_TOL)) + 6, step k moves its point into [b - r,
+    a + r], r = _LEAF_TOL 2^(n - k), as ITP does (Oliveira & Takahashi
+    2020), so no point takes more than n steps: bisection's count and six.
+
+    Each point stops on its own, with the root itself or the midpoint of a
+    bracket at most _LEAF_TOL wide, and every step is elementwise, so a
+    point gets the same bits whether it is solved alone or inside a batch.
     """
     lo0, hi0 = family.s_interval
     qlo = np.broadcast_to(family.u(lo0, t), t.shape)
@@ -396,17 +404,54 @@ def _locate_leaf(family: SolutionFamily, t, q):
         a, b = sorted((float(qlo.flat[k]), float(qhi.flat[k])))
         raise FoliationError(f"q={q.flat[k]} outside the foliated range at "
                              f"t={t.flat[k]} ([{a}, {b}])")
-    # below(s): the leaf through (t, q) has a parameter at or above s
-    below = ((lambda s: family.u(s, t) <= q) if family._monotone_sign > 0
-             else (lambda s: family.u(s, t) >= q))
-    return _bisect(below, np.full(t.shape, float(lo0)), float(hi0 - lo0),
-                   max(0, math.ceil(math.log2((hi0 - lo0) / _LEAF_TOL))))
+    # g(s) = sign (u(s, t) - q) rises through the root in [a, b]; a q that
+    # rounding puts outside [u(lo), u(hi)] takes the nearer end
+    sign = family._monotone_sign
+    fa, fb = sign * (qlo - q), sign * (qhi - q)
+    del qlo, qhi, slack, inside  # not held through the loop
+    a = np.where(fb <= 0, float(hi0), float(lo0))
+    b = np.where(fa >= 0, float(lo0), float(hi0))
+    active = (fa < 0) & (fb > 0)
+    last, moved = np.full(a.shape, np.nan), np.zeros(a.shape)
+    steps = max(0, math.ceil(math.log2((hi0 - lo0) / _LEAF_TOL))) + 6
+    for k in range(1, steps + 1):
+        if not active.any():
+            break
+        w = b - a
+        with np.errstate(all="ignore"):
+            x = a - fa * (w / (fb - fa))
+        # a secant point within rounding of the last point steps that far
+        # towards the root instead, so the next bracket can close on it
+        tiny = 2.0 * np.finfo(float).eps * np.maximum(np.abs(last), 1.0)
+        np.copyto(x, last + moved * tiny, where=np.abs(x - last) <= tiny)
+        # either side of x leaves a bracket of at most r, which halving in
+        # the steps left takes to _LEAF_TOL; a point off the open bracket
+        # bisects
+        r = _LEAF_TOL * 2.0 ** (steps - k)
+        np.clip(x, b - r, a + r, out=x)
+        np.copyto(x, a + 0.5 * w, where=~((a < x) & (x < b)))
+        gx = sign * (family.u(x, t) - q)
+        left, right = active & (gx < 0), active & (gx > 0)
+        # Illinois: the value of an end kept twice in a row is halved
+        np.multiply(fa, 0.5, out=fa, where=right & (moved < 0))
+        np.multiply(fb, 0.5, out=fb, where=left & (moved > 0))
+        for end, value, side in ((a, fa, left), (b, fb, right)):
+            np.copyto(end, x, where=side)
+            np.copyto(value, gx, where=side)
+        # u(x, t) = q: the bracket closes on x
+        root = active & ~(left | right)
+        np.copyto(a, x, where=root)
+        np.copyto(b, x, where=root)
+        last, moved = x, left * 1.0 - right
+        active &= b - a > _LEAF_TOL
+    return a + 0.5 * (b - a)
 
 
 def _bisect(below, lo, width, halvings: int):
     """Where below(x) turns from true to false in each bracket [lo, lo +
     width], by halving all at once and keeping the half that holds it; lo,
-    a float array, is updated in place."""
+    a float array, is updated in place.  legendre_inverse inverts by it, a
+    fixed number of halvings for every point."""
     half = width
     for _ in range(halvings):
         half = half * 0.5
@@ -564,22 +609,30 @@ def _simpson_grid(a: float, b: float, n: int) -> np.ndarray:
     return np.linspace(a, b, n + n % 2 + 1)
 
 
-def _simpson(vals, ts) -> float:
-    """Composite-Simpson sum of the integrand values vals on the grid ts of
-    _simpson_grid; both weighted sums are exact (math.fsum)."""
+def _simpson(vals, ts):
+    """Composite-Simpson sums of the integrand values vals on the grid ts of
+    _simpson_grid, one per path (a row of vals; a float for one path);
+    both weighted sums of a path are exact (math.fsum)."""
     h = (float(ts[-1]) - float(ts[0])) / (len(ts) - 1)
-    vals = _out(vals, ts).tolist()
-    odd = math.fsum(vals[1:-1:2])
-    even = math.fsum(vals[2:-1:2])
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even)
+    vals = np.asarray(vals, float)
+    vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, ts.shape))
+    sums = []
+    for row in vals.reshape(-1, len(ts)):
+        row = row.tolist()
+        odd = math.fsum(row[1:-1:2])
+        even = math.fsum(row[2:-1:2])
+        sums.append(h / 3.0 * (row[0] + row[-1] + 4.0 * odd + 2.0 * even))
+    return sums[0] if vals.ndim == 1 else np.reshape(sums, vals.shape[:-1])
 
 
 def action(L: Lagrangian1D, path, a: float | None = None,
-           b: float | None = None, n: int = 2000) -> float:
+           b: float | None = None, n: int = 2000):
     """Composite-Simpson action integral of L along the path over (a, b),
     on n intervals (n + 1 if n is odd); n must be an integer >= 1.
 
-    The integrand is evaluated once on the whole grid.
+    The integrand is evaluated once on the whole grid.  A path whose values
+    on the grid are rows, one per path of a block, gets one action per row;
+    a single path gets a float.
     """
     if a is None:
         a = L.domain[0]
@@ -596,15 +649,24 @@ def _require_shared_endpoints(domain, f, g) -> None:
         raise EndpointError("paths do not share endpoints")
 
 
-def path_independence_check(nl: NullLagrangianField, f1, f2,
-                            n: int = 2000) -> tuple[float, float]:
+def path_independence_check(nl: NullLagrangianField, f1, f2, n: int = 2000):
     """Action of the null Lagrangian along two paths with shared endpoints.
 
-    Returns the two integrals; they agree up to quadrature tolerance.
+    Returns the two integrals; they agree up to quadrature tolerance.  For
+    blocks of paths (see action) row i of f1 is paired with row i of f2,
+    and every pair must share its endpoints.
     """
     _require_shared_endpoints(nl.lagrangian.domain, f1, f2)
-    lam = nl.as_lagrangian()
-    return action(lam, f1, n=n), action(lam, f2, n=n)
+
+    def stack(x1, x2, t):  # the two sides as one block: one lam evaluation
+        return np.stack(np.broadcast_arrays(x1, x2, t)[:2])
+
+    pair = CallablePath(
+        f=_takes_arrays(lambda t: stack(f1.value(t), f2.value(t), t)),
+        fdot=_takes_arrays(lambda t: stack(f1.derivative(t),
+                                           f2.derivative(t), t)))
+    i1, i2 = action(nl.as_lagrangian(), pair, n=n)
+    return i1, i2
 
 
 @dataclass(frozen=True)
@@ -658,26 +720,42 @@ def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
     return _out(PhaseLift(L, family).pullback_coefficient(s, t, h), *args)
 
 
-def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
-                   f_o=None, n: int = 2000) -> float:
-    """Action difference between a competitor path and the central leaf.
-
-    The competitor must share endpoints with the leaf and stay inside the
-    foliated region at every node its action is summed on; the gap is
-    nonnegative up to quadrature tolerance.
-    """
+def _gap_to_leaf(L: Lagrangian1D, family: SolutionFamily, f_o, n: int):
+    """minimality_gap(L, family, f, f_o, n) as a function of f, with the
+    Simpson grid, the foliated region's bounds on it and the action of f_o
+    computed once."""
     if f_o is None:
         f_o = family.central_leaf
-    _require_shared_endpoints(L.domain, f, f_o)
-    lo, hi = family.s_interval
     ts = _simpson_grid(*L.domain, n)
-    q = f.value(ts)
+    lo, hi = family.s_interval
     qlo, qhi = family.u(lo, ts), family.u(hi, ts)
-    inside = (np.minimum(qlo, qhi) <= q) & (q <= np.maximum(qlo, qhi))
-    if not np.all(inside):
-        raise FoliationError(
-            f"path leaves the foliated region at t={ts[~inside][0]}")
-    return _simpson(L.l(ts, q, f.derivative(ts)), ts) - action(L, f_o, n=n)
+    low, high = np.minimum(qlo, qhi), np.maximum(qlo, qhi)
+    base = action(L, f_o, n=n)
+
+    def gap(f):
+        _require_shared_endpoints(L.domain, f, f_o)
+        q = f.value(ts)
+        inside = (low <= q) & (q <= high)
+        if not np.all(inside):
+            k = np.flatnonzero(~inside)[0] % len(ts)
+            raise FoliationError(
+                f"path leaves the foliated region at t={ts[k]}")
+        return _simpson(L.l(ts, q, f.derivative(ts)), ts) - base
+
+    return gap
+
+
+def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
+                   f_o=None, n: int = 2000):
+    """Action difference between a competitor path and the central leaf,
+    one per row for a block of competitors (see action).
+
+    Every competitor must share endpoints with the leaf and stay inside the
+    foliated region at every node its action is summed on, or the first
+    one that does not raises; the gap is nonnegative up to quadrature
+    tolerance.
+    """
+    return _gap_to_leaf(L, family, f_o, n)(f)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,21 @@ QUARTIC = Lagrangian1D(
 )
 
 
+def scalar_bump(prob, rng) -> CallablePath:
+    """One random bump path of the Mayer sweeps, drawn (three uniform
+    coefficients) and built one path at a time: the reference for the
+    sweeps' blocks."""
+    a, b = prob.lagrangian.domain
+    base = prob.family.central_leaf
+    coeffs = rng.uniform(-prob.amplitude, prob.amplitude, size=3)
+    ks = np.arange(1, 4) * math.pi / (b - a)
+    return CallablePath(
+        f=lambda t: base.value(t) + sum(
+            c * np.sin(k * (t - a)) for c, k in zip(coeffs, ks)),
+        fdot=lambda t: base.derivative(t) + sum(
+            c * k * np.cos(k * (t - a)) for c, k in zip(coeffs, ks)))
+
+
 def corrupted_family() -> SolutionFamily:
     """Leaves that are not extremals of the oscillator Lagrangian."""
     return SolutionFamily(
@@ -616,15 +631,92 @@ def test_minimality_random_perturbations():
 
 
 @pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
-def test_minimality_minimum_equals_min_of_gaps(name):
+def test_minimality_minimum_equals_min_of_gaps(name, monkeypatch):
+    # the per-path loop is the reference, for any blocking of the sweep
     prob = get_problem(name)
     rng = np.random.default_rng(21)
     gaps = [minimality_gap(prob.lagrangian, prob.family,
-                           checks._bump_path(prob, rng),
-                           n=500)
+                           scalar_bump(prob, rng), n=500)
             for _ in range(8)]
-    got = checks.minimality_minimum(prob, 8, seed=21, n_quad=500)
-    assert got.hex() == min(gaps).hex()
+    rows = spy_block_rows(monkeypatch)
+    for budget in (1, 3 << 14, 1 << 16, 1 << 20):
+        monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+        got = checks.minimality_minimum(prob, 8, seed=21, n_quad=500)
+        assert got.hex() == min(gaps).hex()
+    assert set(rows) == {1, 2, 3, 4, 8}
+
+
+def spy_block_rows(monkeypatch) -> list:
+    """The number of paths in each block the Mayer sweeps build, in order."""
+    rows = []
+    bump = checks._bump_paths
+
+    def spy(prob, coeffs):
+        rows.append(len(coeffs))
+        return bump(prob, coeffs)
+
+    monkeypatch.setattr(checks, "_bump_paths", spy)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
+def test_path_independence_sweep_matches_scalar_loop_and_any_blocking(
+        name, monkeypatch):
+    # the parent algorithm drew and integrated one path at a time, each on
+    # its own; the blocks, and the pair's paths stacked into one evaluation
+    # of lam, must reproduce it bit for bit
+    prob = get_problem(name)
+    lam = null_lagrangian(prob.lagrangian, prob.family).as_lagrangian()
+    rng = np.random.default_rng(33)
+    worst = 0.0
+    for _ in range(7):
+        f1, f2 = scalar_bump(prob, rng), scalar_bump(prob, rng)
+        worst = max(worst, abs(action(lam, f1) - action(lam, f2)))
+    rows = spy_block_rows(monkeypatch)
+    for budget in (1, 1 << 20, 3 << 19, 1 << 23):
+        monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+        got = checks.path_independence_residual(prob, 7, seed=33)
+        assert got.hex() == worst.hex()
+    assert set(rows) == {1, 2, 3, 7}
+
+
+def test_minimality_minimum_names_the_first_time_a_competitor_leaves():
+    # with three times the amplitude some competitors leave the foliation;
+    # the sweep names the first time the first of them (in draw order)
+    # leaves, whatever the blocking
+    prob = dataclasses.replace(OSC, amplitude=3 * OSC.amplitude)
+    lo, hi = prob.family.s_interval
+    ts = np.linspace(*prob.lagrangian.domain, 501)
+    low, high = prob.family.u(lo, ts), prob.family.u(hi, ts)
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        q = scalar_bump(prob, rng).value(ts)
+        outside = np.flatnonzero((q < low) | (q > high))
+        if outside.size:
+            break
+    assert 0 < i < 39 and outside[0] > 0  # not the first competitor or time
+    for budget in (1, 3 << 14, 1 << 20):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curves, "_BLOCK_BYTES", budget)
+            with pytest.raises(FoliationError, match=re.escape(
+                    f"leaves the foliated region at t={ts[outside[0]]}")):
+                checks.minimality_minimum(prob, 40, seed=5, n_quad=500)
+
+
+def test_block_path_independence_check_rejects_a_mismatched_pair():
+    # one pair of a block of three ends apart: the block raises
+    nl = null_lagrangian(OSC.lagrangian, OSC.family)
+    c = np.random.default_rng(8).uniform(-0.1, 0.1, size=(6, 3))
+    f1, f2 = checks._bump_paths(OSC, c[:3]), checks._bump_paths(OSC, c[3:])
+    i1, i2 = path_independence_check(nl, f1, f2)
+    assert i1.shape == i2.shape == (3,)
+    shift = np.array([0.0, 1e-9, 0.0])
+    moved = CallablePath(
+        f=mayer._takes_arrays(
+            lambda t: f2.value(t) + np.multiply.outer(shift, t)),
+        fdot=f2.derivative)
+    with pytest.raises(EndpointError):
+        path_independence_check(nl, f1, moved)
 
 
 def test_minimality_gap_evaluates_the_competitor_once_per_grid():
@@ -637,7 +729,7 @@ def test_minimality_gap_evaluates_the_competitor_once_per_grid():
             sizes.append(np.size(t))
             return super().value(t)
 
-    path = checks._bump_path(OSC, np.random.default_rng(4))
+    path = scalar_bump(OSC, np.random.default_rng(4))
     f = Counted(path.f, path.fdot)
     gap = minimality_gap(OSC.lagrangian, OSC.family, f, n=500)
     assert sizes.count(501) == 1
@@ -855,7 +947,102 @@ BATCH_FAMILIES = {
         u=lambda s, t: s * math.sin(t),
         s_interval=(0.01, 3.0), t_domain=(0.5, 2.5), s0=0.5,
         du_dt=lambda s, t: s * math.cos(t)),
+    # steep and flat in s, where false position takes unequal step counts
+    "sinh": SolutionFamily(
+        u=lambda s, t: np.sinh(5.0 * s) + t,
+        s_interval=(-5.0, 5.0), t_domain=(0.0, 1.0), s0=0.0,
+        du_dt=lambda s, t: 1.0),
+    "exp": SolutionFamily(
+        u=lambda s, t: np.exp(3.0 * s) * (1.0 + t),
+        s_interval=(-5.0, 5.0), t_domain=(0.0, 1.0), s0=0.0,
+        du_dt=lambda s, t: np.exp(3.0 * s)),
+    "flat_cubic": SolutionFamily(
+        u=lambda s, t: s ** 3 + 1e-6 * s + t,
+        s_interval=(-5.0, 5.0), t_domain=(0.0, 1.0), s0=0.0,
+        du_dt=lambda s, t: 1.0),
+    # falling in s
+    "falling": SolutionFamily(
+        u=lambda s, t: t - np.sinh(s),
+        s_interval=(-5.0, 5.0), t_domain=(0.0, 1.0), s0=0.0,
+        du_dt=lambda s, t: 1.0),
 }
+LEAF_FAMILIES = {
+    **BATCH_FAMILIES,
+    # moderate: 16 u calls a batch, up to 52 without the Illinois halvings
+    "cubic": SolutionFamily(
+        u=lambda s, t: s ** 3 + s + t,
+        s_interval=(-5.0, 5.0), t_domain=(0.0, 1.0), s0=0.0,
+        du_dt=lambda s, t: 1.0),
+    # unguarded, the Illinois halvings alone would take up to 145 steps
+    "sinh20": SolutionFamily(
+        u=lambda s, t: np.sinh(20.0 * s) + t,
+        s_interval=(-5.0, 5.0), t_domain=(0.0, 1.0), s0=0.0,
+        du_dt=lambda s, t: 1.0),
+}
+
+
+def _u_s(fam, s, t):
+    """du/ds by centred differences, to a few digits."""
+    return (fam.u(s + 1e-6, t) - fam.u(s - 1e-6, t)) / 2e-6
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_FAMILIES))
+def test_leaf_is_located_within_the_bisection_bound(name):
+    # the midpoint of a bracket at most _LEAF_TOL wide, where rounding (a
+    # few ulps of u's terms) lets the sign of u(s, t) - q be told; near
+    # s = 0 the flat cubic's leaves are told apart only to 1e-10 or so
+    fam = LEAF_FAMILIES[name]
+    lo, hi = fam.s_interval
+    a, b = fam.t_domain
+    rng = np.random.default_rng(9)
+    s = np.concatenate([rng.uniform(lo, hi, 300),
+                        rng.uniform(-0.01, 0.01, 100 * (lo < 0))])
+    t = rng.uniform(a, b, s.size)
+    q = fam.u(s, t)
+    got = mayer._locate_leaf(fam, t, q)
+    eps = np.finfo(float).eps
+    bound = mayer._LEAF_TOL / 2 + 8 * eps * (1 + np.abs(q) + np.abs(t)) / \
+        np.abs(_u_s(fam, s, t))
+    assert np.all(np.abs(got - s) <= bound)
+
+
+def _counted(fam):
+    """fam with u counting its calls, the count reset after construction."""
+    calls = [0]
+    u = fam.u
+
+    @mayer._takes_arrays
+    def counted(s, t):
+        calls[0] += 1
+        return u(s, t)
+
+    fam = dataclasses.replace(fam, u=counted)
+    calls[0] = 0
+    return fam, calls
+
+
+@pytest.mark.parametrize("name, most", [
+    ("free", 5), ("oscillator", 5), ("cosh", 5), ("shooting", 6),
+    ("cubic", 20),
+    ("sinh", None), ("exp", None), ("flat_cubic", None), ("sinh20", None)])
+def test_leaf_location_evaluates_u_a_bounded_number_of_times(name, most):
+    # two ends, then one call a step: on the affine built-ins the first
+    # secant point is the root up to rounding and the next closes the
+    # bracket (bisection took 44 to 46 calls); no family takes more than
+    # bisection's count and six steps
+    fam = (LEAF_FAMILIES[name] if name in LEAF_FAMILIES
+           else get_problem(name).family)
+    fam, calls = _counted(fam)
+    lo, hi = fam.s_interval
+    a, b = fam.t_domain
+    rng = np.random.default_rng(10)
+    s, t = rng.uniform(lo, hi, 500), rng.uniform(a, b, 500)
+    q = fam.u(s, t)
+    calls[0] = 0
+    mayer._locate_leaf(fam, t, q)
+    if most is None:
+        most = 2 + math.ceil(math.log2((hi - lo) / mayer._LEAF_TOL)) + 6
+    assert calls[0] <= most
 
 
 def _batch(fam, data):

@@ -1,0 +1,52 @@
+import importlib.util
+import json
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "report_bits",
+    Path(__file__).resolve().parents[1] / "tools" / "report_bits.py")
+report_bits = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_bits)
+
+REPORT = {"rc": 0, "rep": {"checks": [{"name": "x_max", "passed": True,
+                                       "value": 2.0e-13}],
+                           "results": {"x_max": 2.0e-13}}}
+
+
+def _write(tmp_path, name, report):
+    d = tmp_path / name
+    d.mkdir()
+    (d / "seed1-mayer-free.json").write_text(json.dumps(report), "utf-8")
+    return d
+
+
+def _changed(**edits):
+    report = json.loads(json.dumps(REPORT))
+    for path, value in edits.items():
+        *keys, last = path.split(".")
+        node = report
+        for key in keys:
+            node = node[int(key)] if key.isdigit() else node[key]
+        node[last] = value
+    return report
+
+
+def test_compare_prints_numeric_changes_and_passes(tmp_path, capsys):
+    a = _write(tmp_path, "a", REPORT)
+    b = _write(tmp_path, "b", _changed(**{"rep.checks.0.value": 2.2e-13,
+                                          "rep.results.x_max": 2.2e-13}))
+    assert report_bits.compare(a, b) == 0
+    out = capsys.readouterr().out
+    assert "rep.checks[0].value: 2e-13 -> 2.2e-13 (relative +1.000e-01)" in out
+    assert "rep.results.x_max" in out
+    assert report_bits.compare(a, a) == 0
+
+
+def test_compare_fails_on_exit_code_verdict_or_key_set(tmp_path):
+    a = _write(tmp_path, "a", REPORT)
+    for i, report in enumerate([_changed(rc=1),
+                                _changed(**{"rep.checks.0.passed": False}),
+                                _changed(**{"rep.extra": 1.0})]):
+        b = _write(tmp_path, f"b{i}", report)
+        assert report_bits.compare(a, b) == 1
+    assert report_bits.compare(a, tmp_path / "b0" / "missing") == 1

@@ -1,6 +1,8 @@
-"""Write the comparison reports of one source tree, for a byte-identity check.
+"""Write the comparison reports of one source tree, for a byte-identity check,
+or compare two such sets of reports value by value.
 
     python3 tools/report_bits.py SRC OUT
+    python3 tools/report_bits.py --compare A B
 
 SRC is the directory that holds the ``isocal`` package of the tree under
 test (for example ``src`` of a checkout).  The script runs 42 reports in
@@ -14,7 +16,14 @@ At each of the seeds 1 and 7 the reports are
 - ``calibration --space r2`` and ``--space r3`` with ``--seed`` at that seed;
 - ``mayer`` of the ``free``, ``oscillator`` and ``cosh`` problems, likewise.
 
-Run it once per tree into two directories; ``diff -r`` on them is the check.
+Run it once per tree into two directories; ``diff -r`` on them is the check
+of byte identity.  Where a change moves values by rounding, ``--compare A B``
+reads the reports of both directories and prints every leaf that differs,
+a numeric one with both values and the relative change (B - A) / |A|.  It
+exits 1 when a report is missing from one side, when a report's key sets
+differ, or when a leaf that is not a plain number differs: an exit code
+(``rc``), a check verdict (``passed``), a string.  It exits 0 when only
+numbers differ, or nothing.
 """
 
 from __future__ import annotations
@@ -46,9 +55,59 @@ def _reports(inputs, seed: int, scratch: Path):
                                    "--seed", str(seed)]
 
 
+def _leaves(value, path: str = ""):
+    """(path, value) of every leaf of a JSON value; a path reads like
+    ``rep.checks[2].value``."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print how the reports of b differ from those of a; 1 if more than
+    numbers differ, else 0."""
+    names_a = {p.name for p in a.glob("*.json")}
+    names_b = {p.name for p in b.glob("*.json")}
+    status = 0
+    for name in sorted(names_a ^ names_b):
+        print(f"{name}: only in {a if name in names_a else b}")
+        status = 1
+    for name in sorted(names_a & names_b):
+        leaves_a = dict(_leaves(json.loads((a / name).read_text("utf-8"))))
+        leaves_b = dict(_leaves(json.loads((b / name).read_text("utf-8"))))
+        if leaves_a.keys() != leaves_b.keys():
+            print(f"{name}: key sets differ: "
+                  f"{sorted(leaves_a.keys() ^ leaves_b.keys())}")
+            status = 1
+        for key in sorted(leaves_a.keys() & leaves_b.keys()):
+            x, y = leaves_a[key], leaves_b[key]
+            if type(x) is type(y) and x == y:
+                continue
+            if _number(x) and _number(y) and key != "rc":
+                rel = (y - x) / abs(x) if x else float("inf")
+                print(f"{name} {key}: {x!r} -> {y!r} (relative {rel:+.3e})")
+            else:
+                print(f"{name} {key}: {x!r} -> {y!r}")
+                status = 1
+    return status
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
-        print("usage: python3 tools/report_bits.py SRC OUT", file=sys.stderr)
+        print("usage: python3 tools/report_bits.py SRC OUT\n"
+              "       python3 tools/report_bits.py --compare A B",
+              file=sys.stderr)
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1])
     sys.dont_write_bytecode = True  # leave both trees as they are

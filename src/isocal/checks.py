@@ -5,20 +5,27 @@ tests, so the sampled quantities live in one place; the tolerances they are
 judged by are the CLI's (cli.DEFAULT_TOLERANCES).  Every sweep takes an
 explicit seed and is deterministic given it.
 
-The kernel sweeps work on arrays.  circle_equality_residual and
-mixed_derivative_residual draw each sample as one row of each of two
-streams spawned from the seed, one of normal and one of uniform draws, and
-evaluate the samples in blocks within the byte budget curves._BLOCK_BYTES,
-as dominance_minimum does: one QR factorisation, one kernel call or one
-d1d2_fd call per block.  A block draws the rows that follow the previous
-block's, and each sample gets the same bits as alone, so no result depends
-on the blocking.
+The kernel sweeps work on arrays.  mayer_vector_norm_residual,
+orthogonality_residual in the plane and consistency_residual read one draw
+of samples (_planar_draw): within one run_calibration_checks call the three
+share it and the field V evaluated on it; called alone, each draws its own.
+These sweeps, and orthogonality_residual in three-space, hold all their
+samples at once, so their memory grows with the number of samples.
+
+circle_equality_residual and mixed_derivative_residual draw each sample as
+one row of each of two streams spawned from the seed, one of normal and one
+of uniform draws, and evaluate the samples in blocks within the byte budget
+curves._BLOCK_BYTES, as dominance_minimum does: one QR factorisation, one
+kernel call or one d1d2_fd call per block.  A block draws the rows that
+follow the previous block's, and each sample gets the same bits as alone,
+so no result depends on the blocking.
 
 The Mayer sweeps path_independence_residual and minimality_minimum draw
 their random paths from one uniform stream, a block of rows of three
 sine-mode coefficients at a time (_bump_paths), the rows a path at a time
-would draw.  A block holds as many paths as keep its whole working set, a
-few to a few dozen float arrays of one value per Simpson node and path,
+would draw; each sweep evaluates the sine modes on its Simpson grid once
+(_mode_table).  A block holds as many paths as keep its whole working set,
+a few to a few dozen float arrays of one value per Simpson node and path,
 within curves._BLOCK_BYTES: one pair, or two competitors, by default.  A
 block of path pairs is one path_independence_check, so one evaluation of
 lam and one leaf location over all its points; a block of competitors is
@@ -29,6 +36,7 @@ alone.
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -64,26 +72,61 @@ def _random_units(rng, n, dim):
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def mayer_vector_norm_residual(n: int = 10000, seed: int = 0) -> float:
-    """max over samples of | |V(y, t_y, x)| - 1 |."""
+# The draws of run_calibration_checks' planar sweeps, by (n, seed), while
+# one report runs in this context; None outside a report.
+_REPORT_DRAWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_REPORT_DRAWS", default=None)
+
+
+def _planar_draw(n: int, seed: int):
+    """The samples of the three planar sweeps as read-only arrays: z = x - y,
+    t, u and the field V = m(z) t, with x, y (_random_points), t and u drawn
+    in that order from one stream seeded with seed.  Within one
+    run_calibration_checks call the sweeps share one draw; otherwise each
+    call draws its own."""
+    draws = _REPORT_DRAWS.get()
+    if draws is not None and (n, seed) in draws:
+        return draws[n, seed]
     rng = np.random.default_rng(seed)
     x, y = _random_points(rng, n, 2)
     t = _random_units(rng, n, 2)
-    v = _field(x - y, t)
-    return float(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0).max())
+    u = _random_units(rng, n, 2)
+    z = x - y
+    draw = z, t, u, _field(z, t)
+    for a in draw:
+        a.flags.writeable = False
+    if draws is not None:
+        draws[n, seed] = draw
+    return draw
+
+
+def mayer_vector_norm_residual(n: int = 10000, seed: int = 0) -> float:
+    """max over samples of | |V(y, t_y, x)| - 1 |."""
+    v = _planar_draw(n, seed)[3]
+    return float(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0).max(initial=0.0))
 
 
 def orthogonality_residual(dim: int, n: int = 10000, seed: int = 0) -> float:
-    """max over samples of ||m^T m - I||_inf for the kernel matrix."""
-    rng = np.random.default_rng(seed)
-    x, y = _random_points(rng, n, dim)
-    m = _field((x - y)[:, None, :], np.eye(dim))
-    # (m m)_ik = sum_j m_ij m_jk, summed in j order
-    mm = m[:, :, 0, None] * m[:, None, 0, :]
-    for j in range(1, dim):
-        mm += m[:, :, j, None] * m[:, None, j, :]
-    mm -= np.eye(dim)
-    return float(np.abs(mm).max())
+    """max over samples of ||m^T m - I||_inf for the kernel matrix.
+
+    m is bitwise symmetric (K(z; a, b) is bitwise K(z; b, a)), so m m is
+    too, and its upper triangle holds every entry's bits."""
+    if dim == 2:
+        z = _planar_draw(n, seed)[0]
+    else:
+        x, y = _random_points(np.random.default_rng(seed), n, dim)
+        z = x - y
+    m = _field(z[:, None, :], np.eye(dim))
+    worst = 0.0
+    for i, k in zip(*np.triu_indices(dim)):
+        # (m m)_ik = sum_j m_ij m_jk, summed in j order
+        mm = m[:, i, 0] * m[:, 0, k]
+        for j in range(1, dim):
+            mm += m[:, i, j] * m[:, j, k]
+        if i == k:
+            mm -= 1.0
+        worst = float(np.max(np.abs(mm, out=mm), initial=worst))
+    return worst
 
 
 def circle_equality_residual(dim: int, n_circles: int = 100,
@@ -118,13 +161,10 @@ def circle_equality_residual(dim: int, n_circles: int = 100,
 
 def consistency_residual(n: int = 10000, seed: int = 0) -> float:
     """max of |K(x, y; u, t) - <V(y, t, x), u>| over random samples."""
-    rng = np.random.default_rng(seed)
-    x, y = _random_points(rng, n, 2)
-    t = _random_units(rng, n, 2)
-    u = _random_units(rng, n, 2)
-    lhs = _pair_kernel(x - y, u, t)
-    rhs = np.einsum("ij,ij->i", _field(x - y, t), u)
-    return float(np.abs(lhs - rhs).max())
+    z, t, u, v = _planar_draw(n, seed)
+    lhs = _pair_kernel(z, u, t)
+    rhs = np.einsum("ij,ij->i", v, u)
+    return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
 def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
@@ -159,13 +199,19 @@ def run_calibration_checks(space: str, samples: int,
     if space not in ("r2", "r3"):
         raise ValueError(f"space must be 'r2' or 'r3', got {space!r}")
     n_circles, n_pairs = min(samples, 100), min(samples, 50)
-    results = {
-        "unit_norm": mayer_vector_norm_residual(samples, seed),
-        "orthogonality_r2": orthogonality_residual(2, samples, seed),
-        "circle_equality_r2": circle_equality_residual(2, n_circles, seed),
-        "consistency": consistency_residual(samples, seed),
-        "mixed_r2": mixed_derivative_residual("r2", n_pairs, seed),
-    }
+    # the planar sweeps share one draw, released after its last reader
+    token = _REPORT_DRAWS.set({})
+    try:
+        results = {
+            "unit_norm": mayer_vector_norm_residual(samples, seed),
+            "orthogonality_r2": orthogonality_residual(2, samples, seed),
+            "circle_equality_r2": circle_equality_residual(2, n_circles,
+                                                           seed),
+            "consistency": consistency_residual(samples, seed),
+        }
+    finally:
+        _REPORT_DRAWS.reset(token)
+    results["mixed_r2"] = mixed_derivative_residual("r2", n_pairs, seed)
     if space == "r3":
         results["orthogonality_r3"] = orthogonality_residual(3, samples, seed)
         results["circle_equality_r3"] = circle_equality_residual(
@@ -177,28 +223,49 @@ def run_calibration_checks(space: str, samples: int,
 # ---------------------------------------------------------------------------
 # Mayer-side sweeps
 
-def _bump_paths(problem: MayerProblem, coeffs) -> CallablePath:
+def _sine_modes(a: float, b: float, t):
+    """The wavenumbers k of the bump paths' three sine modes on [a, b], and
+    sin(k (t - a)) and cos(k (t - a)) for each."""
+    ks = np.arange(1, 4) * math.pi / (b - a)
+    x = t - a
+    return ks, [np.sin(k * x) for k in ks], [np.cos(k * x) for k in ks]
+
+
+def _mode_table(problem: MayerProblem, n_quad: int):
+    """The n_quad-interval Simpson grid of the problem's domain and the bump
+    modes on it (_sine_modes): computed once for all the blocks of a
+    sweep."""
+    a, b = problem.lagrangian.domain
+    ts = _simpson_grid(a, b, n_quad)
+    return ts, _sine_modes(a, b, ts)
+
+
+def _bump_paths(problem: MayerProblem, coeffs, table) -> CallablePath:
     """The central leaf plus three sine modes vanishing at both endpoints,
     one path per row of coeffs (..., 3); the paths' values at times t have
-    the shape coeffs.shape[:-1] + t.shape."""
+    the shape coeffs.shape[:-1] + t.shape.  On the grid of the sweep's
+    _mode_table the modes are read from the table, with the same bits;
+    elsewhere (the endpoint checks) they are evaluated."""
     a, b = problem.lagrangian.domain
     base = problem.family.central_leaf
     coeffs = np.asarray(coeffs, float)
-    ks = np.arange(1, coeffs.shape[-1] + 1) * math.pi / (b - a)
+    grid, tabled = table
+
+    def modes(t):
+        return tabled if np.array_equal(t, grid) else _sine_modes(a, b, t)
 
     @_takes_arrays
     def f(t):
-        x = t - a
-        return base.value(t) + sum(np.multiply.outer(coeffs[..., j],
-                                                     np.sin(k * x))
-                                   for j, k in enumerate(ks))
+        _, sines, _ = modes(t)
+        return base.value(t) + sum(np.multiply.outer(coeffs[..., j], m)
+                                   for j, m in enumerate(sines))
 
     @_takes_arrays
     def fdot(t):
-        x = t - a
-        return base.derivative(t) + sum(np.multiply.outer(coeffs[..., j] * k,
-                                                          np.cos(k * x))
-                                        for j, k in enumerate(ks))
+        ks, _, cosines = modes(t)
+        return base.derivative(t) + sum(
+            np.multiply.outer(coeffs[..., j] * ks[j], m)
+            for j, m in enumerate(cosines))
 
     return CallablePath(f=f, fdot=fdot)
 
@@ -255,10 +322,12 @@ def path_independence_residual(problem: MayerProblem, n_pairs: int = 20,
     worst = 0.0
     # leaf location holds about 14 arrays for each of a pair's two rows
     step = _bump_block(28, 2000)
+    table = _mode_table(problem, 2000)
     for start in range(0, n_pairs, step):
         c = rng.uniform(-amp, amp, size=(2 * min(step, n_pairs - start), 3))
-        i1, i2 = path_independence_check(nl, _bump_paths(problem, c[0::2]),
-                                         _bump_paths(problem, c[1::2]))
+        i1, i2 = path_independence_check(
+            nl, _bump_paths(problem, c[0::2], table),
+            _bump_paths(problem, c[1::2], table))
         worst = float(np.max(np.abs(i1 - i2), initial=worst))
     return worst
 
@@ -287,9 +356,11 @@ def minimality_minimum(problem: MayerProblem, n: int = 100,
     worst = math.inf
     # a competitor's values, its slopes and two temporaries of L
     step = _bump_block(4, n_quad)
+    table = _mode_table(problem, n_quad)
     for start in range(0, n, step):
         c = rng.uniform(-amp, amp, size=(min(step, n - start), 3))
-        worst = float(np.min(gap(_bump_paths(problem, c)), initial=worst))
+        worst = float(np.min(gap(_bump_paths(problem, c, table)),
+                             initial=worst))
     return worst
 
 

@@ -1,12 +1,13 @@
 """The blocked kernel sweeps of isocal.checks against per-sample loops over
 the same draws: the same bits, whatever the blocking, in bounded memory."""
 
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from isocal import checks, curves
+from isocal import checks, cli, curves, quadrature
 from isocal.biform import _field, biform_apply, d1d2_fd
 from isocal.biform import mixed_derivative_closed_form
 
@@ -103,9 +104,19 @@ def test_mixed_derivative_is_independent_of_the_blocking(monkeypatch, space):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_orthogonality_keeps_the_bits_of_einsum(dim):
-    for seed in range(20):
-        assert checks.orthogonality_residual(dim, 2000, seed).hex() == \
-            orthogonality_reference(dim, 2000, seed).hex()
+    # the sweep sums the upper triangle of m m only
+    for n in (1, 7, 2000):
+        for seed in range(20):
+            assert checks.orthogonality_residual(dim, n, seed).hex() == \
+                orthogonality_reference(dim, n, seed).hex()
+
+
+def test_planar_sweeps_of_no_samples_read_zero():
+    # like the blocked sweeps, a maximum over no samples is 0.0
+    assert checks.mayer_vector_norm_residual(0) == 0.0
+    assert checks.orthogonality_residual(2, 0) == 0.0
+    assert checks.orthogonality_residual(3, 0) == 0.0
+    assert checks.consistency_residual(0) == 0.0
 
 
 def test_sweeps_call_d1d2_fd_once_per_block(monkeypatch):
@@ -156,6 +167,53 @@ def test_calibration_checks_in_report_order_with_their_clamps(monkeypatch,
     assert calls == [(sweep, args) for _, sweep, args in table]
     for name, sweep, args in table:
         assert got[name].hex() == getattr(checks, sweep)(*args).hex()
+
+
+@pytest.mark.parametrize("space, dims", [("r2", [2]), ("r3", [2, 3])])
+def test_calibration_report_draws_the_plane_once(monkeypatch, space, dims):
+    # unit_norm, orthogonality_r2 and consistency read one planar draw;
+    # orthogonality_r3 draws its own three-space points
+    calls = []
+
+    def counted(rng, n, dim):
+        calls.append(dim)
+        return random_points(rng, n, dim)
+
+    random_points = checks._random_points
+    monkeypatch.setattr(checks, "_random_points", counted)
+    checks.run_calibration_checks(space, 150, 5)
+    assert calls == dims
+
+
+def test_planar_draw_is_read_only():
+    for a in checks._planar_draw(10, 0):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_no_draw_survives_a_report(monkeypatch):
+    # a sweep after the report draws and evaluates afresh: with the kernel
+    # perturbed where it is looked up, it moves past its tolerance
+    tol = cli.DEFAULT_TOLERANCES
+    checks.run_calibration_checks("r2", 1000, 0)
+    kernel = quadrature._kernel
+    monkeypatch.setattr(quadrature, "_kernel", lambda *a: kernel(*a) + 0.01)
+    assert checks.mayer_vector_norm_residual(1000) > tol["unit_norm"]
+    assert checks.orthogonality_residual(2, 1000) > tol["orthogonality"]
+    assert checks.consistency_residual(1000) > tol["consistency"]
+
+
+def test_calibration_reports_in_threads_match_serial_ones():
+    # each thread's report shares its draw with itself only
+    seeds = range(6)
+    serial = [checks.run_calibration_checks("r3", 3000, s) for s in seeds]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(
+            lambda s: checks.run_calibration_checks("r3", 3000, s), seeds))
+    for got, want in zip(threaded, serial):
+        assert {k: v.hex() for k, v in got.items()} == \
+            {k: v.hex() for k, v in want.items()}
 
 
 def test_calibration_checks_reject_an_unknown_space():

@@ -651,12 +651,32 @@ def spy_block_rows(monkeypatch) -> list:
     rows = []
     bump = checks._bump_paths
 
-    def spy(prob, coeffs):
+    def spy(prob, coeffs, table):
         rows.append(len(coeffs))
-        return bump(prob, coeffs)
+        return bump(prob, coeffs, table)
 
     monkeypatch.setattr(checks, "_bump_paths", spy)
     return rows
+
+
+def test_mayer_sweeps_table_their_modes_once(monkeypatch):
+    # each sweep evaluates its bump modes on its Simpson grid once; every
+    # block reads them there from the table, and evaluates them afresh only
+    # at the endpoints (two per pair, one per competitor)
+    sizes = []
+    modes = checks._sine_modes
+
+    def counted(a, b, t):
+        sizes.append(np.size(t))
+        return modes(a, b, t)
+
+    monkeypatch.setattr(checks, "_sine_modes", counted)
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", 1)  # a pair or path a block
+    checks.path_independence_residual(OSC, 3, seed=2)
+    assert sizes == [2001] + [2] * 6
+    sizes.clear()
+    checks.minimality_minimum(OSC, 3, seed=2, n_quad=500)
+    assert sizes == [501] + [2] * 3
 
 
 @pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
@@ -707,7 +727,9 @@ def test_block_path_independence_check_rejects_a_mismatched_pair():
     # one pair of a block of three ends apart: the block raises
     nl = null_lagrangian(OSC.lagrangian, OSC.family)
     c = np.random.default_rng(8).uniform(-0.1, 0.1, size=(6, 3))
-    f1, f2 = checks._bump_paths(OSC, c[:3]), checks._bump_paths(OSC, c[3:])
+    table = checks._mode_table(OSC, 2000)
+    f1, f2 = (checks._bump_paths(OSC, c[:3], table),
+              checks._bump_paths(OSC, c[3:], table))
     i1, i2 = path_independence_check(nl, f1, f2)
     assert i1.shape == i2.shape == (3,)
     shift = np.array([0.0, 1e-9, 0.0])

@@ -125,12 +125,14 @@ def _report(args, tol: dict, settings: dict, head: dict, results: dict,
     """Write a command's JSON report to --out, else stdout, and return its
     exit code: 0 if every check passed, else 1.
 
-    Each entry (check name, value, tolerance name) is one check.  A
-    tolerance named *_min bounds the value from below, value >= -tol; any
-    other bounds its size, |value| <= tol."""
+    Each entry (check name, value, tolerance name[, scale]) is one check,
+    whose bound, reported as its tolerance, is the named tolerance times
+    the scale (1 without one).  A tolerance named *_min bounds the value
+    from below, value >= -bound; any other bounds its size, |value| <=
+    bound."""
     checks_list = []
-    for name, value, tol_name in entries:
-        bound = tol[tol_name]
+    for name, value, tol_name, *scale in entries:
+        bound = tol[tol_name] * scale[0] if scale else tol[tol_name]
         ok = value >= -bound if tol_name.endswith("_min") \
             else abs(value) <= bound
         checks_list.append({"name": name, "value": value, "tolerance": bound,
@@ -189,7 +191,9 @@ def _cmd_verify(args, config: dict) -> int:
             r.midpoint_double_integral - r.double_integral) / r.lower_bound
     entries = [
         ("deficit", r.deficit, "deficit_min"),
-        ("calibration_gap", r.calibration_gap, "calibration_gap_min"),
+        # L^2 minus the double integral, relative to L^2
+        ("calibration_gap", r.calibration_gap, "calibration_gap_min",
+         r.perimeter * r.perimeter),
         ("double_integral_rel_error",
          (r.double_integral - r.lower_bound) / r.lower_bound,
          "double_integral_rel"),

@@ -5,18 +5,18 @@ The planar double integral is exact: of its corner sum over edge pairs
 only the Log branch terms remain, on the pairs whose x-ranges overlap; the
 midpoint rule, pair_sum, serves all three geometries.  Every total is
 correctly rounded: the short sums are one math.fsum each, and the branch
-and pair sums, up to millions of terms, one exact binned reduction each
-(two float halves per term, np.bincount by sign and exponent), the same
-bits as math.fsum.  Either way a total is a function of the multiset of
-its terms alone: the same, bit for bit, for any blocking and any starting
-vertex.  Blocks stay within the byte budget curves._BLOCK_BYTES.  Every
-row block of the pair sum is a view of buffers allocated once per call,
-which the kernel fills through _kernel(..., out).  As nodes come edge by
-edge, the pair sum adds its same-edge pairs in closed form, and its
-blocks' columns start past the row's edge.  The winding
-integral is exact too, twice the sum of the angles the edges subtend at
-the point, and so is the interior curl integral, one closed-form term per
-fan triangle from its singular point.
+and pair sums, up to millions of terms, one exact reduction each
+(fixed-grid extraction: each level rounds the terms to one grid, on which
+np.add.reduce sums them exactly), the same bits as math.fsum.  Either way
+a total is a function of the multiset of its terms alone: the same, bit
+for bit, for any blocking and any starting vertex.  Blocks stay within
+the byte budget curves._BLOCK_BYTES.  Every row block of the pair sum is a
+view of buffers allocated once per call, which the kernel fills through
+_kernel(..., out).  As nodes come edge by edge, the pair sum adds its
+same-edge pairs in closed form, and its blocks' columns start past the
+row's edge.  The winding integral is exact too, twice the sum of the
+angles the edges subtend at the point, and so is the interior curl
+integral, one closed-form term per fan triangle from its singular point.
 """
 
 from __future__ import annotations
@@ -90,85 +90,87 @@ def _kernel(d, ti, tj, J, r2, out=None):
     return np.subtract(k, metric_dot(J, ti, tj, (u, s)), out=w)
 
 
-# Terms binned between two flushes of an _ExactSum.  Each term is split into
-# two floats whose per-bin sums stay integers below 2^53 units of their last
-# place, exact in any order, up to 2^26 terms.
-_FLUSH_TERMS = 1 << 26
-# Clears the low 26 bits of a float64's fraction.
-_HI_MASK = np.uint64((1 << 64) - (1 << 26))
-# The biased exponent of 2^998: from here on 2^26 terms of one bin could
-# sum beyond the float range.
-_BIG = 998 + 1023
+# The most terms one extraction takes: below 2^998 and at most 2^24 of
+# them, sigma = 2^k stays at most 2^1023 and x + sigma finite.
+_CHUNK_TERMS = 1 << 24
+# Terms from here on are summed scaled by 2^-128.
+_BIG = 2.0 ** 998
 
 
 class _ExactSum:
     """Exact sum of float64 arrays, rounded once: the same bits as
     math.fsum over the same terms.
 
-    Binned exact summation (Demmel & Nguyen, "Parallel reproducible
-    summation", IEEE TC 2015): np.bincount indexes each term x by its top
-    12 bits (sign and exponent E) and sums two floats per bin, hi = x with
-    its low 26 fraction bits cleared (a bit mask) and lo = x - hi, both
-    exact.  In a bin, hi is a multiple of 2^(E-26) below 2^27 of them and lo
-    a multiple of 2^(E-52) below 2^26 of them, so up to 2^26 terms every
-    partial sum is an integer below 2^53 units, exact in any order.  A flush
-    turns each bin sum, m 2^k by frexp, into an exact Python int in units of
-    2^-1127, and value() divides the total by 2^1127 with one correct
-    rounding.  A float bin sum stays finite for E < 998; a chunk whose hi
-    bins show larger or non-finite terms takes the path _rare.  Non-finite
-    terms decide the result alone, as in fsum: value() is then math.fsum of
-    them.  A sum beyond the float range raises OverflowError, as fsum does.
+    Fixed-grid extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation I", SIAM J. Sci. Comput. 31, 2008, ExtractVector; Demmel &
+    Nguyen, IEEE TC 2015).  A chunk of n <= 2^24 terms below 2^e in
+    magnitude takes sigma = 2^k, k = e + b, b the bit length of n, so n 2^e
+    < 2^k.  q = (x + sigma) - sigma is x rounded to a multiple of
+    2^(k-53), at most 2^e in magnitude, and r = x - q, the rounding error
+    of x + sigma, is exact and at most 2^(k-53).  Every partial sum of the
+    q is then a multiple of 2^(k-53) below 2^k: np.add.reduce adds them
+    exactly in any order, and the sum goes into an exact Python int in
+    units of 2^-1127 (add_copies).  The residues r take the next grid, k
+    - 52 + b; after two levels, nonzero residues start again from their
+    own maximum.  Once k <= -1021 the terms are added directly: every
+    partial sum is a multiple of 2^-1074 below 2^-1021, a float.  value()
+    divides the total by 2^1127 with one correct rounding.  Terms of 2^998
+    and above go exactly scaled by 2^-128 into a second accumulator, so
+    that k <= 998 + 25 keeps sigma and x + sigma finite.
+    Non-finite terms decide the result alone, as in fsum: value() is then
+    math.fsum of them.  A sum beyond the float range raises OverflowError,
+    as fsum does.
     """
 
     def __init__(self, size: int = 0):
-        self._bins = np.zeros((2, 4096))  # the sums of hi and of lo per bin
-        self._terms = 0  # binned since the last flush
-        self._total = 0
+        self._total = 0  # in units of 2^-1127
         self._special = []  # the non-finite terms
-        # bin indices, hi then lo: room for size terms, grown by larger adds
-        self._buf = np.empty((2, size), np.uint64)
+        # q and r of one level: room for size terms, grown by larger adds
+        self._buf = np.empty((2, size))
         self._big = None  # the terms of 2^998 and above, times 2^-128
 
     def add(self, x) -> None:
         x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-        for k0 in range(0, len(x), _FLUSH_TERMS):
-            self._bin(x[k0:k0 + _FLUSH_TERMS])
+        for k0 in range(0, len(x), _CHUNK_TERMS):
+            self._extract(x[k0:k0 + _CHUNK_TERMS])
 
-    def _bin(self, x) -> None:
-        if self._terms + len(x) > _FLUSH_TERMS:
-            self._flush()
-        if self._buf.shape[1] < len(x):
-            self._buf = np.empty((2, len(x)), np.uint64)
-        b = x.view(np.uint64)
-        top = np.right_shift(b, np.uint64(52), out=self._buf[0, :len(x)])
-        top = top.view(np.int64)
-        half = np.bitwise_and(b, _HI_MASK, out=self._buf[1, :len(x)])
-        half = half.view(np.float64)
-        hi = np.bincount(top, half, 4096)
-        if hi[_BIG:0x800].any() or hi[0x800 + _BIG:].any():
-            self._rare(x)
+    def _extract(self, x) -> None:
+        n = len(x)
+        if not n:
             return
-        self._terms += len(x)
-        self._bins[0] += hi
-        self._bins[1] += np.bincount(top, np.subtract(x, half, out=half), 4096)
-
-    def _rare(self, x) -> None:
-        """Non-finite terms are kept apart; finite ones of 2^998 and above,
-        where a bin sum could overflow, go exactly scaled by 2^-128 into a
-        second accumulator."""
-        finite = np.isfinite(x)
-        self._special.extend(x[~finite].tolist())
-        big = finite & (np.abs(x) >= 2.0 ** 998)
-        if self._big is None:
-            self._big = _ExactSum()
-        self._big.add(np.ldexp(x[big], -128))
-        self._bin(x[finite & ~big])
+        hi, lo = x.max(), x.min()
+        if not (hi < _BIG and lo > -_BIG):  # also false for nan
+            finite = np.isfinite(x)
+            self._special.extend(x[~finite].tolist())
+            big = finite & (np.abs(x) >= _BIG)
+            if self._big is None:
+                self._big = _ExactSum()
+            self._big.add(np.ldexp(x[big], -128))
+            self._extract(x[finite & ~big])
+            return
+        if self._buf.shape[1] < n:
+            self._buf = np.empty((2, n))
+        q, r = self._buf[:, :n]
+        b = n.bit_length()
+        top = max(hi, -lo)
+        while top:
+            k = math.frexp(top)[1] + b
+            for _ in range(2):
+                if k <= -1021:
+                    self.add_copies(np.add.reduce(x), 1)
+                    return
+                sigma = math.ldexp(1.0, k)
+                np.subtract(np.add(x, sigma, out=q), sigma, out=q)
+                x = np.subtract(x, q, out=r)
+                self.add_copies(np.add.reduce(q), 1)
+                k += b - 52
+            top = max(x.max(), -x.min())
 
     def add_copies(self, x: float, count: int) -> None:
         """Add count >= 0 copies of the float x, exactly for any count: one
-        Python-int product in the units of _flush, 2^-1127, which hold
-        every finite float as an integer.  A non-finite x decides the
-        result as one copy does in fsum."""
+        Python-int product in units of 2^-1127, which hold every finite
+        float as an integer.  A non-finite x decides the result as one
+        copy does in fsum."""
         if count == 0:
             return
         if not math.isfinite(x):
@@ -177,22 +179,11 @@ class _ExactSum:
         p, q = x.as_integer_ratio()  # q is a power of two
         self._total += count * p * ((1 << 1127) // q)
 
-    def _flush(self) -> None:
-        nz = np.flatnonzero(self._bins)
-        m, k = np.frexp(self._bins.ravel()[nz])
-        for mi, ki in zip(np.ldexp(m, 53).astype(np.int64).tolist(),
-                          k.tolist()):
-            self._total += mi << (ki + 1074)
-        self._bins[:] = 0.0
-        self._terms = 0
-
     def value(self) -> float:
         if self._special:
             return math.fsum(self._special)
-        self._flush()
         total = self._total
         if self._big is not None:
-            self._big._flush()
             total += self._big._total << 128
         return total / (1 << 1127)  # int division rounds correctly
 
@@ -212,11 +203,11 @@ def pair_sum(P, T, W, E, J) -> float:
     against the columns c0:n past row i0's edge.  Rows that reach past c0,
     into later edges, meet their own and earlier edges in the columns up
     to the end of edge E[i1 - 1], a narrow band where those entries are
-    masked to zero.  Every term goes into one exact binned reduction,
-    correctly rounded, the same bits as math.fsum: the correctly rounded
-    sum of the ordered-pair multiset, whatever the row blocking or
-    starting vertex.  Every block is a view of buffers allocated once per
-    call; the kernel fills its workspace through _kernel(..., out).
+    masked to zero.  Every term goes into one exact reduction, _ExactSum,
+    the same bits as math.fsum: the correctly rounded sum of the
+    ordered-pair multiset, whatever the row blocking or starting vertex.
+    Every block is a view of buffers allocated once per call; the kernel
+    fills its workspace through _kernel(..., out).
     """
     n = len(P)
     if (np.diff(E) < 0).any():
@@ -303,7 +294,7 @@ def double_boundary_integral(curve: ClosedCurve) -> float:
     """The double integral of the tangent kernel over the polygon, exactly:
     the Log branch terms of the corner sum, Sum_{i != j} Re(c_ij S_ij),
     c_ij = (conj(t_i)^2 + conj(t_j)^2) / 2 (_branch_terms; README,
-    Numerical conventions), in one exact binned reduction.  Every other
+    Numerical conventions), in one exact reduction.  Every other
     term of the corner sum cancels, and a pair has branch terms only where
     the closed x-ranges of its edges overlap, as its corners' flips compare
     vertices lexicographically, so only those pairs are visited

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 
 from isocal import ClosedCurve
+
+# To print a patch for a failing example, hypothesis' pytest plugin imports
+# hypothesis.extra._patching, whose libcst import raises mypy_extensions'
+# DeprecationWarning: an error under the suite's filters, which ends the
+# whole run with an INTERNALERROR.  Imported here once, with that warning
+# ignored, the plugin's import finds the module loaded.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin prints no patch
+        pass
 
 
 def star_polygon(rng, n_min=5, n_max=16, r_min=0.3, r_max=1.5, scale=1.0,

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -295,6 +296,45 @@ def test_verify_failing_tolerance_exits_1(tmp_path, spike_file):
                "double_integral_rel=1e-17", "--out", str(out)])
     assert rc == 1
     assert _read(out)["passed"] is False
+
+
+def _check(report, name):
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
+def test_verify_calibration_gap_of_one_ulp_passes_far_out(tmp_path):
+    # at refinement 1 every node lies on the circle, so the double integral
+    # is L^2 = 5.1e9 up to one rounding; the bound is 1e-8 L^2, not 1e-8
+    path, out = tmp_path / "far.json", tmp_path / "r.json"
+    save_curve(hyperbolic_circle(15.9, 4096), str(path))
+    main(["verify", str(path), "--out", str(out)])
+    rep = _read(out)
+    L2 = rep["results"]["perimeter"] ** 2
+    gap = _check(rep, "calibration_gap")
+    assert -math.ulp(L2) <= gap["value"] < 0.0
+    assert gap["passed"] is True and gap["tolerance"] == 1e-8 * L2
+
+
+@pytest.mark.parametrize("rel, passed", [(-1e-6, False), (-1e-8, True),
+                                         (-0.9e-8, True), (-1.1e-8, False)])
+def test_verify_calibration_gap_bound_is_relative(tmp_path, square_file,
+                                                  monkeypatch, rel, passed):
+    # the verdict is the report's value against its tolerance, tol L^2
+    exact = isocal.quadrature.verify_isoperimetric
+
+    def shifted(curve, *args):
+        r = exact(curve, *args)
+        return dataclasses.replace(
+            r, calibration_gap=rel * (r.perimeter * r.perimeter))
+
+    monkeypatch.setattr(isocal.quadrature, "verify_isoperimetric", shifted)
+    out = tmp_path / "r.json"
+    assert main(["verify", square_file, "--out", str(out)]) == \
+        (0 if passed else 1)
+    gap = _check(_read(out), "calibration_gap")
+    assert gap["tolerance"] == 1e-8 * 16.0
+    assert gap["passed"] is passed
+    assert (max(0.0, -gap["value"]) / gap["tolerance"] <= 1.0) is passed
 
 
 def test_verify_planar_refinement_adds_the_midpoint_witness(tmp_path,

@@ -448,7 +448,7 @@ def test_corner_sum_memory_is_linear_in_budget(monkeypatch, n, budget):
     # and the branch terms' sub-chunks.  A chunk's index arrays and a
     # sub-chunk's complex corners each take at most max(budget, 16 n)
     # bytes, and some dozen live at once, the reduction's included; per vertex, a few complex
-    # numbers; the 4096-bin sums are fixed.  The full complex matrix is
+    # numbers.  The full complex matrix is
     # 4 MiB and 64 MiB.
     c = ClosedCurve(spiky_star(np.random.default_rng(9), n))
     monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
@@ -531,7 +531,7 @@ def test_pair_sum_equals_exact_sum_of_full_matrix(space):
 
 
 # ---------------------------------------------------------------------------
-# the exact binned reduction against math.fsum
+# the exact reduction against math.fsum
 
 
 def exact_sum(*chunks):
@@ -592,7 +592,7 @@ def test_exact_sum_of_one_term_is_the_term(x):
 @given(e=st.integers(-1074, 940), count=st.integers(1, 5000),
        sign=st.sampled_from([1.0, -1.0]))
 def test_exact_sum_many_max_significand_terms(e, count, sign):
-    # every fraction bit set: both halves of each bin at their largest
+    # every fraction bit set: the most residue bits at every level
     x = sign * math.ldexp(2**53 - 1, e)
     terms = [x] * count
     assert exact_sum(terms).hex() == math.fsum(terms).hex()
@@ -602,31 +602,156 @@ def test_exact_sum_many_max_significand_terms(e, count, sign):
 @given(terms=st.lists(anyfloat, max_size=60),
        cuts=st.lists(st.integers(0, 60), max_size=4),
        limit=st.integers(1, 7))
-def test_exact_sum_across_flushes(terms, cuts, limit):
+def test_exact_sum_across_chunks(terms, cuts, limit):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_FLUSH_TERMS", limit)
+        mp.setattr(quadrature, "_CHUNK_TERMS", limit)
         got = exact_sum(*split(terms, cuts))
     assert got.hex() == math.fsum(terms).hex()
 
 
-def test_exact_sum_flushes_hold_at_most_the_limit(monkeypatch):
-    monkeypatch.setattr(quadrature, "_FLUSH_TERMS", 5)
-    flushes = []
-    flush = quadrature._ExactSum._flush
-    monkeypatch.setattr(quadrature._ExactSum, "_flush",
-                        lambda self: flushes.append(self._terms) or flush(self))
+def test_exact_sum_chunks_hold_at_most_the_limit(monkeypatch):
+    monkeypatch.setattr(quadrature, "_CHUNK_TERMS", 5)
+    chunks = []
+    extract = quadrature._ExactSum._extract
+    monkeypatch.setattr(quadrature._ExactSum, "_extract",
+                        lambda self, x: chunks.append(len(x)) or
+                        extract(self, x))
     terms = np.random.default_rng(2).normal(size=23) * 1e10
     assert exact_sum(terms[:3], terms[3:17], terms[17:]).hex() == \
         math.fsum(terms).hex()
-    assert sum(flushes) == 23 and len(flushes) >= 5
-    assert all(0 <= k <= 5 for k in flushes)
+    assert sum(chunks) == 23 and len(chunks) >= 5
+    assert all(1 <= k <= 5 for k in chunks)
 
 
-def test_pair_sum_bitwise_independent_of_flush_limit(monkeypatch):
+def test_pair_sum_bitwise_independent_of_chunk_limit(monkeypatch):
     c = ClosedCurve(spiky_star(np.random.default_rng(4), 120))
     want = double_boundary_integral(c).hex()
-    monkeypatch.setattr(quadrature, "_FLUSH_TERMS", 997)
+    monkeypatch.setattr(quadrature, "_CHUNK_TERMS", 997)
     assert double_boundary_integral(c).hex() == want
+
+
+def levels(monkeypatch):
+    """The list that each chunk's extraction levels append to: every level,
+    and every direct sum, adds its float through add_copies once."""
+    calls = []
+    add_copies = quadrature._ExactSum.add_copies
+    monkeypatch.setattr(quadrature._ExactSum, "add_copies",
+                        lambda self, x, count: calls.append(x) or
+                        add_copies(self, x, count))
+    return calls
+
+
+def wide_block(seed, n, top, spread, signs=(-1.0, 1.0)):
+    """n terms with random full significands and signs, their exponents
+    uniform on [top - spread, top]."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(2**52, 2**53, n) * rng.choice(signs, n)
+    return np.ldexp(m.astype(float), rng.integers(top - spread, top + 1, n)
+                    - 52)
+
+
+def cancelled(terms, seed):
+    """terms with the negations of their larger half, shuffled: the
+    smaller half decides the sum, low bits and all."""
+    big = terms[np.abs(terms) >= np.median(np.abs(terms))]
+    return np.random.default_rng(seed).permutation(np.r_[terms, -big])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1000, 6000),
+       top=st.integers(-1074, 940), spread=st.integers(0, 2000),
+       signs=st.sampled_from([(1.0,), (-1.0, 1.0)]))
+def test_exact_sum_wide_blocks_of_thousands(seed, n, top, spread, signs):
+    # beyond 52 - 2b binades below the largest term (26 to 32 here, b the
+    # bit length of n), a term's low bits lie below the second level's
+    # grid and start the extraction again
+    terms = wide_block(seed, n, top, min(spread, top + 1074), signs)
+    for t in (terms, cancelled(terms, seed)):
+        assert exact_sum(t).hex() == math.fsum(t).hex()
+
+
+@pytest.mark.parametrize("top", [-1060, -1030, -1022, -1010, -1000, -990])
+@pytest.mark.parametrize("signs", [(1.0,), (-1.0, 1.0)])
+def test_exact_sum_blocks_near_the_subnormals(top, signs):
+    # 5000 terms: k = top + 1 + 13 lies on either side of -1021, where the
+    # terms are first added directly
+    terms = wide_block(-top, 5000, top, 30, signs)
+    for t in (terms, cancelled(terms, 1)):
+        assert exact_sum(t).hex() == math.fsum(t).hex()
+
+
+def test_exact_sum_residues_start_again(monkeypatch):
+    # 4096 terms of 2^-10 to 2^1 take two levels, on the grids 2^-39 and
+    # 2^-78 (k = 1 + 13, then 14 - 52 + 13); a term just under 2^-299 with
+    # every significand bit set leaves residues below 2^-78, which start
+    # the extraction again
+    calls = levels(monkeypatch)
+    terms = wide_block(5, 4096, 0, 10)
+    assert exact_sum(terms).hex() == math.fsum(terms).hex()
+    assert len(calls) == 2
+    calls.clear()
+    terms[77] = math.ldexp(2**53 - 1, -352)
+    assert exact_sum(terms).hex() == math.fsum(terms).hex()
+    assert len(calls) > 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=2000),
+       extra=st.lists(st.integers(-(2**52) + 1, 2**52 - 1), max_size=50))
+def test_exact_sum_subnormal_blocks(m, extra):
+    # at most 2^-1034: n 2^e < 2^-1021 up to 2000 terms, summed directly;
+    # with full subnormals mixed in, extracted on grids down to 2^-1074
+    terms = [math.ldexp(k, -1074) for k in m]
+    assert exact_sum(terms).hex() == math.fsum(terms).hex()
+    terms += [math.ldexp(k, -1074) for k in extra]
+    assert exact_sum(terms).hex() == math.fsum(terms).hex()
+
+
+def test_exact_sum_subnormal_block_is_one_direct_sum(monkeypatch):
+    calls = levels(monkeypatch)
+    terms = [math.ldexp(k, -1074) for k in range(-1000, 1001, 3)]
+    assert exact_sum(terms).hex() == math.fsum(terms).hex()
+    assert len(calls) == 1
+
+
+def test_exact_sum_full_chunk_just_under_its_range():
+    # 2^24 terms, the largest just under 2^998: k = 998 + 25, so sigma =
+    # 2^1023 and x + sigma, below 1.5 2^1023, stay finite.  The largest
+    # float below 2^998 alternates with its negated lower neighbour, and
+    # 4000 wide terms stand among them; 384 MiB with the two buffers
+    n = quadrature._CHUNK_TERMS
+    top = math.ldexp(2**53 - 1, 998 - 53)
+    below = math.nextafter(top, 0.0)
+    terms = np.full(n, top)
+    terms[1::2] = -below
+    where = np.random.default_rng(8).choice(n, 4000, replace=False)
+    terms[where] = wide_block(8, 4000, 990, 60)
+    even = int((where % 2 == 0).sum())
+    total = ((n // 2 - even) * Fraction(top)
+             - (n // 2 - 4000 + even) * Fraction(below)
+             + sum(map(Fraction, terms[where].tolist())))
+    assert exact_sum(terms).hex() == float(total).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+       specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                         max_size=3),
+       big=st.lists(st.floats(2.0**998, 2.0**1000), max_size=3))
+def test_exact_sum_wide_subnormal_big_and_non_finite(seed, n, specials, big):
+    # wide and subnormal terms with terms of 2^998 and above and inf and
+    # nan among them, anywhere: the same value or error as fsum
+    rng = np.random.default_rng(seed)
+    terms = np.concatenate([wide_block(seed, n, 900, 1974), big, specials,
+                            np.ldexp(rng.integers(-2**52, 2**52, 9), -1074)])
+    terms = rng.permutation(terms)
+    try:
+        want = math.fsum(terms).hex()
+    except (ValueError, OverflowError) as e:
+        with pytest.raises(type(e)):
+            exact_sum(terms)
+    else:
+        assert exact_sum(terms).hex() == want
 
 
 @pytest.mark.parametrize("terms", [
@@ -667,9 +792,9 @@ def test_exact_sum_beyond_float_range_raises_like_fsum():
                          ids=["normal", "lowest-binade", "subnormal",
                               "top-binned", "first-scaled"])
 def test_exact_sum_at_its_flush_limit(x):
-    # 2^26 + 3 terms of one bin, every fraction bit set, in 2^20-term chunks:
-    # the bin sums reach their largest value just before the flush, and a
-    # limit above 2^26 would round them (or, from 2^998 on, overflow them).
+    # 2^26 + 3 terms of one binade, every fraction bit set, in 2^20-term
+    # adds: the total reaches 2^26 times the term, beyond any one chunk's
+    # grid, and from 2^998 on the terms are summed scaled by 2^-128.
     # Terms of the opposite sign, the sum rounded to a float or as many
     # times the largest float as fit, leave the exact residual, which shows
     # any such rounding.
@@ -880,8 +1005,8 @@ def test_pair_sum_memory_is_linear_in_budget_and_nodes(monkeypatch, budget):
     # max(budget, 8 n) bytes of float64 entries: k + 4 buffers of that size
     # live for the call (coordinate differences, r2, the kernel's
     # workspace) and two more in the reduction; per node, copies of the
-    # coordinate and tangent columns and the weights (2k + 4 floats); the
-    # 4096-bin sums are fixed.  The full matrix is 32 MiB.
+    # coordinate and tangent columns and the weights (2k + 4 floats).  The
+    # full matrix is 32 MiB.
     c = ClosedCurve(spiky_star(np.random.default_rng(9), 512))
     P, T, W, E, _, _ = boundary_node_arrays(c, 4)
     n = len(P)
@@ -900,7 +1025,7 @@ def test_pair_sum_memory_is_linear_in_budget_and_nodes(monkeypatch, budget):
     [sys.float_info.max] * 3 + [-sys.float_info.max] * 2 + [-2.0**970],
     [2.0**1000] * 20 + [-2.0**1000] * 19 + [1e-300]])
 def test_exact_sum_near_overflow_is_exact(terms):
-    # a bin's float sum would overflow where the total does not (fsum,
+    # a float sum would overflow where the total does not (fsum,
     # summing in order, raises on some of these): the exact value
     want = float(sum(map(Fraction, terms)))
     for seed in range(3):

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -50,3 +53,39 @@ def test_compare_fails_on_exit_code_verdict_or_key_set(tmp_path):
         b = _write(tmp_path, f"b{i}", report)
         assert report_bits.compare(a, b) == 1
     assert report_bits.compare(a, tmp_path / "b0" / "missing") == 1
+
+
+# ---------------------------------------------------------------------------
+# the suite's own set-up
+
+FAILING_THEN_PASSING = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_fails(x):
+    assert x < 0
+
+
+def test_b_passes():
+    pass
+'''
+
+
+def test_failing_hypothesis_test_does_not_end_the_run(tmp_path):
+    # with the suite's conftest and warning filters, a failing @given test
+    # is reported and the run goes on to the next test (a DeprecationWarning
+    # raised while hypothesis loads its patch printer once ended it with an
+    # INTERNALERROR)
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "conftest.py").write_text(
+        (root / "tests" / "conftest.py").read_text("utf-8"), "utf-8")
+    (tmp_path / "test_order.py").write_text(FAILING_THEN_PASSING, "utf-8")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_order.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

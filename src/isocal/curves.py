@@ -31,9 +31,9 @@ VERTEX_SEP_FACTOR = 1e-12
 # Bytes of one float64 temporary of a blocked computation, so memory stays
 # bounded at any size.  Every blocked loop reads it here when it is called:
 # quadrature.pair_sum's row blocks, _box_pairs' pair chunks (the simplicity
-# test and the branch terms of quadrature.double_boundary_integral), and
-# the sample blocks of the checks sweeps.  128 KiB keeps a block's dozen
-# temporaries in a 2 MiB L2 (64-256 KiB measured alike).
+# test and the branch terms of quadrature.double_boundary_integral).  128
+# KiB keeps a block's dozen temporaries in a 2 MiB L2 (64-256 KiB measured
+# alike).  The randomised sweeps have their own budget, checks._SWEEP_BYTES.
 _BLOCK_BYTES = 1 << 17
 
 

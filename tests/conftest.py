@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
-from isocal import ClosedCurve
+from isocal import ClosedCurve, checks
 
 # To print a patch for a failing example, hypothesis' pytest plugin imports
 # hypothesis.extra._patching, whose libcst import raises mypy_extensions'
@@ -139,3 +140,30 @@ def simplicity_reference(v):
             if meet > adjacent:
                 return meet
     return None
+
+
+def spy_sweeps(monkeypatch) -> list:
+    """A record of each checks._sweep call, in call order: its arguments
+    (draw as the sweep passed it), the size of each block it drew, its
+    first block and its result."""
+    calls = []
+    sweep = checks._sweep
+
+    def spy(streams, n, row_bytes, draw, scores):
+        call = SimpleNamespace(streams=streams, n=n, row_bytes=row_bytes,
+                               draw=draw, scores=scores, blocks=[],
+                               first=None, result=None)
+        calls.append(call)
+
+        def counted(*args):
+            block = draw(*args)
+            if not call.blocks:
+                call.first = block
+            call.blocks.append(args[-1])
+            return block
+
+        call.result = sweep(streams, n, row_bytes, counted, scores)
+        return call.result
+
+    monkeypatch.setattr(checks, "_sweep", spy)
+    return calls

@@ -1,5 +1,6 @@
-"""The blocked kernel sweeps of isocal.checks against per-sample loops over
-the same draws: the same bits, whatever the blocking, in bounded memory."""
+"""The kernel sweeps of isocal.checks against per-sample loops over the same
+draws: the same bits, whatever the blocking, in bounded memory, with a
+worst sample that replays from the seed."""
 
 import concurrent.futures
 import tracemalloc
@@ -7,9 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isocal import checks, cli, curves, quadrature
+from isocal import checks, cli, mayer, quadrature
 from isocal.biform import _field, biform_apply, d1d2_fd
 from isocal.biform import mixed_derivative_closed_form
+
+from conftest import spy_sweeps
+
+OSC = mayer.get_problem("oscillator")
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +59,11 @@ def mixed_derivative_reference(space, n=50, seed=0, h=1e-3):
 
 
 def orthogonality_reference(dim, n=10000, seed=0):
-    rng = np.random.default_rng(seed)
-    x, y = checks._random_points(rng, n, dim)
+    # a sample a row: x and y, 1.5 times normal draws, then in the plane
+    # the tangents t and u; y moves by 1 where the points nearly coincide
+    rows = np.random.default_rng(seed).normal(size=(n, 8 if dim == 2 else 6))
+    x, y = rows[:, :dim] * 1.5, rows[:, dim:2 * dim] * 1.5
+    y[np.linalg.norm(x - y, axis=1) < 1e-6] += 1.0
     m = _field((x - y)[:, None, :], np.eye(dim))
     mm = np.einsum("nij,njk->nik", m, m) - np.eye(dim)[None, :, :]
     return float(np.abs(mm).max())
@@ -76,11 +84,15 @@ def test_circle_equality_keeps_the_bits_of_the_loop(dim, n):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_circle_equality_is_independent_of_the_blocking(monkeypatch, dim):
     # blocks of 1, 3 and 4 circles: 7 circles end mid-block or on its edge
-    for budget in (8, 8 * dim * dim * 3, 8 * dim * dim * 4):
-        monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    calls = spy_sweeps(monkeypatch)
+    checks.circle_equality_residual(dim, 1)
+    row = calls.pop().row_bytes
+    for circles in (1, 3, 4):
+        monkeypatch.setattr(checks, "_SWEEP_BYTES", circles * row)
         for seed in range(5):
             assert checks.circle_equality_residual(dim, 7, seed).hex() == \
                 circle_equality_reference(dim, 7, seed).hex()
+    assert {size for call in calls for size in call.blocks} == {1, 3, 4}
 
 
 @pytest.mark.parametrize("space", ["r2", "r3"])
@@ -93,13 +105,16 @@ def test_mixed_derivative_keeps_the_bits_of_the_loop(space, n):
 
 @pytest.mark.parametrize("space", ["r2", "r3"])
 def test_mixed_derivative_is_independent_of_the_blocking(monkeypatch, space):
-    dim = 2 if space == "r2" else 3
-    # blocks of 1 pair and of 7: 50 pairs end mid-block
-    for budget in (8, 7 * 8 * 4 * dim ** 4):
-        monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    # blocks of 1 pair, of 3 and of 7: 50 pairs end mid-block
+    calls = spy_sweeps(monkeypatch)
+    checks.mixed_derivative_residual(space, 1)
+    row = calls.pop().row_bytes
+    for pairs in (1, 3, 7):
+        monkeypatch.setattr(checks, "_SWEEP_BYTES", pairs * row)
         for seed in range(3):
             assert checks.mixed_derivative_residual(space, 50, seed).hex() \
                 == mixed_derivative_reference(space, 50, seed).hex()
+    assert {size for call in calls for size in call.blocks} == {1, 2, 3, 7}
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -152,44 +167,28 @@ CALIBRATION_R3 = CALIBRATION_R2 + [
 
 @pytest.mark.parametrize("space, table", [("r2", CALIBRATION_R2),
                                           ("r3", CALIBRATION_R3)])
-def test_calibration_checks_in_report_order_with_their_clamps(monkeypatch,
-                                                              space, table):
-    # each sweep is called through the module, as a wrapper set there sees it
-    calls = []
-    for sweep in {sweep for _, sweep, _ in table}:
-        def recorded(*args, _sweep=sweep, _fn=getattr(checks, sweep)):
-            calls.append((_sweep, args))
-            return _fn(*args)
-        monkeypatch.setattr(checks, sweep, recorded)
+def test_calibration_checks_in_report_order_with_their_clamps(space, table):
+    # each value has the bits of its sweep called alone
     got = checks.run_calibration_checks(space, 150, 5)
-    monkeypatch.undo()
     assert list(got) == [name for name, _, _ in table]
-    assert calls == [(sweep, args) for _, sweep, args in table]
     for name, sweep, args in table:
         assert got[name].hex() == getattr(checks, sweep)(*args).hex()
 
 
 @pytest.mark.parametrize("space, dims", [("r2", [2]), ("r3", [2, 3])])
 def test_calibration_report_draws_the_plane_once(monkeypatch, space, dims):
-    # unit_norm, orthogonality_r2 and consistency read one planar draw;
-    # orthogonality_r3 draws its own three-space points
-    calls = []
-
-    def counted(rng, n, dim):
-        calls.append(dim)
-        return random_points(rng, n, dim)
-
-    random_points = checks._random_points
-    monkeypatch.setattr(checks, "_random_points", counted)
+    # one driver pass per geometry of point pairs: unit_norm,
+    # orthogonality_r2 and consistency are the three scores of one planar
+    # pass, and orthogonality_r3 is one pass in three-space; each draws its
+    # 150 samples once, from one stream (the circle and mixed-derivative
+    # sweeps draw from two)
+    calls = spy_sweeps(monkeypatch)
     checks.run_calibration_checks(space, 150, 5)
-    assert calls == dims
-
-
-def test_planar_draw_is_read_only():
-    for a in checks._planar_draw(10, 0):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+    points = [call for call in calls if len(call.streams) == 1]
+    assert [call.first[0].shape[1] for call in points] == dims
+    assert [len(call.scores) for call in points] == [3] + [1] * (len(dims) - 1)
+    assert [sum(call.blocks) for call in points] == [150] * len(dims)
+    assert len(calls) == 3 * len(dims)
 
 
 def test_no_draw_survives_a_report(monkeypatch):
@@ -236,22 +235,139 @@ def _peak(fn, warm):
 
 
 def test_circle_equality_memory_is_linear_in_budget(monkeypatch):
-    # a block of circles holds some 90 floats a circle, about 10 budgets
-    # (the budget buys budget / 72 circles); 100,000 circles at once would
+    # a block of circles holds some 60 floats a circle, about one budget
+    # (the budget buys budget / 480 circles); 100,000 circles at once would
     # take some 50 MB
-    budget = 1 << 14
-    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    budget = 1 << 17
+    monkeypatch.setattr(checks, "_SWEEP_BYTES", budget)
     peak = _peak(lambda: checks.circle_equality_residual(3, 100_000),
                  lambda: checks.circle_equality_residual(3, 10))
-    assert peak < 12 * budget + (1 << 16)
+    assert peak < budget + (1 << 16)
 
 
 def test_mixed_derivative_memory_is_linear_in_budget(monkeypatch):
-    # a block of pairs holds about 5 budgets of stencil kernel entries
-    # (the budget buys budget / 2592 pairs in R^3); 20,000 pairs at once
-    # would take over 200 MB
-    budget = 1 << 15
-    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    # a block of pairs holds about one budget of stencil kernel entries and
+    # their temporaries (the budget buys budget / 8400 pairs in R^3);
+    # 20,000 pairs at once would take over 200 MB
+    budget = 1 << 16
+    monkeypatch.setattr(checks, "_SWEEP_BYTES", budget)
     peak = _peak(lambda: checks.mixed_derivative_residual("r3", 20_000),
                  lambda: checks.mixed_derivative_residual("r3", 10))
-    assert peak < 8 * budget + (1 << 16)
+    assert peak < 2 * budget + (1 << 16)
+
+
+@pytest.mark.parametrize("sweep, small, large", [
+    (lambda n: checks.run_calibration_checks("r3", n, 0), 10_000, 1_000_000),
+    (lambda n: checks.dominance_minimum(OSC, n), 10_000, 1_000_000),
+    (lambda n: checks.pullback_residual(OSC, n), 10_000, 100_000),
+], ids=["calibration_r3", "dominance", "pullback"])
+def test_sweep_memory_is_flat_in_the_samples(sweep, small, large):
+    # blocks of one budget (1 MiB): the peak does not grow with the samples,
+    # where the samples all at once would take hundreds of MB
+    peaks = [_peak(lambda: sweep(n), lambda: sweep(10)) for n in (small, large)]
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 2 * checks._SWEEP_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the driver: replayable worst samples, a per-row distinctness rule, NaN
+
+
+def _replayed(call, streams):
+    """The worst value of the call's first score, replayed from fresh
+    streams: the rows before its sample are drawn and dropped, then its own
+    row is drawn alone."""
+    index = call.result[0][1]
+    call.draw(*streams, index)
+    return float(call.scores[0](call.draw(*streams, 1))[0])
+
+
+@pytest.mark.parametrize("sweep, seed, streams", [
+    (lambda s: checks.circle_equality_residual(3, 100, s), 5,
+     lambda s: np.random.default_rng(s).spawn(2)),
+    (lambda s: checks.consistency_residual(2000, s), 6,
+     lambda s: [np.random.default_rng(s)]),
+    (lambda s: checks.minimality_minimum(OSC, 20, s, n_quad=500), 7,
+     lambda s: [np.random.default_rng(s)]),
+], ids=["circle_equality_r3", "consistency", "minimality"])
+@pytest.mark.parametrize("per_block", [None, 7])
+def test_worst_sample_replays_from_seed_and_index(monkeypatch, sweep, seed,
+                                                  streams, per_block):
+    calls = spy_sweeps(monkeypatch)
+    if per_block:
+        sweep(seed)
+        monkeypatch.setattr(checks, "_SWEEP_BYTES",
+                            per_block * calls.pop().row_bytes)
+    got = sweep(seed)
+    (call,) = calls
+    worst, index = call.result[0]
+    assert abs(got) == abs(worst)  # a minimum is the largest of -score
+    assert 0 < index < call.n
+    assert _replayed(call, streams(seed)).hex() == worst.hex()
+    if per_block:
+        assert len(call.blocks) > 2
+
+
+def test_driver_reduces_each_score_to_its_first_worst_sample():
+    def draw(rng, m):
+        start = draw.rows
+        draw.rows += m
+        return np.arange(start, start + m)
+
+    # a NaN is the worst, and of equal values the first counts
+    values = np.array([1.0, 3.0, 2.0, 3.0, np.nan, 5.0, np.nan])
+    finite = np.nan_to_num(values, nan=0.5)
+    for budget in (1, 2, 3, 8):
+        draw.rows = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "_SWEEP_BYTES", budget)
+            got = checks._sweep([None], 7, 1, draw, [
+                lambda i: values[i], lambda i: finite[i],
+                lambda i: -finite[i], lambda i: np.minimum(finite[i], 3.0)])
+        assert draw.rows == 7
+        assert np.isnan(got[0][0]) and got[0][1] == 4
+        assert got[1:] == [(5.0, 5), (-0.5, 4), (3.0, 1)]
+    assert checks._sweep([None], 0, 1, draw, [np.negative]) == \
+        [(-np.inf, -1)]
+
+
+class Rows:
+    """A stream of normal draws that repeats a crafted row."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, float)
+
+    def normal(self, size):
+        return np.tile(self.row, (size[0], 1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_pairs_move_a_coinciding_point_by_its_own_row(dim):
+    # x = y, x 1e-7 from y, and x 1e-5 from y: only the first two move y
+    x = np.array([0.3, -0.2, 0.7][:dim])
+    tangents = [1.0, 0.0, 0.6, 0.8][:8 - 2 * dim]
+    for gap, moved in ((0.0, True), (1e-7, True), (1e-5, False)):
+        y = x + gap / 1.5
+        z = checks._points(Rows(np.r_[x, y, tangents]), 1, dim)[0]
+        want = 1.5 * x - (1.5 * y + 1.0 if moved else 1.5 * y)
+        assert z.tobytes() == want[None].tobytes()
+
+
+def test_planar_sample_of_coinciding_points_scores_as_alone():
+    # the field and the scores are finite, and the sample reads the same
+    # alone as in a block of three
+    rows = Rows([0.3, -0.2, 0.3, -0.2, 1.0, 0.0, 0.6, 0.8])
+    for score in (checks._unit_norm, checks._orthogonality,
+                  checks._consistency):
+        values = score(checks._points(rows, 3))
+        assert np.all(np.isfinite(values)) and np.all(values < 1e-12)
+        assert values.tobytes() == \
+            np.tile(score(checks._points(rows, 1)), 3).tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, 1, 4])
+@pytest.mark.parametrize("sweep", [checks.circle_equality_residual,
+                                   checks.orthogonality_residual])
+def test_kernel_sweeps_reject_an_invalid_dimension(sweep, dim):
+    with pytest.raises(ValueError, match="dim must be 2 or 3"):
+        sweep(dim, 5)

@@ -30,7 +30,9 @@ from isocal import (
     solve_el,
     weierstrass_gap,
 )
-from isocal import checks, curves, mayer
+from isocal import checks, mayer
+
+from conftest import spy_sweeps
 
 FREE = get_problem("free")
 OSC = get_problem("oscillator")
@@ -640,7 +642,7 @@ def test_minimality_minimum_equals_min_of_gaps(name, monkeypatch):
             for _ in range(8)]
     rows = spy_block_rows(monkeypatch)
     for budget in (1, 3 << 14, 1 << 16, 1 << 20):
-        monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(checks, "_SWEEP_BYTES", budget)
         got = checks.minimality_minimum(prob, 8, seed=21, n_quad=500)
         assert got.hex() == min(gaps).hex()
     assert set(rows) == {1, 2, 3, 4, 8}
@@ -671,7 +673,7 @@ def test_mayer_sweeps_table_their_modes_once(monkeypatch):
         return modes(a, b, t)
 
     monkeypatch.setattr(checks, "_sine_modes", counted)
-    monkeypatch.setattr(curves, "_BLOCK_BYTES", 1)  # a pair or path a block
+    monkeypatch.setattr(checks, "_SWEEP_BYTES", 1)  # a pair or path a block
     checks.path_independence_residual(OSC, 3, seed=2)
     assert sizes == [2001] + [2] * 6
     sizes.clear()
@@ -694,7 +696,7 @@ def test_path_independence_sweep_matches_scalar_loop_and_any_blocking(
         worst = max(worst, abs(action(lam, f1) - action(lam, f2)))
     rows = spy_block_rows(monkeypatch)
     for budget in (1, 1 << 20, 3 << 19, 1 << 23):
-        monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(checks, "_SWEEP_BYTES", budget)
         got = checks.path_independence_residual(prob, 7, seed=33)
         assert got.hex() == worst.hex()
     assert set(rows) == {1, 2, 3, 7}
@@ -717,7 +719,7 @@ def test_minimality_minimum_names_the_first_time_a_competitor_leaves():
     assert 0 < i < 39 and outside[0] > 0  # not the first competitor or time
     for budget in (1, 3 << 14, 1 << 20):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(curves, "_BLOCK_BYTES", budget)
+            mp.setattr(checks, "_SWEEP_BYTES", budget)
             with pytest.raises(FoliationError, match=re.escape(
                     f"leaves the foliated region at t={ts[outside[0]]}")):
                 checks.minimality_minimum(prob, 40, seed=5, n_quad=500)
@@ -1158,6 +1160,24 @@ def test_dominance_sweep_matches_scalar_loop_and_any_blocking(monkeypatch):
         qd = rng.uniform(-3.0, 3.0)
         gaps.append(weierstrass_gap(OSC.lagrangian, OSC.family, t,
                                     OSC.family.u(s, t), qd))
+    calls = spy_sweeps(monkeypatch)
     assert checks.dominance_minimum(OSC, 150, seed=17) == min(gaps)
-    monkeypatch.setattr(curves, "_BLOCK_BYTES", 7 * 32)  # blocks of 7
-    assert checks.dominance_minimum(OSC, 150, seed=17) == min(gaps)
+    row = calls[0].row_bytes
+    for samples in (1, 7):  # blocks of 1 and of 7
+        monkeypatch.setattr(checks, "_SWEEP_BYTES", samples * row)
+        assert checks.dominance_minimum(OSC, 150, seed=17) == min(gaps)
+    assert [set(call.blocks) for call in calls] == [{150}, {1}, {7, 3}]
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
+def test_pullback_sweep_is_independent_of_the_blocking(name, monkeypatch):
+    # blocks of 1, of 7 and of all 50 points give the same bits
+    prob = get_problem(name)
+    calls = spy_sweeps(monkeypatch)
+    want = checks.pullback_residual(prob, 50, seed=19)
+    row = calls[0].row_bytes
+    for points in (1, 7):
+        monkeypatch.setattr(checks, "_SWEEP_BYTES", points * row)
+        assert checks.pullback_residual(prob, 50, seed=19).hex() == \
+            want.hex()
+    assert [set(call.blocks) for call in calls] == [{50}, {1}, {7, 1}]

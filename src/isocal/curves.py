@@ -32,9 +32,31 @@ VERTEX_SEP_FACTOR = 1e-12
 # bounded at any size.  Every blocked loop reads it here when it is called:
 # quadrature.pair_sum's row blocks, _box_pairs' pair chunks (the simplicity
 # test and the branch terms of quadrature.double_boundary_integral).  128
-# KiB keeps a block's dozen temporaries in a 2 MiB L2 (64-256 KiB measured
-# alike).  The randomised sweeps have their own budget, checks._SWEEP_BYTES.
+# KiB keeps a block's dozen temporaries in a 2 MiB L2: pair_sum on aligned
+# workspaces took 87, 71, 69 and 79 ms at 64, 128, 256 and 512 KiB on the
+# benchmark's 2048-node sphere star, 59, 52, 52 and 58 ms on its 12-gon
+# (medians of 15, one Xeon core with AVX-512).  The randomised sweeps have
+# their own budget, checks._SWEEP_BYTES.
 _BLOCK_BYTES = 1 << 17
+# The cache line.  numpy's malloc aligns to 16 bytes, and a large block to
+# 16 bytes past a page, so a ufunc pass over such a row splits its vector
+# loads and stores across lines.  The pair sum's and the exact reduction's
+# workspaces come from _workspace, whose rows each start on a line: on rows
+# 8, 16 or 32 bytes past one, pair_sum took 103-109 ms against 81 ms on the
+# sphere star and 64-69 ms against 56 ms on the 12-gon, with the same bits.
+_CACHE_LINE = 64
+
+
+def _workspace(rows: int, size: int) -> np.ndarray:
+    """A float64 (rows, size) array, uninitialised, whose every row starts on
+    a _CACHE_LINE boundary: one line more than rows whole-line rows (at
+    least one line each, so that empty rows keep their own starts) is
+    allocated and the view starts at its first line boundary."""
+    line = _CACHE_LINE // 8
+    width = -(-max(size, 1) // line) * line
+    raw = np.empty(rows * width + line)
+    skip = -raw.ctypes.data % _CACHE_LINE // 8
+    return raw[skip:skip + rows * width].reshape(rows, width)[:, :size]
 
 
 class CurveError(ValueError):

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curves import _require_count
+from .quadrature import _ExactSum
 
 Scalar3 = Callable[[float, float, float], float]
 
@@ -612,16 +613,18 @@ def _simpson_grid(a: float, b: float, n: int) -> np.ndarray:
 def _simpson(vals, ts):
     """Composite-Simpson sums of the integrand values vals on the grid ts of
     _simpson_grid, one per path (a row of vals; a float for one path);
-    both weighted sums of a path are exact (math.fsum)."""
+    both weighted sums of a path are exact (quadrature._ExactSum, the bits
+    of math.fsum)."""
     h = (float(ts[-1]) - float(ts[0])) / (len(ts) - 1)
     vals = np.asarray(vals, float)
     vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, ts.shape))
     sums = []
     for row in vals.reshape(-1, len(ts)):
-        row = row.tolist()
-        odd = math.fsum(row[1:-1:2])
-        even = math.fsum(row[2:-1:2])
-        sums.append(h / 3.0 * (row[0] + row[-1] + 4.0 * odd + 2.0 * even))
+        odd, even = _ExactSum(len(ts) // 2), _ExactSum(len(ts) // 2)
+        odd.add(row[1:-1:2])
+        even.add(row[2:-1:2])
+        sums.append(h / 3.0 * (float(row[0]) + float(row[-1])
+                               + 4.0 * odd.value() + 2.0 * even.value()))
     return sums[0] if vals.ndim == 1 else np.reshape(sums, vals.shape[:-1])
 
 

@@ -12,9 +12,11 @@ a total is a function of the multiset of its terms alone: the same, bit
 for bit, for any blocking and any starting vertex.  Blocks stay within
 the byte budget curves._BLOCK_BYTES.  Every row block of the pair sum is a
 view of buffers allocated once per call, which the kernel fills through
-_kernel(..., out).  As nodes come edge by edge, the pair sum adds its
-same-edge pairs in closed form, and its blocks' columns start past the
-row's edge.  The winding integral is exact too, twice the sum of the
+_kernel(..., out); those buffers and the exact reduction's start each row
+on a 64-byte cache line (curves._workspace), since the pair sum ran 14-35 %
+slower on rows that straddle lines.  As nodes come edge by edge, the pair
+sum adds its same-edge pairs in closed form, and its blocks' columns start
+past the row's edge.  The winding integral is exact too, twice the sum of the
 angles the edges subtend at the point, and so is the interior curl
 integral, one closed-form term per fan triangle from its singular point.
 """
@@ -119,14 +121,16 @@ class _ExactSum:
     that k <= 998 + 25 keeps sigma and x + sigma finite.
     Non-finite terms decide the result alone, as in fsum: value() is then
     math.fsum of them.  A sum beyond the float range raises OverflowError,
-    as fsum does.
+    as fsum does.  The q and r of a level share one curves._workspace, each
+    row on a cache line, so that the level's four passes over them split no
+    loads across lines.
     """
 
     def __init__(self, size: int = 0):
         self._total = 0  # in units of 2^-1127
         self._special = []  # the non-finite terms
         # q and r of one level: room for size terms, grown by larger adds
-        self._buf = np.empty((2, size))
+        self._buf = curves._workspace(2, size)
         self._big = None  # the terms of 2^998 and above, times 2^-128
 
     def add(self, x) -> None:
@@ -149,7 +153,7 @@ class _ExactSum:
             self._extract(x[finite & ~big])
             return
         if self._buf.shape[1] < n:
-            self._buf = np.empty((2, n))
+            self._buf = curves._workspace(2, n)
         q, r = self._buf[:, :n]
         b = n.bit_length()
         top = max(hi, -lo)
@@ -207,7 +211,10 @@ def pair_sum(P, T, W, E, J) -> float:
     the same bits as math.fsum: the correctly rounded sum of the
     ordered-pair multiset, whatever the row blocking or starting vertex.
     Every block is a view of buffers allocated once per call; the kernel
-    fills its workspace through _kernel(..., out).
+    fills its workspace through _kernel(..., out).  Each buffer is a row of
+    one curves._workspace and starts on a cache line: the 30-40 ufunc passes
+    of a block took 14-35 % longer on rows 8, 16 or 32 bytes past one, with
+    the same bits (curves._CACHE_LINE).
     """
     n = len(P)
     if (np.diff(E) < 0).any():
@@ -231,7 +238,7 @@ def pair_sum(P, T, W, E, J) -> float:
     tc = [np.ascontiguousarray(t) for t in T.T]
     W2 = 2.0 * W
     past = np.repeat(ends, m)  # the first node past each node's edge
-    buf = np.empty((len(pc) + 4, size))
+    buf = curves._workspace(len(pc) + 4, size)
     i0, last = 0, starts[-1] if n else 0  # the last edge's rows pair nothing
     while i0 < last:
         # rows i0:i1 against columns c0:n; entry (r, c) is the pair

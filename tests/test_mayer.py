@@ -406,6 +406,31 @@ def test_action_simpson_against_analytic():
     assert val == pytest.approx(want, abs=1e-10)
 
 
+def fsum_simpson(row, ts):
+    """A path's composite-Simpson sum with both weighted sums by fsum."""
+    h = (float(ts[-1]) - float(ts[0])) / (len(ts) - 1)
+    row = row.tolist()
+    odd, even = math.fsum(row[1:-1:2]), math.fsum(row[2:-1:2])
+    return h / 3.0 * (row[0] + row[-1] + 4.0 * odd + 2.0 * even)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 16])
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_simpson_rows_keep_the_bits_of_fsum(rows, n):
+    # values over 60 binades, both signs, with cancellation
+    ts = mayer._simpson_grid(-1.0, 2.5, n)
+    rng = np.random.default_rng(rows * n)
+    vals = rng.standard_normal((rows, len(ts))) * np.exp2(
+        rng.integers(-30, 30, (rows, len(ts))))
+    vals[0, 3:-1:4] = -vals[0, 1:-3:4]  # odd terms cancel in pairs
+    got = mayer._simpson(vals, ts)
+    assert got.shape == (rows,)
+    assert [x.hex() for x in got.tolist()] == \
+        [fsum_simpson(row, ts).hex() for row in vals]
+    one = mayer._simpson(vals[0], ts)
+    assert type(one) is float and one.hex() == fsum_simpson(vals[0], ts).hex()
+
+
 @pytest.mark.parametrize("n", [0, -4, 2.5, True])
 def test_action_rejects_an_interval_count_that_is_not_a_positive_integer(n):
     leaf = OSC.family.central_leaf

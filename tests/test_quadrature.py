@@ -1020,6 +1020,48 @@ def test_pair_sum_memory_is_linear_in_budget_and_nodes(monkeypatch, budget):
     assert peak < 24 * max(budget, 8 * n) + 8 * 8 * n + (1 << 17)
 
 
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 2049])
+def test_workspace_rows_start_on_cache_lines(size):
+    for rows in (1, 2, 6):
+        ws = curves._workspace(rows, size)
+        assert ws.shape == (rows, size) and ws.dtype == np.float64
+        assert all(row.ctypes.data % 64 == 0 for row in ws)
+        ws[...] = np.arange(rows)[:, None]  # the rows do not overlap
+        assert (ws == np.arange(rows)[:, None]).all()
+    # the exact reduction's level buffer, made and grown there
+    acc = quadrature._ExactSum(size)
+    assert all(row.ctypes.data % 64 == 0 for row in acc._buf)
+    acc.add(np.ones(2 * size + 3))
+    assert acc._buf.shape[1] >= 2 * size + 3
+    assert all(row.ctypes.data % 64 == 0 for row in acc._buf)
+
+
+@pytest.mark.parametrize("space", sorted(METRICS))
+@pytest.mark.parametrize("budget", [1 << 12, 1 << 17])
+def test_pair_sum_bits_do_not_depend_on_workspace_alignment(monkeypatch,
+                                                           space, budget):
+    # the workspaces only place the blocks; their bits are the same on rows
+    # 8, 16 or 32 bytes past a cache line
+    P, T, W, E = metric_nodes(space, np.random.default_rng(5))
+    J = METRICS[space]
+    monkeypatch.setattr(curves, "_BLOCK_BYTES", budget)
+    kernel, aligned, blocks = quadrature._kernel, curves._workspace, []
+
+    def checked_kernel(d, ti, tj, J, r2, out):
+        blocks.append(all(a.ctypes.data % 64 == 0 for a in (*d, r2, *out)))
+        return kernel(d, ti, tj, J, r2, out)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(quadrature, "_kernel", checked_kernel)
+        want = quadrature.pair_sum(P, T, W, E, J).hex()
+    assert blocks and all(blocks)
+    for offset in (8, 16, 32):
+        skip = offset // 8
+        monkeypatch.setattr(curves, "_workspace", lambda rows, size:
+                            aligned(rows, size + skip)[:, skip:])
+        assert quadrature.pair_sum(P, T, W, E, J).hex() == want
+
+
 @pytest.mark.parametrize("terms", [
     [1.7e308, 1.7e308, -1.6e308, -1.7e308],
     [sys.float_info.max] * 3 + [-sys.float_info.max] * 2 + [-2.0**970],

@@ -321,10 +321,10 @@ def path_independence_residual(problem: MayerProblem, n_pairs: int = 20,
             _bump_paths(problem, c[:, 3:], table))
         return np.abs(i1 - i2)
 
-    # leaf location holds about 14 arrays of one float a node for each of
-    # a pair's two paths
+    # leaf location holds most of a pair's working set, measured (by
+    # tracemalloc) 31-33 floats a node a pair on the built-ins
     return _maxima([np.random.default_rng(seed)], n_pairs,
-                   8 * 28 * table[0].size,
+                   8 * 32 * table[0].size,
                    lambda rng, m: rng.uniform(-amp, amp, (m, 6)), [score])[0]
 
 
@@ -355,9 +355,10 @@ def minimality_minimum(problem: MayerProblem, n: int = 100,
                        problem.family.central_leaf, n_quad)
     amp = problem.amplitude
     table = _mode_table(problem, n_quad)
-    # a competitor's values, its slopes and two temporaries of L, one float
-    # a node each; -gap: the least gap is the worst
-    return -_sweep([np.random.default_rng(seed)], n, 8 * 4 * table[0].size,
+    # a competitor's values and slopes, L's temporaries, then its odd and
+    # even terms and their level buffer: measured 4.3-5.4 floats a node on
+    # the built-ins; -gap: the least gap is the worst
+    return -_sweep([np.random.default_rng(seed)], n, 8 * 6 * table[0].size,
                    lambda rng, m: rng.uniform(-amp, amp, (m, 3)),
                    [lambda c: -gap(_bump_paths(problem, c, table))])[0][0]
 

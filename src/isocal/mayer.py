@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curves import _require_count
-from .quadrature import _ExactSum
+from .quadrature import _row_sums
 
 Scalar3 = Callable[[float, float, float], float]
 
@@ -390,6 +390,8 @@ def _locate_leaf(family: SolutionFamily, t, q):
     Each point stops on its own, with the root itself or the midpoint of a
     bracket at most _LEAF_TOL wide, and every step is elementwise, so a
     point gets the same bits whether it is solved alone or inside a batch.
+    A step updates its arrays by np.where selects, which copy values
+    exactly, in a third or less of a masked write's time (np.copyto).
     """
     lo0, hi0 = family.s_interval
     qlo = np.broadcast_to(family.u(lo0, t), t.shape)
@@ -424,25 +426,21 @@ def _locate_leaf(family: SolutionFamily, t, q):
         # a secant point within rounding of the last point steps that far
         # towards the root instead, so the next bracket can close on it
         tiny = 2.0 * np.finfo(float).eps * np.maximum(np.abs(last), 1.0)
-        np.copyto(x, last + moved * tiny, where=np.abs(x - last) <= tiny)
+        x = np.where(np.abs(x - last) <= tiny, last + moved * tiny, x)
         # either side of x leaves a bracket of at most r, which halving in
         # the steps left takes to _LEAF_TOL; a point off the open bracket
         # bisects
         r = _LEAF_TOL * 2.0 ** (steps - k)
-        np.clip(x, b - r, a + r, out=x)
-        np.copyto(x, a + 0.5 * w, where=~((a < x) & (x < b)))
+        x = np.clip(x, b - r, a + r)
+        x = np.where((a < x) & (x < b), x, a + 0.5 * w)
         gx = sign * (family.u(x, t) - q)
         left, right = active & (gx < 0), active & (gx > 0)
-        # Illinois: the value of an end kept twice in a row is halved
-        np.multiply(fa, 0.5, out=fa, where=right & (moved < 0))
-        np.multiply(fb, 0.5, out=fb, where=left & (moved > 0))
-        for end, value, side in ((a, fa, left), (b, fb, right)):
-            np.copyto(end, x, where=side)
-            np.copyto(value, gx, where=side)
         # u(x, t) = q: the bracket closes on x
         root = active & ~(left | right)
-        np.copyto(a, x, where=root)
-        np.copyto(b, x, where=root)
+        # Illinois: the value of an end kept twice in a row is halved
+        fa = np.where(left, gx, np.where(right & (moved < 0), fa * 0.5, fa))
+        fb = np.where(right, gx, np.where(left & (moved > 0), fb * 0.5, fb))
+        a, b = np.where(left | root, x, a), np.where(right | root, x, b)
         last, moved = x, left * 1.0 - right
         active &= b - a > _LEAF_TOL
     return a + 0.5 * (b - a)
@@ -450,14 +448,14 @@ def _locate_leaf(family: SolutionFamily, t, q):
 
 def _bisect(below, lo, width, halvings: int):
     """Where below(x) turns from true to false in each bracket [lo, lo +
-    width], by halving all at once and keeping the half that holds it; lo,
-    a float array, is updated in place.  legendre_inverse inverts by it, a
-    fixed number of halvings for every point."""
+    width], by halving all at once and selecting the half that holds it
+    (np.where; lo, a float array, is not written).  legendre_inverse
+    inverts by it, a fixed number of halvings for every point."""
     half = width
     for _ in range(halvings):
         half = half * 0.5
         mid = lo + half
-        np.copyto(lo, mid, where=below(mid))
+        lo = np.where(below(mid), mid, lo)
     return lo + 0.5 * half
 
 
@@ -612,20 +610,21 @@ def _simpson_grid(a: float, b: float, n: int) -> np.ndarray:
 
 def _simpson(vals, ts):
     """Composite-Simpson sums of the integrand values vals on the grid ts of
-    _simpson_grid, one per path (a row of vals; a float for one path);
-    both weighted sums of a path are exact (quadrature._ExactSum, the bits
-    of math.fsum)."""
+    _simpson_grid, one per path (a row of vals; a float for one path).
+    The odd and the even node values of all the paths are summed exactly
+    in one quadrature._row_sums, the bits of math.fsum of each."""
     h = (float(ts[-1]) - float(ts[0])) / (len(ts) - 1)
     vals = np.asarray(vals, float)
     vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, ts.shape))
-    sums = []
-    for row in vals.reshape(-1, len(ts)):
-        odd, even = _ExactSum(len(ts) // 2), _ExactSum(len(ts) // 2)
-        odd.add(row[1:-1:2])
-        even.add(row[2:-1:2])
-        sums.append(h / 3.0 * (float(row[0]) + float(row[-1])
-                               + 4.0 * odd.value() + 2.0 * even.value()))
-    return sums[0] if vals.ndim == 1 else np.reshape(sums, vals.shape[:-1])
+    rows = vals.reshape(-1, len(ts))
+    m = len(rows)
+    terms = np.empty((2 * m, len(ts) // 2))
+    terms[:m] = rows[:, 1:-1:2]
+    terms[m:, :-1] = rows[:, 2:-1:2]
+    terms[m:, -1] = -0.0  # the even rows are a term short: -0.0 adds nothing
+    odd, even = _row_sums(terms).reshape(2, m)
+    sums = h / 3.0 * (rows[:, 0] + rows[:, -1] + 4.0 * odd + 2.0 * even)
+    return float(sums[0]) if vals.ndim == 1 else sums.reshape(vals.shape[:-1])
 
 
 def action(L: Lagrangian1D, path, a: float | None = None,

@@ -7,16 +7,18 @@ midpoint rule, pair_sum, serves all three geometries.  Every total is
 correctly rounded: the short sums are one math.fsum each, and the branch
 and pair sums, up to millions of terms, one exact reduction each
 (fixed-grid extraction: each level rounds the terms to one grid, on which
-np.add.reduce sums them exactly), the same bits as math.fsum.  Either way
-a total is a function of the multiset of its terms alone: the same, bit
-for bit, for any blocking and any starting vertex.  Blocks stay within
-the byte budget curves._BLOCK_BYTES.  Every row block of the pair sum is a
-view of buffers allocated once per call, which the kernel fills through
-_kernel(..., out); those buffers and the exact reduction's start each row
-on a 64-byte cache line (curves._workspace), since the pair sum ran 14-35 %
-slower on rows that straddle lines.  As nodes come edge by edge, the pair
-sum adds its same-edge pairs in closed form, and its blocks' columns start
-past the row's edge.  The winding integral is exact too, twice the sum of the
+np.add.reduce sums them exactly), the same bits as math.fsum; _row_sums
+does the same for every row of a 2-D array at once, the Mayer actions'
+Simpson sums.  Either way a total is a function of the multiset of its
+terms alone: the same, bit for bit, for any blocking and any starting
+vertex.  Blocks stay within the byte budget curves._BLOCK_BYTES.  Every
+row block of the pair sum is a view of buffers allocated once per call,
+which the kernel fills through _kernel(..., out); those buffers and the
+exact reduction's start each row on a 64-byte cache line
+(curves._workspace), since the pair sum ran 14-35 % slower on rows that
+straddle lines.  As nodes come edge by edge, the pair sum adds its
+same-edge pairs in closed form, and its blocks' columns start past the
+row's edge.  The winding integral is exact too, twice the sum of the
 angles the edges subtend at the point, and so is the interior curl
 integral, one closed-form term per fan triangle from its singular point.
 """
@@ -190,6 +192,57 @@ class _ExactSum:
         if self._big is not None:
             total += self._big._total << 128
         return total / (1 << 1127)  # int division rounds correctly
+
+
+def _row_sums(x) -> np.ndarray:
+    """math.fsum of each row of the 2-D float64 array x, bit for bit.
+
+    _ExactSum's fixed-grid extraction over all rows at once, one sigma per
+    row: each level rounds every row onto its own grid and sums it with
+    np.add.reduce(q, axis=1), exact per row in any order by the argument in
+    the _ExactSum docstring, and only the rows whose residues are nonzero
+    start again.  One math.fsum per row then adds its level sums, exact
+    floats, with one correct rounding.  A row that holds a non-finite term
+    or one of 2^998 or more, a row of zeros and every row past 2^24 terms
+    is math.fsum of the row itself, its specials, overflow and signed
+    zeros included.  When no row needs fsum, the levels work in x itself,
+    a float64 x then ends as the residues: pass a copy to keep it."""
+    def top(x):  # the largest magnitude of each row, nan for a nan
+        return np.maximum(x.max(axis=1, initial=0.0),
+                          -x.min(axis=1, initial=0.0))
+
+    given = np.asarray(x, dtype=np.float64)
+    m, n = given.shape
+    e = top(given)
+    plain = (e > 0) & (e < _BIG) & (n <= _CHUNK_TERMS)
+    rows = np.flatnonzero(plain)
+    x = given if len(rows) == m else given[rows]  # reduced to its residues
+    e = e[rows]
+    buf = np.empty_like(x)  # q of each level
+    levels = []  # (rows, their sums) of each level
+    b = n.bit_length()
+    while len(rows):
+        k = np.frexp(e)[1] + b
+        for _ in range(2):
+            tiny = k <= -1021  # these rows add exactly as they are
+            if tiny.any():
+                levels.append((rows[tiny], np.add.reduce(x[tiny], axis=1)))
+                rows, x, k = rows[~tiny], x[~tiny], k[~tiny]
+            sigma = np.ldexp(1.0, k)[:, None]
+            q = np.add(x, sigma, out=buf[:len(x)])
+            np.subtract(q, sigma, out=q)
+            np.subtract(x, q, out=x)
+            levels.append((rows, np.add.reduce(q, axis=1)))
+            k += b - 52
+        e = top(x)
+        rows, x, e = rows[e > 0], x[e > 0], e[e > 0]
+    table = np.zeros((len(levels), m))
+    for i, (at, sums) in enumerate(levels):
+        table[i, at] = sums
+    out = [math.fsum(col) for col in table.T.tolist()]
+    for i in np.flatnonzero(~plain).tolist():
+        out[i] = math.fsum(given[i].tolist())
+    return np.array(out, dtype=np.float64)
 
 
 def pair_sum(P, T, W, E, J) -> float:

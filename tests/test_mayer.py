@@ -666,7 +666,7 @@ def test_minimality_minimum_equals_min_of_gaps(name, monkeypatch):
                            scalar_bump(prob, rng), n=500)
             for _ in range(8)]
     rows = spy_block_rows(monkeypatch)
-    for budget in (1, 3 << 14, 1 << 16, 1 << 20):
+    for budget in (1, 9 << 13, 3 << 15, 1 << 20):
         monkeypatch.setattr(checks, "_SWEEP_BYTES", budget)
         got = checks.minimality_minimum(prob, 8, seed=21, n_quad=500)
         assert got.hex() == min(gaps).hex()
@@ -1092,6 +1092,98 @@ def test_leaf_location_evaluates_u_a_bounded_number_of_times(name, most):
     if most is None:
         most = 2 + math.ceil(math.log2((hi - lo) / mayer._LEAF_TOL)) + 6
     assert calls[0] <= most
+
+
+def masked_locate_leaf(family, t, q):
+    """mayer._locate_leaf as it was with masked writes (np.copyto and
+    ufuncs with where=), the oracle of the select-based loop."""
+    lo0, hi0 = family.s_interval
+    qlo = np.broadcast_to(family.u(lo0, t), t.shape)
+    qhi = np.broadcast_to(family.u(hi0, t), t.shape)
+    slack = 4.0 * np.finfo(float).eps * np.maximum(np.abs(qlo), np.abs(qhi))
+    inside = (((qlo - slack <= q) & (q <= qhi + slack))
+              | ((qhi - slack <= q) & (q <= qlo + slack)))
+    assert np.all(inside)
+    sign = family._monotone_sign
+    fa, fb = sign * (qlo - q), sign * (qhi - q)
+    a = np.where(fb <= 0, float(hi0), float(lo0))
+    b = np.where(fa >= 0, float(lo0), float(hi0))
+    active = (fa < 0) & (fb > 0)
+    last, moved = np.full(a.shape, np.nan), np.zeros(a.shape)
+    steps = max(0, math.ceil(math.log2((hi0 - lo0) / mayer._LEAF_TOL))) + 6
+    for k in range(1, steps + 1):
+        if not active.any():
+            break
+        w = b - a
+        with np.errstate(all="ignore"):
+            x = a - fa * (w / (fb - fa))
+        tiny = 2.0 * np.finfo(float).eps * np.maximum(np.abs(last), 1.0)
+        np.copyto(x, last + moved * tiny, where=np.abs(x - last) <= tiny)
+        r = mayer._LEAF_TOL * 2.0 ** (steps - k)
+        np.clip(x, b - r, a + r, out=x)
+        np.copyto(x, a + 0.5 * w, where=~((a < x) & (x < b)))
+        gx = sign * (family.u(x, t) - q)
+        left, right = active & (gx < 0), active & (gx > 0)
+        np.multiply(fa, 0.5, out=fa, where=right & (moved < 0))
+        np.multiply(fb, 0.5, out=fb, where=left & (moved > 0))
+        for end, value, side in ((a, fa, left), (b, fb, right)):
+            np.copyto(end, x, where=side)
+            np.copyto(value, gx, where=side)
+        root = active & ~(left | right)
+        np.copyto(a, x, where=root)
+        np.copyto(b, x, where=root)
+        last, moved = x, left * 1.0 - right
+        active &= b - a > mayer._LEAF_TOL
+    return a + 0.5 * (b - a)
+
+
+def masked_bisect(below, lo, width, halvings):
+    """mayer._bisect as it was, writing lo in place through a mask."""
+    half = width
+    for _ in range(halvings):
+        half = half * 0.5
+        mid = lo + half
+        np.copyto(lo, mid, where=below(mid))
+    return lo + 0.5 * half
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_FAMILIES)
+                         + ["free", "oscillator", "cosh"])
+def test_leaf_location_selects_the_bits_of_the_masked_writes(name):
+    # in a batch and one point at a time, with points on the end leaves
+    fam = (LEAF_FAMILIES[name] if name in LEAF_FAMILIES
+           else get_problem(name).family)
+    lo, hi = fam.s_interval
+    a, b = fam.t_domain
+    rng = np.random.default_rng(11)
+    s = np.r_[lo, hi, np.nextafter(lo, hi), rng.uniform(lo, hi, 97)]
+    t = rng.uniform(a, b, s.size)
+    q = fam.u(s, t)
+    want = masked_locate_leaf(fam, t, q)
+    assert mayer._locate_leaf(fam, t, q).tobytes() == want.tobytes()
+    one = [mayer._locate_leaf(fam, t[i:i + 1], q[i:i + 1])
+           for i in range(len(t))]
+    assert np.concatenate(one).tobytes() == want.tobytes()
+
+
+def test_bisection_selects_the_bits_of_the_masked_writes():
+    # the Jacobi test's 0-d bracket, and legendre_inverse's brackets of the
+    # cosh Lagrangian (sinh qdot = p) in a batch and one at a time
+    def positive(t):
+        return (0.5 + 1e-4) * np.sin(t) - (0.5 - 1e-4) * np.sin(t) > 0.0
+
+    want = masked_bisect(positive, np.array(0.5), 3.5, 60)
+    lo = np.array(0.5)
+    assert mayer._bisect(positive, lo, 3.5, 60).tobytes() == want.tobytes()
+    assert lo == 0.5  # not written
+    p = np.random.default_rng(12).uniform(-20.0, 20.0, 64)
+    w = 2.0 ** np.ceil(np.log2(np.arcsinh(np.abs(p)) + 1.0))
+    want = masked_bisect(lambda x: np.sinh(x) <= p, -w, 2.0 * w, 68)
+    got = mayer._bisect(lambda x: np.sinh(x) <= p, -w, 2.0 * w, 68)
+    assert got.tobytes() == want.tobytes()
+    one = [mayer._bisect(lambda x: np.sinh(x) <= p[i:i + 1], -w[i:i + 1],
+                         2.0 * w[i:i + 1], 68) for i in range(len(p))]
+    assert np.concatenate(one).tobytes() == want.tobytes()
 
 
 def _batch(fam, data):

@@ -859,6 +859,97 @@ def test_exact_sum_add_copies_non_finite_like_fsum(x, count, terms):
 
 
 # ---------------------------------------------------------------------------
+# the row-wise exact sum
+
+def fsum_rows(x):
+    """math.fsum of each row, or (the first row's error type, None)."""
+    out = []
+    for row in np.asarray(x, dtype=float).tolist():
+        try:
+            out.append(math.fsum(row).hex())
+        except (ValueError, OverflowError) as e:
+            return type(e), None
+    return out
+
+
+def assert_row_sums_are_fsums(x):
+    x = np.asarray(x, dtype=float)
+    want = fsum_rows(x)
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]):
+            quadrature._row_sums(x.copy())
+        return
+    got = quadrature._row_sums(x.copy())  # which it may overwrite
+    assert got.shape == (len(x),) and got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+       n=st.integers(1, 2000), spread=st.integers(0, 2000))
+def test_row_sums_on_rows_over_hundreds_of_binades(seed, m, n, spread):
+    # each row its own top exponent and so its own sigma, up to 2000
+    # binades deep, every other row cancelled down to its smaller half
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i, top in enumerate(rng.integers(-1074, 940, m).tolist()):
+        row = wide_block(seed + i, n, top, min(spread, top + 1074))
+        rows.append(cancelled(row, seed + i)[:n] if i % 2 else row)
+    x = np.zeros((m, n))
+    for i, row in enumerate(rows):
+        x[i, :len(row)] = row
+    assert_row_sums_are_fsums(x)
+
+
+rowterm = anyfloat | st.floats(2.0**998, 2.0**1000) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, math.ldexp(2**52 - 1, -1074), -2.0**998])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(rowterm, min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(0, 6),
+       n=st.integers(0, 60), pairs=st.integers(0, 30))
+def test_row_sums_on_zeros_subnormals_big_terms_and_cancelling_pairs(
+        pool, seed, m, n, pairs):
+    # values of 2^998 and above (fsum's rows, which may overflow as fsum
+    # does), zeros of both signs and subnormals drawn into every
+    # arrangement, the first terms of each row next to their negations
+    x = np.random.default_rng(seed).choice(np.array(pool), (m, n))
+    pairs = min(pairs, n // 2)
+    x[:, 1:2 * pairs:2] = -x[:, 0:2 * pairs:2]
+    assert_row_sums_are_fsums(x)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 7), (3, 0), (1, 0), (1, 1),
+                                   (1, 999), (2, 1)])
+def test_row_sums_on_empty_and_single_row_shapes(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 60, shape))
+    assert_row_sums_are_fsums(x)
+    assert_row_sums_are_fsums(-np.zeros(shape))
+
+
+@pytest.mark.parametrize("special", [[math.nan], [math.inf], [-math.inf],
+                                     [math.inf, math.inf, math.nan],
+                                     [-math.inf, 2.0**1000]])
+def test_row_sums_non_finite_row_is_its_fsum(special):
+    x = wide_block(3, 3 * 50, 10, 40).reshape(3, 50)
+    x[1, :len(special)] = special
+    got = quadrature._row_sums(x.copy())
+    assert [v.hex() for v in got.tolist()] == fsum_rows(x)
+    assert not math.isfinite(got[1]) and np.all(np.isfinite(got[[0, 2]]))
+
+
+def test_row_sums_inf_minus_inf_raises_like_fsum():
+    x = np.ones((3, 5))
+    x[2, 1], x[2, 3] = math.inf, -math.inf
+    with pytest.raises(ValueError):
+        math.fsum(x[2].tolist())
+    with pytest.raises(ValueError):
+        quadrature._row_sums(x)
+
+
+# ---------------------------------------------------------------------------
 # the pair sum's blocks, band and buffers
 
 

@@ -55,6 +55,32 @@ def test_compare_fails_on_exit_code_verdict_or_key_set(tmp_path):
     assert report_bits.compare(a, tmp_path / "b0" / "missing") == 1
 
 
+def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
+                                                         monkeypatch):
+    # the writer end to end, cut to the three mayer reports at one seed:
+    # two runs of one tree give byte-identical files, and compare finds no
+    # difference between them
+    monkeypatch.setattr(report_bits, "SEEDS", (7,))
+    monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
+    monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert report_bits.main([str(src), str(out)]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == [f"seed7-mayer-{name}.json"
+                     for name in ("cosh", "free", "oscillator")]
+    assert sorted(p.name for p in runs[1].iterdir()) == names
+    for name in names:
+        text = (runs[0] / name).read_bytes()
+        assert text == (runs[1] / name).read_bytes()
+        report = json.loads(text)
+        assert report["rc"] == 0 and report["rep"]["checks"]
+    assert report_bits.compare(*runs) == 0
+
+
 # ---------------------------------------------------------------------------
 # the suite's own set-up
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .biform import _field, _pair_kernel, d1d2_fd
+from .biform import _field, _pair_kernel, _space_dim, d1d2_fd
 from .biform import mixed_derivative_closed_form
 from .mayer import (CallablePath, MayerProblem, _PULLBACK_STEP, _gap_to_leaf,
                     _simpson_grid, _takes_arrays, lagrangian_submanifold_check,
@@ -177,7 +177,7 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
     1e-3, from the closed form, over pairs at unit-order separation.  Each
     pair is one row of each of two streams spawned from the seed: a normal
     row holds a direction and a base point, a uniform row the distance."""
-    dim = 2 if space == "r2" else 3
+    dim = _space_dim(space)
 
     def draw(normal, uniform, m):
         u, y = normal.normal(size=(m, 2, dim)).transpose(1, 0, 2)
@@ -202,8 +202,7 @@ def run_calibration_checks(space: str, samples: int,
     the plane, and for r3 three more in three-space.  The circle sweeps take
     at most 100 circles, the mixed-derivative sweeps at most 50 pairs; unit
     norm, orthogonality and consistency are three scores of one pass."""
-    if space not in ("r2", "r3"):
-        raise ValueError(f"space must be 'r2' or 'r3', got {space!r}")
+    _space_dim(space)  # ValueError for any space but r2 and r3
     n_circles, n_pairs = min(samples, 100), min(samples, 50)
     unit_norm, orthogonality, consistency = _maxima(
         [np.random.default_rng(seed)], samples, _PLANE_ROW, _points,

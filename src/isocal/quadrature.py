@@ -5,12 +5,13 @@ The planar double integral is exact: of its corner sum over edge pairs
 only the Log branch terms remain, on the pairs whose x-ranges overlap; the
 midpoint rule, pair_sum, serves all three geometries.  Every total is
 correctly rounded: the short sums are one math.fsum each, and the branch
-and pair sums, up to millions of terms, one exact reduction each
-(fixed-grid extraction: each level rounds the terms to one grid, on which
-np.add.reduce sums them exactly), the same bits as math.fsum; _row_sums
-does the same for every row of a 2-D array at once, the Mayer actions'
-Simpson sums.  Either way a total is a function of the multiset of its
-terms alone: the same, bit for bit, for any blocking and any starting
+and pair sums, up to millions of terms, one exact reduction each, the same
+bits as math.fsum.  Both exact reductions, _ExactSum of a 1-D stream and
+_row_sums of every row of a 2-D block (the Mayer actions' Simpson sums),
+run one level loop, _levels: fixed-grid extraction with one sigma per
+block, each level rounding the terms to one grid, on which np.add.reduce
+sums them exactly.  Either way a total is a function of the multiset of
+its terms alone: the same, bit for bit, for any blocking and any starting
 vertex.  Blocks stay within the byte budget curves._BLOCK_BYTES.  Every
 row block of the pair sum is a view of buffers allocated once per call,
 which the kernel fills through _kernel(..., out); those buffers and the
@@ -117,10 +118,11 @@ class _ExactSum:
     units of 2^-1127 (add_copies).  The residues r take the next grid, k
     - 52 + b; after two levels, nonzero residues start again from their
     own maximum.  Once k <= -1021 the terms are added directly: every
-    partial sum is a multiple of 2^-1074 below 2^-1021, a float.  value()
-    divides the total by 2^1127 with one correct rounding.  Terms of 2^998
-    and above go exactly scaled by 2^-128 into a second accumulator, so
-    that k <= 998 + 25 keeps sigma and x + sigma finite.
+    partial sum is a multiple of 2^-1074 below 2^-1021, a float.  This
+    level loop, one sigma per chunk, is _levels, which _row_sums shares.
+    value() divides the total by 2^1127 with one correct rounding.  Terms
+    of 2^998 and above go exactly scaled by 2^-128 into a second
+    accumulator, so that k <= 998 + 25 keeps sigma and x + sigma finite.
     Non-finite terms decide the result alone, as in fsum: value() is then
     math.fsum of them.  A sum beyond the float range raises OverflowError,
     as fsum does.  The q and r of a level share one curves._workspace, each
@@ -157,20 +159,8 @@ class _ExactSum:
         if self._buf.shape[1] < n:
             self._buf = curves._workspace(2, n)
         q, r = self._buf[:, :n]
-        b = n.bit_length()
-        top = max(hi, -lo)
-        while top:
-            k = math.frexp(top)[1] + b
-            for _ in range(2):
-                if k <= -1021:
-                    self.add_copies(np.add.reduce(x), 1)
-                    return
-                sigma = math.ldexp(1.0, k)
-                np.subtract(np.add(x, sigma, out=q), sigma, out=q)
-                x = np.subtract(x, q, out=r)
-                self.add_copies(np.add.reduce(q), 1)
-                k += b - 52
-            top = max(x.max(), -x.min())
+        for level in _levels(x, max(hi, -lo), q, r):
+            self.add_copies(level, 1)
 
     def add_copies(self, x: float, count: int) -> None:
         """Add count >= 0 copies of the float x, exactly for any count: one
@@ -194,55 +184,55 @@ class _ExactSum:
         return total / (1 << 1127)  # int division rounds correctly
 
 
+def _levels(x, top, q, r):
+    """The level sums of the fixed-grid extraction of x, float64 of at most
+    2^24 terms along its last axis, each of magnitude at most top < 2^998:
+    np.add.reduce(q, axis=-1) of each level, exact by the _ExactSum
+    docstring, on one grid for the whole block.  q and r are workspaces of
+    x's shape; r may be x itself, which then ends as the residues."""
+    b = x.shape[-1].bit_length()
+    while top:
+        k = math.frexp(top)[1] + b
+        for _ in range(2):
+            if k <= -1021:
+                yield np.add.reduce(x, axis=-1)
+                return
+            sigma = math.ldexp(1.0, k)
+            np.subtract(np.add(x, sigma, out=q), sigma, out=q)
+            x = np.subtract(x, q, out=r)
+            yield np.add.reduce(q, axis=-1)
+            k += b - 52
+        top = max(x.max(), -x.min())
+
+
 def _row_sums(x) -> np.ndarray:
     """math.fsum of each row of the 2-D float64 array x, bit for bit.
 
-    _ExactSum's fixed-grid extraction over all rows at once, one sigma per
-    row: each level rounds every row onto its own grid and sums it with
-    np.add.reduce(q, axis=1), exact per row in any order by the argument in
-    the _ExactSum docstring, and only the rows whose residues are nonzero
-    start again.  One math.fsum per row then adds its level sums, exact
-    floats, with one correct rounding.  A row that holds a non-finite term
-    or one of 2^998 or more, a row of zeros and every row past 2^24 terms
-    is math.fsum of the row itself, its specials, overflow and signed
-    zeros included.  When no row needs fsum, the levels work in x itself,
-    a float64 x then ends as the residues: pass a copy to keep it."""
-    def top(x):  # the largest magnitude of each row, nan for a nan
-        return np.maximum(x.max(axis=1, initial=0.0),
-                          -x.min(axis=1, initial=0.0))
-
+    All rows go through one fixed-grid extraction, _levels, with one sigma
+    for the whole block from its largest term: each level's
+    np.add.reduce(q, axis=-1) is exact per row, and one math.fsum per row
+    adds the row's level sums with one correct rounding.  The one cost of
+    the shared sigma: two levels take every term within 52 - 2b binades of
+    the block's top, b the bit length of the row length (32 for rows of
+    1000), and a lower row takes further levels over the whole block; the
+    rows of the built-in problems' Simpson blocks have tops within 14
+    binades.  A row that holds a non-finite term or one of 2^998 or more,
+    a row of zeros and every row past 2^24 terms is math.fsum of the row
+    itself, its specials, overflow and signed zeros included.  When no row
+    needs fsum, the levels work in x itself, a float64 x then ends as the
+    residues: pass a copy to keep it."""
     given = np.asarray(x, dtype=np.float64)
-    m, n = given.shape
-    e = top(given)
-    plain = (e > 0) & (e < _BIG) & (n <= _CHUNK_TERMS)
-    rows = np.flatnonzero(plain)
-    x = given if len(rows) == m else given[rows]  # reduced to its residues
-    e = e[rows]
-    buf = np.empty_like(x)  # q of each level
-    levels = []  # (rows, their sums) of each level
-    b = n.bit_length()
-    while len(rows):
-        k = np.frexp(e)[1] + b
-        for _ in range(2):
-            tiny = k <= -1021  # these rows add exactly as they are
-            if tiny.any():
-                levels.append((rows[tiny], np.add.reduce(x[tiny], axis=1)))
-                rows, x, k = rows[~tiny], x[~tiny], k[~tiny]
-            sigma = np.ldexp(1.0, k)[:, None]
-            q = np.add(x, sigma, out=buf[:len(x)])
-            np.subtract(q, sigma, out=q)
-            np.subtract(x, q, out=x)
-            levels.append((rows, np.add.reduce(q, axis=1)))
-            k += b - 52
-        e = top(x)
-        rows, x, e = rows[e > 0], x[e > 0], e[e > 0]
-    table = np.zeros((len(levels), m))
-    for i, (at, sums) in enumerate(levels):
-        table[i, at] = sums
-    out = [math.fsum(col) for col in table.T.tolist()]
+    e = np.maximum(given.max(axis=1, initial=0.0),
+                   -given.min(axis=1, initial=0.0))  # nan for a nan
+    plain = (e > 0) & (e < _BIG) & (given.shape[1] <= _CHUNK_TERMS)
+    x = given if plain.all() else given[plain]  # reduced to its residues
+    levels = _levels(x, e[plain].max(initial=0.0), np.empty_like(x), x)
+    out = np.empty(len(given))
+    out[plain] = [math.fsum(row) for row in
+                  zip(*(sums.tolist() for sums in levels))]
     for i in np.flatnonzero(~plain).tolist():
         out[i] = math.fsum(given[i].tolist())
-    return np.array(out, dtype=np.float64)
+    return out
 
 
 def pair_sum(P, T, W, E, J) -> float:

@@ -220,6 +220,12 @@ def test_calibration_checks_reject_an_unknown_space():
         checks.run_calibration_checks("r4", 10, 0)
 
 
+def test_mixed_derivative_rejects_an_unknown_space_without_samples():
+    # validated up front: with n = 0 no sweep runs to fail on it
+    with pytest.raises(ValueError, match="space must be 'r2' or 'r3'"):
+        checks.mixed_derivative_residual("bogus", 0)
+
+
 # ---------------------------------------------------------------------------
 # memory
 

@@ -818,8 +818,8 @@ def rounded(total):
     """The float a sum rounds to, or the error it raises."""
     try:
         return total().hex()
-    except OverflowError:
-        return "OverflowError"
+    except (OverflowError, ValueError) as e:
+        return type(e).__name__
 
 
 # every exponent: subnormals, and terms of 2^998 and above (the _rare path)
@@ -888,8 +888,8 @@ def assert_row_sums_are_fsums(x):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
        n=st.integers(1, 2000), spread=st.integers(0, 2000))
 def test_row_sums_on_rows_over_hundreds_of_binades(seed, m, n, spread):
-    # each row its own top exponent and so its own sigma, up to 2000
-    # binades deep, every other row cancelled down to its smaller half
+    # each row its own top exponent, its terms up to 2000 binades deep,
+    # every other row cancelled down to its smaller half
     rng = np.random.default_rng(seed)
     rows = []
     for i, top in enumerate(rng.integers(-1074, 940, m).tolist()):
@@ -917,6 +917,38 @@ def test_row_sums_on_zeros_subnormals_big_terms_and_cancelling_pairs(
     x = np.random.default_rng(seed).choice(np.array(pool), (m, n))
     pairs = min(pairs, n // 2)
     x[:, 1:2 * pairs:2] = -x[:, 0:2 * pairs:2]
+    assert_row_sums_are_fsums(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(rowterm | st.sampled_from([math.inf, -math.inf,
+                                                math.nan]),
+                     min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(0, 200),
+       pairs=st.integers(0, 100))
+def test_one_row_has_the_bits_of_exact_sum_and_fsum(pool, seed, n, pairs):
+    # both callers of the one level loop on the same terms: a (1, n) block
+    # through _row_sums, the stream through _ExactSum, against fsum
+    x = np.random.default_rng(seed).choice(np.array(pool), n)
+    pairs = min(pairs, n // 2)
+    x[1:2 * pairs:2] = -x[0:2 * pairs:2]
+    want = rounded(lambda: math.fsum(x.tolist()))
+    assert rounded(lambda: quadrature._row_sums(x[None].copy())[0]) == want
+    assert rounded(lambda: exact_sum(x)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 1500),
+       spread=st.integers(0, 60), order=st.permutations(range(4)))
+def test_row_sums_on_rows_600_binades_apart(seed, n, spread, order):
+    # one sigma from the block's top: two levels leave the lower rows
+    # untouched, and each is reached by a restart under the block's sigma
+    tops = [940, 280, -380, -1000]
+    x = np.array([wide_block(seed + i, n, tops[i], spread) for i in order])
+    top = np.abs(x).max()
+    levels = list(quadrature._levels(x.copy(), top, np.empty_like(x),
+                                     x.copy()))
+    assert len(levels) > 2
     assert_row_sums_are_fsums(x)
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,31 @@ def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
         report = json.loads(text)
         assert report["rc"] == 0 and report["rep"]["checks"]
     assert report_bits.compare(*runs) == 0
+
+
+def test_writer_refuses_a_second_tree_in_one_process(tmp_path, capsys,
+                                                     monkeypatch):
+    # the first call imports isocal from its SRC; a second SRC in the same
+    # process would get that tree's reports, so it exits 2 and writes none.
+    # Both calls leave sys.path and sys.dont_write_bytecode as they were.
+    monkeypatch.setattr(report_bits, "SEEDS", (7,))
+    monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
+    monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
+    monkeypatch.setattr(report_bits, "MAYER_PROBLEMS", ("free",))
+    src = Path(__file__).resolve().parents[1] / "src"
+    other = tmp_path / "other" / "src"
+    shutil.copytree(src / "isocal", other / "isocal",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path, bytecode = list(sys.path), sys.dont_write_bytecode
+    assert report_bits.main([str(src), str(tmp_path / "a")]) == 0
+    assert sys.path == path and sys.dont_write_bytecode == bytecode
+    capsys.readouterr()
+    assert report_bits.main([str(other), str(tmp_path / "b")]) == 2
+    assert "run each tree in its own process" in capsys.readouterr().err
+    assert sys.path == path and sys.dont_write_bytecode == bytecode
+    assert [p.name for p in (tmp_path / "a").iterdir()] == \
+        ["seed7-mayer-free.json"]
+    assert not (tmp_path / "b").exists()
 
 
 # ---------------------------------------------------------------------------

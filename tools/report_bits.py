@@ -17,13 +17,16 @@ At each of the seeds 1 and 7 the reports are
 - ``mayer`` of the ``free``, ``oscillator`` and ``cosh`` problems, likewise.
 
 Run it once per tree into two directories; ``diff -r`` on them is the check
-of byte identity.  Where a change moves values by rounding, ``--compare A B``
-reads the reports of both directories and prints every leaf that differs,
-a numeric one with both values and the relative change (B - A) / |A|.  It
-exits 1 when a report is missing from one side, when a report's key sets
-differ, or when a leaf that is not a plain number differs: an exit code
-(``rc``), a check verdict (``passed``), a string.  It exits 0 when only
-numbers differ, or nothing.
+of byte identity.  A process imports ``isocal`` once, so a later call of
+``main`` in the same process with another SRC exits 2 rather than write
+the first tree's reports; ``main`` leaves ``sys.path`` and
+``sys.dont_write_bytecode`` as it found them.  Where a change moves values
+by rounding, ``--compare A B`` reads the reports of both directories and
+prints every leaf that differs, a numeric one with both values and the
+relative change (B - A) / |A|.  It exits 1 when a report is missing from
+one side, when a report's key sets differ, or when a leaf that is not a
+plain number differs: an exit code (``rc``), a check verdict (``passed``),
+a string.  It exits 0 when only numbers differ, or nothing.
 """
 
 from __future__ import annotations
@@ -101,21 +104,8 @@ def compare(a: Path, b: Path) -> int:
     return status
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "--compare":
-        return compare(Path(argv[1]), Path(argv[2]))
-    if len(argv) != 2:
-        print("usage: python3 tools/report_bits.py SRC OUT\n"
-              "       python3 tools/report_bits.py --compare A B",
-              file=sys.stderr)
-        return 2
-    src, out = Path(argv[0]).resolve(), Path(argv[1])
-    sys.dont_write_bytecode = True  # leave both trees as they are
-    sys.path[:0] = [str(src), str(Path(__file__).resolve().parents[1]
-                                  / "perfbench")]
-    import inputs
-    from isocal import cli
-
+def _write_reports(inputs, cli, out: Path) -> None:
+    """Run every comparison report through cli.main into OUT."""
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
@@ -133,6 +123,34 @@ def main(argv: list[str]) -> int:
                                   indent=2)
                 (out / f"seed{seed}-{name}.json").write_text(
                     text + "\n", encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 2:
+        print("usage: python3 tools/report_bits.py SRC OUT\n"
+              "       python3 tools/report_bits.py --compare A B",
+              file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave both trees as they are
+    sys.path[:0] = [str(src), str(Path(__file__).resolve().parents[1]
+                                  / "perfbench")]
+    try:
+        import inputs
+        from isocal import cli
+
+        # a process imports isocal once: a second SRC gets the first tree
+        if not Path(cli.__file__).resolve().is_relative_to(src):
+            print(f"isocal is imported from {Path(cli.__file__).parent}, "
+                  f"not from SRC {src}: run each tree in its own process",
+                  file=sys.stderr)
+            return 2
+        _write_reports(inputs, cli, out)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
     print(f"{len(list(out.glob('*.json')))} reports in {out}")
     return 0
 

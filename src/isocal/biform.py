@@ -8,8 +8,8 @@ the calibration argument work.  The kernel is undefined on the diagonal
 x = y: coincident inputs raise instead of returning NaN.
 
 Its three forms, the value K(x, y; a, b) = a^T m b, the field V = m t_y and
-the matrix m itself, are all evaluated by one formula, the pair sum's
-quadrature._kernel, through _pair_kernel and _field.
+the matrix m itself, are all evaluated by one formula, the pair sum's kernel,
+through its scale-free pointwise entry quadrature._pair_kernel and _field.
 
 Points, tangents and values are plain arrays and floats: each entry point
 coerces array-likes and checks them (curves._vec2, _unit).  Only the kernel
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .curves import ClosedCurve, _require_off_boundary, _vec2
 from .curves import boundary_node_arrays, perimeter
+from .quadrature import _pair_kernel
 
 
 class CoincidentPointsError(ValueError):
@@ -57,19 +57,6 @@ def _unit(v) -> np.ndarray:
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"expected a unit vector, |v| = {n!r}")
     return a
-
-
-def _pair_kernel(z, a, b):
-    """K(z; a, b) = a^T m(z) b over the last axis, broadcast over the others,
-    by the pair sum's own formula quadrature._kernel.  z is first scaled by
-    the power of two that brings its largest component into [1/2, 1): K has
-    degree 0 in z, so this changes no bits where |z|^2 is a normal number,
-    and keeps the kernel finite at any separation."""
-    z, a, b = (list(np.rollaxis(np.asarray(v, float), -1)) for v in (z, a, b))
-    _, e = np.frexp(functools.reduce(np.maximum, map(np.abs, z)))
-    d = [np.ldexp(c, -e) for c in z]
-    J = (1.0,) * len(d)
-    return quadrature._kernel(d, a, b, J, quadrature.metric_dot(J, d, d))
 
 
 def _field(z, t):

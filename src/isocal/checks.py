@@ -22,11 +22,12 @@ import math
 
 import numpy as np
 
-from .biform import _field, _pair_kernel, _space_dim, d1d2_fd
+from .biform import _field, _space_dim, d1d2_fd
 from .biform import mixed_derivative_closed_form
 from .mayer import (CallablePath, MayerProblem, _PULLBACK_STEP, _gap_to_leaf,
                     _simpson_grid, _takes_arrays, lagrangian_submanifold_check,
                     null_lagrangian, path_independence_check, weierstrass_gap)
+from .quadrature import _pair_kernel
 
 # Bytes of one block of a sweep.  At curves._BLOCK_BYTES (128 KiB) numpy's
 # fixed cost a call repeats in too many blocks; 1 MiB keeps the sweeps at
@@ -350,8 +351,7 @@ def minimality_minimum(problem: MayerProblem, n: int = 100,
                        seed: int = 0, n_quad: int = 2000) -> float:
     """min minimality_gap of random endpoint-matched perturbations of the
     central leaf, each one row of three uniform draws."""
-    gap = _gap_to_leaf(problem.lagrangian, problem.family,
-                       problem.family.central_leaf, n_quad)
+    gap = _gap_to_leaf(problem.lagrangian, problem.family, n_quad)
     amp = problem.amplitude
     table = _mode_table(problem, n_quad)
     # a competitor's values and slopes, L's temporaries, then its odd and

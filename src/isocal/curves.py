@@ -230,10 +230,18 @@ class ClosedCurve(Polygon):
         return float(np.hypot(*(v.max(axis=0) - v.min(axis=0))))
 
     @cached_property
+    def _unit(self) -> tuple[np.ndarray, int]:
+        """(v, e): the vertices in units of 2^e, the diameter's power of two,
+        read-only, where every scale-free computation on the curve starts."""
+        e = math.frexp(self.diameter)[1]
+        v = np.ldexp(self.vertices, -e)
+        v.flags.writeable = False
+        return v, e
+
+    @cached_property
     def orientation(self) -> int:
         """+1 for positive (counterclockwise) orientation, -1 otherwise: the
-        sign of the area in units of the diameter's power of two, so right
-        at any scale."""
+        sign of _unit_area, so right at any scale."""
         return 1 if _unit_area(self)[0] > 0 else -1
 
     def reversed(self) -> "ClosedCurve":
@@ -256,16 +264,13 @@ def perimeter(curve: ClosedCurve) -> float:
 
 
 def _unit_area(curve: ClosedCurve) -> tuple[float, int]:
-    """(a, e): the signed area is a 4^e, with a the shoelace sum in units of
-    2^e, the diameter's power of two, so a neither over- nor underflows.
-
-    Taken relative to the bounding box's low corner, so a curve far from the
+    """(a, e): the signed area is a 4^e, with a the shoelace sum in the
+    units 2^e of curve._unit, so a neither over- nor underflows.  Taken
+    relative to the bounding box's low corner, so a curve far from the
     origin keeps its area, and the terms depend on neither the starting
-    vertex nor the direction: reversal negates the area exactly.
-    """
-    e = math.frexp(curve.diameter)[1]
-    v = np.ldexp(curve.vertices, -e)
-    v -= v.min(axis=0)
+    vertex nor the direction: reversal negates the area exactly."""
+    v, e = curve._unit
+    v = v - v.min(axis=0)
     x, y = v[:, 0], v[:, 1]
     return 0.5 * math.fsum(x * np.roll(y, -1) - np.roll(x, -1) * y), e
 
@@ -292,15 +297,17 @@ def boundary_node_arrays(curve: ClosedCurve, refinement: int = 1):
 
 
 def _nearest_edge(curve: ClosedCurve, p: np.ndarray) -> tuple[int, float]:
-    """(index, distance) of the edge nearest to the point p, by projection
-    onto each edge clamped to its ends."""
-    v = curve.vertices
-    e = np.roll(v, -1, axis=0) - v
+    """(index, distance) of the edge nearest to p, by projection onto each
+    edge (vertex differences) clamped to its ends, in curve._unit's units:
+    finite at any scale, and the same bits times the scale."""
+    v, s = curve._unit
+    q = np.ldexp(p, -s)
+    e = np.diff(v, axis=0, append=v[:1])
     ee = np.einsum("ij,ij->i", e, e)
-    t = np.clip(np.einsum("ij,ij->i", p[None, :] - v, e) / ee, 0.0, 1.0)
-    d = np.hypot(*(v + t[:, None] * e - p).T)
+    t = np.clip(np.einsum("ij,ij->i", q[None, :] - v, e) / ee, 0.0, 1.0)
+    d = np.hypot(*(v + t[:, None] * e - q).T)
     i = int(np.argmin(d))
-    return i, float(d[i])
+    return i, math.ldexp(float(d[i]), s)
 
 
 def distance_to_boundary(curve: ClosedCurve, x) -> float:

@@ -722,20 +722,18 @@ def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
     return _out(PhaseLift(L, family).pullback_coefficient(s, t, h), *args)
 
 
-def _gap_to_leaf(L: Lagrangian1D, family: SolutionFamily, f_o, n: int):
-    """minimality_gap(L, family, f, f_o, n) as a function of f, with the
-    Simpson grid, the foliated region's bounds on it and the action of f_o
+def _gap_to_leaf(L: Lagrangian1D, family: SolutionFamily, n: int):
+    """minimality_gap(L, family, f, n) as a function of f, with the Simpson
+    grid, the foliated region's bounds on it and the central leaf's action
     computed once."""
-    if f_o is None:
-        f_o = family.central_leaf
     ts = _simpson_grid(*L.domain, n)
     lo, hi = family.s_interval
     qlo, qhi = family.u(lo, ts), family.u(hi, ts)
     low, high = np.minimum(qlo, qhi), np.maximum(qlo, qhi)
-    base = action(L, f_o, n=n)
+    base = action(L, family.central_leaf, n=n)
 
     def gap(f):
-        _require_shared_endpoints(L.domain, f, f_o)
+        _require_shared_endpoints(L.domain, f, family.central_leaf)
         q = f.value(ts)
         inside = (low <= q) & (q <= high)
         if not np.all(inside):
@@ -748,7 +746,7 @@ def _gap_to_leaf(L: Lagrangian1D, family: SolutionFamily, f_o, n: int):
 
 
 def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
-                   f_o=None, n: int = 2000):
+                   n: int = 2000):
     """Action difference between a competitor path and the central leaf,
     one per row for a block of competitors (see action).
 
@@ -757,7 +755,7 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
     one that does not raises; the gap is nonnegative up to quadrature
     tolerance.
     """
-    return _gap_to_leaf(L, family, f_o, n)(f)
+    return _gap_to_leaf(L, family, n)(f)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,17 @@ The planar double integral is exact: of its corner sum over edge pairs
 only the Log branch terms remain, on the pairs whose x-ranges overlap; the
 midpoint rule, pair_sum, serves all three geometries.  Every total is
 correctly rounded: the short sums are one math.fsum each, and the branch
-and pair sums, up to millions of terms, one exact reduction each, the same
-bits as math.fsum.  Both exact reductions, _ExactSum of a 1-D stream and
-_row_sums of every row of a 2-D block (the Mayer actions' Simpson sums),
-run one level loop, _levels: fixed-grid extraction with one sigma per
-block, each level rounding the terms to one grid, on which np.add.reduce
-sums them exactly.  Either way a total is a function of the multiset of
-its terms alone: the same, bit for bit, for any blocking and any starting
-vertex.  Blocks stay within the byte budget curves._BLOCK_BYTES.  Every
-row block of the pair sum is a view of buffers allocated once per call,
-which the kernel fills through _kernel(..., out); those buffers and the
-exact reduction's start each row on a 64-byte cache line
+and pair sums, up to millions of terms, one exact reduction each, the
+bits of math.fsum wherever fsum returns one.  Both exact reductions,
+_ExactSum of a 1-D stream and _row_sums of every row of a 2-D block (the
+Mayer actions' Simpson sums), run one level loop, _levels, fixed-grid
+extraction with one sigma per block; rows off that grid go to _ExactSum.
+Either way a total is a function of the multiset of its terms alone: the
+same, bit for bit, for any blocking and any starting vertex.  Blocks stay
+within the byte budget curves._BLOCK_BYTES.  Every row block of the pair
+sum is a view of buffers allocated once per call, which the kernel fills
+through _kernel(..., out); pointwise callers enter through _pair_kernel.
+Those buffers and the exact reduction's start each row on a 64-byte cache line
 (curves._workspace), since the pair sum ran 14-35 % slower on rows that
 straddle lines.  As nodes come edge by edge, the pair sum adds its
 same-edge pairs in closed form, and its blocks' columns start past the
@@ -26,6 +26,7 @@ integral, one closed-form term per fan triangle from its singular point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -95,6 +96,19 @@ def _kernel(d, ti, tj, J, r2, out=None):
     return np.subtract(k, metric_dot(J, ti, tj, (u, s)), out=w)
 
 
+def _pair_kernel(z, a, b):
+    """K(z; a, b) = a^T m(z) b over the last axis, broadcast over the others:
+    the one pointwise entry to _kernel, under the identity metric.  z is
+    first scaled by the power of two that brings its largest component into
+    [1/2, 1): K has degree 0 in z, so this changes no bits where |z|^2 is a
+    normal number, and keeps the kernel finite at any separation."""
+    z, a, b = (list(np.rollaxis(np.asarray(v, float), -1)) for v in (z, a, b))
+    _, e = np.frexp(functools.reduce(np.maximum, map(np.abs, z)))
+    d = [np.ldexp(c, -e) for c in z]
+    J = (1.0,) * len(d)
+    return _kernel(d, a, b, J, metric_dot(J, d, d))
+
+
 # The most terms one extraction takes: below 2^998 and at most 2^24 of
 # them, sigma = 2^k stays at most 2^1023 and x + sigma finite.
 _CHUNK_TERMS = 1 << 24
@@ -103,8 +117,8 @@ _BIG = 2.0 ** 998
 
 
 class _ExactSum:
-    """Exact sum of float64 arrays, rounded once: the same bits as
-    math.fsum over the same terms.
+    """Exact sum of float64 arrays, rounded once: the bits of math.fsum
+    over the same terms wherever fsum returns one.
 
     Fixed-grid extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation I", SIAM J. Sci. Comput. 31, 2008, ExtractVector; Demmel &
@@ -125,9 +139,9 @@ class _ExactSum:
     accumulator, so that k <= 998 + 25 keeps sigma and x + sigma finite.
     Non-finite terms decide the result alone, as in fsum: value() is then
     math.fsum of them.  A sum beyond the float range raises OverflowError,
-    as fsum does.  The q and r of a level share one curves._workspace, each
-    row on a cache line, so that the level's four passes over them split no
-    loads across lines.
+    as fsum does, but a partial sum beyond it does not.  The q and r of a
+    level share one curves._workspace, each row on a cache line, so that
+    the level's four passes over them split no loads across lines.
     """
 
     def __init__(self, size: int = 0):
@@ -206,7 +220,7 @@ def _levels(x, top, q, r):
 
 
 def _row_sums(x) -> np.ndarray:
-    """math.fsum of each row of the 2-D float64 array x, bit for bit.
+    """The exact sum of each row of the 2-D float64 array x, rounded once.
 
     All rows go through one fixed-grid extraction, _levels, with one sigma
     for the whole block from its largest term: each level's
@@ -216,10 +230,9 @@ def _row_sums(x) -> np.ndarray:
     the block's top, b the bit length of the row length (32 for rows of
     1000), and a lower row takes further levels over the whole block; the
     rows of the built-in problems' Simpson blocks have tops within 14
-    binades.  A row that holds a non-finite term or one of 2^998 or more,
-    a row of zeros and every row past 2^24 terms is math.fsum of the row
-    itself, its specials, overflow and signed zeros included.  When no row
-    needs fsum, the levels work in x itself, a float64 x then ends as the
+    binades.  Rows off that grid (a non-finite term or one of 2^998 or
+    more, all zeros, past 2^24 terms) go to _ExactSum.  When every row is
+    on it, the levels work in x itself, a float64 x then ends as the
     residues: pass a copy to keep it."""
     given = np.asarray(x, dtype=np.float64)
     e = np.maximum(given.max(axis=1, initial=0.0),
@@ -231,7 +244,9 @@ def _row_sums(x) -> np.ndarray:
     out[plain] = [math.fsum(row) for row in
                   zip(*(sums.tolist() for sums in levels))]
     for i in np.flatnonzero(~plain).tolist():
-        out[i] = math.fsum(given[i].tolist())
+        acc = _ExactSum()
+        acc.add(given[i])
+        out[i] = acc.value()
     return out
 
 
@@ -379,17 +394,6 @@ def midpoint_double_integral(curve: ClosedCurve, refinement: int) -> float:
 # interior curl integral over the fan triangles, and the Stokes check
 
 
-def _locate_on_boundary(curve: ClosedCurve, y):
-    """Edge index and tangent of the edge containing y; error if off-curve."""
-    p = _vec2(y)
-    i, d = curves._nearest_edge(curve, p)
-    if d > curves.BOUNDARY_TOL_FACTOR * curve.diameter:
-        raise curves.CurveError(f"point {p.tolist()} does not lie on the curve")
-    v = curve.vertices
-    e = v[(i + 1) % len(v)] - v[i]
-    return i, e / math.hypot(*e)
-
-
 def interior_curl_integral(curve: ClosedCurve, y, t_y) -> float:
     """Integral over the curve's interior of 2 det(y - x, t_y)/|x - y|^2 dA,
     exactly, for any y: the fan triangles (y, v_k, v_k+1) cover the
@@ -422,18 +426,21 @@ def stokes_check(curve: ClosedCurve, y, t_y=None,
 
     Returns (lhs, rhs): the midpoint rule with `refinement` pieces per edge
     and the exact interior integral, which agree up to the midpoint rule's
-    error.  The node on y's own edge uses the exact along-edge kernel value.
+    error.  y's edge and the kernel come from the scale-free _nearest_edge
+    and _pair_kernel; y's own edge takes the exact along-edge value.
     """
-    edge, edge_tangent = _locate_on_boundary(curve, y)
-    t = edge_tangent if t_y is None else _vec2(t_y)
     p = _vec2(y)
+    edge, gap = curves._nearest_edge(curve, p)
+    if gap > curves.BOUNDARY_TOL_FACTOR * curve.diameter:
+        raise curves.CurveError(f"point {p.tolist()} does not lie on the curve")
+    e = curve.vertices[(edge + 1) % curve.n_vertices] - curve.vertices[edge]
+    edge_tangent = e / math.hypot(*e)
+    t = edge_tangent if t_y is None else _vec2(t_y)
     pts, tan, wts, eids, _, _ = curves.boundary_node_arrays(curve, refinement)
-    d = list((pts - p).T)
     own = eids == edge
-    r2 = np.where(own, 1.0, metric_dot((1.0, 1.0), d, d))
-    kern = _kernel(d, list(tan.T), t, (1.0, 1.0), r2)
     # along y's own edge the kernel is exactly <t_y, edge tangent> (1 for
     # the canonical tangent), including at the node that coincides with y
+    kern = _pair_kernel(np.where(own[:, None], 1.0, pts - p), tan, t)
     kern = np.where(own, float(t @ edge_tangent), kern)
     lhs = math.fsum(wts * kern)
     rhs = interior_curl_integral(curve, p, t)
@@ -455,8 +462,8 @@ def verify_isoperimetric(curve: ClosedCurve,
     area is not one is rejected with CurveError before any arithmetic
     over- or underflows.
     """
-    e = math.frexp(curve.diameter)[1]
-    unit = ClosedCurve(np.ldexp(curve.vertices, -e))
+    v, e = curve._unit
+    unit = ClosedCurve(v)
     L = curves.perimeter(unit)
     k = math.frexp(L)[1] + e  # L = m 2^k, 1/2 <= m < 1
     if not -510 <= k <= 512:

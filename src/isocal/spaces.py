@@ -178,13 +178,13 @@ class HyperbolicCurve(Polygon):
             raise CurveError("consecutive vertices coincide")
 
 
-def hyperbolic_circle(radius: float, n: int, phase: float = 0.0) -> HyperbolicCurve:
+def hyperbolic_circle(radius: float, n: int) -> HyperbolicCurve:
     """Regular n-gon inscribed in the metric circle of given radius about the
     apex (0, 0, 1), positively oriented."""
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     _require_count("n", n, 3)
-    phi = phase + 2.0 * np.pi * np.arange(n) / n
+    phi = 2.0 * np.pi * np.arange(n) / n
     sr, cr = math.sinh(radius), math.cosh(radius)
     return HyperbolicCurve(np.c_[sr * np.cos(phi), sr * np.sin(phi),
                                  np.full(n, cr)])

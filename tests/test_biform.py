@@ -15,6 +15,7 @@ from isocal import (
     d1d2_fd,
     mayer_vector,
     mixed_derivative_closed_form,
+    perimeter,
     regular_polygon,
 )
 from isocal.biform import BiformValue
@@ -125,12 +126,14 @@ def test_kernel_is_scale_free(s):
 
 
 def test_sweeps_and_reports_share_one_kernel(monkeypatch):
-    # the randomised sweeps and the pair sum (here the planar midpoint rule;
-    # the planar report's exact corner sum has no kernel to call) evaluate
-    # one kernel function: perturbing it where it is looked up moves all of
-    # them past their report tolerances
+    # the randomised sweeps, the pair sum (here the planar midpoint rule;
+    # the planar report's exact corner sum has no kernel to call) and the
+    # Stokes check's left side evaluate one kernel function: perturbing it
+    # where it is looked up moves all of them, the first two past their
+    # report tolerances
     tol = cli.DEFAULT_TOLERANCES
     curve = regular_polygon(64)
+    y = 0.5 * (curve.vertices[5] + curve.vertices[6])
 
     def sweeps():
         return [("unit_norm", checks.mayer_vector_norm_residual(1000)),
@@ -142,12 +145,17 @@ def test_sweeps_and_reports_share_one_kernel(monkeypatch):
 
     before = sweeps()
     integral = quadrature.midpoint_double_integral(curve, 2)
+    lhs, rhs = quadrature.stokes_check(curve, y, refinement=2)
     kernel = quadrature._kernel
     monkeypatch.setattr(quadrature, "_kernel", lambda *a: kernel(*a) + 0.01)
     for (name, old), (_, new) in zip(before, sweeps()):
         assert old <= tol[name] < new, name
     moved = quadrature.midpoint_double_integral(curve, 2)
     assert abs(moved / integral - 1.0) > tol["double_integral_rel"]
+    # every node off y's own edge moves by 0.01 times its weight
+    moved_lhs, moved_rhs = quadrature.stokes_check(curve, y, refinement=2)
+    assert moved_rhs == rhs
+    assert moved_lhs - lhs == pytest.approx(0.01 * 63 / 64 * perimeter(curve))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from isocal.quadrature import auto_refinement, interior_curl_integral
 from isocal.spaces import (
     HYPERBOLIC,
     SPHERE,
+    HyperbolicCurve,
     geodesic_cap,
     hyperbolic_boundary_nodes,
     hyperbolic_circle,
@@ -474,14 +475,23 @@ METRICS = {"plane": (1.0, 1.0), "sphere": (1.0, 1.0, 1.0),
            "hyperboloid": (1.0, 1.0, -1.0)}
 
 
+def turned_hyperbolic_circle(rng, n):
+    """hyperbolic_circle of n vertices at a random radius, turned about the
+    apex by a random angle in [0, 1)."""
+    v = hyperbolic_circle(rng.uniform(0.3, 2.0), n).vertices
+    a = rng.uniform(0, 1)
+    c, s = math.cos(a), math.sin(a)
+    return HyperbolicCurve(v @ np.array([[c, s, 0.0], [-s, c, 0.0],
+                                         [0.0, 0.0, 1.0]]))
+
+
 def metric_nodes(space, rng):
     if space == "plane":
         c = ClosedCurve(spiky_star(rng, 40))
         return boundary_node_arrays(c, 3)[:4]
     if space == "sphere":
         return sphere_boundary_nodes(geodesic_cap(rng.uniform(0.3, 2.5), 37), 3)
-    return hyperbolic_boundary_nodes(
-        hyperbolic_circle(rng.uniform(0.3, 2.0), 37, rng.uniform(0, 1)), 3)
+    return hyperbolic_boundary_nodes(turned_hyperbolic_circle(rng, 37), 3)
 
 
 @settings(max_examples=12, deadline=None)
@@ -784,6 +794,17 @@ def test_exact_sum_beyond_float_range_raises_like_fsum():
         sys.float_info.max
 
 
+def test_row_sums_past_an_intermediate_overflow_match_exact_sum():
+    # fsum overflows on the partial sum 2^1024; both exact reductions take
+    # such rows by one rule and return the float the exact sum rounds to
+    x = [2.0**1023, 2.0**1023, -2.0**1023]
+    with pytest.raises(OverflowError):
+        math.fsum(x)
+    assert exact_sum(x) == 2.0**1023
+    got = quadrature._row_sums(np.array([x, [1.0, 2.0, 3.0]]))
+    assert got.tolist() == [2.0**1023, 6.0]
+
+
 @pytest.mark.parametrize("x", [math.ldexp(2**53 - 1, -600),
                                -math.ldexp(2**53 - 1, -1074),
                                math.ldexp(2**52 - 1, -1074),
@@ -1002,8 +1023,7 @@ def metric_polygon(space, rng, n):
         return PLANE, spiky_star(rng, n)
     if space == "sphere":
         return SPHERE, geodesic_cap(rng.uniform(0.3, 2.5), n).vertices
-    return HYPERBOLIC, hyperbolic_circle(rng.uniform(0.3, 2.0), n,
-                                         rng.uniform(0, 1)).vertices
+    return HYPERBOLIC, turned_hyperbolic_circle(rng, n).vertices
 
 
 @settings(max_examples=40, deadline=None)
@@ -1228,6 +1248,26 @@ def test_stokes_lhs_bounded_by_perimeter():
 def test_stokes_requires_point_on_curve():
     with pytest.raises(CurveError):
         stokes_check(SQUARE, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("k", [520, -540])
+def test_pointwise_checks_are_scale_free(k):
+    # at scales where |x - y|^2 and |e|^2 leave the float range, the Stokes
+    # check and the distance to the boundary are their unit-scale values
+    # times 2^k, bit for bit, and an edge's midpoint is still on the curve
+    c = regular_polygon(12)
+    v = c.vertices
+    scaled = ClosedCurve(np.ldexp(v, k))
+    for y, t in [(0.5 * (v[0] + v[1]), None),
+                 (0.3 * v[4] + 0.7 * v[5], (0.6, 0.8))]:
+        want = [math.ldexp(s, k).hex() for s in stokes_check(c, y, t, 3)]
+        got = stokes_check(scaled, np.ldexp(y, k), t, 3)
+        assert [s.hex() for s in got] == want
+    for x in [(0.1, 0.2), (0.9, -0.4), (3.0, 1.0)]:
+        want = math.ldexp(distance_to_boundary(c, x), k)
+        assert distance_to_boundary(scaled, np.ldexp(x, k)).hex() == want.hex()
+    with pytest.raises(PointOnBoundaryError):
+        winding_number(scaled, np.ldexp(0.5 * (v[0] + v[1]), k))
 
 
 def test_interior_curl_integral_sign():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -64,6 +65,7 @@ def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
     monkeypatch.setattr(report_bits, "SEEDS", (7,))
     monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
+    monkeypatch.setattr(report_bits, "FIELD_WORKLOADS", ())
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     src = Path(__file__).resolve().parents[1] / "src"
@@ -82,6 +84,37 @@ def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
     assert report_bits.compare(*runs) == 0
 
 
+def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
+    # the winding and Stokes results of the field_checks inputs at one seed:
+    # one file per operation, each value the float.hex of the library call
+    # the benchmark makes on that input
+    monkeypatch.setattr(report_bits, "SEEDS", (7,))
+    monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
+    monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
+    monkeypatch.setattr(report_bits, "MAYER_PROBLEMS", ())
+    root = Path(__file__).resolve().parents[1]
+    assert report_bits.main([str(root / "src"), str(tmp_path)]) == 0
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import harness
+    import inputs
+    from isocal import ClosedCurve, stokes_check, winding_integral
+
+    want = {}
+    for op in inputs.generate("field_checks", 7).round:
+        if op.kind == "winding":
+            value = winding_integral(ClosedCurve(op.vertices), op.point)
+            assert abs(value - 4.0 * math.pi * op.expect["winding"]) < 1e-12
+            want[op.name] = {"winding_integral": value.hex()}
+        elif op.kind == "stokes":
+            lhs_rhs = stokes_check(ClosedCurve(op.vertices), op.point,
+                                   refinement=harness.STOKES_REFINEMENT)
+            want[op.name] = {"stokes_check": [v.hex() for v in lhs_rhs]}
+    assert len(want) == 31
+    got = {p.name[len("seed7-field_checks-"):-len(".json")]:
+           json.loads(p.read_text("utf-8")) for p in tmp_path.iterdir()}
+    assert got == want
+
+
 def test_writer_refuses_a_second_tree_in_one_process(tmp_path, capsys,
                                                      monkeypatch):
     # the first call imports isocal from its SRC; a second SRC in the same
@@ -91,6 +124,7 @@ def test_writer_refuses_a_second_tree_in_one_process(tmp_path, capsys,
     monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
     monkeypatch.setattr(report_bits, "MAYER_PROBLEMS", ("free",))
+    monkeypatch.setattr(report_bits, "FIELD_WORKLOADS", ())
     src = Path(__file__).resolve().parents[1] / "src"
     other = tmp_path / "other" / "src"
     shutil.copytree(src / "isocal", other / "isocal",

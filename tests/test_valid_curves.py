@@ -113,8 +113,8 @@ WINDING_ERROR_N_EPS = 3.0
 
 
 @settings(max_examples=60, deadline=None)
-@given(v=shapes, k=st.one_of(st.sampled_from([-500, 500]),
-                             st.integers(-500, 500)),
+@given(v=shapes, k=st.one_of(st.sampled_from([-1000, -600, 600, 1000]),
+                             st.integers(-1000, 1000)),
        shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
        i=st.integers(0, 2**16),
        kind=st.sampled_from(["left", "right", "vertex", "line"]),

@@ -16,6 +16,12 @@ At each of the seeds 1 and 7 the reports are
 - ``calibration --space r2`` and ``--space r3`` with ``--seed`` at that seed;
 - ``mayer`` of the ``free``, ``oscillator`` and ``cosh`` problems, likewise.
 
+Beside them it writes the 62 library results of the ``field_checks``
+workload at those seeds, one file per operation, each value as
+``float.hex``: ``{"winding_integral": x}`` of every winding operation, and
+``{"stokes_check": [lhs, rhs]}`` at ``perfbench/harness.py``'s
+``STOKES_REFINEMENT`` of every Stokes operation.
+
 Run it once per tree into two directories; ``diff -r`` on them is the check
 of byte identity.  A process imports ``isocal`` once, so a later call of
 ``main`` in the same process with another SRC exits 2 rather than write
@@ -26,7 +32,8 @@ prints every leaf that differs, a numeric one with both values and the
 relative change (B - A) / |A|.  It exits 1 when a report is missing from
 one side, when a report's key sets differ, or when a leaf that is not a
 plain number differs: an exit code (``rc``), a check verdict (``passed``),
-a string.  It exits 0 when only numbers differ, or nothing.
+a string, among them every field result that moved by a bit.  It exits 0
+when only numbers differ, or nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ SEEDS = (1, 7)
 VERIFY_WORKLOADS = ("verify_plane", "verify_curved")
 CALIBRATION_SPACES = ("r2", "r3")
 MAYER_PROBLEMS = ("free", "oscillator", "cosh")
+FIELD_WORKLOADS = ("field_checks",)
 
 
 def _reports(inputs, seed: int, scratch: Path):
@@ -56,6 +64,25 @@ def _reports(inputs, seed: int, scratch: Path):
     for problem in MAYER_PROBLEMS:
         yield f"mayer-{problem}", ["mayer", "--problem", problem,
                                    "--seed", str(seed)]
+
+
+def _field_results(inputs, harness, isocal, seed: int):
+    """(name, result) of the winding and Stokes operations at one seed, each
+    value as float.hex."""
+    for workload in FIELD_WORKLOADS:
+        for op in inputs.generate(workload, seed).round:
+            if op.kind == "winding":
+                value = isocal.winding_integral(
+                    isocal.ClosedCurve(op.vertices), op.point)
+                result = {"winding_integral": value.hex()}
+            elif op.kind == "stokes":
+                values = isocal.stokes_check(
+                    isocal.ClosedCurve(op.vertices), op.point,
+                    refinement=harness.STOKES_REFINEMENT)
+                result = {"stokes_check": [v.hex() for v in values]}
+            else:
+                continue
+            yield f"{workload}-{op.name}", result
 
 
 def _leaves(value, path: str = ""):
@@ -104,8 +131,14 @@ def compare(a: Path, b: Path) -> int:
     return status
 
 
-def _write_reports(inputs, cli, out: Path) -> None:
-    """Run every comparison report through cli.main into OUT."""
+def _write(out: Path, name: str, value) -> None:
+    text = json.dumps(value, sort_keys=True, indent=2)
+    (out / f"{name}.json").write_text(text + "\n", encoding="utf-8")
+
+
+def _write_reports(inputs, harness, isocal, out: Path) -> None:
+    """Run every comparison report through isocal.cli.main, and every field
+    result, into OUT."""
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
@@ -113,16 +146,15 @@ def _write_reports(inputs, cli, out: Path) -> None:
         for seed in SEEDS:
             for name, args in _reports(inputs, seed, scratch):
                 report.unlink(missing_ok=True)
-                rc = cli.main(args + ["--out", str(report)])
+                rc = isocal.cli.main(args + ["--out", str(report)])
                 rep = None
                 if report.exists():
                     rep = json.loads(report.read_text(encoding="utf-8"))
                     del rep["wall_time_s"], rep["argv"]
                     rep.get("input", {}).pop("path", None)
-                text = json.dumps({"rc": rc, "rep": rep}, sort_keys=True,
-                                  indent=2)
-                (out / f"seed{seed}-{name}.json").write_text(
-                    text + "\n", encoding="utf-8")
+                _write(out, f"seed{seed}-{name}", {"rc": rc, "rep": rep})
+            for name, result in _field_results(inputs, harness, isocal, seed):
+                _write(out, f"seed{seed}-{name}", result)
 
 
 def main(argv: list[str]) -> int:
@@ -139,16 +171,18 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(src), str(Path(__file__).resolve().parents[1]
                                   / "perfbench")]
     try:
+        import harness
         import inputs
-        from isocal import cli
+        import isocal
+        import isocal.cli
 
         # a process imports isocal once: a second SRC gets the first tree
-        if not Path(cli.__file__).resolve().is_relative_to(src):
-            print(f"isocal is imported from {Path(cli.__file__).parent}, "
+        if not Path(isocal.__file__).resolve().is_relative_to(src):
+            print(f"isocal is imported from {Path(isocal.__file__).parent}, "
                   f"not from SRC {src}: run each tree in its own process",
                   file=sys.stderr)
             return 2
-        _write_reports(inputs, cli, out)
+        _write_reports(inputs, harness, isocal, out)
     finally:
         sys.path[:], sys.dont_write_bytecode = saved
     print(f"{len(list(out.glob('*.json')))} reports in {out}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedCurve, _require_off_boundary, _vec2
+from .curves import ClosedCurve, _subtended_angles, _vec2
 from .curves import boundary_node_arrays, perimeter
 from .quadrature import _pair_kernel
 
@@ -150,14 +150,11 @@ def averaged_field(curve: ClosedCurve, x, refinement: int = 1) -> np.ndarray:
     A convex combination of unit vectors, so its norm is at most 1 up to
     rounding; at the centre of a circle it vanishes by antipodal symmetry.
     """
-    p = _require_off_boundary(curve, x)
+    p = _vec2(x)
+    _subtended_angles(curve, p)  # PointOnBoundaryError on the boundary
     pts, tan, wts, _, _, _ = boundary_node_arrays(curve, refinement)
     field = _field(p[None, :] - pts, tan)
-    total = np.array([
-        math.fsum(wts * field[:, 0]),
-        math.fsum(wts * field[:, 1]),
-    ])
-    return total / perimeter(curve)
+    return np.array([math.fsum(wts * f) for f in field.T]) / perimeter(curve)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,15 @@ class ClosedCurve(Polygon):
         return v, e
 
     @cached_property
+    def _closed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, edges), read-only, for _fan: rows x and y of the vertices
+        with vertex 0 again at the end, and of the edges v_i+1 - v_i."""
+        w = np.append(self.vertices, self.vertices[:1], axis=0).T.copy()
+        edges = np.diff(w)
+        w.flags.writeable = edges.flags.writeable = False
+        return w, edges
+
+    @cached_property
     def orientation(self) -> int:
         """+1 for positive (counterclockwise) orientation, -1 otherwise: the
         sign of _unit_area, so right at any scale."""
@@ -296,61 +305,56 @@ def boundary_node_arrays(curve: ClosedCurve, refinement: int = 1):
     return PLANE.nodes(curve.vertices, refinement)
 
 
-def _nearest_edge(curve: ClosedCurve, p: np.ndarray) -> tuple[int, float]:
-    """(index, distance) of the edge nearest to p, by projection onto each
-    edge (vertex differences) clamped to its ends, in curve._unit's units:
-    finite at any scale, and the same bits times the scale."""
-    v, s = curve._unit
-    q = np.ldexp(p, -s)
-    e = np.diff(v, axis=0, append=v[:1])
-    ee = np.einsum("ij,ij->i", e, e)
-    t = np.clip(np.einsum("ij,ij->i", q[None, :] - v, e) / ee, 0.0, 1.0)
-    d = np.hypot(*(v + t[:, None] * e - q).T)
-    i = int(np.argmin(d))
-    return i, math.ldexp(float(d[i]), s)
-
-
 def distance_to_boundary(curve: ClosedCurve, x) -> float:
-    """Euclidean distance from x to the polygon boundary."""
-    return _nearest_edge(curve, _vec2(x))[1]
-
-
-def _require_off_boundary(curve: ClosedCurve, x) -> np.ndarray:
-    p = _vec2(x)
-    if distance_to_boundary(curve, p) <= BOUNDARY_TOL_FACTOR * curve.diameter:
-        raise PointOnBoundaryError(f"point {p.tolist()} lies on the curve")
-    return p
+    """Euclidean distance from x to the polygon boundary (_fan)."""
+    _, _, _, e, _, gap = _fan(curve, _vec2(x))
+    return math.ldexp(gap, e)
 
 
 def _fan(curve: ClosedCurve, p: np.ndarray):
-    """(d, d1, det, angle, e) of the fan triangles (p, v_i, v_i+1): d_i =
-    v_i - p in units of 2^e, the power of two of the largest |d_i|
-    component, so no product overflows and none that matters underflows;
-    d1 the rows d_i+1, det = det(d_i, d_i+1) and angle the signed angle the
-    edge subtends at p, arctan2(det, <d_i, d_i+1>).  Each row depends on
-    its edge alone, and reversing the curve negates every det, and with it
-    every angle, bit for bit."""
-    d = curve.vertices - p
-    e = int(np.frexp(np.abs(d).max())[1])
+    """(d, det, angle, e, edge, gap) of the fan triangles (p, v_i, v_i+1),
+    each term from its edge alone.  d_i = v_i - p in units of 2^e, the
+    power of two of the largest |d_i| component, so nothing overflows and
+    nothing that matters underflows, as rows x and y, d_n = d_0 at the end;
+    angle = arctan2(det, <d_i, d_i+1>), det = det(d_i, d_i+1), the signed
+    angle the edge subtends at p, both negated by reversal bit for bit.
+    gap is p's distance from the polygon in these units, edge the first
+    nearest edge: p projected onto each edge clamped to its ends, (v_i + t
+    e_i) - p, with e_i = v_i+1 - v_i, not d_i+1 - d_i, which loses a tiny
+    curve's edges when p is far; where e_i underflows, p is so far off that
+    gap is min |d_i| to rounding."""
+    w, edges = curve._closed
+    d = w - p[:, None]
+    e = math.frexp(np.abs(d).max())[1]
     d = np.ldexp(d, -e)
-    d1 = np.roll(d, -1, axis=0)
-    det = d[:, 0] * d1[:, 1] - d[:, 1] * d1[:, 0]
-    dot = d[:, 0] * d1[:, 0] + d[:, 1] * d1[:, 1]
-    return d, d1, det, np.arctan2(det, dot), e
+    (x0, y0), (x1, y1) = d[:, :-1], d[:, 1:]
+    det = x0 * y1 - y0 * x1
+    dot = x0 * x1 + y0 * y1
+    ev = np.ldexp(edges, -e)
+    ee = np.maximum(ev[0] * ev[0] + ev[1] * ev[1], 2.0 ** -1022)
+    t = np.minimum(np.maximum((x0 * ev[0] + y0 * ev[1]) / -ee, 0.0), 1.0)
+    q = np.ldexp(w[:, :-1], -e) + t * ev - np.ldexp(p, -e)[:, None]
+    gap = np.hypot(*q)
+    edge = int(gap.argmin())
+    return d, det, np.arctan2(det, dot), e, edge, float(gap[edge])
 
 
 def _subtended_angles(curve: ClosedCurve, x) -> np.ndarray:
-    """The signed angle each edge subtends at x, a point off the boundary
-    (_fan).  Near +-pi, where x nears the edge, |det| = L h (L the edge's
-    length, h >= 1e-9 diameters the distance of x from it) is far above its
-    rounding, so the angle keeps its sign."""
-    return _fan(curve, _require_off_boundary(curve, x))[3]
+    """The signed angle each edge subtends at x (_fan); PointOnBoundaryError
+    within BOUNDARY_TOL_FACTOR diameters of the boundary.  Farther off, near
+    +-pi, |det| = L h (L the edge's length, h the distance of x from it) is
+    far above its rounding, so the angle keeps its sign."""
+    p = _vec2(x)
+    _, _, angle, e, _, gap = _fan(curve, p)
+    if gap <= math.ldexp(BOUNDARY_TOL_FACTOR * curve.diameter, -e):
+        raise PointOnBoundaryError(f"point {p.tolist()} lies on the curve")
+    return angle
 
 
 def winding_number(curve: ClosedCurve, x) -> int:
     """Signed number of turns of (y - x) as y traverses the curve: the sum
     of the edges' subtended angles over 2 pi, rounded."""
-    return round(math.fsum(_subtended_angles(curve, x)) / (2.0 * math.pi))
+    return round(math.fsum(_subtended_angles(curve, x).tolist()) / math.tau)
 
 
 def contains(curve: ClosedCurve, x) -> bool:

@@ -77,7 +77,7 @@ def winding_integral(curve: ClosedCurve, x) -> float:
     the winding number up to rounding, a few n eps for n vertices; the same
     bits from any starting vertex, negated under reversal.
     """
-    return 2.0 * math.fsum(curves._subtended_angles(curve, x))
+    return 2.0 * math.fsum(curves._subtended_angles(curve, x).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +407,14 @@ def interior_curl_integral(curve: ClosedCurve, y, t_y) -> float:
     reversal.
     """
     t = _vec2(t_y)
-    d, d1, D, theta, scale = curves._fan(curve, _vec2(y))
-    edge = d1 - d
-    L = np.hypot(*edge.T)
-    u0, u1 = edge[:, 0] / L, edge[:, 1] / L
-    r = np.hypot(*d.T)
+    d, D, theta, scale, _, _ = curves._fan(curve, _vec2(y))
+    edge = np.diff(d)
+    L = np.hypot(*edge)
+    u0, u1 = edge / L
+    r = np.hypot(*d)
     log_r = np.log(np.where(r > 0.0, r, 1.0))  # r = 0, y at a vertex: D = 0
     terms = -2.0 * (D / L) * ((u0 * t[0] + u1 * t[1]) * theta
-                              + (u0 * t[1] - u1 * t[0])
-                              * (np.roll(log_r, -1) - log_r))
+                              + (u0 * t[1] - u1 * t[0]) * np.diff(log_r))
     return math.ldexp(math.fsum(terms), scale)
 
 
@@ -426,14 +425,14 @@ def stokes_check(curve: ClosedCurve, y, t_y=None,
 
     Returns (lhs, rhs): the midpoint rule with `refinement` pieces per edge
     and the exact interior integral, which agree up to the midpoint rule's
-    error.  y's edge and the kernel come from the scale-free _nearest_edge
-    and _pair_kernel; y's own edge takes the exact along-edge value.
+    error.  Along y's own edge, the first nearest one (curves._fan), the
+    kernel takes its exact value; elsewhere it is _pair_kernel's.
     """
     p = _vec2(y)
-    edge, gap = curves._nearest_edge(curve, p)
-    if gap > curves.BOUNDARY_TOL_FACTOR * curve.diameter:
+    _, _, _, scale, edge, gap = curves._fan(curve, p)
+    if gap > math.ldexp(curves.BOUNDARY_TOL_FACTOR * curve.diameter, -scale):
         raise curves.CurveError(f"point {p.tolist()} does not lie on the curve")
-    e = curve.vertices[(edge + 1) % curve.n_vertices] - curve.vertices[edge]
+    e = curve._closed[1][:, edge]
     edge_tangent = e / math.hypot(*e)
     t = edge_tangent if t_y is None else _vec2(t_y)
     pts, tan, wts, eids, _, _ = curves.boundary_node_arrays(curve, refinement)

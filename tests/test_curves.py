@@ -329,11 +329,12 @@ def test_point_on_edge_extension_is_fine():
 
 @pytest.mark.parametrize("k", [0, 520, -540])
 def test_far_points_have_finite_distances_and_winding_number_0(k):
-    # 2^100 to 2^1000 diameters away, at scales where |e|^2 leaves the
-    # float range: the projection works in units of the diameter
+    # 2^100 to 2^1040 diameters away, at scales where |e|^2 leaves the
+    # float range: the projection works in units of the fan's power of two,
+    # where a tiny curve's edges underflow when the point is far enough
     c = ClosedCurve(np.ldexp(regular_polygon(12).vertices, k))
-    for j in [j for j in (100, 300, 500, 1000) if j + k <= 1020]:
-        p = np.ldexp([0.6, -0.8], j) * c.diameter
+    for j in [j for j in (100, 300, 500, 1000, 1040) if j + k <= 1020]:
+        p = np.ldexp(np.array([0.6, -0.8]) * c.diameter, j)
         assert distance_to_boundary(c, p) == pytest.approx(math.hypot(*p),
                                                            rel=1e-14)
         assert winding_number(c, p) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -1235,6 +1236,45 @@ def test_stokes_square_nodes():
     for idx in (0, 31, 63):  # corner-adjacent and mid-edge
         lhs, rhs = stokes_check(SQUARE, pts[idx], refinement=64)
         assert abs(lhs - rhs) <= 1e-3 * perimeter(SQUARE)
+
+
+def _gear(n=48):
+    th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    rad = np.where(np.arange(n) % 2 == 0, 0.6, 1.4)
+    return ClosedCurve(np.c_[rad * np.cos(th), rad * np.sin(th)])
+
+
+# sha256 of the lhs and rhs hex values of stokes_check at vertex i and then
+# at the midpoint of edge i, i = 0, 1, ...: pinned bits, which move with
+# the rule that picks y's own edge at a vertex
+STOKES_PINS = {
+    "12-gon": "b0cb06b53bcb55ce7e0fd77e3913f2ef9a67e3696c3ab317970882d21d006618",
+    "gear": "1157351f55178e1d38bef02dfb59c4e1bd899541f7ca85966310fefbdad4d33c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOKES_PINS))
+def test_stokes_own_edge_rule_keeps_its_bits(name):
+    c = regular_polygon(12) if name == "12-gon" else _gear()
+    v = c.vertices
+    n = len(v)
+    hexes = []
+    for i in range(n):
+        for y in (v[i], 0.5 * (v[i] + v[(i + 1) % n])):
+            hexes += [s.hex() for s in stokes_check(c, y)]
+    digest = hashlib.sha256(" ".join(hexes).encode()).hexdigest()
+    assert digest == STOKES_PINS[name]
+    # y's own edge at a vertex: the lower index of the two edges where the
+    # previous edge's clamped projection, v_i-1 + (v_i - v_i-1), lands on
+    # v_i exactly, edge i where it misses by a rounding
+    ties = 0
+    for i in range(n):
+        tie = (v[i - 1] + (v[i] - v[i - 1]) == v[i]).all()
+        ties += bool(tie)
+        want = min(i, (i - 1) % n) if tie else i
+        assert curves._fan(c, v[i])[4] == want
+        assert curves._fan(c, 0.5 * (v[i] + v[(i + 1) % n]))[4] == i
+    assert ties == (11 if name == "12-gon" else 36)
 
 
 def test_stokes_lhs_bounded_by_perimeter():

@@ -12,15 +12,18 @@ start vertex and power-of-two scaling, and is negated under reversal.
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import near_point, vertex_angle_winding_number
 from isocal import (ClosedCurve, contains, save_curve,
                     winding_integral, winding_number)
 from isocal.cli import main
-from isocal.curves import distance_to_boundary
+from isocal.curves import (BOUNDARY_TOL_FACTOR, PointOnBoundaryError,
+                           distance_to_boundary)
 from isocal.quadrature import interior_curl_integral
 
 EPS = sys.float_info.epsilon
@@ -171,3 +174,60 @@ def test_interior_curl_integral_keeps_its_bits(v, k, shift, i, kind, gap, a,
     assert interior_curl_integral(curve.reversed(), y, t) == -I
     assert (interior_curl_integral(scaled, np.ldexp(y, k), t).hex()
             == math.ldexp(I, k).hex())
+
+
+def exact_distance2(v, p) -> Fraction:
+    """The squared distance from p to the closed polygon v, exactly: the
+    clamped projection onto each edge, in Fractions of the coordinates."""
+    (px, py), best = map(Fraction, p), None
+    w = [tuple(map(Fraction, r)) for r in v.tolist()]
+    for (ax, ay), (bx, by) in zip(w, w[1:] + w[:1]):
+        ex, ey = bx - ax, by - ay
+        t = min(max(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey),
+                    Fraction(0)), Fraction(1))
+        d2 = (ax + t * ex - px) ** 2 + (ay + t * ey - py) ** 2
+        best = d2 if best is None else min(best, d2)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(v=st.one_of(st.builds(star, seeds, st.integers(3, 128)),
+                   st.builds(comb, st.integers(2, 12),
+                             st.floats(1e-6, 1e-1))),
+       k=st.sampled_from([-540, 0, 520]), i=st.integers(0, 2**16),
+       kind=st.sampled_from(["left", "right", "vertex"]),
+       s=st.floats(0.1, 0.9))
+def test_boundary_test_and_distance_match_an_exact_oracle(v, k, i, kind, s):
+    # points 0.5 and 2 times the boundary tolerance off an edge's interior
+    # (at s along it) or off a vertex along its outer bisector, where the
+    # vertex is the nearest point of both its edges
+    curve = ClosedCurve(np.ldexp(v, k))
+    w = curve.vertices
+    n = curve.n_vertices
+    a, b = w[i % n], w[(i + 1) % n]
+    tol = BOUNDARY_TOL_FACTOR * curve.diameter
+    for f in (0.5, 2.0):
+        if kind == "vertex":
+            x = near_point(w, i, kind, f * tol)
+        else:
+            t = (b - a) / math.hypot(*(b - a))
+            side = 1.0 if kind == "left" else -1.0
+            x = a + s * (b - a) + side * f * tol * np.array([-t[1], t[0]])
+        d2 = exact_distance2(w, x)
+        # the point is where it was placed, to its own rounding
+        assert abs(d2 / Fraction(f * tol) ** 2 - 1) < 1e-5
+        # the distance is exact to a few eps times the largest coordinate:
+        # v_i - x alone rounds by eps |v_i|, which 1e-9 diameters off the
+        # boundary is some 1e-7 of the distance, so that no float formula
+        # is within 1e-14 of it there; |got^2 - d^2| = |got - d| (got + d),
+        # with got + d < 3 f tol
+        got = distance_to_boundary(curve, x)
+        scale = max(np.abs(w).max(), np.abs(x).max())
+        assert (abs(Fraction(got) ** 2 - d2)
+                <= Fraction(8 * EPS * scale) * Fraction(3 * f * tol))
+        if f < 1:
+            with pytest.raises(PointOnBoundaryError):
+                winding_number(curve, x)
+        else:
+            assert winding_number(curve, x) == vertex_angle_winding_number(
+                curve, x)

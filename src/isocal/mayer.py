@@ -543,9 +543,10 @@ class NullLagrangianField:
     def lam(self, t, q, qdot):
         args = t, q, qdot
         t, q, qdot = _points(*args)
-        s = mayer_slope(self.family, t, q)
-        return _out(self.lagrangian.dL_dqdot(t, q, s) * qdot
-                    - energy(self.lagrangian, t, q, s), *args)
+        psi = mayer_slope(self.family, t, q)
+        p = self.lagrangian.dL_dqdot(t, q, psi)
+        # the energy term is energy(L, t, q, psi), with p taken once
+        return _out(p * qdot - (psi * p - self.lagrangian.l(t, q, psi)), *args)
 
     @_takes_arrays
     def dlambda_dqdot(self, t, q, qdot=0.0):
@@ -675,7 +676,8 @@ def path_independence_check(nl: NullLagrangianField, f1, f2, n: int = 2000):
 class PhaseLift:
     """The map (s, t) -> (t, u, w, v) into (time, position, energy, momentum).
 
-    v is the impulsion along the leaf and w the Hamiltonian there.  For a
+    v is the impulsion along the leaf and w the Hamiltonian there: the
+    energy of the leaf's slope, which needs no Legendre inversion.  For a
     true foliation by extremals, the symplectic form dp^dq - de^dt pulls
     back to zero under this map.
     """
@@ -683,27 +685,20 @@ class PhaseLift:
     lagrangian: Lagrangian1D
     family: SolutionFamily
 
-    def u(self, s, t):
-        return self.family.u(s, t)
-
-    def v(self, s, t):
-        return self.lagrangian.dL_dqdot(t, self.family.u(s, t),
-                                        self.family.time_slope(s, t))
-
-    def w(self, s, t):
-        return hamiltonian(self.lagrangian, t, self.family.u(s, t), self.v(s, t))
-
     def map(self, s, t):
-        return (t, self.u(s, t), self.w(s, t), self.v(s, t))
+        L = self.lagrangian
+        u, udot = self.family.u(s, t), self.family.time_slope(s, t)
+        v = L.dL_dqdot(t, u, udot)
+        return (t, u, udot * v - L.l(t, u, udot), v)
 
     def pullback_coefficient(self, s, t, h: float):
         """Coefficient of dt^ds in the pulled-back symplectic form:
-        dv/dt du/ds - dv/ds du/dt + dw/ds, by centred differences."""
-        dv_dt = (self.v(s, t + h) - self.v(s, t - h)) / (2 * h)
-        du_ds = (self.u(s + h, t) - self.u(s - h, t)) / (2 * h)
-        dv_ds = (self.v(s + h, t) - self.v(s - h, t)) / (2 * h)
-        du_dt = (self.u(s, t + h) - self.u(s, t - h)) / (2 * h)
-        dw_ds = (self.w(s + h, t) - self.w(s - h, t)) / (2 * h)
+        dv/dt du/ds - dv/ds du/dt + dw/ds, by centred differences of the
+        map at four points."""
+        _, du_dt, _, dv_dt = [(x - y) / (2 * h) for x, y in
+                              zip(self.map(s, t + h), self.map(s, t - h))]
+        _, du_ds, dw_ds, dv_ds = [(x - y) / (2 * h) for x, y in
+                                  zip(self.map(s + h, t), self.map(s - h, t))]
         return dv_dt * du_ds - dv_ds * du_dt + dw_ds
 
 

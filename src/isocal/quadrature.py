@@ -309,19 +309,24 @@ def pair_sum(P, T, W, E, J) -> float:
         for p, dp in zip(pc, d):
             np.subtract(p[rows, None], p[None, cols], out=dp)
         metric_dot(J, d, d, (r2, k0))
+        # 0 / 0 where two nodes coincide, i = j in the band included
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K = _kernel(d, [t[rows, None] for t in tc],
+                        [t[None, cols] for t in tc], J, r2, (k0, k1, k2))
+        terms = np.multiply(K, np.multiply(W2[rows, None], W[None, cols],
+                                           out=k1), out=K)
         band = int(past[i1 - 1]) - c0
         if band > 0:
             # pairs on the row's own edge, summed in closed form, or with j
-            # on an earlier one, summed as (j, i); r2 = 1 spares i = j 0 / 0
-            done = E[None, c0:c0 + band] <= E[rows, None]
-            np.copyto(r2[:, :band], 1.0, where=done)
-        K = _kernel(d, [t[rows, None] for t in tc],
-                    [t[None, cols] for t in tc], J, r2, (k0, k1, k2))
-        terms = np.multiply(K, np.multiply(W2[rows, None], W[None, cols],
-                                           out=k1), out=K)
-        if band > 0:
-            np.copyto(terms[:, :band], 0.0, where=done)
+            # on an earlier one, summed as (j, i)
+            np.copyto(terms[:, :band], 0.0,
+                      where=E[None, c0:c0 + band] <= E[rows, None])
         acc.add(terms)
+        if acc._special:
+            r, c = np.unravel_index(np.argmin(np.isfinite(terms)), terms.shape)
+            i, j = i0 + int(r), c0 + int(c)
+            raise curves.CurveError(f"nodes {i} and {j} of edges {E[i]} and "
+                                    f"{E[j]} coincide to rounding")
         i0 = i1
     return acc.value()
 

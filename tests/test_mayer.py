@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -607,23 +608,103 @@ def test_pullback_sweep_equals_the_per_sample_loop(name):
     assert checks.pullback_residual(prob, 40, seed=24) == worst
 
 
-def test_pullback_sweep_calls_legendre_inverse_a_fixed_number_of_times(
-        monkeypatch):
+def counted(fn, calls, name):
+    """fn, appending (name, number of points) to calls at every call."""
+    def wrapper(*args):
+        calls.append((name, np.broadcast(*args).size))
+        return fn(*args)
+    return mayer._takes_arrays(wrapper)
+
+
+def counted_problem(prob, calls):
+    """prob with its family's and Lagrangian's callables counted in calls,
+    from after their construction on."""
+    L, fam = prob.lagrangian, prob.family
+    L = dataclasses.replace(L, **{
+        name: counted(getattr(L, name), calls, name)
+        for name in ("l", "dL_dq", "dL_dqdot", "d2L_dqdot2")})
+    fam = dataclasses.replace(fam, u=counted(fam.u, calls, "u"),
+                              du_dt=counted(fam.du_dt, calls, "du_dt"))
+    calls.clear()
+    return dataclasses.replace(prob, lagrangian=L, family=fam)
+
+
+def test_pullback_sweep_is_batched_without_legendre_inverse(monkeypatch):
+    # one block: its four stencil points take one call each of u, the time
+    # slope, the momentum and L; the energy needs no inverse
+    monkeypatch.setattr(mayer, "legendre_inverse", None)
     calls = []
-    inverse = mayer.legendre_inverse
-
-    def counted(*args):
-        calls.append(np.size(args[3]))
-        return inverse(*args)
-
-    monkeypatch.setattr(mayer, "legendre_inverse", counted)
-    counts = []
+    prob = counted_problem(OSC, calls)
     for n in (5, 100):
         calls.clear()
-        checks.pullback_residual(OSC, n, seed=25)
-        counts.append(len(calls))
-        assert sum(calls) == 2 * n
-    assert counts[0] == counts[1] == 2
+        checks.pullback_residual(prob, n, seed=25)
+        for name in ("u", "du_dt", "dL_dqdot", "l"):
+            assert [k for f, k in calls if f == name] == [n] * 4
+        assert {f for f, _ in calls} == {"u", "du_dt", "dL_dqdot", "l"}
+
+
+def test_lam_takes_one_momentum_per_call():
+    calls = []
+    prob = counted_problem(COSH, calls)
+    lam = mayer.NullLagrangianField(prob.lagrangian, prob.family).lam
+    for t, q, qd in ((0.3, 0.1, 0.8), ([0.2, 0.6], [0.0, 1.0], [-1.0, 2.0])):
+        calls.clear()
+        lam(t, q, qd)
+        assert [f for f, _ in calls if f != "u"] == ["du_dt", "dL_dqdot", "l"]
+
+
+def lift_problem(name):
+    """(Lagrangian, family) of a built-in problem, or of the oscillator's
+    shooting family ("shooting")."""
+    if name == "shooting":
+        return OSC.lagrangian, BATCH_FAMILIES["shooting"]
+    return get_problem(name).lagrangian, get_problem(name).family
+
+
+def interior_draws(fam, seed, n):
+    """n draws of (s, t, qdot) inside the family's parameter rectangle."""
+    (lo, hi), (a, b) = fam.s_interval, fam.t_domain
+    return np.random.default_rng(seed).uniform(
+        [lo + 0.1 * (hi - lo), a + 1e-3, -3.0],
+        [hi - 0.1 * (hi - lo), b - 1e-3, 3.0], (n, 3)).T
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator", "cosh", "shooting"])
+def test_phase_lift_energy_is_the_hamiltonian_of_its_momentum(name):
+    # the energy of the leaf's slope is H at the leaf's momentum, bit for bit
+    L, fam = lift_problem(name)
+    s, t, _ = interior_draws(fam, 33, 2000)
+    _, u, w, v = PhaseLift(L, fam).map(s, t)
+    assert (np.broadcast_to(w, t.shape).tobytes()
+            == hamiltonian(L, t, u, v).tobytes())
+
+
+# sha256 of the hex values of the pullback coefficient at 200 seeded (s, t),
+# then of weierstrass_gap and lam at (t, u(s, t), qdot): the bits of the
+# phase lift that inverted its momentum by legendre_inverse
+FIELD_PINS = {
+    "free":
+        "3d75fbc5adc5f3e34b26a4f2ec888dae1736e9782f4fed41cd1dd85f89718d03",
+    "oscillator":
+        "f94eb7ce4d0676f38e1a846e7b866455bcd339d9489dee811b166d255025d103",
+    "cosh":
+        "9610da5966c4979fb895eaaa66ebfc892858c790ef3df5b2d8d3ace9746dc687",
+    "shooting":
+        "b71ab9a53ae8bedca96b00831a3ae81ff6e2cc42b123a14aeca1bf45107daf6e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_PINS))
+def test_field_values_keep_their_bits(name):
+    L, fam = lift_problem(name)
+    s, t, qd = interior_draws(fam, 34, 200)
+    q = fam.u(s, t)
+    values = (lagrangian_submanifold_check(L, fam, s, t),
+              weierstrass_gap(L, fam, t, q, qd),
+              mayer.NullLagrangianField(L, fam).lam(t, q, qd))
+    hexes = [x.hex() for v in values for x in v.tolist()]
+    digest = hashlib.sha256(" ".join(hexes).encode()).hexdigest()
+    assert digest == FIELD_PINS[name]
 
 
 def test_pullback_richardson_sanity():

@@ -407,11 +407,23 @@ def curved_polygon(seed, kind, n):
     return SphericalCurve(random_geodesic_polygon(rng, kind, n))
 
 
+def coincident_nodes(curve):
+    """The first nodes i < j of distinct edges at one point, as (i, j,
+    edge of i, edge of j), or None."""
+    nodes = (sphere_boundary_nodes if isinstance(curve, SphericalCurve)
+             else hyperbolic_boundary_nodes)
+    P, _, _, E = nodes(curve)
+    return next(((i, j, E[i], E[j])
+                 for i, j in itertools.combinations(range(len(P)), 2)
+                 if E[i] != E[j] and (P[i] == P[j]).all()), None)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["scatter", "star", "klein"]),
        n=st.integers(3, 14))
 @example(seed=0, kind="fixed", n=4)
+@example(seed=185, kind="klein", n=5)
 def test_curved_simplicity_of_random_polygons_matches_exact_reference(
         seed, kind, n):
     try:
@@ -425,7 +437,18 @@ def test_curved_simplicity_of_random_polygons_matches_exact_reference(
         check, reference = (verify_hyperbolic_isoperimetric,
                             check_simple_hyperbolic_exact_reference)
     want = simplicity_error(reference, curve)
-    assert simplicity_error(check, curve) == want
+    got = simplicity_error(check, curve)
+    coincident = coincident_nodes(curve)
+    if (seed, kind, n) == (185, "klein", 5):
+        # simple on its float vertices, but edge 4 lies along edge 2 in the
+        # Klein disk and their midpoints coincide exactly
+        assert want is None and coincident == (2, 4, 2, 4)
+    if want is None and coincident is not None:
+        # the kernel is 0 / 0 there: a hard error, never a NaN
+        assert got == "nodes %d and %d of edges %d and %d coincide to " \
+            "rounding" % coincident
+    else:
+        assert got == want
     assert curve.is_simple == (want is None)
 
 

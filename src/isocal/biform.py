@@ -10,6 +10,9 @@ x = y: coincident inputs raise instead of returning NaN.
 Its three forms, the value K(x, y; a, b) = a^T m b, the field V = m t_y and
 the matrix m itself, are all evaluated by one formula, the pair sum's kernel,
 through its scale-free pointwise entry quadrature._pair_kernel and _field.
+Inside, batches are components first, as the pair sum holds coordinates:
+the component axis leads and the batch axes follow, so every pass of the
+kernel runs along the batch; the public functions keep their shapes.
 
 Points, tangents and values are plain arrays and floats: each entry point
 coerces array-likes and checks them (curves._vec2, _unit).  Only the kernel
@@ -60,12 +63,26 @@ def _unit(v) -> np.ndarray:
 
 
 def _field(z, t):
-    """m(z) t over the last axis, z and t broadcast over the others:
-    component i is K(z; e_i, t).  With t = I, whose rows are the e_j, the
-    result is the kernel matrix m_ji = K(z; e_i, e_j), for a batch of z
-    given as z[..., None, :]."""
+    """m(z) t, components first: z and t have the component on their first
+    axis and batch axes after it, broadcast against each other, as
+    _pair_kernel takes them.  Component i is K(z; e_i, t), so the result
+    has the shape (dim, *batch).  With t the identity, whose columns e_j
+    form a batch axis, it is the kernel matrix m_ij = K(z; e_i, e_j)
+    (_matrix)."""
     z, t = np.asarray(z, float), np.asarray(t, float)
-    return _pair_kernel(z[..., None, :], np.eye(z.shape[-1]), t[..., None, :])
+    dim = len(z)
+    basis = np.eye(dim).reshape((dim, dim) + (1,) * (max(z.ndim, t.ndim) - 1))
+    return _pair_kernel(z[:, None], basis, t[:, None])
+
+
+def _matrix(z):
+    """The kernel matrix m_ij = K(z; e_i, e_j) of z, components first: of
+    shape (dim, dim, *batch) for z of shape (dim, *batch).  m is bitwise
+    symmetric (K(z; a, b) is bitwise K(z; b, a))."""
+    z = np.asarray(z, float)
+    dim = len(z)
+    return _field(z[:, None], np.eye(dim).reshape((dim,) * 2
+                                                  + (1,) * (z.ndim - 1)))
 
 
 def mayer_vector(y, t_y, x) -> np.ndarray:
@@ -106,7 +123,7 @@ class BiformValue:
 def _biform(x, y, dim: int) -> BiformValue:
     xv = np.asarray(x, float).reshape(dim)
     yv = np.asarray(y, float).reshape(dim)
-    return BiformValue(_field(_check_distinct(xv, yv), np.eye(dim)))
+    return BiformValue(_matrix(_check_distinct(xv, yv)))
 
 
 def biform2(x, y) -> BiformValue:
@@ -153,8 +170,8 @@ def averaged_field(curve: ClosedCurve, x, refinement: int = 1) -> np.ndarray:
     p = _vec2(x)
     _subtended_angles(curve, p)  # PointOnBoundaryError on the boundary
     pts, tan, wts, _, _, _ = boundary_node_arrays(curve, refinement)
-    field = _field(p[None, :] - pts, tan)
-    return np.array([math.fsum(wts * f) for f in field.T]) / perimeter(curve)
+    field = _field(p[:, None] - pts.T, tan.T)
+    return np.array([math.fsum(wts * f) for f in field]) / perimeter(curve)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +205,25 @@ def _space_dim(space: str) -> int:
 def _mixed_partials(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     """D[..., k, l, i, j] = centred d^2 m_ij / dx_k dy_l for point pairs
     (x, y) of shape (..., dim), all 4 dim^2 stencil matrices of every pair
-    in one kernel call."""
+    in one kernel call.  The stencil is built components first, the pairs
+    after the signs, so every kernel pass runs along the pairs; D is
+    written in the order that d1d2_fd reads."""
     dim = x.shape[-1]
-    # the stencil points x + s_a h e_k and y + s_b h e_l, s = (+1, -1)
-    step = np.array([1.0, -1.0])[None, :, None] * (h * np.eye(dim))[:, None, :]
-    xs, ys = x[..., None, None, :] + step, y[..., None, None, :] + step
-    z = xs[..., :, None, :, None, :] - ys[..., None, :, None, :, :]
-    m = _field(z[..., None, :], np.eye(dim))
-    return (m[..., 0, 0, :, :] - m[..., 0, 1, :, :] - m[..., 1, 0, :, :]
-            + m[..., 1, 1, :, :]) / (4.0 * h * h)
+    # the stencil points x + s_a h e_k and y + s_b h e_l, s = (+1, -1), as
+    # step[c, a, 0, k] = s_a h delta_ck
+    step = (np.array([1.0, -1.0])[:, None, None]
+            * (h * np.eye(dim))[:, None, None])
+    xs = x.reshape(-1, dim).T[:, None, :, None] + step
+    ys = y.reshape(-1, dim).T[:, None, :, None] + step
+    # z[c, a, b, n, k, l] = xs[c, a, n, k] - ys[c, b, n, l]
+    m = _matrix(xs[:, :, None, :, :, None] - ys[:, None, :, :, None, :])
+    D = np.empty((xs.shape[2],) + (dim,) * 4)
+    out = D.transpose(3, 4, 0, 1, 2)  # out[i, j, n, k, l] = D[n, k, l, i, j]
+    np.subtract(m[:, :, 0, 0], m[:, :, 0, 1], out=out)
+    np.subtract(out, m[:, :, 1, 0], out=out)
+    np.add(out, m[:, :, 1, 1], out=out)
+    np.divide(out, 4.0 * h * h, out=out)
+    return D.reshape(x.shape[:-1] + (dim,) * 4)
 
 
 def d1d2_fd(space: str, x, y, h: float) -> float | np.ndarray:

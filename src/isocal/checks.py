@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .biform import _field, _space_dim, d1d2_fd
+from .biform import _field, _matrix, _space_dim, d1d2_fd
 from .biform import mixed_derivative_closed_form
 from .mayer import (CallablePath, MayerProblem, _PULLBACK_STEP, _gap_to_leaf,
                     _simpson_grid, _takes_arrays, lagrangian_submanifold_check,
@@ -34,8 +34,9 @@ from .quadrature import _pair_kernel
 # the speed of one whole draw (README, "Numerical conventions").
 _SWEEP_BYTES = 1 << 20
 # A point-pair sample's working set: its draws, z, t, u, V and the scores'
-# temporaries (tracemalloc: 261 bytes in the plane, 235 in three-space).
-_PLANE_ROW = 272
+# temporaries (tracemalloc, one block of 10^4 to 4 10^4 samples: 244 bytes
+# in the plane, 212 in three-space).
+_PLANE_ROW = 248
 
 
 def _sweep(streams, n: int, row_bytes: int, draw, scores):
@@ -71,28 +72,28 @@ def _require_dim(dim) -> None:
         raise ValueError(f"dim must be 2 or 3, got {dim!r}")
 
 
-def _units(u):
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-
 def _points(rng, m: int, dim: int = 2, field: bool = True):
     """m point pairs, a row of normal draws each: x and y (dim draws each,
     times 1.5), then in the plane unit tangents t and u.  Where x and y lie
     within 1e-6, y moves by 1 in every coordinate, so a sample depends on
     its row alone.  The block is (z, t, u, V), z = x - y and the field
-    V = m(z) t, in the plane with field, else (z,)."""
-    # a sample a row; contiguous columns make the column work a third faster
-    rows = np.asfortranarray(rng.normal(size=(m, 8 if dim == 2 else 6)))
-    x, y = rows[:, :dim] * 1.5, rows[:, dim:2 * dim] * 1.5
-    z = x - np.where(np.linalg.norm(x - y, axis=1)[:, None] < 1e-6, y + 1, y)
+    V = m(z) t, in the plane with field, else (z,); each is components
+    first, a sample a column (_pair_kernel)."""
+    # the rows' transpose: the first pass over each stream writes it
+    # component by component, so every later pass runs along the samples
+    cols = rng.normal(size=(m, 8 if dim == 2 else 6)).T
+    x = np.multiply(cols[:dim], 1.5, order="C")
+    y = np.multiply(cols[dim:2 * dim], 1.5, order="C")
+    z = x - np.where(np.linalg.norm(x - y, axis=0) < 1e-6, y + 1, y)
     if dim == 3 or not field:
         return z,
-    t = _units(rows[:, 4:6])
-    return z, t, _units(rows[:, 6:]), _field(z, t)
+    t, u = (np.divide(c, np.linalg.norm(c, axis=0), order="C")
+            for c in (cols[4:6], cols[6:]))
+    return z, t, u, _field(z, t)
 
 
 def _unit_norm(block):
-    return np.abs(np.hypot(*block[3].T) - 1.0)
+    return np.abs(np.hypot(*block[3]) - 1.0)
 
 
 def _orthogonality(block):
@@ -101,14 +102,14 @@ def _orthogonality(block):
     m is bitwise symmetric (K(z; a, b) is bitwise K(z; b, a)), so m m is
     too, and its upper triangle holds every entry's bits."""
     z = block[0]
-    dim = z.shape[1]
-    m = _field(z[:, None, :], np.eye(dim))
-    worst = np.zeros(len(z))
+    dim = len(z)
+    m = _matrix(z)
+    worst = np.zeros(z.shape[1])
     for i, k in zip(*np.triu_indices(dim)):
         # (m m)_ik = sum_j m_ij m_jk, summed in j order
-        mm = m[:, i, 0] * m[:, 0, k]
+        mm = m[i, 0] * m[0, k]
         for j in range(1, dim):
-            mm += m[:, i, j] * m[:, j, k]
+            mm += m[i, j] * m[j, k]
         if i == k:
             mm -= 1.0
         np.maximum(worst, np.abs(mm, out=mm), out=worst)
@@ -117,7 +118,7 @@ def _orthogonality(block):
 
 def _consistency(block):
     z, t, u, v = block
-    return np.abs(_pair_kernel(z, u, t) - np.einsum("ij,ij->i", v, u))
+    return np.abs(_pair_kernel(z, u, t) - (v[0] * u[0] + v[1] * u[1]))
 
 
 def mayer_vector_norm_residual(n: int = 10000, seed: int = 0) -> float:
@@ -152,18 +153,20 @@ def circle_equality_residual(dim: int, n_circles: int = 100,
     def score(block):
         g, (radius, a1, a2) = block
         a2 = np.where(np.abs(np.sin((a1 - a2) / 2)) < 1e-3, a2 + 0.5, a2)
-        q = np.linalg.qr(g[:, :dim])[0]
-        e1, e2 = q[:, :, 0], q[:, :, 1]
-        c1, s1, c2, s2 = (f(a)[:, None] for a in (a1, a2)
-                          for f in (np.cos, np.sin))
-        center, r = g[:, dim] * 2, radius[:, None]
-        x = center + r * (c1 * e1 + s1 * e2)
-        y = center + r * (c2 * e1 + s2 * e2)
+        # components first: the frame's columns e1, e2 and the centre as
+        # (dim, m), against which the circles' scalars broadcast
+        e1, e2 = np.linalg.qr(g[:, :dim])[0].T[:2]
+        c1, s1, c2, s2 = (f(a) for a in (a1, a2) for f in (np.cos, np.sin))
+        center = g[:, dim].T * 2
+        x = center + radius * (c1 * e1 + s1 * e2)
+        y = center + radius * (c2 * e1 + s2 * e2)
         return np.abs(_pair_kernel(x - y, -s1 * e1 + c1 * e2,
                                    -s2 * e1 + c2 * e2) - 1.0)
 
-    # a circle's working set: about 40 floats a dimension (measured)
-    return _maxima(np.random.default_rng(seed).spawn(2), n_circles, 160 * dim,
+    # a circle's working set: about 20 floats a dimension (tracemalloc, one
+    # block of 10^3 to 4 10^3 circles: 310 bytes in the plane, 454 in
+    # three-space)
+    return _maxima(np.random.default_rng(seed).spawn(2), n_circles, 156 * dim,
                    draw, [score])[0]
 
 
@@ -183,7 +186,8 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
     def draw(normal, uniform, m):
         u, y = normal.normal(size=(m, 2, dim)).transpose(1, 0, 2)
         r = uniform.uniform(1.0, 2.0, size=m)
-        return y + r[:, None] * _units(u), y
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return y + r[:, None] * u, y
 
     def score(block):
         x, y = block
@@ -192,9 +196,10 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
         return np.abs(got - want).reshape(len(x), -1).max(axis=1)
 
     # a pair's stencil of 4 dim^4 kernel entries and its temporaries
-    # (measured 2.75 kB in R^2, 8.4 kB in R^3)
+    # (tracemalloc, a pair's share of one block from 256 pairs on: 1.5-1.8
+    # kB in R^2, 8.0 kB in R^3; blocks of 4-16 pairs take 3.1 and 12.3 kB)
     return _maxima(np.random.default_rng(seed).spawn(2), n,
-                   2800 if dim == 2 else 8400, draw, [score])[0]
+                   2000 if dim == 2 else 8400, draw, [score])[0]
 
 
 def run_calibration_checks(space: str, samples: int,

@@ -264,10 +264,11 @@ def _cmd_plotdata(args, config: dict) -> int:
         if n < 2:
             raise UsageError("vfield needs --samples >= 2 grid points per axis")
         # V(y, t_y, x) = m(x - y) t_y on the grid, y = (0, 0), t_y = (1, 0)
+        # components first, a grid point a column (biform._field)
         g = np.linspace(-2.0, 2.0, n)
-        x = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-        x = x[np.einsum("ij,ij->i", x, x) >= 1e-12]
-        rows = np.c_[x, biform._field(x, np.array([1.0, 0.0]))].tolist()
+        x = np.stack(np.meshgrid(g, g, indexing="ij")).reshape(2, -1)
+        x = x[:, np.einsum("ij,ij->j", x, x) >= 1e-12]
+        rows = np.r_[x, biform._field(x, np.array([1.0, 0.0]))].T.tolist()
         path = os.path.join(out_dir, "vfield.csv")
         _write_csv(path, ["x1", "x2", "v1", "v2"], rows)
     elif args.kind == "circles":

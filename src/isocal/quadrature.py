@@ -14,7 +14,8 @@ Either way a total is a function of the multiset of its terms alone: the
 same, bit for bit, for any blocking and any starting vertex.  Blocks stay
 within the byte budget curves._BLOCK_BYTES.  Every row block of the pair
 sum is a view of buffers allocated once per call, which the kernel fills
-through _kernel(..., out); pointwise callers enter through _pair_kernel.
+through _kernel(..., out); pointwise callers enter through _pair_kernel,
+with arrays components first as the pair sum's own.
 Those buffers and the exact reduction's start each row on a 64-byte cache line
 (curves._workspace), since the pair sum ran 14-35 % slower on rows that
 straddle lines.  As nodes come edge by edge, the pair sum adds its
@@ -97,14 +98,18 @@ def _kernel(d, ti, tj, J, r2, out=None):
 
 
 def _pair_kernel(z, a, b):
-    """K(z; a, b) = a^T m(z) b over the last axis, broadcast over the others:
-    the one pointwise entry to _kernel, under the identity metric.  z is
-    first scaled by the power of two that brings its largest component into
-    [1/2, 1): K has degree 0 in z, so this changes no bits where |z|^2 is a
-    normal number, and keeps the kernel finite at any separation."""
-    z, a, b = (list(np.rollaxis(np.asarray(v, float), -1)) for v in (z, a, b))
-    _, e = np.frexp(functools.reduce(np.maximum, map(np.abs, z)))
-    d = [np.ldexp(c, -e) for c in z]
+    """K(z; a, b) = a^T m(z) b: the one pointwise entry to _kernel, under
+    the identity metric.  The first axis of z, a and b is the component,
+    as in _kernel's component arrays; the batch axes come after it and
+    broadcast against each other, so a single vector of shape (dim,)
+    serves a whole batch.  With the samples innermost every ufunc pass
+    runs along them, not along axes of length 2 or 3.  z is first scaled
+    by the power of two that brings its largest component into [1/2, 1):
+    K has degree 0 in z, so this changes no bits where |z|^2 is a normal
+    number, and keeps the kernel finite at any separation."""
+    z, a, b = (np.asarray(v, float) for v in (z, a, b))
+    _, e = np.frexp(functools.reduce(np.maximum, np.abs(z)))
+    d = np.ldexp(z, -e)
     J = (1.0,) * len(d)
     return _kernel(d, a, b, J, metric_dot(J, d, d))
 
@@ -444,7 +449,7 @@ def stokes_check(curve: ClosedCurve, y, t_y=None,
     own = eids == edge
     # along y's own edge the kernel is exactly <t_y, edge tangent> (1 for
     # the canonical tangent), including at the node that coincides with y
-    kern = _pair_kernel(np.where(own[:, None], 1.0, pts - p), tan, t)
+    kern = _pair_kernel(np.where(own, 1.0, pts.T - p[:, None]), tan.T, t)
     kern = np.where(own, float(t @ edge_tangent), kern)
     lhs = math.fsum(wts * kern)
     rhs = interior_curl_integral(curve, p, t)

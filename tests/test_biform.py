@@ -125,6 +125,50 @@ def test_kernel_is_scale_free(s):
             assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
+def _batches(dim, n=40, seed=0):
+    """(z, t, u) batches, components first: many z against many t, one z
+    against many t, many z against one t, and many z scaled by 2^-540 and
+    2^520; t is a unit vector, u is not."""
+    rng = np.random.default_rng([seed, dim])
+    z, t, u = rng.normal(size=(3, dim, n))
+    t /= np.linalg.norm(t, axis=0)
+    yield z, t, u
+    yield z[:, 0], t, u
+    yield z, t[:, 0], u[:, 0]
+    for k in (-540, 520):
+        yield np.ldexp(z, k), t, u
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batch_kernel_keeps_each_samples_bits(dim):
+    # _field's vector and matrix forms and _pair_kernel on a batch give,
+    # sample by sample, the bits of the one-pair entries: mayer_vector,
+    # biform2/3(...).m and biform_apply, each called on x = z, y = 0 (so
+    # their z = x - y is z exactly)
+    from isocal.biform import _field, _matrix
+
+    build, eye = (biform2 if dim == 2 else biform3), np.eye(dim)
+    for z, t, u in _batches(dim):
+        n = max(v.size for v in (z, t, u)) // dim
+        zs, ts, us = (np.broadcast_to(v.reshape(dim, -1), (dim, n))
+                      for v in (z, t, u))
+        field, kern = _field(z, t), quadrature._pair_kernel(z, u, t)
+        matrix = _matrix(zs)
+        assert field.shape == (dim, n) and kern.shape == (n,)
+        assert matrix.shape == (dim, dim, n)
+        assert np.array_equal(_field(zs[:, None], eye[:, :, None]), matrix)
+        origin = np.zeros(dim)
+        for k in range(n):
+            x, tk, uk = zs[:, k], ts[:, k], us[:, k]
+            assert np.array_equal(build(x, origin).m, matrix[:, :, k])
+            assert biform_apply(x, origin, uk, tk) == kern[k]
+            assert [biform_apply(x, origin, e, tk) for e in eye] == \
+                field[:, k].tolist()
+            if dim == 2:
+                assert np.array_equal(mayer_vector(origin, tk, x),
+                                      field[:, k])
+
+
 def test_sweeps_and_reports_share_one_kernel(monkeypatch):
     # the randomised sweeps, the pair sum (here the planar midpoint rule;
     # the planar report's exact corner sum has no kernel to call) and the

@@ -64,7 +64,8 @@ def orthogonality_reference(dim, n=10000, seed=0):
     rows = np.random.default_rng(seed).normal(size=(n, 8 if dim == 2 else 6))
     x, y = rows[:, :dim] * 1.5, rows[:, dim:2 * dim] * 1.5
     y[np.linalg.norm(x - y, axis=1) < 1e-6] += 1.0
-    m = _field((x - y)[:, None, :], np.eye(dim))
+    # the kernel matrices, components first (dim, dim, n), as (n, dim, dim)
+    m = np.moveaxis(_field((x - y).T[:, None], np.eye(dim)[:, :, None]), -1, 0)
     mm = np.einsum("nij,njk->nik", m, m) - np.eye(dim)[None, :, :]
     return float(np.abs(mm).max())
 
@@ -185,7 +186,7 @@ def test_calibration_report_draws_the_plane_once(monkeypatch, space, dims):
     calls = spy_sweeps(monkeypatch)
     checks.run_calibration_checks(space, 150, 5)
     points = [call for call in calls if len(call.streams) == 1]
-    assert [call.first[0].shape[1] for call in points] == dims
+    assert [len(call.first[0]) for call in points] == dims
     assert [len(call.scores) for call in points] == [3] + [1] * (len(dims) - 1)
     assert [sum(call.blocks) for call in points] == [150] * len(dims)
     assert len(calls) == 3 * len(dims)
@@ -242,7 +243,7 @@ def _peak(fn, warm):
 
 def test_circle_equality_memory_is_linear_in_budget(monkeypatch):
     # a block of circles holds some 60 floats a circle, about one budget
-    # (the budget buys budget / 480 circles); 100,000 circles at once would
+    # (the budget buys budget / 468 circles); 100,000 circles at once would
     # take some 50 MB
     budget = 1 << 17
     monkeypatch.setattr(checks, "_SWEEP_BYTES", budget)

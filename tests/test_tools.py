@@ -66,6 +66,8 @@ def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
     monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
     monkeypatch.setattr(report_bits, "FIELD_WORKLOADS", ())
+    monkeypatch.setattr(report_bits, "D1D2_SPACES", ())
+    monkeypatch.setattr(report_bits, "PLOTDATA_KINDS", ())
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     src = Path(__file__).resolve().parents[1] / "src"
@@ -85,34 +87,69 @@ def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
 
 
 def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
-    # the winding and Stokes results of the field_checks inputs at one seed:
-    # one file per operation, each value the float.hex of the library call
-    # the benchmark makes on that input
+    # the library results at one seed, one file each, every value the
+    # float.hex of the library call: winding and Stokes of the field_checks
+    # inputs as the benchmark makes them, averaged_field at the inside
+    # winding points, and d1d2_fd on the seeded pairs of each space
     monkeypatch.setattr(report_bits, "SEEDS", (7,))
     monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
     monkeypatch.setattr(report_bits, "MAYER_PROBLEMS", ())
+    monkeypatch.setattr(report_bits, "PLOTDATA_KINDS", ())
     root = Path(__file__).resolve().parents[1]
     assert report_bits.main([str(root / "src"), str(tmp_path)]) == 0
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import harness
     import inputs
-    from isocal import ClosedCurve, stokes_check, winding_integral
+    from isocal import (ClosedCurve, averaged_field, d1d2_fd, stokes_check,
+                        winding_integral)
 
     want = {}
     for op in inputs.generate("field_checks", 7).round:
+        name = f"seed7-field_checks-{op.name}"
         if op.kind == "winding":
             value = winding_integral(ClosedCurve(op.vertices), op.point)
             assert abs(value - 4.0 * math.pi * op.expect["winding"]) < 1e-12
-            want[op.name] = {"winding_integral": value.hex()}
+            want[name] = {"winding_integral": value.hex()}
+            if op.expect["winding"]:
+                v = averaged_field(ClosedCurve(op.vertices), op.point)
+                want[f"{name}-averaged_field"] = {
+                    "averaged_field": [float(c).hex() for c in v]}
         elif op.kind == "stokes":
             lhs_rhs = stokes_check(ClosedCurve(op.vertices), op.point,
                                    refinement=harness.STOKES_REFINEMENT)
-            want[op.name] = {"stokes_check": [v.hex() for v in lhs_rhs]}
-    assert len(want) == 31
-    got = {p.name[len("seed7-field_checks-"):-len(".json")]:
-           json.loads(p.read_text("utf-8")) for p in tmp_path.iterdir()}
+            want[name] = {"stokes_check": [v.hex() for v in lhs_rhs]}
+    assert len(want) == 31 + 12
+    for space in ("r2", "r3"):
+        # the batched call keeps each pair's bits alone
+        pairs = zip(*report_bits.d1d2_pairs(space, 7))
+        want[f"seed7-d1d2_fd-{space}"] = {
+            "d1d2_fd": [report_bits._hex(d1d2_fd(space, x, y, 1e-3))
+                        for x, y in pairs]}
+    got = {p.name[:-len(".json")]: json.loads(p.read_text("utf-8"))
+           for p in tmp_path.iterdir()}
     assert got == want
+
+
+def test_writer_records_the_vfield_grid_as_hex(tmp_path, monkeypatch):
+    # plotdata vfield at its default grid, once: the 21 x 21 points but the
+    # origin, each CSV value as float.hex
+    for name in ("VERIFY_WORKLOADS", "CALIBRATION_SPACES", "MAYER_PROBLEMS",
+                 "FIELD_WORKLOADS", "D1D2_SPACES"):
+        monkeypatch.setattr(report_bits, name, ())
+    root = Path(__file__).resolve().parents[1]
+    assert report_bits.main([str(root / "src"), str(tmp_path / "a")]) == 0
+    assert [p.name for p in (tmp_path / "a").iterdir()] == \
+        ["plotdata-vfield.json"]
+    got = json.loads((tmp_path / "a" / "plotdata-vfield.json")
+                     .read_text("utf-8"))
+    assert got["rc"] == 0 and len(got["vfield"]) == 21 * 21 - 1
+    from isocal import mayer_vector
+
+    for row in got["vfield"][::37]:
+        x1, x2, v1, v2 = (float.fromhex(v) for v in row)
+        v = mayer_vector((0.0, 0.0), (1.0, 0.0), (x1, x2))
+        assert [v1, v2] == v.tolist()
 
 
 def test_writer_refuses_a_second_tree_in_one_process(tmp_path, capsys,
@@ -125,6 +162,8 @@ def test_writer_refuses_a_second_tree_in_one_process(tmp_path, capsys,
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
     monkeypatch.setattr(report_bits, "MAYER_PROBLEMS", ("free",))
     monkeypatch.setattr(report_bits, "FIELD_WORKLOADS", ())
+    monkeypatch.setattr(report_bits, "D1D2_SPACES", ())
+    monkeypatch.setattr(report_bits, "PLOTDATA_KINDS", ())
     src = Path(__file__).resolve().parents[1] / "src"
     other = tmp_path / "other" / "src"
     shutil.copytree(src / "isocal", other / "isocal",

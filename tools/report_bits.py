@@ -16,11 +16,21 @@ At each of the seeds 1 and 7 the reports are
 - ``calibration --space r2`` and ``--space r3`` with ``--seed`` at that seed;
 - ``mayer`` of the ``free``, ``oscillator`` and ``cosh`` problems, likewise.
 
-Beside them it writes the 62 library results of the ``field_checks``
-workload at those seeds, one file per operation, each value as
-``float.hex``: ``{"winding_integral": x}`` of every winding operation, and
-``{"stokes_check": [lhs, rhs]}`` at ``perfbench/harness.py``'s
-``STOKES_REFINEMENT`` of every Stokes operation.
+Beside them it writes 90 library results at those seeds, one file each,
+every value as ``float.hex``:
+
+- of every operation of the ``field_checks`` workload (62 files),
+  ``{"winding_integral": x}`` of a winding operation and
+  ``{"stokes_check": [lhs, rhs]}`` at ``perfbench/harness.py``'s
+  ``STOKES_REFINEMENT`` of a Stokes operation;
+- ``{"averaged_field": [v1, v2]}`` at each inside winding point of that
+  workload (24 files);
+- ``{"d1d2_fd": [...]}`` of ``r2`` and ``r3``, one batched call of step
+  1e-3 on the 20 pairs of ``d1d2_pairs`` (4 files).
+
+Once, not per seed, it writes ``plotdata vfield`` at its default 21 x 21
+grid as ``{"rc": exit code, "vfield": rows}``, each CSV value as
+``float.hex``.  Together these call every caller of the pointwise kernel.
 
 Run it once per tree into two directories; ``diff -r`` on them is the check
 of byte identity.  A process imports ``isocal`` once, so a later call of
@@ -38,16 +48,24 @@ when only numbers differ, or nothing.
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SEEDS = (1, 7)
 VERIFY_WORKLOADS = ("verify_plane", "verify_curved")
 CALIBRATION_SPACES = ("r2", "r3")
 MAYER_PROBLEMS = ("free", "oscillator", "cosh")
 FIELD_WORKLOADS = ("field_checks",)
+D1D2_SPACES = ("r2", "r3")
+PLOTDATA_KINDS = ("vfield",)
+D1D2_PAIRS = 20
 
 
 def _reports(inputs, seed: int, scratch: Path):
@@ -66,23 +84,60 @@ def _reports(inputs, seed: int, scratch: Path):
                                    "--seed", str(seed)]
 
 
+def _hex(values) -> str | list:
+    """float.hex of every value of an array, nested as its tolist()."""
+    values = np.asarray(values, float).tolist()
+    if isinstance(values, float):
+        return values.hex()
+    return [_hex(v) for v in values]
+
+
 def _field_results(inputs, harness, isocal, seed: int):
-    """(name, result) of the winding and Stokes operations at one seed, each
-    value as float.hex."""
+    """(name, result) of the winding and Stokes operations at one seed, of
+    averaged_field at the inside winding points and of d1d2_fd on seeded
+    pairs, each value as float.hex."""
     for workload in FIELD_WORKLOADS:
         for op in inputs.generate(workload, seed).round:
             if op.kind == "winding":
-                value = isocal.winding_integral(
-                    isocal.ClosedCurve(op.vertices), op.point)
-                result = {"winding_integral": value.hex()}
+                curve = isocal.ClosedCurve(op.vertices)
+                value = isocal.winding_integral(curve, op.point)
+                yield f"{workload}-{op.name}", {"winding_integral": value.hex()}
+                if op.expect["winding"]:
+                    yield f"{workload}-{op.name}-averaged_field", {
+                        "averaged_field": _hex(
+                            isocal.averaged_field(curve, op.point))}
             elif op.kind == "stokes":
                 values = isocal.stokes_check(
                     isocal.ClosedCurve(op.vertices), op.point,
                     refinement=harness.STOKES_REFINEMENT)
-                result = {"stokes_check": [v.hex() for v in values]}
-            else:
-                continue
-            yield f"{workload}-{op.name}", result
+                yield f"{workload}-{op.name}", {
+                    "stokes_check": [v.hex() for v in values]}
+    for space in D1D2_SPACES:
+        yield f"d1d2_fd-{space}", {"d1d2_fd": _hex(
+            isocal.d1d2_fd(space, *d1d2_pairs(space, seed), 1e-3))}
+
+
+def d1d2_pairs(space: str, seed: int):
+    """x and y, (D1D2_PAIRS, dim) each, drawn from default_rng([seed, dim])
+    at separations in [1, 2), far beyond the step 1e-3."""
+    dim = 2 if space == "r2" else 3
+    rng = np.random.default_rng([seed, dim])
+    x, u = rng.normal(size=(2, D1D2_PAIRS, dim))
+    r = rng.uniform(1.0, 2.0, (D1D2_PAIRS, 1))
+    return x, x + r * u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _plotdata(isocal, scratch: Path):
+    """(name, result) of each plotdata kind at its defaults, the exit code
+    and every CSV value as float.hex."""
+    for kind in PLOTDATA_KINDS:
+        out = scratch / f"plotdata-{kind}"
+        with contextlib.redirect_stdout(io.StringIO()):  # the CSV's path
+            rc = isocal.cli.main(["plotdata", kind, "--out", str(out)])
+        with open(out / f"{kind}.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        yield f"plotdata-{kind}", {
+            "rc": rc, kind: [[float(v).hex() for v in row] for row in rows]}
 
 
 def _leaves(value, path: str = ""):
@@ -137,8 +192,8 @@ def _write(out: Path, name: str, value) -> None:
 
 
 def _write_reports(inputs, harness, isocal, out: Path) -> None:
-    """Run every comparison report through isocal.cli.main, and every field
-    result, into OUT."""
+    """Run every comparison report through isocal.cli.main, and every
+    library result and plotdata kind, into OUT."""
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
@@ -155,6 +210,8 @@ def _write_reports(inputs, harness, isocal, out: Path) -> None:
                 _write(out, f"seed{seed}-{name}", {"rc": rc, "rep": rep})
             for name, result in _field_results(inputs, harness, isocal, seed):
                 _write(out, f"seed{seed}-{name}", result)
+        for name, result in _plotdata(isocal, scratch):
+            _write(out, name, result)
 
 
 def main(argv: list[str]) -> int:

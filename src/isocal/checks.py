@@ -11,10 +11,13 @@ streams spawned from it (one of normal, one of uniform draws), in blocks
 whose whole working set stays within _SWEEP_BYTES, so memory does not grow
 with the samples.  Each sample gets the bits it gets alone, so no result
 depends on the blocking, and each score's worst value comes with the index
-of its sample: draw index rows, then one, and that sample replays.  A block
-of the Mayer sweeps' bump paths is one path_independence_check, or one
-evaluation of L against the central leaf's action and region bounds.
-"""
+of its sample: draw index rows, then one, and that sample replays.  The
+point-pair sweeps read one stream of standard normal draws through
+_pair_sweep, in one or more passes: a calibration report's planar samples
+are rows of 8 of its draws, and in r3 its three-space samples rows of 6 of
+the same draws, read in lockstep, so the report draws each normal once.  A
+block of the Mayer sweeps' bump paths is one path_independence_check, or
+one evaluation of L against the central leaf's action and region bounds."""
 
 from __future__ import annotations
 
@@ -33,38 +36,48 @@ from .quadrature import _pair_kernel
 # fixed cost a call repeats in too many blocks; 1 MiB keeps the sweeps at
 # the speed of one whole draw (README, "Numerical conventions").
 _SWEEP_BYTES = 1 << 20
-# A point-pair sample's working set: its draws, z, t, u, V and the scores'
-# temporaries (tracemalloc, one block of 10^4 to 4 10^4 samples: 244 bytes
-# in the plane, 212 in three-space).
-_PLANE_ROW = 248
+# A point-pair sample is a row of normal draws: x and y, then in the plane
+# the tangents t and u.  Its working set alone in a block: its draws, z, t,
+# u, V and the scores' temporaries (tracemalloc, one block of 10^4 to
+# 4 10^4 samples: 245 bytes in the plane, 212 in three-space).
+_ROW_DRAWS = {2: 8, 3: 6}
+_ROW_BYTES = {2: 248, 3: 216}
 
 
-def _sweep(streams, n: int, row_bytes: int, draw, scores):
+def _sweep(streams, n: int, row_bytes: int, draw, scores, group: int = 1):
     """The worst value of each score over n samples and the index of its
     sample, a list of (value, index) in the order of scores.
 
     draw(*streams, m) draws the next m samples, one row of each stream a
     sample, and returns them as a block; a score maps a block to one value
-    a sample, the larger the worse.  The worst is the largest value, or
-    NaN if one is NaN, at the first sample that takes it; over no samples
-    it is (-inf, -1).  A block holds as many samples as keep their working
-    set, row_bytes each, within _SWEEP_BYTES (one at least)."""
+    a sample, the larger the worse.  A score may see fewer samples of a
+    block than were drawn (a narrower pass of _pair_sweep), and the index
+    of a value counts the values its score returned before it.  The worst
+    is the largest value, or NaN if one is NaN, at the first sample that
+    takes it; over no samples it is (-inf, -1).  A block holds as many
+    groups of `group` samples as keep their working set, row_bytes a
+    group, within _SWEEP_BYTES (one group at least), and the last block
+    the rest."""
     worst = [(-math.inf, -1)] * len(scores)
-    step = max(1, _SWEEP_BYTES // row_bytes)
+    seen = [0] * len(scores)
+    step = group * max(1, _SWEEP_BYTES // row_bytes)
     for start in range(0, n, step):
         block = draw(*streams, min(step, n - start))
         for k, score in enumerate(scores):
             values = score(block)
+            if not values.size:
+                continue
             i = int(np.argmax(values))  # the first NaN, if any
             if not (math.isnan(worst[k][0]) or values[i] <= worst[k][0]):
-                worst[k] = float(values[i]), start + i
+                worst[k] = float(values[i]), seen[k] + i
+            seen[k] += values.size
+        del block  # not held while the next block is drawn
     return worst
 
 
-def _maxima(streams, n, row_bytes, draw, scores) -> list[float]:
+def _maxima(worst) -> list[float]:
     """The worst values of a _sweep of residuals, 0.0 over no samples."""
-    return [max(value, 0.0)
-            for value, _ in _sweep(streams, n, row_bytes, draw, scores)]
+    return [max(value, 0.0) for value, _ in worst]
 
 
 def _require_dim(dim) -> None:
@@ -72,24 +85,71 @@ def _require_dim(dim) -> None:
         raise ValueError(f"dim must be 2 or 3, got {dim!r}")
 
 
-def _points(rng, m: int, dim: int = 2, field: bool = True):
-    """m point pairs, a row of normal draws each: x and y (dim draws each,
-    times 1.5), then in the plane unit tangents t and u.  Where x and y lie
-    within 1e-6, y moves by 1 in every coordinate, so a sample depends on
-    its row alone.  The block is (z, t, u, V), z = x - y and the field
-    V = m(z) t, in the plane with field, else (z,); each is components
-    first, a sample a column (_pair_kernel)."""
+def _points(rows, dim: int, field: bool = True):
+    """The point pairs of rows of normal draws, a row a sample: x and y (dim
+    draws each, times 1.5), then in the plane unit tangents t and u.  Where
+    x and y lie within 1e-6, y moves by 1 in every coordinate, so a sample
+    depends on its row alone.  The block is (z, t, u, V), z = x - y and the
+    field V = m(z) t, in the plane with field, else (z,); each is
+    components first, a sample a column (_pair_kernel)."""
     # the rows' transpose: the first pass over each stream writes it
     # component by component, so every later pass runs along the samples
-    cols = rng.normal(size=(m, 8 if dim == 2 else 6)).T
+    cols = rows.T
     x = np.multiply(cols[:dim], 1.5, order="C")
     y = np.multiply(cols[dim:2 * dim], 1.5, order="C")
-    z = x - np.where(np.linalg.norm(x - y, axis=0) < 1e-6, y + 1, y)
+    z = x - y
+    near = np.linalg.norm(z, axis=0) < 1e-6
+    if near.any():
+        z[:, near] = x[:, near] - (y[:, near] + 1)
     if dim == 3 or not field:
         return z,
-    t, u = (np.divide(c, np.linalg.norm(c, axis=0), order="C")
-            for c in (cols[4:6], cols[6:]))
+    t, u = cols[4:6].copy(), cols[6:].copy()  # C order, off the draws
+    t /= np.linalg.norm(t, axis=0)
+    u /= np.linalg.norm(u, axis=0)
     return z, t, u, _field(z, t)
+
+
+def _pair_sweep(rng, n: int, passes):
+    """The _sweep of every score of passes, in their order, over n point
+    pairs a pass, all read from one stream of standard normal draws.
+
+    A pass (dim, field, scores) reads the stream from its start in rows of
+    _ROW_DRAWS[dim] draws, a sample a row (_points, with the field only in
+    the plane).  A block draws m rows of the widest pass and hands each
+    narrower pass the whole rows of its own in them until it has n; its
+    scores see no sample after that.  A block but the last holds a whole
+    number of every pass's rows, so each pass's samples get the bits, and
+    its worst values the indices, that they get alone."""
+    widths = [_ROW_DRAWS[dim] for dim, _, _ in passes]
+    wide = max(widths)
+    unit = math.lcm(*widths)  # the draws that end a row of every pass
+    taken = [0] * len(passes)
+
+    def draw(rng, m):
+        flat = rng.standard_normal((m, wide)).reshape(-1)
+        blocks = []
+        for p, (dim, field, _) in enumerate(passes):
+            # the widest pass takes every row: _sweep stops it at n
+            k = m if widths[p] == wide else min(m * wide // widths[p],
+                                                n - taken[p])
+            taken[p] += k
+            rows = flat[:k * widths[p]].reshape(k, widths[p])
+            blocks.append(_points(rows, dim, field) if k else ())
+        return blocks
+
+    def reads(p, score):
+        return lambda blocks: score(blocks[p]) if blocks[p] else np.empty(0)
+
+    # the passes score one after another, so a block's working set is the
+    # largest of one pass's own beside the blocks the others hold (z, and
+    # t, u and V with the field: 8 bytes a float)
+    own, held = zip(*((unit // width * _ROW_BYTES[dim],
+                       unit // width * 8 * dim * (4 if field else 1))
+                      for (dim, field, _), width in zip(passes, widths)))
+    return _sweep([rng], n, max(o - h for o, h in zip(own, held)) + sum(held),
+                  draw, [reads(p, score) for p, (_, _, scores)
+                         in enumerate(passes) for score in scores],
+                  unit // wide)
 
 
 def _unit_norm(block):
@@ -123,16 +183,15 @@ def _consistency(block):
 
 def mayer_vector_norm_residual(n: int = 10000, seed: int = 0) -> float:
     """max over samples of | |V(y, t_y, x)| - 1 |."""
-    return _maxima([np.random.default_rng(seed)], n, _PLANE_ROW, _points,
-                   [_unit_norm])[0]
+    return _maxima(_pair_sweep(np.random.default_rng(seed), n,
+                               [(2, True, [_unit_norm])]))[0]
 
 
 def orthogonality_residual(dim: int, n: int = 10000, seed: int = 0) -> float:
     """max over samples of ||m^T m - I||_inf, dim 2 or 3 (_orthogonality)."""
     _require_dim(dim)
-    return _maxima([np.random.default_rng(seed)], n, _PLANE_ROW,
-                   lambda rng, m: _points(rng, m, dim, field=False),
-                   [_orthogonality])[0]
+    return _maxima(_pair_sweep(np.random.default_rng(seed), n,
+                               [(dim, False, [_orthogonality])]))[0]
 
 
 def circle_equality_residual(dim: int, n_circles: int = 100,
@@ -147,7 +206,7 @@ def circle_equality_residual(dim: int, n_circles: int = 100,
     _require_dim(dim)
 
     def draw(normal, uniform, m):
-        return normal.normal(size=(m, dim + 1, dim)), uniform.uniform(
+        return normal.standard_normal((m, dim + 1, dim)), uniform.uniform(
             (0.1, 0.0, 0.0), (3.0, 2 * np.pi, 2 * np.pi), (m, 3)).T
 
     def score(block):
@@ -166,14 +225,14 @@ def circle_equality_residual(dim: int, n_circles: int = 100,
     # a circle's working set: about 20 floats a dimension (tracemalloc, one
     # block of 10^3 to 4 10^3 circles: 310 bytes in the plane, 454 in
     # three-space)
-    return _maxima(np.random.default_rng(seed).spawn(2), n_circles, 156 * dim,
-                   draw, [score])[0]
+    return _maxima(_sweep(np.random.default_rng(seed).spawn(2), n_circles,
+                          156 * dim, draw, [score]))[0]
 
 
 def consistency_residual(n: int = 10000, seed: int = 0) -> float:
     """max of |K(x, y; u, t) - <V(y, t, x), u>| over random samples."""
-    return _maxima([np.random.default_rng(seed)], n, _PLANE_ROW, _points,
-                   [_consistency])[0]
+    return _maxima(_pair_sweep(np.random.default_rng(seed), n,
+                               [(2, True, [_consistency])]))[0]
 
 
 def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
@@ -184,7 +243,7 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
     dim = _space_dim(space)
 
     def draw(normal, uniform, m):
-        u, y = normal.normal(size=(m, 2, dim)).transpose(1, 0, 2)
+        u, y = normal.standard_normal((m, 2, dim)).transpose(1, 0, 2)
         r = uniform.uniform(1.0, 2.0, size=m)
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         return y + r[:, None] * u, y
@@ -198,21 +257,25 @@ def mixed_derivative_residual(space: str, n: int = 50, seed: int = 0) -> float:
     # a pair's stencil of 4 dim^4 kernel entries and its temporaries
     # (tracemalloc, a pair's share of one block from 256 pairs on: 1.5-1.8
     # kB in R^2, 8.0 kB in R^3; blocks of 4-16 pairs take 3.1 and 12.3 kB)
-    return _maxima(np.random.default_rng(seed).spawn(2), n,
-                   2000 if dim == 2 else 8400, draw, [score])[0]
+    return _maxima(_sweep(np.random.default_rng(seed).spawn(2), n,
+                          2000 if dim == 2 else 8400, draw, [score]))[0]
 
 
 def run_calibration_checks(space: str, samples: int,
                            seed: int) -> dict[str, float]:
     """The kernel checks of the calibration command in report order: five in
     the plane, and for r3 three more in three-space.  The circle sweeps take
-    at most 100 circles, the mixed-derivative sweeps at most 50 pairs; unit
-    norm, orthogonality and consistency are three scores of one pass."""
-    _space_dim(space)  # ValueError for any space but r2 and r3
+    at most 100 circles, the mixed-derivative sweeps at most 50 pairs.  Unit
+    norm, orthogonality and consistency are three scores of one planar
+    pass, and for r3 the three-space orthogonality reads the same draws in
+    lockstep (_pair_sweep)."""
+    dim = _space_dim(space)  # ValueError for any space but r2 and r3
     n_circles, n_pairs = min(samples, 100), min(samples, 50)
-    unit_norm, orthogonality, consistency = _maxima(
-        [np.random.default_rng(seed)], samples, _PLANE_ROW, _points,
-        [_unit_norm, _orthogonality, _consistency])
+    passes = [(2, True, [_unit_norm, _orthogonality, _consistency])]
+    if dim == 3:
+        passes.append((3, False, [_orthogonality]))
+    unit_norm, orthogonality, consistency, *orthogonality_r3 = _maxima(
+        _pair_sweep(np.random.default_rng(seed), samples, passes))
     results = {
         "unit_norm": unit_norm,
         "orthogonality_r2": orthogonality,
@@ -220,8 +283,8 @@ def run_calibration_checks(space: str, samples: int,
         "consistency": consistency,
         "mixed_r2": mixed_derivative_residual("r2", n_pairs, seed),
     }
-    if space == "r3":
-        results["orthogonality_r3"] = orthogonality_residual(3, samples, seed)
+    if dim == 3:
+        results["orthogonality_r3"], = orthogonality_r3
         results["circle_equality_r3"] = circle_equality_residual(
             3, n_circles, seed)
         results["mixed_r3"] = mixed_derivative_residual("r3", n_pairs, seed)
@@ -328,9 +391,10 @@ def path_independence_residual(problem: MayerProblem, n_pairs: int = 20,
 
     # leaf location holds most of a pair's working set, measured (by
     # tracemalloc) 31-33 floats a node a pair on the built-ins
-    return _maxima([np.random.default_rng(seed)], n_pairs,
-                   8 * 32 * table[0].size,
-                   lambda rng, m: rng.uniform(-amp, amp, (m, 6)), [score])[0]
+    return _maxima(_sweep([np.random.default_rng(seed)], n_pairs,
+                          8 * 32 * table[0].size,
+                          lambda rng, m: rng.uniform(-amp, amp, (m, 6)),
+                          [score]))[0]
 
 
 def pullback_residual(problem: MayerProblem, n: int = 100,
@@ -348,8 +412,9 @@ def pullback_residual(problem: MayerProblem, n: int = 100,
             problem.lagrangian, problem.family, *block.T, h))
 
     # a point's working set, measured 122-146 bytes on the built-ins
-    return _maxima([np.random.default_rng(seed)], n, 160,
-                   lambda rng, m: rng.uniform(low, high, (m, 2)), [score])[0]
+    return _maxima(_sweep([np.random.default_rng(seed)], n, 160,
+                          lambda rng, m: rng.uniform(low, high, (m, 2)),
+                          [score]))[0]
 
 
 def minimality_minimum(problem: MayerProblem, n: int = 100,

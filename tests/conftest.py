@@ -149,10 +149,10 @@ def spy_sweeps(monkeypatch) -> list:
     calls = []
     sweep = checks._sweep
 
-    def spy(streams, n, row_bytes, draw, scores):
+    def spy(streams, n, row_bytes, draw, scores, group=1):
         call = SimpleNamespace(streams=streams, n=n, row_bytes=row_bytes,
-                               draw=draw, scores=scores, blocks=[],
-                               first=None, result=None)
+                               draw=draw, scores=scores, group=group,
+                               blocks=[], first=None, result=None)
         calls.append(call)
 
         def counted(*args):
@@ -162,7 +162,7 @@ def spy_sweeps(monkeypatch) -> list:
             call.blocks.append(args[-1])
             return block
 
-        call.result = sweep(streams, n, row_bytes, counted, scores)
+        call.result = sweep(streams, n, row_bytes, counted, scores, group)
         return call.result
 
     monkeypatch.setattr(checks, "_sweep", spy)

@@ -4,6 +4,7 @@ worst sample that replays from the seed."""
 
 import concurrent.futures
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,47 +150,105 @@ def test_sweeps_call_d1d2_fd_once_per_block(monkeypatch):
     assert calls == [(50, 2), (50, 3)]
 
 
-# the calibration command's checks: (name, sweep, its arguments at
-# samples=150, seed=5), in report order; the circle sweeps clamp to 100
-# circles and the mixed-derivative sweeps to 50 pairs
+# the calibration command's checks: (name, sweep, its arguments at samples
+# n and seed s), in report order; the circle sweeps clamp to 100 circles
+# and the mixed-derivative sweeps to 50 pairs
 CALIBRATION_R2 = [
-    ("unit_norm", "mayer_vector_norm_residual", (150, 5)),
-    ("orthogonality_r2", "orthogonality_residual", (2, 150, 5)),
-    ("circle_equality_r2", "circle_equality_residual", (2, 100, 5)),
-    ("consistency", "consistency_residual", (150, 5)),
-    ("mixed_r2", "mixed_derivative_residual", ("r2", 50, 5)),
+    ("unit_norm", "mayer_vector_norm_residual", lambda n, s: (n, s)),
+    ("orthogonality_r2", "orthogonality_residual", lambda n, s: (2, n, s)),
+    ("circle_equality_r2", "circle_equality_residual",
+     lambda n, s: (2, min(n, 100), s)),
+    ("consistency", "consistency_residual", lambda n, s: (n, s)),
+    ("mixed_r2", "mixed_derivative_residual",
+     lambda n, s: ("r2", min(n, 50), s)),
 ]
 CALIBRATION_R3 = CALIBRATION_R2 + [
-    ("orthogonality_r3", "orthogonality_residual", (3, 150, 5)),
-    ("circle_equality_r3", "circle_equality_residual", (3, 100, 5)),
-    ("mixed_r3", "mixed_derivative_residual", ("r3", 50, 5)),
+    ("orthogonality_r3", "orthogonality_residual", lambda n, s: (3, n, s)),
+    ("circle_equality_r3", "circle_equality_residual",
+     lambda n, s: (3, min(n, 100), s)),
+    ("mixed_r3", "mixed_derivative_residual",
+     lambda n, s: ("r3", min(n, 50), s)),
 ]
+
+
+def _point_pass(space, n, seed):
+    """The _sweep call of the report's point pairs, n samples at seed."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_sweeps(mp)
+        checks.run_calibration_checks(space, n, seed)
+    (call,) = [call for call in calls if len(call.streams) == 1]
+    return call
 
 
 @pytest.mark.parametrize("space, table", [("r2", CALIBRATION_R2),
                                           ("r3", CALIBRATION_R3)])
 def test_calibration_checks_in_report_order_with_their_clamps(space, table):
-    # each value has the bits of its sweep called alone
-    got = checks.run_calibration_checks(space, 150, 5)
-    assert list(got) == [name for name, _, _ in table]
-    for name, sweep, args in table:
-        assert got[name].hex() == getattr(checks, sweep)(*args).hex()
+    # each value has the bits of its sweep called alone, at sample counts
+    # on both sides of the point-pair pass's block edges: of the shared
+    # pass's group of 3 planar and 4 three-space rows, and of a block
+    per_block = _point_pass(space, 10_000, 0).blocks[0]
+    assert per_block % (3 if space == "r3" else 1) == 0
+    for seed in (0, 5, 7):
+        for n in (1, 2, 3, 4, 5, 150, per_block - 1, per_block,
+                  per_block + 1):
+            got = checks.run_calibration_checks(space, n, seed)
+            assert list(got) == [name for name, _, _ in table]
+            for name, sweep, args in table:
+                assert got[name].hex() == \
+                    getattr(checks, sweep)(*args(n, seed)).hex(), (name, n)
 
 
 @pytest.mark.parametrize("space, dims", [("r2", [2]), ("r3", [2, 3])])
 def test_calibration_report_draws_the_plane_once(monkeypatch, space, dims):
-    # one driver pass per geometry of point pairs: unit_norm,
-    # orthogonality_r2 and consistency are the three scores of one planar
-    # pass, and orthogonality_r3 is one pass in three-space; each draws its
-    # 150 samples once, from one stream (the circle and mixed-derivative
-    # sweeps draw from two)
+    # one driver pass over the point pairs: unit_norm, orthogonality_r2 and
+    # consistency score the planar samples, and for r3 orthogonality_r3
+    # scores the three-space samples of the same draws, 8 a planar sample
+    # from one stream, each geometry's 150 samples in the one block; the
+    # circle and mixed-derivative sweeps draw from two streams each
     calls = spy_sweeps(monkeypatch)
     checks.run_calibration_checks(space, 150, 5)
-    points = [call for call in calls if len(call.streams) == 1]
-    assert [len(call.first[0]) for call in points] == dims
-    assert [len(call.scores) for call in points] == [3] + [1] * (len(dims) - 1)
-    assert [sum(call.blocks) for call in points] == [150] * len(dims)
-    assert len(calls) == 3 * len(dims)
+    (points,) = [call for call in calls if len(call.streams) == 1]
+    assert [len(block[0]) for block in points.first] == dims
+    assert [block[0].shape[1] for block in points.first] == [150] * len(dims)
+    assert len(points.scores) == 3 + (space == "r3")
+    assert points.blocks == [150]
+    want = np.random.default_rng(5)
+    want.standard_normal(8 * 150)
+    assert points.streams[0].bit_generator.state == want.bit_generator.state
+    assert [len(call.streams) for call in calls] == \
+        [1] + [2] * (2 * len(dims))
+
+
+def test_sweeps_draw_the_bits_of_normal(monkeypatch):
+    # the sweeps draw with standard_normal, which gives the bits of normal()
+    # and leaves the generator in its state (but for a draw of exactly -0.0,
+    # which normal() returns as 0.0 + 1.0 * -0.0 = +0.0): pinned at the
+    # suite's seeds and at every calibration seed of the benchmark's
+    # field_checks at its seeds 7 and 11, in the shapes a report draws, on
+    # the point pairs' stream and on the spawned normal stream
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+
+    seeds = list(range(20)) + [
+        int(op.argv[op.argv.index("--seed") + 1]) for bench in (7, 11)
+        for op in inputs.generate("field_checks", bench).round
+        if op.kind == "calibration"]
+    assert len(seeds) == 28
+    calls = spy_sweeps(monkeypatch)
+    checks.orthogonality_residual(3, 10_000, 0)
+    shapes = ([(m, 8) for m in _point_pass("r3", 10_000, 0).blocks]
+              + [(m, 6) for m in calls[0].blocks]
+              + [(1, 8), (1, 6), (100, 3, 2), (100, 4, 3), (50, 2, 2),
+                 (50, 2, 3)])
+    for seed in seeds:
+        for stream in (lambda: np.random.default_rng(seed),
+                       lambda: np.random.default_rng(seed).spawn(2)[0]):
+            a, b = stream(), stream()
+            for shape in shapes:
+                assert a.standard_normal(shape).tobytes() == \
+                    b.normal(size=shape).tobytes()
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_no_draw_survives_a_report(monkeypatch):
@@ -315,6 +374,31 @@ def test_worst_sample_replays_from_seed_and_index(monkeypatch, sweep, seed,
         assert len(call.blocks) > 2
 
 
+def test_report_three_space_worst_sample_is_the_lone_sweeps():
+    # the report's orthogonality_r3 reads the planar pass's draws, 4
+    # three-space samples to 3 planar ones, over three blocks; its worst
+    # sample has the lone sweep's index and replays from rows of 6 of
+    # default_rng(seed), at seed 1 from the second block
+    n, indices = 10_000, []
+    for seed in (0, 1, 2):
+        report = _point_pass("r3", n, seed)
+        per_block = report.blocks[0] * 4 // 3
+        assert 2 * per_block < n
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_sweeps(mp)
+            checks.orthogonality_residual(3, n, seed)
+        (lone,) = calls
+        worst, index = report.result[3]
+        assert (worst.hex(), index) == (lone.result[0][0].hex(),
+                                        lone.result[0][1])
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((index, 6))
+        block = checks._points(rng.standard_normal((1, 6)), 3)
+        assert checks._orthogonality(block)[0].hex() == worst.hex()
+        indices.append(index)
+    assert 0 <= min(indices) and per_block <= max(indices) < n
+
+
 def test_driver_reduces_each_score_to_its_first_worst_sample():
     def draw(rng, m):
         start = draw.rows
@@ -344,18 +428,32 @@ class Rows:
     def __init__(self, row):
         self.row = np.asarray(row, float)
 
-    def normal(self, size):
+    def standard_normal(self, size):
+        assert size[1:] == self.row.shape
         return np.tile(self.row, (size[0], 1))
+
+
+def first_block(rows, m, dim):
+    """The block of the first m samples that a pass of dim over the stream
+    rows scores."""
+    blocks = []
+
+    def score(block):
+        blocks.append(block)
+        return np.zeros(block[0].shape[1])
+
+    checks._pair_sweep(rows, m, [(dim, True, [score])])
+    return blocks[0]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_point_pairs_move_a_coinciding_point_by_its_own_row(dim):
     # x = y, x 1e-7 from y, and x 1e-5 from y: only the first two move y
     x = np.array([0.3, -0.2, 0.7][:dim])
-    tangents = [1.0, 0.0, 0.6, 0.8][:8 - 2 * dim]
+    tangents = [1.0, 0.0, 0.6, 0.8] if dim == 2 else []
     for gap, moved in ((0.0, True), (1e-7, True), (1e-5, False)):
         y = x + gap / 1.5
-        z = checks._points(Rows(np.r_[x, y, tangents]), 1, dim)[0]
+        z = first_block(Rows(np.r_[x, y, tangents]), 1, dim)[0]
         want = 1.5 * x - (1.5 * y + 1.0 if moved else 1.5 * y)
         assert z.tobytes() == want[None].tobytes()
 
@@ -366,10 +464,10 @@ def test_planar_sample_of_coinciding_points_scores_as_alone():
     rows = Rows([0.3, -0.2, 0.3, -0.2, 1.0, 0.0, 0.6, 0.8])
     for score in (checks._unit_norm, checks._orthogonality,
                   checks._consistency):
-        values = score(checks._points(rows, 3))
+        values = score(first_block(rows, 3, 2))
         assert np.all(np.isfinite(values)) and np.all(values < 1e-12)
         assert values.tobytes() == \
-            np.tile(score(checks._points(rows, 1)), 3).tobytes()
+            np.tile(score(first_block(rows, 1, 2)), 3).tobytes()
 
 
 @pytest.mark.parametrize("dim", [0, 1, 4])

@@ -7,6 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from conftest import spy_sweeps
+
 spec = importlib.util.spec_from_file_location(
     "report_bits",
     Path(__file__).resolve().parents[1] / "tools" / "report_bits.py")
@@ -65,6 +69,7 @@ def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
     monkeypatch.setattr(report_bits, "SEEDS", (7,))
     monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
+    monkeypatch.setattr(report_bits, "CALIBRATION_R3_SAMPLES", ())
     monkeypatch.setattr(report_bits, "FIELD_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "D1D2_SPACES", ())
     monkeypatch.setattr(report_bits, "PLOTDATA_KINDS", ())
@@ -86,6 +91,35 @@ def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
     assert report_bits.compare(*runs) == 0
 
 
+def test_writer_runs_r3_calibration_at_the_block_edge(tmp_path,
+                                                     monkeypatch):
+    # calibration --space r3 at --samples on both sides of the first block
+    # edge of its point pairs, each report's results those of the library
+    for name in ("VERIFY_WORKLOADS", "CALIBRATION_SPACES", "MAYER_PROBLEMS",
+                 "FIELD_WORKLOADS", "D1D2_SPACES", "PLOTDATA_KINDS"):
+        monkeypatch.setattr(report_bits, name, ())
+    monkeypatch.setattr(report_bits, "SEEDS", (7,))
+    from isocal import checks
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_sweeps(mp)
+        checks.run_calibration_checks("r3", 10_000, 0)
+    planar = calls[0].blocks[0]  # and 4 three-space samples to 3 planar
+    assert {planar, planar + 1, planar * 4 // 3, planar * 4 // 3 + 1} <= \
+        set(report_bits.CALIBRATION_R3_SAMPLES)
+    monkeypatch.setattr(report_bits, "CALIBRATION_R3_SAMPLES", (2976, 2977))
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert report_bits.main([str(src), str(tmp_path)]) == 0
+    for samples in (2976, 2977):
+        report = json.loads((tmp_path / f"seed7-calibration-r3-samples"
+                             f"{samples}.json").read_text("utf-8"))
+        assert report["rc"] == 0
+        assert report["rep"]["config"]["samples"] == samples
+        want = checks.run_calibration_checks("r3", samples, 7)
+        assert {k: report["rep"]["results"][k] for k in want} == want
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
     # the library results at one seed, one file each, every value the
     # float.hex of the library call: winding and Stokes of the field_checks
@@ -94,6 +128,7 @@ def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
     monkeypatch.setattr(report_bits, "SEEDS", (7,))
     monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
+    monkeypatch.setattr(report_bits, "CALIBRATION_R3_SAMPLES", ())
     monkeypatch.setattr(report_bits, "MAYER_PROBLEMS", ())
     monkeypatch.setattr(report_bits, "PLOTDATA_KINDS", ())
     root = Path(__file__).resolve().parents[1]
@@ -134,7 +169,8 @@ def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
 def test_writer_records_the_vfield_grid_as_hex(tmp_path, monkeypatch):
     # plotdata vfield at its default grid, once: the 21 x 21 points but the
     # origin, each CSV value as float.hex
-    for name in ("VERIFY_WORKLOADS", "CALIBRATION_SPACES", "MAYER_PROBLEMS",
+    for name in ("VERIFY_WORKLOADS", "CALIBRATION_SPACES",
+                 "CALIBRATION_R3_SAMPLES", "MAYER_PROBLEMS",
                  "FIELD_WORKLOADS", "D1D2_SPACES"):
         monkeypatch.setattr(report_bits, name, ())
     root = Path(__file__).resolve().parents[1]
@@ -160,6 +196,7 @@ def test_writer_refuses_a_second_tree_in_one_process(tmp_path, capsys,
     monkeypatch.setattr(report_bits, "SEEDS", (7,))
     monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
+    monkeypatch.setattr(report_bits, "CALIBRATION_R3_SAMPLES", ())
     monkeypatch.setattr(report_bits, "MAYER_PROBLEMS", ("free",))
     monkeypatch.setattr(report_bits, "FIELD_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "D1D2_SPACES", ())

@@ -5,7 +5,7 @@ or compare two such sets of reports value by value.
     python3 tools/report_bits.py --compare A B
 
 SRC is the directory that holds the ``isocal`` package of the tree under
-test (for example ``src`` of a checkout).  The script runs 42 reports in
+test (for example ``src`` of a checkout).  The script runs 52 reports in
 process through ``isocal.cli.main`` and writes each to ``OUT/<name>.json`` as
 ``{"rc": exit code, "rep": report}``, without the fields that differ from run
 to run or from tree to tree: ``wall_time_s``, ``argv`` and ``input.path``.
@@ -13,7 +13,11 @@ At each of the seeds 1 and 7 the reports are
 
 - ``verify`` of every input of the ``verify_plane`` and ``verify_curved``
   workloads of ``perfbench/inputs.py`` (generated at that seed, read only);
-- ``calibration --space r2`` and ``--space r3`` with ``--seed`` at that seed;
+- ``calibration --space r2`` and ``--space r3`` with ``--seed`` at that seed,
+  and ``--space r3`` at ``--samples`` 2975, 2976 and 2977 and at 3968 and
+  3969: on both sides of the first block edge of its point pairs, whose
+  blocks hold 2976 planar and 3968 three-space samples at the sweep
+  budget of 1 MiB;
 - ``mayer`` of the ``free``, ``oscillator`` and ``cosh`` problems, likewise.
 
 Beside them it writes 90 library results at those seeds, one file each,
@@ -61,6 +65,7 @@ import numpy as np
 SEEDS = (1, 7)
 VERIFY_WORKLOADS = ("verify_plane", "verify_curved")
 CALIBRATION_SPACES = ("r2", "r3")
+CALIBRATION_R3_SAMPLES = (2975, 2976, 2977, 3968, 3969)
 MAYER_PROBLEMS = ("free", "oscillator", "cosh")
 FIELD_WORKLOADS = ("field_checks",)
 D1D2_SPACES = ("r2", "r3")
@@ -79,6 +84,10 @@ def _reports(inputs, seed: int, scratch: Path):
     for space in CALIBRATION_SPACES:
         yield f"calibration-{space}", ["calibration", "--space", space,
                                        "--seed", str(seed)]
+    for samples in CALIBRATION_R3_SAMPLES:
+        yield f"calibration-r3-samples{samples}", [
+            "calibration", "--space", "r3", "--samples", str(samples),
+            "--seed", str(seed)]
     for problem in MAYER_PROBLEMS:
         yield f"mayer-{problem}", ["mayer", "--problem", problem,
                                    "--seed", str(seed)]

@@ -35,7 +35,6 @@ from .quadrature import (
 from .mayer import (
     CallablePath,
     EndpointError,
-    Extremal,
     FoliationError,
     Lagrangian1D,
     LegendreError,
@@ -44,17 +43,13 @@ from .mayer import (
     SolutionFamily,
     action,
     el_residual,
-    energy,
-    family_from_shooting,
     get_problem,
-    hamiltonian,
     lagrangian_submanifold_check,
     legendre_inverse,
     mayer_slope,
     minimality_gap,
     null_lagrangian,
     path_independence_check,
-    solve_el,
     weierstrass_gap,
 )
 from .spaces import (

@@ -1,6 +1,6 @@
-"""One-dimensional variational machinery: Lagrangians, extremal solving,
-foliations by extremals, Mayer slope fields, the Legendre transform, and the
-null Lagrangian built from a slope field.
+"""One-dimensional variational machinery: Lagrangians, foliations by
+extremals, Mayer slope fields, the Legendre transform, and the null
+Lagrangian built from a slope field.
 
 The central object is a family u(s, t) of extremal graphs covering a strip
 diffeomorphically.  Differentiating the leaf through (t, q) in time yields
@@ -27,13 +27,13 @@ from .quadrature import _row_sums
 
 Scalar3 = Callable[[float, float, float], float]
 
-# Below this the Legendre coefficient counts as degenerate: every downstream
-# formula divides by it.
+# Below this the Legendre coefficient counts as degenerate: the velocity
+# legendre_inverse returns is then ill-defined.
 DEGENERATE_D2 = 1e-10
-# Centred-difference steps: _FD_CROSS for time derivatives and the
-# Euler-Lagrange cross partials, _FD_STEP for the residuals checked against
-# stated partials, _PULLBACK_STEP for the pullback coefficient
-# (lagrangian_submanifold_check, checks.pullback_residual).
+# Centred-difference steps: _FD_CROSS for time derivatives, _FD_STEP for
+# the residuals checked against stated partials, _PULLBACK_STEP for the
+# pullback coefficient (lagrangian_submanifold_check,
+# checks.pullback_residual).
 _FD_CROSS = 1e-6
 _FD_STEP = 1e-5
 _PULLBACK_STEP = 1e-4
@@ -173,136 +173,19 @@ class CallablePath:
         return (self.f(t + h) - self.f(t - h)) / (2 * h)
 
 
-def _grid_cell(grid: np.ndarray, t):
-    """Cell index, cell width and offset within the cell, per time t; times
-    outside the grid use the end cells."""
-    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
-    h = grid[i + 1] - grid[i]
-    return i, h, (t - grid[i]) / h
-
-
-def _hermite_value(s, h, v0, d0, v1, d1):
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
-
-
-def _hermite_slope(s, h, v0, d0, v1, d1):
-    d00 = 6 * s * (s - 1)
-    d10 = (1 - s) * (1 - 3 * s)
-    d01 = -d00
-    d11 = s * (3 * s - 2)
-    return (d00 * v0 + h * d10 * d0 + d01 * v1 + h * d11 * d1) / h
-
-
-@dataclass(frozen=True, eq=False)
-class Extremal:
-    """Grid samples of a solution, with cubic Hermite evaluation between."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    derivatives: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, float)
-        v = np.asarray(self.values, float)
-        d = np.asarray(self.derivatives, float)
-        if not (g.ndim == 1 and g.shape == v.shape == d.shape and len(g) >= 2):
-            raise ValueError("grid, values, derivatives must be equal-length 1d")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        for arr in (g, v, d):
-            arr.flags.writeable = False
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "derivatives", d)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.grid[0]), float(self.grid[-1])
-
-    def _eval(self, basis, t):
-        i, h, s = _grid_cell(self.grid, _points(t)[0])
-        return _out(basis(s, h, self.values[i], self.derivatives[i],
-                          self.values[i + 1], self.derivatives[i + 1]), t)
-
-    def value(self, t):
-        return self._eval(_hermite_value, t)
-
-    def derivative(self, t):
-        return self._eval(_hermite_slope, t)
-
-
-def _integrate_el(L: Lagrangian1D, t0: float, q0, qdot0, grid):
-    """(values, slopes) of solve_el for arrays q0, qdot0 in one pass, with the
-    bits each gets alone (_points): a row per initial value, a column per time."""
-    g = np.asarray(grid, float)
-    if len(g) < 2 or np.any(np.diff(g) <= 0):
-        raise ValueError("grid must be strictly increasing with >= 2 points")
-    if abs(g[0] - t0) > 1e-12 * max(1.0, abs(t0)):
-        raise ValueError("grid must start at t0")
-
-    fd = _FD_CROSS
-    q, qd = _points(q0, qdot0)
-
-    def acc(t, q, qd):
-        m = np.broadcast_to(L.d2L_dqdot2(t, q, qd), q.shape)
-        k = np.argmin(np.abs(m))  # the most degenerate point
-        if abs(m.flat[k]) < DEGENERATE_D2:
-            raise LegendreError(
-                f"degenerate Legendre coefficient {m.flat[k]!r} at t={t}, "
-                f"q={q.flat[k]}, qdot={qd.flat[k]}")
-        dpdt = (L.dL_dqdot(t + fd, q, qd) - L.dL_dqdot(t - fd, q, qd)) / (2 * fd)
-        dpdq = (L.dL_dqdot(t, q + fd, qd) - L.dL_dqdot(t, q - fd, qd)) / (2 * fd)
-        return (L.dL_dq(t, q, qd) - dpdt - dpdq * qd) / m
-
-    qs, ds = np.empty((2,) + q.shape + g.shape)
-    qs[..., 0], ds[..., 0] = q, qd
-    for i in range(len(g) - 1):
-        t, h = g[i], g[i + 1] - g[i]
-        k1q, k1v = qd, acc(t, q, qd)
-        k2q = qd + 0.5 * h * k1v
-        k2v = acc(t + 0.5 * h, q + 0.5 * h * k1q, k2q)
-        k3q = qd + 0.5 * h * k2v
-        k3v = acc(t + 0.5 * h, q + 0.5 * h * k2q, k3q)
-        k4q = qd + h * k3v
-        k4v = acc(t + h, q + h * k3q, k4q)
-        q = q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        qd = qd + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if np.any(np.abs(q) > 1e8) or np.any(np.abs(qd) > 1e8):
-            raise OverflowError(f"solution blew up near t={g[i + 1]}")
-        qs[..., i + 1], ds[..., i + 1] = q, qd
-    return qs, ds
-
-
-def solve_el(L: Lagrangian1D, t0: float, q0: float, qdot0: float,
-             grid) -> Extremal:
-    """Integrate the Euler-Lagrange equation by classical fixed-step RK4.
-
-    The second-order equation is solved for the acceleration through the
-    Legendre coefficient; cross-partials of dL_dqdot are taken by centred
-    differences.  Degenerate Legendre coefficients and solution blow-up are
-    hard errors.
-    """
-    values, slopes = _integrate_el(L, t0, float(q0), float(qdot0), grid)
-    return Extremal(grid, values[0], slopes[0])
-
-
 def el_residual(L: Lagrangian1D, f, t, domain=None):
     """d/dt [dL_dqdot along f] - dL_dq along f, by centred differences.
 
     Times must lie the step, 1e-5, inside `domain`, which defaults to the
-    path's own domain when it has one and to the Lagrangian's otherwise.
+    Lagrangian's.
     """
     h = _FD_STEP
-    a, b = domain if domain is not None else getattr(f, "domain", L.domain)
+    a, b = domain if domain is not None else L.domain
     tt = _points(t)[0]
     inside = (a + h <= tt) & (tt <= b - h)
     if not np.all(inside):
-        raise ValueError(f"t={tt[~inside].flat[0]} not interior to the path "
-                         f"domain ({a}, {b})")
+        raise ValueError(f"t={tt[~inside].flat[0]} not interior to the domain "
+                         f"({a}, {b})")
 
     def p(x):
         return L.dL_dqdot(x, f.value(x), f.derivative(x))
@@ -396,9 +279,9 @@ def _locate_leaf(family: SolutionFamily, t, q):
     lo0, hi0 = family.s_interval
     qlo = np.broadcast_to(family.u(lo0, t), t.shape)
     qhi = np.broadcast_to(family.u(hi0, t), t.shape)
-    # u(s, t) of an interpolated family can leave [u(lo), u(hi)] by rounding
-    # for s next to an end, so the ends take a few ulps of the range's scale;
-    # written so that a NaN q counts as outside
+    # u(s, t) can leave [u(lo), u(hi)] by rounding for s next to an end, so
+    # the ends take a few ulps of the range's scale; written so that a NaN q
+    # counts as outside
     slack = 4.0 * np.finfo(float).eps * np.maximum(np.abs(qlo), np.abs(qhi))
     inside = (((qlo - slack <= q) & (q <= qhi + slack))
               | ((qhi - slack <= q) & (q <= qlo + slack)))
@@ -470,12 +353,7 @@ def mayer_slope(family: SolutionFamily, t, q):
 
 
 # ---------------------------------------------------------------------------
-# Legendre transform and Hamiltonian
-
-
-def energy(L: Lagrangian1D, t, q, qdot):
-    """qdot * dL/dqdot - L, elementwise on arrays."""
-    return qdot * L.dL_dqdot(t, q, qdot) - L.l(t, q, qdot)
+# Legendre transform
 
 
 def legendre_inverse(L: Lagrangian1D, t, q, p):
@@ -514,14 +392,6 @@ def legendre_inverse(L: Lagrangian1D, t, q, p):
     return _out(x, *args)
 
 
-def hamiltonian(L: Lagrangian1D, t, q, p):
-    """H(t, q, p) = p qhat - L(t, q, qhat), qhat = legendre_inverse."""
-    args = t, q, p
-    t, q, p = _points(*args)
-    qhat = legendre_inverse(L, t, q, p)
-    return _out(p * qhat - L.l(t, q, qhat), *args)
-
-
 # ---------------------------------------------------------------------------
 # the null Lagrangian of a slope field
 
@@ -530,10 +400,11 @@ def hamiltonian(L: Lagrangian1D, t, q, p):
 class NullLagrangianField:
     """Slope field psi with the derived affine-in-velocity Lagrangian.
 
-    lam(t, q, qdot) = dL_dqdot(t, q, psi) qdot - energy(L, t, q, psi), with
-    psi = mayer_slope(family, t, q); it is dominated by the generating
-    Lagrangian, agrees with it along the field, and its action depends only
-    on path endpoints.
+    lam(t, q, qdot) = p qdot - (psi p - L(t, q, psi)), with psi =
+    mayer_slope(family, t, q) and p = dL_dqdot(t, q, psi): the momentum
+    times the velocity, less the energy of the field's slope.  It is
+    dominated by the generating Lagrangian, agrees with it along the field,
+    and its action depends only on path endpoints.
     """
 
     lagrangian: Lagrangian1D
@@ -545,7 +416,7 @@ class NullLagrangianField:
         t, q, qdot = _points(*args)
         psi = mayer_slope(self.family, t, q)
         p = self.lagrangian.dL_dqdot(t, q, psi)
-        # the energy term is energy(L, t, q, psi), with p taken once
+        # the energy of the slope, psi p - L, with p taken once
         return _out(p * qdot - (psi * p - self.lagrangian.l(t, q, psi)), *args)
 
     @_takes_arrays
@@ -751,51 +622,6 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
     tolerance.
     """
     return _gap_to_leaf(L, family, n)(f)
-
-
-# ---------------------------------------------------------------------------
-# shooting-generated families
-
-
-def family_from_shooting(L: Lagrangian1D, initial, s_interval, t_grid,
-                         s0: float, n_leaves: int = 33) -> SolutionFamily:
-    """Foliate by integrating a line of initial conditions.
-
-    `initial(s)` returns (q0, qdot0) at t_grid[0].  Leaves are solved on the
-    grid in one pass, each with solve_el's bits, and interpolated cubically
-    in both s and t, which takes n_leaves >= 4; monotonicity is verified by
-    SolutionFamily as usual.
-    """
-    _require_count("n_leaves", n_leaves, 4)
-    s_nodes = np.linspace(s_interval[0], s_interval[1], n_leaves)
-    g = np.asarray(t_grid, float)
-    q0, qdot0 = np.array([initial(float(s)) for s in s_nodes], float).T
-    values, slopes = _integrate_el(L, g[0], q0, qdot0, g)
-
-    def blend(basis, s, t):
-        # cubic Lagrange weights over the four leaves around each s, applied
-        # to the Hermite interpolants of those leaves at each t
-        s, t = np.asarray(s, float), np.asarray(t, float)
-        k = np.clip(np.searchsorted(s_nodes, s) - 2, 0, len(s_nodes) - 4)
-        xs = [s_nodes[k + j] for j in range(4)]
-        i, h, x = _grid_cell(g, t)
-        total = 0.0
-        for m in range(4):
-            w = 1.0
-            for j in range(4):
-                if j != m:
-                    w = w * ((s - xs[j]) / (xs[m] - xs[j]))
-            total = total + w * basis(x, h, values[k + m, i], slopes[k + m, i],
-                                      values[k + m, i + 1], slopes[k + m, i + 1])
-        return _out(total, s, t)
-
-    u = _takes_arrays(lambda s, t: blend(_hermite_value, s, t))
-    du_dt = _takes_arrays(lambda s, t: blend(_hermite_slope, s, t))
-
-    return SolutionFamily(
-        u=u, s_interval=(float(s_interval[0]), float(s_interval[1])),
-        t_domain=(float(g[0]), float(g[-1])), s0=float(s0), du_dt=du_dt,
-    )
 
 
 # ---------------------------------------------------------------------------

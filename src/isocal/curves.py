@@ -248,6 +248,19 @@ class ClosedCurve(Polygon):
         return w, edges
 
     @cached_property
+    def _edge_bounds(self) -> tuple[np.ndarray, float]:
+        """(lengths, big) for _off_boundary: upper bounds on the edges'
+        lengths, read-only, their hypot times 1 + 2^-48, and the largest
+        vertex coordinate in magnitude.  A subnormal hypot is rounded by
+        half a unit, which no factor bounds: its bound is inf, which
+        _off_boundary never certifies."""
+        lengths = np.hypot(*self._closed[1])
+        lengths = np.where(lengths >= 2.0 ** -1022,
+                           lengths * (1.0 + 2.0 ** -48), np.inf)
+        lengths.flags.writeable = False
+        return lengths, float(np.abs(self.vertices).max())
+
+    @cached_property
     def orientation(self) -> int:
         """+1 for positive (counterclockwise) orientation, -1 otherwise: the
         sign of _unit_area, so right at any scale."""
@@ -306,48 +319,96 @@ def boundary_node_arrays(curve: ClosedCurve, refinement: int = 1):
 
 
 def distance_to_boundary(curve: ClosedCurve, x) -> float:
-    """Euclidean distance from x to the polygon boundary (_fan)."""
-    _, _, _, e, _, gap = _fan(curve, _vec2(x))
-    return math.ldexp(gap, e)
+    """Euclidean distance from x to the polygon boundary (_projection)."""
+    p = _vec2(x)
+    d, _, _, e = _fan(curve, p)
+    return math.ldexp(_projection(curve, p, d, e)[1], e)
 
 
 def _fan(curve: ClosedCurve, p: np.ndarray):
-    """(d, det, angle, e, edge, gap) of the fan triangles (p, v_i, v_i+1),
-    each term from its edge alone.  d_i = v_i - p in units of 2^e, the
-    power of two of the largest |d_i| component, so nothing overflows and
-    nothing that matters underflows, as rows x and y, d_n = d_0 at the end;
-    angle = arctan2(det, <d_i, d_i+1>), det = det(d_i, d_i+1), the signed
-    angle the edge subtends at p, both negated by reversal bit for bit.
-    gap is p's distance from the polygon in these units, edge the first
-    nearest edge: p projected onto each edge clamped to its ends, (v_i + t
-    e_i) - p, with e_i = v_i+1 - v_i, not d_i+1 - d_i, which loses a tiny
-    curve's edges when p is far; where e_i underflows, p is so far off that
-    gap is min |d_i| to rounding."""
-    w, edges = curve._closed
+    """(d, det, angle, e) of the fan triangles (p, v_i, v_i+1), each term
+    from its edge alone.  d_i = v_i - p in units of 2^e, the power of two
+    of the largest |d_i| component, so nothing overflows and nothing that
+    matters underflows, as rows x and y, d_n = d_0 at the end; angle =
+    arctan2(det, <d_i, d_i+1>), det = det(d_i, d_i+1), the signed angle the
+    edge subtends at p, both negated by reversal bit for bit.  Whether p is
+    off the boundary is _off_boundary's question, and how far _projection's."""
+    w, _ = curve._closed
     d = w - p[:, None]
     e = math.frexp(np.abs(d).max())[1]
     d = np.ldexp(d, -e)
-    (x0, y0), (x1, y1) = d[:, :-1], d[:, 1:]
+    x0, y0, x1, y1 = d[0, :-1], d[1, :-1], d[0, 1:], d[1, 1:]
     det = x0 * y1 - y0 * x1
     dot = x0 * x1 + y0 * y1
+    return d, det, np.arctan2(det, dot), e
+
+
+def _projection(curve: ClosedCurve, p: np.ndarray, d: np.ndarray, e: int):
+    """(edge, gap) for _fan's d and e at p: gap is p's distance from the
+    polygon in units of 2^e, edge the first nearest edge: p projected onto
+    each edge clamped to its ends, (v_i + t e_i) - p, with e_i = v_i+1 -
+    v_i, not d_i+1 - d_i, which loses a tiny curve's edges when p is far;
+    where e_i underflows, p is so far off that gap is min |d_i| to
+    rounding."""
+    w, edges = curve._closed
+    x0, y0 = d[0, :-1], d[1, :-1]
     ev = np.ldexp(edges, -e)
     ee = np.maximum(ev[0] * ev[0] + ev[1] * ev[1], 2.0 ** -1022)
     t = np.minimum(np.maximum((x0 * ev[0] + y0 * ev[1]) / -ee, 0.0), 1.0)
     q = np.ldexp(w[:, :-1], -e) + t * ev - np.ldexp(p, -e)[:, None]
     gap = np.hypot(*q)
     edge = int(gap.argmin())
-    return d, det, np.arctan2(det, dot), e, edge, float(gap[edge])
+    return edge, float(gap[edge])
+
+
+# The rounding bounds of _off_boundary, in _fan's units, where every |d_i|
+# component is below 1, with u = 2^-53.  _FAN_DET_ERR bounds |det_i -
+# det(v_i - p, e_i)|, for the exact v_i - p and _projection's float edge
+# e_i, by 16 u: 4 u each from rounding v_i - p, from the determinant's
+# products and difference, and from e_i against d_i+1 - d_i.  _PROJ_ERR
+# times 4 plus the largest |v_i|, |p| component bounds how far
+# _projection's gap can fall below the exact distance from p to the point
+# v_i + t e_i it rounds: under 1.5 u per unit of that component and 15 u
+# besides.
+_FAN_DET_ERR = 16 * 2.0 ** -53
+_PROJ_ERR = 8 * 2.0 ** -53
+
+
+def _off_boundary(curve: ClosedCurve, p: np.ndarray, det: np.ndarray,
+                  e: int) -> bool:
+    """True only if _projection's gap at p exceeds the boundary tolerance:
+    the float filter of _subtended_angles, which projects where it is
+    False.  Each edge's distance from p is at least that from its line,
+    |det(v_i - p, e_i)| / |e_i|, and so above tol + delta, tol the boundary
+    tolerance and delta the projection's rounding, wherever |det_i| -
+    _FAN_DET_ERR > (tol + delta) |e_i|, every |e_i| bounded by the curve's
+    _edge_bounds.  The right side is formed as k |e_i| with k = (tol +
+    delta) 2^-e, |e_i| in the curve's units, and it is False where k is
+    not a normal float; NaN compares False."""
+    lengths, big = curve._edge_bounds
+    s = math.ldexp(BOUNDARY_TOL_FACTOR * curve.diameter
+                   + _PROJ_ERR * max(big, abs(p[0]), abs(p[1])), -e)
+    s += 4.0 * _PROJ_ERR  # tol + delta in _fan's units
+    if not -1021 <= math.frexp(s)[1] - e <= 1024:
+        return False
+    k = math.ldexp(s, -e)
+    return bool((np.abs(det) - k * lengths).min() > _FAN_DET_ERR)
 
 
 def _subtended_angles(curve: ClosedCurve, x) -> np.ndarray:
     """The signed angle each edge subtends at x (_fan); PointOnBoundaryError
-    within BOUNDARY_TOL_FACTOR diameters of the boundary.  Farther off, near
-    +-pi, |det| = L h (L the edge's length, h the distance of x from it) is
-    far above its rounding, so the angle keeps its sign."""
+    within BOUNDARY_TOL_FACTOR diameters of the boundary.  _off_boundary
+    certifies most points from the fan's determinants alone; the others
+    are projected (_projection), so the error is raised where the
+    projection puts x within the tolerance, and only there.  Farther off,
+    near +-pi, |det| = L h (L the edge's length, h the distance of x from
+    it) is far above its rounding, so the angle keeps its sign."""
     p = _vec2(x)
-    _, _, angle, e, _, gap = _fan(curve, p)
-    if gap <= math.ldexp(BOUNDARY_TOL_FACTOR * curve.diameter, -e):
-        raise PointOnBoundaryError(f"point {p.tolist()} lies on the curve")
+    d, det, angle, e = _fan(curve, p)
+    if not _off_boundary(curve, p, det, e):
+        gap = _projection(curve, p, d, e)[1]
+        if gap <= math.ldexp(BOUNDARY_TOL_FACTOR * curve.diameter, -e):
+            raise PointOnBoundaryError(f"point {p.tolist()} lies on the curve")
     return angle
 
 

@@ -411,13 +411,13 @@ def interior_curl_integral(curve: ClosedCurve, y, t_y) -> float:
     triangle k adds J_k = -2 (D_k / |e_k|) (<t_y, u_k> theta_k + det(u_k,
     t_y) log(|d_k+1| / |d_k|)), d_k = v_k - y, D_k = det(d_k, d_k+1), e_k =
     d_k+1 - d_k = |e_k| u_k and theta_k the angle edge k subtends at y
-    (curves._fan; README, Numerical conventions).  A degenerate triangle,
-    D_k = 0, adds 0.  One fsum in units of a power of two: the same bits
-    from any starting vertex and at any power-of-two scale, negated under
-    reversal.
+    (curves._fan alone: y may lie anywhere, so nothing is projected;
+    README, Numerical conventions).  A degenerate triangle, D_k = 0, adds
+    0.  One fsum in units of a power of two: the same bits from any
+    starting vertex and at any power-of-two scale, negated under reversal.
     """
     t = _vec2(t_y)
-    d, D, theta, scale, _, _ = curves._fan(curve, _vec2(y))
+    d, D, theta, scale = curves._fan(curve, _vec2(y))
     edge = np.diff(d)
     L = np.hypot(*edge)
     u0, u1 = edge / L
@@ -435,11 +435,15 @@ def stokes_check(curve: ClosedCurve, y, t_y=None,
 
     Returns (lhs, rhs): the midpoint rule with `refinement` pieces per edge
     and the exact interior integral, which agree up to the midpoint rule's
-    error.  Along y's own edge, the first nearest one (curves._fan), the
-    kernel takes its exact value; elsewhere it is _pair_kernel's.
+    error.  The on-curve test and y's own edge, the first nearest one, come
+    from the fan and projection of y (curves._fan, curves._projection);
+    interior_curl_integral then makes its own fan pass, without a
+    projection.  Along y's own edge the kernel takes its exact value;
+    elsewhere it is _pair_kernel's.
     """
     p = _vec2(y)
-    _, _, _, scale, edge, gap = curves._fan(curve, p)
+    d, _, _, scale = curves._fan(curve, p)
+    edge, gap = curves._projection(curve, p, d, scale)
     if gap > math.ldexp(curves.BOUNDARY_TOL_FACTOR * curve.diameter, -scale):
         raise curves.CurveError(f"point {p.tolist()} does not lie on the curve")
     e = curve._closed[1][:, edge]

@@ -1272,8 +1272,9 @@ def test_stokes_own_edge_rule_keeps_its_bits(name):
         tie = (v[i - 1] + (v[i] - v[i - 1]) == v[i]).all()
         ties += bool(tie)
         want = min(i, (i - 1) % n) if tie else i
-        assert curves._fan(c, v[i])[4] == want
-        assert curves._fan(c, 0.5 * (v[i] + v[(i + 1) % n]))[4] == i
+        for y, edge in ((v[i], want), (0.5 * (v[i] + v[(i + 1) % n]), i)):
+            d, _, _, e = curves._fan(c, y)
+            assert curves._projection(c, y, d, e)[0] == edge
     assert ties == (11 if name == "12-gon" else 36)
 
 
@@ -1288,6 +1289,47 @@ def test_stokes_lhs_bounded_by_perimeter():
 def test_stokes_requires_point_on_curve():
     with pytest.raises(CurveError):
         stokes_check(SQUARE, (0.5, 0.5))
+
+
+def test_pointwise_queries_project_only_where_they_need_to(monkeypatch):
+    # points like the benchmark's field_checks ones, on stars of 24 to 48
+    # vertices at radii 0.7 to 1.3 and on a 48-vertex gear: inside at 0.1
+    # to 0.5 of the inradius bound r_min cos(pi / n) from the centre,
+    # outside beyond 1.3 times the largest radius, and on the curve.  The
+    # fan's determinants certify the points off the boundary, so
+    # winding_integral projects nothing; interior_curl_integral never
+    # projects; and stokes_check projects once, for y's own edge
+    calls = []
+    projection = curves._projection
+    monkeypatch.setattr(curves, "_projection",
+                        lambda *args: calls.append(1) or projection(*args))
+
+    def projections(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    rng = np.random.default_rng(7)
+    radii = [rng.uniform(0.7, 1.3, n) for n in (24, 32, 48)]
+    radii.append(np.where(np.arange(48) % 2 == 0, 0.6, 1.4))
+    for r in radii:
+        n = len(r)
+        th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        center = rng.uniform(-1.0, 1.0, 2)
+        c = ClosedCurve(center + np.c_[r * np.cos(th), r * np.sin(th)])
+        inradius = r.min() * math.cos(math.pi / n)
+        for f in (0.1, 0.2, 0.35, 0.5):
+            for rad in (f * inradius, (1.3 + 1.4 * f) * r.max()):
+                a = rng.uniform(0.0, 2.0 * math.pi)
+                x = center + rad * np.array([math.cos(a), math.sin(a)])
+                assert projections(winding_integral, c, x) == 0
+                assert projections(interior_curl_integral, c, x,
+                                   (1.0, 0.0)) == 0
+        v = c.vertices
+        i = int(rng.integers(n))
+        y = v[i] + rng.uniform(0.2, 0.8) * (v[(i + 1) % n] - v[i])
+        assert projections(interior_curl_integral, c, y, (1.0, 0.0)) == 0
+        assert projections(stokes_check, c, y, None, 4) == 1
 
 
 @pytest.mark.parametrize("k", [520, -540])
@@ -1382,6 +1424,68 @@ def test_interior_curl_integral_matches_dblquad(curve, where, tangent):
             fan = ClosedCurve([y, a, b])
             assert abs(interior_curl_integral(fan, y, t) - want[-1]) <= tol
     assert abs(interior_curl_integral(curve, y, t) - math.fsum(want)) <= tol
+
+
+# a hexagon with a reflex vertex and dyadic rational vertices, each a float
+# exactly, and dyadic points: inside, outside, on edge 2 and at vertex 4
+CURL_CERTIFICATE_HEXAGON = ((0, 0), (3, -1 / 2), (19 / 4, 5 / 4), (2, 1),
+                            (7 / 8, 23 / 8), (-5 / 4, 3 / 2))
+CURL_CERTIFICATE_POINTS = ((3 / 4, 1 / 2), (-3 / 2, -7 / 4),
+                           (27 / 8, 9 / 8), (7 / 8, 23 / 8))
+
+
+def test_fan_term_is_the_triangle_curl_integral():
+    # Certificate, by evaluation in 50-digit arithmetic at rational points,
+    # of the fan term of quadrature.interior_curl_integral, J_k = -2 (D_k /
+    # |e_k|) (<t, u_k> theta_k + det(u_k, t) log(|d_k+1| / |d_k|)).  The
+    # triangle's curl integral, the integral of 2 det(y - x, t) / |x - y|^2
+    # over (y, v_k, v_k+1) negated if it is negatively oriented, maps by x
+    # = y + s (d_k + r e_k), of Jacobian s D_k, to the integral over r in
+    # [0, 1] of -2 D_k det(q, t) / |q|^2, q = d_k + r e_k, a rational
+    # function, which mpmath.quad evaluates; J_k must match it to 40
+    # digits, and the float function the sums of the triangles
+    mpmath = pytest.importorskip("mpmath")
+    v = [tuple(map(Fraction, p)) for p in CURL_CERTIFICATE_HEXAGON]
+    curve = ClosedCurve(np.array(CURL_CERTIFICATE_HEXAGON))
+    n = len(v)
+    with mpmath.workdps(50):
+        for y in CURL_CERTIFICATE_POINTS:
+            for t in ((1, 0), (Fraction(3, 5), Fraction(-4, 5))):
+                total = []
+                for k in range(n):
+                    (ax, ay), (bx, by) = v[k], v[(k + 1) % n]
+                    if (ax - y[0]) * (by - y[1]) == (ay - y[1]) * (bx - y[0]):
+                        # D_k = 0: y on the edge's line, or at its ends
+                        total.append(mpmath.mpf(0))
+                        continue
+                    dax, day, dbx, dby, tx, ty = (
+                        mpmath.mpf(q.numerator) / q.denominator
+                        for q in map(Fraction, (ax - y[0], ay - y[1],
+                                                bx - y[0], by - y[1], *t)))
+                    ex, ey = dbx - dax, dby - day
+                    D = dax * dby - day * dbx
+                    want = mpmath.quad(
+                        lambda r: -2 * D * ((dax + r * ex) * ty
+                                            - (day + r * ey) * tx)
+                        / ((dax + r * ex) ** 2 + (day + r * ey) ** 2),
+                        [0, 1])
+                    L = mpmath.sqrt(ex * ex + ey * ey)
+                    ux, uy = ex / L, ey / L
+                    theta = mpmath.atan2(D, dax * dbx + day * dby)
+                    log_ratio = mpmath.log(mpmath.sqrt(
+                        (dbx * dbx + dby * dby) / (dax * dax + day * day)))
+                    J = -2 * (D / L) * ((ux * tx + uy * ty) * theta
+                                        + (ux * ty - uy * tx) * log_ratio)
+                    assert abs(J - want) <= mpmath.mpf(10) ** -40
+                    total.append(want)
+                    # the float function on the triangle alone, whose two
+                    # edges at y add 0
+                    tri = ClosedCurve(np.array([y, v[k], v[(k + 1) % n]],
+                                               dtype=float))
+                    got = interior_curl_integral(tri, y, np.array(t, float))
+                    assert abs(got - want) <= 32 * EPS * max(1, abs(want))
+                got = interior_curl_integral(curve, y, np.array(t, float))
+                assert abs(got - mpmath.fsum(total)) <= 64 * EPS * n
 
 
 def test_curl_integrals_over_boundary_nodes_converge_to_double_integral():

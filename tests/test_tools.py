@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import spy_sweeps
@@ -123,8 +124,10 @@ def test_writer_runs_r3_calibration_at_the_block_edge(tmp_path,
 def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
     # the library results at one seed, one file each, every value the
     # float.hex of the library call: winding and Stokes of the field_checks
-    # inputs as the benchmark makes them, averaged_field at the inside
-    # winding points, and d1d2_fd on the seeded pairs of each space
+    # inputs as the benchmark makes them, the distance to the boundary and
+    # the interior curl integral at their points, averaged_field at the
+    # inside winding points, winding_integral (or the error's name) off
+    # edge 0 of each polygon, and d1d2_fd on the seeded pairs of each space
     monkeypatch.setattr(report_bits, "SEEDS", (7,))
     monkeypatch.setattr(report_bits, "VERIFY_WORKLOADS", ())
     monkeypatch.setattr(report_bits, "CALIBRATION_SPACES", ())
@@ -136,12 +139,23 @@ def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import harness
     import inputs
-    from isocal import (ClosedCurve, averaged_field, d1d2_fd, stokes_check,
-                        winding_integral)
+    from isocal import (ClosedCurve, PointOnBoundaryError, averaged_field,
+                        d1d2_fd, stokes_check, winding_integral)
+    from isocal.curves import BOUNDARY_TOL_FACTOR, distance_to_boundary
+    from isocal.quadrature import interior_curl_integral
 
-    want = {}
+    want, polygons = {}, []
     for op in inputs.generate("field_checks", 7).round:
         name = f"seed7-field_checks-{op.name}"
+        if op.kind in ("winding", "stokes"):
+            curve = ClosedCurve(op.vertices)
+            want[f"{name}-distance_curl"] = {
+                "distance_to_boundary":
+                    distance_to_boundary(curve, op.point).hex(),
+                "interior_curl_integral": interior_curl_integral(
+                    curve, op.point, (1.0, 0.0)).hex()}
+            if not any(np.array_equal(op.vertices, v) for v in polygons):
+                polygons.append(op.vertices)
         if op.kind == "winding":
             value = winding_integral(ClosedCurve(op.vertices), op.point)
             assert abs(value - 4.0 * math.pi * op.expect["winding"]) < 1e-12
@@ -154,7 +168,23 @@ def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
             lhs_rhs = stokes_check(ClosedCurve(op.vertices), op.point,
                                    refinement=harness.STOKES_REFINEMENT)
             want[name] = {"stokes_check": [v.hex() for v in lhs_rhs]}
-    assert len(want) == 31 + 12
+    assert len(want) == 31 + 31 + 12 and len(polygons) == 4
+    raised = 0
+    for i, vertices in enumerate(polygons):
+        # 0.5 and 2 tolerances left of edge 0's midpoint and of its line
+        # half an edge beyond its end: only the first is on the boundary
+        curve = ClosedCurve(vertices)
+        tol = BOUNDARY_TOL_FACTOR * curve.diameter
+        for name, x in report_bits._offset_points(curve, tol):
+            try:
+                value = winding_integral(curve, x).hex()
+            except PointOnBoundaryError:
+                value = "PointOnBoundaryError"
+                raised += 1
+                assert name == "edge-0.5"
+            want[f"seed7-field_checks-polygon{i}-{name}"] = {
+                "winding_integral": value}
+    assert raised == 4
     for space in ("r2", "r3"):
         # the batched call keeps each pair's bits alone
         pairs = zip(*report_bits.d1d2_pairs(space, 7))

@@ -21,9 +21,10 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import near_point, vertex_angle_winding_number
 from isocal import (ClosedCurve, contains, save_curve,
                     winding_integral, winding_number)
+from isocal import curves
 from isocal.cli import main
-from isocal.curves import (BOUNDARY_TOL_FACTOR, PointOnBoundaryError,
-                           distance_to_boundary)
+from isocal.curves import (BOUNDARY_TOL_FACTOR, CurveError,
+                           PointOnBoundaryError, distance_to_boundary)
 from isocal.quadrature import interior_curl_integral
 
 EPS = sys.float_info.epsilon
@@ -190,44 +191,121 @@ def exact_distance2(v, p) -> Fraction:
     return best
 
 
-@settings(max_examples=40, deadline=None)
+def projected_angles(curve, x):
+    """The reference of curves._subtended_angles without its certificate:
+    the fan's angles at x, or PointOnBoundaryError where the projection
+    puts x within the boundary tolerance."""
+    p = np.asarray(x, float)
+    d, _, angle, e = curves._fan(curve, p)
+    gap = curves._projection(curve, p, d, e)[1]
+    if gap <= math.ldexp(BOUNDARY_TOL_FACTOR * curve.diameter, -e):
+        raise PointOnBoundaryError(f"point {p.tolist()} lies on the curve")
+    return angle
+
+
+def raises_like_projection(curve, x) -> bool:
+    """Whether the boundary test raises at x, once checked to raise exactly
+    where projected_angles does and to give its angles' bits elsewhere."""
+    try:
+        want = projected_angles(curve, x)
+    except PointOnBoundaryError:
+        with pytest.raises(PointOnBoundaryError):
+            curves._subtended_angles(curve, x)
+        return True
+    assert curves._subtended_angles(curve, x).tobytes() == want.tobytes()
+    return False
+
+
+@settings(max_examples=60, deadline=None)
 @given(v=st.one_of(st.builds(star, seeds, st.integers(3, 128)),
                    st.builds(comb, st.integers(2, 12),
                              st.floats(1e-6, 1e-1))),
-       k=st.sampled_from([-540, 0, 520]), i=st.integers(0, 2**16),
-       kind=st.sampled_from(["left", "right", "vertex"]),
+       k=st.sampled_from([-540, 0, 520]),
+       shift=st.one_of(st.none(), st.floats(20.0, 40.0)),
+       heading=st.floats(0.0, 2.0 * math.pi), i=st.integers(0, 2**16),
+       kind=st.sampled_from(["left", "right", "vertex", "past", "before"]),
        s=st.floats(0.1, 0.9))
-def test_boundary_test_and_distance_match_an_exact_oracle(v, k, i, kind, s):
-    # points 0.5 and 2 times the boundary tolerance off an edge's interior
-    # (at s along it) or off a vertex along its outer bisector, where the
-    # vertex is the nearest point of both its edges
-    curve = ClosedCurve(np.ldexp(v, k))
+def test_boundary_test_and_distance_match_an_exact_oracle(v, k, shift,
+                                                          heading, i, kind,
+                                                          s):
+    # points 0.5, 0.9, 2 and 10 times the boundary tolerance off an edge's
+    # interior (at s along it), off a vertex along its outer bisector,
+    # where the vertex is the nearest point of both its edges, or off the
+    # edge's line beyond its end ("past") or its start ("before"), s edge
+    # lengths away, on curves at scales 2^-540 to 2^520, some translated
+    # by 2^20 to 2^40 diameters, where the projection's rounding exceeds
+    # the tolerance.  The boundary test raises exactly where the projection
+    # puts the point within the tolerance, with the same angles elsewhere:
+    # the determinants' certificate clears no point the projection flags
+    w = np.ldexp(v, k)
+    if shift is not None:
+        diameter = math.hypot(*(w.max(axis=0) - w.min(axis=0)))
+        w = w + math.ldexp(diameter, round(shift)) * np.array(
+            [math.cos(heading), math.sin(heading)])
+    try:
+        curve = ClosedCurve(w)
+    except CurveError:  # a comb's gap below the translation's rounding
+        assume(False)
     w = curve.vertices
     n = curve.n_vertices
     a, b = w[i % n], w[(i + 1) % n]
+    t = (b - a) / math.hypot(*(b - a))
+    normal = np.array([-t[1], t[0]])
     tol = BOUNDARY_TOL_FACTOR * curve.diameter
-    for f in (0.5, 2.0):
+    for f in (0.5, 0.9, 2.0, 10.0):
         if kind == "vertex":
             x = near_point(w, i, kind, f * tol)
-        else:
-            t = (b - a) / math.hypot(*(b - a))
+        elif kind in ("left", "right"):
             side = 1.0 if kind == "left" else -1.0
-            x = a + s * (b - a) + side * f * tol * np.array([-t[1], t[0]])
+            x = a + s * (b - a) + side * f * tol * normal
+        else:
+            end = b + s * (b - a) if kind == "past" else a - s * (b - a)
+            x = end + f * tol * normal
+        raised = raises_like_projection(curve, x)
         d2 = exact_distance2(w, x)
-        # the point is where it was placed, to its own rounding
-        assert abs(d2 / Fraction(f * tol) ** 2 - 1) < 1e-5
-        # the distance is exact to a few eps times the largest coordinate:
-        # v_i - x alone rounds by eps |v_i|, which 1e-9 diameters off the
-        # boundary is some 1e-7 of the distance, so that no float formula
-        # is within 1e-14 of it there; |got^2 - d^2| = |got - d| (got + d),
-        # with got + d < 3 f tol
         got = distance_to_boundary(curve, x)
         scale = max(np.abs(w).max(), np.abs(x).max())
-        assert (abs(Fraction(got) ** 2 - d2)
-                <= Fraction(8 * EPS * scale) * Fraction(3 * f * tol))
-        if f < 1:
+        if shift is None and kind in ("left", "right", "vertex"):
+            # the point is where it was placed, to its own rounding
+            assert abs(d2 / Fraction(f * tol) ** 2 - 1) < 1e-5
+            # the distance is exact to a few eps times the largest
+            # coordinate: v_i - x alone rounds by eps |v_i|, which 1e-9
+            # diameters off the boundary is some 1e-7 of the distance, so
+            # that no float formula is within 1e-14 of it there; |got^2 -
+            # d^2| = |got - d| (got + d), with got + d < 3 f tol
+            assert (abs(Fraction(got) ** 2 - d2)
+                    <= Fraction(8 * EPS * scale) * Fraction(3 * f * tol))
+            assert raised == (f < 1)
+        # everywhere: |got - d| <= 12 eps times the largest coordinate, and
+        # the test raises within the tolerance and not beyond it, where
+        # that error bound decides
+        err = Fraction(12 * EPS * scale)
+        d = Fraction(math.sqrt(d2 / Fraction(scale) ** 2)) * Fraction(scale)
+        assert abs(Fraction(got) - d) <= err + d * Fraction(2.0 ** -50)
+        if d + 2 * err < Fraction(tol):
+            assert raised
+        elif d - 2 * err > Fraction(tol):
+            assert not raised
+        if raised:
             with pytest.raises(PointOnBoundaryError):
                 winding_number(curve, x)
         else:
             assert winding_number(curve, x) == vertex_angle_winding_number(
                 curve, x)
+
+
+def test_boundary_certificate_defers_on_subnormal_edges():
+    # edges whose lengths are subnormal floats: hypot rounds them by half a
+    # unit, which no factor bounds, so the determinants certify no point
+    # and each is projected, the test raising where the projection does
+    curve = ClosedCurve(np.ldexp(regular(12), -1062))
+    w = curve.vertices
+    mid = 0.5 * (w[0] + w[1])
+    raised = []
+    for x in (w[0], mid, 1.5 * mid, 0.5 * mid, np.zeros(2),
+              mid + np.ldexp([1.0, 1.0], -1074)):
+        p = np.asarray(x, float)
+        _, det, _, e = curves._fan(curve, p)
+        assert not curves._off_boundary(curve, p, det, e)
+        raised.append(raises_like_projection(curve, x))
+    assert raised == [True, True, False, False, False, False]

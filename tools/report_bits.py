@@ -20,15 +20,23 @@ At each of the seeds 1 and 7 the reports are
   budget of 1 MiB;
 - ``mayer`` of the ``free``, ``oscillator`` and ``cosh`` problems, likewise.
 
-Beside them it writes 90 library results at those seeds, one file each,
+Beside them it writes 184 library results at those seeds, one file each,
 every value as ``float.hex``:
 
 - of every operation of the ``field_checks`` workload (62 files),
   ``{"winding_integral": x}`` of a winding operation and
   ``{"stokes_check": [lhs, rhs]}`` at ``perfbench/harness.py``'s
   ``STOKES_REFINEMENT`` of a Stokes operation;
+- ``{"distance_to_boundary": x, "interior_curl_integral": x}``, the
+  latter of tangent (1, 0), at the point of every winding and Stokes
+  operation of that workload (62 files);
 - ``{"averaged_field": [v1, v2]}`` at each inside winding point of that
   workload (24 files);
+- ``{"winding_integral": x}`` at points ``BOUNDARY_OFFSETS`` boundary
+  tolerances left of edge 0 of each polygon of that workload, off its
+  midpoint and off its line half an edge beyond its end (32 files), or
+  the class name of the error raised in place of x, as a point within the
+  tolerance raises ``PointOnBoundaryError``;
 - ``{"d1d2_fd": [...]}`` of ``r2`` and ``r3``, one batched call of step
   1e-3 on the 20 pairs of ``d1d2_pairs`` (4 files).
 
@@ -56,6 +64,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -71,6 +80,7 @@ FIELD_WORKLOADS = ("field_checks",)
 D1D2_SPACES = ("r2", "r3")
 PLOTDATA_KINDS = ("vfield",)
 D1D2_PAIRS = 20
+BOUNDARY_OFFSETS = (0.5, 2.0)
 
 
 def _reports(inputs, seed: int, scratch: Path):
@@ -101,26 +111,59 @@ def _hex(values) -> str | list:
     return [_hex(v) for v in values]
 
 
+def _offset_points(curve, tol: float):
+    """(name, point) BOUNDARY_OFFSETS times tol left of edge 0 of the
+    curve, off its midpoint ("edge") and off its line half an edge beyond
+    its end ("extension")."""
+    a, b = curve.vertices[:2]
+    t = (b - a) / math.hypot(*(b - a))
+    normal = np.array([-t[1], t[0]])
+    for f in BOUNDARY_OFFSETS:
+        yield f"edge-{f}", 0.5 * (a + b) + f * tol * normal
+        yield f"extension-{f}", b + 0.5 * (b - a) + f * tol * normal
+
+
 def _field_results(inputs, harness, isocal, seed: int):
     """(name, result) of the winding and Stokes operations at one seed, of
-    averaged_field at the inside winding points and of d1d2_fd on seeded
-    pairs, each value as float.hex."""
+    distance_to_boundary and interior_curl_integral at their points, of
+    averaged_field at the inside winding points, of winding_integral at
+    points off edge 0 of each polygon and of d1d2_fd on seeded pairs, each
+    value as float.hex."""
     for workload in FIELD_WORKLOADS:
+        polygons = []
         for op in inputs.generate(workload, seed).round:
+            if op.kind not in ("winding", "stokes"):
+                continue
+            curve = isocal.ClosedCurve(op.vertices)
+            if not any(np.array_equal(op.vertices, v) for v in polygons):
+                polygons.append(op.vertices)
+            yield f"{workload}-{op.name}-distance_curl", {
+                "distance_to_boundary": isocal.curves.distance_to_boundary(
+                    curve, op.point).hex(),
+                "interior_curl_integral": isocal.quadrature.
+                interior_curl_integral(curve, op.point, (1.0, 0.0)).hex()}
             if op.kind == "winding":
-                curve = isocal.ClosedCurve(op.vertices)
                 value = isocal.winding_integral(curve, op.point)
                 yield f"{workload}-{op.name}", {"winding_integral": value.hex()}
                 if op.expect["winding"]:
                     yield f"{workload}-{op.name}-averaged_field", {
                         "averaged_field": _hex(
                             isocal.averaged_field(curve, op.point))}
-            elif op.kind == "stokes":
+            else:
                 values = isocal.stokes_check(
-                    isocal.ClosedCurve(op.vertices), op.point,
-                    refinement=harness.STOKES_REFINEMENT)
+                    curve, op.point, refinement=harness.STOKES_REFINEMENT)
                 yield f"{workload}-{op.name}", {
                     "stokes_check": [v.hex() for v in values]}
+        for i, vertices in enumerate(polygons):
+            curve = isocal.ClosedCurve(vertices)
+            tol = isocal.curves.BOUNDARY_TOL_FACTOR * curve.diameter
+            for name, x in _offset_points(curve, tol):
+                try:
+                    value = isocal.winding_integral(curve, x).hex()
+                except isocal.CurveError as exc:
+                    value = type(exc).__name__
+                yield f"{workload}-polygon{i}-{name}", {
+                    "winding_integral": value}
     for space in D1D2_SPACES:
         yield f"d1d2_fd-{space}", {"d1d2_fd": _hex(
             isocal.d1d2_fd(space, *d1d2_pairs(space, seed), 1e-3))}

@@ -42,9 +42,11 @@ def _check_distinct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = x - y
     # relative to each pair's own scale, so distinct points at any scale
     # pass; identical points (the origin included) never do.  |z| by nested
-    # hypot, which neither over- nor underflows where |z| is a float.
+    # hypot, which neither over- nor underflows where |z| is a float, over
+    # z's components read in place: np.moveaxis would leave two 1-tuples a
+    # call in CPython's tuple free list, 96 kB that tracemalloc counts.
     scale = np.maximum(np.abs(x).max(axis=-1), np.abs(y).max(axis=-1))
-    norm = functools.reduce(np.hypot, np.moveaxis(z, -1, 0))
+    norm = functools.reduce(np.hypot, (z[..., k] for k in range(z.shape[-1])))
     bad = np.flatnonzero(norm <= 1e-12 * scale)
     if bad.size:
         at = np.unravel_index(bad[0], z.shape[:-1])

@@ -15,9 +15,10 @@ of its sample: draw index rows, then one, and that sample replays.  The
 point-pair sweeps read one stream of standard normal draws through
 _pair_sweep, in one or more passes: a calibration report's planar samples
 are rows of 8 of its draws, and in r3 its three-space samples rows of 6 of
-the same draws, read in lockstep, so the report draws each normal once.  A
-block of the Mayer sweeps' bump paths is one path_independence_check, or
-one evaluation of L against the central leaf's action and region bounds."""
+the same draws, read in lockstep, so the report draws each normal once.  The
+Mayer sweeps' bump paths are arrays on one Simpson grid (_bump_grid): a
+block of path pairs is one evaluation of the null Lagrangian, a block of
+competitors one of L against the central leaf's action and region bounds."""
 
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ import numpy as np
 
 from .biform import _field, _matrix, _space_dim, d1d2_fd
 from .biform import mixed_derivative_closed_form
-from .mayer import (CallablePath, MayerProblem, _PULLBACK_STEP, _gap_to_leaf,
-                    _simpson_grid, _takes_arrays, lagrangian_submanifold_check,
-                    null_lagrangian, path_independence_check, weierstrass_gap)
+from .mayer import (MayerProblem, _PULLBACK_STEP, _gap_to_leaf, _null_actions,
+                    _sample, _simpson_grid, lagrangian_submanifold_check,
+                    null_lagrangian, weierstrass_gap)
 from .quadrature import _pair_kernel
 
 # Bytes of one block of a sweep.  At curves._BLOCK_BYTES (128 KiB) numpy's
@@ -294,51 +295,29 @@ def run_calibration_checks(space: str, samples: int,
 # ---------------------------------------------------------------------------
 # Mayer-side sweeps
 
-def _sine_modes(a: float, b: float, t):
-    """The wavenumbers k of the bump paths' three sine modes on [a, b], and
-    sin(k (t - a)) and cos(k (t - a)) for each."""
-    ks = np.arange(1, 4) * math.pi / (b - a)
-    x = t - a
-    return ks, [np.sin(k * x) for k in ks], [np.cos(k * x) for k in ks]
-
-
-def _mode_table(problem: MayerProblem, n_quad: int):
-    """The n_quad-interval Simpson grid of the problem's domain and the bump
-    modes on it (_sine_modes): computed once for all the blocks of a
-    sweep."""
+def _bump_grid(problem: MayerProblem, n_quad: int):
+    """A Mayer sweep's grid record, computed once for all its blocks: the
+    n_quad-interval Simpson grid ts of the problem's domain, the central
+    leaf's values and slopes on it (_sample), and the bump paths' three
+    sine modes there, their wavenumbers k with sin(k (t - a)) and
+    cos(k (t - a)) of each."""
     a, b = problem.lagrangian.domain
     ts = _simpson_grid(a, b, n_quad)
-    return ts, _sine_modes(a, b, ts)
+    ks = np.arange(1, 4) * math.pi / (b - a)
+    x = ts - a
+    return (ts, _sample(problem.family.central_leaf, ts),
+            (ks, [np.sin(k * x) for k in ks], [np.cos(k * x) for k in ks]))
 
 
-def _bump_paths(problem: MayerProblem, coeffs, table) -> CallablePath:
-    """The central leaf plus three sine modes vanishing at both endpoints,
-    one path per row of coeffs (..., 3); the paths' values at times t have
-    the shape coeffs.shape[:-1] + t.shape.  On the grid of the sweep's
-    _mode_table the modes are read from the table, with the same bits;
-    elsewhere (the endpoint checks) they are evaluated."""
-    a, b = problem.lagrangian.domain
-    base = problem.family.central_leaf
-    coeffs = np.asarray(coeffs, float)
-    grid, tabled = table
-
-    def modes(t):
-        return tabled if np.array_equal(t, grid) else _sine_modes(a, b, t)
-
-    @_takes_arrays
-    def f(t):
-        _, sines, _ = modes(t)
-        return base.value(t) + sum(np.multiply.outer(coeffs[..., j], m)
-                                   for j, m in enumerate(sines))
-
-    @_takes_arrays
-    def fdot(t):
-        ks, _, cosines = modes(t)
-        return base.derivative(t) + sum(
-            np.multiply.outer(coeffs[..., j] * ks[j], m)
-            for j, m in enumerate(cosines))
-
-    return CallablePath(f=f, fdot=fdot)
+def _bump_block(grid, coeffs):
+    """The values and slopes on the grid's ts of the bump paths of coeffs
+    (..., 3), each of shape coeffs.shape[:-1] + ts.shape: the central leaf
+    plus three sine modes vanishing at both ends (_bump_grid)."""
+    _, (q, qd), (ks, sines, cosines) = grid
+    return (q + sum(np.multiply.outer(coeffs[..., j], m)
+                    for j, m in enumerate(sines)),
+            qd + sum(np.multiply.outer(coeffs[..., j] * ks[j], m)
+                     for j, m in enumerate(cosines)))
 
 
 def dominance_minimum(problem: MayerProblem, n: int = 10000,
@@ -378,21 +357,20 @@ def path_independence_residual(problem: MayerProblem, n_pairs: int = 20,
 
     A pair's two paths are one row of six uniform draws, the rows 2i and
     2i + 1 of three that a path at a time would draw; a block of pairs is
-    one path_independence_check."""
+    one stacked pair of sampled paths (mayer._null_actions)."""
     nl = null_lagrangian(problem.lagrangian, problem.family)
     amp = problem.amplitude
-    table = _mode_table(problem, 2000)
+    grid = _bump_grid(problem, 2000)
 
-    def score(c):
-        i1, i2 = path_independence_check(
-            nl, _bump_paths(problem, c[:, :3], table),
-            _bump_paths(problem, c[:, 3:], table))
+    def score(c):  # the pairs' two sides stacked: coefficients (2, m, 3)
+        i1, i2 = _null_actions(nl, grid[0], *_bump_block(
+            grid, c.reshape(-1, 2, 3).swapaxes(0, 1)))
         return np.abs(i1 - i2)
 
     # leaf location holds most of a pair's working set, measured (by
     # tracemalloc) 31-33 floats a node a pair on the built-ins
     return _maxima(_sweep([np.random.default_rng(seed)], n_pairs,
-                          8 * 32 * table[0].size,
+                          8 * 32 * grid[0].size,
                           lambda rng, m: rng.uniform(-amp, amp, (m, 6)),
                           [score]))[0]
 
@@ -421,15 +399,15 @@ def minimality_minimum(problem: MayerProblem, n: int = 100,
                        seed: int = 0, n_quad: int = 2000) -> float:
     """min minimality_gap of random endpoint-matched perturbations of the
     central leaf, each one row of three uniform draws."""
-    gap = _gap_to_leaf(problem.lagrangian, problem.family, n_quad)
+    grid = _bump_grid(problem, n_quad)
+    gap = _gap_to_leaf(problem.lagrangian, problem.family, *grid[:2])
     amp = problem.amplitude
-    table = _mode_table(problem, n_quad)
     # a competitor's values and slopes, L's temporaries, then its odd and
-    # even terms and their level buffer: measured 4.3-5.4 floats a node on
+    # even terms and their level buffer: measured 5.2-5.9 floats a node on
     # the built-ins; -gap: the least gap is the worst
-    return -_sweep([np.random.default_rng(seed)], n, 8 * 6 * table[0].size,
+    return -_sweep([np.random.default_rng(seed)], n, 8 * 6 * grid[0].size,
                    lambda rng, m: rng.uniform(-amp, amp, (m, 3)),
-                   [lambda c: -gap(_bump_paths(problem, c, table))])[0][0]
+                   [lambda c: -gap(*_bump_block(grid, c))])[0][0]
 
 
 def run_mayer_checks(problem: MayerProblem, samples: int,

@@ -516,11 +516,30 @@ def action(L: Lagrangian1D, path, a: float | None = None,
     return _simpson(L.l(ts, path.value(ts), path.derivative(ts)), ts)
 
 
-def _require_shared_endpoints(domain, f, g) -> None:
-    """Raise EndpointError unless f and g agree at both ends of domain."""
-    ends = np.array(domain)
-    if np.max(np.abs(f.value(ends) - g.value(ends))) > _ENDPOINT_TOL:
+def _sample(path, ts):
+    """A path's values and slopes on the Simpson grid ts; the values as an
+    array whose last axis is the grid, rows a block's paths."""
+    q = path.value(ts)
+    return (np.broadcast_to(q, np.broadcast_shapes(np.shape(q), ts.shape)),
+            path.derivative(ts))
+
+
+def _require_shared_endpoints(q1, q2) -> None:
+    """Raise EndpointError unless the values q1 and q2 of paths sampled on a
+    Simpson grid agree at its first and last nodes, which np.linspace puts
+    at the domain's ends exactly."""
+    ends = [0, -1]
+    if np.max(np.abs(q1[..., ends] - q2[..., ends])) > _ENDPOINT_TOL:
         raise EndpointError("paths do not share endpoints")
+
+
+def _null_actions(nl: NullLagrangianField, ts, q, qd):
+    """The null Lagrangian's actions along a stacked pair of paths sampled
+    on the Simpson grid ts, values q and slopes qd of shape (2, ...,
+    len(ts)): one lam evaluation, and one action per path, side 0's rows
+    paired with side 1's.  Every pair must share its endpoints."""
+    _require_shared_endpoints(q[0], q[1])
+    return _simpson(nl.lam(ts, q, qd), ts)
 
 
 def path_independence_check(nl: NullLagrangianField, f1, f2, n: int = 2000):
@@ -530,16 +549,11 @@ def path_independence_check(nl: NullLagrangianField, f1, f2, n: int = 2000):
     blocks of paths (see action) row i of f1 is paired with row i of f2,
     and every pair must share its endpoints.
     """
-    _require_shared_endpoints(nl.lagrangian.domain, f1, f2)
-
-    def stack(x1, x2, t):  # the two sides as one block: one lam evaluation
-        return np.stack(np.broadcast_arrays(x1, x2, t)[:2])
-
-    pair = CallablePath(
-        f=_takes_arrays(lambda t: stack(f1.value(t), f2.value(t), t)),
-        fdot=_takes_arrays(lambda t: stack(f1.derivative(t),
-                                           f2.derivative(t), t)))
-    i1, i2 = action(nl.as_lagrangian(), pair, n=n)
+    ts = _simpson_grid(*nl.lagrangian.domain, n)
+    sides = _sample(f1, ts), _sample(f2, ts)
+    # the values of both sides as one stacked block, then the slopes
+    i1, i2 = _null_actions(nl, ts, *(np.stack(np.broadcast_arrays(*x, ts)[:2])
+                                     for x in zip(*sides)))
     return i1, i2
 
 
@@ -588,25 +602,24 @@ def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
     return _out(PhaseLift(L, family).pullback_coefficient(s, t, h), *args)
 
 
-def _gap_to_leaf(L: Lagrangian1D, family: SolutionFamily, n: int):
-    """minimality_gap(L, family, f, n) as a function of f, with the Simpson
-    grid, the foliated region's bounds on it and the central leaf's action
-    computed once."""
-    ts = _simpson_grid(*L.domain, n)
+def _gap_to_leaf(L: Lagrangian1D, family: SolutionFamily, ts, leaf):
+    """minimality_gap as a function of a competitor's values and slopes
+    (q, qd) on the Simpson grid ts (_sample), given the central leaf's
+    there, leaf = (q, qd): the foliated region's bounds on ts and the
+    leaf's action are computed once."""
     lo, hi = family.s_interval
     qlo, qhi = family.u(lo, ts), family.u(hi, ts)
     low, high = np.minimum(qlo, qhi), np.maximum(qlo, qhi)
-    base = action(L, family.central_leaf, n=n)
+    base = _simpson(L.l(ts, *leaf), ts)
 
-    def gap(f):
-        _require_shared_endpoints(L.domain, f, family.central_leaf)
-        q = f.value(ts)
+    def gap(q, qd):
+        _require_shared_endpoints(q, leaf[0])
         inside = (low <= q) & (q <= high)
         if not np.all(inside):
             k = np.flatnonzero(~inside)[0] % len(ts)
             raise FoliationError(
                 f"path leaves the foliated region at t={ts[k]}")
-        return _simpson(L.l(ts, q, f.derivative(ts)), ts) - base
+        return _simpson(L.l(ts, q, qd), ts) - base
 
     return gap
 
@@ -621,7 +634,9 @@ def minimality_gap(L: Lagrangian1D, family: SolutionFamily, f,
     one that does not raises; the gap is nonnegative up to quadrature
     tolerance.
     """
-    return _gap_to_leaf(L, family, n)(f)
+    ts = _simpson_grid(*L.domain, n)
+    return _gap_to_leaf(L, family, ts, _sample(family.central_leaf, ts))(
+        *_sample(f, ts))
 
 
 # ---------------------------------------------------------------------------

@@ -667,36 +667,50 @@ def test_minimality_minimum_equals_min_of_gaps(name, monkeypatch):
 
 
 def spy_block_rows(monkeypatch) -> list:
-    """The number of paths in each block the Mayer sweeps build, in order."""
+    """The number of paths in each block the Mayer sweeps build, in order:
+    of a pair block, the paths of one side."""
     rows = []
-    bump = checks._bump_paths
+    block = checks._bump_block
 
-    def spy(prob, coeffs, table):
-        rows.append(len(coeffs))
-        return bump(prob, coeffs, table)
+    def spy(grid, coeffs):
+        rows.append(coeffs.shape[-2])
+        return block(grid, coeffs)
 
-    monkeypatch.setattr(checks, "_bump_paths", spy)
+    monkeypatch.setattr(checks, "_bump_block", spy)
     return rows
 
 
+class CountedTrig:
+    """numpy, but recording the size of each argument of sin and cos."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x):
+        self.sizes.append(np.size(x))
+        return np.sin(x)
+
+    cos = sin
+
+
 def test_mayer_sweeps_table_their_modes_once(monkeypatch):
-    # each sweep evaluates its bump modes on its Simpson grid once; every
-    # block reads them there from the table, and evaluates them afresh only
-    # at the endpoints (two per pair, one per competitor)
-    sizes = []
-    modes = checks._sine_modes
-
-    def counted(a, b, t):
-        sizes.append(np.size(t))
-        return modes(a, b, t)
-
-    monkeypatch.setattr(checks, "_sine_modes", counted)
+    # each sweep evaluates its bump modes on its Simpson grid once, and
+    # every block reads them from its grid record; no mode and no path is
+    # evaluated at the endpoints alone (the endpoint guard reads the ends
+    # of the grid), so the family meets no 2-point call
+    sizes, calls = [], []
+    prob = counted_problem(OSC, calls)
+    monkeypatch.setattr(checks, "np", CountedTrig(sizes))
     monkeypatch.setattr(checks, "_SWEEP_BYTES", 1)  # a pair or path a block
-    checks.path_independence_residual(OSC, 3, seed=2)
-    assert sizes == [2001] + [2] * 6
+    checks.path_independence_residual(prob, 3, seed=2)
+    assert sizes == [2001] * 6
     sizes.clear()
-    checks.minimality_minimum(OSC, 3, seed=2, n_quad=500)
-    assert sizes == [501] + [2] * 3
+    checks.minimality_minimum(prob, 3, seed=2, n_quad=500)
+    assert sizes == [501] * 6
+    assert calls and all(k != 2 for _, k in calls)
 
 
 @pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
@@ -744,21 +758,69 @@ def test_minimality_minimum_names_the_first_time_a_competitor_leaves():
 
 
 def test_block_path_independence_check_rejects_a_mismatched_pair():
-    # one pair of a block of three ends apart: the block raises
+    # one pair of a block of three ends apart, at either end alone: the
+    # block raises
     nl = null_lagrangian(OSC.lagrangian, OSC.family)
-    c = np.random.default_rng(8).uniform(-0.1, 0.1, size=(6, 3))
-    table = checks._mode_table(OSC, 2000)
-    f1, f2 = (checks._bump_paths(OSC, c[:3], table),
-              checks._bump_paths(OSC, c[3:], table))
-    i1, i2 = path_independence_check(nl, f1, f2)
+    c = np.random.default_rng(8).uniform(-0.1, 0.1, size=(2, 3, 3))
+    grid = checks._bump_grid(OSC, 2000)
+    ts, (q, qd) = grid[0], checks._bump_block(grid, c)
+    i1, i2 = mayer._null_actions(nl, ts, q, qd)
     assert i1.shape == i2.shape == (3,)
-    shift = np.array([0.0, 1e-9, 0.0])
-    moved = CallablePath(
-        f=mayer._takes_arrays(
-            lambda t: f2.value(t) + np.multiply.outer(shift, t)),
-        fdot=f2.derivative)
-    with pytest.raises(EndpointError):
-        path_independence_check(nl, f1, moved)
+    for shift in (ts - ts[0], ts[-1] - ts):
+        moved = q.copy()
+        moved[1, 1] += 1e-9 * shift
+        with pytest.raises(EndpointError):
+            mayer._null_actions(nl, ts, moved, qd)
+
+
+def bump_block_path(prob, coeffs) -> CallablePath:
+    """The CallablePath of the bump paths of coeffs (..., 3), a row of
+    values a path, by the expressions of the sweeps' blocks."""
+    a, b = prob.lagrangian.domain
+    leaf = prob.family.central_leaf
+    ks = np.arange(1, 4) * math.pi / (b - a)
+    return CallablePath(
+        f=mayer._takes_arrays(lambda t: leaf.value(t) + sum(
+            np.multiply.outer(coeffs[..., j], np.sin(k * (t - a)))
+            for j, k in enumerate(ks))),
+        fdot=mayer._takes_arrays(lambda t: leaf.derivative(t) + sum(
+            np.multiply.outer(coeffs[..., j] * k, np.cos(k * (t - a)))
+            for j, k in enumerate(ks))))
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
+def test_public_path_functions_give_the_sweeps_bits(name, monkeypatch):
+    # path_independence_check and minimality_gap on CallablePaths of the
+    # coefficients a sweep draws, a path at a time or all in one block,
+    # give the sweep's worst value bit for bit, at any sweep budget; the
+    # paths sample to the sweep's own values and slopes
+    prob = get_problem(name)
+    L, fam, amp = prob.lagrangian, prob.family, prob.amplitude
+    nl = null_lagrangian(L, fam)
+    pairs = np.random.default_rng(41).uniform(-amp, amp, (6, 6))
+    competitors = np.random.default_rng(42).uniform(-amp, amp, (6, 3))
+    grid = checks._bump_grid(prob, 500)
+    path = bump_block_path(prob, competitors)
+    for got, want in zip(checks._bump_block(grid, competitors),
+                         (path.value(grid[0]), path.derivative(grid[0]))):
+        assert got.tobytes() == want.tobytes()
+    gaps = minimality_gap(L, fam, bump_block_path(prob, competitors), n=500)
+    i1, i2 = path_independence_check(nl, bump_block_path(prob, pairs[:, :3]),
+                                     bump_block_path(prob, pairs[:, 3:]))
+    alone = np.array([minimality_gap(L, fam, bump_block_path(prob, c), n=500)
+                      for c in competitors])
+    assert gaps.tobytes() == alone.tobytes()
+    alone = np.array([path_independence_check(
+        nl, bump_block_path(prob, row[:3]), bump_block_path(prob, row[3:]))
+        for row in pairs])
+    assert np.stack([i1, i2], axis=1).tobytes() == alone.tobytes()
+    for budget in (1, 3 << 15, 3 << 19, 1 << 20):
+        monkeypatch.setattr(checks, "_SWEEP_BYTES", budget)
+        assert checks.path_independence_residual(prob, 6, seed=41).hex() == \
+            float(np.max(np.abs(i1 - i2))).hex()
+        assert checks.minimality_minimum(prob, 6, seed=42,
+                                         n_quad=500).hex() == \
+            float(np.min(gaps)).hex()
 
 
 def test_minimality_gap_evaluates_the_competitor_once_per_grid():

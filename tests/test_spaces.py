@@ -559,6 +559,62 @@ def test_right_angled_pentagon_area():
     assert hyperbolic_area(pent) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+# dyadic rational (x, y), each a float exactly: a convex quadrilateral about
+# the apex, a pentagon with a reflex vertex, and a triangle the apex lies
+# outside of, so that its fan terms take both signs
+AREA_CERTIFICATE_POLYGONS = (
+    ((1, 0), (1 / 2, 3 / 4), (-5 / 4, 1 / 2), (-1 / 4, -3 / 2)),
+    ((2, -1 / 2), (3 / 4, 1 / 4), (1 / 2, 5 / 2), (-3 / 2, 1), (-1, -7 / 4)),
+    ((3 / 2, 1 / 2), (11 / 4, 3 / 4), (2, 9 / 4)),
+)
+
+
+def test_hyperbolic_area_fan_terms_are_angle_defects():
+    # Certificate, by evaluation in 50-digit arithmetic at rational (x, y)
+    # lifted to the hyperboloid, not a symbolic proof, of the solid-angle
+    # formula of spaces.hyperbolic_area: each fan term 2 atan2(det(c, a,
+    # b), 1 - <c,a> - <a,b> - <b,c>), c = (0, 0, 1), is the angle defect pi
+    # - (alpha + beta + gamma) of the geodesic triangle (c, a, b), signed by
+    # its orientation; the angle at a vertex p is that of the tangents q +
+    # <p, q> p towards the other two.  The float function gives the sum of
+    # the defects, and on the reversed polygon -4 pi less it.
+    mpmath = pytest.importorskip("mpmath")
+
+    def mink(u, v):
+        return u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
+
+    def angle(p, q, r):
+        u, v = ([qk + mink(p, q) * pk for qk, pk in zip(q, p)],
+                [rk + mink(p, r) * pk for rk, pk in zip(r, p)])
+        return mpmath.acos(mink(u, v) / mpmath.sqrt(mink(u, u) * mink(v, v)))
+
+    with mpmath.workdps(50):
+        c = (mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1))
+        for xy in AREA_CERTIFICATE_POLYGONS:
+            lift = [(mpmath.mpf(x), mpmath.mpf(y),
+                     mpmath.sqrt(1 + mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2))
+                    for x, y in xy]
+            defects = []
+            for a, b in zip(lift, lift[1:] + lift[:1]):
+                det = a[0] * b[1] - a[1] * b[0]
+                term = 2 * mpmath.atan2(det, 1 - mink(c, a) - mink(a, b)
+                                        - mink(b, c))
+                defect = mpmath.sign(det) * (mpmath.pi - angle(c, a, b)
+                                             - angle(a, b, c)
+                                             - angle(b, c, a))
+                assert det != 0
+                assert abs(term - defect) <= mpmath.mpf(10) ** -40
+                defects.append(defect)
+            area = mpmath.fsum(defects)
+            assert area > 0
+            vertices = np.array([(x, y, math.sqrt(1 + x * x + y * y))
+                                 for x, y in xy])
+            for v, want in ((vertices, area),
+                            (vertices[::-1], -4 * mpmath.pi - area)):
+                got = hyperbolic_area(HyperbolicCurve(v))
+                assert abs(got - want) <= 16 * 2.0 ** -52 * abs(want)
+
+
 def test_hyperbolic_equality_cases():
     for r in (0.1, 0.5, 1.0):
         c = hyperbolic_circle(r, 512)

@@ -81,14 +81,18 @@ def test_writer_repeats_the_mayer_reports_byte_for_byte(tmp_path,
     for out in runs:
         assert report_bits.main([str(src), str(out)]) == 0
     names = sorted(p.name for p in runs[0].iterdir())
-    assert names == [f"seed7-mayer-{name}.json"
-                     for name in ("cosh", "free", "oscillator")]
+    assert names == [f"seed7-mayer-{name}{part}.json"
+                     for name in ("cosh", "free", "oscillator")
+                     for part in ("-paths", "")]
     assert sorted(p.name for p in runs[1].iterdir()) == names
     for name in names:
         text = (runs[0] / name).read_bytes()
         assert text == (runs[1] / name).read_bytes()
         report = json.loads(text)
-        assert report["rc"] == 0 and report["rep"]["checks"]
+        if name.endswith("-paths.json"):
+            assert len(report["minimality_gap"]) == report_bits.MAYER_PATHS
+        else:
+            assert report["rc"] == 0 and report["rep"]["checks"]
     assert report_bits.compare(*runs) == 0
 
 
@@ -196,6 +200,45 @@ def test_writer_records_field_results_as_hex(tmp_path, monkeypatch):
     assert got == want
 
 
+def test_writer_records_mayer_path_results_as_hex(tmp_path, monkeypatch):
+    # per problem and seed, path_independence_check and minimality_gap on
+    # bump_path pairs and competitors, each value the float.hex of the
+    # library call; bump_path samples to the sweeps' own block on the grid
+    for name in ("VERIFY_WORKLOADS", "CALIBRATION_SPACES",
+                 "CALIBRATION_R3_SAMPLES", "FIELD_WORKLOADS", "D1D2_SPACES",
+                 "PLOTDATA_KINDS"):
+        monkeypatch.setattr(report_bits, name, ())
+    monkeypatch.setattr(report_bits, "SEEDS", (7,))
+    monkeypatch.setattr(report_bits, "MAYER_PROBLEMS", ("oscillator",))
+    root = Path(__file__).resolve().parents[1]
+    assert report_bits.main([str(root / "src"), str(tmp_path / "a")]) == 0
+    got = json.loads((tmp_path / "a" / "seed7-mayer-oscillator-paths.json")
+                     .read_text("utf-8"))
+    import isocal
+    from isocal import checks
+
+    prob = isocal.get_problem("oscillator")
+    L, fam, amp = prob.lagrangian, prob.family, prob.amplitude
+    rng = np.random.default_rng(7)
+    pairs = rng.uniform(-amp, amp, (report_bits.MAYER_PATHS, 2, 3))
+    competitors = rng.uniform(-amp, amp, (report_bits.MAYER_PATHS, 3))
+    nl = isocal.null_lagrangian(L, fam)
+    assert got == {
+        "path_independence_check": [
+            [float(v).hex() for v in isocal.path_independence_check(
+                nl, *(report_bits.bump_path(isocal, prob, c) for c in pair))]
+            for pair in pairs],
+        "minimality_gap": [isocal.minimality_gap(
+            L, fam, report_bits.bump_path(isocal, prob, c)).hex()
+            for c in competitors]}
+    grid = checks._bump_grid(prob, 2000)
+    q, qd = checks._bump_block(grid, competitors)
+    for c, want_q, want_qd in zip(competitors, q, qd):
+        path = report_bits.bump_path(isocal, prob, c)
+        assert path.value(grid[0]).tobytes() == want_q.tobytes()
+        assert path.derivative(grid[0]).tobytes() == want_qd.tobytes()
+
+
 def test_writer_records_the_vfield_grid_as_hex(tmp_path, monkeypatch):
     # plotdata vfield at its default grid, once: the 21 x 21 points but the
     # origin, each CSV value as float.hex
@@ -242,8 +285,8 @@ def test_writer_refuses_a_second_tree_in_one_process(tmp_path, capsys,
     assert report_bits.main([str(other), str(tmp_path / "b")]) == 2
     assert "run each tree in its own process" in capsys.readouterr().err
     assert sys.path == path and sys.dont_write_bytecode == bytecode
-    assert [p.name for p in (tmp_path / "a").iterdir()] == \
-        ["seed7-mayer-free.json"]
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+        ["seed7-mayer-free-paths.json", "seed7-mayer-free.json"]
     assert not (tmp_path / "b").exists()
 
 

@@ -20,7 +20,7 @@ At each of the seeds 1 and 7 the reports are
   budget of 1 MiB;
 - ``mayer`` of the ``free``, ``oscillator`` and ``cosh`` problems, likewise.
 
-Beside them it writes 184 library results at those seeds, one file each,
+Beside them it writes 190 library results at those seeds, one file each,
 every value as ``float.hex``:
 
 - of every operation of the ``field_checks`` workload (62 files),
@@ -38,7 +38,10 @@ every value as ``float.hex``:
   the class name of the error raised in place of x, as a point within the
   tolerance raises ``PointOnBoundaryError``;
 - ``{"d1d2_fd": [...]}`` of ``r2`` and ``r3``, one batched call of step
-  1e-3 on the 20 pairs of ``d1d2_pairs`` (4 files).
+  1e-3 on the 20 pairs of ``d1d2_pairs`` (4 files);
+- ``{"path_independence_check": [[i1, i2], ...], "minimality_gap": [...]}``
+  of each ``mayer`` problem, on ``MAYER_PATHS`` pairs and competitors of
+  ``bump_path``, the ``CallablePath`` of a sweep's bump path (6 files).
 
 Once, not per seed, it writes ``plotdata vfield`` at its default 21 x 21
 grid as ``{"rc": exit code, "vfield": rows}``, each CSV value as
@@ -80,6 +83,7 @@ FIELD_WORKLOADS = ("field_checks",)
 D1D2_SPACES = ("r2", "r3")
 PLOTDATA_KINDS = ("vfield",)
 D1D2_PAIRS = 20
+MAYER_PATHS = 3
 BOUNDARY_OFFSETS = (0.5, 2.0)
 
 
@@ -179,6 +183,46 @@ def d1d2_pairs(space: str, seed: int):
     return x, x + r * u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
+def bump_path(isocal, problem, coeffs):
+    """The CallablePath of the bump path of coeffs (3,) that the mayer
+    sweeps add up on their grid: the central leaf plus c_j sin(k_j (t - a)),
+    k_j = j pi / (b - a), with the slope likewise."""
+    a, b = problem.lagrangian.domain
+    leaf = problem.family.central_leaf
+    ks = np.arange(1, 4) * math.pi / (b - a)
+    return isocal.CallablePath(
+        f=lambda t: leaf.value(t) + sum(
+            np.multiply.outer(coeffs[j], np.sin(k * (t - a)))
+            for j, k in enumerate(ks)),
+        fdot=lambda t: leaf.derivative(t) + sum(
+            np.multiply.outer(coeffs[j] * k, np.cos(k * (t - a)))
+            for j, k in enumerate(ks)))
+
+
+def _mayer_results(isocal, seed: int):
+    """(name, result) of path_independence_check and minimality_gap of each
+    mayer problem on MAYER_PATHS pairs and competitors of bump_path, their
+    coefficients drawn from default_rng(seed) within the problem's
+    amplitude, each value as float.hex."""
+    for name in MAYER_PROBLEMS:
+        problem = isocal.get_problem(name)
+        L, family = problem.lagrangian, problem.family
+        nl = isocal.null_lagrangian(L, family)
+        amp = problem.amplitude
+        rng = np.random.default_rng(seed)
+        pairs = rng.uniform(-amp, amp, (MAYER_PATHS, 2, 3))
+        competitors = rng.uniform(-amp, amp, (MAYER_PATHS, 3))
+        yield f"mayer-{name}-paths", {
+            "path_independence_check": [
+                _hex(isocal.path_independence_check(
+                    nl, *(bump_path(isocal, problem, c) for c in pair)))
+                for pair in pairs],
+            "minimality_gap": [
+                _hex(isocal.minimality_gap(L, family,
+                                           bump_path(isocal, problem, c)))
+                for c in competitors]}
+
+
 def _plotdata(isocal, scratch: Path):
     """(name, result) of each plotdata kind at its defaults, the exit code
     and every CSV value as float.hex."""
@@ -261,6 +305,8 @@ def _write_reports(inputs, harness, isocal, out: Path) -> None:
                     rep.get("input", {}).pop("path", None)
                 _write(out, f"seed{seed}-{name}", {"rc": rc, "rep": rep})
             for name, result in _field_results(inputs, harness, isocal, seed):
+                _write(out, f"seed{seed}-{name}", result)
+            for name, result in _mayer_results(isocal, seed):
                 _write(out, f"seed{seed}-{name}", result)
         for name, result in _plotdata(isocal, scratch):
             _write(out, name, result)

@@ -9,9 +9,10 @@ Lagrangian that is affine in the velocity, bounded above by the original one,
 and whose action depends on endpoint values only.
 
 Every callable here is evaluated on numpy arrays, one call per batch of
-points.  A user callable that only takes scalars (a math.sin lambda, a
-Python branch) is detected once, where it enters CallablePath,
-SolutionFamily or Lagrangian1D, and is run element by element from then on.
+points, and must evaluate them elementwise (np.sin, not math.sin); one that
+returns a constant is broadcast.  A scalar-only callable raises where it
+first meets an array: a SolutionFamily at construction, a Lagrangian1D or a
+CallablePath at its first use.
 """
 
 from __future__ import annotations
@@ -54,45 +55,6 @@ class EndpointError(ValueError):
     """Paths do not share endpoints."""
 
 
-_TAKES_ARRAYS = "_isocal_takes_arrays"
-
-
-def _takes_arrays(fn):
-    """Mark a callable built by this package as evaluating arrays elementwise."""
-    setattr(fn, _TAKES_ARRAYS, True)
-    return fn
-
-
-def _array_callable(fn, *probe):
-    """fn itself if it evaluates the probe arrays elementwise, else fn wrapped
-    once in np.vectorize.
-
-    A callable takes arrays when calling it on the probe arrays gives the
-    same values as calling it on each probe point.  Anything else, an error
-    included, means scalar-only.
-    """
-    if fn is None or getattr(fn, _TAKES_ARRAYS, False):
-        return fn
-    try:
-        with np.errstate(all="ignore"):
-            got = np.asarray(fn(*probe), float)
-            want = np.array([fn(*p) for p in zip(*(a.tolist() for a in probe))],
-                            float)
-        if got.shape in ((), want.shape) and np.allclose(
-                got, want, rtol=1e-9, atol=1e-12, equal_nan=True):
-            return fn
-    except (TypeError, ValueError, ArithmeticError):
-        pass
-    vec = np.vectorize(fn, otypes=[float])
-
-    def elementwise(*args):
-        if all(np.ndim(a) == 0 for a in args):
-            return fn(*args)
-        return vec(*args)
-
-    return _takes_arrays(elementwise)
-
-
 def _out(x, *like):
     """x broadcast to the common shape of `like`: a float when that shape is
     (), from x of one point, else a fresh array."""
@@ -123,14 +85,6 @@ class Lagrangian1D:
     d2L_dqdot2: Scalar3
     domain: tuple[float, float]
 
-    def __post_init__(self):
-        a, b = self.domain
-        probe = (a + (b - a) * np.array([0.3, 0.7]), np.array([0.2, -0.4]),
-                 np.array([0.5, -0.3]))
-        for name in ("l", "dL_dq", "dL_dqdot", "d2L_dqdot2"):
-            object.__setattr__(self, name,
-                               _array_callable(getattr(self, name), *probe))
-
     def partials_residual(self, n: int = 200, seed: int = 0) -> float:
         """Max relative deviation of the stated partials from differences."""
         rng = np.random.default_rng(seed)
@@ -156,12 +110,6 @@ class CallablePath:
 
     f: Callable[[float], float]
     fdot: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self):
-        probe = np.array([0.3, 0.7])
-        for name in ("f", "fdot"):
-            object.__setattr__(self, name,
-                               _array_callable(getattr(self, name), probe))
 
     def value(self, t):
         return self.f(t)
@@ -221,11 +169,6 @@ class SolutionFamily:
             raise ValueError("empty parameter or time interval")
         if not lo <= self.s0 <= hi:
             raise FoliationError(f"s0={self.s0} outside the parameter interval")
-        probe = (lo + (hi - lo) * np.array([0.3, 0.7]),
-                 a + (b - a) * np.array([0.6, 0.2]))
-        for name in ("u", "du_dt"):
-            object.__setattr__(self, name,
-                               _array_callable(getattr(self, name), *probe))
         ss = np.linspace(lo, hi, 33)
         ts = np.linspace(a, b, 17)[:, None]
         steps = np.diff(np.broadcast_to(self.u(ss, ts), (17, 33)), axis=1)
@@ -248,9 +191,8 @@ class SolutionFamily:
     def leaf(self, s: float) -> CallablePath:
         u, du_dt = self.u, self.du_dt
         return CallablePath(
-            f=_takes_arrays(lambda t: u(s, t)),
-            fdot=_takes_arrays(lambda t: du_dt(s, t)) if du_dt is not None
-            else None,
+            f=lambda t: u(s, t),
+            fdot=(lambda t: du_dt(s, t)) if du_dt is not None else None,
         )
 
     @property
@@ -410,7 +352,6 @@ class NullLagrangianField:
     lagrangian: Lagrangian1D
     family: SolutionFamily
 
-    @_takes_arrays
     def lam(self, t, q, qdot):
         args = t, q, qdot
         t, q, qdot = _points(*args)
@@ -419,12 +360,10 @@ class NullLagrangianField:
         # the energy of the slope, psi p - L, with p taken once
         return _out(p * qdot - (psi * p - self.lagrangian.l(t, q, psi)), *args)
 
-    @_takes_arrays
     def dlambda_dqdot(self, t, q, qdot=0.0):
         # lam is affine in qdot, so this is exact
         return self.lagrangian.dL_dqdot(t, q, mayer_slope(self.family, t, q))
 
-    @_takes_arrays
     def dlambda_dq(self, t, q, qdot):
         h = _FD_STEP
         return (self.lam(t, q + h, qdot) - self.lam(t, q - h, qdot)) / (2 * h)
@@ -434,7 +373,7 @@ class NullLagrangianField:
             l=self.lam,
             dL_dq=self.dlambda_dq,
             dL_dqdot=self.dlambda_dqdot,
-            d2L_dqdot2=_takes_arrays(lambda t, q, qd: 0.0),
+            d2L_dqdot2=lambda t, q, qd: 0.0,
             domain=self.lagrangian.domain,
         )
 
@@ -529,7 +468,8 @@ def _require_shared_endpoints(q1, q2) -> None:
     Simpson grid agree at its first and last nodes, which np.linspace puts
     at the domain's ends exactly."""
     ends = [0, -1]
-    if np.max(np.abs(q1[..., ends] - q2[..., ends])) > _ENDPOINT_TOL:
+    # written so that a NaN end counts as not shared
+    if not np.all(np.abs(q1[..., ends] - q2[..., ends]) <= _ENDPOINT_TOL):
         raise EndpointError("paths do not share endpoints")
 
 

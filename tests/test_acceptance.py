@@ -183,9 +183,9 @@ def test_criterion_9_negative_controls():
     with criterion(9, "corrupted foliation and reversed orientation rejected"):
         prob = get_problem("oscillator")
         corrupted = SolutionFamily(
-            u=lambda s, t: s * math.sin(t) + 0.1 * s * s * t,
+            u=lambda s, t: s * np.sin(t) + 0.1 * s * s * t,
             s_interval=(0.01, 3.0), t_domain=(0.5, 2.5), s0=0.5,
-            du_dt=lambda s, t: s * math.cos(t) + 0.1 * s * s,
+            du_dt=lambda s, t: s * np.cos(t) + 0.1 * s * s,
         )
         bad = [abs(lagrangian_submanifold_check(prob.lagrangian, corrupted, s, t))
                for s in (0.7, 1.0, 1.4) for t in (0.9, 1.5, 2.1)]

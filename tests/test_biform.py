@@ -19,7 +19,9 @@ from isocal import (
     regular_polygon,
 )
 from isocal.biform import BiformValue
-from isocal import checks, cli, quadrature
+from isocal import biform, checks, cli, quadrature
+
+EPS = np.finfo(float).eps
 
 
 def _rot90(v):
@@ -311,6 +313,35 @@ def test_orthogonality_sweeps():
     assert checks.orthogonality_residual(3, 10_000, seed=9) <= 1e-12
 
 
+# z = x - y of the certificates' float points: dyadic, so x - y is exact
+CERTIFICATE_PAIRS = [
+    ((1.5, -0.25, 2.0), (-0.75, 1.0, 0.5)),
+    ((0.125, 3.0, -1.0), (2.5, 2.75, 0.25)),
+    ((-4.0, -0.5, 1.75), (0.5, -3.25, -2.0)),
+]
+
+
+def test_kernel_matrix_is_a_symmetric_orthogonal_reflection():
+    # Symbolic proof, in R^2 and R^3, that the kernel matrix of biform2,
+    # biform3 and biform._matrix, m = 2 z z^T / |z|^2 - I, is symmetric and
+    # orthogonal, m m^T = I, with trace 2 - dim; the float functions give
+    # that m to a few ulps at dyadic points
+    sympy = pytest.importorskip("sympy")
+    for dim, build in ((2, biform2), (3, biform3)):
+        z = sympy.Matrix(sympy.symbols(f"z1:{dim + 1}", real=True))
+        m = 2 * z * z.T / (z.T * z)[0] - sympy.eye(dim)
+        assert m - m.T == sympy.zeros(dim)
+        assert sympy.simplify(m * m.T - sympy.eye(dim)) == sympy.zeros(dim)
+        assert sympy.simplify(m.trace()) == 2 - dim
+        for x, y in CERTIFICATE_PAIRS:
+            x, y = np.array(x[:dim]), np.array(y[:dim])
+            want = np.array(m.subs(dict(zip(z, map(sympy.Rational, x - y))))
+                            .evalf(30), dtype=float)
+            assert np.abs(build(x, y).m - want).max() <= 4 * EPS
+            got = biform._matrix((x - y)[:, None])[..., 0]
+            assert np.abs(got - want).max() <= 4 * EPS
+
+
 # ---------------------------------------------------------------------------
 # curl density
 
@@ -376,6 +407,32 @@ def test_curl_density_matches_field_curl():
             - (v(x + [0.0, h])[0] - v(x - [0.0, h])[0])
         ) / (2 * h)
         assert curl_fd == pytest.approx(curl_density(y, t, x), abs=1e-7)
+
+
+def test_curl_density_is_the_curl_of_the_field():
+    # Symbolic proof that curl_density's 2 det(y - x, t) / |x - y|^2 is the
+    # curl dV2/dx1 - dV1/dx2 in x of the plane's field V = 2 <z, t> z / |z|^2
+    # - t, z = x - y, for any t; mayer_vector and curl_density give V and
+    # the curl to a few ulps at dyadic points and unit t
+    sympy = pytest.importorskip("sympy")
+    x1, x2, y1, y2, t1, t2 = sympy.symbols("x1 x2 y1 y2 t1 t2", real=True)
+    z1, z2 = x1 - y1, x2 - y2
+    r2 = z1 * z1 + z2 * z2
+    V = [2 * (z1 * t1 + z2 * t2) * zk / r2 - tk
+         for zk, tk in ((z1, t1), (z2, t2))]
+    curl = 2 * ((y1 - x1) * t2 - (y2 - x2) * t1) / r2
+    assert sympy.simplify(sympy.diff(V[1], x1) - sympy.diff(V[0], x2)
+                          - curl) == 0
+    for (x, y), t in zip(CERTIFICATE_PAIRS,
+                         ((0.6, -0.8), (1.0, 0.0), (-0.28, 0.96))):
+        x, y, t = np.array(x[:2]), np.array(y[:2]), np.array(t)
+        at = dict(zip((x1, x2, y1, y2, t1, t2),
+                      map(sympy.Rational, (*x, *y, *t))))
+        scale = 2.0 / np.hypot(*(x - y))  # bounds |curl|, as |t| = 1
+        assert np.abs(mayer_vector(y, t, x)
+                      - [float(v.subs(at)) for v in V]).max() <= 4 * EPS
+        assert abs(curl_density(y, t, x) - float(curl.subs(at))) <= \
+            4 * EPS * scale
 
 
 # ---------------------------------------------------------------------------

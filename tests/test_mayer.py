@@ -61,9 +61,9 @@ def scalar_bump(prob, rng) -> CallablePath:
 def corrupted_family() -> SolutionFamily:
     """Leaves that are not extremals of the oscillator Lagrangian."""
     return SolutionFamily(
-        u=lambda s, t: s * math.sin(t) + 0.1 * s * s * t,
+        u=lambda s, t: s * np.sin(t) + 0.1 * s * s * t,
         s_interval=(0.01, 3.0), t_domain=(0.5, 2.5), s0=0.5,
-        du_dt=lambda s, t: s * math.cos(t) + 0.1 * s * s,
+        du_dt=lambda s, t: s * np.cos(t) + 0.1 * s * s,
     )
 
 
@@ -87,6 +87,25 @@ def test_registry_legendre_condition():
         assert min(vals) >= 0.0
 
 
+def test_callables_must_evaluate_arrays():
+    # the Mayer layer calls every callable on arrays: a scalar-only family
+    # fails where it is built, at its monotonicity grid, and a scalar-only
+    # Lagrangian at its first batch
+    with pytest.raises(TypeError):
+        SolutionFamily(u=lambda s, t: s * math.sin(t),
+                       s_interval=(0.01, 3.0), t_domain=(0.5, 2.5), s0=0.5,
+                       du_dt=lambda s, t: s * math.cos(t))
+    L = Lagrangian1D(
+        l=lambda t, q, qd: math.cosh(qd),
+        dL_dq=lambda t, q, qd: 0.0,
+        dL_dqdot=lambda t, q, qd: math.sinh(qd),
+        d2L_dqdot2=lambda t, q, qd: math.cosh(qd),
+        domain=(0.0, 1.0),
+    )
+    with pytest.raises(TypeError):
+        weierstrass_gap(L, COSH.family, [0.2, 0.6], [0.1, 0.3], [0.5, -0.5])
+
+
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residuals
 
@@ -97,7 +116,7 @@ def test_el_residual_free_line():
 
 
 def test_el_residual_oscillator_sine():
-    path = CallablePath(f=math.sin, fdot=math.cos)
+    path = CallablePath(f=np.sin, fdot=np.cos)
     assert abs(el_residual(OSC.lagrangian, path, 1.3)) <= 1e-6
 
 
@@ -107,7 +126,7 @@ def test_el_residual_nonextremal():
 
 
 def test_el_residual_outside_domain():
-    path = CallablePath(f=math.sin, fdot=math.cos)
+    path = CallablePath(f=np.sin, fdot=np.cos)
     with pytest.raises(ValueError):
         el_residual(OSC.lagrangian, path, 3.0)
 
@@ -215,13 +234,13 @@ def test_mayer_slope_outside_region():
 
 def test_family_monotonicity_enforced():
     with pytest.raises(FoliationError):
-        SolutionFamily(u=lambda s, t: s * s * math.sin(t),
+        SolutionFamily(u=lambda s, t: s * s * np.sin(t),
                        s_interval=(-1.0, 1.0), t_domain=(0.5, 2.5), s0=0.0)
 
 
 def test_family_direction_flip_detected():
     with pytest.raises(FoliationError):
-        SolutionFamily(u=lambda s, t: s * math.cos(t),
+        SolutionFamily(u=lambda s, t: s * np.cos(t),
                        s_interval=(0.1, 2.0), t_domain=(1.0, 2.2), s0=1.0)
 
 
@@ -264,8 +283,8 @@ def test_null_lagrangian_is_total_derivative_of_potential():
     def S(t, q):
         return 0.5 * q * q / math.tan(t)
 
-    f = CallablePath(f=lambda t: 0.4 * math.sin(t) + 0.1 * math.sin(2 * t - 1.0),
-                     fdot=lambda t: 0.4 * math.cos(t) + 0.2 * math.cos(2 * t - 1.0))
+    f = CallablePath(f=lambda t: 0.4 * np.sin(t) + 0.1 * np.sin(2 * t - 1.0),
+                     fdot=lambda t: 0.4 * np.cos(t) + 0.2 * np.cos(2 * t - 1.0))
     h = 1e-6
     for t in np.linspace(0.7, 2.3, 9):
         t = float(t)
@@ -357,7 +376,7 @@ def test_path_independence_leaf_vs_cubic():
     nl = null_lagrangian(OSC.lagrangian, OSC.family)
     a, b = 0.5, 2.5
     qa, qb = 0.3 * math.sin(a), 0.3 * math.sin(b)
-    f1 = CallablePath(f=lambda t: 0.3 * math.sin(t), fdot=lambda t: 0.3 * math.cos(t))
+    f1 = CallablePath(f=lambda t: 0.3 * np.sin(t), fdot=lambda t: 0.3 * np.cos(t))
     # Hermite cubic with the same endpoint values, different slopes
     m0, m1 = 0.5 * math.cos(a), 0.1 * math.cos(b)
 
@@ -408,16 +427,32 @@ def test_endpoints_within_1e_10_count_as_shared(shift, shared):
                 call()
 
 
+@pytest.mark.parametrize("end", [0, 1])
+def test_a_nan_end_is_not_shared(end):
+    # a NaN compares false to everything, so the guard must not read
+    # "no end differs by more than the tolerance" as "the ends agree"
+    nl = null_lagrangian(FREE.lagrangian, FREE.family)
+    leaf = FREE.family.central_leaf
+    t_end = FREE.lagrangian.domain[end]
+    path = CallablePath(f=lambda t: np.where(t == t_end, np.nan, t),
+                        fdot=lambda t: 1.0)
+    for call in (lambda: path_independence_check(nl, leaf, path),
+                 lambda: path_independence_check(nl, path, leaf),
+                 lambda: minimality_gap(FREE.lagrangian, FREE.family, path)):
+        with pytest.raises(EndpointError):
+            call()
+
+
 def test_null_lagrangian_el_property_on_arbitrary_paths():
     # every in-region path solves the Euler-Lagrange equation of lam
     nl = null_lagrangian(OSC.lagrangian, OSC.family)
     lam = nl.as_lagrangian()
     paths = [
-        CallablePath(f=lambda t: 0.4 * math.sin(t) + 0.1 * math.cos(2 * t),
-                     fdot=lambda t: 0.4 * math.cos(t) - 0.2 * math.sin(2 * t)),
-        CallablePath(f=lambda t: 0.25 * math.sin(t) * (1.0 + 0.3 * t),
-                     fdot=lambda t: 0.25 * math.cos(t) * (1.0 + 0.3 * t)
-                     + 0.075 * math.sin(t)),
+        CallablePath(f=lambda t: 0.4 * np.sin(t) + 0.1 * np.cos(2 * t),
+                     fdot=lambda t: 0.4 * np.cos(t) - 0.2 * np.sin(2 * t)),
+        CallablePath(f=lambda t: 0.25 * np.sin(t) * (1.0 + 0.3 * t),
+                     fdot=lambda t: 0.25 * np.cos(t) * (1.0 + 0.3 * t)
+                     + 0.075 * np.sin(t)),
     ]
     for f in paths:
         for t in (0.8, 1.4, 2.1):
@@ -523,7 +558,7 @@ def counted(fn, calls, name):
     def wrapper(*args):
         calls.append((name, np.broadcast(*args).size))
         return fn(*args)
-    return mayer._takes_arrays(wrapper)
+    return wrapper
 
 
 def counted_problem(prob, calls):
@@ -636,9 +671,9 @@ def test_pullback_richardson_sanity():
 def test_minimality_gap_of_bump():
     a, b = OSC.lagrangian.domain
     f = CallablePath(
-        f=lambda t: 0.5 * math.sin(t) + 0.2 * math.sin(math.pi * (t - a) / (b - a)),
-        fdot=lambda t: 0.5 * math.cos(t)
-        + 0.2 * math.pi / (b - a) * math.cos(math.pi * (t - a) / (b - a)))
+        f=lambda t: 0.5 * np.sin(t) + 0.2 * np.sin(math.pi * (t - a) / (b - a)),
+        fdot=lambda t: 0.5 * np.cos(t)
+        + 0.2 * math.pi / (b - a) * np.cos(math.pi * (t - a) / (b - a)))
     assert minimality_gap(OSC.lagrangian, OSC.family, f) > 0.0
 
 
@@ -780,12 +815,12 @@ def bump_block_path(prob, coeffs) -> CallablePath:
     leaf = prob.family.central_leaf
     ks = np.arange(1, 4) * math.pi / (b - a)
     return CallablePath(
-        f=mayer._takes_arrays(lambda t: leaf.value(t) + sum(
+        f=lambda t: leaf.value(t) + sum(
             np.multiply.outer(coeffs[..., j], np.sin(k * (t - a)))
-            for j, k in enumerate(ks))),
-        fdot=mayer._takes_arrays(lambda t: leaf.derivative(t) + sum(
+            for j, k in enumerate(ks)),
+        fdot=lambda t: leaf.derivative(t) + sum(
             np.multiply.outer(coeffs[..., j] * k, np.cos(k * (t - a)))
-            for j, k in enumerate(ks))))
+            for j, k in enumerate(ks)))
 
 
 @pytest.mark.parametrize("name", ["free", "oscillator", "cosh"])
@@ -853,8 +888,8 @@ def test_mayer_checks_do_not_depend_on_the_problem_name(name):
 
 
 def test_minimality_endpoint_mismatch():
-    f = CallablePath(f=lambda t: 0.5 * math.sin(t) + 0.05,
-                     fdot=lambda t: 0.5 * math.cos(t))
+    f = CallablePath(f=lambda t: 0.5 * np.sin(t) + 0.05,
+                     fdot=lambda t: 0.5 * np.cos(t))
     with pytest.raises(EndpointError):
         minimality_gap(OSC.lagrangian, OSC.family, f)
 
@@ -862,9 +897,9 @@ def test_minimality_endpoint_mismatch():
 def test_minimality_path_outside_region():
     a, b = OSC.lagrangian.domain
     f = CallablePath(
-        f=lambda t: 0.5 * math.sin(t) + 2.9 * math.sin(math.pi * (t - a) / (b - a)),
-        fdot=lambda t: 0.5 * math.cos(t)
-        + 2.9 * math.pi / (b - a) * math.cos(math.pi * (t - a) / (b - a)))
+        f=lambda t: 0.5 * np.sin(t) + 2.9 * np.sin(math.pi * (t - a) / (b - a)),
+        fdot=lambda t: 0.5 * np.cos(t)
+        + 2.9 * math.pi / (b - a) * np.cos(math.pi * (t - a) / (b - a)))
     with pytest.raises(FoliationError):
         minimality_gap(OSC.lagrangian, OSC.family, f)
 
@@ -947,11 +982,6 @@ BATCH_FAMILIES = {
         u=lambda s, t: s * np.sin(t) + s * np.cos(t) - s * np.cos(t),
         s_interval=(0.01, 3.0), t_domain=(0.5, 2.5), s0=0.5,
         du_dt=lambda s, t: s * np.cos(t)),
-    # scalar-only callables run element by element
-    "scalar_only": SolutionFamily(
-        u=lambda s, t: s * math.sin(t),
-        s_interval=(0.01, 3.0), t_domain=(0.5, 2.5), s0=0.5,
-        du_dt=lambda s, t: s * math.cos(t)),
     # steep and flat in s, where false position takes unequal step counts
     "sinh": SolutionFamily(
         u=lambda s, t: np.sinh(5.0 * s) + t,
@@ -1016,7 +1046,6 @@ def _counted(fam):
     calls = [0]
     u = fam.u
 
-    @mayer._takes_arrays
     def counted(s, t):
         calls[0] += 1
         return u(s, t)

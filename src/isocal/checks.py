@@ -387,7 +387,7 @@ def pullback_residual(problem: MayerProblem, n: int = 100,
 
     def score(block):
         return np.abs(lagrangian_submanifold_check(
-            problem.lagrangian, problem.family, *block.T, h))
+            problem.lagrangian, problem.family, *block.T))
 
     # a point's working set, measured 122-146 bytes on the built-ins
     return _maxima(_sweep([np.random.default_rng(seed)], n, 160,

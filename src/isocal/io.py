@@ -10,6 +10,7 @@ order never change the hash.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -31,9 +32,15 @@ def curve_from_dict(data: dict):
     if space not in SPACES:
         raise CurveError(f'unknown "space": {space!r} (expected one of {SPACES})')
     try:
-        vertices = np.asarray(data["vertices"], dtype=float)
-    except (KeyError, ValueError, TypeError) as e:
+        rows = data["vertices"]
+        vertices = np.asarray(rows, dtype=float)
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise CurveError(f"bad vertex list: {e}") from e
+    # JSON numbers only, where np.asarray also reads strings and booleans; a
+    # list of another depth fails the curve's shape check
+    coords = itertools.chain.from_iterable(rows)
+    if vertices.ndim == 2 and not set(map(type, coords)) <= {int, float}:
+        raise CurveError("bad vertex list: coordinates must be JSON numbers")
     return _CURVES[space](vertices)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,11 +31,9 @@ Scalar3 = Callable[[float, float, float], float]
 # Below this the Legendre coefficient counts as degenerate: the velocity
 # legendre_inverse returns is then ill-defined.
 DEGENERATE_D2 = 1e-10
-# Centred-difference steps: _FD_CROSS for time derivatives, _FD_STEP for
-# the residuals checked against stated partials, _PULLBACK_STEP for the
-# pullback coefficient (lagrangian_submanifold_check,
-# checks.pullback_residual).
-_FD_CROSS = 1e-6
+# Centred-difference steps: _FD_STEP for the residuals checked against
+# stated partials, _PULLBACK_STEP for the pullback coefficient
+# (lagrangian_submanifold_check, checks.pullback_residual).
 _FD_STEP = 1e-5
 _PULLBACK_STEP = 1e-4
 _ENDPOINT_TOL = 1e-10  # paths that agree to this at both ends share them
@@ -106,19 +104,16 @@ class Lagrangian1D:
 
 @dataclass(frozen=True)
 class CallablePath:
-    """Path backed by analytic callables."""
+    """Path backed by analytic callables: its values f and its slope fdot."""
 
     f: Callable[[float], float]
-    fdot: Optional[Callable[[float], float]] = None
+    fdot: Callable[[float], float]
 
     def value(self, t):
         return self.f(t)
 
     def derivative(self, t):
-        if self.fdot is not None:
-            return self.fdot(t)
-        h = _FD_CROSS
-        return (self.f(t + h) - self.f(t - h)) / (2 * h)
+        return self.fdot(t)
 
 
 def el_residual(L: Lagrangian1D, f, t, domain=None):
@@ -150,16 +145,17 @@ def el_residual(L: Lagrangian1D, f, t, domain=None):
 class SolutionFamily:
     """Family u(s, t) of extremal graphs, strictly monotone in s per time.
 
-    Monotonicity (the diffeomorphism half of the foliation condition) is
-    verified on a sample grid at construction; being extremal is the other
-    half and is checked against a Lagrangian by null_lagrangian.
+    du_dt is the leaves' closed-form time derivative, the slope field's
+    source.  Monotonicity (the diffeomorphism half of the foliation
+    condition) is verified on a sample grid at construction; being extremal
+    is the other half and is checked against a Lagrangian by null_lagrangian.
     """
 
     u: Callable[[float, float], float]
     s_interval: tuple[float, float]
     t_domain: tuple[float, float]
     s0: float
-    du_dt: Optional[Callable[[float, float], float]] = None
+    du_dt: Callable[[float, float], float]
     _monotone_sign: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -182,18 +178,9 @@ class SolutionFamily:
             raise FoliationError("monotonicity direction flips with t")
         object.__setattr__(self, "_monotone_sign", int(sign[0]))
 
-    def time_slope(self, s, t):
-        if self.du_dt is not None:
-            return self.du_dt(s, t)
-        h = _FD_CROSS
-        return (self.u(s, t + h) - self.u(s, t - h)) / (2 * h)
-
     def leaf(self, s: float) -> CallablePath:
         u, du_dt = self.u, self.du_dt
-        return CallablePath(
-            f=lambda t: u(s, t),
-            fdot=(lambda t: du_dt(s, t)) if du_dt is not None else None,
-        )
+        return CallablePath(f=lambda t: u(s, t), fdot=lambda t: du_dt(s, t))
 
     @property
     def central_leaf(self) -> CallablePath:
@@ -291,7 +278,7 @@ def mayer_slope(family: SolutionFamily, t, q):
     """
     args = t, q
     t, q = _points(*args)
-    return _out(family.time_slope(_locate_leaf(family, t, q), t), *args)
+    return _out(family.du_dt(_locate_leaf(family, t, q), t), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +499,15 @@ class PhaseLift:
 
     def map(self, s, t):
         L = self.lagrangian
-        u, udot = self.family.u(s, t), self.family.time_slope(s, t)
+        u, udot = self.family.u(s, t), self.family.du_dt(s, t)
         v = L.dL_dqdot(t, u, udot)
         return (t, u, udot * v - L.l(t, u, udot), v)
 
-    def pullback_coefficient(self, s, t, h: float):
+    def pullback_coefficient(self, s, t):
         """Coefficient of dt^ds in the pulled-back symplectic form:
         dv/dt du/ds - dv/ds du/dt + dw/ds, by centred differences of the
-        map at four points."""
+        map at four points, a step _PULLBACK_STEP away."""
+        h = _PULLBACK_STEP
         _, du_dt, _, dv_dt = [(x - y) / (2 * h) for x, y in
                               zip(self.map(s, t + h), self.map(s, t - h))]
         _, du_ds, dw_ds, dv_ds = [(x - y) / (2 * h) for x, y in
@@ -528,7 +516,7 @@ class PhaseLift:
 
 
 def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
-                                 s, t, h: float = _PULLBACK_STEP):
+                                 s, t):
     """Pullback coefficient of the symplectic form at each interior (s, t);
     near zero for a genuine foliation by extremals, else bounded away."""
     args = s, t
@@ -539,7 +527,7 @@ def lagrangian_submanifold_check(L: Lagrangian1D, family: SolutionFamily,
     if not np.all(inside):
         k = np.argmin(inside)
         raise ValueError(f"(s, t) = ({s.flat[k]}, {t.flat[k]}) not interior")
-    return _out(PhaseLift(L, family).pullback_coefficient(s, t, h), *args)
+    return _out(PhaseLift(L, family).pullback_coefficient(s, t), *args)
 
 
 def _gap_to_leaf(L: Lagrangian1D, family: SolutionFamily, ts, leaf):

@@ -406,7 +406,7 @@ def midpoint_double_integral(curve: ClosedCurve, refinement: int) -> float:
 
 def interior_curl_integral(curve: ClosedCurve, y, t_y) -> float:
     """Integral over the curve's interior of 2 det(y - x, t_y)/|x - y|^2 dA,
-    exactly, for any y: the fan triangles (y, v_k, v_k+1) cover the
+    in closed form for any y: the fan triangles (y, v_k, v_k+1) cover the
     interior with winding-number weights, and in polar coordinates about y
     triangle k adds J_k = -2 (D_k / |e_k|) (<t_y, u_k> theta_k + det(u_k,
     t_y) log(|d_k+1| / |d_k|)), d_k = v_k - y, D_k = det(d_k, d_k+1), e_k =
@@ -415,6 +415,8 @@ def interior_curl_integral(curve: ClosedCurve, y, t_y) -> float:
     README, Numerical conventions).  A degenerate triangle, D_k = 0, adds
     0.  One fsum in units of a power of two: the same bits from any
     starting vertex and at any power-of-two scale, negated under reversal.
+    The error is at most n eps max |v_k - y|, and the value falls as 1/|y|:
+    relative, 2e-10 at 100 diameters off, order 1 at 1e8 (README).
     """
     t = _vec2(t_y)
     d, D, theta, scale = curves._fan(curve, _vec2(y))

@@ -212,6 +212,20 @@ def test_verify_out_of_range_vertices_exit_2(tmp_path, capsys):
     assert "2^1022" in err and "coincide" not in err
 
 
+@pytest.mark.parametrize("vertices", [
+    [["0", "0"], [1, 0], [True, True], [0, "1e0"]],
+    [[0, 0], [10 ** 400, 0], [0, 1]]],
+    ids=["strings-and-booleans", "huge-int"])
+def test_verify_non_number_coordinates_exit_2(tmp_path, capsys, vertices):
+    # a coordinate must be a JSON number that fits a float; numpy would read
+    # the strings and booleans, and overflow on the 401-digit integer
+    path, out = tmp_path / "bad.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"vertices": vertices, "closed": True}))
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "bad vertex list" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("space, v", [
     ("sphere", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     ("hyperbolic", [[0.0, 0.0, 1.0], [1.0, 0.0, math.sqrt(2.0)],

@@ -235,19 +235,31 @@ def test_mayer_slope_outside_region():
 def test_family_monotonicity_enforced():
     with pytest.raises(FoliationError):
         SolutionFamily(u=lambda s, t: s * s * np.sin(t),
-                       s_interval=(-1.0, 1.0), t_domain=(0.5, 2.5), s0=0.0)
+                       s_interval=(-1.0, 1.0), t_domain=(0.5, 2.5), s0=0.0,
+                       du_dt=lambda s, t: s * s * np.cos(t))
 
 
 def test_family_direction_flip_detected():
     with pytest.raises(FoliationError):
         SolutionFamily(u=lambda s, t: s * np.cos(t),
-                       s_interval=(0.1, 2.0), t_domain=(1.0, 2.2), s0=1.0)
+                       s_interval=(0.1, 2.0), t_domain=(1.0, 2.2), s0=1.0,
+                       du_dt=lambda s, t: -s * np.sin(t))
 
 
 def test_family_s0_inside_interval():
     with pytest.raises(FoliationError):
         SolutionFamily(u=lambda s, t: s + t, s_interval=(0.0, 1.0),
-                       t_domain=(0.0, 1.0), s0=2.0)
+                       t_domain=(0.0, 1.0), s0=2.0, du_dt=lambda s, t: 1.0)
+
+
+def test_slopes_are_required():
+    # every slope comes from the caller: no family without du_dt, no path
+    # without fdot
+    with pytest.raises(TypeError):
+        SolutionFamily(u=lambda s, t: s + t, s_interval=(0.0, 1.0),
+                       t_domain=(0.0, 1.0), s0=0.5)
+    with pytest.raises(TypeError):
+        CallablePath(f=np.sin)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +400,16 @@ def test_path_independence_leaf_vs_cubic():
         h11 = s * s * (s - 1)
         return (h00 * qa + h10 * (b - a) * m0 + h01 * qb + h11 * (b - a) * m1)
 
-    f2 = CallablePath(f=cubic)
+    def cubic_dot(t):
+        s = (t - a) / (b - a)
+        d00 = 6 * s * (s - 1)
+        d10 = (1 - s) * (1 - 3 * s)
+        d01 = 6 * s * (1 - s)
+        d11 = s * (3 * s - 2)
+        return (d00 * qa + d10 * (b - a) * m0 + d01 * qb
+                + d11 * (b - a) * m1) / (b - a)
+
+    f2 = CallablePath(f=cubic, fdot=cubic_dot)
     i1, i2 = path_independence_check(nl, f1, f2)
     assert i1 == pytest.approx(i2, abs=1e-6)
     # both equal the potential difference S(b, qb) - S(a, qa)
@@ -549,7 +570,7 @@ def test_pullback_sweep_equals_the_per_sample_loop(name):
         s = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
         t = rng.uniform(a + 10 * h, b - 10 * h)
         worst = max(worst, abs(lagrangian_submanifold_check(
-            prob.lagrangian, prob.family, s, t, h)))
+            prob.lagrangian, prob.family, s, t)))
     assert checks.pullback_residual(prob, 40, seed=24) == worst
 
 
@@ -654,12 +675,15 @@ def test_field_values_keep_their_bits(name):
     assert digest == FIELD_PINS[name]
 
 
-def test_pullback_richardson_sanity():
+def test_pullback_richardson_sanity(monkeypatch):
     # centred differences: the nonzero coefficient of the corrupted family
     # converges as the step shrinks, so halving barely moves it
     fam = corrupted_family()
-    vals = [lagrangian_submanifold_check(OSC.lagrangian, fam, 1.0, 1.5, h=h)
-            for h in (2e-3, 1e-3, 5e-4)]
+    vals = []
+    for h in (2e-3, 1e-3, 5e-4):
+        monkeypatch.setattr(mayer, "_PULLBACK_STEP", h)
+        vals.append(lagrangian_submanifold_check(OSC.lagrangian, fam, 1.0,
+                                                 1.5))
     assert abs(vals[0] - vals[1]) <= 1e-4
     assert abs(vals[1] - vals[2]) <= abs(vals[0] - vals[1]) + 1e-9
 

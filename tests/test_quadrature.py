@@ -270,6 +270,14 @@ CORNER_PAIRS = {
 }
 
 
+def doubled_corner_g(w):
+    """2 G(w) = w^2 (log|w|^2 - 1 + 2i arg w), G = w^2 (Log w - 1/2), in
+    floats, as corner_terms evaluates it; at a zero corner, 0."""
+    r2 = w.real * w.real + w.imag * w.imag
+    return w * w * ((np.log(np.where(r2 == 0.0, 1.0, r2)) - 1.0)
+                    + 2j * np.arctan2(w.imag, w.real))
+
+
 def corner_terms(v, t, rows=64):
     """Doubled terms Re((conj(t_i)^2 + conj(t_j)^2) S_ij) of the edge pairs
     i < j of the closed polygon v with unit edge tangents t, both complex,
@@ -293,10 +301,7 @@ def corner_terms(v, t, rows=64):
         z = vz[i0:i1 + 1, None] - vz[None, i0 + 1:]
         flip = (z.real < 0.0) | ((z.real == 0.0) & (z.imag <= 0.0))
         w = np.where(flip, -z, z)
-        r2 = w.real * w.real + w.imag * w.imag
-        # 2 G = w^2 (log|w|^2 - 1 + 2i arg w); at a zero corner, 0
-        g = w * w * ((np.log(np.where(r2 == 0.0, 1.0, r2)) - 1.0)
-                     + 2j * np.arctan2(w.imag, w.real))
+        g = doubled_corner_g(w)
         s = (g[1:, 1:] + g[:-1, :-1]) - (g[1:, :-1] + g[:-1, 1:])
         alike = ((flip[1:, 1:] == flip[:-1, :-1])
                  & (flip[1:, :-1] == flip[:-1, :-1])
@@ -381,6 +386,58 @@ def test_corner_term_is_the_integral_of_the_kernel(name):
     want = kernel_dblquad(v, i, j)
     got, Li, Lj = corner_pair_integral(v, i, j)
     assert abs(got - want) <= 1e-14 * Li * Lj
+
+
+@pytest.mark.parametrize("ti, tj", [
+    (("3/5", "4/5"), ("5/13", "-12/13")), (("3/5", "4/5"), ("3/5", "4/5"))],
+    ids=["generic", "parallel"])
+def test_corner_formula_certificate(ti, tj):
+    # Certificate of the planar corner formula that double_boundary_integral
+    # sums (README, Numerical conventions): with x(s) = x0 + s t_i and y(u)
+    # = y0 + u t_j, d_s d_u F(x(s) - y(u)) = K(x, t_i; y, t_j) for F(z) =
+    # Re(c_ij z^2 (Log z - 1/2)) - |z|^2 log|z|, c_ij = (conj(t_i)^2 +
+    # conj(t_j)^2) / 2, Log z = log|z| + i atan2(Im z, Re z).  The tangents
+    # come from Pythagorean triples, so sympy's cancel reduces the
+    # difference to 0 with x0 - y0 = a + ib and both arc lengths symbolic.
+    sp = pytest.importorskip("sympy")
+    a, b, s, u = sp.symbols("a b s u", real=True)
+    ti, tj = ([sp.Rational(x) for x in t] for t in (ti, tj))
+    X, Y = a + s * ti[0] - u * tj[0], b + s * ti[1] - u * tj[1]
+    c = ((ti[0] - sp.I * ti[1]) ** 2 + (tj[0] - sp.I * tj[1]) ** 2) / 2
+    P, Q = sp.expand(c * (X + sp.I * Y) ** 2).as_real_imag()
+    r2 = X ** 2 + Y ** 2
+    F = (P * (sp.log(r2) - 1) / 2 - Q * sp.atan2(Y, X)
+         - r2 * sp.log(r2) / 2)
+    K = (2 * (X * ti[0] + Y * ti[1]) * (X * tj[0] + Y * tj[1]) / r2
+         - (ti[0] * tj[0] + ti[1] * tj[1]))
+    assert sp.cancel(sp.diff(F, s, u) - K) == 0
+    # K is the code's kernel at rational points
+    for point in ((sp.Rational(1, 3), sp.Rational(-2, 7), 1, 2),
+                  (2, 1, sp.Rational(1, 2), -3)):
+        at = dict(zip((a, b, s, u), point))
+        z = np.array([float(X.subs(at)), float(Y.subs(at))])
+        want = float(K.subs(at))
+        got = quadrature._pair_kernel(z, np.array(ti, float),
+                                      np.array(tj, float))
+        assert abs(got - want) <= 8 * EPS
+
+
+def test_corner_float_form_is_the_corner_function():
+    # the float form 2 G = w^2 (log|w|^2 - 1 + 2i arg w) of corner_terms,
+    # the all-pairs reference, against 2 w^2 (Log w - 1/2) at 50 digits, on
+    # the half-plane Re w > 0 (and Re w = 0 < Im w) that the flip maps
+    # every corner to
+    mpmath = pytest.importorskip("mpmath")
+    w = np.array([0.3 + 0.7j, 1e-3 - 2.0j, 5.0 + 0.0j, 0.0 + 1.0j,
+                  1e5 + 3e4j, 2e-7 + 1e-7j, 1.0 - 1e-12j])
+    got = doubled_corner_g(w)
+    with mpmath.workdps(50):
+        for x, g in zip(w, got):
+            z = mpmath.mpc(float(x.real), float(x.imag))
+            want = 2 * z * z * (mpmath.log(z) - mpmath.mpf(1) / 2)
+            scale = abs(x) ** 2 * (1.0 + abs(math.log(abs(x) ** 2)) + math.pi)
+            assert abs(complex(want) - g) <= 8 * EPS * scale
+    assert doubled_corner_g(np.array([0j]))[0] == 0.0
 
 
 def histogram_polygon(rng):
@@ -1486,6 +1543,45 @@ def test_fan_term_is_the_triangle_curl_integral():
                     assert abs(got - want) <= 32 * EPS * max(1, abs(want))
                 got = interior_curl_integral(curve, y, np.array(t, float))
                 assert abs(got - mpmath.fsum(total)) <= 64 * EPS * n
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0, 0), (3 / 2, -1 / 2), (5 / 4, 3 / 4), (1 / 4, 1 / 2)),
+    CURL_CERTIFICATE_HEXAGON,
+    star_polygon(np.random.default_rng(5), 12, 12).vertices],
+    ids=["quadrilateral", "hexagon", "star"])
+def test_interior_curl_integral_error_off_the_curve(vertices):
+    # The fan terms are of the curve's size and their sum falls as 1/|y|,
+    # so the float function's error is bounded absolutely, not relatively:
+    # at most n eps max_k |v_k - y| (0.52 of it the worst seen, out to 1e8
+    # diameters), against the same fan sum at 50 digits from the same
+    # floats, at points 1 to 100 diameters from the curve.  Relative to the
+    # value that is some 1e-10 at 100 diameters (README, Numerical
+    # conventions).
+    mpmath = pytest.importorskip("mpmath")
+    v = np.array(vertices, float)
+    curve, n = ClosedCurve(v), len(vertices)
+    with mpmath.workdps(50):
+        for dist in np.array([1, 3, 10, 30, 100]) * curve.diameter:
+            for phi in np.linspace(0.05, 2 * math.pi + 0.05, 8,
+                                   endpoint=False):
+                y = v.mean(axis=0) + dist * np.array([math.cos(phi),
+                                                      math.sin(phi)])
+                d = [[mpmath.mpf(float(x)) for x in p] for p in v - y]
+                for t in ((1.0, 0.0), (0.6, -0.8)):
+                    want = []
+                    for (ax, ay), (bx, by) in zip(d, d[1:] + d[:1]):
+                        D, ex, ey = ax * by - ay * bx, bx - ax, by - ay
+                        L = mpmath.sqrt(ex * ex + ey * ey)
+                        theta = mpmath.atan2(D, ax * bx + ay * by)
+                        log_ratio = mpmath.log(mpmath.sqrt(
+                            (bx * bx + by * by) / (ax * ax + ay * ay)))
+                        want.append(-2 * (D / L) * (
+                            (ex * t[0] + ey * t[1]) / L * theta
+                            + (ex * t[1] - ey * t[0]) / L * log_ratio))
+                    got = interior_curl_integral(curve, y, np.array(t))
+                    reach = np.max(np.hypot(*(v - y).T))
+                    assert abs(got - mpmath.fsum(want)) <= n * EPS * reach
 
 
 def test_curl_integrals_over_boundary_nodes_converge_to_double_integral():
